@@ -3,7 +3,9 @@
 //! avoids, plus the individual measures.
 
 use cdb_datagen::{paper_dataset, DatasetScale};
-use cdb_similarity::{edit_distance, similarity_join, SimilarityFn, SimilarityMeasure};
+use cdb_similarity::{
+    edit_distance, similarity_join, similarity_join_self, SimilarityFn, SimilarityMeasure,
+};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn bench_join(c: &mut Criterion) {
@@ -18,6 +20,13 @@ fn bench_join(c: &mut Criterion) {
         BenchmarkId::new("prefix_filter", format!("{}x{}", left.len(), right.len())),
         |b| b.iter(|| similarity_join(&left, &right, SimilarityFn::QGramJaccard { q: 2 }, 0.3)),
     );
+    group.bench_function(
+        BenchmarkId::new("cosine", format!("{}x{}", left.len(), right.len())),
+        |b| b.iter(|| similarity_join(&left, &right, SimilarityFn::Cosine, 0.3)),
+    );
+    group.bench_function(BenchmarkId::new("self_prefix_filter", right.len()), |b| {
+        b.iter(|| similarity_join_self(&right, SimilarityFn::QGramJaccard { q: 2 }, 0.3))
+    });
     group.bench_function(
         BenchmarkId::new("all_pairs_verify", format!("{}x{}", left.len(), right.len())),
         |b| {

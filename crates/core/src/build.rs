@@ -121,13 +121,10 @@ pub fn build_query_graph(
                     .expect("resolved")
                     .column_strings(&column.column)
                     .expect("resolved");
-                for (i, val) in vals.iter().enumerate() {
-                    let sim =
-                        cdb_similarity::SimilarityMeasure::similarity(&cfg.similarity, val, &lit);
-                    if sim >= cfg.epsilon {
-                        let u = nodes_of_table[&column.table][i];
-                        g.add_edge(u, cnode, pid, sim.min(0.999_999));
-                    }
+                let vals: Vec<&str> = vals.iter().map(String::as_str).collect();
+                for pair in similarity_join(&vals, &[&lit], cfg.similarity, cfg.epsilon) {
+                    let u = nodes_of_table[&column.table][pair.left];
+                    g.add_edge(u, cnode, pid, pair.sim.min(0.999_999));
                 }
             }
             AnalyzedPredicate::Equal { column, value } => {

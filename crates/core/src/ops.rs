@@ -17,7 +17,7 @@
 use cdb_crowd::{Answer, SimulatedPlatform, Task, TaskId, TaskKind};
 use cdb_graph::{Entailment, EntailmentGraph};
 use cdb_quality::majority_vote;
-use cdb_similarity::{SimilarityFn, SimilarityMeasure};
+use cdb_similarity::{similarity_join_self, SimilarityFn};
 
 /// Result of a crowd-powered sort.
 #[derive(Debug, Clone)]
@@ -146,15 +146,11 @@ pub fn crowd_group(
     epsilon: f64,
 ) -> GroupOutcome {
     let n = keys.len();
-    let mut pairs: Vec<(usize, usize, f64)> = Vec::new();
-    for i in 0..n {
-        for j in i + 1..n {
-            let s = similarity.similarity(&keys[i], &keys[j]);
-            if s >= epsilon {
-                pairs.push((i, j, s));
-            }
-        }
-    }
+    let refs: Vec<&str> = keys.iter().map(String::as_str).collect();
+    let mut pairs: Vec<(usize, usize, f64)> = similarity_join_self(&refs, similarity, epsilon)
+        .into_iter()
+        .map(|p| (p.left, p.right, p.sim))
+        .collect();
     // Most-similar first maximizes transitive savings.
     pairs.sort_by(|a, b| b.2.total_cmp(&a.2).then((a.0, a.1).cmp(&(b.0, b.1))));
 

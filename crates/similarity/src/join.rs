@@ -6,10 +6,18 @@
 //! For a Jaccard threshold ε, any two sets with `J(A, B) >= ε` must share a
 //! token within the first `|A| - ceil(ε * |A|) + 1` tokens of `A` under a
 //! global token order — so only pairs sharing a prefix token are verified.
+//!
+//! Every record is tokenised exactly once, into a sorted `u32` signature;
+//! candidates and verification read only the signatures. The contract with
+//! [`SimilarityMeasure::similarity`] is bit-identity: the join tokenises
+//! through the same `tokenize` visitors and divides the same two integers,
+//! so every emitted `sim` has the bits `similarity` returns for that pair.
 
 use std::collections::HashMap;
 
-use crate::{qgrams, tokens, SimilarityFn, SimilarityMeasure};
+use crate::measures::normalized_edit_chars;
+use crate::tokenize::{for_each_qgram, for_each_token};
+use crate::{SimilarityFn, SimilarityMeasure};
 
 /// One pair produced by a similarity join: indexes into the two input slices
 /// plus the verified similarity.
@@ -23,95 +31,221 @@ pub struct SimJoinPair {
     pub sim: f64,
 }
 
-/// Record signature used by the prefix filter: the sorted token ids of a
-/// string under a global frequency order (rarest first).
-struct Signature {
-    tokens: Vec<u32>,
+/// Every record's token set as sorted `u32` ids, in one flat buffer. An id
+/// is the token's rank in a global rarest-first order, so the front of a
+/// signature holds its rarest tokens and prefix posting lists stay short.
+struct Signatures {
+    ids: Vec<u32>,
+    bounds: Vec<usize>,
+    vocab: usize,
 }
 
-fn build_signatures(values: &[&str], f: SimilarityFn) -> Vec<Signature> {
-    let tokenize = |s: &str| -> Vec<String> {
-        match f {
-            SimilarityFn::TokenJaccard | SimilarityFn::Cosine => tokens(s),
-            SimilarityFn::QGramJaccard { q } => qgrams(s, q),
-            // ED / NoSim joins don't use token signatures.
-            SimilarityFn::EditDistance | SimilarityFn::NoSim => Vec::new(),
+impl Signatures {
+    fn build(values: &[&str], f: SimilarityFn) -> Self {
+        let mut vocab: HashMap<Box<str>, u32> = HashMap::new();
+        let mut freq: Vec<u32> = Vec::new(); // records holding the token, by first-seen id
+        let (mut ids, mut bounds, mut record) = (Vec::new(), vec![0], Vec::new());
+        for v in values {
+            let mut intern = |t: &str| match vocab.get(t) {
+                Some(&id) => record.push(id),
+                None => {
+                    let id = u32::try_from(freq.len()).expect("fewer than 2^32 distinct tokens");
+                    record.push(id);
+                    vocab.insert(t.into(), id);
+                    freq.push(0);
+                }
+            };
+            match f {
+                SimilarityFn::QGramJaccard { q } => for_each_qgram(v, q, intern),
+                _ => for_each_token(v, |t| intern(&t)),
+            }
+            record.sort_unstable();
+            record.dedup();
+            record.iter().for_each(|&id| freq[id as usize] += 1);
+            ids.append(&mut record);
+            bounds.push(ids.len());
         }
-    };
-    let token_lists: Vec<Vec<String>> = values.iter().map(|v| tokenize(v)).collect();
-
-    // Global frequency order: rare tokens first shrinks candidate lists.
-    let mut freq: HashMap<&str, u32> = HashMap::new();
-    for list in &token_lists {
-        for t in list {
-            *freq.entry(t.as_str()).or_insert(0) += 1;
+        let mut rarest_first: Vec<u32> = (0..freq.len() as u32).collect();
+        rarest_first.sort_unstable_by_key(|&id| (freq[id as usize], id));
+        let mut rank = vec![0; freq.len()];
+        for (r, &id) in (0..).zip(&rarest_first) {
+            rank[id as usize] = r;
         }
+        for w in bounds.windows(2) {
+            let sig = &mut ids[w[0]..w[1]];
+            sig.iter_mut().for_each(|t| *t = rank[*t as usize]);
+            sig.sort_unstable();
+        }
+        Signatures { ids, bounds, vocab: freq.len() }
     }
-    let mut vocab: Vec<&str> = freq.keys().copied().collect();
-    vocab.sort_by_key(|t| (freq[t], *t));
-    let ids: HashMap<&str, u32> = vocab.iter().enumerate().map(|(i, t)| (*t, i as u32)).collect();
 
-    token_lists
-        .iter()
-        .map(|list| {
-            let mut t: Vec<u32> = list.iter().map(|s| ids[s.as_str()]).collect();
-            t.sort_unstable();
-            Signature { tokens: t }
-        })
-        .collect()
+    fn get(&self, record: usize) -> &[u32] {
+        &self.ids[self.bounds[record]..self.bounds[record + 1]]
+    }
+}
+
+/// `ceil(x)` for a required-overlap bound `x`, nudged down by a relative
+/// epsilon first: such a bound is frequently integral in exact arithmetic
+/// but lands just above the integer in f64 (e.g.
+/// `0.8 * 20 == 16.000000000000004`), and a raw ceil then demands one more
+/// overlapping token than the threshold actually requires — silently
+/// dropping true pairs before verification. Biasing downward is always
+/// safe: an undersized requirement only admits extra work that the exact
+/// `sim >= eps` comparison rejects.
+fn biased_ceil(x: f64) -> usize {
+    (x - x * 1e-9 - f64::EPSILON).ceil() as usize
 }
 
 /// Prefix length for Jaccard threshold `eps` on a set of size `len`:
-/// `len - ceil(eps * len) + 1`.
-///
-/// The product is nudged down by a relative epsilon before the ceil:
-/// `eps * len` is frequently integral in exact arithmetic but lands just
-/// above the integer in f64 (e.g. `0.8 * 20 == 16.000000000000004`), and a
-/// raw ceil then demands one more overlapping token than the threshold
-/// actually requires — shortening the prefix and silently dropping true
-/// pairs before verification. Biasing downward is always safe: an
-/// undersized overlap only lengthens the prefix, admitting extra
-/// candidates that exact verification rejects.
+/// `len - ceil(eps * len) + 1`, at most `len`, with the ceil biased as in
+/// [`biased_ceil`] (a shorter required overlap only lengthens the prefix).
 fn jaccard_prefix_len(len: usize, eps: f64) -> usize {
-    if len == 0 {
-        return 0;
-    }
-    let product = eps * len as f64;
-    let min_overlap = (product - product * 1e-9 - f64::EPSILON).ceil() as usize;
-    len - min_overlap.min(len) + 1
+    (len - biased_ceil(eps * len as f64).min(len) + 1).min(len)
 }
 
-/// FP-robust slack for the `eps*|A| <= |B| <= |A|/eps` length filter —
-/// same downward bias as [`jaccard_prefix_len`], scaled to the lengths.
-fn length_filter_slack(la: f64, lb: f64) -> f64 {
-    1e-9 * la.max(lb).max(1.0)
+/// Exact set similarity of two signatures, or `None` as soon as the overlap
+/// can no longer reach what `eps` requires (`J >= eps` needs
+/// `|A ∩ B| >= eps (|A| + |B|) / (1 + eps)`, cosine `eps sqrt(|A| |B|)`).
+/// The first check, before any token is compared, is the length filter
+/// `eps |A| <= |B| <= |A| / eps`. The requirement is biased downward, so the
+/// exit only skips pairs the caller's `sim >= eps` would reject; the
+/// arithmetic is that of `jaccard_tokens` / `cosine_tokens`.
+fn verify_sets(a: &[u32], b: &[u32], cosine: bool, eps: f64) -> Option<f64> {
+    if a.is_empty() || b.is_empty() {
+        return Some(if a.len() == b.len() { 1.0 } else { 0.0 });
+    }
+    let (la, lb) = (a.len() as f64, b.len() as f64);
+    let bound = if cosine { eps * (la * lb).sqrt() } else { eps * (la + lb) / (1.0 + eps) };
+    let required = biased_ceil(bound);
+    let (mut i, mut j, mut inter) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        if inter + (a.len() - i).min(b.len() - j) < required {
+            return None;
+        }
+        // Branch-free step: which side advances is a coin flip to the predictor.
+        let (x, y) = (a[i], b[j]);
+        (i, j, inter) =
+            (i + usize::from(x <= y), j + usize::from(y <= x), inter + usize::from(x == y));
+    }
+    let denom = if cosine { (la * lb).sqrt() } else { (a.len() + b.len() - inter) as f64 };
+    Some(inter as f64 / denom)
+}
+
+/// What verification reads of a record, computed once per record.
+enum Records {
+    /// Ranked token-id sets: the Jaccard family and cosine.
+    Sets(Signatures),
+    /// The record's chars: edit distance.
+    Chars(Vec<Vec<char>>),
+    /// `NoSim` compares the strings themselves.
+    Raw,
+}
+
+/// The one candidate-and-verify routine behind both public joins: bipartite
+/// when `right` is given, otherwise the upper triangle of `left` with itself.
+/// Pairs are produced in `(left, right)` order.
+fn join(left: &[&str], right: Option<&[&str]>, f: SimilarityFn, eps: f64) -> Vec<SimJoinPair> {
+    assert!((0.0..=1.0).contains(&eps), "threshold must be in [0, 1]");
+    // Probe record `i` is `values[i]`, indexed record `j` is `values[base + j]`;
+    // a self-join has one list in both roles and pairs `i` only with `j > i`.
+    let values: Vec<&str> = left.iter().chain(right.unwrap_or_default()).copied().collect();
+    let (base, indexed) = right.map_or((0, left.len()), |r| (left.len(), r.len()));
+    let cosine = f == SimilarityFn::Cosine;
+    let records = match f {
+        SimilarityFn::NoSim => Records::Raw,
+        SimilarityFn::EditDistance => {
+            Records::Chars(values.iter().map(|v| v.chars().collect()).collect())
+        }
+        _ => Records::Sets(Signatures::build(&values, f)),
+    };
+    let verify = |a: usize, b: usize| match &records {
+        Records::Sets(sigs) => verify_sets(sigs.get(a), sigs.get(b), cosine, eps),
+        Records::Chars(chars) => {
+            // Length filter: ed >= |la - lb|, and `1 - ed / max_len` falls
+            // monotonically in f64 too, so this is an upper bound on `sim`
+            // in the very arithmetic `normalized_edit_chars` uses.
+            let (la, lb) = (chars[a].len(), chars[b].len());
+            let reach = 1.0 - la.abs_diff(lb) as f64 / la.max(lb).max(1) as f64;
+            (reach >= eps).then(|| normalized_edit_chars(&chars[a], &chars[b]))
+        }
+        Records::Raw => Some(f.similarity(values[a], values[b])),
+    };
+
+    // Jaccard prefix index over the indexed side: `postings[t]` lists, in
+    // ascending order, the records with token `t` in their prefix. A record
+    // without tokens has no prefix but is at similarity 1.0 from every other
+    // such record, so those are listed apart. At eps = 0 nothing can be
+    // filtered (disjoint sets qualify), as under the other measures.
+    let prefix = |sig: &[u32]| jaccard_prefix_len(sig.len(), eps);
+    let index = match &records {
+        Records::Sets(sigs) if !cosine && eps > 0.0 => {
+            let (mut postings, mut empty) = (vec![Vec::new(); sigs.vocab], Vec::new());
+            for j in 0..indexed {
+                let sig = sigs.get(base + j);
+                if sig.is_empty() {
+                    empty.push(j);
+                }
+                sig[..prefix(sig)].iter().for_each(|&t| postings[t as usize].push(j));
+            }
+            Some((sigs, postings, empty))
+        }
+        _ => None,
+    };
+
+    let mut out = Vec::new();
+    let mut candidates: Vec<usize> = Vec::new();
+    let mut stamp = vec![usize::MAX; indexed]; // last probe that listed each record
+    for i in 0..left.len() {
+        let first = if right.is_some() { 0 } else { i + 1 };
+        candidates.clear();
+        match &index {
+            None => candidates.extend(first..indexed),
+            Some((sigs, postings, empty)) => {
+                let sig = sigs.get(i);
+                if sig.is_empty() {
+                    candidates.extend(empty.iter().filter(|&&j| j >= first));
+                }
+                for &t in &sig[..prefix(sig)] {
+                    let list = &postings[t as usize];
+                    for &j in &list[list.partition_point(|&j| j < first)..] {
+                        if stamp[j] != i {
+                            stamp[j] = i;
+                            candidates.push(j);
+                        }
+                    }
+                }
+                candidates.sort_unstable();
+            }
+        }
+        for &j in &candidates {
+            if let Some(sim) = verify(i, base + j).filter(|&sim| sim >= eps) {
+                out.push(SimJoinPair { left: i, right: j, sim });
+            }
+        }
+    }
+    out
 }
 
 /// Find all pairs `(i, j)` with `f.similarity(left[i], right[j]) >= eps`.
 ///
-/// For the Jaccard family the candidate generation uses prefix filtering;
-/// for edit distance a length filter is applied
-/// (`sim >= eps` implies `max_len - min_len <= (1 - eps) * max_len`); for
-/// `NoSim` every pair is a candidate (probability 0.5 >= ε whenever ε <=
-/// 0.5), matching the paper's ablation.
+/// Each record is tokenised once. For the Jaccard family candidates come
+/// from prefix filtering, and both Jaccard and cosine verification stop as
+/// soon as the required overlap is out of reach; for edit distance a length
+/// filter is applied (`sim <= 1 - (max_len - min_len) / max_len`); for
+/// `NoSim` every pair is a candidate (probability 0.5 >= ε whenever
+/// ε <= 0.5), matching the paper's ablation.
 ///
 /// Every returned pair is *verified* with the exact measure, so the result
-/// is exactly the set of pairs at or above the threshold.
+/// is exactly the set of pairs at or above the threshold — two records
+/// without any token included, which are at similarity 1.0 — in
+/// `(left, right)` order, each `sim` bit-identical to `f.similarity`.
 pub fn similarity_join(
     left: &[&str],
     right: &[&str],
     f: SimilarityFn,
     eps: f64,
 ) -> Vec<SimJoinPair> {
-    assert!((0.0..=1.0).contains(&eps), "threshold must be in [0, 1]");
-    match f {
-        SimilarityFn::TokenJaccard | SimilarityFn::QGramJaccard { .. } => {
-            prefix_filter_join(left, right, f, eps)
-        }
-        SimilarityFn::Cosine | SimilarityFn::EditDistance | SimilarityFn::NoSim => {
-            verify_all_pairs(left, right, f, eps)
-        }
-    }
+    join(left, Some(right), f, eps)
 }
 
 /// Self-join variant: all unordered pairs `(i, j)` with `i < j` and
@@ -119,157 +253,12 @@ pub fn similarity_join(
 ///
 /// Enumerates the upper triangle directly rather than running the
 /// bipartite join on `(values, values)` and discarding half the output:
-/// each record probes only records before it, so candidate generation and
-/// verification cost half the bipartite version, and degenerate measures
-/// (`NoSim` admits everything) never verify the diagonal `(i, i)`.
+/// each record is tokenised once and probes only records after it, so
+/// candidate generation and verification cost half the bipartite version,
+/// and degenerate measures (`NoSim` admits everything) never verify the
+/// diagonal `(i, i)`.
 pub fn similarity_join_self(values: &[&str], f: SimilarityFn, eps: f64) -> Vec<SimJoinPair> {
-    assert!((0.0..=1.0).contains(&eps), "threshold must be in [0, 1]");
-    match f {
-        SimilarityFn::TokenJaccard | SimilarityFn::QGramJaccard { .. } => {
-            prefix_filter_join_self(values, f, eps)
-        }
-        SimilarityFn::Cosine | SimilarityFn::EditDistance | SimilarityFn::NoSim => {
-            verify_upper_pairs(values, f, eps)
-        }
-    }
-}
-
-fn prefix_filter_join(
-    left: &[&str],
-    right: &[&str],
-    f: SimilarityFn,
-    eps: f64,
-) -> Vec<SimJoinPair> {
-    // Build a shared vocabulary over both sides so token ids agree.
-    let mut all: Vec<&str> = Vec::with_capacity(left.len() + right.len());
-    all.extend_from_slice(left);
-    all.extend_from_slice(right);
-    let sigs = build_signatures(&all, f);
-    let (lsigs, rsigs) = sigs.split_at(left.len());
-
-    // Index the right side by prefix token.
-    let mut index: HashMap<u32, Vec<usize>> = HashMap::new();
-    for (j, sig) in rsigs.iter().enumerate() {
-        let plen = jaccard_prefix_len(sig.tokens.len(), eps);
-        for &t in &sig.tokens[..plen.min(sig.tokens.len())] {
-            index.entry(t).or_default().push(j);
-        }
-    }
-
-    let mut out = Vec::new();
-    let mut seen: Vec<usize> = Vec::new(); // generation-stamped dedup
-    let mut stamp = vec![usize::MAX; right.len()];
-    for (i, sig) in lsigs.iter().enumerate() {
-        seen.clear();
-        let plen = jaccard_prefix_len(sig.tokens.len(), eps);
-        for &t in &sig.tokens[..plen.min(sig.tokens.len())] {
-            if let Some(cands) = index.get(&t) {
-                for &j in cands {
-                    if stamp[j] != i {
-                        stamp[j] = i;
-                        seen.push(j);
-                    }
-                }
-            }
-        }
-        for &j in &seen {
-            // Length filter: J(A,B) >= eps requires eps*|A| <= |B| <= |A|/eps.
-            let (la, lb) = (sig.tokens.len() as f64, rsigs[j].tokens.len() as f64);
-            let slack = length_filter_slack(la, lb);
-            if lb < eps * la - slack || (eps > 0.0 && lb > la / eps + slack) {
-                continue;
-            }
-            let sim = f.similarity(left[i], right[j]);
-            if sim >= eps {
-                out.push(SimJoinPair { left: i, right: j, sim });
-            }
-        }
-    }
-    out.sort_by_key(|a| (a.left, a.right));
-    out
-}
-
-/// Upper-triangle prefix-filter join over one list: record `i` probes the
-/// index of records `0..i`, then posts its own prefix tokens — every
-/// candidate pair is generated exactly once, as `(j, i)` with `j < i`.
-fn prefix_filter_join_self(values: &[&str], f: SimilarityFn, eps: f64) -> Vec<SimJoinPair> {
-    let sigs = build_signatures(values, f);
-    let mut index: HashMap<u32, Vec<usize>> = HashMap::new();
-    let mut out = Vec::new();
-    let mut seen: Vec<usize> = Vec::new(); // generation-stamped dedup
-    let mut stamp = vec![usize::MAX; values.len()];
-    for (i, sig) in sigs.iter().enumerate() {
-        seen.clear();
-        let plen = jaccard_prefix_len(sig.tokens.len(), eps).min(sig.tokens.len());
-        for &t in &sig.tokens[..plen] {
-            if let Some(cands) = index.get(&t) {
-                for &j in cands {
-                    if stamp[j] != i {
-                        stamp[j] = i;
-                        seen.push(j);
-                    }
-                }
-            }
-        }
-        for &j in &seen {
-            let (la, lb) = (sigs[j].tokens.len() as f64, sig.tokens.len() as f64);
-            let slack = length_filter_slack(la, lb);
-            if lb < eps * la - slack || (eps > 0.0 && lb > la / eps + slack) {
-                continue;
-            }
-            let sim = f.similarity(values[j], values[i]);
-            if sim >= eps {
-                out.push(SimJoinPair { left: j, right: i, sim });
-            }
-        }
-        for &t in &sig.tokens[..plen] {
-            index.entry(t).or_default().push(i);
-        }
-    }
-    out.sort_by_key(|a| (a.left, a.right));
-    out
-}
-
-/// Exact verification over the upper triangle (`i < j` only).
-fn verify_upper_pairs(values: &[&str], f: SimilarityFn, eps: f64) -> Vec<SimJoinPair> {
-    let mut out = Vec::new();
-    for (i, a) in values.iter().enumerate() {
-        for (j, b) in values.iter().enumerate().skip(i + 1) {
-            if f == SimilarityFn::EditDistance {
-                let (la, lb) = (a.chars().count(), b.chars().count());
-                let max_len = la.max(lb);
-                if max_len > 0 && (la.abs_diff(lb) as f64) > (1.0 - eps) * max_len as f64 {
-                    continue;
-                }
-            }
-            let sim = f.similarity(a, b);
-            if sim >= eps {
-                out.push(SimJoinPair { left: i, right: j, sim });
-            }
-        }
-    }
-    out
-}
-
-fn verify_all_pairs(left: &[&str], right: &[&str], f: SimilarityFn, eps: f64) -> Vec<SimJoinPair> {
-    let mut out = Vec::new();
-    for (i, a) in left.iter().enumerate() {
-        for (j, b) in right.iter().enumerate() {
-            if f == SimilarityFn::EditDistance {
-                // Length filter for normalized ED similarity.
-                let (la, lb) = (a.chars().count(), b.chars().count());
-                let max_len = la.max(lb);
-                if max_len > 0 && (la.abs_diff(lb) as f64) > (1.0 - eps) * max_len as f64 {
-                    continue;
-                }
-            }
-            let sim = f.similarity(a, b);
-            if sim >= eps {
-                out.push(SimJoinPair { left: i, right: j, sim });
-            }
-        }
-    }
-    out
+    join(values, None, f, eps)
 }
 
 #[cfg(test)]
@@ -284,15 +273,71 @@ mod tests {
         f: SimilarityFn,
         eps: f64,
     ) -> BTreeSet<(usize, usize)> {
-        let mut out = BTreeSet::new();
+        brute_force_bits(left, right, f, eps, |_, _| true).into_iter().map(|p| (p.0, p.1)).collect()
+    }
+
+    const ALL_FNS: [SimilarityFn; 5] = [
+        SimilarityFn::QGramJaccard { q: 2 },
+        SimilarityFn::TokenJaccard,
+        SimilarityFn::Cosine,
+        SimilarityFn::EditDistance,
+        SimilarityFn::NoSim,
+    ];
+
+    /// `(left, right, sim bits)` of every pair, in output order.
+    fn bits(pairs: Vec<SimJoinPair>) -> Vec<(usize, usize, u64)> {
+        pairs.into_iter().map(|p| (p.left, p.right, p.sim.to_bits())).collect()
+    }
+
+    /// The oracle: `f.similarity` on every pair the `keep` mask admits, in
+    /// `(left, right)` order.
+    fn brute_force_bits(
+        left: &[&str],
+        right: &[&str],
+        f: SimilarityFn,
+        eps: f64,
+        keep: impl Fn(usize, usize) -> bool,
+    ) -> Vec<(usize, usize, u64)> {
+        let mut out = Vec::new();
         for (i, a) in left.iter().enumerate() {
             for (j, b) in right.iter().enumerate() {
-                if f.similarity(a, b) >= eps {
-                    out.insert((i, j));
+                let sim = f.similarity(a, b);
+                if keep(i, j) && sim >= eps {
+                    out.push((i, j, sim.to_bits()));
                 }
             }
         }
         out
+    }
+
+    #[test]
+    fn records_without_tokens_pair_with_each_other_under_every_measure() {
+        let (left, right, vals) = (["", " .,"], ["", ";"], ["", "x", ""]);
+        for f in ALL_FNS {
+            for eps in [0.0, 0.3, 1.0] {
+                assert_eq!(
+                    bits(similarity_join(&left, &right, f, eps)),
+                    brute_force_bits(&left, &right, f, eps, |_, _| true),
+                    "{f:?} eps={eps}"
+                );
+                assert_eq!(
+                    bits(similarity_join_self(&vals, f, eps)),
+                    brute_force_bits(&vals, &vals, f, eps, |i, j| i < j),
+                    "{f:?} eps={eps} (self)"
+                );
+            }
+        }
+        // The set measures see four empty x empty pairs, not none.
+        let one = 1.0f64.to_bits();
+        for f in [SimilarityFn::TokenJaccard, SimilarityFn::QGramJaccard { q: 2 }] {
+            let want = if f == SimilarityFn::TokenJaccard {
+                vec![(0, 0, one), (0, 1, one), (1, 0, one), (1, 1, one)]
+            } else {
+                vec![(0, 0, one)] // " .," and ";" have grams
+            };
+            assert_eq!(bits(similarity_join(&left, &right, f, 0.3)), want, "{f:?}");
+            assert_eq!(bits(similarity_join_self(&vals, f, 0.3)), vec![(0, 2, one)], "{f:?}");
+        }
     }
 
     #[test]
@@ -342,6 +387,15 @@ mod tests {
             .map(|p| p.right)
             .collect();
         assert_eq!(got, vec![1]);
+    }
+
+    #[test]
+    fn edit_distance_length_filter_keeps_pairs_exactly_at_the_threshold() {
+        // sim = 1 - 2/10 = 0.8, but (1 - 0.8) * 10 = 1.9999999999999996 < 2:
+        // the filter as `diff > (1 - eps) * max_len` dropped this pair.
+        let pairs =
+            similarity_join(&["abcdefgh"], &["abcdefghij"], SimilarityFn::EditDistance, 0.8);
+        assert_eq!(bits(pairs), vec![(0, 0, 0.8f64.to_bits())]);
     }
 
     #[test]
@@ -444,40 +498,43 @@ mod tests {
         }
     }
 
+    /// Records the tokenisers are most likely to get wrong: empty and
+    /// punctuation-only strings, strings of at most q chars, mixed case, and
+    /// non-ASCII whose lowercase expands (`İ`) or depends on position (`Σ`).
+    const RECORD: &str = "[abABİßΣ .']{0,7}";
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         #[test]
-        fn prefix_filter_join_equals_brute_force(
-            left in prop::collection::vec("[a-d]{1,8}( [a-d]{1,8})?", 0..12),
-            right in prop::collection::vec("[a-d]{1,8}( [a-d]{1,8})?", 0..12),
+        fn join_equals_brute_force_bit_for_bit(
+            left in prop::collection::vec(RECORD, 0..12),
+            right in prop::collection::vec(RECORD, 0..12),
             eps in 0.1f64..0.9,
         ) {
             let l: Vec<&str> = left.iter().map(String::as_str).collect();
             let r: Vec<&str> = right.iter().map(String::as_str).collect();
-            for f in [SimilarityFn::QGramJaccard { q: 2 }, SimilarityFn::TokenJaccard] {
-                let got: BTreeSet<(usize, usize)> = similarity_join(&l, &r, f, eps)
-                    .into_iter().map(|p| (p.left, p.right)).collect();
-                prop_assert_eq!(got, brute_force(&l, &r, f, eps));
+            for f in ALL_FNS {
+                prop_assert_eq!(
+                    bits(similarity_join(&l, &r, f, eps)),
+                    brute_force_bits(&l, &r, f, eps, |_, _| true),
+                    "{:?}", f
+                );
             }
         }
 
         #[test]
-        fn self_join_equals_filtered_bipartite_join(
-            vals in prop::collection::vec("[a-d]{1,8}( [a-d]{1,8})?", 0..12),
+        fn self_join_equals_upper_triangle_bit_for_bit(
+            vals in prop::collection::vec(RECORD, 0..12),
             eps in 0.1f64..0.9,
         ) {
             let v: Vec<&str> = vals.iter().map(String::as_str).collect();
-            for f in [
-                SimilarityFn::QGramJaccard { q: 2 },
-                SimilarityFn::TokenJaccard,
-                SimilarityFn::EditDistance,
-            ] {
-                let got: BTreeSet<(usize, usize)> = similarity_join_self(&v, f, eps)
-                    .into_iter().map(|p| (p.left, p.right)).collect();
-                let want: BTreeSet<(usize, usize)> = brute_force(&v, &v, f, eps)
-                    .into_iter().filter(|&(i, j)| i < j).collect();
-                prop_assert_eq!(got, want, "{:?}", f);
+            for f in ALL_FNS {
+                prop_assert_eq!(
+                    bits(similarity_join_self(&v, f, eps)),
+                    brute_force_bits(&v, &v, f, eps, |i, j| i < j),
+                    "{:?}", f
+                );
             }
         }
     }

@@ -26,7 +26,8 @@ mod tokenize;
 
 pub use join::{similarity_join, similarity_join_self, SimJoinPair};
 pub use measures::{
-    cosine_tokens, edit_distance, jaccard_tokens, normalized_edit_similarity, overlap_tokens,
+    cosine_tokens, edit_distance, edit_distance_chars, jaccard_tokens, normalized_edit_similarity,
+    overlap_tokens,
 };
 pub use tokenize::{qgrams, tokens};
 

@@ -2,13 +2,22 @@
 
 /// Levenshtein edit distance between two strings (unit costs).
 ///
-/// Runs in `O(|a| * |b|)` time and `O(min(|a|, |b|))` space using the
-/// classic two-row dynamic program.
+/// Collects both strings' chars and runs [`edit_distance_chars`].
 pub fn edit_distance(a: &str, b: &str) -> usize {
     let a: Vec<char> = a.chars().collect();
     let b: Vec<char> = b.chars().collect();
+    edit_distance_chars(&a, &b)
+}
+
+/// Levenshtein edit distance between two char slices (unit costs) — the core
+/// of [`edit_distance`], for callers that compare one string against many
+/// and collect its chars once.
+///
+/// Runs in `O(|a| * |b|)` time and `O(min(|a|, |b|))` space using the
+/// classic two-row dynamic program.
+pub fn edit_distance_chars(a: &[char], b: &[char]) -> usize {
     // Keep the shorter string in the inner dimension to minimise memory.
-    let (short, long) = if a.len() <= b.len() { (&a, &b) } else { (&b, &a) };
+    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
     if short.is_empty() {
         return long.len();
     }
@@ -29,11 +38,18 @@ pub fn edit_distance(a: &str, b: &str) -> usize {
 ///
 /// Returns `1.0` for two empty strings (they are identical).
 pub fn normalized_edit_similarity(a: &str, b: &str) -> f64 {
-    let max_len = a.chars().count().max(b.chars().count());
+    let a: Vec<char> = a.chars().collect();
+    let b: Vec<char> = b.chars().collect();
+    normalized_edit_chars(&a, &b)
+}
+
+/// [`normalized_edit_similarity`] on chars already collected.
+pub(crate) fn normalized_edit_chars(a: &[char], b: &[char]) -> f64 {
+    let max_len = a.len().max(b.len());
     if max_len == 0 {
         return 1.0;
     }
-    1.0 - edit_distance(a, b) as f64 / max_len as f64
+    1.0 - edit_distance_chars(a, b) as f64 / max_len as f64
 }
 
 /// Jaccard similarity of two *sorted, deduplicated* token slices:
