@@ -7,7 +7,7 @@ use cdb_core::cost::expectation::expectation_order;
 use cdb_core::cost::known::select_known_colors;
 use cdb_core::cost::sampling::mincut_sampling_order;
 use cdb_core::latency::parallel_round;
-use cdb_datagen::{paper_dataset, queries_for, DatasetScale};
+use cdb_datagen::{award_dataset, paper_dataset, queries_for, DatasetScale};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -34,6 +34,17 @@ fn bench_selection(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("known_color_selection", q.label), &g, |b, g| {
             let oracle = |e: cdb_core::EdgeId| truth[&e];
             b.iter(|| select_known_colors(g, &oracle))
+        });
+    }
+    // The dense-component case: every university name is pairwise similar,
+    // so one component holds most of the graph and most of the conflicts.
+    let award = award_dataset(DatasetScale::award_full().scaled(10), 42);
+    for q in queries_for("award") {
+        let (g, _) = prepare(&award, &q.cql, &cfg);
+        let id = BenchmarkId::new("parallel_round", format!("award/{}", q.label));
+        group.bench_with_input(id, &g, |b, g| {
+            let order = expectation_order(g);
+            b.iter(|| parallel_round(g, &order))
         });
     }
     group.finish();

@@ -148,11 +148,11 @@ fn rec(
     }
     let pred = order[depth];
     let info = &g.predicates()[pred];
-    let candidates: Vec<EdgeId> = match fixed[pred] {
-        Some(e) => vec![e],
-        None => per_pred[pred].clone(),
+    let candidates: &[EdgeId] = match &fixed[pred] {
+        Some(e) => std::slice::from_ref(e),
+        None => &per_pred[pred],
     };
-    for e in candidates {
+    for &e in candidates {
         if !filter.admits(g, e) {
             continue;
         }

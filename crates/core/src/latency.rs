@@ -9,13 +9,25 @@
 //! non-conflicting edges in expectation order (the paper's literal
 //! longest-prefix rule is kept as an ablation); the union over components
 //! is asked in parallel.
+//!
+//! A round is one linear pass. On an acyclic predicate structure whose
+//! nodes are arc consistent (what `prune_invalid_edges` leaves behind),
+//! every live path along the predicate tree extends to a full candidate,
+//! so the edges conflicting with a chosen edge `e` are exactly its
+//! *candidate cone*: from each endpoint, the live edges of every other
+//! predicate, and recursively outward from their far ends. Accepting an
+//! edge marks its cone as blocked; later edges are accepted iff unblocked.
+//! Any other graph (cyclic structure, or an unpruned caller) is batched by
+//! the pairwise [`edges_conflict`] search instead. The choice is read off
+//! the graph alone, and where the cone walk runs it yields the pairwise round.
 
 use cdb_graph::connected_components;
 
 use crate::candidate::{edges_in_same_candidate, CandidateFilter};
-use crate::model::{EdgeId, QueryGraph};
+use crate::model::{EdgeId, NodeId, QueryGraph};
+use crate::prune::{arc_consistent, predicate_structure_cyclic};
 
-/// Conservative conflict test between two edges.
+/// Exact conflict test between two edges: do they share a live candidate?
 pub fn edges_conflict(g: &QueryGraph, e1: EdgeId, e2: EdgeId) -> bool {
     if e1 == e2 {
         return false;
@@ -66,33 +78,75 @@ pub fn parallel_round_prefix(g: &QueryGraph, ordered: &[EdgeId]) -> Vec<EdgeId> 
     round_impl(g, ordered, true)
 }
 
+/// True when cone marking is exact for `g`; see the module docs.
+fn cone_exact(g: &QueryGraph) -> bool {
+    !predicate_structure_cyclic(g) && arc_consistent(g)
+}
+
+/// Block every live edge reachable from `n` without going back through
+/// predicate `via`. `expanded[n * predicates + via]` memoises the walk, so
+/// each direction is expanded once per round however many cones share it;
+/// the structure is a tree here, so the recursion is as deep as its diameter.
+fn mark_cone(g: &QueryGraph, n: NodeId, via: usize, blocked: &mut [bool], expanded: &mut [bool]) {
+    let slot = n.0 * g.predicate_count() + via;
+    if std::mem::replace(&mut expanded[slot], true) {
+        return;
+    }
+    for &f in g.incident_edges(n) {
+        let q = g.edge_predicate(f);
+        if q != via && g.edge_live(f) {
+            blocked[f.0] = true;
+            mark_cone(g, g.other_endpoint(f, n), q, blocked, expanded);
+        }
+    }
+}
+
 fn round_impl(g: &QueryGraph, ordered: &[EdgeId], stop_at_first_conflict: bool) -> Vec<EdgeId> {
     let mut ph = cdb_obsv::profile::phase(cdb_obsv::profile::phases::SELECT_CANDIDATES);
     ph.set(cdb_obsv::attr::keys::N, ordered.len() as u64);
     let comp = live_components(g);
-    // Split the ordered list per component (an edge's component is its
-    // endpoints' — both endpoints share one by construction).
-    let mut per_comp: std::collections::BTreeMap<usize, Vec<EdgeId>> =
-        std::collections::BTreeMap::new();
-    for &e in ordered {
-        let (u, _) = g.edge_endpoints(e);
-        per_comp.entry(comp[u.0]).or_default().push(e);
-    }
-    let mut round = Vec::new();
-    for (_, edges) in per_comp {
-        let mut chosen: Vec<EdgeId> = Vec::new();
-        'outer: for &e in &edges {
-            for &e2 in &chosen {
-                if edges_conflict(g, e, e2) {
-                    if stop_at_first_conflict {
-                        break 'outer;
-                    }
-                    continue 'outer;
-                }
-            }
-            chosen.push(e);
+    // Group the ordered list per component (an edge's component is its
+    // endpoints' — both endpoints share one by construction); the sort is
+    // stable, so expectation order survives inside each group.
+    let comp_of = |e: EdgeId| comp[g.edge_endpoints(e).0 .0];
+    let mut edges = ordered.to_vec();
+    edges.sort_by_key(|&e| comp_of(e));
+    // `blocked[e]`: `e` lies in the cone of a chosen edge. `None` searches
+    // every (edge, chosen edge of its component) pair instead.
+    let mut cone = cone_exact(g)
+        .then(|| (vec![false; g.edge_count()], vec![false; g.node_count() * g.predicate_count()]));
+    let mut round: Vec<EdgeId> = Vec::new();
+    // Where the current component's chosen edges start in `round`, and the
+    // component the prefix rule has closed, if any.
+    let (mut group, mut group_start, mut closed) = (usize::MAX, 0, usize::MAX);
+    for e in edges {
+        let c = comp_of(e);
+        if c != group {
+            (group, group_start) = (c, round.len());
         }
-        round.extend(chosen);
+        if c == closed {
+            continue;
+        }
+        let conflict = match &cone {
+            Some((blocked, _)) => blocked[e.0],
+            None => round[group_start..].iter().any(|&e2| edges_conflict(g, e, e2)),
+        };
+        if conflict {
+            if stop_at_first_conflict {
+                closed = c;
+            }
+            continue;
+        }
+        round.push(e);
+        if let Some((blocked, expanded)) = &mut cone {
+            // A non-live edge is in no candidate and blocks nothing.
+            if g.edge_live(e) {
+                let (u, v) = g.edge_endpoints(e);
+                let p = g.edge_predicate(e);
+                mark_cone(g, u, p, blocked, expanded);
+                mark_cone(g, v, p, blocked, expanded);
+            }
+        }
     }
     round
 }
@@ -102,7 +156,7 @@ mod tests {
     use super::*;
     use crate::cost::expectation::expectation_order;
     use crate::model::testgraph::chain_2x3;
-    use crate::model::{Color, PartKind, QueryGraph};
+    use crate::model::{Color, PartId, PartKind, QueryGraph};
 
     #[test]
     fn same_table_rule_makes_edges_non_conflicting() {
@@ -209,5 +263,118 @@ mod tests {
     fn empty_order_gives_empty_round() {
         let (g, _) = chain_2x3(0.5);
         assert!(parallel_round(&g, &[]).is_empty());
+    }
+
+    /// `parallel_round` gives `expected`, and so does the pairwise greedy
+    /// loop (written for a single-component graph).
+    fn assert_round(g: &QueryGraph, ordered: &[EdgeId], expected: &[EdgeId]) {
+        assert_eq!(parallel_round(g, ordered), expected);
+        let mut chosen: Vec<EdgeId> = Vec::new();
+        for &e in ordered {
+            if !chosen.iter().any(|&e2| edges_conflict(g, e, e2)) {
+                chosen.push(e);
+            }
+        }
+        assert_eq!(chosen, expected, "pairwise");
+    }
+
+    /// A graph with one part per name and one crowd predicate per
+    /// `(left, right)` part pair, to be filled with `add_node` and `add_edge`.
+    fn structure(parts: &[&str], preds: &[(usize, usize)]) -> (QueryGraph, Vec<PartId>) {
+        let mut g = QueryGraph::new();
+        let ids: Vec<PartId> =
+            parts.iter().map(|n| g.add_part(PartKind::Table { name: n.to_string() })).collect();
+        for &(a, b) in preds {
+            g.add_predicate(ids[a], ids[b], true, format!("{}~{}", parts[a], parts[b]));
+        }
+        (g, ids)
+    }
+
+    #[test]
+    fn cyclic_structure_takes_the_pairwise_path() {
+        // The triangle of `candidate::tests::cyclic_predicate_structure`.
+        let (mut g, p) = structure(&["A", "B", "C"], &[(0, 1), (1, 2), (2, 0)]);
+        let (a0, b0) = (g.add_node(p[0], None, "a0"), g.add_node(p[1], None, "b0"));
+        let (b1, c0) = (g.add_node(p[1], None, "b1"), g.add_node(p[2], None, "c0"));
+        let e_a0b0 = g.add_edge(a0, b0, 0, 0.5);
+        let e_a0b1 = g.add_edge(a0, b1, 0, 0.5);
+        let e_b0c0 = g.add_edge(b0, c0, 1, 0.5);
+        let e_c0a0 = g.add_edge(c0, a0, 2, 0.5);
+        assert!(!cone_exact(&g));
+        // Walking the cycle from `a0b0` would come back around to block
+        // `a0b1`, which is in no candidate and conflicts with nothing.
+        let order = [e_a0b0, e_a0b1, e_b0c0, e_c0a0];
+        assert_round(&g, &order, &[e_a0b0, e_a0b1]);
+    }
+
+    #[test]
+    fn unpruned_dead_end_takes_the_pairwise_path() {
+        // Chain Z—A—B—C where b1 has live support for A~B and none for B~C.
+        let (mut g, p) = structure(&["Z", "A", "B", "C"], &[(0, 1), (1, 2), (2, 3)]);
+        let (z0, a0) = (g.add_node(p[0], None, "z0"), g.add_node(p[1], None, "a0"));
+        let (b0, b1) = (g.add_node(p[2], None, "b0"), g.add_node(p[2], None, "b1"));
+        let c0 = g.add_node(p[3], None, "c0");
+        let e_z0a0 = g.add_edge(z0, a0, 0, 0.5);
+        let e_a0b0 = g.add_edge(a0, b0, 1, 0.5);
+        let e_a0b1 = g.add_edge(a0, b1, 1, 0.5);
+        let e_b0c0 = g.add_edge(b0, c0, 2, 0.5);
+        assert!(!cone_exact(&g));
+        // A cone walk from `z0a0` would block `a0b1` through a0, although no
+        // candidate holds `a0b1` at all: the round would shrink to one task.
+        let order = [e_z0a0, e_a0b1, e_a0b0, e_b0c0];
+        assert_round(&g, &order, &[e_z0a0, e_a0b1]);
+        // Pruned, the same graph is batched by the cone walk, identically.
+        crate::prune::prune_invalid_edges(&mut g);
+        assert!(cone_exact(&g));
+        assert_round(&g, &order, &[e_z0a0, e_a0b1]);
+    }
+
+    #[test]
+    fn star_cone_blocks_the_other_predicate_through_the_centre() {
+        let (mut g, p) = structure(&["A", "B", "C"], &[(1, 0), (1, 2)]);
+        let (a0, a1) = (g.add_node(p[0], None, "a0"), g.add_node(p[0], None, "a1"));
+        let (b0, c0) = (g.add_node(p[1], None, "b0"), g.add_node(p[2], None, "c0"));
+        let e_b0a0 = g.add_edge(b0, a0, 0, 0.5);
+        let e_b0a1 = g.add_edge(b0, a1, 0, 0.5);
+        let e_b0c0 = g.add_edge(b0, c0, 1, 0.5);
+        assert!(cone_exact(&g));
+        let order = [e_b0a0, e_b0c0, e_b0a1];
+        assert_round(&g, &order, &[e_b0a0, e_b0a1]);
+        assert_eq!(parallel_round_prefix(&g, &order), vec![e_b0a0]);
+    }
+
+    #[test]
+    fn disjoint_edges_conflict_only_through_a_live_middle_edge() {
+        // Chain A—B—C—D with candidates (a0,b0,c0,d0), (a0,b0,c1,d1) and
+        // (a1,b1,c0,d0): `a0b0` and `c0d0` meet only through `b0c0`.
+        let (mut g, p) = structure(&["A", "B", "C", "D"], &[(0, 1), (1, 2), (2, 3)]);
+        let n: Vec<[NodeId; 2]> = p
+            .iter()
+            .map(|&part| [g.add_node(part, None, "0"), g.add_node(part, None, "1")])
+            .collect();
+        let e_a0b0 = g.add_edge(n[0][0], n[1][0], 0, 0.5);
+        g.add_edge(n[0][1], n[1][1], 0, 0.5);
+        let e_b0c0 = g.add_edge(n[1][0], n[2][0], 1, 0.5);
+        g.add_edge(n[1][0], n[2][1], 1, 0.5);
+        g.add_edge(n[1][1], n[2][0], 1, 0.5);
+        let e_c0d0 = g.add_edge(n[2][0], n[3][0], 2, 0.5);
+        g.add_edge(n[2][1], n[3][1], 2, 0.5);
+        assert!(cone_exact(&g));
+        let order = [e_a0b0, e_c0d0];
+        assert_round(&g, &order, &[e_a0b0]);
+        g.set_color(e_b0c0, Color::Red);
+        assert!(crate::prune::prune_invalid_edges(&mut g).is_empty());
+        assert!(cone_exact(&g));
+        assert_round(&g, &order, &[e_a0b0, e_c0d0]);
+    }
+
+    #[test]
+    fn chosen_edge_never_blocks_its_own_predicate() {
+        let (g, _) = chain_2x3(0.5);
+        assert!(cone_exact(&g));
+        let a_b: Vec<EdgeId> =
+            (0..g.edge_count()).map(EdgeId).filter(|&e| g.edge_predicate(e) == 0).collect();
+        assert_eq!(a_b.len(), 4);
+        assert_eq!(parallel_round(&g, &a_b), a_b);
     }
 }

@@ -17,7 +17,7 @@
 //! predicate structure on every call, never persisted across unions.
 
 use crate::candidate::{edge_in_some_candidate, CandidateFilter};
-use crate::model::{EdgeId, NodeId, QueryGraph};
+use crate::model::{EdgeId, NodeId, PartId, QueryGraph};
 
 /// True when the predicate structure (parts as vertices, predicates as
 /// edges) contains a cycle, counting parallel predicates between the same
@@ -52,15 +52,30 @@ pub fn prune_invalid_edges(g: &mut QueryGraph) -> Vec<EdgeId> {
     invalidated
 }
 
+/// The predicates incident to each part, indexed by part: what a node's
+/// support slots are depends only on its part.
+fn predicates_by_part(g: &QueryGraph) -> Vec<Vec<usize>> {
+    (0..g.part_count()).map(|p| g.part_predicates(PartId(p))).collect()
+}
+
+/// True when every node has live support for all predicates of its part or
+/// for none — the post-condition of [`prune_invalid_edges`].
+pub(crate) fn arc_consistent(g: &QueryGraph) -> bool {
+    let by_part = predicates_by_part(g);
+    (0..g.node_count()).map(NodeId).all(|n| {
+        let preds = &by_part[g.node_part(n).0];
+        let supported = preds.iter().filter(|&&p| g.live_support(n, p) > 0).count();
+        supported == 0 || supported == preds.len()
+    })
+}
+
 /// The arc-consistency cascade. Exact for acyclic predicate structures.
 fn arc_consistency(g: &mut QueryGraph) -> Vec<EdgeId> {
     let n = g.node_count();
     // support[node] = per incident predicate, the count of live edges.
-    let mut pred_slots: Vec<Vec<usize>> = Vec::with_capacity(n);
-    for i in 0..n {
-        let part = g.node_part(NodeId(i));
-        pred_slots.push(g.part_predicates(part));
-    }
+    let by_part = predicates_by_part(g);
+    let pred_slots: Vec<&[usize]> =
+        (0..n).map(|i| by_part[g.node_part(NodeId(i)).0].as_slice()).collect();
     let mut support: Vec<Vec<usize>> = (0..n)
         .map(|i| pred_slots[i].iter().map(|&p| g.live_support(NodeId(i), p)).collect())
         .collect();
