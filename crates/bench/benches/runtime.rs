@@ -13,9 +13,12 @@
 use std::sync::Arc;
 
 use cdb_bench::{runtime_fleet, ExpConfig};
+use cdb_crowd::{CrowdPlatform, LatencyModel, Market, SimulatedPlatform, Task, TaskId, WorkerPool};
 use cdb_datagen::{paper_dataset, queries_for, DatasetScale};
 use cdb_obsv::{Ring, Trace};
-use cdb_runtime::{FaultPlan, QueryJob, RetryPolicy, RuntimeConfig, RuntimeExecutor};
+use cdb_runtime::{
+    FaultPlan, QueryJob, RetryPolicy, RuntimeConfig, RuntimeEngine, RuntimeExecutor, RuntimeMetrics,
+};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 const FLEET: u64 = 12;
@@ -54,6 +57,42 @@ fn bench_throughput(c: &mut Criterion) {
                     assert_eq!(report.results.len(), jobs.len());
                     // Virtual rounds consumed — the latency axis of the bench.
                     report.metrics.rounds
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
+fn bench_engine_round(c: &mut Criterion) {
+    // One crowd round on its own: the fleets above run 1/40-scale 2-joins
+    // whose rounds are a few dozen tasks, where collecting answers and
+    // re-posting the overdue ones costs nothing. A 3-join round at 1/10
+    // scale is ≈ 800 tasks × 5 workers in flight at once.
+    let retry = RetryPolicy { deadline_ms: 300_000, max_retries: 8 };
+    let mut group = c.benchmark_group("engine_round");
+    for &n in &[100u64, 800] {
+        let tasks: Vec<Task> = (0..n)
+            .map(|i| {
+                Task::join_check(TaskId(i), &format!("left {i}"), &format!("right {i}"), i % 3 == 0)
+            })
+            .collect();
+        for &fault_rate in &[0.0f64, 0.2] {
+            let id = BenchmarkId::new(format!("{n}x5"), format!("fault_{fault_rate}"));
+            group.bench_with_input(id, &fault_rate, |b, &fault_rate| {
+                b.iter(|| {
+                    let pool = WorkerPool::with_accuracies(&[0.9; 25]);
+                    let mut engine = RuntimeEngine::new(
+                        SimulatedPlatform::new(Market::Amt, pool, 7),
+                        LatencyModel::default(),
+                        FaultPlan::uniform(7, fault_rate),
+                        retry,
+                        0,
+                        Arc::new(RuntimeMetrics::new()),
+                    );
+                    let answers = engine.ask_round(&tasks, 5);
+                    assert!(engine.error().is_none() && answers.len() == tasks.len() * 5);
+                    engine.now()
                 })
             });
         }
@@ -120,6 +159,6 @@ fn bench_tracing_overhead(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_throughput, bench_concurrency_evidence, bench_tracing_overhead
+    targets = bench_throughput, bench_engine_round, bench_concurrency_evidence, bench_tracing_overhead
 }
 criterion_main!(benches);

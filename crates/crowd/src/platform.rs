@@ -4,7 +4,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::latency::{LatencyModel, SimTime};
-use crate::pending::{OpenRound, PendingAssignment};
+use crate::pending::PendingAssignment;
 use crate::{
     Answer, Assignment, AssignmentLog, Task, TaskId, TaskKind, Worker, WorkerId, WorkerPool,
 };
@@ -235,9 +235,11 @@ impl SimulatedPlatform {
     /// Publish a batch *without* blocking for answers: each task goes to
     /// `redundancy` distinct workers and every assignment gets a pre-drawn
     /// answer plus a response-latency sample from `latency`. Nothing is
-    /// logged and the round counter does not move — the caller collects
-    /// arrivals from the returned [`OpenRound`] as virtual time advances
-    /// and calls [`SimulatedPlatform::finish_round`] when done. This is the
+    /// logged and the round counter does not move — the caller queues the
+    /// returned batch in an [`OpenRound`](crate::OpenRound) once each
+    /// `arrives_at` is final (after any fault injection), collects arrivals
+    /// as virtual time advances and calls
+    /// [`SimulatedPlatform::finish_round`] when done. This is the
     /// answers-as-they-arrive counterpart of [`SimulatedPlatform::ask_round`].
     pub fn publish_round(
         &mut self,
@@ -246,18 +248,18 @@ impl SimulatedPlatform {
         latency: &LatencyModel,
         deadline_ms: SimTime,
         now: SimTime,
-    ) -> OpenRound {
+    ) -> Vec<PendingAssignment> {
         if !tasks.is_empty() {
             self.trace_batch(tasks.len(), redundancy, now);
         }
-        let mut open = OpenRound { round: self.round, pending: Vec::new() };
+        let mut batch = Vec::with_capacity(tasks.len() * redundancy);
         for task in tasks {
             let workers = self.pool.sample_distinct(redundancy.min(self.pool.len()), &mut self.rng);
             for w in workers {
-                open.pending.push(self.dispatch(w, task, latency, deadline_ms, now, 0));
+                batch.push(self.dispatch(w, task, latency, deadline_ms, now, 0));
             }
         }
-        open
+        batch
     }
 
     /// Dispatch one replacement assignment — the reassignment step after a
@@ -381,12 +383,12 @@ pub fn simulate_answer_with(worker: Worker, task: &Task, rng: &mut impl Rng) -> 
     }
 }
 
-/// The platform interface the query executor runs against. Abstracting it
 /// Requester-side online assigner: given the arriving worker, the
 /// still-open tasks and the log so far, decide which tasks the worker
 /// receives this visit.
 pub type TaskAssigner<'a> = dyn FnMut(&Worker, &[&Task], &AssignmentLog) -> Vec<TaskId> + 'a;
 
+/// The platform interface the query executor runs against. Abstracting it
 /// lets `cdb-core`'s round loop drive either the sequential
 /// [`SimulatedPlatform`] or `cdb-runtime`'s concurrent, fault-injecting
 /// engine without a dependency cycle between those crates.
@@ -484,6 +486,7 @@ pub(crate) fn corrupt(s: &str, rng: &mut impl Rng) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::OpenRound;
 
     fn platform(accs: &[f64], seed: u64) -> SimulatedPlatform {
         SimulatedPlatform::new(Market::Amt, WorkerPool::with_accuracies(accs), seed)
@@ -666,14 +669,15 @@ mod tests {
     fn publish_round_is_nonblocking_and_finish_round_logs() {
         let mut p = platform(&[1.0; 8], 11);
         let latency = LatencyModel::default();
-        let open = p.publish_round(&[yes_task(1), yes_task(2)], 3, &latency, 600_000, 0);
-        assert_eq!(open.in_flight(), 6);
+        let batch = p.publish_round(&[yes_task(1), yes_task(2)], 3, &latency, 600_000, 0);
+        assert_eq!(batch.len(), 6);
         assert_eq!(p.log().assignment_count(), 0, "publish must not log");
         assert_eq!(p.rounds(), 0, "publish must not advance the round");
-        // Drain at the horizon: everything arrives before a 10-minute deadline
-        // only if sampled latencies allow; collect at u64::MAX-ish horizon.
-        let mut open = open;
-        let collected = open.collect_arrived(SimTime::MAX);
+        // Drain at the deadline: every sampled latency of this seed is
+        // inside the 10 minutes.
+        let mut open = OpenRound::new(p.rounds());
+        batch.into_iter().for_each(|a| open.push(a));
+        let collected = open.collect_arrived(600_000);
         assert_eq!(collected.len(), 6);
         assert!(collected.iter().all(|a| a.answer == Answer::Choice(0)));
         p.finish_round(&collected);

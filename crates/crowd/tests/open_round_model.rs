@@ -1,0 +1,182 @@
+//! The event queue against the scans it replaced.
+//!
+//! [`OpenRound`] is one binary heap; until PR 15 it was a `Vec` that three
+//! methods each scanned in full. The sim's sequential oracle cannot witness
+//! the swap (it calls the same engine), so this file keeps the scans —
+//! `Scan` below is those three methods verbatim, plus the `retain` early
+//! termination did on the `Vec` — and drives both through the engine's
+//! access pattern on random batches: visit instants in the order
+//! `next_event_after` yields them; at each one collect, maybe cancel a
+//! task, take the overdue, maybe push replacements stamped `now`. What is
+//! collected, what is taken, the instants visited and the point the round
+//! drains must be equal element for element.
+
+use std::collections::BTreeSet;
+
+use cdb_crowd::{
+    Answer, Assignment, OpenRound, PendingAssignment, SimTime, TaskId, Worker, WorkerId,
+};
+use proptest::prelude::*;
+
+/// The pre-queue `OpenRound`: every method a full scan of `pending`.
+struct Scan {
+    round: usize,
+    pending: Vec<PendingAssignment>,
+}
+
+impl Scan {
+    fn collect_arrived(&mut self, now: SimTime) -> Vec<Assignment> {
+        let mut arrived = Vec::new();
+        let mut i = 0;
+        while i < self.pending.len() {
+            if self.pending[i].arrived_by(now) {
+                arrived.push(self.pending.swap_remove(i));
+            } else {
+                i += 1;
+            }
+        }
+        arrived.sort_by_key(|p| (p.arrives_at, p.task, p.worker.id, p.attempt));
+        let round = self.round;
+        arrived.into_iter().map(|p| p.into_assignment(round)).collect()
+    }
+
+    fn take_overdue(&mut self, now: SimTime) -> Vec<PendingAssignment> {
+        let mut overdue = Vec::new();
+        let mut i = 0;
+        while i < self.pending.len() {
+            if self.pending[i].overdue_at(now) {
+                overdue.push(self.pending.swap_remove(i));
+            } else {
+                i += 1;
+            }
+        }
+        overdue.sort_by_key(|p| (p.deadline, p.task, p.worker.id, p.attempt));
+        overdue
+    }
+
+    fn next_event_after(&self, now: SimTime) -> Option<SimTime> {
+        self.pending
+            .iter()
+            .flat_map(|p| {
+                let arrival = p.arrives_at.filter(|&t| t <= p.deadline);
+                [arrival, Some(p.deadline)]
+            })
+            .flatten()
+            .filter(|&t| t > now)
+            .min()
+    }
+
+    fn cancel(&mut self, task: TaskId) -> usize {
+        let before = self.pending.len();
+        self.pending.retain(|p| p.task != task);
+        before - self.pending.len()
+    }
+}
+
+/// `(task, worker, attempt, arrival kind, arrival offset, deadline offset)`.
+type Spec = (u64, u32, u32, u8, u64, u64);
+
+fn spec() -> impl Strategy<Value = Spec> {
+    (0u64..6, 0u32..4, 0u32..3, 0u8..5, 0u64..24, 0u64..24)
+}
+
+/// One assignment dispatched at `now` whose arrival and deadline are at
+/// least `lead` after it. Offsets are small, so instants collide often.
+/// `serial` goes into the answer, telling apart what the key cannot.
+fn assignment(spec: Spec, now: SimTime, lead: u64, serial: usize) -> PendingAssignment {
+    let (task, worker, attempt, kind, a, d) = spec;
+    let deadline = now + d.max(lead);
+    let arrives_at = match kind {
+        0 => None,
+        1 => Some(deadline),
+        2 => Some(deadline + 1 + a),
+        _ => Some(now + lead + a % (deadline - now - lead + 1)),
+    };
+    PendingAssignment {
+        task: TaskId(task),
+        worker: Worker { id: WorkerId(worker), accuracy: 0.5 },
+        answer: Answer::Choice(serial),
+        dispatched_at: now,
+        arrives_at,
+        deadline,
+        attempt,
+    }
+}
+
+/// What one visited instant does besides collecting and taking: cancel a
+/// task (ids from 6 up name none) and push replacements.
+type Step = (u64, Vec<Spec>);
+
+fn lines(ps: Vec<PendingAssignment>) -> Vec<String> {
+    ps.iter().map(|p| format!("{p:?}")).collect()
+}
+
+/// `prop_assert_eq!` that says where the two sides parted.
+macro_rules! same {
+    ($what:expr, $now:expr, $queue:expr, $scans:expr) => {{
+        let (queue, scans) = ($queue, $scans);
+        prop_assert!(
+            queue == scans,
+            "{} differ at instant {}:\n queue: {:?}\n scans: {:?}",
+            $what,
+            $now,
+            queue,
+            scans
+        );
+    }};
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+    #[test]
+    fn the_queue_drains_exactly_as_the_scans_did(
+        batch in prop::collection::vec(spec(), 0..40),
+        script in prop::collection::vec((0u64..18, prop::collection::vec(spec(), 0..3)), 0..12),
+    ) {
+        let script: Vec<Step> = script;
+        let mut heap = OpenRound::new(3);
+        let mut scan = Scan { round: 3, pending: Vec::new() };
+        // Two live assignments never share `(task, worker, attempt)`: one
+        // attempt of one task goes to one worker.
+        let mut used = BTreeSet::new();
+        let mut serial = 0usize;
+        let mut push = |heap: &mut OpenRound, scan: &mut Scan, s: Spec, now, lead| {
+            if used.insert((s.0, s.1, s.2)) {
+                let p = assignment(s, now, lead, serial);
+                serial += 1;
+                scan.pending.push(p.clone());
+                heap.push(p);
+            }
+        };
+        // The first batch may hold deadlines and arrivals at the very
+        // instant it is published: that instant is visited first.
+        for s in batch {
+            push(&mut heap, &mut scan, s, 0, 0);
+        }
+
+        let mut now: SimTime = 0;
+        let mut visited = 0usize;
+        loop {
+            same!("arrivals", now, heap.collect_arrived(now), scan.collect_arrived(now));
+            let step = script.get(visited);
+            if let Some(&(task, _)) = step {
+                same!("cancelled", now, heap.cancel(TaskId(task)), scan.cancel(TaskId(task)));
+            }
+            same!("overdue", now, lines(heap.take_overdue(now)), lines(scan.take_overdue(now)));
+            // Replacements lie strictly after the instant they are pushed at.
+            for &s in step.map_or(&[][..], |(_, specs)| specs) {
+                push(&mut heap, &mut scan, s, now, 1);
+            }
+            visited += 1;
+            same!("in flight", now, heap.in_flight(), scan.pending.len());
+            same!("drain point", now, heap.is_drained(), scan.pending.is_empty());
+            let next = heap.next_event_after(now);
+            same!("next instant", now, next, scan.next_event_after(now));
+            match next {
+                Some(t) => now = t,
+                None => break,
+            }
+        }
+        prop_assert!(heap.is_drained(), "every assignment is collected, taken or cancelled");
+    }
+}

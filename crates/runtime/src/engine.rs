@@ -25,13 +25,14 @@
 //! aggregate counters and any richer sink (ring buffer, Chrome trace) can
 //! never disagree.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
 
 use cdb_core::{ReuseOutcome, ReuseSession};
 use cdb_crowd::{
-    Answer, Assignment, AssignmentLog, CrowdPlatform, LatencyModel, Market, PendingAssignment,
-    SimTime, SimulatedPlatform, Task, TaskAssigner, TaskId, TaskKind, WorkerId,
+    Answer, Assignment, AssignmentLog, CrowdPlatform, LatencyModel, Market, OpenRound,
+    PendingAssignment, SimTime, SimulatedPlatform, Task, TaskAssigner, TaskId, TaskKind, WorkerId,
 };
 use cdb_obsv::attr::names;
 use cdb_obsv::{kv, Event, Span, SpanId, Trace};
@@ -202,9 +203,13 @@ impl RuntimeEngine {
     /// still need the crowd. Each hit synthesizes one [`REUSE_WORKER`]
     /// answer at the current instant and emits a `reuse.hit` event whose
     /// `cents` is the money a full dispatch (`redundancy × task price`)
-    /// would have cost.
-    fn resolve_reuse(&mut self, tasks: &[Task], redundancy: usize) -> (Vec<Assignment>, Vec<Task>) {
-        let Some(session) = self.reuse.clone() else { return (Vec::new(), tasks.to_vec()) };
+    /// would have cost. Without a session the batch comes back borrowed.
+    fn resolve_reuse<'a>(
+        &mut self,
+        tasks: &'a [Task],
+        redundancy: usize,
+    ) -> (Vec<Assignment>, Cow<'a, [Task]>) {
+        let Some(session) = self.reuse.clone() else { return (Vec::new(), Cow::Borrowed(tasks)) };
         let mut session = session.lock().expect("reuse session poisoned");
         let cents = self.platform.market().task_price_cents() * redundancy as u64;
         let mut hits = Vec::new();
@@ -237,7 +242,39 @@ impl RuntimeEngine {
                 ReuseOutcome::Miss => misses.push(t.clone()),
             }
         }
-        (hits, misses)
+        (hits, Cow::Owned(misses))
+    }
+
+    /// CDAS-style early termination: if `votes` already decide `task` (the
+    /// outstanding votes cannot overturn it), cancel its in-flight
+    /// assignments and emit the decided choice with the vote statistics
+    /// quality attribution wants.
+    fn close_if_decided(
+        &self,
+        span: &Span,
+        open: &mut OpenRound,
+        task: &Task,
+        votes: &[usize],
+        redundancy: usize,
+    ) {
+        let TaskKind::SingleChoice { ref choices, .. } = task.kind else { return };
+        let Some(choice) = decided_choice(votes, choices.len(), redundancy) else { return };
+        let cancelled = open.cancel(task.id);
+        if cancelled == 0 {
+            return;
+        }
+        let share = votes.iter().filter(|&&c| c == choice).count() as f64 / votes.len() as f64;
+        span.event(
+            names::DECIDE,
+            self.now,
+            kv![
+                task => task.id.0,
+                choice => choice as u64,
+                conf => share,
+                entropy => vote_entropy(votes, choices.len()),
+            ],
+        );
+        span.event(names::CANCEL, self.now, kv![task => task.id.0, n => cancelled as u64]);
     }
 
     /// Latch `err`, close the round with what arrived, and return it.
@@ -288,9 +325,9 @@ impl CrowdPlatform for RuntimeEngine {
         self.round_tasks.push(tasks.len());
         let span =
             self.trace.span(SpanId::ROOT, names::ROUND, &[round], round_start, kv![round => round]);
-        let by_id: BTreeMap<TaskId, Task> = tasks.iter().map(|t| (t.id, t.clone())).collect();
+        let by_id: BTreeMap<TaskId, &Task> = tasks.iter().map(|t| (t.id, t)).collect();
 
-        let mut open = self.platform.publish_round(
+        let batch = self.platform.publish_round(
             &tasks,
             redundancy,
             &self.latency,
@@ -299,37 +336,49 @@ impl CrowdPlatform for RuntimeEngine {
         );
         // Workers already tried per task — reassignment must go elsewhere.
         let mut tried: HashMap<TaskId, Vec<WorkerId>> = HashMap::new();
-        for p in &open.pending {
+        for p in &batch {
             self.emit_dispatch(&span, p, round);
             tried.entry(p.task).or_default().push(p.worker.id);
         }
-        for p in &mut open.pending {
-            self.apply_faults(&span, p, round);
+        // Queued only after the fault plan has had its say: an assignment's
+        // place in the queue is its post-fault arrival.
+        let mut open = OpenRound::new(round as usize);
+        for mut p in batch {
+            self.apply_faults(&span, &mut p, round);
+            open.push(p);
         }
 
         let mut collected: Vec<Assignment> = Vec::new();
+        // Early termination's tally of collected choice votes per task.
+        let mut votes: HashMap<TaskId, Vec<usize>> = HashMap::new();
         loop {
             let arrived = open.collect_arrived(self.now);
             for a in &arrived {
                 span.event(names::ARRIVAL, self.now, kv![task => a.task.0, worker => a.worker.0]);
             }
-            collected.extend(arrived);
-
-            if self.early_termination && !open.is_drained() {
-                for d in cancel_decided(&by_id, &collected, redundancy, &mut open.pending) {
-                    span.event(
-                        names::DECIDE,
-                        self.now,
-                        kv![
-                            task => d.task.0,
-                            choice => d.choice,
-                            conf => d.confidence,
-                            entropy => d.entropy,
-                        ],
+            if self.early_termination {
+                // A task's verdict can change only when one of its votes
+                // lands, so only this instant's arrivals are re-tested.
+                let mut voted = Vec::new();
+                for a in &arrived {
+                    if let Answer::Choice(c) = a.answer {
+                        votes.entry(a.task).or_default().push(c);
+                        voted.push(a.task);
+                    }
+                }
+                voted.sort_unstable();
+                voted.dedup();
+                for task in voted {
+                    self.close_if_decided(
+                        &span,
+                        &mut open,
+                        by_id[&task],
+                        &votes[&task],
+                        redundancy,
                     );
-                    span.event(names::CANCEL, self.now, kv![task => d.task.0, n => d.cancelled]);
                 }
             }
+            collected.extend(arrived);
 
             for missed in open.take_overdue(self.now) {
                 span.event(
@@ -349,11 +398,10 @@ impl CrowdPlatform for RuntimeEngine {
                     self.now,
                     kv![task => missed.task.0, attempt => u64::from(missed.attempt + 1)],
                 );
-                let task = &by_id[&missed.task];
-                let exclude = tried.get(&missed.task).cloned().unwrap_or_default();
+                let exclude = tried.get(&missed.task).map_or(&[][..], Vec::as_slice);
                 let replacement = self.platform.dispatch_replacement(
-                    task,
-                    &exclude,
+                    by_id[&missed.task],
+                    exclude,
                     &self.latency,
                     self.retry.deadline_ms,
                     self.now,
@@ -371,7 +419,7 @@ impl CrowdPlatform for RuntimeEngine {
                         }
                         tried.entry(p.task).or_default().push(p.worker.id);
                         self.apply_faults(&span, &mut p, round);
-                        open.pending.push(p);
+                        open.push(p);
                     }
                     None => {
                         let err = RuntimeError::NoEligibleWorker { task: missed.task };
@@ -430,65 +478,6 @@ impl CrowdPlatform for RuntimeEngine {
         span.close(self.now, kv![ms => wave, ok => true]);
         out
     }
-}
-
-/// One task closed early by CDAS-style termination.
-struct EarlyDecision {
-    task: TaskId,
-    choice: u64,
-    confidence: f64,
-    entropy: f64,
-    cancelled: u64,
-}
-
-/// Cancel pending assignments of single-choice tasks whose collected votes
-/// already decide the outcome (the outstanding votes cannot overturn it).
-/// Returns one record per task that had assignments cancelled, with the
-/// decided choice and the vote statistics quality attribution wants.
-fn cancel_decided(
-    by_id: &BTreeMap<TaskId, Task>,
-    collected: &[Assignment],
-    redundancy: usize,
-    pending: &mut Vec<PendingAssignment>,
-) -> Vec<EarlyDecision> {
-    let mut votes: HashMap<TaskId, Vec<usize>> = HashMap::new();
-    for a in collected {
-        if let Answer::Choice(c) = a.answer {
-            votes.entry(a.task).or_default().push(c);
-        }
-    }
-    let mut cancelled: BTreeMap<TaskId, (u64, usize)> = BTreeMap::new();
-    pending.retain(|p| {
-        let Some(task) = by_id.get(&p.task) else { return true };
-        let TaskKind::SingleChoice { ref choices, .. } = task.kind else { return true };
-        let Some(v) = votes.get(&p.task) else { return true };
-        match decided_choice(v, choices.len(), redundancy) {
-            Some(choice) => {
-                let e = cancelled.entry(p.task).or_insert((0, choice));
-                e.0 += 1;
-                false
-            }
-            None => true,
-        }
-    });
-    cancelled
-        .into_iter()
-        .map(|(task, (n, choice))| {
-            let v = &votes[&task];
-            let num_choices = match by_id[&task].kind {
-                TaskKind::SingleChoice { ref choices, .. } => choices.len(),
-                _ => 2,
-            };
-            let share = v.iter().filter(|&&c| c == choice).count() as f64 / v.len().max(1) as f64;
-            EarlyDecision {
-                task,
-                choice: choice as u64,
-                confidence: share,
-                entropy: vote_entropy(v, num_choices),
-                cancelled: n,
-            }
-        })
-        .collect()
 }
 
 #[cfg(test)]
