@@ -5,8 +5,7 @@
 //!
 //! * **Concurrency**: the fleet's *virtual* cost is the sum of per-query
 //!   makespans, but the scheduler runs queries in parallel, so wall-clock
-//!   per query shrinks as threads grow (and `steals > 0` shows work
-//!   actually migrated between threads).
+//!   per query shrinks as threads grow.
 //! * **Fault tolerance is not free**: the faulted groups pay extra rounds
 //!   (timeouts + reassignments) but still answer every query.
 
@@ -102,8 +101,8 @@ fn bench_engine_round(c: &mut Criterion) {
 
 fn bench_concurrency_evidence(c: &mut Criterion) {
     // Not a timing benchmark: a single measured pass that prints the
-    // serial-vs-concurrent virtual gap and the steal count, so bench runs
-    // leave evidence that more than one query was in flight at once.
+    // serial-vs-concurrent virtual gap, so bench runs leave evidence that
+    // more than one query was in flight at once.
     let jobs = fleet();
     let report = RuntimeExecutor::new(config(4, 0.0)).run(jobs.clone());
     let serial = report.virtual_ms_serial();
@@ -118,9 +117,8 @@ fn bench_concurrency_evidence(c: &mut Criterion) {
         "a {FLEET}-query fleet must cost more serially ({serial} ms) than its slowest member ({max} ms)"
     );
     println!(
-        "# concurrency: serial virtual cost {serial} ms, slowest query {max} ms, \
-         wall {:?}, steals {}",
-        report.wall, report.steals
+        "# concurrency: serial virtual cost {serial} ms, slowest query {max} ms, wall {:?}",
+        report.wall
     );
 
     let mut group = c.benchmark_group("runtime_fleet_overhead");

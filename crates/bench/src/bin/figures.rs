@@ -567,15 +567,15 @@ fn runtime(args: &Args) {
     };
 
     println!(
-        "{:<9}{:<8}{:>9}{:>11}{:>13}{:>13}{:>9}{:>8}",
-        "threads", "faults", "ok", "q_per_s", "wall_ms", "virtual_s", "rounds", "steals"
+        "{:<9}{:<8}{:>9}{:>11}{:>13}{:>13}{:>9}",
+        "threads", "faults", "ok", "q_per_s", "wall_ms", "virtual_s", "rounds"
     );
     for &threads in &[1usize, 2, 4, 8] {
         for &fault_rate in &[0.0f64, 0.1, 0.3] {
             let report = run(threads, fault_rate);
             let wall = report.wall.as_secs_f64();
             println!(
-                "{:<9}{:<8}{:>9}{:>11.1}{:>13.1}{:>13.1}{:>9}{:>8}",
+                "{:<9}{:<8}{:>9}{:>11.1}{:>13.1}{:>13.1}{:>9}",
                 threads,
                 fault_rate,
                 report.ok_count(),
@@ -583,7 +583,6 @@ fn runtime(args: &Args) {
                 wall * 1e3,
                 report.virtual_ms_serial() as f64 / 1e3,
                 report.metrics.rounds,
-                report.steals,
             );
         }
     }

@@ -1,7 +1,5 @@
 //! CQL abstract syntax tree.
 
-use serde::{Deserialize, Serialize};
-
 /// A parsed CQL statement.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Statement {
@@ -16,7 +14,7 @@ pub enum Statement {
 }
 
 /// Column type as written in DDL.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TypeName {
     /// `varchar(n)`; the length is advisory only.
     Varchar(u32),
@@ -49,7 +47,7 @@ pub struct CreateTable {
 }
 
 /// A possibly table-qualified column reference `Table.column` or `column`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ColumnRef {
     /// Qualifying table, when written.
     pub table: Option<String>,
@@ -79,7 +77,7 @@ impl std::fmt::Display for ColumnRef {
 }
 
 /// A literal in a predicate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Literal {
     /// String literal.
     Str(String),

@@ -1,9 +1,7 @@
 //! Crowd task model: the four UI types of CDB.
 
-use serde::{Deserialize, Serialize};
-
 /// Opaque task identifier, unique within one experiment run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TaskId(pub u64);
 
 impl std::fmt::Display for TaskId {
@@ -13,7 +11,7 @@ impl std::fmt::Display for TaskId {
 }
 
 /// The four task UIs supported by CDB's Crowd UI Designer (§2.1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TaskKind {
     /// Select exactly one of `choices`.
     SingleChoice {
@@ -54,7 +52,7 @@ impl TaskKind {
 }
 
 /// A worker's answer to one task.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Answer {
     /// Index into the choices of a single-choice task.
     Choice(usize),
@@ -87,7 +85,7 @@ impl Answer {
 /// checks derive difficulty from the pair's similarity — "University of
 /// California" vs "University of Wisconsin" is obvious to a human even
 /// when the 2-gram similarity clears the graph threshold (see DESIGN.md).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Task {
     /// Unique id.
     pub id: TaskId,

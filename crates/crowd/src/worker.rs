@@ -1,10 +1,9 @@
 //! Worker model: latent accuracy drawn from a Gaussian.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Opaque worker identifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct WorkerId(pub u32);
 
 impl std::fmt::Display for WorkerId {
@@ -16,7 +15,7 @@ impl std::fmt::Display for WorkerId {
 /// A simulated worker with a latent accuracy: the probability of answering
 /// a task correctly. This matches the paper's §6.2 setup where workers are
 /// "generated from the same Gaussian distribution N(0.8, 0.01)".
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Worker {
     /// Platform-scoped id.
     pub id: WorkerId,

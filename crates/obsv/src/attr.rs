@@ -89,11 +89,6 @@ pub mod names {
     pub const PLAN_SELECT: &str = "plan.select";
     /// A cost estimate was produced (kv `n` = expected answers).
     pub const COST_ESTIMATE: &str = "cost.estimate";
-    /// Work-stealing pool stole a job (wall-clock domain — kept out of
-    /// deterministic query streams).
-    pub const POOL_STEAL: &str = "pool.steal";
-    /// Pool executed a job (wall-clock domain).
-    pub const POOL_JOB: &str = "pool.job";
     /// A task resolved from the answer-reuse cache instead of dispatch
     /// (kv `task`, `node`, `kind` = cached/transitive/negative, `depth`,
     /// `cents` = money saved).
@@ -309,7 +304,7 @@ impl Attribution {
             }
             let q = match ev.get_u64(keys::QUERY) {
                 Some(q) => q,
-                None => continue, // unattributed (pool) events
+                None => continue, // unattributed events
             };
             let qa = out.queries.entry(q).or_default();
             let node = || {
@@ -627,7 +622,7 @@ mod tests {
 
     #[test]
     fn events_without_query_key_are_skipped() {
-        let evs = vec![instant(names::POOL_STEAL, 0, kv![worker => 1u64])];
+        let evs = vec![instant(names::COST_ESTIMATE, 0, kv![n => 1u64])];
         let a = Attribution::from_events(&evs);
         assert!(a.queries.is_empty());
     }

@@ -2,7 +2,7 @@
 //! context injection, fan-out, and the lock-free bounded [`Ring`].
 //!
 //! Design constraints, in order:
-//! 1. **Never block the work-stealing pool.** The ring is a Vyukov-style
+//! 1. **Never block the executor's worker threads.** The ring is a Vyukov-style
 //!    bounded MPMC queue: producers CAS a ticket and write their slot; a
 //!    full ring *drops* the event and bumps a counter instead of waiting.
 //! 2. **Zero cost when off.** `Trace::off()` holds `None` — the emit path

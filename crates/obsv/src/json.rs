@@ -1,11 +1,11 @@
 //! A tiny hand-rolled JSON writer (and checker).
 //!
-//! The workspace's vendored `serde` is an API stub that cannot actually
-//! serialize, so every crate that needed JSON grew its own `format!`
-//! string. This module is the single shared emitter: `RuntimeMetrics`
-//! snapshots, the `figures` binary, and the Chrome trace writer all build
-//! on it. Output is minified, key order is insertion order (stable), and
-//! floats use Rust's shortest round-trippable formatting.
+//! The workspace is std-only — it links no serialization framework — so
+//! every crate that needed JSON grew its own `format!` string. This module
+//! is the single shared emitter: `RuntimeMetrics` snapshots, the `figures`
+//! binary, and the Chrome trace writer all build on it. Output is
+//! minified, key order is insertion order (stable), and floats use Rust's
+//! shortest round-trippable formatting.
 
 use std::fmt::Write;
 
@@ -223,7 +223,7 @@ pub fn check_balanced(text: &str) -> Result<(), String> {
 
 /// A parsed JSON value.
 ///
-/// The vendored `serde` stand-in cannot deserialize, so tools that *read*
+/// The workspace is std-only, so tools that *read*
 /// JSON artifacts back (the `cdb-bench compare` regression gate diffing
 /// two committed `BENCH_*.json` files) use this small recursive-descent
 /// parser instead. Object keys keep insertion order — the diff tool's

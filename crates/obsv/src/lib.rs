@@ -18,16 +18,15 @@
 //!   collector ([`Trace::off`] — tracing compiled in but zero work done),
 //!   a fan-out, a context wrapper that stamps every event with the query
 //!   it belongs to, and [`Ring`] — a lock-free bounded MPMC ring buffer
-//!   with drop-counting, so tracing can never block the work-stealing
-//!   pool.
+//!   with drop-counting, so tracing can never block the executor's
+//!   worker threads.
 //! * **Attribution** ([`attr`]): fold an event stream into per-query /
 //!   per-plan-node / per-round rollups of money (task price × dispatches),
 //!   virtual latency and quality (decision confidence, vote entropy), with
 //!   a conservation check against the runtime's aggregate counters.
 //! * **Exposition** ([`json`], [`prom`], [`trace_event`]): a tiny
-//!   hand-rolled JSON writer (the vendored `serde` stand-in cannot
-//!   serialize), a Prometheus text-format writer + line-format validator,
-//!   and a Chrome `trace_event` JSON emitter loadable in
+//!   hand-rolled JSON writer (the workspace is std-only), a Prometheus
+//!   text-format writer + line-format validator, and a Chrome `trace_event` JSON emitter loadable in
 //!   `about:tracing` / [Perfetto](https://ui.perfetto.dev).
 //! * **Profiling** ([`hist`], [`profile`]): the *wall-clock* domain,
 //!   deliberately separate from the deterministic virtual-time streams

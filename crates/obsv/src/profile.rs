@@ -8,9 +8,8 @@
 //! wall-clock timings can never ride those streams. The profiler is the
 //! other domain: real nanoseconds, collected entirely on the side, with
 //! its own exports (self-time report, folded stacks for
-//! inferno/flamegraph, Chrome trace with real timestamps). The same
-//! precedent as the pool's `pool.steal` events: wall-clock facts are kept
-//! out of deterministic query streams.
+//! inferno/flamegraph, Chrome trace with real timestamps): wall-clock
+//! facts are kept out of deterministic query streams.
 //!
 //! # How instrumentation works
 //!

@@ -67,12 +67,11 @@ fn main() {
 
     let report = RuntimeExecutor::new(cfg).run(jobs.clone());
     println!(
-        "ran {} queries on 4 threads in {:?} ({} ok, {} failed, {} steals)",
+        "ran {} queries on 4 threads in {:?} ({} ok, {} failed)",
         report.results.len(),
         report.wall,
         report.ok_count(),
         report.failed_count(),
-        report.steals,
     );
 
     let m = &report.metrics;

@@ -1,17 +1,16 @@
 //! The concurrent query scheduler.
 //!
-//! [`RuntimeExecutor`] runs many crowd queries at once: query jobs are
-//! dealt across a work-stealing [`ThreadPool`], each job drives the core
-//! round loop ([`cdb_core::Executor`]) against its own per-query
-//! [`RuntimeEngine`], and results flow back over a *bounded* channel —
-//! workers block when the collector lags, which is the backpressure that
-//! keeps memory flat at any fleet size.
+//! [`RuntimeExecutor`] runs many crowd queries at once: a fleet's jobs are
+//! sorted by query id and handed to the shared unit runner
+//! ([`run_units`]) as one lane of `threads` scoped threads; each job
+//! drives the core round loop ([`cdb_core::Executor`]) against its own
+//! per-query [`RuntimeEngine`].
 //!
 //! Determinism: each query's platform seed, executor seed and fault
 //! stream are keyed by `(runtime seed, query id)` via
 //! [`cdb_crowd::stream_key`], so a query's outcome is a pure function of
 //! the configuration — never of which thread ran it or when. Results are
-//! sorted by query id before reporting. Consequently
+//! reported in query-id order. Consequently
 //! [`RuntimeReport::answers`] is byte-identical across thread counts for
 //! a fixed `(seed, fault plan)` — the deterministic-replay guarantee.
 
@@ -28,14 +27,13 @@ use cdb_obsv::{kv, Event, SpanId, Trace};
 
 use crate::engine::RuntimeEngine;
 use crate::fault::{FaultPlan, RetryPolicy, RuntimeError};
+use crate::fleet::run_units;
 use crate::metrics::{MetricsSnapshot, RuntimeMetrics};
-use crate::pool::ThreadPool;
-use crate::sync;
 
 /// Scheduler configuration.
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
-    /// Worker threads in the pool.
+    /// Worker threads per lane of the unit runner (`0` runs as `1`).
     pub threads: usize,
     /// Root seed; every per-query stream is keyed off it.
     pub seed: u64,
@@ -53,20 +51,19 @@ pub struct RuntimeConfig {
     pub exec: ExecutorConfig,
     /// Close tasks early once votes are beyond overturning (CDAS).
     pub early_termination: bool,
-    /// Capacity of the bounded result channel (backpressure).
-    pub result_capacity: usize,
     /// Observability sink. Off by default (zero cost); when attached,
     /// every query's events are tagged with its `q` id and its span ids
     /// are salted into a per-query namespace before reaching the sink.
     pub trace: Trace,
     /// Cross-query answer-reuse cache. `None` disables reuse. When set,
-    /// the run snapshots the cache once before scattering jobs, hands
+    /// the run snapshots the cache once before any job starts, hands
     /// every query a private [`ReuseSession`], and absorbs the sessions
-    /// of *successful* queries back in query-id order after the pool
-    /// joins (failed queries' sessions are discarded: their post-error
-    /// colors carry no crowd evidence) — so per-query outcomes stay a
-    /// pure function of `(config, job, snapshot)` at any thread count,
-    /// and knowledge compounds across fleet runs sharing the same cache.
+    /// of *successful* queries back in query-id order after every job
+    /// has finished (failed queries' sessions are discarded: their
+    /// post-error colors carry no crowd evidence) — so per-query outcomes
+    /// stay a pure function of `(config, job, snapshot)` at any thread
+    /// count, and knowledge compounds across fleet runs sharing the same
+    /// cache.
     pub reuse: Option<Arc<ReuseCache>>,
     /// Durability hook (settle-after-fsync). When set alongside `reuse`,
     /// each successful query's fresh crowd answers are handed to the sink
@@ -167,7 +164,6 @@ impl Default for RuntimeConfig {
             retry: RetryPolicy::default(),
             exec: ExecutorConfig::default(),
             early_termination: false,
-            result_capacity: 8,
             trace: Trace::off(),
             reuse: None,
             settle: None,
@@ -222,8 +218,26 @@ pub struct RuntimeReport {
     pub metrics: MetricsSnapshot,
     /// Real (wall-clock) time the run took.
     pub wall: Duration,
-    /// Jobs run by a thread other than the one they were dealt to.
-    pub steals: u64,
+}
+
+/// The `a.b|c.d` rendering of an answer set, in its canonical order.
+fn join_bindings(bindings: &BTreeSet<Vec<NodeId>>) -> String {
+    let rows: Vec<String> = bindings
+        .iter()
+        .map(|b| b.iter().map(|n| n.0.to_string()).collect::<Vec<_>>().join("."))
+        .collect();
+    rows.join("|")
+}
+
+/// One line of the bindings-only replay artifact: `q{id} answers=[a.b|c.d]`
+/// for an answer set, `q{id} error=…` for a failure. Every report's
+/// `bindings_text` (runtime, scheduled, sharded) is this line per query,
+/// which is what lets them be compared byte for byte.
+pub fn answer_line(id: u64, outcome: Result<&BTreeSet<Vec<NodeId>>, &RuntimeError>) -> String {
+    match outcome {
+        Ok(bindings) => format!("q{id} answers=[{}]\n", join_bindings(bindings)),
+        Err(e) => format!("q{id} error={e}\n"),
+    }
 }
 
 impl RuntimeReport {
@@ -234,22 +248,15 @@ impl RuntimeReport {
         let mut s = String::new();
         for (id, r) in &self.results {
             match r {
-                Ok(q) => {
-                    let bindings: Vec<String> = q
-                        .bindings
-                        .iter()
-                        .map(|b| b.iter().map(|n| n.0.to_string()).collect::<Vec<_>>().join("."))
-                        .collect();
-                    s.push_str(&format!(
-                        "q{id} tasks={} rounds={} assignments={} virtual_ms={} answers=[{}]\n",
-                        q.tasks_asked,
-                        q.rounds,
-                        q.assignments,
-                        q.virtual_ms,
-                        bindings.join("|")
-                    ));
-                }
-                Err(e) => s.push_str(&format!("q{id} error={e}\n")),
+                Ok(q) => s.push_str(&format!(
+                    "q{id} tasks={} rounds={} assignments={} virtual_ms={} answers=[{}]\n",
+                    q.tasks_asked,
+                    q.rounds,
+                    q.assignments,
+                    q.virtual_ms,
+                    join_bindings(&q.bindings)
+                )),
+                Err(e) => s.push_str(&answer_line(*id, Err(e))),
             }
         }
         s
@@ -261,21 +268,10 @@ impl RuntimeReport {
     /// is enabled — so it is the right artifact for comparing a
     /// cache-enabled run against a cache-disabled one.
     pub fn bindings_text(&self) -> String {
-        let mut s = String::new();
-        for (id, r) in &self.results {
-            match r {
-                Ok(q) => {
-                    let bindings: Vec<String> = q
-                        .bindings
-                        .iter()
-                        .map(|b| b.iter().map(|n| n.0.to_string()).collect::<Vec<_>>().join("."))
-                        .collect();
-                    s.push_str(&format!("q{id} answers=[{}]\n", bindings.join("|")));
-                }
-                Err(e) => s.push_str(&format!("q{id} error={e}\n")),
-            }
-        }
-        s
+        self.results
+            .iter()
+            .map(|(id, r)| answer_line(*id, r.as_ref().map(|q| &q.bindings)))
+            .collect()
     }
 
     /// Queries that finished cleanly.
@@ -304,7 +300,6 @@ pub struct RuntimeExecutor {
 impl RuntimeExecutor {
     /// Build a scheduler from its configuration.
     pub fn new(cfg: RuntimeConfig) -> Self {
-        assert!(cfg.threads >= 1, "need at least one worker thread");
         RuntimeExecutor { cfg }
     }
 
@@ -314,79 +309,24 @@ impl RuntimeExecutor {
     }
 
     /// Run every job to completion and report. Jobs execute concurrently
-    /// (up to `threads` at once, work-stealing); results are reported in
-    /// query-id order regardless of completion order.
-    pub fn run(&self, jobs: Vec<QueryJob>) -> RuntimeReport {
+    /// (up to `threads` at once); results are reported in query-id order
+    /// regardless of completion order, and the reuse cache is fed in that
+    /// order too (see [`run_units`]).
+    pub fn run(&self, mut jobs: Vec<QueryJob>) -> RuntimeReport {
         let start = Instant::now();
-        let metrics = Arc::new(RuntimeMetrics::new());
-        let pool = ThreadPool::new(self.cfg.threads);
-        let (tx, rx) = sync::bounded(self.cfg.result_capacity.max(1));
-        let n = jobs.len();
-        let cfg = Arc::new(self.cfg.clone());
-        // Answer reuse: snapshot the shared cache ONCE, before any job
-        // runs. Every query resolves against the same frozen knowledge, so
-        // which thread runs first cannot change what a query sees.
-        let mut sessions: Vec<(u64, Arc<Mutex<ReuseSession>>)> = Vec::new();
-        if let Some(cache) = &self.cfg.reuse {
-            sessions =
-                jobs.iter().map(|job| (job.id, Arc::new(Mutex::new(cache.snapshot())))).collect();
-            sessions.sort_by_key(|&(id, _)| id);
-        }
-        pool.scatter(jobs.into_iter().map(|job| {
-            let tx = tx.clone();
-            let metrics = Arc::clone(&metrics);
-            let cfg = Arc::clone(&cfg);
-            let session =
-                sessions.iter().find(|&&(id, _)| id == job.id).map(|(_, s)| Arc::clone(s));
-            move || {
-                let out = execute_query(&cfg, &metrics, job, session);
-                // The collector outlives the workers; a send can only fail
-                // if the whole run was abandoned.
-                let _ = tx.send(out);
-            }
-        }));
-        drop(tx);
-        let mut results: Vec<(u64, Result<QueryResult, RuntimeError>)> =
-            (0..n).map(|_| rx.recv().expect("every job reports")).collect();
-        pool.join();
-        // Absorb in query-id order: the first (lowest-id) writer wins any
-        // conflicting answer, independent of completion order. Only
-        // successful queries contribute — once an engine latches a fatal
-        // error it stops dispatching, so the failed query's remaining
-        // colors are vote-less defaults, not crowd answers, and absorbing
-        // them would silently corrupt every later query sharing the cache.
-        if let Some(cache) = &self.cfg.reuse {
-            let failed: BTreeSet<u64> =
-                results.iter().filter(|(_, r)| r.is_err()).map(|&(id, _)| id).collect();
-            for (id, session) in &sessions {
-                if !failed.contains(id) {
-                    let session = session.lock().expect("reuse session poisoned");
-                    // Settle-after-fsync: the answers reach stable storage
-                    // before they become visible for cross-query reuse. A
-                    // sink failure skips the absorb — never the reverse.
-                    if let Some(hook) = &self.cfg.settle {
-                        let facts = settled_facts(&self.cfg, &session);
-                        if !facts.is_empty() {
-                            let cents: u64 = facts.iter().map(|f| f.cents).sum();
-                            let ok = hook.settle(*id, &facts).is_ok();
-                            self.cfg.trace.emit(Event::instant(
-                                SpanId::root(),
-                                names::STORE_SETTLE,
-                                0,
-                                kv![q => *id, ok => ok, n => facts.len() as u64, cents => cents],
-                            ));
-                            if !ok {
-                                continue;
-                            }
-                        }
-                    }
-                    cache.absorb(&session);
-                }
-            }
-        }
-        let steals = pool.steals();
-        results.sort_by_key(|&(id, _)| id);
-        RuntimeReport { results, metrics: metrics.snapshot(), wall: start.elapsed(), steals }
+        jobs.sort_by_key(|j| j.id);
+        let ids: Vec<u64> = jobs.iter().map(|j| j.id).collect();
+        // `execute_query` consumes its job; each is taken exactly once.
+        let jobs: Vec<Mutex<Option<QueryJob>>> =
+            jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
+        let lane: Vec<usize> = (0..ids.len()).collect();
+        let (outcomes, metrics) = run_units(&self.cfg, &ids, &[lane], |i, metrics, session| {
+            let job = jobs[i].lock().expect("job slot poisoned").take().expect("job runs once");
+            (execute_query(&self.cfg, metrics, job, session).1, ())
+        });
+        let results = ids.into_iter().zip(outcomes.into_iter().map(|(r, ())| r)).collect();
+        let metrics = metrics.into_iter().next().expect("one lane");
+        RuntimeReport { results, metrics, wall: start.elapsed() }
     }
 }
 
@@ -415,7 +355,7 @@ pub fn settled_facts(cfg: &RuntimeConfig, session: &ReuseSession) -> Vec<Settled
 /// the shared `metrics` is write-only telemetry.
 ///
 /// This is the *seedable scheduler hook*: [`RuntimeExecutor::run`] calls
-/// it from its thread pool, but external harnesses (the `cdb-sim`
+/// it from the unit runner's threads, but external harnesses (the `cdb-sim`
 /// differential oracle) can call it directly, one query at a time in any
 /// order, and must observe byte-identical outcomes — the scheduler only
 /// adds concurrency, never behavior. All randomness is keyed by
@@ -561,6 +501,40 @@ mod tests {
             RuntimeExecutor::new(cfg).run(jobs(6)).answers()
         };
         assert_eq!(mk(), mk());
+    }
+
+    #[test]
+    fn zero_threads_runs_as_one() {
+        let run = |threads| {
+            let cfg = RuntimeConfig { threads, seed: 42, ..RuntimeConfig::default() };
+            let report = RuntimeExecutor::new(cfg).run(jobs(6));
+            (report.answers(), report.metrics)
+        };
+        assert_eq!(run(0), run(1));
+    }
+
+    /// Panics on every round of query 3; streams nothing otherwise.
+    struct PanicOnQuery3;
+
+    impl RoundSink for PanicOnQuery3 {
+        fn on_round(&self, query: u64, _round: u64, _new: &[Vec<NodeId>]) -> bool {
+            assert_ne!(query, 3, "injected sink panic");
+            true
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn a_panicking_job_panics_the_run_instead_of_hanging_it() {
+        // One of 8 jobs panics inside its round loop. The scope joins the
+        // other threads — which drain the remaining 7 jobs — and then
+        // re-raises; nothing is left waiting on the dead thread's result.
+        let cfg = RuntimeConfig {
+            threads: 4,
+            round_sink: Some(RoundHook::new(Arc::new(PanicOnQuery3))),
+            ..RuntimeConfig::default()
+        };
+        RuntimeExecutor::new(cfg).run(jobs(8));
     }
 
     #[test]

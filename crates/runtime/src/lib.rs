@@ -6,10 +6,10 @@
 //! HITs — and a deployment runs *many* queries at once. This crate adds
 //! that missing layer on top of `cdb-core`'s optimizer:
 //!
-//! * **Scheduling** ([`RuntimeExecutor`], [`pool::ThreadPool`]): query
-//!   jobs are dealt across a work-stealing thread pool and stream results
-//!   back over a bounded channel ([`sync`]) whose blocking `send` is the
-//!   backpressure.
+//! * **Scheduling** ([`RuntimeExecutor`], [`run_units`]): a fleet's jobs
+//!   run on scoped threads pulling from one cursor; the fleet protocol
+//!   (one reuse snapshot per unit, settle-after-fsync, absorb in unit
+//!   order) lives once, in [`run_units`], shared with `cdb-shard`.
 //! * **Virtual time** ([`engine::RuntimeEngine`] + `cdb-crowd`'s
 //!   [`cdb_crowd::LatencyModel`]/[`cdb_crowd::OpenRound`]): rounds
 //!   complete as answers arrive on a simulated clock, not in lockstep.
@@ -31,16 +31,15 @@
 pub mod engine;
 pub mod fault;
 pub mod metrics;
-pub mod pool;
-pub mod sync;
 
 mod executor;
+mod fleet;
 
 pub use engine::RuntimeEngine;
 pub use executor::{
-    execute_query, settled_facts, QueryJob, QueryResult, RoundHook, RoundSink, RuntimeConfig,
-    RuntimeExecutor, RuntimeReport, SettleHook,
+    answer_line, execute_query, settled_facts, QueryJob, QueryResult, RoundHook, RoundSink,
+    RuntimeConfig, RuntimeExecutor, RuntimeReport, SettleHook,
 };
 pub use fault::{Fault, FaultPlan, RetryPolicy, RuntimeError};
+pub use fleet::{run_units, UnitRun};
 pub use metrics::{MetricsSnapshot, RuntimeMetrics, HISTOGRAM_BUCKETS};
-pub use pool::ThreadPool;

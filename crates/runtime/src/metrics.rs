@@ -3,7 +3,7 @@
 //! All counters are atomics so query jobs on different threads update one
 //! [`RuntimeMetrics`] without locks; [`RuntimeMetrics::snapshot`] freezes
 //! them into a plain value that serializes to JSON (via `cdb-obsv`'s
-//! shared `json` module — the vendored `serde` stand-in cannot serialize).
+//! shared `json` module — the workspace is std-only).
 //!
 //! Since the observability layer landed, `RuntimeMetrics` is a *consumer
 //! of the event stream*: it implements [`cdb_obsv::Collector`] and folds
@@ -228,7 +228,61 @@ pub struct MetricsSnapshot {
     pub round_latency_buckets: Vec<u64>,
 }
 
+/// All zeros, with [`HISTOGRAM_BUCKETS`] histogram buckets — the identity
+/// of [`MetricsSnapshot::add`].
+impl Default for MetricsSnapshot {
+    fn default() -> Self {
+        MetricsSnapshot {
+            tasks_dispatched: 0,
+            retries: 0,
+            timeouts: 0,
+            reassignments: 0,
+            dropouts: 0,
+            abandons: 0,
+            slowdowns: 0,
+            rounds: 0,
+            queries_ok: 0,
+            queries_failed: 0,
+            virtual_ms_total: 0,
+            round_ms_total: 0,
+            cost_cents: 0,
+            tasks_saved: 0,
+            money_saved_cents: 0,
+            entailment_depth_sum: 0,
+            round_latency_buckets: vec![0; HISTOGRAM_BUCKETS],
+        }
+    }
+}
+
 impl MetricsSnapshot {
+    /// Field-wise `self += other`. Every counter is a sum over events, so
+    /// adding up shard-local collectors reconstructs exactly the snapshot
+    /// one fleet-wide collector would have produced — the cross-shard
+    /// conservation identity the simulation checks.
+    pub fn add(&mut self, other: &MetricsSnapshot) {
+        self.tasks_dispatched += other.tasks_dispatched;
+        self.retries += other.retries;
+        self.timeouts += other.timeouts;
+        self.reassignments += other.reassignments;
+        self.dropouts += other.dropouts;
+        self.abandons += other.abandons;
+        self.slowdowns += other.slowdowns;
+        self.rounds += other.rounds;
+        self.queries_ok += other.queries_ok;
+        self.queries_failed += other.queries_failed;
+        self.virtual_ms_total += other.virtual_ms_total;
+        self.round_ms_total += other.round_ms_total;
+        self.cost_cents += other.cost_cents;
+        self.tasks_saved += other.tasks_saved;
+        self.money_saved_cents += other.money_saved_cents;
+        self.entailment_depth_sum += other.entailment_depth_sum;
+        for (mine, theirs) in
+            self.round_latency_buckets.iter_mut().zip(&other.round_latency_buckets)
+        {
+            *mine += theirs;
+        }
+    }
+
     /// Serialize as a single JSON object (stable field order), via the
     /// shared `cdb-obsv` json emitter.
     pub fn to_json(&self) -> String {

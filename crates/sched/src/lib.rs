@@ -15,8 +15,10 @@
 //!   pre-execution [`cdb_core::CostEstimate`] against the envelope.
 //! * [`drr`] — deficit-round-robin interleaving of per-query round traces
 //!   into global crowd rounds, preserving each query's solo latency bound.
-//! * [`scheduler`] — the driver: execute admitted waves on the unmodified
-//!   deterministic [`cdb_runtime::RuntimeExecutor`], interleave, and bill
+//! * [`scheduler`] — the driver, one admit → wave → bill loop
+//!   ([`Scheduler::run_waves`]): execute admitted waves — on the unmodified
+//!   deterministic [`cdb_runtime::RuntimeExecutor`] for [`Scheduler::run`],
+//!   on `cdb-shard`'s executor for sharded fleets — interleave, and bill
 //!   global rounds as shared HITs ([`cdb_crowd::pack_shared`]) with
 //!   cents-exact per-query attribution.
 //! * [`metrics`] — `sched.*` counters as a [`cdb_obsv::Collector`], with
@@ -36,4 +38,4 @@ pub mod scheduler;
 pub use admission::{AdmissionController, AdmissionDecision, Envelope, QueryRequest, RejectReason};
 pub use drr::{DrrConfig, GlobalRound};
 pub use metrics::{SchedMetrics, SchedSnapshot};
-pub use scheduler::{RoundRecord, SchedConfig, SchedJob, SchedReport, Scheduler};
+pub use scheduler::{BillingReport, RoundRecord, SchedConfig, SchedJob, SchedReport, Scheduler};

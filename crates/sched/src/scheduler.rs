@@ -1,6 +1,14 @@
 //! The multi-query scheduler: admission → deterministic execution →
 //! fair-share interleaving → shared-HIT billing.
 //!
+//! The loop exists once, in [`Scheduler::run_waves`], generalised over
+//! *how a wave runs* (a closure) and *what a DRR flow is* (the closure
+//! names each flow's query). [`Scheduler::run`] is that loop over a
+//! [`RuntimeExecutor`], one flow per query; a sharded fleet passes a
+//! closure around `cdb_shard::ShardExecutor::run`, one flow per
+//! `(query, component)` unit, so shared HITs pack tasks from units on
+//! different shards under the same cents-exact attribution.
+//!
 //! # Determinism strategy
 //!
 //! Cross-query batching must not perturb query answers: the acceptance
@@ -32,13 +40,16 @@
 //! of the request sequence, so the whole schedule replays.
 
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 use std::sync::Arc;
 
 use cdb_core::cost::estimate::estimate;
 use cdb_crowd::{attribute_shared_cents, pack_shared, HitConfig};
 use cdb_obsv::attr::names;
 use cdb_obsv::{kv, Event, SpanId, Trace};
-use cdb_runtime::{QueryJob, QueryResult, RuntimeConfig, RuntimeError, RuntimeExecutor};
+use cdb_runtime::{
+    answer_line, QueryJob, QueryResult, RuntimeConfig, RuntimeError, RuntimeExecutor,
+};
 
 use crate::admission::{AdmissionController, AdmissionDecision, Envelope, QueryRequest};
 use crate::drr::{schedule, DrrConfig, GlobalRound};
@@ -108,6 +119,32 @@ pub struct RoundRecord {
     pub cents: u64,
 }
 
+/// What [`Scheduler::run_waves`] decided and billed — everything a
+/// scheduled run produces except the per-query results, which belong to
+/// whatever executed the waves.
+#[derive(Debug, Clone)]
+pub struct BillingReport {
+    /// Admission verdict per submitted query, in submission order.
+    pub decisions: Vec<(u64, AdmissionDecision)>,
+    /// The billed global rounds, in order, contributions folded per query.
+    pub rounds: Vec<RoundRecord>,
+    /// Global round (0-based) in which each query released its last task.
+    pub completion_round: BTreeMap<u64, usize>,
+    /// Shared-HIT cost attributed per query, in cents. Sums exactly to
+    /// [`platform_cents`](Self::platform_cents).
+    pub attributed_cents: BTreeMap<u64, u64>,
+    /// Total platform spend on HITs, in cents.
+    pub platform_cents: u64,
+    /// Total HITs under the configured batching mode.
+    pub total_hits: usize,
+    /// Total HITs a per-flow (unbatched) billing would have published.
+    pub solo_hits: usize,
+    /// Execution waves (1 unless admission queued queries).
+    pub waves: usize,
+    /// Frozen scheduler counters.
+    pub metrics: SchedSnapshot,
+}
+
 /// Everything a scheduled run produced.
 #[derive(Debug)]
 pub struct SchedReport {
@@ -142,21 +179,10 @@ impl SchedReport {
     /// comparing a scheduled run against a plain runtime run, or batching
     /// on against off.
     pub fn bindings_text(&self) -> String {
-        let mut s = String::new();
-        for (id, r) in &self.results {
-            match r {
-                Ok(q) => {
-                    let bindings: Vec<String> = q
-                        .bindings
-                        .iter()
-                        .map(|b| b.iter().map(|n| n.0.to_string()).collect::<Vec<_>>().join("."))
-                        .collect();
-                    s.push_str(&format!("q{id} answers=[{}]\n", bindings.join("|")));
-                }
-                Err(e) => s.push_str(&format!("q{id} error={e}\n")),
-            }
-        }
-        s
+        self.results
+            .iter()
+            .map(|(id, r)| answer_line(*id, r.as_ref().map(|q| &q.bindings)))
+            .collect()
     }
 
     /// Fraction of HITs saved versus per-query billing (0 when batching
@@ -191,6 +217,56 @@ impl Scheduler {
     /// the arrival order admission sees; execution and billing are then
     /// deterministic (and thread-count independent) given that order.
     pub fn run(&self, submissions: Vec<SchedJob>) -> SchedReport {
+        let executor = RuntimeExecutor::new(self.cfg.runtime.clone());
+        let mut results: Vec<(u64, Result<QueryResult, RuntimeError>)> = Vec::new();
+        let billing = self
+            .run_waves(submissions, |jobs| {
+                let report = executor.run(jobs);
+                let flows = report
+                    .results
+                    .iter()
+                    .filter_map(|(id, r)| Some((*id, *id, r.as_ref().ok()?.round_tasks.clone())))
+                    .collect();
+                results.extend(report.results);
+                Ok::<_, Infallible>(flows)
+            })
+            .unwrap_or_else(|never| match never {});
+        results.sort_by_key(|&(id, _)| id);
+        SchedReport {
+            decisions: billing.decisions,
+            results,
+            rounds: billing.rounds,
+            completion_round: billing.completion_round,
+            attributed_cents: billing.attributed_cents,
+            platform_cents: billing.platform_cents,
+            total_hits: billing.total_hits,
+            solo_hits: billing.solo_hits,
+            waves: billing.waves,
+            metrics: billing.metrics,
+        }
+    }
+
+    /// The admit → wave → bill loop. Offers every submission to admission
+    /// in arrival order, then, until no wave is left: hands the admitted
+    /// jobs to `run_wave`, DRR-interleaves the round traces it returns,
+    /// bills each global round, releases the wave's holds and promotes the
+    /// queue FIFO into the next wave.
+    ///
+    /// `run_wave` executes one wave and returns a `(flow id, query id,
+    /// tasks published per round)` triple per DRR flow — flow ids unique
+    /// within the wave; flows of failed work are simply left out. Packing
+    /// and attribution happen per flow; the report (and the `sched.cost`
+    /// events) fold flows back to their queries. An `Err` from `run_wave`
+    /// aborts the run.
+    ///
+    /// `runtime` in the configuration supplies the redundancy and task
+    /// price admission estimates with; a `run_wave` that executes on its
+    /// own runtime configuration must use the same two values.
+    pub fn run_waves<E>(
+        &self,
+        submissions: Vec<SchedJob>,
+        mut run_wave: impl FnMut(Vec<QueryJob>) -> Result<Vec<(u64, u64, Vec<usize>)>, E>,
+    ) -> Result<BillingReport, E> {
         let metrics = Arc::new(SchedMetrics::new());
         let trace = self
             .cfg
@@ -246,45 +322,46 @@ impl Scheduler {
         }
 
         // Execute in waves; bill each wave's interleaved schedule.
-        let executor = RuntimeExecutor::new(self.cfg.runtime.clone());
-        let mut results: Vec<(u64, Result<QueryResult, RuntimeError>)> = Vec::new();
-        let mut rounds: Vec<RoundRecord> = Vec::new();
-        let mut completion_round = BTreeMap::new();
-        let mut attributed_cents: BTreeMap<u64, u64> = BTreeMap::new();
-        let mut platform_cents = 0u64;
-        let mut total_hits = 0usize;
-        let mut solo_hits = 0usize;
-        let mut waves = 0usize;
+        let mut report = BillingReport {
+            decisions,
+            rounds: Vec::new(),
+            completion_round: BTreeMap::new(),
+            attributed_cents: BTreeMap::new(),
+            platform_cents: 0,
+            total_hits: 0,
+            solo_hits: 0,
+            waves: 0,
+            metrics: SchedSnapshot::default(),
+        };
         while !wave.is_empty() {
-            waves += 1;
+            report.waves += 1;
             let (reqs, jobs): (Vec<_>, Vec<_>) = wave.drain(..).unzip();
-            let report = executor.run(jobs);
-            let traces: Vec<(u64, Vec<usize>)> = report
-                .results
-                .iter()
-                .filter_map(|(id, r)| r.as_ref().ok().map(|q| (*id, q.round_tasks.clone())))
-                .collect();
+            let flows = run_wave(jobs)?;
+            let query_of: BTreeMap<u64, u64> = flows.iter().map(|&(f, q, _)| (f, q)).collect();
+            let traces: Vec<(u64, Vec<usize>)> =
+                flows.into_iter().map(|(f, _, rounds)| (f, rounds)).collect();
             let (globals, finish) = schedule(&traces, self.cfg.drr);
-            let base = rounds.len();
+            let base = report.rounds.len();
             for g in &globals {
-                let rec = self.bill_round(&trace, g, base + g.index, redundancy);
-                for &(q, c) in &rec.attributed {
-                    *attributed_cents.entry(q).or_default() += c;
+                let rec = self.bill_round(&trace, g, &query_of, base + g.index, redundancy);
+                for (&q, &(_, c)) in &rec.per_query {
+                    *report.attributed_cents.entry(q).or_default() += c;
                 }
-                platform_cents += rec.cents;
-                total_hits += rec.hits;
-                solo_hits += rec.solo_hits;
-                rounds.push(RoundRecord {
+                report.platform_cents += rec.cents;
+                report.total_hits += rec.hits;
+                report.solo_hits += rec.solo_hits;
+                report.rounds.push(RoundRecord {
                     index: base + g.index,
-                    contributions: g.contributions.clone(),
+                    contributions: rec.per_query.iter().map(|(&q, &(n, _))| (q, n)).collect(),
                     hits: rec.hits,
                     cents: rec.cents,
                 });
             }
-            for (q, r) in finish {
-                completion_round.insert(q, base + r);
+            // A query finishes when its last flow does.
+            for (f, r) in finish {
+                let done = report.completion_round.entry(query_of[&f]).or_default();
+                *done = (*done).max(base + r);
             }
-            results.extend(report.results);
             for req in &reqs {
                 ctl.complete(&req.estimate);
             }
@@ -303,28 +380,18 @@ impl Scheduler {
                 })
                 .collect();
         }
-        results.sort_by_key(|&(id, _)| id);
-        SchedReport {
-            decisions,
-            results,
-            rounds,
-            completion_round,
-            attributed_cents,
-            platform_cents,
-            total_hits,
-            solo_hits,
-            waves,
-            metrics: metrics.snapshot(),
-        }
+        report.metrics = metrics.snapshot();
+        Ok(report)
     }
 
-    /// Bill one global round: HIT counts under both modes, platform spend
-    /// and per-query attribution under the configured mode, plus the
-    /// `sched.cost` / `sched.round` events.
+    /// Bill one global round: pack and attribute per flow under the
+    /// configured mode, fold tasks and cents back to the flows' queries,
+    /// and emit the `sched.cost` / `sched.round` events.
     fn bill_round(
         &self,
         trace: &Trace,
         g: &GlobalRound,
+        query_of: &BTreeMap<u64, u64>,
         index: usize,
         redundancy: usize,
     ) -> BilledRound {
@@ -338,7 +405,7 @@ impl Scheduler {
                 solo_hits,
                 g.contributions
                     .iter()
-                    .map(|&(q, n)| (q, self.cfg.hit.hits_cost_cents(n.div_ceil(tph), redundancy)))
+                    .map(|&(f, n)| (f, self.cfg.hit.hits_cost_cents(n.div_ceil(tph), redundancy)))
                     .collect(),
             )
         };
@@ -348,14 +415,20 @@ impl Scheduler {
             cents,
             "attribution must conserve platform cents"
         );
+        let mut per_query: BTreeMap<u64, (usize, u64)> = BTreeMap::new();
+        for &(f, n) in &g.contributions {
+            per_query.entry(query_of[&f]).or_default().0 += n;
+        }
+        for &(f, c) in &attributed {
+            per_query.entry(query_of[&f]).or_default().1 += c;
+        }
         let at = index as u64;
-        for (q, task_n) in &g.contributions {
-            let c = attributed.iter().find(|&&(aq, _)| aq == *q).map(|&(_, c)| c).unwrap_or(0);
+        for (q, (task_n, c)) in &per_query {
             trace.emit(Event::instant(
                 SpanId::ROOT,
                 names::SCHED_COST,
                 at,
-                kv![q => *q, round => at, n => *task_n as u64, cents => c],
+                kv![q => *q, round => at, n => *task_n as u64, cents => *c],
             ));
         }
         trace.emit(Event::instant(
@@ -369,7 +442,7 @@ impl Scheduler {
                 cents => cents
             ],
         ));
-        BilledRound { hits, solo_hits, cents, attributed }
+        BilledRound { hits, solo_hits, cents, per_query }
     }
 }
 
@@ -377,5 +450,6 @@ struct BilledRound {
     hits: usize,
     solo_hits: usize,
     cents: u64,
-    attributed: Vec<(u64, u64)>,
+    /// `query → (tasks, attributed cents)` this round.
+    per_query: BTreeMap<u64, (usize, u64)>,
 }

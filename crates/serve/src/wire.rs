@@ -1,6 +1,6 @@
 //! The wire protocol: typed encode/decode of every JSON envelope and
 //! NDJSON stream line the service speaks, built on `cdb_obsv::json`
-//! (the vendored `serde` stand-in cannot serialize or deserialize).
+//! (the workspace is std-only: no serialization framework).
 //!
 //! Every encoder here is deterministic — fixed key order, no timestamps,
 //! integer-exact numbers — because the per-query NDJSON stream is a

@@ -11,25 +11,18 @@
 //! 1-shard oracle: same bindings, same merged metrics JSON.
 
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use cdb_core::model::NodeId;
-use cdb_core::ReuseSession;
 use cdb_crowd::{stream_key, SimTime};
 use cdb_runtime::{
-    execute_query, settled_facts, MetricsSnapshot, QueryJob, QueryResult, RuntimeConfig,
-    RuntimeError, RuntimeMetrics,
+    answer_line, execute_query, run_units, MetricsSnapshot, QueryJob, QueryResult, RuntimeConfig,
+    RuntimeError,
 };
 
 use crate::memory::{component_bytes, Arena, MemoryConfig, ShardError};
 use crate::merge::{merge_query, remap_bindings, sum_snapshots, ShardQueryResult};
-use crate::partition::{partition, Partition};
-
-/// A finished unit's raw outcome plus the node-id map back into the
-/// original graph, parked in its slot until the merge pass collects it.
-type UnitSlot = Mutex<Option<(Result<QueryResult, RuntimeError>, Vec<NodeId>)>>;
+use crate::partition::{component_job, partition, Partition};
 
 /// Stream-key salt for unit ids: `unit = stream_key(SHARD_STREAM,
 /// [query, component])`. Distinct from every other salt in the workspace
@@ -135,21 +128,10 @@ impl ShardReport {
     /// format as [`cdb_runtime::RuntimeReport::bindings_text`], so the
     /// sharded path can be compared byte-for-byte against the oracle.
     pub fn bindings_text(&self) -> String {
-        let mut out = String::new();
-        for (id, r) in &self.results {
-            match r {
-                Ok(q) => {
-                    let rows: Vec<String> = q
-                        .bindings
-                        .iter()
-                        .map(|b| b.iter().map(|n| n.0.to_string()).collect::<Vec<_>>().join("."))
-                        .collect();
-                    out.push_str(&format!("q{} answers=[{}]\n", id, rows.join("|")));
-                }
-                Err(e) => out.push_str(&format!("q{} error={}\n", id, e)),
-            }
-        }
-        out
+        self.results
+            .iter()
+            .map(|(id, r)| answer_line(*id, r.as_ref().map(|q| &q.bindings)))
+            .collect()
     }
 
     /// End-to-end virtual makespan: shards run concurrently, so the run
@@ -259,119 +241,58 @@ impl ShardExecutor {
                 shard_of[pi] = s;
             }
         }
-        // Reuse: snapshot the shared cache ONCE per unit before anything
-        // runs — every unit resolves against the same frozen knowledge,
-        // exactly like RuntimeExecutor's per-query sessions.
-        let sessions: Vec<Option<Arc<Mutex<ReuseSession>>>> = match &self.cfg.runtime.reuse {
-            Some(cache) => {
-                plans.iter().map(|_| Some(Arc::new(Mutex::new(cache.snapshot())))).collect()
-            }
-            None => plans.iter().map(|_| None).collect(),
-        };
         // Non-streaming: materialize every unit's sub-graph up front —
         // the whole-graph baseline memory profile.
-        let premade: Option<Vec<(QueryJob, Vec<NodeId>)>> = if self.cfg.memory.streaming {
-            None
-        } else {
-            Some(
-                plans
-                    .iter()
-                    .map(|p| {
-                        let job = &jobs[p.job_idx];
-                        let comp = &parts[p.job_idx].components[p.component];
-                        crate::partition::component_job(&job.graph, &job.truth, comp, p.unit)
-                    })
-                    .collect(),
-            )
+        let streaming = self.cfg.memory.streaming;
+        let materialize = |p: &UnitPlan| {
+            let job = &jobs[p.job_idx];
+            component_job(&job.graph, &job.truth, &parts[p.job_idx].components[p.component], p.unit)
         };
+        let premade: Option<Vec<(QueryJob, Vec<NodeId>)>> =
+            (!streaming).then(|| plans.iter().map(materialize).collect());
         let arenas: Vec<Arena> = (0..self.cfg.shards).map(|_| Arena::new()).collect();
         if premade.is_some() {
             for (pi, p) in plans.iter().enumerate() {
                 arenas[shard_of[pi]].acquire(p.bytes);
             }
         }
-        let shard_metrics: Vec<Arc<RuntimeMetrics>> =
-            (0..self.cfg.shards).map(|_| Arc::new(RuntimeMetrics::new())).collect();
-        let cursors: Vec<AtomicUsize> = (0..self.cfg.shards).map(|_| AtomicUsize::new(0)).collect();
-        let slots: Vec<UnitSlot> = plans.iter().map(|_| Mutex::new(None)).collect();
-        let cfg = Arc::new(self.cfg.runtime.clone());
-        let threads = self.cfg.runtime.threads.max(1);
-        let streaming = self.cfg.memory.streaming;
-        std::thread::scope(|scope| {
-            for (s, list) in assigned.iter().enumerate() {
-                for _ in 0..threads {
-                    let cfg = Arc::clone(&cfg);
-                    let metrics = Arc::clone(&shard_metrics[s]);
-                    let arena = &arenas[s];
-                    let cursor = &cursors[s];
-                    let plans = &plans;
-                    let jobs = &jobs;
-                    let parts = &parts;
-                    let sessions = &sessions;
-                    let premade = &premade;
-                    let slots = &slots;
-                    scope.spawn(move || loop {
-                        let i = cursor.fetch_add(1, Ordering::SeqCst);
-                        let Some(&pi) = list.get(i) else { break };
-                        let p = &plans[pi];
-                        let (unit_job, to_global) = match premade {
-                            Some(pre) => pre[pi].clone(),
-                            None => {
-                                let job = &jobs[p.job_idx];
-                                let comp = &parts[p.job_idx].components[p.component];
-                                crate::partition::component_job(
-                                    &job.graph, &job.truth, comp, p.unit,
-                                )
-                            }
-                        };
-                        if streaming {
-                            arena.acquire(p.bytes);
-                        }
-                        let session = sessions[pi].as_ref().map(Arc::clone);
-                        let (_, result) = execute_query(&cfg, &metrics, unit_job, session);
-                        if streaming {
-                            arena.release(p.bytes);
-                        }
-                        *slots[pi].lock().expect("unit slot poisoned") = Some((result, to_global));
-                    });
+        // One lane per shard; the fleet protocol (one reuse snapshot per
+        // unit, settle-then-absorb in (query, component) order keyed by
+        // unit seed) is the runtime's, shared with RuntimeExecutor.
+        let unit_ids: Vec<u64> = plans.iter().map(|p| p.unit).collect();
+        let (ran, shard_metrics) =
+            run_units(&self.cfg.runtime, &unit_ids, &assigned, |pi, metrics, session| {
+                let p = &plans[pi];
+                let (unit_job, to_global) = match &premade {
+                    Some(pre) => pre[pi].clone(),
+                    None => materialize(p),
+                };
+                let arena = &arenas[shard_of[pi]];
+                if streaming {
+                    arena.acquire(p.bytes);
                 }
-            }
-        });
-        // Absorb reuse sessions in (query, component) order after every
-        // shard joins — the same first-writer-wins, settle-before-absorb
-        // protocol as RuntimeExecutor, keyed by unit seed.
-        let mut outcomes: Vec<UnitOutcome> = Vec::with_capacity(plans.len());
-        for (pi, p) in plans.iter().enumerate() {
-            let (result, to_global) =
-                slots[pi].lock().expect("unit slot poisoned").take().expect("every unit reports");
-            let result = result.map(|mut q| {
-                q.bindings = remap_bindings(&q.bindings, &to_global);
-                q
+                let (_, result) = execute_query(&self.cfg.runtime, metrics, unit_job, session);
+                if streaming {
+                    arena.release(p.bytes);
+                }
+                (result, to_global)
             });
-            if result.is_ok() {
-                if let (Some(cache), Some(session)) = (&self.cfg.runtime.reuse, &sessions[pi]) {
-                    let session = session.lock().expect("reuse session poisoned");
-                    let settled = match &self.cfg.runtime.settle {
-                        Some(hook) => {
-                            let facts = settled_facts(&self.cfg.runtime, &session);
-                            facts.is_empty() || hook.settle(p.unit, &facts).is_ok()
-                        }
-                        None => true,
-                    };
-                    if settled {
-                        cache.absorb(&session);
-                    }
-                }
-            }
-            outcomes.push(UnitOutcome {
+        let outcomes: Vec<UnitOutcome> = plans
+            .iter()
+            .zip(ran)
+            .enumerate()
+            .map(|(pi, (p, (result, to_global)))| UnitOutcome {
                 query: p.query,
                 component: p.component,
                 unit: p.unit,
                 shard: shard_of[pi],
                 bytes: p.bytes,
-                result,
-            });
-        }
+                result: result.map(|mut q| {
+                    q.bindings = remap_bindings(&q.bindings, &to_global);
+                    q
+                }),
+            })
+            .collect();
         // Merge per query, in query-id order. A query whose graph
         // partitioned into zero components (no edges, no nodes that
         // could bind) merges to the empty answer set.
@@ -384,8 +305,10 @@ impl ShardExecutor {
                 .collect();
             results.push((job.id, merge_query(job.id, &per)));
         }
-        let shards: Vec<ShardStats> = (0..self.cfg.shards)
-            .map(|s| {
+        let shards: Vec<ShardStats> = shard_metrics
+            .into_iter()
+            .enumerate()
+            .map(|(s, metrics)| {
                 let mine: Vec<&UnitOutcome> = outcomes.iter().filter(|o| o.shard == s).collect();
                 ShardStats {
                     shard: s,
@@ -396,7 +319,7 @@ impl ShardExecutor {
                         .iter()
                         .map(|o| o.result.as_ref().map(|q| q.virtual_ms).unwrap_or(0))
                         .sum(),
-                    metrics: shard_metrics[s].snapshot(),
+                    metrics,
                 }
             })
             .collect();
@@ -422,9 +345,14 @@ pub fn all_bindings(report: &ShardReport) -> BTreeSet<(u64, Vec<NodeId>)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Arc, Mutex};
+
     use cdb_core::executor::EdgeTruth;
     use cdb_core::model::PartKind;
-    use cdb_core::QueryGraph;
+    use cdb_core::{QueryGraph, ReuseCache, SettleSink, SettledFact};
+    use cdb_obsv::attr::{keys, names};
+    use cdb_obsv::{Event, Ring, Trace};
+    use cdb_runtime::{FaultPlan, RetryPolicy, SettleHook};
 
     /// Two independent joins in one graph: `a_i ~ b_i` pairs (2 comps)
     /// with known truth.
@@ -521,5 +449,103 @@ mod tests {
         .expect("runs");
         assert_eq!(streaming.bindings_text(), upfront.bindings_text());
         assert!(streaming.peak_bytes_max() < upfront.peak_bytes_max());
+    }
+
+    #[test]
+    fn zero_threads_runs_as_one() {
+        let run = |threads| {
+            let runtime = RuntimeConfig { threads, seed: 7, ..RuntimeConfig::default() };
+            let report =
+                ShardExecutor::new(ShardConfig { shards: 2, runtime, ..Default::default() })
+                    .run((0..4).map(two_component_job).collect())
+                    .expect("runs");
+            (report.bindings_text(), report.metrics)
+        };
+        assert_eq!(run(0), run(1));
+    }
+
+    /// One settle call: `(unit, facts, cents)`.
+    type Settled = (u64, usize, u64);
+
+    /// A settle sink that records its calls.
+    #[derive(Debug, Default)]
+    struct RecordingSink(Mutex<Vec<Settled>>);
+
+    impl SettleSink for RecordingSink {
+        fn settle(&self, unit: u64, facts: &[SettledFact]) -> Result<(), String> {
+            let cents = facts.iter().map(|f| f.cents).sum();
+            self.0.lock().expect("sink poisoned").push((unit, facts.len(), cents));
+            Ok(())
+        }
+    }
+
+    /// A two-shard durable run: its report, sink calls, `store.settle`
+    /// events and the cache it fed.
+    fn durable_run(
+        runtime: RuntimeConfig,
+        jobs: Vec<QueryJob>,
+    ) -> (ShardReport, Vec<Settled>, Vec<Event>, Arc<ReuseCache>) {
+        let cache = Arc::new(ReuseCache::new());
+        let sink = Arc::new(RecordingSink::default());
+        let ring = Arc::new(Ring::with_capacity(1 << 12));
+        let runtime = RuntimeConfig {
+            threads: 2,
+            worker_accuracies: vec![1.0; 20],
+            reuse: Some(Arc::clone(&cache)),
+            settle: Some(SettleHook::new(Arc::clone(&sink) as Arc<dyn SettleSink>)),
+            trace: Trace::collector(ring.clone()),
+            ..runtime
+        };
+        let report = ShardExecutor::new(ShardConfig { shards: 2, runtime, ..Default::default() })
+            .run(jobs)
+            .expect("runs");
+        let settled = sink.0.lock().unwrap().clone();
+        let mut events = ring.drain();
+        events.retain(|e| e.name == names::STORE_SETTLE);
+        (report, settled, events, cache)
+    }
+
+    #[test]
+    fn settle_runs_before_absorb_in_unit_order_with_one_event_per_unit() {
+        let (report, settled, events, cache) =
+            durable_run(RuntimeConfig::default(), (0..4).map(two_component_job).collect());
+        assert_eq!(report.ok_count(), 4);
+        assert!(!cache.is_empty(), "absorb still feeds the cache when settling succeeds");
+        let ids: Vec<u64> = settled.iter().map(|&(unit, _, _)| unit).collect();
+        let units: Vec<u64> = report.units.iter().map(|u| u.unit).collect();
+        assert_eq!(ids, units, "settled under the unit seed, in (query, component) order");
+        let total: usize = settled.iter().map(|&(_, n, _)| n).sum();
+        assert!(total >= cache.len(), "settled {total} < cached {}", cache.len());
+        // The event stream tells the same story as the sink.
+        assert_eq!(events.len(), settled.len());
+        for (ev, &(unit, n, cents)) in events.iter().zip(&settled) {
+            assert_eq!(ev.get_u64(keys::QUERY), Some(unit));
+            assert_eq!(ev.get_u64(keys::N), Some(n as u64));
+            assert_eq!(ev.get_u64(keys::CENTS), Some(cents));
+        }
+    }
+
+    #[test]
+    fn a_failed_component_neither_settles_nor_absorbs_but_its_sibling_does() {
+        // A quarter of assignments drop out and one retry is allowed: with
+        // these seeds component 0 exhausts its budget and component 1 does
+        // not. The query fails as a whole, yet the healthy unit's answers
+        // are real crowd evidence and still become durable and reusable.
+        let runtime = RuntimeConfig {
+            seed: 3,
+            fault_plan: FaultPlan::uniform(3, 0.0).with_dropout(0.25),
+            retry: RetryPolicy { deadline_ms: 300_000, max_retries: 1 },
+            ..RuntimeConfig::default()
+        };
+        let (report, settled, events, cache) = durable_run(runtime, vec![two_component_job(0)]);
+        assert_eq!(report.failed_count(), 1);
+        let ok: Vec<bool> = report.units.iter().map(|u| u.result.is_ok()).collect();
+        assert_eq!(ok, vec![false, true]);
+        let ids: Vec<u64> = settled.iter().map(|&(unit, _, _)| unit).collect();
+        assert_eq!(ids, vec![report.units[1].unit], "only the successful unit settles");
+        assert_eq!(events.len(), 1);
+        // The components share no label, so absorb had nothing to dedup:
+        // the cache holds the sibling's facts and not one more.
+        assert_eq!(cache.len(), settled[0].1, "the failed unit's colors leaked into the cache");
     }
 }

@@ -24,27 +24,27 @@
 //! - The [`merge`] layer reassembles per-component bindings in
 //!   deterministic component-id order and folds shard-local metrics
 //!   collectors into one fleet-wide snapshot by field-wise sum.
-//! - The [`Coordinator`] layers `cdb-sched`'s
-//!   admission envelope and DRR fair-share across shards, packing tasks
-//!   from units on different shards into shared HITs with cents-exact
-//!   attribution.
+//!
+//! Sharded fleets are scheduled by `cdb-sched` itself
+//! (`Scheduler::run_waves` with a wave closure around
+//! [`ShardExecutor::run`]): a DRR flow is then one execution unit, so
+//! shared HITs pack tasks from units on different shards with the same
+//! cents-exact attribution (`tests/sched_waves.rs`).
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod coordinator;
 pub mod executor;
 pub mod memory;
 pub mod merge;
 pub mod partition;
 
-pub use coordinator::{Coordinator, CoordinatorConfig, CoordinatorReport, ShardSubmission};
 pub use executor::{
     all_bindings, unit_seed, ShardConfig, ShardExecutor, ShardReport, ShardStats, UnitOutcome,
     SHARD_STREAM,
 };
 pub use memory::{component_bytes, Arena, MemoryConfig, ShardError};
-pub use merge::{add_snapshots, sum_snapshots, zero_snapshot, ShardQueryResult};
+pub use merge::{sum_snapshots, ShardQueryResult};
 pub use partition::{
     component_job, partition, verify_partition, Component, Partition, PartitionViolation,
 };

@@ -6,7 +6,7 @@ use std::collections::BTreeSet;
 
 use cdb_core::model::NodeId;
 use cdb_crowd::SimTime;
-use cdb_runtime::{MetricsSnapshot, QueryResult, RuntimeError, HISTOGRAM_BUCKETS};
+use cdb_runtime::{MetricsSnapshot, QueryResult, RuntimeError};
 
 /// One query's merged outcome across its components.
 #[derive(Debug, Clone)]
@@ -78,63 +78,12 @@ pub fn remap_bindings(
     local.iter().map(|b| b.iter().map(|n| to_global[n.0]).collect()).collect()
 }
 
-/// An all-zero snapshot — the identity of [`add_snapshots`].
-pub fn zero_snapshot() -> MetricsSnapshot {
-    MetricsSnapshot {
-        tasks_dispatched: 0,
-        retries: 0,
-        timeouts: 0,
-        reassignments: 0,
-        dropouts: 0,
-        abandons: 0,
-        slowdowns: 0,
-        rounds: 0,
-        queries_ok: 0,
-        queries_failed: 0,
-        virtual_ms_total: 0,
-        round_ms_total: 0,
-        cost_cents: 0,
-        tasks_saved: 0,
-        money_saved_cents: 0,
-        entailment_depth_sum: 0,
-        round_latency_buckets: vec![0; HISTOGRAM_BUCKETS],
-    }
-}
-
-/// Field-wise sum of two snapshots. Every counter is a sum over events,
-/// so summing shard-local collectors reconstructs exactly the snapshot a
-/// single fleet-wide collector would have produced — the cross-shard
-/// conservation identity the simulation checks.
-pub fn add_snapshots(a: &MetricsSnapshot, b: &MetricsSnapshot) -> MetricsSnapshot {
-    let mut buckets = vec![0u64; HISTOGRAM_BUCKETS];
-    for (i, slot) in buckets.iter_mut().enumerate() {
-        *slot = a.round_latency_buckets.get(i).copied().unwrap_or(0)
-            + b.round_latency_buckets.get(i).copied().unwrap_or(0);
-    }
-    MetricsSnapshot {
-        tasks_dispatched: a.tasks_dispatched + b.tasks_dispatched,
-        retries: a.retries + b.retries,
-        timeouts: a.timeouts + b.timeouts,
-        reassignments: a.reassignments + b.reassignments,
-        dropouts: a.dropouts + b.dropouts,
-        abandons: a.abandons + b.abandons,
-        slowdowns: a.slowdowns + b.slowdowns,
-        rounds: a.rounds + b.rounds,
-        queries_ok: a.queries_ok + b.queries_ok,
-        queries_failed: a.queries_failed + b.queries_failed,
-        virtual_ms_total: a.virtual_ms_total + b.virtual_ms_total,
-        round_ms_total: a.round_ms_total + b.round_ms_total,
-        cost_cents: a.cost_cents + b.cost_cents,
-        tasks_saved: a.tasks_saved + b.tasks_saved,
-        money_saved_cents: a.money_saved_cents + b.money_saved_cents,
-        entailment_depth_sum: a.entailment_depth_sum + b.entailment_depth_sum,
-        round_latency_buckets: buckets,
-    }
-}
-
 /// Sum an iterator of snapshots.
 pub fn sum_snapshots<'a>(snaps: impl IntoIterator<Item = &'a MetricsSnapshot>) -> MetricsSnapshot {
-    snaps.into_iter().fold(zero_snapshot(), |acc, s| add_snapshots(&acc, s))
+    snaps.into_iter().fold(MetricsSnapshot::default(), |mut acc, s| {
+        acc.add(s);
+        acc
+    })
 }
 
 #[cfg(test)]
@@ -143,11 +92,9 @@ mod tests {
 
     #[test]
     fn snapshot_sum_is_fieldwise() {
-        let mut a = zero_snapshot();
-        a.tasks_dispatched = 3;
+        let mut a = MetricsSnapshot { tasks_dispatched: 3, ..MetricsSnapshot::default() };
         a.round_latency_buckets[2] = 5;
-        let mut b = zero_snapshot();
-        b.tasks_dispatched = 4;
+        let mut b = MetricsSnapshot { tasks_dispatched: 4, ..MetricsSnapshot::default() };
         b.round_latency_buckets[2] = 1;
         let s = sum_snapshots([&a, &b]);
         assert_eq!(s.tasks_dispatched, 7);

@@ -14,8 +14,8 @@ use cdb_obsv::{Attribution, ConservationTotals, Ring, Trace};
 use cdb_runtime::{RuntimeExecutor, RuntimeReport, SettleHook};
 use cdb_sched::{DrrConfig, SchedConfig, SchedJob, Scheduler};
 use cdb_shard::{
-    partition as shard_partition, sum_snapshots, verify_partition, Component, Coordinator,
-    CoordinatorConfig, MemoryConfig, ShardConfig, ShardExecutor, ShardSubmission,
+    partition as shard_partition, sum_snapshots, verify_partition, Component, MemoryConfig,
+    ShardConfig, ShardExecutor,
 };
 use cdb_store::{DurableReuseCache, ScratchDir};
 
@@ -595,9 +595,10 @@ fn check_sched(
 ///    one shard): byte-identical bindings and byte-identical merged
 ///    metrics JSON — placement adds concurrency, never behavior.
 /// 3. **Cross-shard conservation**: the merged snapshot equals the
-///    field-wise sum of the shard-local collectors, and the coordinator's
-///    per-query cost attribution sums exactly to platform spend even when
-///    shared HITs pack tasks from units on different shards.
+///    field-wise sum of the shard-local collectors, and the scheduler's
+///    per-query cost attribution over unit flows sums exactly to platform
+///    spend even when shared HITs pack tasks from units on different
+///    shards.
 /// 4. **Perfect-workers bridge**: with perfect workers and no
 ///    faults/budget, the sharded path recovers the same ground-truth
 ///    bindings as the monolithic runtime.
@@ -684,28 +685,41 @@ fn check_shard(
             ),
         ));
     }
-    let coord_cfg = CoordinatorConfig {
-        shard: shard_cfg(spec.shard_count),
+    // The scheduler's loop with a sharded wave: one DRR flow per unit,
+    // numbered in (query, component) order.
+    let cfg = shard_cfg(spec.shard_count);
+    let sched = Scheduler::new(SchedConfig {
+        runtime: cfg.runtime.clone(),
         drr: DrrConfig { quantum: spec.sched_quantum.max(1), capacity: None },
-        ..CoordinatorConfig::default()
-    };
-    match Coordinator::new(coord_cfg)
-        .run(jobs.iter().map(|j| ShardSubmission::unconstrained(j.clone())).collect())
-    {
-        Ok(coord) => {
-            let attributed: u64 = coord.attributed_cents.values().sum();
-            if attributed != coord.platform_cents {
+        ..SchedConfig::default()
+    });
+    let exec = ShardExecutor::new(cfg);
+    let subs = jobs.iter().map(|j| SchedJob::unconstrained(j.clone())).collect();
+    let billed = sched.run_waves(subs, |wave| {
+        let report = exec.run(wave)?;
+        let flows = report.units.iter().enumerate().filter_map(|(flow, u)| {
+            Some((flow as u64, u.query, u.result.as_ref().ok()?.round_tasks.clone()))
+        });
+        Ok::<_, cdb_shard::ShardError>(flows.collect())
+    });
+    match billed {
+        Ok(bill) => {
+            let attributed: u64 = bill.attributed_cents.values().sum();
+            if attributed != bill.platform_cents {
                 v.push(Violation::new(
                     "shard-conservation",
                     format!(
-                        "coordinator attributed {} cents != platform {} cents",
-                        attributed, coord.platform_cents
+                        "sharded schedule attributed {} cents != platform {} cents",
+                        attributed, bill.platform_cents
                     ),
                 ));
             }
+            for line in bill.metrics.conservation_mismatches() {
+                v.push(Violation::new("shard-conservation", format!("sharded schedule: {line}")));
+            }
         }
         Err(e) => {
-            v.push(Violation::new("shard-conservation", format!("coordinator plan failed: {e}")));
+            v.push(Violation::new("shard-conservation", format!("sharded plan failed: {e}")));
         }
     }
     // Per query that completed in *both* engines: a timing-tail retry

@@ -1,13 +1,14 @@
 //! The reference oracle: a naive single-threaded executor.
 //!
 //! It answers every query sequentially, in query-id order, through the
-//! runtime's per-query hook [`cdb_runtime::execute_query`] — no thread
-//! pool, no work stealing, no channels, no backpressure, and a
-//! hand-rolled snapshot/absorb loop instead of the scheduler's session
-//! plumbing. Because every stochastic decision is stream-keyed by
-//! `(seed, query id)`, the concurrent scheduler must produce *exactly*
-//! this oracle's answers and aggregate counters; any divergence is a
-//! scheduler bug (ordering leak, session mixup, metrics race).
+//! runtime's per-query hook [`cdb_runtime::execute_query`] — no threads,
+//! no cursor, no result slots, and a hand-rolled snapshot/settle/absorb
+//! loop instead of the shared unit runner ([`cdb_runtime::run_units`]);
+//! this is the one deliberate second copy of the fleet protocol. Because
+//! every stochastic decision is stream-keyed by `(seed, query id)`, the
+//! concurrent scheduler must produce *exactly* this oracle's answers and
+//! aggregate counters; any divergence is a scheduler bug (ordering leak,
+//! session mixup, metrics race).
 
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
@@ -67,5 +68,5 @@ pub fn run_sequential(cfg: &RuntimeConfig, mut jobs: Vec<QueryJob>) -> RuntimeRe
         }
     }
     results.sort_by_key(|&(id, _)| id);
-    RuntimeReport { results, metrics: metrics.snapshot(), wall: start.elapsed(), steals: 0 }
+    RuntimeReport { results, metrics: metrics.snapshot(), wall: start.elapsed() }
 }

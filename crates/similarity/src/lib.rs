@@ -31,8 +31,6 @@ pub use measures::{
 };
 pub use tokenize::{qgrams, tokens};
 
-use serde::{Deserialize, Serialize};
-
 /// A similarity measure mapping two strings to `[0, 1]`.
 ///
 /// CDB treats the similarity as the matching probability ω(e) of a crowd
@@ -45,7 +43,7 @@ pub trait SimilarityMeasure {
 
 /// The concrete similarity functions evaluated in the paper (Appendix D,
 /// Figures 23 and 24).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimilarityFn {
     /// No similarity estimation: every candidate edge gets probability 0.5.
     NoSim,

@@ -1,9 +1,7 @@
 //! Table schemas with CROWD column markers.
 
-use serde::{Deserialize, Serialize};
-
 /// Column data types supported by CQL.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ColumnType {
     /// Variable-length text (`varchar`).
     Text,
@@ -26,7 +24,7 @@ impl ColumnType {
 
 /// One column definition: name, type and whether it is a `CROWD` column
 /// (its missing values can be crowdsourced with `FILL`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColumnDef {
     /// Column name (case-preserving, matched case-insensitively).
     pub name: String,
@@ -49,7 +47,7 @@ impl ColumnDef {
 }
 
 /// An ordered list of column definitions.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
     columns: Vec<ColumnDef>,
 }

@@ -1,14 +1,12 @@
 //! Row-oriented tables.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{ColumnType, Schema, StorageError, Value};
 
 /// Identifies a tuple inside a [`crate::Database`]: `(table name, row)`.
 ///
 /// The CDB graph query model creates one graph vertex per tuple; `TupleId`
 /// is the link from graph vertices back to stored rows.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TupleId {
     /// Owning table name.
     pub table: String,
@@ -27,7 +25,7 @@ impl TupleId {
 ///
 /// A table may itself be a `CROWD` table (CQL `CREATE CROWD TABLE`): its
 /// rows are collected from the crowd under the open-world assumption.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     name: String,
     schema: Schema,

@@ -2,13 +2,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A single cell value.
 ///
 /// `CNull` is CQL's `CNULL`: the value is *unknown and crowdsourceable* —
 /// a `FILL` statement targets exactly the `CNull` cells of a crowd column.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// Missing value to be filled by the crowd (CQL `CNULL`).
     CNull,

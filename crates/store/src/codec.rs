@@ -1,6 +1,5 @@
-//! Hand-rolled little-endian binary codec. The vendored `serde` is an
-//! API stub (empty traits), so everything the store writes to disk is
-//! encoded explicitly here: fixed-width integers plus length-prefixed
+//! Hand-rolled little-endian binary codec. The workspace is std-only,
+//! so everything the store writes to disk is encoded explicitly here: fixed-width integers plus length-prefixed
 //! UTF-8 strings, with a bounds-checked cursor for decoding.
 
 use crate::error::{Result, StoreError};
