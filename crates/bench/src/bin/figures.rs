@@ -775,7 +775,7 @@ fn store(args: &Args) {
     use cdb_obsv::{kv, Event, Ring, SpanId, Trace};
     use cdb_runtime::{RuntimeConfig, RuntimeExecutor, SettleHook};
     use cdb_storage::{ColumnDef, ColumnType, Schema, Table, Value};
-    use cdb_store::{AnswerLog, Database, DurableReuseCache, ScratchDir, DEFAULT_SEGMENT_BYTES};
+    use cdb_store::{AnswerLog, DurableReuseCache, ScratchDir, TableFile, DEFAULT_SEGMENT_BYTES};
     use std::sync::Arc;
 
     let ring = Arc::new(Ring::with_capacity(1 << 12));
@@ -918,10 +918,10 @@ fn store(args: &Args) {
         table.push(vec![Value::Int(i as i64), Value::Text(format!("brand-{}", i % 97))]).unwrap();
     }
     let (pages, seq, flush_ms) = {
-        let mut db = Database::open(&path).expect("open db");
+        let (mut file, mut db) = TableFile::open(&path).expect("open db");
         db.add_table(table).expect("add table");
         let start = Instant::now();
-        let stats = db.flush().expect("flush");
+        let stats = file.flush(&db).expect("flush");
         let ms = start.elapsed().as_secs_f64() * 1e3;
         trace.emit(Event::instant(
             SpanId::root(),
@@ -932,7 +932,7 @@ fn store(args: &Args) {
         (stats.pages, stats.seq, ms)
     };
     let start = Instant::now();
-    let db = Database::open(&path).expect("reopen db");
+    let (_, db) = TableFile::open(&path).expect("reopen db");
     let reopen_ms = start.elapsed().as_secs_f64() * 1e3;
     assert_eq!(db.table("products").map(|t| t.row_count()).ok(), Some(rows));
     eprintln!("  flush: {pages} pages in {flush_ms:.2} ms; reopen: {reopen_ms:.2} ms");

@@ -2,8 +2,8 @@
 //! dataset + query and report the three metrics (cost = #tasks, latency =
 //! #rounds, quality = F-measure).
 //!
-//! Used by the `figures` binary (which regenerates every table and figure
-//! of the evaluation section) and by the criterion micro-benches.
+//! Used by the `figures` binary, which regenerates every table and figure
+//! of the evaluation section.
 
 pub mod compare;
 

@@ -583,7 +583,6 @@ impl<'a, P: CrowdPlatform> Executor<'a, P> {
             self.truth[&e],
         )
         .with_difficulty(self.edge_difficulty(e))
-        .with_measure(self.edge_measure(e))
     }
 
     /// Task difficulty for an edge under the configured error model.
@@ -913,6 +912,10 @@ mod tests {
         assert_eq!(second.tasks_asked, 0);
         assert!(second.tasks_saved > 0);
         assert_eq!(second.answer_bindings(), first.answer_bindings());
+        // Hits are coloured before selection, so an all-hit run never
+        // reaches the platform: no round published, nothing logged.
+        assert_eq!(p2.rounds(), 0);
+        assert_eq!(p2.log().assignment_count(), 0);
         // Without reuse the second run would have paid full price.
         let mut p3 = platform(1.0, 20, 99);
         let plain = Executor::new(g, &truth, &mut p3, ExecutorConfig::default()).run();

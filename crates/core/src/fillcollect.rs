@@ -72,8 +72,6 @@ pub fn execute_fill(
             kind: TaskKind::FillInBlank { question: format!("fill slot {i}") },
             truth: Some(Answer::Text(truth.clone())),
             difficulty: 1.0,
-            values: None,
-            measure: None,
         };
         let first = if cfg.early_stop { cfg.first_phase } else { cfg.redundancy };
         let mut answers: Vec<String> = platform

@@ -89,8 +89,6 @@ pub fn crowd_sort(
                 // Choice 0 = first item greater.
                 truth: Some(Answer::Choice(usize::from(truth_rank[a] > truth_rank[b]))),
                 difficulty: 1.0,
-                values: None,
-                measure: None,
             })
             .collect();
         let answers = platform.ask_round(&tasks, redundancy);

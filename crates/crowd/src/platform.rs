@@ -640,8 +640,6 @@ mod tests {
             kind: TaskKind::FillInBlank { question: "affiliation?".into() },
             truth: Some(Answer::Text("MIT".into())),
             difficulty: 1.0,
-            values: None,
-            measure: None,
         };
         let w = Worker { id: WorkerId(0), accuracy: 1.0 };
         assert_eq!(p.simulate_answer(w, &t), Answer::Text("MIT".into()));
@@ -658,8 +656,6 @@ mod tests {
             },
             truth: Some(Answer::choices(vec![0, 2])),
             difficulty: 1.0,
-            values: None,
-            measure: None,
         };
         let w = Worker { id: WorkerId(0), accuracy: 1.0 };
         assert_eq!(p.simulate_answer(w, &t), Answer::Choices(vec![0, 2]));

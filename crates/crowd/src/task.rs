@@ -95,16 +95,6 @@ pub struct Task {
     pub truth: Option<Answer>,
     /// Simulated difficulty in `[0, 1]`; 1.0 = the flat error model.
     pub difficulty: f64,
-    /// For join checks: the raw `(left, right)` value pair the question was
-    /// built from, so the answer-reuse layer can key its cache on values
-    /// instead of parsing the question text. `None` for other task kinds.
-    pub values: Option<(String, String)>,
-    /// Similarity measure / predicate this question evaluates (e.g. the
-    /// query predicate's description). The answer-reuse layer keys its
-    /// cache on `(measure, value-pair)` so tasks comparing the same labels
-    /// under *different* equivalence relations never conflate. `None`
-    /// (treated as the empty measure) for tasks outside any query plan.
-    pub measure: Option<String>,
 }
 
 /// Difficulty of a join check on a value pair with similarity `w`:
@@ -128,21 +118,12 @@ impl Task {
             },
             truth: Some(Answer::Choice(usize::from(!truth_yes))),
             difficulty: 1.0,
-            values: Some((left.to_string(), right.to_string())),
-            measure: None,
         }
     }
 
     /// Set the simulated difficulty (builder style).
     pub fn with_difficulty(mut self, difficulty: f64) -> Self {
         self.difficulty = difficulty.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Set the similarity measure / predicate the question evaluates
-    /// (builder style) — the answer-reuse cache namespace.
-    pub fn with_measure(mut self, measure: impl Into<String>) -> Self {
-        self.measure = Some(measure.into());
         self
     }
 

@@ -170,6 +170,22 @@ impl KvList {
     pub fn contains(&self, key: &str) -> bool {
         self.get(key).is_some()
     }
+
+    /// The pairs as one JSON object, in insertion order — the `args` of
+    /// both Chrome-trace writers.
+    pub(crate) fn args_json(&self) -> String {
+        let mut o = crate::json::JsonObject::new();
+        for (k, v) in self.iter() {
+            o = match v {
+                Value::U64(x) => o.u64(k, x),
+                Value::I64(x) => o.i64(k, x),
+                Value::F64(x) => o.f64(k, x),
+                Value::Str(s) => o.str(k, s),
+                Value::Bool(b) => o.bool(k, b),
+            };
+        }
+        o.finish()
+    }
 }
 
 impl Default for KvList {

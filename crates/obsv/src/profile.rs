@@ -277,16 +277,6 @@ impl Profiler {
             .raw("args", &JsonObject::new().str("name", "cdb profile (wall clock)").finish());
         arr = arr.raw(&meta.finish());
         for e in evs {
-            let mut args = JsonObject::new();
-            for (k, v) in e.kv.iter() {
-                args = match v {
-                    Value::U64(x) => args.u64(k, x),
-                    Value::I64(x) => args.i64(k, x),
-                    Value::F64(x) => args.f64(k, x),
-                    Value::Str(s) => args.str(k, s),
-                    Value::Bool(b) => args.bool(k, b),
-                };
-            }
             let o = JsonObject::new()
                 .str("name", inner.nodes[e.node as usize].name)
                 .str("cat", "phase")
@@ -295,7 +285,7 @@ impl Profiler {
                 .f64("dur", e.dur_ns as f64 / 1000.0)
                 .u64("pid", 0)
                 .u64("tid", e.tid)
-                .raw("args", &args.finish());
+                .raw("args", &e.kv.args_json());
             arr = arr.raw(&o.finish());
         }
         JsonObject::new().raw("traceEvents", &arr.finish()).finish()

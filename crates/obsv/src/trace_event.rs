@@ -17,20 +17,6 @@ use crate::event::{canonical_sort, Event, EventKind};
 use crate::json::{JsonArray, JsonObject};
 use std::collections::BTreeSet;
 
-fn args_json(ev: &Event) -> String {
-    let mut o = JsonObject::new();
-    for (k, v) in ev.kv.iter() {
-        o = match v {
-            crate::event::Value::U64(x) => o.u64(k, x),
-            crate::event::Value::I64(x) => o.i64(k, x),
-            crate::event::Value::F64(x) => o.f64(k, x),
-            crate::event::Value::Str(s) => o.str(k, s),
-            crate::event::Value::Bool(b) => o.bool(k, b),
-        };
-    }
-    o.finish()
-}
-
 fn pid(ev: &Event) -> u64 {
     ev.get_u64(keys::QUERY).unwrap_or(0)
 }
@@ -86,7 +72,7 @@ pub fn chrome_trace(events: &[Event]) -> String {
                     .u64("dur", dur * 1000)
                     .u64("pid", pid(ev))
                     .u64("tid", tid(ev))
-                    .raw("args", &args_json(&merged))
+                    .raw("args", &merged.kv.args_json())
                     .finish();
                 rows = rows.raw(&row);
             }
@@ -98,7 +84,7 @@ pub fn chrome_trace(events: &[Event]) -> String {
                     .u64("ts", ev.at * 1000)
                     .u64("pid", pid(ev))
                     .u64("tid", tid(ev))
-                    .raw("args", &args_json(ev))
+                    .raw("args", &ev.kv.args_json())
                     .finish();
                 rows = rows.raw(&row);
             }

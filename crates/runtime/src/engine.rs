@@ -13,6 +13,11 @@
 //!    votes can no longer be overturned (CDAS-style, see `cdb-quality`);
 //! 5. the round ends when nothing is in flight.
 //!
+//! The engine publishes exactly the batch it is handed. Answer reuse is
+//! not its business: the core round loop colours cache-entailed edges
+//! before selection, so a task that reaches `ask_round` is by
+//! construction one the crowd must answer.
+//!
 //! Everything the engine does is a pure function of
 //! `(platform seed, fault plan, retry policy, query id)` — no wall-clock,
 //! no thread identity — which is what makes runs replayable and
@@ -25,25 +30,19 @@
 //! aggregate counters and any richer sink (ring buffer, Chrome trace) can
 //! never disagree.
 
-use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use cdb_core::{ReuseOutcome, ReuseSession};
 use cdb_crowd::{
     Answer, Assignment, AssignmentLog, CrowdPlatform, LatencyModel, Market, OpenRound,
     PendingAssignment, SimTime, SimulatedPlatform, Task, TaskAssigner, TaskId, TaskKind, WorkerId,
 };
 use cdb_obsv::attr::names;
-use cdb_obsv::{kv, Event, Span, SpanId, Trace};
+use cdb_obsv::{kv, Span, SpanId, Trace};
 use cdb_quality::{decided_choice, vote_entropy};
 
 use crate::fault::{Fault, FaultPlan, RetryPolicy, RuntimeError};
 use crate::metrics::RuntimeMetrics;
-
-/// Sentinel worker id for answers synthesized from the answer-reuse cache
-/// (never a real pool member — pools are indexed from 0 and far smaller).
-pub const REUSE_WORKER: WorkerId = WorkerId(u32::MAX);
 
 /// A fault-injecting, virtual-time crowd platform for one query.
 pub struct RuntimeEngine {
@@ -56,13 +55,9 @@ pub struct RuntimeEngine {
     now: SimTime,
     early_termination: bool,
     error: Option<RuntimeError>,
-    /// Answer-reuse session: join-check tasks the session already entails
-    /// are answered by the cache instead of being dispatched.
-    reuse: Option<Arc<Mutex<ReuseSession>>>,
-    /// Tasks published per crowd round, in round order (rounds fully
-    /// resolved from the reuse cache publish nothing and are not recorded).
-    /// This is the per-round footprint the multi-query scheduler replays
-    /// when interleaving queries into shared HITs.
+    /// Tasks published per crowd round, in round order. This is the
+    /// per-round footprint the multi-query scheduler replays when
+    /// interleaving queries into shared HITs.
     round_tasks: Vec<usize>,
 }
 
@@ -87,22 +82,8 @@ impl RuntimeEngine {
             now: 0,
             early_termination: false,
             error: None,
-            reuse: None,
             round_tasks: Vec::new(),
         }
-    }
-
-    /// Attach an answer-reuse session: any join-check task whose value
-    /// pair the session already entails is short-circuited at publish
-    /// time — the engine synthesizes the cached answer from a sentinel
-    /// cache worker ([`REUSE_WORKER`]) at the current virtual instant,
-    /// spending no money and drawing nothing from the platform RNG. The
-    /// session is *read-only* here: recording inferred answers is the
-    /// caller's job (the core executor records colors as it infers them),
-    /// so exactly one layer writes and replay stays deterministic.
-    pub fn with_reuse(mut self, session: Arc<Mutex<ReuseSession>>) -> Self {
-        self.reuse = Some(session);
-        self
     }
 
     /// Close tasks as soon as their collected votes cannot be overturned,
@@ -139,8 +120,7 @@ impl RuntimeEngine {
         self.error.clone()
     }
 
-    /// Tasks published to the crowd per round, in round order. All-cache
-    /// rounds publish nothing and do not appear.
+    /// Tasks published to the crowd per round, in round order.
     pub fn round_tasks(&self) -> &[usize] {
         &self.round_tasks
     }
@@ -197,52 +177,6 @@ impl RuntimeEngine {
             }
             Fault::None => {}
         }
-    }
-
-    /// Split a batch into cache-answered assignments and the tasks that
-    /// still need the crowd. Each hit synthesizes one [`REUSE_WORKER`]
-    /// answer at the current instant and emits a `reuse.hit` event whose
-    /// `cents` is the money a full dispatch (`redundancy × task price`)
-    /// would have cost. Without a session the batch comes back borrowed.
-    fn resolve_reuse<'a>(
-        &mut self,
-        tasks: &'a [Task],
-        redundancy: usize,
-    ) -> (Vec<Assignment>, Cow<'a, [Task]>) {
-        let Some(session) = self.reuse.clone() else { return (Vec::new(), Cow::Borrowed(tasks)) };
-        let mut session = session.lock().expect("reuse session poisoned");
-        let cents = self.platform.market().task_price_cents() * redundancy as u64;
-        let mut hits = Vec::new();
-        let mut misses = Vec::new();
-        for t in tasks {
-            let outcome = match &t.values {
-                Some((l, r)) => session.resolve(t.measure.as_deref().unwrap_or(""), l, r),
-                None => ReuseOutcome::Miss,
-            };
-            match outcome {
-                ReuseOutcome::Hit { same, provenance } => {
-                    self.trace.emit(Event::instant(
-                        SpanId::ROOT,
-                        names::REUSE_HIT,
-                        self.now,
-                        kv![
-                            task => t.id.0,
-                            kind => provenance.kind(),
-                            depth => provenance.depth() as u64,
-                            cents => cents
-                        ],
-                    ));
-                    hits.push(Assignment {
-                        task: t.id,
-                        worker: REUSE_WORKER,
-                        answer: Answer::Choice(usize::from(!same)),
-                        round: self.platform.rounds(),
-                    });
-                }
-                ReuseOutcome::Miss => misses.push(t.clone()),
-            }
-        }
-        (hits, Cow::Owned(misses))
     }
 
     /// CDAS-style early termination: if `votes` already decide `task` (the
@@ -312,14 +246,6 @@ impl CrowdPlatform for RuntimeEngine {
         if tasks.is_empty() || self.error.is_some() {
             return Vec::new();
         }
-        // Answer reuse: resolve entailed tasks before paying for dispatch.
-        // Hits never reach the platform, so they draw nothing from its RNG
-        // — the remaining dispatches replay exactly as if the hit tasks
-        // were never in the batch.
-        let (reuse_hits, tasks) = self.resolve_reuse(tasks, redundancy);
-        if tasks.is_empty() {
-            return reuse_hits;
-        }
         let round = self.platform.rounds() as u64;
         let round_start = self.now;
         self.round_tasks.push(tasks.len());
@@ -328,7 +254,7 @@ impl CrowdPlatform for RuntimeEngine {
         let by_id: BTreeMap<TaskId, &Task> = tasks.iter().map(|t| (t.id, t)).collect();
 
         let batch = self.platform.publish_round(
-            &tasks,
+            tasks,
             redundancy,
             &self.latency,
             self.retry.deadline_ms,
@@ -440,7 +366,6 @@ impl CrowdPlatform for RuntimeEngine {
         }
         self.platform.finish_round(&collected);
         span.close(self.now, kv![ms => self.now - round_start, ok => true]);
-        collected.extend(reuse_hits);
         collected
     }
 
@@ -694,83 +619,7 @@ mod tests {
         assert_eq!(s.tasks_dispatched, 10);
         assert_eq!(s.rounds, 1);
         assert_eq!(s.cost_cents, 50);
-        assert_eq!(s.round_ms_total, e.now());
-    }
-
-    #[test]
-    fn reuse_hits_short_circuit_dispatch() {
-        let session = Arc::new(Mutex::new(ReuseSession::default()));
-        {
-            let mut s = session.lock().unwrap();
-            s.record("", "MIT", "M.I.T.", true);
-            s.record("", "MIT", "Stanford", false);
-        }
-        let metrics = Arc::new(RuntimeMetrics::new());
-        let platform =
-            SimulatedPlatform::new(Market::Amt, WorkerPool::with_accuracies(&[1.0; 10]), 3);
-        let mut e = RuntimeEngine::new(
-            platform,
-            LatencyModel::default(),
-            FaultPlan::none(),
-            RetryPolicy::default(),
-            0,
-            Arc::clone(&metrics),
-        )
-        .with_reuse(session);
-        let batch = [
-            yes_task(1),                                           // MIT / M.I.T. — recorded positive
-            Task::join_check(TaskId(2), "MIT", "Stanford", false), // recorded negative
-            Task::join_check(TaskId(3), "CMU", "Carnegie Mellon", true), // unknown
-        ];
-        let asg = e.ask_round(&batch, 3);
-        // Two cache answers (one synthetic vote each) + 3 real assignments.
-        assert_eq!(asg.len(), 5);
-        let hit1: Vec<_> = asg.iter().filter(|a| a.task == TaskId(1)).collect();
-        assert_eq!(hit1.len(), 1);
-        assert_eq!(hit1[0].worker, REUSE_WORKER);
-        assert_eq!(hit1[0].answer, Answer::Choice(0));
-        let hit2 = asg.iter().find(|a| a.task == TaskId(2)).unwrap();
-        assert_eq!(hit2.answer, Answer::Choice(1));
-        assert!(asg.iter().filter(|a| a.task == TaskId(3)).all(|a| a.worker != REUSE_WORKER));
-        let s = metrics.snapshot();
-        assert_eq!(s.tasks_dispatched, 3, "only the miss was dispatched");
-        assert_eq!(s.tasks_saved, 2);
-        assert_eq!(s.money_saved_cents, 2 * 3 * 5, "2 tasks × redundancy 3 × 5¢");
-    }
-
-    #[test]
-    fn all_hit_round_never_touches_the_platform() {
-        let session = Arc::new(Mutex::new(ReuseSession::default()));
-        session.lock().unwrap().record("", "MIT", "M.I.T.", true);
-        let mut e = engine(&[1.0; 10], 3, FaultPlan::none(), RetryPolicy::default());
-        e = e.with_reuse(session);
-        let asg = e.ask_round(&[yes_task(1), yes_task(2)], 5);
-        assert_eq!(asg.len(), 2);
-        assert!(asg.iter().all(|a| a.worker == REUSE_WORKER));
-        assert_eq!(e.rounds(), 0, "no crowd round was published");
-        assert_eq!(e.now(), 0, "cache answers cost no virtual time");
-    }
-
-    #[test]
-    fn reuse_replay_is_unperturbed_for_the_remaining_tasks() {
-        // The dispatches a reuse-enabled round makes for its misses must
-        // be byte-identical to a run where the hit tasks were simply
-        // absent — hits draw nothing from the platform RNG.
-        let miss = |id| Task::join_check(TaskId(id), "CMU", "Carnegie Mellon", true);
-        let with_reuse = {
-            let session = Arc::new(Mutex::new(ReuseSession::default()));
-            session.lock().unwrap().record("", "MIT", "M.I.T.", true);
-            let mut e = engine(&[0.8; 10], 11, FaultPlan::uniform(5, 0.3), RetryPolicy::default());
-            e = e.with_reuse(session);
-            let asg = e.ask_round(&[yes_task(1), miss(2)], 5);
-            let real: Vec<_> = asg.into_iter().filter(|a| a.worker != REUSE_WORKER).collect();
-            format!("{real:?}")
-        };
-        let without_hit_task = {
-            let mut e = engine(&[0.8; 10], 11, FaultPlan::uniform(5, 0.3), RetryPolicy::default());
-            format!("{:?}", e.ask_round(&[miss(2)], 5))
-        };
-        assert_eq!(with_reuse, without_hit_task);
+        assert_eq!(s.round_latency.sum(), u128::from(e.now()));
     }
 
     #[test]

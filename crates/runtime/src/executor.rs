@@ -384,23 +384,20 @@ pub fn execute_query(
     )
     .with_trace(qtrace.clone())
     .with_early_termination(cfg.early_termination);
-    if let Some(session) = &reuse {
-        engine = engine.with_reuse(Arc::clone(session));
-    }
     let exec_cfg = ExecutorConfig { seed: stream_key(cfg.seed, &[0xE5EC, job.id]), ..cfg.exec };
     // The core loop gets the same per-query view, so its plan-level
     // events (`exec.edge` task→node bindings, `exec.color`) land in the
     // same stream the engine's crowd events do — teeing in the shared
-    // metrics so the core's pre-round `reuse.hit` sweeps count in the
-    // snapshot exactly like the engine's publish-time hits.
+    // metrics so the core's pre-round `reuse.hit` sweeps (the only place
+    // a task is answered from the cache) count in the snapshot.
     let exec_trace =
         Trace::collector(Arc::clone(metrics) as Arc<dyn cdb_obsv::Collector>).and(&qtrace);
     let mut executor =
         Executor::new(job.graph, &job.truth, &mut engine, exec_cfg).with_trace(exec_trace);
     if let Some(session) = reuse {
-        // Read/write split: the engine only *resolves* against the
-        // session; the core executor is the single writer, recording
-        // each round's inferred colors after vote aggregation.
+        // The core loop is the session's only reader and writer: it
+        // colours entailed edges before selection and records each
+        // round's inferred colors after vote aggregation.
         executor = executor.with_reuse(session);
     }
     if let Some(hook) = &cfg.round_sink {

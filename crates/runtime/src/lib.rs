@@ -42,4 +42,4 @@ pub use executor::{
 };
 pub use fault::{Fault, FaultPlan, RetryPolicy, RuntimeError};
 pub use fleet::{run_units, UnitRun};
-pub use metrics::{MetricsSnapshot, RuntimeMetrics, HISTOGRAM_BUCKETS};
+pub use metrics::{MetricsSnapshot, RuntimeMetrics};

@@ -101,7 +101,10 @@ fn multi_join_answers_are_byte_identical_at_1_4_and_8_threads() {
             ..RuntimeConfig::default()
         };
         let jobs: Vec<QueryJob> = (0..6).map(|i| chain_query(i, 3, 3, 2)).collect();
-        RuntimeExecutor::new(cfg).run(jobs).answers()
+        let report = RuntimeExecutor::new(cfg).run(jobs);
+        let slowest = report.results.iter().filter_map(|(_, r)| Some(r.as_ref().ok()?.virtual_ms));
+        assert!(Some(report.virtual_ms_serial()) > slowest.max(), "more than one query ran");
+        report.answers()
     };
     let reference = run(1);
     assert!(reference.contains("q0") && reference.contains("q5"));

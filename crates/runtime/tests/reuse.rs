@@ -7,6 +7,8 @@ use std::sync::Arc;
 
 use cdb_core::model::{NodeId, PartKind};
 use cdb_core::{QueryGraph, ReuseCache};
+use cdb_obsv::attr::names;
+use cdb_obsv::{Ring, Trace};
 use cdb_runtime::{QueryJob, RetryPolicy, RuntimeConfig, RuntimeExecutor, RuntimeReport};
 use proptest::prelude::*;
 
@@ -35,8 +37,13 @@ fn fleet(n: u64) -> Vec<QueryJob> {
     (0..n).map(|i| selfjoin(i, 6, 3)).collect()
 }
 
-fn run(threads: usize, seed: u64, accuracy: f64, reuse: Option<Arc<ReuseCache>>) -> RuntimeReport {
-    let cfg = RuntimeConfig {
+fn config(
+    threads: usize,
+    seed: u64,
+    accuracy: f64,
+    reuse: Option<Arc<ReuseCache>>,
+) -> RuntimeConfig {
+    RuntimeConfig {
         threads,
         seed,
         worker_accuracies: vec![accuracy; 25],
@@ -47,8 +54,11 @@ fn run(threads: usize, seed: u64, accuracy: f64, reuse: Option<Arc<ReuseCache>>)
         retry: RetryPolicy { deadline_ms: 300_000, max_retries: 8 },
         reuse,
         ..RuntimeConfig::default()
-    };
-    RuntimeExecutor::new(cfg).run(fleet(5))
+    }
+}
+
+fn run(threads: usize, seed: u64, accuracy: f64, reuse: Option<Arc<ReuseCache>>) -> RuntimeReport {
+    RuntimeExecutor::new(config(threads, seed, accuracy, reuse)).run(fleet(5))
 }
 
 /// Perfect workers + transitively consistent truth: every entailed answer
@@ -91,12 +101,21 @@ proptest! {
 /// Cross-run reuse on the self-join workload: a warm cache resolves
 /// (almost) everything by entailment, cutting dispatch by far more than
 /// the 20% acceptance bar, and per-query `tasks_saved` accounts for it.
+/// Every saved task is one `reuse.hit` event from the core round loop —
+/// the only place a task is answered from the cache — so the per-query
+/// stats, the metrics fold and the raw event count are the same number.
 #[test]
 fn warm_cache_saves_tasks_and_reports_per_query() {
     let cache = Arc::new(ReuseCache::new());
     let cold = run(4, 3, 1.0, Some(Arc::clone(&cache)));
     assert!(!cache.is_empty(), "first pass fed the cache");
-    let warm = run(4, 3, 1.0, Some(Arc::clone(&cache)));
+    let ring = Arc::new(Ring::with_capacity(1 << 16));
+    let cfg = RuntimeConfig {
+        trace: Trace::collector(ring.clone()),
+        ..config(4, 3, 1.0, Some(Arc::clone(&cache)))
+    };
+    let per_task_cents = cfg.exec.redundancy as u64 * cfg.market.task_price_cents();
+    let warm = RuntimeExecutor::new(cfg).run(fleet(5));
     assert_eq!(cold.bindings_text(), warm.bindings_text());
     assert!(
         (warm.metrics.tasks_dispatched as f64) <= 0.8 * cold.metrics.tasks_dispatched as f64,
@@ -105,8 +124,15 @@ fn warm_cache_saves_tasks_and_reports_per_query() {
         warm.metrics.tasks_dispatched
     );
     assert!(warm.metrics.tasks_saved > 0);
-    assert!(warm.metrics.money_saved_cents > 0);
+    let mut per_query_saved = 0u64;
     for (_, r) in &warm.results {
-        assert!(r.as_ref().unwrap().tasks_saved > 0, "every query hits the warm cache");
+        let saved = r.as_ref().unwrap().tasks_saved;
+        assert!(saved > 0, "every query hits the warm cache");
+        per_query_saved += saved as u64;
     }
+    assert_eq!(warm.metrics.tasks_saved, per_query_saved);
+    assert_eq!(ring.dropped(), 0, "ring too small for the warm fleet");
+    let hits = ring.drain().iter().filter(|e| e.name == names::REUSE_HIT).count() as u64;
+    assert_eq!(hits, per_query_saved, "one emitter: no hit is counted twice");
+    assert_eq!(warm.metrics.money_saved_cents, per_query_saved * per_task_cents);
 }

@@ -33,6 +33,7 @@ use cdb_core::executor::EdgeTruth;
 use cdb_core::model::NodeId;
 use cdb_core::{build_query_graph, CostEstimate, GraphBuildConfig, QueryGraph, QueryTruth};
 use cdb_obsv::json::{JsonArray, JsonObject};
+use cdb_obsv::Hist;
 use cdb_runtime::{execute_query, QueryJob, RoundHook, RoundSink, RuntimeConfig, RuntimeMetrics};
 use cdb_sched::{AdmissionController, AdmissionDecision, Envelope, QueryRequest};
 
@@ -159,12 +160,18 @@ struct Inner {
     inflight: usize,
     peak_inflight: usize,
     submitted: u64,
-    completed: u64,
-    failed: u64,
-    cancelled: u64,
-    rejected: u64,
-    /// Server-side admission→first-binding latencies, real ms.
-    first_binding_ms: Vec<f64>,
+    /// Server-side admission→first-binding latencies, real microseconds.
+    first_binding_us: Hist,
+}
+
+impl Inner {
+    /// Server-wide `[completed, failed, cancelled, rejected]`: the tenant
+    /// ledgers are the only books, so the totals are their sum.
+    fn terminal_totals(&self) -> [u64; 4] {
+        self.tenants.values().fold([0; 4], |[c, f, x, r], t| {
+            [c + t.completed, f + t.failed, x + t.cancelled, r + t.rejected]
+        })
+    }
 }
 
 /// The shared server state. One instance per server; handlers and
@@ -210,11 +217,7 @@ impl ServerState {
                 inflight: 0,
                 peak_inflight: 0,
                 submitted: 0,
-                completed: 0,
-                failed: 0,
-                cancelled: 0,
-                rejected: 0,
-                first_binding_ms: Vec::new(),
+                first_binding_us: Hist::new(),
             }),
             wake: Condvar::new(),
             chunks: Condvar::new(),
@@ -293,7 +296,6 @@ impl ServerState {
         });
         if let AdmissionDecision::Rejected(_) = decision {
             tenant.rejected += 1;
-            inner.rejected += 1;
             return Ok((decision, None));
         }
         inner.next_id += 1;
@@ -389,10 +391,9 @@ impl ServerState {
         }
         if !new_bindings.is_empty() {
             if entry.first_binding_ms.is_none() {
-                let ms =
-                    entry.admitted_at.map(|t| t.elapsed().as_secs_f64() * 1e3).unwrap_or_default();
-                entry.first_binding_ms = Some(ms);
-                inner.first_binding_ms.push(ms);
+                let waited = entry.admitted_at.map(|t| t.elapsed()).unwrap_or_default();
+                entry.first_binding_ms = Some(waited.as_secs_f64() * 1e3);
+                inner.first_binding_us.record(waited.as_micros() as u64);
             }
             let new: Vec<Vec<u64>> =
                 new_bindings.iter().map(|b| b.iter().map(|n| n.0 as u64).collect()).collect();
@@ -453,11 +454,6 @@ impl ServerState {
         };
         entry.done = true;
         inner.inflight -= 1;
-        match terminal {
-            QueryState::Done => inner.completed += 1,
-            QueryState::Failed => inner.failed += 1,
-            _ => inner.cancelled += 1,
-        }
         Self::settle_tenant(inner, &tenant_name, released, terminal);
         Self::promote(inner, &tenant_name, &self.wake);
         self.chunks.notify_all();
@@ -543,15 +539,12 @@ impl ServerState {
                 let tenant_name = entry.tenant.clone();
                 let estimate = entry.estimate;
                 inner.inflight -= 1;
-                inner.cancelled += 1;
                 let t = inner.tenants.get_mut(&tenant_name).expect("tenant exists");
+                t.cancelled += 1;
                 if was_admitted {
                     t.admission.complete(&estimate);
                     t.refunded_cents += committed;
-                    t.cancelled += 1;
                     Self::promote(inner, &tenant_name, &self.wake);
-                } else {
-                    t.cancelled += 1;
                 }
                 self.chunks.notify_all();
             }
@@ -651,14 +644,15 @@ impl ServerState {
     /// Server-wide counters for `GET /stats`.
     pub fn stats(&self) -> String {
         let inner = self.inner.lock().unwrap();
+        let [completed, failed, cancelled, rejected] = inner.terminal_totals();
         JsonObject::new()
             .u64("inflight", inner.inflight as u64)
             .u64("peak_inflight", inner.peak_inflight as u64)
             .u64("submitted", inner.submitted)
-            .u64("completed", inner.completed)
-            .u64("failed", inner.failed)
-            .u64("cancelled", inner.cancelled)
-            .u64("rejected", inner.rejected)
+            .u64("completed", completed)
+            .u64("failed", failed)
+            .u64("cancelled", cancelled)
+            .u64("rejected", rejected)
             .u64("exec_threads", self.cfg.exec_threads as u64)
             .finish()
     }
@@ -695,14 +689,15 @@ impl ServerState {
         let mut text = self.metrics.snapshot().to_prometheus();
         let mut p = cdb_obsv::PromText::new();
         let inner = self.inner.lock().unwrap();
+        let [completed, failed, cancelled, rejected] = inner.terminal_totals();
         p.counter_family(
             "cdb_serve_queries_total",
             "Queries by terminal state (rejected ones never ran)",
             &[
-                (vec![("state", "completed")], inner.completed),
-                (vec![("state", "failed")], inner.failed),
-                (vec![("state", "cancelled")], inner.cancelled),
-                (vec![("state", "rejected")], inner.rejected),
+                (vec![("state", "completed")], completed),
+                (vec![("state", "failed")], failed),
+                (vec![("state", "cancelled")], cancelled),
+                (vec![("state", "rejected")], rejected),
             ],
         );
         p.gauge(
@@ -726,22 +721,11 @@ impl ServerState {
             "Cents held or spent across all tenant envelopes",
             committed as f64,
         );
-        // Admission→first-binding latency, fixed log-ish buckets (ms);
-        // the open final bucket catches throttled long-tail queries.
-        let uppers = [1.0, 5.0, 25.0, 100.0, 500.0, 2_500.0, 10_000.0, f64::INFINITY];
-        let mut counts = [0u64; 8];
-        let mut sum = 0.0;
-        for &ms in &inner.first_binding_ms {
-            sum += ms;
-            let i = uppers.iter().position(|&u| ms <= u).expect("`+Inf` catches everything");
-            counts[i] += 1;
-        }
-        p.histogram(
+        inner.first_binding_us.prom(
+            &mut p,
             "cdb_serve_first_binding_ms",
             "Admission to first streamed binding, real milliseconds",
-            &uppers,
-            &counts,
-            sum,
+            1e-3,
         );
         drop(inner);
         text.push_str(&p.finish());

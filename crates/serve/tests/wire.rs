@@ -274,6 +274,113 @@ fn explicit_cancel_before_running_fully_refunds() {
     server.shutdown();
 }
 
+/// One set of books: `/stats`, the sum of the tenant ledgers and the
+/// Prometheus family are the same numbers, whichever way a query ends.
+#[test]
+fn every_terminal_state_is_counted_once_in_every_view() {
+    let mut cfg = ServeConfig::default();
+    cfg.tenants.insert(
+        "narrow".into(),
+        Envelope { budget_cents: 100_000, max_active: 1, queue_capacity: 8 },
+    );
+    // One worker and a real per-round hold, so a second admitted query
+    // waits in the run queue long enough to be cancelled there. A thin
+    // dropout rate with no retries (and a deadline no honest answer
+    // misses) fails some queries and not others — which ones is a pure
+    // function of the seed and the query id.
+    cfg.exec_threads = 1;
+    cfg.round_delay_ms = 50;
+    cfg.runtime.fault_plan = FaultPlan::none().with_dropout(0.01);
+    cfg.runtime.retry = RetryPolicy { deadline_ms: 3_600_000, max_retries: 0 };
+    let server = example_server(cfg);
+    let mut client = Client::new(server.addr());
+
+    // A server that has run nothing exposes an empty, valid histogram.
+    let prom = client.metrics().expect("metrics");
+    cdb_obsv::validate_exposition(&prom).expect("empty exposition validates");
+    assert!(prom.contains("cdb_serve_first_binding_ms_bucket{le=\"+Inf\"} 0"));
+    assert!(prom.contains("cdb_serve_first_binding_ms_count 0"));
+
+    let mut ids = Vec::new();
+    let mut admit = |client: &mut Client, tenant: &str| match client
+        .submit(&submit(tenant, 10_000))
+        .expect("submit")
+    {
+        SubmitOutcome::Admitted { query } | SubmitOutcome::Queued { query, .. } => {
+            ids.push(query);
+            query
+        }
+        r => panic!("unexpected rejection: {r:?}"),
+    };
+    // Occupies narrow's slot and the only worker.
+    admit(&mut client, "narrow");
+    // Cancelled while admission-queued behind it.
+    let queued = admit(&mut client, "narrow");
+    assert_eq!(
+        client.query_status(queued).unwrap().get("state").and_then(Json::as_str),
+        Some("queued")
+    );
+    assert!(client.cancel(queued).expect("cancel"));
+    // Cancelled while admitted but still waiting for the worker.
+    let admitted = admit(&mut client, "wide");
+    assert_eq!(
+        client.query_status(admitted).unwrap().get("state").and_then(Json::as_str),
+        Some("admitted")
+    );
+    assert!(client.cancel(admitted).expect("cancel"));
+    // Rejected: a query budget that cannot cover its own estimate.
+    let rejected = client.submit(&submit("wide", 1)).expect("submit");
+    assert!(matches!(rejected, SubmitOutcome::Rejected { .. }), "{rejected:?}");
+    // The rest run to whatever end the fault plan gives them.
+    for _ in 0..5 {
+        admit(&mut client, "wide");
+        admit(&mut client, "narrow");
+    }
+
+    let mut by_state: BTreeMap<String, u64> = BTreeMap::new();
+    let mut streamed_a_binding = 0u64;
+    for &id in &ids {
+        let status = wait_done(&mut client, id);
+        let state = status.get("state").and_then(Json::as_str).expect("state").to_string();
+        *by_state.entry(state).or_default() += 1;
+        let events = client.stream_events(id).expect("replay");
+        streamed_a_binding +=
+            u64::from(events.iter().any(|e| matches!(e, StreamEvent::Round { .. })));
+    }
+    let expected = [
+        ("completed", by_state.get("done").copied().unwrap_or(0)),
+        ("failed", by_state.get("failed").copied().unwrap_or(0)),
+        ("cancelled", by_state.get("cancelled").copied().unwrap_or(0)),
+        ("rejected", 1),
+    ];
+    assert!(expected[0].1 > 0 && expected[1].1 > 0, "want both outcomes: {by_state:?}");
+    assert_eq!(expected[2].1, 2, "exactly the two explicit cancels: {by_state:?}");
+
+    let stats = client.stats().expect("stats");
+    let tenants: Vec<Json> = ["narrow", "wide"]
+        .iter()
+        .map(|t| client.tenant_status(t).expect("tenant").expect("known tenant"))
+        .collect();
+    let prom = client.metrics().expect("metrics");
+    cdb_obsv::validate_exposition(&prom).expect("exposition validates");
+    for (key, want) in expected {
+        let num = |j: &Json| j.get(key).and_then(Json::as_num).expect(key) as u64;
+        assert_eq!(num(&stats), want, "/stats {key}");
+        assert_eq!(tenants.iter().map(num).sum::<u64>(), want, "tenant ledgers {key}");
+        assert!(
+            prom.contains(&format!("cdb_serve_queries_total{{state=\"{key}\"}} {want}\n")),
+            "cdb_serve_queries_total {key} != {want}:\n{prom}"
+        );
+    }
+    assert_eq!(stats.get("inflight").and_then(Json::as_num), Some(0.0));
+    assert!(streamed_a_binding > 0);
+    assert!(
+        prom.contains(&format!("cdb_serve_first_binding_ms_count {streamed_a_binding}\n")),
+        "one first-binding sample per query that streamed one ({streamed_a_binding}):\n{prom}"
+    );
+    server.shutdown();
+}
+
 /// The wire determinism guarantee: 1-, 4-, and 8-worker servers produce
 /// byte-identical NDJSON streams for the same seed and submission order.
 #[test]

@@ -93,12 +93,12 @@ mod tests {
     #[test]
     fn snapshot_sum_is_fieldwise() {
         let mut a = MetricsSnapshot { tasks_dispatched: 3, ..MetricsSnapshot::default() };
-        a.round_latency_buckets[2] = 5;
+        a.round_latency.record_n(4, 5);
         let mut b = MetricsSnapshot { tasks_dispatched: 4, ..MetricsSnapshot::default() };
-        b.round_latency_buckets[2] = 1;
+        b.round_latency.record(4);
         let s = sum_snapshots([&a, &b]);
         assert_eq!(s.tasks_dispatched, 7);
-        assert_eq!(s.round_latency_buckets[2], 6);
+        assert_eq!(s.round_latency.buckets().collect::<Vec<_>>(), [(4, 6)]);
         assert_eq!(s.retries, 0);
     }
 

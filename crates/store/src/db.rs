@@ -1,13 +1,15 @@
-//! The durable database: `cdb-storage` tables persisted through the
-//! paged store.
+//! Durable tables: a `cdb-storage` database persisted through the paged
+//! store.
 //!
-//! [`Database`] wraps the in-memory [`cdb_storage::Database`] (and
-//! derefs to it, so every existing caller keeps working verbatim) and
-//! adds an on-disk home. The file layout:
+//! [`TableFile`] is the on-disk home of one [`cdb_storage::Database`]:
+//! [`TableFile::open`] hands back the file handle *and* the catalog it
+//! last committed, callers mutate that catalog like any other, and
+//! [`TableFile::flush`] writes it back. There is one catalog type; the
+//! handle only knows the file. The file layout:
 //!
 //! * **Pages 0 and 1** are *double-buffered meta pages*. Each holds one
 //!   record `(magic, seq, catalog RecordId)`; the valid page with the
-//!   higher `seq` names the live snapshot. [`Database::flush`] writes a
+//!   higher `seq` names the live snapshot. [`TableFile::flush`] writes a
 //!   complete new snapshot onto pages the live snapshot does **not**
 //!   use, fsyncs it, and only then overwrites the *stale* meta slot with
 //!   `seq + 1` and fsyncs again. A crash at any point leaves the old
@@ -18,13 +20,12 @@
 //!   superseded snapshot are reused by the next flush.
 //!
 //! Durability is *explicit*: mutations happen in memory at full speed
-//! and [`Database::flush`] is the only fsync point, mirroring how the
+//! and [`TableFile::flush`] is the only fsync point, mirroring how the
 //! answer log (not the table store) is the authority on crowd spend.
 
-use std::ops::{Deref, DerefMut};
 use std::path::Path;
 
-use cdb_storage::{ColumnDef, ColumnType, Schema, Table, Value};
+use cdb_storage::{ColumnDef, ColumnType, Database, Schema, Table, Value};
 
 use crate::codec::{put_bool, put_f64, put_i64, put_str, put_u32, put_u64, put_u8_tag, Cursor};
 use crate::error::{Result, StoreError};
@@ -40,7 +41,7 @@ const VAL_TEXT: u8 = 1;
 const VAL_INT: u8 = 2;
 const VAL_FLOAT: u8 = 3;
 
-/// What one [`Database::flush`] wrote.
+/// What one [`TableFile::flush`] wrote.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlushStats {
     /// Snapshot pages the new catalog chain occupies.
@@ -51,36 +52,19 @@ pub struct FlushStats {
     pub seq: u64,
 }
 
+/// The file a [`cdb_storage::Database`] is flushed to and reopened from.
 #[derive(Debug)]
-struct Disk {
+pub struct TableFile {
     pool: BufferPool,
     seq: u64,
     meta_slot: u32,
     catalog: RecordId,
 }
 
-/// A `cdb-storage` database with an optional on-disk home.
-///
-/// Derefs to [`cdb_storage::Database`], so `add_table`, `table`,
-/// `table_mut`, `tables` and friends all work unchanged; only
-/// [`Database::open`], [`Database::flush`] and
-/// [`Database::open_in_memory`] are new surface.
-#[derive(Debug)]
-pub struct Database {
-    inner: cdb_storage::Database,
-    disk: Option<Disk>,
-}
-
-impl Database {
-    /// A volatile database, exactly like `cdb_storage::Database::new()`.
-    /// [`Database::flush`] is a no-op.
-    pub fn open_in_memory() -> Database {
-        Database { inner: cdb_storage::Database::new(), disk: None }
-    }
-
-    /// Open (creating if absent) the durable database stored in the file
-    /// at `path`, loading the last flushed snapshot.
-    pub fn open(path: &Path) -> Result<Database> {
+impl TableFile {
+    /// Open (creating if absent) the table file at `path` and load the
+    /// last flushed snapshot — an empty catalog for a fresh file.
+    pub fn open(path: &Path) -> Result<(TableFile, Database)> {
         let mut pool = BufferPool::new(Pager::open(path)?, POOL_CAPACITY);
         if pool.page_count() == 0 {
             // Fresh file: lay down both meta slots; slot 0 (seq 1, empty
@@ -94,8 +78,9 @@ impl Database {
                 pool.unpin(no, true);
             }
             pool.flush()?;
-            let disk = Disk { pool, seq: 1, meta_slot: 0, catalog: RecordId { page: 0, slot: 0 } };
-            return Ok(Database { inner: cdb_storage::Database::new(), disk: Some(disk) });
+            let file =
+                TableFile { pool, seq: 1, meta_slot: 0, catalog: RecordId { page: 0, slot: 0 } };
+            return Ok((file, Database::new()));
         }
 
         // Existing file: the valid meta slot with the highest seq names
@@ -118,76 +103,49 @@ impl Database {
             }
         }
         let (meta_slot, seq, catalog) = best.ok_or(StoreError::NoValidMeta)?;
-        let inner = if catalog.page == 0 {
-            cdb_storage::Database::new()
+        let db = if catalog.page == 0 {
+            Database::new()
         } else {
             let blob = pool.read_chain(catalog)?;
             decode_snapshot(&blob)?
         };
-        Ok(Database { inner, disk: Some(Disk { pool, seq, meta_slot, catalog }) })
+        Ok((TableFile { pool, seq, meta_slot, catalog }, db))
     }
 
-    /// True when backed by a file (flush persists; reopen restores).
-    pub fn is_durable(&self) -> bool {
-        self.disk.is_some()
-    }
-
-    /// The committed snapshot sequence number (`None` in memory).
-    pub fn seq(&self) -> Option<u64> {
-        self.disk.as_ref().map(|d| d.seq)
-    }
-
-    /// Write the current tables to disk as a new snapshot and commit it.
-    /// On an in-memory database this is a no-op reporting zero pages.
-    pub fn flush(&mut self) -> Result<FlushStats> {
-        let Some(disk) = self.disk.as_mut() else {
-            return Ok(FlushStats { pages: 0, bytes: 0, seq: 0 });
-        };
-        let blob = encode_snapshot(&self.inner);
+    /// Write `db`'s tables to the file as a new snapshot and commit it.
+    pub fn flush(&mut self, db: &Database) -> Result<FlushStats> {
+        let blob = encode_snapshot(db);
 
         // Pages the live snapshot still needs; everything else past the
         // meta pages is scratch for the new one.
-        let mut live = vec![false; disk.pool.page_count() as usize];
-        if disk.catalog.page != 0 {
-            for no in disk.pool.chain_pages(disk.catalog)? {
+        let mut live = vec![false; self.pool.page_count() as usize];
+        if self.catalog.page != 0 {
+            for no in self.pool.chain_pages(self.catalog)? {
                 live[no as usize] = true;
             }
         }
         let mut free: Vec<u32> =
-            (META_PAGES..disk.pool.page_count()).filter(|&no| !live[no as usize]).rev().collect();
+            (META_PAGES..self.pool.page_count()).filter(|&no| !live[no as usize]).rev().collect();
 
-        let new_catalog = disk.pool.write_chain(&mut free, &blob)?;
-        let pages = disk.pool.chain_pages(new_catalog)?.len() as u32;
-        disk.pool.flush()?; // snapshot durable before the meta flip
+        let new_catalog = self.pool.write_chain(&mut free, &blob)?;
+        let pages = self.pool.chain_pages(new_catalog)?.len() as u32;
+        self.pool.flush()?; // snapshot durable before the meta flip
 
-        let stale = 1 - disk.meta_slot;
-        let seq = disk.seq + 1;
-        disk.pool.pin(stale)?;
+        let stale = 1 - self.meta_slot;
+        let seq = self.seq + 1;
+        self.pool.pin(stale)?;
         {
-            let page = disk.pool.page_mut(stale).expect("pinned meta page resident");
+            let page = self.pool.page_mut(stale).expect("pinned meta page resident");
             *page = Page::new(stale);
             page.insert(&encode_meta(seq, new_catalog))?;
         }
-        disk.pool.unpin(stale, true);
-        disk.pool.flush()?; // the commit point
+        self.pool.unpin(stale, true);
+        self.pool.flush()?; // the commit point
 
-        disk.seq = seq;
-        disk.meta_slot = stale;
-        disk.catalog = new_catalog;
+        self.seq = seq;
+        self.meta_slot = stale;
+        self.catalog = new_catalog;
         Ok(FlushStats { pages, bytes: blob.len() as u64, seq })
-    }
-}
-
-impl Deref for Database {
-    type Target = cdb_storage::Database;
-    fn deref(&self) -> &cdb_storage::Database {
-        &self.inner
-    }
-}
-
-impl DerefMut for Database {
-    fn deref_mut(&mut self) -> &mut cdb_storage::Database {
-        &mut self.inner
     }
 }
 
@@ -211,7 +169,7 @@ fn decode_meta(page: &Page) -> Result<(u64, RecordId)> {
     Ok((seq, catalog))
 }
 
-fn encode_snapshot(db: &cdb_storage::Database) -> Vec<u8> {
+fn encode_snapshot(db: &Database) -> Vec<u8> {
     let mut buf = Vec::new();
     let tables: Vec<&Table> = db.tables().collect();
     put_u32(&mut buf, tables.len() as u32);
@@ -256,8 +214,8 @@ fn encode_snapshot(db: &cdb_storage::Database) -> Vec<u8> {
     buf
 }
 
-fn decode_snapshot(blob: &[u8]) -> Result<cdb_storage::Database> {
-    let mut db = cdb_storage::Database::new();
+fn decode_snapshot(blob: &[u8]) -> Result<Database> {
+    let mut db = Database::new();
     let mut c = Cursor::new(blob);
     let tables = c.u32()?;
     for _ in 0..tables {
@@ -334,15 +292,15 @@ mod tests {
         let path = dir.path().join("tables.cdb");
         let reference;
         {
-            let mut db = Database::open(&path).unwrap();
+            let (mut file, mut db) = TableFile::open(&path).unwrap();
             db.add_table(sample_table("products", 50)).unwrap();
             db.add_table(sample_table("reviews", 7)).unwrap();
-            let stats = db.flush().unwrap();
+            let stats = file.flush(&db).unwrap();
             assert!(stats.pages >= 1);
             assert_eq!(stats.seq, 2);
             reference = encode_snapshot(&db);
         }
-        let db = Database::open(&path).unwrap();
+        let (_, db) = TableFile::open(&path).unwrap();
         assert_eq!(db.table_count(), 2);
         assert_eq!(db.table("products").unwrap().row_count(), 50);
         assert_eq!(encode_snapshot(&db), reference);
@@ -353,13 +311,13 @@ mod tests {
         let dir = ScratchDir::new("db-unflushed");
         let path = dir.path().join("tables.cdb");
         {
-            let mut db = Database::open(&path).unwrap();
+            let (mut file, mut db) = TableFile::open(&path).unwrap();
             db.add_table(sample_table("kept", 5)).unwrap();
-            db.flush().unwrap();
+            file.flush(&db).unwrap();
             db.add_table(sample_table("lost", 5)).unwrap();
             // no flush — a crash happens here
         }
-        let db = Database::open(&path).unwrap();
+        let (_, db) = TableFile::open(&path).unwrap();
         assert!(db.contains_table("kept"));
         assert!(!db.contains_table("lost"));
     }
@@ -368,23 +326,23 @@ mod tests {
     fn repeated_flushes_reuse_pages_and_bump_seq() {
         let dir = ScratchDir::new("db-reflush");
         let path = dir.path().join("tables.cdb");
-        let mut db = Database::open(&path).unwrap();
+        let (mut file, mut db) = TableFile::open(&path).unwrap();
         db.add_table(sample_table("t", 200)).unwrap();
-        let first = db.flush().unwrap();
+        let first = file.flush(&db).unwrap();
         let mut sizes = Vec::new();
         for i in 0..5 {
             db.table_mut("t")
                 .unwrap()
                 .set_cell(0, "brand", Value::Text(format!("updated-{i}")))
                 .unwrap();
-            let s = db.flush().unwrap();
+            let s = file.flush(&db).unwrap();
             assert_eq!(s.seq, first.seq + 1 + i);
             sizes.push(std::fs::metadata(&path).unwrap().len());
         }
         // Steady-state: two snapshots' worth of pages ping-pong; the file
         // stops growing after the second flush.
         assert_eq!(sizes[1], sizes[4]);
-        let db = Database::open(&path).unwrap();
+        let (_, db) = TableFile::open(&path).unwrap();
         assert_eq!(
             db.table("t").unwrap().cell(0, "brand").unwrap(),
             &Value::Text("updated-4".into())
@@ -397,12 +355,12 @@ mod tests {
         let path = dir.path().join("tables.cdb");
         let meta_slot;
         {
-            let mut db = Database::open(&path).unwrap();
+            let (mut file, mut db) = TableFile::open(&path).unwrap();
             db.add_table(sample_table("v1", 3)).unwrap();
-            db.flush().unwrap();
+            file.flush(&db).unwrap();
             db.add_table(sample_table("v2", 3)).unwrap();
-            db.flush().unwrap();
-            meta_slot = db.disk.as_ref().unwrap().meta_slot;
+            file.flush(&db).unwrap();
+            meta_slot = file.meta_slot;
         }
         // Corrupt the *live* meta page, as a torn meta write would: the
         // other slot (previous snapshot) must take over.
@@ -410,7 +368,7 @@ mod tests {
         let off = meta_slot as usize * crate::page::PAGE_SIZE + 20;
         raw[off] ^= 0xFF;
         std::fs::write(&path, &raw).unwrap();
-        let db = Database::open(&path).unwrap();
+        let (_, db) = TableFile::open(&path).unwrap();
         assert!(db.contains_table("v1"));
         assert!(!db.contains_table("v2"));
 
@@ -421,15 +379,7 @@ mod tests {
             raw[slot * crate::page::PAGE_SIZE + 21] ^= 0xFF;
         }
         std::fs::write(&path, &raw).unwrap();
-        assert_eq!(Database::open(&path).unwrap_err(), StoreError::NoValidMeta);
-    }
-
-    #[test]
-    fn in_memory_database_flushes_as_noop() {
-        let mut db = Database::open_in_memory();
-        db.add_table(sample_table("t", 2)).unwrap();
-        assert!(!db.is_durable());
-        assert_eq!(db.flush().unwrap(), FlushStats { pages: 0, bytes: 0, seq: 0 });
+        assert_eq!(TableFile::open(&path).unwrap_err(), StoreError::NoValidMeta);
     }
 
     #[test]
@@ -437,10 +387,10 @@ mod tests {
         let dir = ScratchDir::new("db-empty");
         let path = dir.path().join("tables.cdb");
         {
-            let mut db = Database::open(&path).unwrap();
-            db.flush().unwrap();
+            let (mut file, db) = TableFile::open(&path).unwrap();
+            file.flush(&db).unwrap();
         }
-        let db = Database::open(&path).unwrap();
+        let (_, db) = TableFile::open(&path).unwrap();
         assert_eq!(db.table_count(), 0);
     }
 }

@@ -16,9 +16,10 @@
 //!    [`cdb_core::ReuseCache`] rebuilt from the log on every open, so
 //!    cross-query entailment (transitivity-style inference) survives
 //!    restarts and never re-buys an answer.
-//! 3. **Durable tables** ([`Database`]): `cdb-storage` tables behind a
-//!    [`Database::open`] / [`Database::open_in_memory`] split; the
-//!    in-memory path and every existing caller are untouched.
+//! 3. **Durable tables** ([`TableFile`]): the file a
+//!    `cdb_storage::Database` is reopened from ([`TableFile::open`]) and
+//!    flushed to ([`TableFile::flush`]); the catalog type itself stays
+//!    `cdb-storage`'s.
 //!
 //! The substrate is deliberately classical: fixed-size slotted
 //! [pages](page) with CRC-32 checksums, a pinning [buffer pool](pager)
@@ -41,7 +42,7 @@ pub mod scratch;
 pub mod wal;
 
 pub use alog::{AnswerLog, AnswerRecovery};
-pub use db::{Database, FlushStats};
+pub use db::{FlushStats, TableFile};
 pub use dur::DurableReuseCache;
 pub use error::{Result, StoreError};
 pub use page::{Page, PAGE_SIZE};
