@@ -6,8 +6,10 @@
 //!
 //! targets: fig8 fig9 fig10 fig11 fig14 fig15 fig16 fig17 fig18 fig19
 //!          fig20 fig21 fig22 fig23 fig24 table2 table3 table4 table5
-//!          example runtime reuse sched trace sim store perf shard serve
-//!          all
+//!          example ablations reuse sched sim store perf shard serve all
+//!
+//! An unknown target or flag, or a value that does not parse, prints
+//! this usage to stderr and exits 2.
 //!
 //! `reuse` sweeps the cross-query answer-reuse cache (on/off × fault
 //! rate) over the self-join fleet and checks the dispatched-task
@@ -17,11 +19,6 @@
 //! scheduler (`cdb-sched`) with shared-HIT batching on and off, and
 //! checks byte-identical bindings plus the ≥15% HIT reduction at 8
 //! concurrent queries.
-//!
-//! `trace` runs one crowd-join query under the concurrent runtime with
-//! tracing on and prints Chrome `trace_event` JSON on stdout — pipe it to
-//! a file and load it at <https://ui.perfetto.dev> (or `about:tracing`).
-//! The per-query cost/latency/quality attribution rollup goes to stderr.
 //!
 //! `store` benchmarks the durable storage layer (`cdb-store`): answer-log
 //! append throughput (every settle is two fsyncs), recovery time vs log
@@ -85,25 +82,106 @@ struct Args {
     target: String,
 }
 
-fn parse_args() -> Args {
+fn usage() -> ! {
+    eprintln!("usage: figures [--scale N] [--reps R] [--seed S] [--iters N] [--quick] <fig8..fig24|table2..table5|example|ablations|reuse|sched|sim|store|perf|shard|serve|all>");
+    std::process::exit(2);
+}
+
+/// The parsed arguments and the target they name. Anything it does not
+/// recognise exits through [`usage`].
+fn parse_args() -> (Args, fn(&Args)) {
+    fn value<T: std::str::FromStr>(it: &mut impl Iterator<Item = String>) -> T {
+        it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
+    }
     let mut args =
         Args { scale: 10, reps: 3, seed: 42, iters: 100, quick: false, target: String::new() };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--scale" => args.scale = it.next().and_then(|v| v.parse().ok()).expect("--scale N"),
-            "--reps" => args.reps = it.next().and_then(|v| v.parse().ok()).expect("--reps R"),
-            "--seed" => args.seed = it.next().and_then(|v| v.parse().ok()).expect("--seed S"),
-            "--iters" => args.iters = it.next().and_then(|v| v.parse().ok()).expect("--iters N"),
+            "--scale" => args.scale = value(&mut it),
+            "--reps" => args.reps = value(&mut it),
+            "--seed" => args.seed = value(&mut it),
+            "--iters" => args.iters = value(&mut it),
             "--quick" => args.quick = true,
-            other => args.target = other.to_string(),
+            t if args.target.is_empty() && !t.starts_with('-') => args.target = t.to_string(),
+            _ => usage(),
         }
     }
-    if args.target.is_empty() {
-        eprintln!("usage: figures [--scale N] [--reps R] [--seed S] [--iters N] [--quick] <fig8..fig24|table2..table5|example|runtime|reuse|sched|trace|sim|store|perf|shard|serve|all>");
-        std::process::exit(2);
+    let run = target(&args.target).unwrap_or_else(|| usage());
+    (args, run)
+}
+
+/// The function behind target name `t`, or `None` if there is none.
+fn target(t: &str) -> Option<fn(&Args)> {
+    let run: fn(&Args) = match t {
+        "fig8" => {
+            |a| grid(a, "cost", 0.8, "Figure 8: cost (#tasks), simulated workers N(0.8, 0.01)")
+        }
+        "fig9" => |a| grid(a, "quality", 0.8, "Figure 9: quality (F-measure), simulated workers"),
+        "fig10" => |a| grid(a, "latency", 0.8, "Figure 10: latency (#rounds), simulated workers"),
+        "fig11" => fig11,
+        "fig14" => {
+            |a| grid(a, "cost", 0.95, "Figure 14: cost (#tasks), real-platform workers (q=0.95)")
+        }
+        "fig15" => {
+            |a| grid(a, "quality", 0.95, "Figure 15: quality (F-measure), real-platform workers")
+        }
+        "fig16" => {
+            |a| grid(a, "latency", 0.95, "Figure 16: latency (#rounds), real-platform workers")
+        }
+        "fig17" => fig17,
+        "fig18" | "fig19" => fig18_19,
+        "fig20" => fig20,
+        "fig21" => fig21,
+        "fig22" => fig22,
+        "fig23" | "fig24" => fig23_24,
+        "table2" | "table3" => tables23,
+        "table4" => |_| table4(),
+        "table5" => table5,
+        "example" => example,
+        "ablations" => ablations,
+        "reuse" => reuse,
+        "sched" => sched,
+        "all" => all,
+        // Not part of `all`: a correctness soak, not a paper figure.
+        "sim" => sim,
+        // Not part of `all`: their stdout is a BENCH_*.json artifact.
+        "store" => store,
+        "perf" => perf,
+        "shard" => shard,
+        "serve" => serve,
+        _ => return None,
+    };
+    Some(run)
+}
+
+/// `figures all`: every paper table and figure, the ablations and the
+/// reuse and scheduling sweeps.
+fn all(args: &Args) {
+    for t in [
+        "fig8",
+        "fig9",
+        "fig10",
+        "fig11",
+        "fig14",
+        "fig15",
+        "fig16",
+        "fig17",
+        "fig18",
+        "fig20",
+        "fig21",
+        "fig22",
+        "fig23",
+        "table2",
+        "table4",
+        "table5",
+        "example",
+        "ablations",
+        "reuse",
+        "sched",
+    ] {
+        target(t).expect("`all` names known targets")(args);
     }
-    args
 }
 
 fn dataset(name: &str, args: &Args) -> Dataset {
@@ -541,58 +619,6 @@ fn ablations(args: &Args) {
     println!();
 }
 
-/// Runtime: a concurrent fleet of queries through the work-stealing
-/// scheduler, sweeping thread count × fault rate, plus the full
-/// `RuntimeMetrics` telemetry of one representative faulted run as JSON.
-fn runtime(args: &Args) {
-    use cdb_bench::runtime_fleet;
-    use cdb_runtime::{FaultPlan, RetryPolicy, RuntimeConfig, RuntimeExecutor};
-
-    let n = 24u64;
-    println!("# Runtime: {n} concurrent queries (paper dataset, query 1J)");
-    let ds = dataset("paper", args);
-    let q = &queries_for("paper")[0];
-    let cfg = ExpConfig { worker_quality: 0.9, seed: args.seed, ..Default::default() };
-    let jobs = runtime_fleet(&ds, &q.cql, &cfg, n);
-
-    let run = |threads: usize, fault_rate: f64| {
-        let rcfg = RuntimeConfig {
-            threads,
-            seed: args.seed,
-            fault_plan: FaultPlan::uniform(args.seed, fault_rate),
-            retry: RetryPolicy { deadline_ms: 300_000, max_retries: 8 },
-            ..RuntimeConfig::default()
-        };
-        RuntimeExecutor::new(rcfg).run(jobs.clone())
-    };
-
-    println!(
-        "{:<9}{:<8}{:>9}{:>11}{:>13}{:>13}{:>9}",
-        "threads", "faults", "ok", "q_per_s", "wall_ms", "virtual_s", "rounds"
-    );
-    for &threads in &[1usize, 2, 4, 8] {
-        for &fault_rate in &[0.0f64, 0.1, 0.3] {
-            let report = run(threads, fault_rate);
-            let wall = report.wall.as_secs_f64();
-            println!(
-                "{:<9}{:<8}{:>9}{:>11.1}{:>13.1}{:>13.1}{:>9}",
-                threads,
-                fault_rate,
-                report.ok_count(),
-                n as f64 / wall.max(1e-9),
-                wall * 1e3,
-                report.virtual_ms_serial() as f64 / 1e3,
-                report.metrics.rounds,
-            );
-        }
-    }
-
-    let report = run(4, 0.2);
-    println!("\n# RuntimeMetrics (threads=4, fault rate 0.2), JSON");
-    println!("{}", report.metrics.to_json());
-    println!();
-}
-
 /// `figures reuse`: the answer-reuse sweep — cache on/off × fault rate
 /// over the self-join fleet, two passes per cell (the second pass is where
 /// cross-query reuse pays: the cache absorbed pass one's answers).
@@ -717,52 +743,6 @@ fn sched(args: &Args) {
         }
     }
     println!();
-}
-
-/// `figures trace`: one crowd-join query through the concurrent runtime
-/// with tracing on. Chrome `trace_event` JSON goes to stdout (load it in
-/// Perfetto); the attribution rollup and conservation totals to stderr.
-fn trace(args: &Args) {
-    use cdb_bench::runtime_fleet;
-    use cdb_obsv::{chrome_trace, Attribution, Ring, Trace};
-    use cdb_runtime::{FaultPlan, RetryPolicy, RuntimeConfig, RuntimeExecutor};
-    use std::sync::Arc;
-
-    let ds = dataset("paper", args);
-    let q = &queries_for("paper")[0]; // 2J: the crowd join
-    let cfg = ExpConfig { worker_quality: 0.9, seed: args.seed, ..Default::default() };
-    let jobs = runtime_fleet(&ds, &q.cql, &cfg, 1);
-
-    let ring = Arc::new(Ring::with_capacity(1 << 16));
-    let rcfg = RuntimeConfig {
-        threads: 1,
-        seed: args.seed,
-        fault_plan: FaultPlan::uniform(args.seed, 0.1),
-        retry: RetryPolicy { deadline_ms: 300_000, max_retries: 8 },
-        trace: Trace::collector(ring.clone()),
-        ..RuntimeConfig::default()
-    };
-    let report = RuntimeExecutor::new(rcfg).run(jobs);
-    let events = ring.drain();
-
-    let attribution = Attribution::from_events(&events);
-    eprintln!("# query: [{}] {}", q.label, q.cql);
-    eprintln!("# outcome: {} ok / {} failed", report.ok_count(), report.failed_count());
-    eprintln!("# events: {} collected, {} dropped", events.len(), ring.dropped());
-    eprintln!("# attribution rollup:");
-    eprintln!("{}", attribution.to_json());
-    let t = attribution.conservation();
-    eprintln!(
-        "# conservation: dispatched={} (metrics {}), cost_cents={} (metrics {}), rounds={} (metrics {})",
-        t.dispatched,
-        report.metrics.tasks_dispatched,
-        t.cost_cents,
-        report.metrics.cost_cents,
-        t.rounds,
-        report.metrics.rounds,
-    );
-
-    println!("{}", chrome_trace(&events));
 }
 
 /// `figures store`: benchmark the durable storage layer. Stdout is the
@@ -917,7 +897,7 @@ fn store(args: &Args) {
     for i in 0..rows {
         table.push(vec![Value::Int(i as i64), Value::Text(format!("brand-{}", i % 97))]).unwrap();
     }
-    let (pages, seq, flush_ms) = {
+    let (bytes, seq, flush_ms) = {
         let (mut file, mut db) = TableFile::open(&path).expect("open db");
         db.add_table(table).expect("add table");
         let start = Instant::now();
@@ -927,15 +907,15 @@ fn store(args: &Args) {
             SpanId::root(),
             names::STORE_FLUSH,
             0,
-            kv![n => stats.pages as u64, ms => ms],
+            kv![n => stats.bytes, ms => ms],
         ));
-        (stats.pages, stats.seq, ms)
+        (stats.bytes, stats.seq, ms)
     };
     let start = Instant::now();
     let (_, db) = TableFile::open(&path).expect("reopen db");
     let reopen_ms = start.elapsed().as_secs_f64() * 1e3;
     assert_eq!(db.table("products").map(|t| t.row_count()).ok(), Some(rows));
-    eprintln!("  flush: {pages} pages in {flush_ms:.2} ms; reopen: {reopen_ms:.2} ms");
+    eprintln!("  flush: {bytes} bytes in {flush_ms:.2} ms; reopen: {reopen_ms:.2} ms");
 
     let events = ring.drain();
     let count = |name: &str| events.iter().filter(|e| e.name == name).count();
@@ -963,7 +943,7 @@ fn store(args: &Args) {
         warm_rate
     );
     println!(
-        "  \"table_flush\": {{\"rows\": {rows}, \"pages\": {pages}, \"seq\": {seq}, \
+        "  \"table_flush\": {{\"rows\": {rows}, \"bytes\": {bytes}, \"seq\": {seq}, \
          \"flush_ms\": {flush_ms:.2}, \"reopen_ms\": {reopen_ms:.2}}},"
     );
     println!(
@@ -1252,11 +1232,11 @@ fn perf(args: &Args) {
 /// that base. At the small size a query's tuple graph splits into many
 /// components; at 10x similarity connectivity merges each graph into one
 /// giant component, so the shardable unit count comes from the fleet —
-/// exactly the regime the coordinator schedules. Each size runs through
-/// the component-sharded executor at 1/2/4 shards (streaming component
-/// arenas) plus a single-shard non-streaming run — the monolithic
-/// baseline that materializes every component sub-graph up front, i.e.
-/// the memory behavior of the unsharded runtime.
+/// exactly the regime `ShardExecutor` places across shards. Each size
+/// runs through the component-sharded executor at 1/2/4 shards
+/// (streaming component arenas) plus a single-shard non-streaming run —
+/// the monolithic baseline that materializes every component sub-graph
+/// up front, i.e. the memory behavior of the unsharded runtime.
 ///
 /// Everything gated is deterministic: bindings must be byte-identical
 /// across all four configurations, per-shard task/money counters must sum
@@ -1300,10 +1280,9 @@ fn shard(args: &Args) {
         }
         // threads=1 keeps per-shard peak bytes deterministic (with more
         // worker threads the peak depends on interleaving and would be
-        // telemetry, not a comparable count). The generous retry budget
-        // matches the `runtime` target: the default 2-minute assignment
-        // deadline starves the long tail of a fleet this size even
-        // without faults.
+        // telemetry, not a comparable count). The retry budget is
+        // generous because the default 2-minute assignment deadline
+        // starves the long tail of a fleet this size even without faults.
         let rcfg = RuntimeConfig {
             threads: 1,
             seed: args.seed,
@@ -1535,9 +1514,9 @@ fn serve(args: &Args) {
     }
 
     let exec_threads = 8usize;
-    // The generous retry budget matches the `runtime` and `shard`
-    // targets: the default 2-minute virtual assignment deadline starves
-    // the long tail of a 1.4k-query fleet even without faults.
+    // The generous retry budget matches the `shard` target: the default
+    // 2-minute virtual assignment deadline starves the long tail of a
+    // 1.4k-query fleet even without faults.
     let retry = cdb_runtime::RetryPolicy { deadline_ms: 300_000, max_retries: 8 };
     let mut cfg = ServeConfig::default();
     cfg.runtime.seed = args.seed;
@@ -1692,99 +1671,11 @@ fn tee_to_log(target: &str) -> Option<i32> {
 }
 
 fn main() {
-    let args = parse_args();
+    let (args, run) = parse_args();
     if std::env::var_os("CDB_FIGURES_LOG").is_none() {
         if let Some(code) = tee_to_log(&args.target) {
             std::process::exit(code);
         }
     }
-    let t = args.target.as_str();
-    let all = t == "all";
-    if all || t == "fig8" {
-        grid(&args, "cost", 0.8, "Figure 8: cost (#tasks), simulated workers N(0.8, 0.01)");
-    }
-    if all || t == "fig9" {
-        grid(&args, "quality", 0.8, "Figure 9: quality (F-measure), simulated workers");
-    }
-    if all || t == "fig10" {
-        grid(&args, "latency", 0.8, "Figure 10: latency (#rounds), simulated workers");
-    }
-    if all || t == "fig11" {
-        fig11(&args);
-    }
-    if all || t == "fig14" {
-        grid(&args, "cost", 0.95, "Figure 14: cost (#tasks), real-platform workers (q=0.95)");
-    }
-    if all || t == "fig15" {
-        grid(&args, "quality", 0.95, "Figure 15: quality (F-measure), real-platform workers");
-    }
-    if all || t == "fig16" {
-        grid(&args, "latency", 0.95, "Figure 16: latency (#rounds), real-platform workers");
-    }
-    if all || t == "fig17" {
-        fig17(&args);
-    }
-    if all || t == "fig18" || t == "fig19" {
-        fig18_19(&args);
-    }
-    if all || t == "fig20" {
-        fig20(&args);
-    }
-    if all || t == "fig21" {
-        fig21(&args);
-    }
-    if all || t == "fig22" {
-        fig22(&args);
-    }
-    if all || t == "fig23" || t == "fig24" {
-        fig23_24(&args);
-    }
-    if all || t == "table2" || t == "table3" {
-        tables23(&args);
-    }
-    if all || t == "table4" {
-        table4();
-    }
-    if all || t == "table5" {
-        table5(&args);
-    }
-    if all || t == "example" {
-        example(&args);
-    }
-    if all || t == "ablations" {
-        ablations(&args);
-    }
-    if all || t == "runtime" {
-        runtime(&args);
-    }
-    if all || t == "reuse" {
-        reuse(&args);
-    }
-    if all || t == "sched" {
-        sched(&args);
-    }
-    // Not part of `all`: its stdout is a JSON artifact, not a report.
-    if t == "trace" {
-        trace(&args);
-    }
-    // Not part of `all`: a correctness soak, not a paper figure.
-    if t == "sim" {
-        sim(&args);
-    }
-    // Not part of `all`: its stdout is the BENCH_store.json artifact.
-    if t == "store" {
-        store(&args);
-    }
-    // Not part of `all`: its stdout is the BENCH_perf.json artifact.
-    if t == "perf" {
-        perf(&args);
-    }
-    // Not part of `all`: its stdout is the BENCH_shard.json artifact.
-    if t == "shard" {
-        shard(&args);
-    }
-    // Not part of `all`: its stdout is the BENCH_serve.json artifact.
-    if t == "serve" {
-        serve(&args);
-    }
+    run(&args);
 }

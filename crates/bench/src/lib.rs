@@ -142,20 +142,6 @@ pub fn prepare(ds: &Dataset, cql: &str, cfg: &ExpConfig) -> (QueryGraph, EdgeTru
     (g, truth)
 }
 
-/// A fleet of `n` identical query jobs for the concurrent runtime: the
-/// same prepared graph replicated under distinct query ids. Each job still
-/// executes against its own stream-keyed platform, so the fleet exercises
-/// genuinely independent per-query randomness.
-pub fn runtime_fleet(
-    ds: &Dataset,
-    cql: &str,
-    cfg: &ExpConfig,
-    n: u64,
-) -> Vec<cdb_runtime::QueryJob> {
-    let (g, truth) = prepare(ds, cql, cfg);
-    (0..n).map(|id| cdb_runtime::QueryJob { id, graph: g.clone(), truth: truth.clone() }).collect()
-}
-
 /// A fleet of self-join query jobs over a clustered label universe: two
 /// parts hold the *same* `items` labels (a self-join duplicates the
 /// relation) and the truth marks `(i, j)` matching iff `i % clusters ==

@@ -9,11 +9,6 @@ pub fn put_u8_tag(buf: &mut Vec<u8>, v: u8) {
     buf.push(v);
 }
 
-/// Append a `u16` in little-endian order.
-pub fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
 /// Append a `u32` in little-endian order.
 pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
@@ -85,12 +80,6 @@ impl<'a> Cursor<'a> {
         Ok(self.take(1, "u8")?[0])
     }
 
-    /// Read a little-endian `u16`.
-    pub fn u16(&mut self) -> Result<u16> {
-        let b = self.take(2, "u16")?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
     /// Read a little-endian `u32`.
     pub fn u32(&mut self) -> Result<u32> {
         let b = self.take(4, "u32")?;
@@ -139,7 +128,6 @@ mod tests {
     #[test]
     fn round_trips_every_type() {
         let mut buf = Vec::new();
-        put_u16(&mut buf, 0xBEEF);
         put_u32(&mut buf, 7);
         put_u64(&mut buf, u64::MAX - 1);
         put_i64(&mut buf, -42);
@@ -148,7 +136,6 @@ mod tests {
         put_bool(&mut buf, true);
 
         let mut c = Cursor::new(&buf);
-        assert_eq!(c.u16().unwrap(), 0xBEEF);
         assert_eq!(c.u32().unwrap(), 7);
         assert_eq!(c.u64().unwrap(), u64::MAX - 1);
         assert_eq!(c.i64().unwrap(), -42);

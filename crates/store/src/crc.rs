@@ -1,5 +1,5 @@
 //! CRC-32 (IEEE 802.3 polynomial, reflected) — the checksum guarding
-//! every page and every WAL frame. Table-driven, std-only; the table is
+//! every WAL frame and every table file. Table-driven, std-only; the table is
 //! built once at first use.
 
 use std::sync::OnceLock;

@@ -1,40 +1,45 @@
-//! Durable tables: a `cdb-storage` database persisted through the paged
-//! store.
+//! Durable tables: a `cdb-storage` database persisted as one snapshot
+//! file.
 //!
 //! [`TableFile`] is the on-disk home of one [`cdb_storage::Database`]:
 //! [`TableFile::open`] hands back the file handle *and* the catalog it
 //! last committed, callers mutate that catalog like any other, and
 //! [`TableFile::flush`] writes it back. There is one catalog type; the
-//! handle only knows the file. The file layout:
+//! handle only knows the file. The file holds exactly one snapshot:
 //!
-//! * **Pages 0 and 1** are *double-buffered meta pages*. Each holds one
-//!   record `(magic, seq, catalog RecordId)`; the valid page with the
-//!   higher `seq` names the live snapshot. [`TableFile::flush`] writes a
-//!   complete new snapshot onto pages the live snapshot does **not**
-//!   use, fsyncs it, and only then overwrites the *stale* meta slot with
-//!   `seq + 1` and fsyncs again. A crash at any point leaves the old
-//!   meta slot naming the old, fully-intact snapshot — the flush is
-//!   atomic at page-checksum granularity.
-//! * **Pages ≥ 2** hold snapshot data as chained slotted records (see
-//!   [`crate::pager::BufferPool::write_chain`]); pages freed by a
-//!   superseded snapshot are reused by the next flush.
+//! ```text
+//! +-----------+---------+---------+----------------+-----------+
+//! | magic u32 | seq u64 | len u64 | snapshot (len) | crc32 u32 |
+//! +-----------+---------+---------+----------------+-----------+
+//! ```
+//!
+//! `crc32` covers every byte before it. [`TableFile::flush`] writes the
+//! new file under a temp name beside `<path>`, fsyncs it, renames it over
+//! `<path>` and fsyncs the directory; the rename is the commit point. A
+//! crash before it leaves the previous file live ([`TableFile::open`]
+//! never reads the temp file), a committed file is never written in
+//! place, and a file damaged at rest fails its length or checksum check
+//! as [`StoreError::Decode`].
 //!
 //! Durability is *explicit*: mutations happen in memory at full speed
 //! and [`TableFile::flush`] is the only fsync point, mirroring how the
 //! answer log (not the table store) is the authority on crowd spend.
 
-use std::path::Path;
+use std::fs::File;
+use std::io::Write;
+use std::path::{Path, PathBuf};
 
 use cdb_storage::{ColumnDef, ColumnType, Database, Schema, Table, Value};
 
 use crate::codec::{put_bool, put_f64, put_i64, put_str, put_u32, put_u64, put_u8_tag, Cursor};
+use crate::crc::crc32;
 use crate::error::{Result, StoreError};
-use crate::page::Page;
-use crate::pager::{BufferPool, Pager, RecordId};
 
 const MAGIC: u32 = 0x4344_4253; // "CDBS"
-const META_PAGES: u32 = 2;
-const POOL_CAPACITY: usize = 64;
+/// `magic u32 | seq u64 | len u64`.
+const HEADER: usize = 20;
+/// `crc32 u32`.
+const TRAILER: usize = 4;
 
 const VAL_CNULL: u8 = 0;
 const VAL_TEXT: u8 = 1;
@@ -44,129 +49,89 @@ const VAL_FLOAT: u8 = 3;
 /// What one [`TableFile::flush`] wrote.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlushStats {
-    /// Snapshot pages the new catalog chain occupies.
-    pub pages: u32,
-    /// Encoded snapshot size in bytes.
+    /// Size of the committed file: header, snapshot and checksum.
     pub bytes: u64,
-    /// The committed meta sequence number.
+    /// The committed sequence number.
     pub seq: u64,
 }
 
 /// The file a [`cdb_storage::Database`] is flushed to and reopened from.
 #[derive(Debug)]
 pub struct TableFile {
-    pool: BufferPool,
+    path: PathBuf,
     seq: u64,
-    meta_slot: u32,
-    catalog: RecordId,
 }
 
 impl TableFile {
-    /// Open (creating if absent) the table file at `path` and load the
-    /// last flushed snapshot — an empty catalog for a fresh file.
+    /// Open the table file at `path` and load its snapshot. A missing
+    /// file is an empty catalog at seq 1, and nothing is written until
+    /// the first [`TableFile::flush`].
     pub fn open(path: &Path) -> Result<(TableFile, Database)> {
-        let mut pool = BufferPool::new(Pager::open(path)?, POOL_CAPACITY);
-        if pool.page_count() == 0 {
-            // Fresh file: lay down both meta slots; slot 0 (seq 1, empty
-            // catalog) is live, slot 1 (seq 0) is the first flush target.
-            for no in 0..META_PAGES {
-                let got = pool.allocate()?;
-                debug_assert_eq!(got, no);
-                let page = pool.page_mut(no).expect("fresh meta page resident");
-                let seq = if no == 0 { 1 } else { 0 };
-                page.insert(&encode_meta(seq, RecordId { page: 0, slot: 0 }))?;
-                pool.unpin(no, true);
+        let (seq, db) = match std::fs::read(path) {
+            Ok(raw) => {
+                let (seq, snapshot) = unframe(&raw)?;
+                (seq, decode_snapshot(snapshot)?)
             }
-            pool.flush()?;
-            let file =
-                TableFile { pool, seq: 1, meta_slot: 0, catalog: RecordId { page: 0, slot: 0 } };
-            return Ok((file, Database::new()));
-        }
-
-        // Existing file: the valid meta slot with the highest seq names
-        // the live snapshot. One slot failing its checksum is the
-        // expected signature of a crash mid-meta-write — not an error.
-        let mut best: Option<(u32, u64, RecordId)> = None;
-        for no in 0..META_PAGES.min(pool.page_count()) {
-            match pool.pin(no) {
-                Ok(()) => {
-                    let page = pool.page(no).expect("pinned meta page resident");
-                    if let Ok((seq, catalog)) = decode_meta(page) {
-                        if best.map(|(_, s, _)| seq > s).unwrap_or(true) {
-                            best = Some((no, seq, catalog));
-                        }
-                    }
-                    pool.unpin(no, false);
-                }
-                Err(StoreError::PageChecksum { .. }) => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        let (meta_slot, seq, catalog) = best.ok_or(StoreError::NoValidMeta)?;
-        let db = if catalog.page == 0 {
-            Database::new()
-        } else {
-            let blob = pool.read_chain(catalog)?;
-            decode_snapshot(&blob)?
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => (1, Database::new()),
+            Err(e) => return Err(StoreError::io(&format!("read {}", path.display()), e)),
         };
-        Ok((TableFile { pool, seq, meta_slot, catalog }, db))
+        Ok((TableFile { path: path.to_path_buf(), seq }, db))
     }
 
     /// Write `db`'s tables to the file as a new snapshot and commit it.
     pub fn flush(&mut self, db: &Database) -> Result<FlushStats> {
-        let blob = encode_snapshot(db);
-
-        // Pages the live snapshot still needs; everything else past the
-        // meta pages is scratch for the new one.
-        let mut live = vec![false; self.pool.page_count() as usize];
-        if self.catalog.page != 0 {
-            for no in self.pool.chain_pages(self.catalog)? {
-                live[no as usize] = true;
-            }
-        }
-        let mut free: Vec<u32> =
-            (META_PAGES..self.pool.page_count()).filter(|&no| !live[no as usize]).rev().collect();
-
-        let new_catalog = self.pool.write_chain(&mut free, &blob)?;
-        let pages = self.pool.chain_pages(new_catalog)?.len() as u32;
-        self.pool.flush()?; // snapshot durable before the meta flip
-
-        let stale = 1 - self.meta_slot;
         let seq = self.seq + 1;
-        self.pool.pin(stale)?;
-        {
-            let page = self.pool.page_mut(stale).expect("pinned meta page resident");
-            *page = Page::new(stale);
-            page.insert(&encode_meta(seq, new_catalog))?;
-        }
-        self.pool.unpin(stale, true);
-        self.pool.flush()?; // the commit point
-
+        let raw = frame(seq, &encode_snapshot(db));
+        let mut tmp = self.path.clone().into_os_string();
+        tmp.push(".tmp");
+        let mut f = File::create(&tmp).map_err(|e| StoreError::io("create temp table file", e))?;
+        f.write_all(&raw).map_err(|e| StoreError::io("write temp table file", e))?;
+        f.sync_all().map_err(|e| StoreError::io("sync temp table file", e))?;
+        // The commit point: the old file stays live until this rename.
+        std::fs::rename(&tmp, &self.path).map_err(|e| StoreError::io("rename table file", e))?;
+        let dir =
+            self.path.parent().filter(|d| !d.as_os_str().is_empty()).unwrap_or(Path::new("."));
+        File::open(dir)
+            .and_then(|d| d.sync_all())
+            .map_err(|e| StoreError::io("sync table file directory", e))?;
         self.seq = seq;
-        self.meta_slot = stale;
-        self.catalog = new_catalog;
-        Ok(FlushStats { pages, bytes: blob.len() as u64, seq })
+        Ok(FlushStats { bytes: raw.len() as u64, seq })
     }
 }
 
-fn encode_meta(seq: u64, catalog: RecordId) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(18);
+/// The file image for `snapshot` at `seq`.
+fn frame(seq: u64, snapshot: &[u8]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(HEADER + snapshot.len() + TRAILER);
     put_u32(&mut buf, MAGIC);
     put_u64(&mut buf, seq);
-    put_u32(&mut buf, catalog.page);
-    buf.extend_from_slice(&catalog.slot.to_le_bytes());
+    put_u64(&mut buf, snapshot.len() as u64);
+    buf.extend_from_slice(snapshot);
+    let crc = crc32(&buf);
+    put_u32(&mut buf, crc);
     buf
 }
 
-fn decode_meta(page: &Page) -> Result<(u64, RecordId)> {
-    let rec = page.record(0)?;
-    let mut c = Cursor::new(rec);
+/// Verify a file image's magic, length and checksum; return its
+/// `(seq, snapshot)`.
+fn unframe(raw: &[u8]) -> Result<(u64, &[u8])> {
+    let bad = |detail: String| StoreError::Decode { detail: format!("table file: {detail}") };
+    if raw.len() < HEADER + TRAILER {
+        return Err(bad(format!("{} bytes is shorter than header and checksum", raw.len())));
+    }
+    let mut c = Cursor::new(raw);
     if c.u32()? != MAGIC {
-        return Err(StoreError::Decode { detail: "meta page magic mismatch".into() });
+        return Err(bad("magic mismatch (not a table file)".into()));
     }
     let seq = c.u64()?;
-    let catalog = RecordId { page: c.u32()?, slot: c.u16()? };
-    Ok((seq, catalog))
+    let (len, held) = (c.u64()?, raw.len() - HEADER - TRAILER);
+    if len != held as u64 {
+        return Err(bad(format!("header says {len} snapshot bytes, file holds {held}")));
+    }
+    let (body, trailer) = raw.split_at(HEADER + held);
+    if Cursor::new(trailer).u32()? != crc32(body) {
+        return Err(bad("checksum mismatch".into()));
+    }
+    Ok((seq, &body[HEADER..]))
 }
 
 fn encode_snapshot(db: &Database) -> Vec<u8> {
@@ -296,7 +261,7 @@ mod tests {
             db.add_table(sample_table("products", 50)).unwrap();
             db.add_table(sample_table("reviews", 7)).unwrap();
             let stats = file.flush(&db).unwrap();
-            assert!(stats.pages >= 1);
+            assert_eq!(stats.bytes, std::fs::metadata(&path).unwrap().len());
             assert_eq!(stats.seq, 2);
             reference = encode_snapshot(&db);
         }
@@ -323,25 +288,24 @@ mod tests {
     }
 
     #[test]
-    fn repeated_flushes_reuse_pages_and_bump_seq() {
+    fn repeated_flushes_keep_one_snapshot_and_bump_seq() {
         let dir = ScratchDir::new("db-reflush");
         let path = dir.path().join("tables.cdb");
         let (mut file, mut db) = TableFile::open(&path).unwrap();
         db.add_table(sample_table("t", 200)).unwrap();
-        let first = file.flush(&db).unwrap();
-        let mut sizes = Vec::new();
+        let mut seq = file.flush(&db).unwrap().seq;
         for i in 0..5 {
             db.table_mut("t")
                 .unwrap()
                 .set_cell(0, "brand", Value::Text(format!("updated-{i}")))
                 .unwrap();
             let s = file.flush(&db).unwrap();
-            assert_eq!(s.seq, first.seq + 1 + i);
-            sizes.push(std::fs::metadata(&path).unwrap().len());
+            assert_eq!(s.seq, seq + 1);
+            seq = s.seq;
+            assert_eq!(std::fs::metadata(&path).unwrap().len(), s.bytes);
         }
-        // Steady-state: two snapshots' worth of pages ping-pong; the file
-        // stops growing after the second flush.
-        assert_eq!(sizes[1], sizes[4]);
+        // One snapshot, one file: no temp file or older image is left.
+        assert_eq!(std::fs::read_dir(dir.path()).unwrap().count(), 1);
         let (_, db) = TableFile::open(&path).unwrap();
         assert_eq!(
             db.table("t").unwrap().cell(0, "brand").unwrap(),
@@ -349,37 +313,67 @@ mod tests {
         );
     }
 
+    fn flip(mut raw: Vec<u8>, at: usize) -> Vec<u8> {
+        raw[at] ^= 0xFF;
+        raw
+    }
+
+    /// Every state a crash or damage at rest can leave beside a committed
+    /// `v1` snapshot, given `v1`'s file image and the complete image the
+    /// next flush (adding `v2`) would have renamed over it. Each case
+    /// yields the `(file, temp file)` left on disk and whether reopening
+    /// must recover `v1` (`true`) or fail with a typed decode error.
     #[test]
-    fn torn_meta_write_falls_back_to_previous_snapshot() {
-        let dir = ScratchDir::new("db-tornmeta");
-        let path = dir.path().join("tables.cdb");
-        let meta_slot;
-        {
+    fn crash_states_reopen_to_the_previous_snapshot_or_a_decode_error() {
+        type Case = (&'static str, fn(Vec<u8>, Vec<u8>) -> (Vec<u8>, Option<Vec<u8>>), bool);
+        let cases: [Case; 9] = [
+            ("garbage temp file", |f, _| (f, Some(b"\xde\xad\xbe\xef torn".to_vec())), true),
+            ("half-written temp file", |f, n| (f, Some(n[..n.len() / 2].to_vec())), true),
+            ("complete but unrenamed temp file", |f, n| (f, Some(n)), true),
+            ("header byte flipped", |f, _| (flip(f, 5), None), false),
+            ("body byte flipped", |f, _| (flip(f, HEADER + 3), None), false),
+            ("trailer byte flipped", |f, _| (flip(f.clone(), f.len() - 2), None), false),
+            ("cut by one byte", |f, _| (f[..f.len() - 1].to_vec(), None), false),
+            ("cut to zero bytes", |_, _| (Vec::new(), None), false),
+            ("foreign file", |_, _| (b"#!/bin/sh\necho not a table file\n".to_vec(), None), false),
+        ];
+        for (name, damage, recovers) in cases {
+            let dir = ScratchDir::new("db-crash");
+            let path = dir.path().join("tables.cdb");
+            let tmp = dir.path().join("tables.cdb.tmp");
             let (mut file, mut db) = TableFile::open(&path).unwrap();
             db.add_table(sample_table("v1", 3)).unwrap();
             file.flush(&db).unwrap();
+            let committed = std::fs::read(&path).unwrap();
             db.add_table(sample_table("v2", 3)).unwrap();
-            file.flush(&db).unwrap();
-            meta_slot = file.meta_slot;
-        }
-        // Corrupt the *live* meta page, as a torn meta write would: the
-        // other slot (previous snapshot) must take over.
-        let mut raw = std::fs::read(&path).unwrap();
-        let off = meta_slot as usize * crate::page::PAGE_SIZE + 20;
-        raw[off] ^= 0xFF;
-        std::fs::write(&path, &raw).unwrap();
-        let (_, db) = TableFile::open(&path).unwrap();
-        assert!(db.contains_table("v1"));
-        assert!(!db.contains_table("v2"));
+            let next = frame(3, &encode_snapshot(&db));
 
-        // Destroying both meta slots is unrecoverable — and loud. (A
-        // fresh byte offset, so the earlier flip is not undone.)
-        let mut raw = std::fs::read(&path).unwrap();
-        for slot in 0..2usize {
-            raw[slot * crate::page::PAGE_SIZE + 21] ^= 0xFF;
+            let (on_disk, temp) = damage(committed, next);
+            std::fs::write(&path, on_disk).unwrap();
+            if let Some(temp) = temp {
+                std::fs::write(&tmp, temp).unwrap();
+            }
+            match TableFile::open(&path) {
+                Ok((mut file, reopened)) if recovers => {
+                    assert!(reopened.contains_table("v1"), "{name}");
+                    assert!(!reopened.contains_table("v2"), "{name}");
+                    assert_eq!(file.flush(&db).unwrap().seq, 3, "{name}");
+                    assert!(TableFile::open(&path).unwrap().1.contains_table("v2"), "{name}");
+                    assert!(!tmp.exists(), "{name}");
+                }
+                Err(StoreError::Decode { .. }) if !recovers => {}
+                other => panic!("{name}: unexpected reopen {other:?}"),
+            }
         }
-        std::fs::write(&path, &raw).unwrap();
-        assert_eq!(TableFile::open(&path).unwrap_err(), StoreError::NoValidMeta);
+
+        // A missing path is an empty catalog, and opening writes nothing.
+        let dir = ScratchDir::new("db-missing");
+        let path = dir.path().join("tables.cdb");
+        let (mut file, db) = TableFile::open(&path).unwrap();
+        assert_eq!(db.table_count(), 0);
+        assert!(!path.exists());
+        assert_eq!(file.flush(&db).unwrap().seq, 2);
+        assert!(path.exists());
     }
 
     #[test]

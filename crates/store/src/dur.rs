@@ -36,22 +36,18 @@ pub struct DurableReuseCache {
 }
 
 impl DurableReuseCache {
-    /// Open with the default WAL segment size.
+    /// Open (or create) the cache rooted at `dir` with the default WAL
+    /// segment size, replaying the answer log: all settled facts are
+    /// recorded through one session in log order and absorbed once,
+    /// rebuilding the entailment graphs exactly as the uninterrupted
+    /// process built them (see the module docs — the store is a fold over
+    /// the fact sequence, so batching the replay into one session changes
+    /// nothing). One snapshot/absorb cycle per batch — the previous
+    /// scheme — forced `absorb`'s copy-on-write to deep-clone the whole
+    /// accumulated store every batch, making recovery superlinear in log
+    /// length.
     pub fn open(dir: &Path) -> Result<DurableReuseCache> {
-        DurableReuseCache::open_with(dir, DEFAULT_SEGMENT_BYTES)
-    }
-
-    /// Open (or create) the cache rooted at `dir`, replaying the answer
-    /// log: all settled facts are recorded through one session in log
-    /// order and absorbed once, rebuilding the entailment graphs exactly
-    /// as the uninterrupted process built them (see the module docs — the
-    /// store is a fold over the fact sequence, so batching the replay
-    /// into one session changes nothing). One snapshot/absorb cycle per
-    /// batch — the previous scheme — forced `absorb`'s copy-on-write to
-    /// deep-clone the whole accumulated store every batch, making
-    /// recovery superlinear in log length.
-    pub fn open_with(dir: &Path, segment_bytes: u64) -> Result<DurableReuseCache> {
-        let (log, recovery) = AnswerLog::open(dir, segment_bytes)?;
+        let (log, recovery) = AnswerLog::open(dir, DEFAULT_SEGMENT_BYTES)?;
         let cache = Arc::new(ReuseCache::new());
         let mut ph = cdb_obsv::profile::phase(cdb_obsv::profile::phases::REUSE_REPLAY);
         let mut replay_snapshots = 0u64;

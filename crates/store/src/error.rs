@@ -1,4 +1,4 @@
-//! Typed storage errors. Every failure mode of the paged store, the
+//! Typed storage errors. Every failure mode of the table file, the
 //! write-ahead log and recovery is a distinct variant, so callers (and
 //! the `cdb-sim` recovery checker) can tell honest crash artifacts
 //! (a torn tail) from real corruption (a bad checksum mid-log).
@@ -20,26 +20,8 @@ pub enum StoreError {
         /// The operation that failed and the OS message.
         detail: String,
     },
-    /// A page read back from disk failed its checksum — the page was
-    /// torn mid-write or the file was corrupted at rest.
-    PageChecksum {
-        /// The page number that failed verification.
-        page: u32,
-    },
-    /// A page number beyond the end of the file was requested.
-    PageOutOfBounds {
-        /// The requested page.
-        page: u32,
-        /// Pages currently in the file.
-        count: u32,
-    },
-    /// The buffer pool has no evictable frame: every resident page is
-    /// pinned. Unpin something before pinning more.
-    PoolExhausted {
-        /// Configured frame capacity.
-        capacity: usize,
-    },
-    /// A record is too large for the slotted-page chunking limit.
+    /// A WAL record is empty or larger than the frame limit,
+    /// [`MAX_FRAME_PAYLOAD`](crate::wal::MAX_FRAME_PAYLOAD).
     RecordTooLarge {
         /// The record's size in bytes.
         len: usize,
@@ -55,15 +37,12 @@ pub enum StoreError {
         /// What failed (length, checksum, truncation).
         reason: String,
     },
-    /// A serialized structure (catalog, table, log record) failed to
-    /// decode.
+    /// A serialized structure (table file, catalog, log record) failed
+    /// to verify or decode: truncated, corrupt, or not ours.
     Decode {
         /// What was being decoded and why it failed.
         detail: String,
     },
-    /// The database file has no valid meta page — it is not a cdb-store
-    /// file, or both meta slots were destroyed.
-    NoValidMeta,
     /// An error bubbled up from the in-memory table layer.
     Storage(cdb_storage::StorageError),
 }
@@ -79,19 +58,11 @@ impl fmt::Display for StoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             StoreError::Io { kind, detail } => write!(f, "io error ({kind}): {detail}"),
-            StoreError::PageChecksum { page } => write!(f, "page {page} failed its checksum"),
-            StoreError::PageOutOfBounds { page, count } => {
-                write!(f, "page {page} out of bounds (file has {count})")
-            }
-            StoreError::PoolExhausted { capacity } => {
-                write!(f, "buffer pool exhausted: all {capacity} frames pinned")
-            }
             StoreError::RecordTooLarge { len } => write!(f, "record of {len} bytes is too large"),
             StoreError::WalCorrupt { segment, offset, reason } => {
                 write!(f, "wal segment {segment} corrupt at offset {offset}: {reason}")
             }
             StoreError::Decode { detail } => write!(f, "decode failed: {detail}"),
-            StoreError::NoValidMeta => write!(f, "no valid meta page (not a cdb-store file?)"),
             StoreError::Storage(e) => write!(f, "storage: {e}"),
         }
     }

@@ -1,4 +1,4 @@
-//! `cdb-store`: durable paged storage for CDB.
+//! `cdb-store`: durable storage for CDB.
 //!
 //! Crowd answers are the most expensive artifact a CDB deployment owns —
 //! the whole optimization story of *CDB: Optimizing Queries with
@@ -21,10 +21,10 @@
 //!    flushed to ([`TableFile::flush`]); the catalog type itself stays
 //!    `cdb-storage`'s.
 //!
-//! The substrate is deliberately classical: fixed-size slotted
-//! [pages](page) with CRC-32 checksums, a pinning [buffer pool](pager)
-//! with LRU eviction, and a length-prefixed, CRC-framed [write-ahead
-//! log](wal) with segment rotation and torn-tail repair. Recovery is
+//! The substrate is deliberately small: the answer log sits on a
+//! length-prefixed, CRC-framed [write-ahead log](wal) with segment
+//! rotation and torn-tail repair, and a table file is [one checksummed
+//! snapshot](db) committed by write-temp → fsync → rename. Recovery is
 //! verified end to end by `cdb-sim`'s kill-and-recover differential
 //! scenarios.
 
@@ -36,8 +36,6 @@ pub mod crc;
 pub mod db;
 pub mod dur;
 pub mod error;
-pub mod page;
-pub mod pager;
 pub mod scratch;
 pub mod wal;
 
@@ -45,7 +43,5 @@ pub use alog::{AnswerLog, AnswerRecovery};
 pub use db::{FlushStats, TableFile};
 pub use dur::DurableReuseCache;
 pub use error::{Result, StoreError};
-pub use page::{Page, PAGE_SIZE};
-pub use pager::{BufferPool, Pager, RecordId};
 pub use scratch::ScratchDir;
 pub use wal::{RecoveryReport, Wal, DEFAULT_SEGMENT_BYTES};

@@ -217,11 +217,6 @@ impl Wal {
     pub fn segments(&self) -> u64 {
         self.cur_index + 1
     }
-
-    /// Bytes in the active segment.
-    pub fn active_segment_bytes(&self) -> u64 {
-        self.cur_size
-    }
 }
 
 #[cfg(test)]
