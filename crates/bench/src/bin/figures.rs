@@ -6,7 +6,7 @@
 //!
 //! targets: fig8 fig9 fig10 fig11 fig14 fig15 fig16 fig17 fig18 fig19
 //!          fig20 fig21 fig22 fig23 fig24 table2 table3 table4 table5
-//!          example ablations reuse sched sim store perf shard serve all
+//!          example ablations reuse sched sim store perf shard all
 //!
 //! An unknown target or flag, or a value that does not parse, prints
 //! this usage to stderr and exits 2.
@@ -40,12 +40,8 @@
 //! invariant. On failure the seed is printed, the scenario is shrunk,
 //! and the repro text is dumped; exit status is nonzero.
 //!
-//! `serve` drives a live `cdb-serve` instance over loopback sockets with
-//! the `cdb_serve` load generator: a 1.4k-query concurrency phase (≥ 1000
-//! peak in-flight queries, gated) and an unthrottled throughput phase,
-//! with every NDJSON stream checked against the in-process oracle.
-//! Stderr narrates; stdout is a JSON document (redirect it to
-//! `BENCH_serve.json`).
+//! Served load is not a target here: its counts are gated by
+//! `crates/serve/tests/wire.rs` and its timings are `cdb-benchmark`'s.
 //! ```
 //!
 //! Every run also tees its own stdout + stderr to
@@ -83,7 +79,7 @@ struct Args {
 }
 
 fn usage() -> ! {
-    eprintln!("usage: figures [--scale N] [--reps R] [--seed S] [--iters N] [--quick] <fig8..fig24|table2..table5|example|ablations|reuse|sched|sim|store|perf|shard|serve|all>");
+    eprintln!("usage: figures [--scale N] [--reps R] [--seed S] [--iters N] [--quick] <fig8..fig24|table2..table5|example|ablations|reuse|sched|sim|store|perf|shard|all>");
     std::process::exit(2);
 }
 
@@ -149,7 +145,6 @@ fn target(t: &str) -> Option<fn(&Args)> {
         "store" => store,
         "perf" => perf,
         "shard" => shard,
-        "serve" => serve,
         _ => return None,
     };
     Some(run)
@@ -1427,189 +1422,6 @@ fn sim(args: &Args) {
         eprintln!("\nsim soak FAILED; violating seeds: {}", seeds.join(", "));
         std::process::exit(1);
     }
-}
-
-/// `figures serve`: the wire-level load sweep against a live `cdb-serve`
-/// instance. Stdout is the `BENCH_serve.json` artifact; stderr narrates.
-///
-/// Two phases over the paper's running-example dataset (the Researcher ⋈
-/// University crowd join), both over real loopback sockets via the
-/// [`cdb_serve`] load generator:
-///
-/// * **concurrency** — 16 tenants × 88 queries with a 30 ms round
-///   throttle. The simulated crowd answers in virtual time, so an
-///   unthrottled query finishes in microseconds; the throttle makes
-///   sustained in-flight load observable, the way a real crowd's
-///   minutes-long rounds would. Gated: the server's own gauge must show
-///   ≥ 1000 concurrently in-flight (admitted-or-queued, not yet
-///   terminal) queries at peak.
-/// * **throughput** — 8 tenants × 40 queries unthrottled, measuring
-///   sustained completed-queries-per-second.
-///
-/// Every watched stream from both phases is then re-executed in process
-/// with the server's exact configuration (the oracle): zero lost, zero
-/// duplicated, and zero spurious bindings are asserted, so the
-/// artifact's oracle sections are all-zeros by construction. Latencies,
-/// wall clocks, and rates are `_ms`/`_per_s` keys (timing class — CI
-/// compares them warn-only); query/binding counts are exact.
-fn serve(args: &Args) {
-    use cdb_sched::Envelope;
-    use cdb_serve::{run_load, verify_streams, LoadPlan, OracleCheck, ServeConfig};
-
-    const SQL: &str = "SELECT * FROM Researcher, University \
-         WHERE Researcher.affiliation CROWDJOIN University.name";
-
-    fn phase(name: &str, cfg: &ServeConfig, plan: &LoadPlan) -> (cdb_serve::LoadReport, String) {
-        let (db, truth) = paper_example_dataset();
-        let server =
-            cdb_serve::start("127.0.0.1:0", db, truth, cfg.clone()).expect("serve binds loopback");
-        let report = run_load(server.addr(), plan).expect("load run completes");
-        server.shutdown();
-        let (db, truth) = paper_example_dataset();
-        let check = verify_streams(&db, &truth, cfg, &plan.sql, &report.streams);
-        eprintln!(
-            "# serve/{name}: {} queries ({} admitted / {} queued / {} rejected): \
-             {} completed, {} failed, {} cancelled in {:.1}s ({:.0} q/s); \
-             peak inflight {}, first binding p50 {:.1} ms / p99 {:.1} ms",
-            report.submitted,
-            report.admitted,
-            report.queued,
-            report.rejected,
-            report.completed,
-            report.failed,
-            report.cancelled,
-            report.wall_secs,
-            report.qps,
-            report.peak_inflight,
-            report.first_binding_percentile(0.5),
-            report.first_binding_percentile(0.99),
-        );
-        eprintln!(
-            "#   oracle: {} streams, {} bindings: {} lost, {} duplicated, \
-             {} retracted, {} spurious",
-            check.queries,
-            check.bindings_total,
-            check.lost,
-            check.duplicated,
-            check.retracted,
-            check.spurious
-        );
-        assert_eq!(report.completed, report.submitted, "every query must complete");
-        assert!(check.clean(), "the wire lost/duplicated/invented bindings: {check:?}");
-        let oracle_json = oracle_json(&check);
-        (report, oracle_json)
-    }
-
-    fn oracle_json(check: &OracleCheck) -> String {
-        format!(
-            "{{\"queries\": {}, \"bindings_total\": {}, \"lost\": {}, \
-             \"duplicated\": {}, \"retracted\": {}, \"spurious\": {}}}",
-            check.queries,
-            check.bindings_total,
-            check.lost,
-            check.duplicated,
-            check.retracted,
-            check.spurious
-        )
-    }
-
-    let exec_threads = 8usize;
-    // The generous retry budget matches the `shard` target: the default
-    // 2-minute virtual assignment deadline starves the long tail of a
-    // 1.4k-query fleet even without faults.
-    let retry = cdb_runtime::RetryPolicy { deadline_ms: 300_000, max_retries: 8 };
-    let mut cfg = ServeConfig::default();
-    cfg.runtime.seed = args.seed;
-    cfg.runtime.retry = retry;
-    cfg.exec_threads = exec_threads;
-    cfg.round_delay_ms = 30;
-    // max_active 4 keeps most of each tenant's backlog queued (queued
-    // queries are in flight: accepted, holding a slot, not yet terminal),
-    // so the 1k-concurrency gate exercises admission and promotion, not
-    // just the run queue.
-    cfg.default_envelope = Envelope { budget_cents: 100_000, max_active: 4, queue_capacity: 128 };
-    let plan = LoadPlan {
-        tenants: 16,
-        queries_per_tenant: 88,
-        sql: SQL.to_string(),
-        budget_cents: 1_000,
-        submitters: 8,
-        stream_workers: 16,
-    };
-    eprintln!(
-        "# serve: concurrency phase: {} tenants x {} queries, round delay {} ms, \
-         {} exec threads, seed {}",
-        plan.tenants, plan.queries_per_tenant, cfg.round_delay_ms, exec_threads, args.seed
-    );
-    let (conc, conc_oracle) = phase("concurrency", &cfg, &plan);
-    assert!(
-        conc.peak_inflight >= 1_000,
-        "the load generator must sustain >= 1000 concurrent in-flight queries \
-         (peak was {})",
-        conc.peak_inflight
-    );
-
-    let mut tcfg = ServeConfig::default();
-    tcfg.runtime.seed = args.seed;
-    tcfg.runtime.retry = retry;
-    tcfg.exec_threads = exec_threads;
-    let tplan = LoadPlan {
-        tenants: 8,
-        queries_per_tenant: 40,
-        sql: SQL.to_string(),
-        budget_cents: 1_000,
-        submitters: 8,
-        stream_workers: 8,
-    };
-    eprintln!(
-        "# serve: throughput phase: {} tenants x {} queries, unthrottled",
-        tplan.tenants, tplan.queries_per_tenant
-    );
-    let (thr, thr_oracle) = phase("throughput", &tcfg, &tplan);
-
-    println!("{{");
-    println!("  \"bench\": \"serve\",");
-    println!("  \"scale\": {},", args.scale);
-    println!("  \"seed\": {},", args.seed);
-    println!("  \"exec_threads\": {exec_threads},");
-    println!(
-        "  \"concurrency\": {{\"tenants\": {}, \"queries\": {}, \"completed\": {}, \
-         \"failed\": {}, \"cancelled\": {}, \"rejected\": {}, \"round_delay_ms\": {}, \
-         \"peak_inflight_per_run\": {}, \"peak_inflight_floor\": 1000, \
-         \"first_binding_p50_ms\": {:.3}, \"first_binding_p99_ms\": {:.3}, \
-         \"qps_per_s\": {:.3}, \"wall_ms\": {:.3}, \"oracle\": {}}},",
-        plan.tenants,
-        conc.submitted,
-        conc.completed,
-        conc.failed,
-        conc.cancelled,
-        conc.rejected,
-        cfg.round_delay_ms,
-        conc.peak_inflight,
-        conc.first_binding_percentile(0.5),
-        conc.first_binding_percentile(0.99),
-        conc.qps,
-        conc.wall_secs * 1e3,
-        conc_oracle
-    );
-    println!(
-        "  \"throughput\": {{\"tenants\": {}, \"queries\": {}, \"completed\": {}, \
-         \"failed\": {}, \"cancelled\": {}, \"rejected\": {}, \
-         \"first_binding_p50_ms\": {:.3}, \"first_binding_p99_ms\": {:.3}, \
-         \"qps_per_s\": {:.3}, \"wall_ms\": {:.3}, \"oracle\": {}}}",
-        tplan.tenants,
-        thr.submitted,
-        thr.completed,
-        thr.failed,
-        thr.cancelled,
-        thr.rejected,
-        thr.first_binding_percentile(0.5),
-        thr.first_binding_percentile(0.99),
-        thr.qps,
-        thr.wall_secs * 1e3,
-        thr_oracle
-    );
-    println!("}}");
 }
 
 /// Tee this run's stdout/stderr into `target/figures/<target>.log` by

@@ -77,7 +77,7 @@ enum NumClass {
 /// finer the unit the wider the allowed ratio and the higher the floor
 /// (in that unit).
 fn classify(key: &str) -> NumClass {
-    if key.ends_with("per_s") || key.contains("_per_") {
+    if key.ends_with("per_s") {
         NumClass::Rate { ratio: 2.5 }
     } else if key.ends_with("_ms") || key == "ms" {
         NumClass::Duration { ratio: 2.5, floor: 2.0 }
@@ -479,5 +479,18 @@ mod tests {
         assert_eq!(diffs[0].kind, DiffKind::Timing);
         // The other direction (faster) is fine.
         assert!(compare(&b, &a).iter().all(|d| d.kind == DiffKind::Timing));
+    }
+
+    #[test]
+    fn a_per_count_is_exact_and_only_per_s_is_a_rate() {
+        // A fixed batch size is a count, not a rate: any drift is fatal.
+        let a = parse(r#"{"facts_per_settle": 8, "settles_per_s": 9000.0}"#).unwrap();
+        let b = parse(r#"{"facts_per_settle": 9, "settles_per_s": 4000.0}"#).unwrap();
+        let diffs = compare(&a, &b);
+        assert_eq!(diffs.len(), 1, "{diffs:?}");
+        assert!(diffs[0].path.ends_with("facts_per_settle"), "{diffs:?}");
+        assert_eq!(diffs[0].kind, DiffKind::Structural);
+        assert_eq!(exit_code(&diffs, true), 2);
+        // `settles_per_s` fell 2.25x, inside its 2.5x rate slack.
     }
 }

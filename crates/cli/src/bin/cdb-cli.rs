@@ -7,7 +7,8 @@
 //!
 //! With no command it starts a REPL (`cdb>` prompt, one command per
 //! line — see `help`). With a command it runs that once and exits with a
-//! non-zero status on network errors, e.g.:
+//! non-zero status on network errors (a missing or unparseable `--addr`
+//! prints usage to stderr and exits 2), e.g.:
 //!
 //! ```text
 //! cdb-cli --addr 127.0.0.1:8744 submit acme 10000 \
@@ -21,15 +22,22 @@ use std::io::{BufRead, Write};
 
 use cdb_cli::{parse_command, Flow, Session, HELP};
 
+const USAGE: &str = "cdb-cli [--addr HOST:PORT] [command...]";
+
 fn main() {
-    let mut addr = "127.0.0.1:8744".to_string();
+    let mut addr = std::net::SocketAddr::from(([127, 0, 0, 1], 8744));
     let mut rest: Vec<String> = Vec::new();
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--addr" => addr = it.next().expect("--addr needs a value"),
+            "--addr" => {
+                addr = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
+                    eprintln!("usage: {USAGE}");
+                    std::process::exit(2);
+                })
+            }
             "--help" | "-h" => {
-                print!("cdb-cli [--addr HOST:PORT] [command...]\n\n{HELP}");
+                print!("{USAGE}\n\n{HELP}");
                 return;
             }
             _ => {
@@ -39,7 +47,6 @@ fn main() {
             }
         }
     }
-    let addr: std::net::SocketAddr = addr.parse().expect("--addr must be HOST:PORT");
     let mut session = Session::new(addr);
     let stdout = std::io::stdout();
 

@@ -12,7 +12,9 @@
 //! catalog; the others generate the evaluation datasets at
 //! `--scale`-divided cardinalities. Tenant envelopes default to
 //! `--budget-cents/--max-active/--queue-capacity` for every tenant; see
-//! `docs/OPERATIONS.md` for the full operating guide.
+//! `docs/OPERATIONS.md` for the full operating guide. An unknown flag or
+//! dataset, or a missing or unparseable value, prints this usage to
+//! stderr and exits 2.
 
 #![deny(missing_docs)]
 
@@ -35,7 +37,21 @@ struct Args {
     queue_capacity: usize,
 }
 
+fn usage() -> ! {
+    eprintln!(
+        "usage: cdb-serve [--addr HOST:PORT] [--dataset example|paper|award|movie] [--scale N] \
+         [--seed S] [--exec-threads T] [--round-delay-ms MS] [--price-cents C] \
+         [--budget-cents B] [--max-active A] [--queue-capacity Q]"
+    );
+    std::process::exit(2);
+}
+
+/// The parsed flags. A flag it does not know, a missing value or one that
+/// does not parse exits through [`usage`].
 fn parse_args() -> Args {
+    fn value<T: std::str::FromStr>(it: &mut impl Iterator<Item = String>) -> T {
+        it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
+    }
     let mut args = Args {
         addr: "127.0.0.1:8744".into(),
         dataset: "example".into(),
@@ -50,32 +66,18 @@ fn parse_args() -> Args {
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
-        let mut val = |name: &str| it.next().unwrap_or_else(|| panic!("{name} needs a value"));
         match a.as_str() {
-            "--addr" => args.addr = val("--addr"),
-            "--dataset" => args.dataset = val("--dataset"),
-            "--scale" => args.scale = val("--scale").parse().expect("--scale"),
-            "--seed" => args.seed = val("--seed").parse().expect("--seed"),
-            "--exec-threads" => {
-                args.exec_threads = val("--exec-threads").parse().expect("--exec-threads")
-            }
-            "--round-delay-ms" => {
-                args.round_delay_ms = val("--round-delay-ms").parse().expect("--round-delay-ms")
-            }
-            "--price-cents" => {
-                args.price_cents = val("--price-cents").parse().expect("--price-cents")
-            }
-            "--budget-cents" => {
-                args.budget_cents = val("--budget-cents").parse().expect("--budget-cents")
-            }
-            "--max-active" => args.max_active = val("--max-active").parse().expect("--max-active"),
-            "--queue-capacity" => {
-                args.queue_capacity = val("--queue-capacity").parse().expect("--queue-capacity")
-            }
-            other => {
-                eprintln!("unknown flag {other}; see the crate docs");
-                std::process::exit(2);
-            }
+            "--addr" => args.addr = value(&mut it),
+            "--dataset" => args.dataset = value(&mut it),
+            "--scale" => args.scale = value(&mut it),
+            "--seed" => args.seed = value(&mut it),
+            "--exec-threads" => args.exec_threads = value(&mut it),
+            "--round-delay-ms" => args.round_delay_ms = value(&mut it),
+            "--price-cents" => args.price_cents = value(&mut it),
+            "--budget-cents" => args.budget_cents = value(&mut it),
+            "--max-active" => args.max_active = value(&mut it),
+            "--queue-capacity" => args.queue_capacity = value(&mut it),
+            _ => usage(),
         }
     }
     args
@@ -95,10 +97,7 @@ fn main() {
                 "movie" => {
                     movie_dataset(DatasetScale::movie_full().scaled(args.scale.max(1)), args.seed)
                 }
-                other => {
-                    eprintln!("unknown dataset {other} (example|paper|award|movie)");
-                    std::process::exit(2);
-                }
+                _ => usage(),
             };
             (ds.db, ds.truth)
         }

@@ -1,5 +1,5 @@
-//! A blocking HTTP client for the service — used by `cdb-cli`, the load
-//! generator, and the wire-protocol tests. One [`Client`] wraps one
+//! A blocking HTTP client for the service — used by `cdb-cli`, the
+//! benchmark, and the wire-protocol tests. One [`Client`] wraps one
 //! keep-alive connection for unary calls; streams open their own
 //! connection (the server closes chunked connections when the stream
 //! ends).

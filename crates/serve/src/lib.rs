@@ -18,8 +18,9 @@
 //!    execution randomness is keyed by `(seed, query id)` and chunks
 //!    carry no wall-clock state.
 //! 2. **Zero lost or duplicated bindings** — the streamed union (minus
-//!    retractions) equals the in-process oracle's answer set, per query,
-//!    under thousands of concurrent clients ([`loadgen`]).
+//!    retractions) equals the in-process [`oracle`]'s answer set, per
+//!    query, with over a thousand queries in flight
+//!    (`tests/wire.rs::a_thousand_in_flight_queries_stream_exactly_the_oracle`).
 //! 3. **Money conservation** — admission holds the pessimistic cost
 //!    envelope; completion refunds exactly the unspent part, failures
 //!    refund everything, and a client disconnect mid-stream cancels the
@@ -33,13 +34,13 @@
 
 pub mod client;
 pub mod http;
-pub mod loadgen;
+pub mod oracle;
 pub mod server;
 pub mod state;
 pub mod wire;
 
 pub use client::{Client, HttpResponse, SubmitOutcome};
-pub use loadgen::{percentile, run_load, verify_streams, LoadPlan, LoadReport, OracleCheck};
+pub use oracle::{verify_streams, OracleCheck};
 pub use server::{start, Server};
 pub use state::{QueryState, ServeConfig, ServerState};
 pub use wire::{StreamEvent, Submit};

@@ -85,6 +85,42 @@ impl Default for ServeConfig {
     }
 }
 
+/// One served statement as the engine runs it.
+pub(crate) struct Plan {
+    pub(crate) graph: QueryGraph,
+    pub(crate) truth: EdgeTruth,
+    /// The server's runtime configuration with the statement's `BUDGET n`
+    /// task cap folded in and no round sink attached.
+    pub(crate) runtime: RuntimeConfig,
+}
+
+/// Turn served CQL into the job it runs as: parse, analyze, refuse what
+/// the wire does not serve, build the query graph and its edge truth,
+/// and fold the statement's task cap into the runtime configuration.
+/// The server plans every submission here and the oracle re-plans here,
+/// so the two can never disagree on what a statement means.
+pub(crate) fn plan(
+    db: &cdb_storage::Database,
+    truth: &QueryTruth,
+    cfg: &ServeConfig,
+    sql: &str,
+) -> Result<Plan, String> {
+    let stmt = cdb_cql::parse(sql).map_err(|e| e.to_string())?;
+    let cdb_cql::Statement::Select(q) = stmt else {
+        return Err("only SELECT statements are served; see docs/CQL.md".into());
+    };
+    let analyzed = cdb_cql::analyze_select(&q, db).map_err(|e| e.to_string())?;
+    if analyzed.group_by.is_some() || analyzed.order_by.is_some() {
+        return Err("GROUP BY/ORDER BY CROWD post-ops are not served over the wire".into());
+    }
+    let graph = build_query_graph(&analyzed, db, &cfg.build);
+    let truth = truth.edge_truth(&graph);
+    let mut runtime = cfg.runtime.clone();
+    runtime.exec.budget = analyzed.budget.or(runtime.exec.budget);
+    runtime.round_sink = None;
+    Ok(Plan { graph, truth, runtime })
+}
+
 /// Lifecycle of one submitted query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueryState {
@@ -134,11 +170,10 @@ struct QueryEntry {
     tenant: String,
     state: QueryState,
     estimate: CostEstimate,
-    /// `BUDGET n` from the CQL text (task cap), if any.
-    task_budget: Option<usize>,
-    deadline_rounds: Option<usize>,
-    /// The prepared plan, taken by the worker that runs the query.
-    plan: Option<(QueryGraph, EdgeTruth)>,
+    /// The prepared plan, taken by the worker that runs the query. Boxed:
+    /// entries outlive their run, and an inline plan would keep every
+    /// finished entry the plan's size.
+    plan: Option<Box<Plan>>,
     /// Retained NDJSON lines — the stream replay artifact.
     chunks: Vec<String>,
     /// True once the terminal chunk is in `chunks`.
@@ -258,18 +293,10 @@ impl ServerState {
     /// the assigned query id (admitted/queued only), and the HTTP body.
     pub fn submit(&self, req: &Submit) -> Result<(AdmissionDecision, Option<u64>), String> {
         // Plan outside the lock — the catalog is immutable.
-        let stmt = cdb_cql::parse(&req.sql).map_err(|e| e.to_string())?;
-        let cdb_cql::Statement::Select(q) = stmt else {
-            return Err("only SELECT statements are served; see docs/CQL.md".into());
-        };
-        let analyzed = cdb_cql::analyze_select(&q, &self.db).map_err(|e| e.to_string())?;
-        if analyzed.group_by.is_some() || analyzed.order_by.is_some() {
-            return Err("GROUP BY/ORDER BY CROWD post-ops are not served over the wire".into());
-        }
-        let graph = build_query_graph(&analyzed, &self.db, &self.cfg.build);
-        let truth = self.truth.edge_truth(&graph);
+        let mut plan = plan(&self.db, &self.truth, &self.cfg, &req.sql)?;
+        plan.runtime.exec.max_rounds = req.deadline_rounds.or(plan.runtime.exec.max_rounds);
         let estimate = cdb_core::cost::estimate::estimate(
-            &graph,
+            &plan.graph,
             self.cfg.runtime.exec.redundancy,
             self.cfg.task_price_cents,
         );
@@ -310,9 +337,7 @@ impl ServerState {
                 tenant: req.tenant.clone(),
                 state,
                 estimate,
-                task_budget: analyzed.budget,
-                deadline_rounds: req.deadline_rounds,
-                plan: Some((graph, truth)),
+                plan: Some(Box::new(plan)),
                 chunks: Vec::new(),
                 done: false,
                 cancel: Arc::new(AtomicBool::new(false)),
@@ -355,21 +380,17 @@ impl ServerState {
                             continue;
                         }
                         entry.state = QueryState::Running;
-                        let (graph, truth) = entry.plan.take().expect("plan not yet taken");
-                        let mut cfg = self.cfg.runtime.clone();
-                        cfg.exec.budget = entry.task_budget.or(cfg.exec.budget);
-                        if entry.deadline_rounds.is_some() {
-                            cfg.exec.max_rounds = entry.deadline_rounds;
-                        }
-                        cfg.round_sink = Some(self.hook.get().expect("hook installed").clone());
-                        break Some((id, graph, truth, cfg));
+                        let Plan { graph, truth, mut runtime } =
+                            *entry.plan.take().expect("plan not yet taken");
+                        runtime.round_sink = Some(self.hook.get().expect("hook installed").clone());
+                        break Some((QueryJob { id, graph, truth }, runtime));
                     }
                     inner = self.wake.wait(inner).unwrap();
                 }
             };
-            let Some((id, graph, truth, cfg)) = job else { return };
-            let (_, result) =
-                execute_query(&cfg, &self.metrics, QueryJob { id, graph, truth }, None);
+            let Some((job, runtime)) = job else { return };
+            let id = job.id;
+            let (_, result) = execute_query(&runtime, &self.metrics, job, None);
             self.finalize(id, result);
         }
     }

@@ -1,6 +1,7 @@
 //! Wire-protocol integration tests: a real server on a real socket, a
 //! real client, golden response fixtures, failure/disconnect semantics,
-//! and the cross-thread-count stream determinism guarantee.
+//! the cross-thread-count stream determinism guarantee, the served-load
+//! gate, and proof that the stream oracle can fail.
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -10,7 +11,7 @@ use cdb_obsv::json::Json;
 use cdb_runtime::{FaultPlan, RetryPolicy};
 use cdb_sched::Envelope;
 use cdb_serve::{
-    run_load, verify_streams, Client, LoadPlan, ServeConfig, StreamEvent, Submit, SubmitOutcome,
+    verify_streams, Client, OracleCheck, ServeConfig, StreamEvent, Submit, SubmitOutcome,
 };
 
 /// The walkthrough crowd join over the example catalog.
@@ -409,27 +410,127 @@ fn streams_are_byte_identical_across_worker_pool_sizes() {
     }
 }
 
-/// A small in-test load run with the oracle check — the full ≥1k-query
-/// sweep lives in `figures serve`, this pins the mechanism.
-#[test]
-fn loadgen_streams_match_the_oracle() {
-    let cfg = ServeConfig { exec_threads: 4, ..ServeConfig::default() };
+/// Submit `tenants × per_tenant` example joins round-robin over the
+/// tenants, stream every id to its end, and return the server's `/stats`
+/// plus the oracle's verdict on the streams.
+fn load_phase(cfg: &ServeConfig, tenants: usize, per_tenant: usize) -> (Json, OracleCheck) {
     let server = example_server(cfg.clone());
-    let plan = LoadPlan {
-        tenants: 3,
-        queries_per_tenant: 6,
-        sql: JOIN_SQL.into(),
-        budget_cents: 10_000,
-        submitters: 3,
-        stream_workers: 6,
-    };
-    let report = run_load(server.addr(), &plan).expect("load");
-    assert_eq!(report.completed, 18, "{report:?}");
-    assert_eq!(report.failed + report.cancelled + report.rejected, 0);
-    let (db, truth) = paper_example_dataset();
-    let check = verify_streams(&db, &truth, &cfg, JOIN_SQL, &report.streams);
-    assert!(check.clean(), "{check:?}");
-    assert_eq!(check.queries, 18);
-    assert!(check.bindings_total > 0);
+    let mut client = Client::new(server.addr());
+    let ids: Vec<u64> = (0..tenants * per_tenant)
+        .map(|i| {
+            match client.submit(&submit(&format!("t{:02}", i % tenants), 1_000)).expect("submit") {
+                SubmitOutcome::Admitted { query } | SubmitOutcome::Queued { query, .. } => query,
+                r => panic!("unexpected rejection: {r:?}"),
+            }
+        })
+        .collect();
+    let streams: BTreeMap<u64, Vec<StreamEvent>> =
+        ids.iter().map(|&id| (id, client.stream_events(id).expect("stream"))).collect();
+    let stats = client.stats().expect("stats");
     server.shutdown();
+    let (db, truth) = paper_example_dataset();
+    (stats, verify_streams(&db, &truth, cfg, JOIN_SQL, &streams))
+}
+
+/// The served-load gate: a throttled phase holds over a thousand queries
+/// in flight and an unthrottled one runs flat out, and every stream of
+/// both carries exactly the oracle's bindings. Query ids key all
+/// randomness, so the binding totals are exact counts.
+#[test]
+fn a_thousand_in_flight_queries_stream_exactly_the_oracle() {
+    let mut cfg = ServeConfig::default();
+    cfg.runtime.seed = 42;
+    // The default 2-minute virtual assignment deadline starves the long
+    // tail of a 1.4k-query fleet even without faults.
+    cfg.runtime.retry = RetryPolicy { deadline_ms: 300_000, max_retries: 8 };
+    cfg.exec_threads = 8;
+    let num = |j: &Json, key: &str| j.get(key).and_then(Json::as_num).expect(key) as u64;
+
+    // Concurrency: the 30 ms round hold stands in for a real crowd's long
+    // rounds, and max_active 4 keeps most of each tenant's backlog queued,
+    // so admission and promotion carry the load, not just the run queue.
+    let conc = ServeConfig {
+        round_delay_ms: 30,
+        default_envelope: Envelope { budget_cents: 100_000, max_active: 4, queue_capacity: 128 },
+        ..cfg.clone()
+    };
+    let (stats, check) = load_phase(&conc, 16, 88);
+    assert!(num(&stats, "peak_inflight") >= 1_000, "{stats:?}");
+    assert_eq!(num(&stats, "completed"), 1_408, "{stats:?}");
+    for key in ["failed", "cancelled", "rejected"] {
+        assert_eq!(num(&stats, key), 0, "{key}: {stats:?}");
+    }
+    assert!(check.clean(), "{check:?}");
+    assert_eq!((check.queries, check.bindings_total), (1_408, 5_951), "{check:?}");
+
+    // Throughput: unthrottled.
+    let (stats, check) = load_phase(&cfg, 8, 40);
+    assert_eq!(num(&stats, "completed"), 320, "{stats:?}");
+    assert!(check.clean(), "{check:?}");
+    assert_eq!((check.queries, check.bindings_total), (320, 1_339), "{check:?}");
+}
+
+/// The oracle can fail: doctored copies of real streams report exactly
+/// the damage done to them.
+#[test]
+fn the_oracle_reports_every_doctored_stream() {
+    let cfg = ServeConfig::default();
+    let server = example_server(cfg.clone());
+    let mut client = Client::new(server.addr());
+    let streams: BTreeMap<u64, Vec<StreamEvent>> = (0..3)
+        .map(|_| match client.submit(&submit("acme", 10_000)).expect("submit") {
+            SubmitOutcome::Admitted { query } | SubmitOutcome::Queued { query, .. } => {
+                (query, client.stream_events(query).expect("stream"))
+            }
+            r => panic!("unexpected rejection: {r:?}"),
+        })
+        .collect();
+    server.shutdown();
+    let (db, truth) = paper_example_dataset();
+    let check = |streams: &BTreeMap<u64, Vec<StreamEvent>>| {
+        verify_streams(&db, &truth, &cfg, JOIN_SQL, streams)
+    };
+    let untouched = check(&streams);
+    assert!(untouched.clean() && untouched.retracted == 0, "{untouched:?}");
+    assert_eq!(untouched.queries, 3);
+
+    // One stream, doctored: `edit` gets a copy of its events and of the
+    // first binding it streamed.
+    fn first_round(events: &mut [StreamEvent]) -> &mut Vec<Vec<u64>> {
+        events
+            .iter_mut()
+            .find_map(|e| match e {
+                StreamEvent::Round { new, .. } if !new.is_empty() => Some(new),
+                _ => None,
+            })
+            .expect("the example join streams a binding")
+    }
+    let (&id, events) = streams.iter().next().expect("a stream");
+    let doctored = |edit: &dyn Fn(&mut Vec<StreamEvent>, Vec<u64>)| {
+        let mut events = events.clone();
+        let first = first_round(&mut events)[0].clone();
+        edit(&mut events, first);
+        check(&BTreeMap::from([(id, events)]))
+    };
+
+    let c = doctored(&|ev, _| {
+        first_round(ev).remove(0);
+    });
+    assert_eq!((c.lost, c.duplicated, c.spurious), (1, 0, 0), "dropped: {c:?}");
+    let c = doctored(&|ev, b| first_round(ev).push(b));
+    assert_eq!((c.lost, c.duplicated, c.spurious), (0, 1, 0), "repeated: {c:?}");
+    let c = doctored(&|ev, _| first_round(ev).push(vec![u64::MAX, u64::MAX]));
+    assert_eq!((c.lost, c.duplicated, c.spurious), (0, 0, 1), "invented: {c:?}");
+    let c = doctored(&|ev, b| ev.push(StreamEvent::Retract { bindings: vec![b] }));
+    assert_eq!((c.lost, c.duplicated, c.spurious, c.retracted), (1, 0, 0, 1), "retracted: {c:?}");
+    assert!(!c.clean());
+
+    // SQL the server rejects has no answer: every streamed binding is
+    // spurious.
+    let c = verify_streams(&db, &truth, &cfg, "SELEKT nonsense", &streams);
+    assert_eq!(
+        (c.queries, c.bindings_total, c.spurious),
+        (3, 0, untouched.bindings_total),
+        "{c:?}"
+    );
 }
