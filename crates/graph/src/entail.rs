@@ -14,9 +14,12 @@
 //! A proof forest over the recorded positive edges yields an *entailment
 //! depth* per derived fact — the number of crowd answers the inference
 //! chains through — used by the answer-reuse layer for provenance.
+//! A clone shares storage with the original and copies only what it writes
+//! (see [`LayeredVec`]); the union-find is copied whole on its first write.
 
-use crate::UnionFind;
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use crate::{LayeredVec, UnionFind};
+use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 /// Result of asserting one crowd answer into the graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,22 +47,22 @@ pub enum Entailment {
 /// DSU-backed positive/negative entailment graph over elements `0..len()`.
 #[derive(Debug, Clone, Default)]
 pub struct EntailmentGraph {
-    dsu: UnionFind,
+    dsu: Arc<UnionFind>,
     /// Negative edges keyed by current component root: `neg[r]` holds, for
     /// each adversary root `s`, one witness pair `(a, b)` with `a` in `r`'s
     /// component and `b` in `s`'s. Kept symmetric and re-homed on union.
-    neg: Vec<HashMap<usize, (usize, usize)>>,
+    neg: LayeredVec<HashMap<usize, (usize, usize)>>,
     /// Proof forest: spanning adjacency over *recorded* positive answers.
-    pos_adj: Vec<Vec<usize>>,
+    pos_adj: LayeredVec<Vec<usize>>,
 }
 
 impl EntailmentGraph {
     /// An empty graph over `n` elements.
     pub fn new(n: usize) -> Self {
         EntailmentGraph {
-            dsu: UnionFind::new(n),
-            neg: vec![HashMap::new(); n],
-            pos_adj: vec![Vec::new(); n],
+            dsu: Arc::new(UnionFind::new(n)),
+            neg: vec![HashMap::new(); n].into(),
+            pos_adj: vec![Vec::new(); n].into(),
         }
     }
 
@@ -77,14 +80,19 @@ impl EntailmentGraph {
     pub fn push(&mut self) -> usize {
         self.neg.push(HashMap::new());
         self.pos_adj.push(Vec::new());
-        self.dsu.push()
+        Arc::make_mut(&mut self.dsu).push()
+    }
+
+    /// Base addresses of the negative-edge and proof-forest layers.
+    pub fn base_addrs(&self) -> [usize; 2] {
+        [self.neg.base_addr(), self.pos_adj.base_addr()]
     }
 
     /// Record a crowd answer `a = b`. Rejects the union (returning
     /// [`Assertion::Contradiction`]) when a negative edge already separates
     /// the two components.
     pub fn assert_same(&mut self, a: usize, b: usize) -> Assertion {
-        let (ra, rb) = (self.dsu.find(a), self.dsu.find(b));
+        let (ra, rb) = (self.dsu.find_ro(a), self.dsu.find_ro(b));
         if ra == rb {
             return Assertion::Redundant;
         }
@@ -93,9 +101,14 @@ impl EntailmentGraph {
         }
         self.pos_adj[a].push(b);
         self.pos_adj[b].push(a);
-        self.dsu.union(a, b);
-        let root = self.dsu.find(a);
+        let dsu = Arc::make_mut(&mut self.dsu);
+        dsu.union(a, b);
+        let root = dsu.find(a);
         let (winner, loser) = if root == ra { (ra, rb) } else { (rb, ra) };
+        if self.neg[loser].is_empty() {
+            // Nothing to re-home; draining would copy a shared entry.
+            return Assertion::Inserted;
+        }
         // Re-home the loser's negative adjacency onto the winner, updating
         // the reverse entries so every key stays a live root. When both the
         // winner and the loser already held a negative edge to the same
@@ -114,7 +127,7 @@ impl EntailmentGraph {
     /// Record a crowd answer `a ≠ b`. Rejects it when `a` and `b` are
     /// already entailed equal.
     pub fn assert_different(&mut self, a: usize, b: usize) -> Assertion {
-        let (ra, rb) = (self.dsu.find(a), self.dsu.find(b));
+        let (ra, rb) = (self.dsu.find_ro(a), self.dsu.find_ro(b));
         if ra == rb {
             return Assertion::Contradiction;
         }
@@ -127,8 +140,8 @@ impl EntailmentGraph {
     }
 
     /// What the recorded answers entail about `(a, b)`. Takes `&self`
-    /// (finds skip path compression) so frozen snapshots shared behind an
-    /// `Arc` can answer lookups without cloning.
+    /// (finds skip path compression), so a clone sharing this graph's
+    /// storage answers lookups without copying anything.
     pub fn entails(&self, a: usize, b: usize) -> Entailment {
         if a == b {
             return Entailment::Same { depth: 0 };
@@ -146,27 +159,12 @@ impl EntailmentGraph {
         Entailment::Unknown
     }
 
-    /// True when `a` and `b` are entailed equal.
-    pub fn same(&self, a: usize, b: usize) -> bool {
-        matches!(self.entails(a, b), Entailment::Same { .. })
-    }
-
-    /// True when `a` and `b` are entailed distinct.
-    pub fn different(&self, a: usize, b: usize) -> bool {
-        matches!(self.entails(a, b), Entailment::Different { .. })
-    }
-
     /// Current representative of `x`'s positive component. Stable only
     /// until the next [`assert_same`](Self::assert_same) — use for
     /// scheduling/grouping, never as a persistent key (persisting roots
     /// across unions is exactly the stale-root bug this type prevents).
     pub fn root(&mut self, x: usize) -> usize {
-        self.dsu.find(x)
-    }
-
-    /// Distinct component roots (sorted), for tests and diagnostics.
-    pub fn roots(&mut self) -> BTreeSet<usize> {
-        (0..self.dsu.len()).map(|v| self.dsu.find(v)).collect()
+        Arc::make_mut(&mut self.dsu).find(x)
     }
 
     /// BFS distance through the recorded positive answers; 0 when `a == b`.
@@ -199,6 +197,14 @@ impl EntailmentGraph {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    fn same(g: &EntailmentGraph, a: usize, b: usize) -> bool {
+        matches!(g.entails(a, b), Entailment::Same { .. })
+    }
+
+    fn different(g: &EntailmentGraph, a: usize, b: usize) -> bool {
+        matches!(g.entails(a, b), Entailment::Different { .. })
+    }
 
     #[test]
     fn positive_transitivity_with_depth() {
@@ -248,8 +254,8 @@ mod tests {
         g.assert_different(1, 2);
         assert_eq!(g.assert_same(0, 2), Assertion::Contradiction);
         // Rejected facts leave the closure untouched.
-        assert!(g.same(0, 1));
-        assert!(g.different(0, 2));
+        assert!(same(&g, 0, 1));
+        assert!(different(&g, 0, 2));
     }
 
     #[test]
@@ -258,7 +264,7 @@ mod tests {
         let v = g.push();
         assert_eq!(v, 1);
         g.assert_same(0, 1);
-        assert!(g.same(0, 1));
+        assert!(same(&g, 0, 1));
     }
 
     /// Random answer sequences drawn from a random ground-truth partition:
@@ -302,11 +308,11 @@ mod tests {
             for a in 0..labels.len() {
                 for b in 0..labels.len() {
                     for c in 0..labels.len() {
-                        if g.same(a, b) && g.same(b, c) {
-                            prop_assert!(g.same(a, c));
+                        if same(&g, a, b) && same(&g, b, c) {
+                            prop_assert!(same(&g, a, c));
                         }
-                        if g.same(a, b) && g.different(b, c) {
-                            prop_assert!(g.different(a, c));
+                        if same(&g, a, b) && different(&g, b, c) {
+                            prop_assert!(different(&g, a, c));
                         }
                     }
                 }

@@ -5,15 +5,17 @@
 //! (Lemma 1): BLUE-chain edges get capacity ∞, RED edges capacity 1, and the
 //! RED edges crossing the minimum cut are exactly the tasks that must be
 //! asked. This crate provides the max-flow/min-cut machinery (Dinic's
-//! algorithm) plus union-find connected components used by the latency
-//! controller.
+//! algorithm), union-find connected components for the latency controller,
+//! and the copy-on-write entailment graph behind cross-query answer reuse.
 
 mod dsu;
 mod entail;
+mod layered;
 mod maxflow;
 
 pub use dsu::UnionFind;
 pub use entail::{Assertion, Entailment, EntailmentGraph};
+pub use layered::{LayeredMap, LayeredVec};
 pub use maxflow::{Dinic, INF_CAPACITY};
 
 /// Connected components of an undirected graph given as an edge list over

@@ -38,7 +38,8 @@ pub type UnitRun<T> = (Result<QueryResult, RuntimeError>, T);
 /// * **Settle, then absorb**, in unit order, successful units only: the
 ///   unit's fresh answers go to [`RuntimeConfig::settle`] under
 ///   `settle_ids[unit]` (one `store.settle` event each) and only then into
-///   the shared cache. The first (lowest) unit wins any conflicting
+///   the shared cache, which every session has released first so the
+///   absorbs write it in place. The first (lowest) unit wins any conflicting
 ///   answer, independent of completion order; a sink failure skips the
 ///   absorb, never the reverse. Failed units contribute nothing — once an
 ///   engine latches a fatal error it stops dispatching, so its remaining
@@ -81,6 +82,11 @@ where
         .into_iter()
         .map(|slot| slot.into_inner().expect("unit slot poisoned").expect("every unit reports"))
         .collect();
+    // Every session shares the cache's storage; release them all first so
+    // the absorbs below write the cache in place.
+    for session in sessions.iter().flatten() {
+        session.lock().expect("reuse session poisoned").release();
+    }
     if let Some(cache) = &cfg.reuse {
         for ((id, session), (result, _)) in settle_ids.iter().zip(&sessions).zip(&outcomes) {
             let (Some(session), Ok(_)) = (session, result) else { continue };

@@ -15,6 +15,7 @@
 //! a failed or aborted query — which is never settled at all — can never
 //! be resurrected by replay.
 
+use std::collections::HashMap;
 use std::path::Path;
 
 use cdb_core::SettledFact;
@@ -57,7 +58,6 @@ pub struct AnswerLog {
     wal: Wal,
     logged_cents: u64,
     logged_facts: u64,
-    logged_queries: u64,
 }
 
 impl AnswerLog {
@@ -67,7 +67,8 @@ impl AnswerLog {
         let (wal, report) = Wal::open(dir, segment_bytes, |p| frames.push(p))?;
 
         let mut settled: Vec<(u64, Vec<SettledFact>)> = Vec::new();
-        let mut pending: Vec<(u64, SettledFact)> = Vec::new();
+        // Facts not yet covered by a settle marker, per query in log order.
+        let mut pending: HashMap<u64, Vec<SettledFact>> = HashMap::new();
         for frame in &frames {
             let mut c = Cursor::new(frame);
             match c.u8()? {
@@ -81,20 +82,12 @@ impl AnswerLog {
                         votes: c.u32()?,
                         cents: c.u64()?,
                     };
-                    pending.push((query, fact));
+                    pending.entry(query).or_default().push(fact);
                 }
                 TAG_SETTLE => {
                     let query = c.u64()?;
                     let count = c.u64()?;
-                    let mut facts = Vec::new();
-                    pending.retain(|(q, f)| {
-                        if *q == query {
-                            facts.push(f.clone());
-                            false
-                        } else {
-                            true
-                        }
-                    });
+                    let facts = pending.remove(&query).unwrap_or_default();
                     if facts.len() as u64 != count {
                         return Err(StoreError::Decode {
                             detail: format!(
@@ -113,12 +106,10 @@ impl AnswerLog {
             }
         }
 
-        let recovery = AnswerRecovery { dropped_facts: pending.len() as u64, settled, wal: report };
-        let mut log = AnswerLog { wal, logged_cents: 0, logged_facts: 0, logged_queries: 0 };
-        log.logged_cents = recovery.settled_cents();
-        log.logged_facts = recovery.settled_facts();
-        log.logged_queries = recovery.settled.len() as u64;
-        Ok((log, recovery))
+        let dropped_facts = pending.values().map(|facts| facts.len() as u64).sum();
+        let recovery = AnswerRecovery { dropped_facts, settled, wal: report };
+        let (logged_cents, logged_facts) = (recovery.settled_cents(), recovery.settled_facts());
+        Ok((AnswerLog { wal, logged_cents, logged_facts }, recovery))
     }
 
     /// Durably settle `facts` for `query`: append every fact frame, fsync,
@@ -144,7 +135,6 @@ impl AnswerLog {
         put_u64(&mut marker, facts.len() as u64);
         self.wal.append(&marker)?;
         self.wal.sync()?;
-        self.logged_queries += 1;
         self.logged_facts += facts.len() as u64;
         self.logged_cents += facts.iter().map(|f| f.cents).sum::<u64>();
         Ok(())
@@ -160,11 +150,6 @@ impl AnswerLog {
     /// Facts durably settled over the log's whole history.
     pub fn logged_facts(&self) -> u64 {
         self.logged_facts
-    }
-
-    /// Settle markers durably written over the log's whole history.
-    pub fn logged_queries(&self) -> u64 {
-        self.logged_queries
     }
 
     /// WAL segments in use.

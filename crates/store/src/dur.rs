@@ -12,9 +12,9 @@
 //! in the same ascending order immediately before being absorbed, and
 //! each settle batch is a session's `fresh_facts()` in record order.
 //! First-writer-wins makes the final store a left fold of `record` over
-//! the fact sequence, so replaying the whole log through *one* session
-//! and absorbing once reproduces the identical store: same winners, same
-//! conflicts, same `resolve` results. The lifecycle proptest in
+//! the fact sequence, so recording the whole log straight into the cache
+//! in one pass ([`ReuseCache::replay`]) reproduces the identical store:
+//! same winners, same `resolve` results. The lifecycle proptest in
 //! `tests/lifecycle.rs` pins this equivalence.
 
 use std::path::Path;
@@ -32,38 +32,23 @@ pub struct DurableReuseCache {
     cache: Arc<ReuseCache>,
     log: Mutex<AnswerLog>,
     recovery: AnswerRecovery,
-    replay_snapshots: u64,
 }
 
 impl DurableReuseCache {
     /// Open (or create) the cache rooted at `dir` with the default WAL
     /// segment size, replaying the answer log: all settled facts are
-    /// recorded through one session in log order and absorbed once,
+    /// recorded straight into the cache in log order, one pass,
     /// rebuilding the entailment graphs exactly as the uninterrupted
     /// process built them (see the module docs — the store is a fold over
-    /// the fact sequence, so batching the replay into one session changes
-    /// nothing). One snapshot/absorb cycle per batch — the previous
-    /// scheme — forced `absorb`'s copy-on-write to deep-clone the whole
-    /// accumulated store every batch, making recovery superlinear in log
-    /// length.
+    /// the fact sequence).
     pub fn open(dir: &Path) -> Result<DurableReuseCache> {
         let (log, recovery) = AnswerLog::open(dir, DEFAULT_SEGMENT_BYTES)?;
         let cache = Arc::new(ReuseCache::new());
         let mut ph = cdb_obsv::profile::phase(cdb_obsv::profile::phases::REUSE_REPLAY);
-        let mut replay_snapshots = 0u64;
-        let mut session = cache.snapshot();
-        for (_query, facts) in &recovery.settled {
-            for f in facts {
-                session.record(&f.measure, &f.left, &f.right, f.same);
-            }
-            replay_snapshots += 1;
-        }
-        if replay_snapshots > 0 {
-            cache.absorb(&session);
-        }
-        ph.set(cdb_obsv::attr::keys::N, replay_snapshots);
+        cache.replay(recovery.settled.iter().flat_map(|(_query, facts)| facts));
+        ph.set(cdb_obsv::attr::keys::N, recovery.settled.len() as u64);
         drop(ph);
-        Ok(DurableReuseCache { cache, log: Mutex::new(log), recovery, replay_snapshots })
+        Ok(DurableReuseCache { cache, log: Mutex::new(log), recovery })
     }
 
     /// The in-memory cache to hand to `RuntimeConfig::reuse`. Shares
@@ -79,12 +64,11 @@ impl DurableReuseCache {
         &self.recovery
     }
 
-    /// Settled batches replayed at open time. (All batches flow through
-    /// a single session now; the count still reports batches for
-    /// compatibility with existing recovery assertions.) Zero on a cold
-    /// (empty) open.
+    /// Settled batches replayed at open time (all in one pass; the count
+    /// still reports batches for existing recovery assertions). Zero on a
+    /// cold (empty) open.
     pub fn replay_snapshots(&self) -> u64 {
-        self.replay_snapshots
+        self.recovery.settled.len() as u64
     }
 
     /// Cents durably settled across the log's whole history.
@@ -95,11 +79,6 @@ impl DurableReuseCache {
     /// Facts durably settled across the log's whole history.
     pub fn logged_facts(&self) -> u64 {
         self.log.lock().expect("answer log poisoned").logged_facts()
-    }
-
-    /// Settle markers durably written across the log's whole history.
-    pub fn logged_queries(&self) -> u64 {
-        self.log.lock().expect("answer log poisoned").logged_queries()
     }
 
     /// Non-mutating resolve against the rebuilt cache.
@@ -198,9 +177,9 @@ mod tests {
         }
         let cache = DurableReuseCache::open(dir.path()).unwrap();
         // The winner and the recorded-answer list replay identically;
-        // query 1's losing buy is re-dropped during replay (this time at
-        // session level, so the conflict counter — absorb-time telemetry,
-        // not entailment state — reads 0 after a restart).
+        // query 1's losing buy is re-dropped during replay (uncounted:
+        // the conflict counter is absorb-time telemetry, not entailment
+        // state, so it reads 0 after a restart).
         assert!(matches!(cache.resolve(M, "x", "y"), ReuseOutcome::Hit { same: true, .. }));
         assert_eq!(cache.cache().recorded(), vec![(M.into(), "x".into(), "y".into(), true)]);
         assert_eq!(cache.logged_cents(), 30);
