@@ -6,10 +6,10 @@
 //!
 //! targets: fig8 fig9 fig10 fig11 fig14 fig15 fig16 fig17 fig18 fig19
 //!          fig20 fig21 fig22 fig23 fig24 table2 table3 table4 table5
-//!          example ablations reuse sched sim store perf shard all
+//!          example ablations reuse sched sim all
 //!
-//! An unknown target or flag, or a value that does not parse, prints
-//! this usage to stderr and exits 2.
+//! An unknown target or flag, a value that does not parse, or a zero
+//! `--scale` or `--reps` prints this usage to stderr and exits 2.
 //!
 //! `reuse` sweeps the cross-query answer-reuse cache (on/off × fault
 //! rate) over the self-join fleet and checks the dispatched-task
@@ -20,19 +20,6 @@
 //! checks byte-identical bindings plus the ≥15% HIT reduction at 8
 //! concurrent queries.
 //!
-//! `store` benchmarks the durable storage layer (`cdb-store`): answer-log
-//! append throughput (every settle is two fsyncs), recovery time vs log
-//! size, the reuse-hit rate cold vs warm across a process restart, and a
-//! durable-table flush/reopen round trip. Human-readable progress goes to
-//! stderr; stdout is a JSON document (redirect it to `BENCH_store.json`).
-//!
-//! `perf` runs the phase-profiled hot-path sweep over every Table 5
-//! workload (all three datasets × all five plan shapes) plus a MinCut
-//! and a durable-store exercise, and prints the `BENCH_perf.json`
-//! artifact on stdout (per-phase medians + latency histograms; see
-//! `cdb-bench compare` for the CI regression gate). `--quick` runs one
-//! rep instead of `--reps`, keeping counts and structure identical.
-//!
 //! `sim` soaks the deterministic simulation harness (`cdb-sim`) over
 //! `--iters` consecutive seeds starting at `--seed`: each seed generates
 //! a randomized workload + environment, runs it on the real runtime and
@@ -40,14 +27,16 @@
 //! invariant. On failure the seed is printed, the scenario is shrunk,
 //! and the repro text is dumped; exit status is nonzero.
 //!
-//! Served load is not a target here: its counts are gated by
-//! `crates/serve/tests/wire.rs` and its timings are `cdb-benchmark`'s.
+//! Served load, the profiled Table 5 sweep, the durable store and the
+//! shard scaling sweep are not targets here: their deterministic counts
+//! are pinned by tests (`crates/serve/tests/wire.rs`,
+//! `crates/bench/tests/pinned_counts.rs`) and their timings are
+//! `cdb-benchmark`'s.
 //! ```
 //!
 //! Every run also tees its own stdout + stderr to
-//! `target/figures/<target>.log` (artifact redirections like
-//! `figures store > BENCH_store.json` still capture clean JSON — the
-//! tee is byte-exact on stdout).
+//! `target/figures/<target>.log` (byte-exact on stdout, so redirecting
+//! a target's output still captures exactly what it printed).
 //!
 //! `--scale N` divides the paper's table cardinalities by `N` (default 10)
 //! so a full sweep finishes in minutes; `--reps R` averages `R` seeded
@@ -55,6 +44,7 @@
 //! with scale, but the *shape* — which method wins and by what factor —
 //! is what EXPERIMENTS.md tracks.
 
+use std::num::NonZeroUsize;
 use std::time::Instant;
 
 use cdb_bench::{prepare, run_budget, run_method_avg, ExpConfig, Method};
@@ -64,8 +54,7 @@ use cdb_core::fillcollect::{execute_collect, execute_fill, CollectConfig, FillCo
 use cdb_core::latency::parallel_round;
 use cdb_crowd::{Market, SimulatedPlatform, WorkerPool};
 use cdb_datagen::{
-    award_dataset, movie_dataset, paper_dataset, paper_example_dataset, queries_for, Dataset,
-    DatasetScale,
+    award_dataset, paper_dataset, paper_example_dataset, queries_for, Dataset, DatasetScale,
 };
 use cdb_similarity::SimilarityFn;
 
@@ -74,31 +63,28 @@ struct Args {
     reps: usize,
     seed: u64,
     iters: usize,
-    quick: bool,
     target: String,
 }
 
 fn usage() -> ! {
-    eprintln!("usage: figures [--scale N] [--reps R] [--seed S] [--iters N] [--quick] <fig8..fig24|table2..table5|example|ablations|reuse|sched|sim|store|perf|shard|all>");
+    eprintln!("usage: figures [--scale N] [--reps R] [--seed S] [--iters N] <fig8..fig24|table2..table5|example|ablations|reuse|sched|sim|all>");
     std::process::exit(2);
 }
 
 /// The parsed arguments and the target they name. Anything it does not
-/// recognise exits through [`usage`].
+/// recognise, and a zero `--scale` or `--reps`, exits through [`usage`].
 fn parse_args() -> (Args, fn(&Args)) {
     fn value<T: std::str::FromStr>(it: &mut impl Iterator<Item = String>) -> T {
         it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
     }
-    let mut args =
-        Args { scale: 10, reps: 3, seed: 42, iters: 100, quick: false, target: String::new() };
+    let mut args = Args { scale: 10, reps: 3, seed: 42, iters: 100, target: String::new() };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--scale" => args.scale = value(&mut it),
-            "--reps" => args.reps = value(&mut it),
+            "--scale" => args.scale = value::<NonZeroUsize>(&mut it).get(),
+            "--reps" => args.reps = value::<NonZeroUsize>(&mut it).get(),
             "--seed" => args.seed = value(&mut it),
             "--iters" => args.iters = value(&mut it),
-            "--quick" => args.quick = true,
             t if args.target.is_empty() && !t.starts_with('-') => args.target = t.to_string(),
             _ => usage(),
         }
@@ -141,10 +127,6 @@ fn target(t: &str) -> Option<fn(&Args)> {
         "all" => all,
         // Not part of `all`: a correctness soak, not a paper figure.
         "sim" => sim,
-        // Not part of `all`: their stdout is a BENCH_*.json artifact.
-        "store" => store,
-        "perf" => perf,
-        "shard" => shard,
         _ => return None,
     };
     Some(run)
@@ -183,7 +165,6 @@ fn dataset(name: &str, args: &Args) -> Dataset {
     match name {
         "paper" => paper_dataset(DatasetScale::paper_full().scaled(args.scale), args.seed),
         "award" => award_dataset(DatasetScale::award_full().scaled(args.scale), args.seed),
-        "movie" => movie_dataset(DatasetScale::movie_full().scaled(args.scale), args.seed),
         _ => unreachable!(),
     }
 }
@@ -624,7 +605,7 @@ fn reuse(args: &Args) {
     use std::sync::Arc;
 
     let queries = 6u64;
-    let items = (80 / args.scale.max(1)).clamp(4, 24);
+    let items = (80 / args.scale).clamp(4, 24);
     println!("# Answer reuse: {queries} self-join queries x 2 passes ({items} items, 3 clusters)");
     println!(
         "{:<8}{:<8}{:>12}{:>12}{:>9}{:>12}{:>11}{:>10}",
@@ -686,7 +667,7 @@ fn sched(args: &Args) {
     use cdb_runtime::{RuntimeConfig, RuntimeExecutor};
     use cdb_sched::{DrrConfig, SchedConfig, SchedJob, Scheduler};
 
-    let items = (80 / args.scale.max(1)).clamp(4, 24);
+    let items = (80 / args.scale).clamp(4, 24);
     // A quantum below `tasks_per_hit` maximizes the per-query partial-HIT
     // waste that cross-query packing recovers.
     let quantum = 5;
@@ -738,640 +719,6 @@ fn sched(args: &Args) {
         }
     }
     println!();
-}
-
-/// `figures store`: benchmark the durable storage layer. Stdout is the
-/// `BENCH_store.json` artifact; stderr narrates. Every measurement runs
-/// on a throwaway `ScratchDir`, so the target leaves nothing behind.
-fn store(args: &Args) {
-    use cdb_bench::selfjoin_jobs;
-    use cdb_core::{SettleSink, SettledFact};
-    use cdb_obsv::attr::names;
-    use cdb_obsv::{kv, Event, Ring, SpanId, Trace};
-    use cdb_runtime::{RuntimeConfig, RuntimeExecutor, SettleHook};
-    use cdb_storage::{ColumnDef, ColumnType, Schema, Table, Value};
-    use cdb_store::{AnswerLog, DurableReuseCache, ScratchDir, TableFile, DEFAULT_SEGMENT_BYTES};
-    use std::sync::Arc;
-
-    let ring = Arc::new(Ring::with_capacity(1 << 12));
-    let trace = Trace::collector(Arc::clone(&ring) as Arc<dyn cdb_obsv::Collector>);
-    let fact = |i: usize| SettledFact {
-        measure: "bench.v~v".into(),
-        left: format!("item #{i}"),
-        right: format!("item #{}", i + 1),
-        same: i.is_multiple_of(2),
-        votes: 3,
-        cents: 15,
-    };
-
-    // --- 1. Answer-log append throughput. Each settle is the durability
-    // hot path: facts frame(s) → fsync → marker frame → fsync.
-    eprintln!("# store: answer-log append throughput ({} settles per batch size)", 192);
-    let mut wal_json = Vec::new();
-    for &batch in &[1usize, 8, 32] {
-        let dir = ScratchDir::new("bench-wal");
-        let (mut log, _) = AnswerLog::open(dir.path(), DEFAULT_SEGMENT_BYTES).expect("open log");
-        let settles = 192usize;
-        let start = Instant::now();
-        for q in 0..settles {
-            let facts: Vec<SettledFact> = (0..batch).map(|i| fact(q * batch + i)).collect();
-            log.append_settled(q as u64, &facts).expect("append");
-        }
-        let secs = start.elapsed().as_secs_f64();
-        let settles_per_s = settles as f64 / secs.max(1e-9);
-        eprintln!(
-            "  batch {batch:>2}: {settles_per_s:>8.0} settles/s, {:>9.0} facts/s",
-            settles_per_s * batch as f64
-        );
-        wal_json.push(format!(
-            "{{\"facts_per_settle\": {batch}, \"settles\": {settles}, \
-             \"settles_per_s\": {settles_per_s:.1}, \"facts_per_s\": {:.1}}}",
-            settles_per_s * batch as f64
-        ));
-    }
-
-    // --- 2. Recovery time vs log size: replay cost of reopening the
-    // durable reuse cache as the settled history grows.
-    eprintln!("# store: recovery time vs log size (4 facts per settled query)");
-    let mut rec_json = Vec::new();
-    for &queries in &[100usize, 400, 1600] {
-        let dir = ScratchDir::new("bench-recover");
-        {
-            let (mut log, _) =
-                AnswerLog::open(dir.path(), DEFAULT_SEGMENT_BYTES).expect("open log");
-            for q in 0..queries {
-                let facts: Vec<SettledFact> = (0..4).map(|i| fact(q * 4 + i)).collect();
-                log.append_settled(q as u64, &facts).expect("append");
-            }
-        }
-        let start = Instant::now();
-        let cache = DurableReuseCache::open(dir.path()).expect("recover");
-        let ms = start.elapsed().as_secs_f64() * 1e3;
-        let facts = cache.recovery().settled_facts();
-        let kind = if cache.recovery().wal.torn.is_some() { "torn" } else { "clean" };
-        trace.emit(Event::instant(
-            SpanId::root(),
-            names::STORE_RECOVER,
-            0,
-            kv![n => facts, kind => kind, ms => ms],
-        ));
-        eprintln!(
-            "  {queries:>5} queries: {ms:>8.2} ms to recover {facts} facts, \
-             {} snapshots replayed ({} segments, {kind})",
-            cache.replay_snapshots(),
-            cache.recovery().wal.segments
-        );
-        rec_json.push(format!(
-            "{{\"queries\": {queries}, \"facts\": {facts}, \"replay_snapshots\": {}, \
-             \"segments\": {}, \"ms\": {ms:.2}, \"facts_per_s\": {:.0}}}",
-            cache.replay_snapshots(),
-            cache.recovery().wal.segments,
-            facts as f64 / (ms / 1e3).max(1e-9)
-        ));
-    }
-
-    // --- 3. Reuse-hit rate cold vs warm: the same self-join fleet before
-    // and after a process restart. Warm runs answer from the recovered
-    // cache instead of re-buying.
-    let queries = 6u64;
-    let items = (80 / args.scale.max(1)).clamp(4, 24);
-    eprintln!("# store: reuse across restart ({queries} self-joins, {items} items)");
-    let dir = ScratchDir::new("bench-restart");
-    let fleet = || selfjoin_jobs(queries, items, 3);
-    let run = |durable: &Arc<DurableReuseCache>| {
-        let cfg = RuntimeConfig {
-            threads: 4,
-            seed: args.seed,
-            worker_accuracies: vec![1.0; 20],
-            reuse: Some(durable.cache()),
-            settle: Some(SettleHook::new(Arc::clone(durable) as Arc<dyn SettleSink>)),
-            ..RuntimeConfig::default()
-        };
-        RuntimeExecutor::new(cfg).run(fleet())
-    };
-    let durable = Arc::new(DurableReuseCache::open(dir.path()).expect("open"));
-    let cold = run(&durable);
-    drop(durable); // the restart
-    let durable = Arc::new(DurableReuseCache::open(dir.path()).expect("reopen"));
-    let warm = run(&durable);
-    let rate = |r: &cdb_runtime::RuntimeReport| {
-        let (d, s) = (r.metrics.tasks_dispatched, r.metrics.tasks_saved);
-        s as f64 / (d + s).max(1) as f64
-    };
-    let (cold_rate, warm_rate) = (rate(&cold), rate(&warm));
-    let same = cold.bindings_text() == warm.bindings_text();
-    eprintln!(
-        "  cold: {} dispatched, {} saved (hit rate {:.1}%)",
-        cold.metrics.tasks_dispatched,
-        cold.metrics.tasks_saved,
-        100.0 * cold_rate
-    );
-    eprintln!(
-        "  warm: {} dispatched, {} saved (hit rate {:.1}%), same answers: {}",
-        warm.metrics.tasks_dispatched,
-        warm.metrics.tasks_saved,
-        100.0 * warm_rate,
-        if same { "yes" } else { "NO" }
-    );
-    assert!(same, "a restart must not change query answers");
-    assert!(
-        warm_rate > cold_rate,
-        "recovered cache must raise the reuse-hit rate (cold {cold_rate:.3}, warm {warm_rate:.3})"
-    );
-
-    // --- 4. Durable tables: flush a snapshot, reopen, verify.
-    let rows = 2000usize;
-    eprintln!("# store: durable table flush/reopen ({rows} rows)");
-    let dir = ScratchDir::new("bench-tables");
-    let path = dir.path().join("tables.cdb");
-    let schema = Schema::new(vec![
-        ColumnDef::new("id", ColumnType::Int),
-        ColumnDef::crowd("brand", ColumnType::Text),
-    ]);
-    let mut table = Table::new_crowd("products", schema);
-    for i in 0..rows {
-        table.push(vec![Value::Int(i as i64), Value::Text(format!("brand-{}", i % 97))]).unwrap();
-    }
-    let (bytes, seq, flush_ms) = {
-        let (mut file, mut db) = TableFile::open(&path).expect("open db");
-        db.add_table(table).expect("add table");
-        let start = Instant::now();
-        let stats = file.flush(&db).expect("flush");
-        let ms = start.elapsed().as_secs_f64() * 1e3;
-        trace.emit(Event::instant(
-            SpanId::root(),
-            names::STORE_FLUSH,
-            0,
-            kv![n => stats.bytes, ms => ms],
-        ));
-        (stats.bytes, stats.seq, ms)
-    };
-    let start = Instant::now();
-    let (_, db) = TableFile::open(&path).expect("reopen db");
-    let reopen_ms = start.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(db.table("products").map(|t| t.row_count()).ok(), Some(rows));
-    eprintln!("  flush: {bytes} bytes in {flush_ms:.2} ms; reopen: {reopen_ms:.2} ms");
-
-    let events = ring.drain();
-    let count = |name: &str| events.iter().filter(|e| e.name == name).count();
-    eprintln!(
-        "# store: obsv events collected: {} store.recover, {} store.flush",
-        count(names::STORE_RECOVER),
-        count(names::STORE_FLUSH)
-    );
-
-    println!("{{");
-    println!("  \"bench\": \"store\",");
-    println!("  \"seed\": {},", args.seed);
-    println!("  \"wal_append\": [{}],", wal_json.join(", "));
-    println!("  \"recovery\": [{}],", rec_json.join(", "));
-    println!(
-        "  \"reuse_restart\": {{\"queries\": {queries}, \"items\": {items}, \
-         \"cold_dispatched\": {}, \"cold_saved\": {}, \"cold_hit_rate\": {:.3}, \
-         \"warm_dispatched\": {}, \"warm_saved\": {}, \"warm_hit_rate\": {:.3}, \
-         \"same_answers\": {same}}},",
-        cold.metrics.tasks_dispatched,
-        cold.metrics.tasks_saved,
-        cold_rate,
-        warm.metrics.tasks_dispatched,
-        warm.metrics.tasks_saved,
-        warm_rate
-    );
-    println!(
-        "  \"table_flush\": {{\"rows\": {rows}, \"bytes\": {bytes}, \"seq\": {seq}, \
-         \"flush_ms\": {flush_ms:.2}, \"reopen_ms\": {reopen_ms:.2}}},"
-    );
-    println!(
-        "  \"obsv_events\": {{\"store.recover\": {}, \"store.flush\": {}}}",
-        count(names::STORE_RECOVER),
-        count(names::STORE_FLUSH)
-    );
-    println!("}}");
-}
-
-/// `figures perf`: the committed performance trajectory. Profiles the
-/// CDB hot path — graph build, similarity join, task selection (with its
-/// expectation / cascade / candidate sub-phases), entailment resolution,
-/// round dispatch, quality inference, pruning — across every Table 5
-/// workload (paper/award/movie × 2J..3J2S), plus a MinCut-selection run
-/// (select.mincut / select.maxflow) and a durable-store exercise
-/// (wal.fsync / reuse.replay). Stdout is the `BENCH_perf.json` artifact:
-/// deterministic counts are bit-identical across machines (seeded) and
-/// phase timings are medians over `--reps` runs with mergeable
-/// histograms. `--quick` drops to 1 rep for CI; the structure and counts
-/// stay identical to a full run, which is what `cdb-bench compare`
-/// gates on.
-///
-/// Always writes the award/3J1S phase histograms to
-/// `target/obsv/perf.prom`; with `CDB_PROFILE=1` also dumps
-/// `target/obsv/perf.folded` (flamegraph folded stacks) and
-/// `target/obsv/perf.trace.json` (Chrome trace with phase args).
-fn perf(args: &Args) {
-    use cdb_core::executor::SelectionStrategy;
-    use cdb_core::{ReuseCache, SettledFact};
-    use cdb_obsv::profile::{install, PhaseEntry, ProfileReport, Profiler};
-    use cdb_obsv::PromText;
-    use cdb_store::{AnswerLog, DurableReuseCache, ScratchDir, DEFAULT_SEGMENT_BYTES};
-    use std::sync::{Arc, Mutex};
-
-    let reps = if args.quick { 1 } else { args.reps.max(1) };
-    eprintln!(
-        "# perf: phase-attributed sweep, scale {}, {} rep(s), seed {}",
-        args.scale, reps, args.seed
-    );
-
-    // One profiled execution: prepare + the graph executor with an
-    // answer-reuse session attached (so entail.resolve is on the path).
-    // Returns the profiler (for the Chrome trace), its report, the wall
-    // time, and the deterministic counts [edges, tasks, rounds, saved].
-    let run_one = |ds: &Dataset,
-                   cql: &str,
-                   mincut_samples: Option<usize>,
-                   seed: u64|
-     -> (Arc<Profiler>, ProfileReport, f64, [usize; 4]) {
-        let cfg = ExpConfig { worker_quality: 0.95, seed, ..Default::default() };
-        // Keep raw phase intervals only under CDB_PROFILE=1: the Chrome
-        // trace needs them, the JSON artifact does not.
-        let event_cap = if cdb_obsv::profile::env_enabled() { 200_000 } else { 0 };
-        let profiler = Arc::new(Profiler::with_event_cap(event_cap));
-        let guard = install(Arc::clone(&profiler));
-        let start = Instant::now();
-        let (g, truth) = prepare(ds, cql, &cfg);
-        let edges = g.edge_count();
-        let mut rng: rand::rngs::StdRng = rand::SeedableRng::seed_from_u64(seed ^ 0x9e37_79b9);
-        let pool = WorkerPool::gaussian(cfg.pool_size, cfg.worker_quality, 0.1, &mut rng);
-        let mut platform = SimulatedPlatform::new(Market::Amt, pool, seed);
-        let exec_cfg = ExecutorConfig {
-            redundancy: cfg.redundancy,
-            selection: match mincut_samples {
-                Some(s) => SelectionStrategy::MinCutSampling { samples: s },
-                None => SelectionStrategy::Expectation,
-            },
-            quality: QualityStrategy::MajorityVote,
-            use_task_assignment: false,
-            parallel_rounds: true,
-            budget: None,
-            max_rounds: None,
-            flat_difficulty: false,
-            seed,
-        };
-        let session = Arc::new(Mutex::new(ReuseCache::new().snapshot()));
-        let stats = Executor::new(g, &truth, &mut platform, exec_cfg).with_reuse(session).run();
-        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        drop(guard);
-        let report = profiler.report();
-        (profiler, report, wall_ms, [edges, stats.tasks_asked, stats.rounds, stats.tasks_saved])
-    };
-
-    let ms = |ns: u64| ns as f64 / 1e6;
-    // Median phase timings across reps over rep 0's phase-tree structure
-    // (all reps share it: the tree is seed-deterministic, only clocks
-    // differ), with per-call histograms merged across reps.
-    let phases_json = |reports: &[ProfileReport]| -> String {
-        let out: Vec<String> = reports[0]
-            .entries
-            .iter()
-            .map(|e| {
-                let median = |f: &dyn Fn(&PhaseEntry) -> u64| -> f64 {
-                    let mut xs: Vec<u64> =
-                        reports.iter().filter_map(|r| r.get(&e.path)).map(f).collect();
-                    xs.sort_unstable();
-                    ms(xs[xs.len() / 2])
-                };
-                let mut hist = e.hist.clone();
-                for r in &reports[1..] {
-                    if let Some(x) = r.get(&e.path) {
-                        hist.merge(&x.hist);
-                    }
-                }
-                format!(
-                    "{{\"phase\": \"{}\", \"depth\": {}, \"count\": {}, \
-                     \"total_ms\": {:.3}, \"self_ms\": {:.3}, \"hist\": {}}}",
-                    e.path,
-                    e.depth,
-                    e.count,
-                    median(&|p| p.total_ns),
-                    median(&|p| p.self_ns),
-                    hist.to_json(1e-6)
-                )
-            })
-            .collect();
-        format!("[{}]", out.join(", "))
-    };
-
-    // --- 1. The Table 5 grid, phase-attributed.
-    let mut ds_json = Vec::new();
-    let mut award_3j1s: Option<(Arc<Profiler>, ProfileReport)> = None;
-    for name in ["paper", "award", "movie"] {
-        let ds = dataset(name, args);
-        let mut q_json = Vec::new();
-        for q in queries_for(name) {
-            let mut reports = Vec::new();
-            let mut walls = Vec::new();
-            let mut counts = [0usize; 4];
-            for rep in 0..reps {
-                let (prof, report, wall, c) = run_one(&ds, &q.cql, None, args.seed + rep as u64);
-                if rep == 0 {
-                    counts = c;
-                    if name == "award" && q.label == "3J1S" {
-                        award_3j1s = Some((prof, report.clone()));
-                    }
-                }
-                reports.push(report);
-                walls.push(wall);
-            }
-            walls.sort_by(f64::total_cmp);
-            let total_ms = walls[walls.len() / 2];
-            eprintln!(
-                "  {name}/{}: {} edges, {} tasks, {} rounds, {total_ms:.1} ms",
-                q.label, counts[0], counts[1], counts[2]
-            );
-            q_json.push(format!(
-                "{{\"query\": \"{}\", \"edges\": {}, \"tasks\": {}, \"rounds\": {}, \
-                 \"reuse_saved\": {}, \"total_ms\": {total_ms:.3}, \"phases\": {}}}",
-                q.label,
-                counts[0],
-                counts[1],
-                counts[2],
-                counts[3],
-                phases_json(&reports)
-            ));
-        }
-        ds_json.push(format!("{{\"dataset\": \"{name}\", \"queries\": [{}]}}", q_json.join(", ")));
-    }
-
-    // --- 2. MinCut selection on paper/2J: covers select.mincut and the
-    // select.maxflow kernel, which the expectation path never enters.
-    let (_mc_prof, mc_report, mc_wall, mc_counts) = {
-        let ds = dataset("paper", args);
-        run_one(&ds, &queries_for("paper")[0].cql, Some(8), args.seed)
-    };
-    assert!(
-        mc_report.get("task.select;select.mincut;select.maxflow").is_some(),
-        "MinCut run must profile the max-flow kernel"
-    );
-    eprintln!("  paper/2J (MinCut, 8 samples): {} tasks, {mc_wall:.1} ms", mc_counts[1]);
-    let mincut_json = format!(
-        "{{\"dataset\": \"paper\", \"query\": \"2J\", \"samples\": 8, \"edges\": {}, \
-         \"tasks\": {}, \"rounds\": {}, \"total_ms\": {mc_wall:.3}, \"phases\": {}}}",
-        mc_counts[0],
-        mc_counts[1],
-        mc_counts[2],
-        phases_json(std::slice::from_ref(&mc_report))
-    );
-
-    // --- 3. Durable-store hot path: wal.fsync per settle, reuse.replay
-    // on reopen. Counts (settles, fsyncs, replayed snapshots) are exact.
-    let settles = 64usize;
-    let store_json = {
-        let profiler = Arc::new(Profiler::new());
-        let guard = install(Arc::clone(&profiler));
-        let dir = ScratchDir::new("perf-store");
-        {
-            let (mut log, _) =
-                AnswerLog::open(dir.path(), DEFAULT_SEGMENT_BYTES).expect("open log");
-            for qn in 0..settles {
-                let facts: Vec<SettledFact> = (0..4)
-                    .map(|i| SettledFact {
-                        measure: "perf.v~v".into(),
-                        left: format!("item #{}", qn * 4 + i),
-                        right: format!("item #{}", qn * 4 + i + 1),
-                        same: (qn + i).is_multiple_of(2),
-                        votes: 3,
-                        cents: 15,
-                    })
-                    .collect();
-                log.append_settled(qn as u64, &facts).expect("append");
-            }
-        }
-        let start = Instant::now();
-        let cache = DurableReuseCache::open(dir.path()).expect("recover");
-        let recover_ms = start.elapsed().as_secs_f64() * 1e3;
-        drop(guard);
-        let report = profiler.report();
-        assert_eq!(cache.replay_snapshots() as usize, settles);
-        eprintln!(
-            "  store: {settles} settles, {} replayed snapshots, recover {recover_ms:.1} ms",
-            cache.replay_snapshots()
-        );
-        format!(
-            "{{\"settles\": {settles}, \"facts_per_settle\": 4, \"replay_snapshots\": {}, \
-             \"recover_ms\": {recover_ms:.3}, \"phases\": {}}}",
-            cache.replay_snapshots(),
-            phases_json(std::slice::from_ref(&report))
-        )
-    };
-
-    // --- 4. The award/3J1S outlier's task-selection decomposition (the
-    // Table 5 row EXPERIMENTS.md tracks): its sub-phases must carry the
-    // time, leaving <= 5% unattributed inside task.select itself.
-    let (award_prof, award_report) = award_3j1s.expect("award 3J1S ran");
-    let sel = award_report.get("task.select").expect("task.select profiled");
-    let subs: Vec<&PhaseEntry> =
-        award_report.entries.iter().filter(|e| e.path.starts_with("task.select;")).collect();
-    let sub_self_ns: u64 = subs.iter().map(|e| e.self_ns).sum();
-    let coverage = sub_self_ns as f64 / sel.total_ns.max(1) as f64;
-    eprintln!(
-        "  award/3J1S task.select: {} sub-phase(s) cover {:.1}% of {:.1} ms",
-        subs.len(),
-        100.0 * coverage,
-        ms(sel.total_ns)
-    );
-    assert!(subs.len() >= 3, "award 3J1S task.select must decompose into >= 3 sub-phases");
-    assert!(
-        coverage >= 0.95,
-        "task.select sub-phases must cover >= 95% of its time (got {:.1}%)",
-        100.0 * coverage
-    );
-
-    // --- 5. Exposition + profile dumps.
-    std::fs::create_dir_all("target/obsv").expect("create target/obsv");
-    let mut prom = PromText::new();
-    award_report.prom(&mut prom);
-    std::fs::write("target/obsv/perf.prom", prom.finish()).expect("write perf.prom");
-    eprintln!("# perf: wrote target/obsv/perf.prom (award/3J1S phase histograms)");
-    if cdb_obsv::profile::env_enabled() {
-        std::fs::write("target/obsv/perf.folded", award_report.folded())
-            .expect("write perf.folded");
-        std::fs::write("target/obsv/perf.trace.json", award_prof.chrome_trace())
-            .expect("write perf.trace.json");
-        eprintln!("# perf: CDB_PROFILE=1 -> wrote target/obsv/perf.folded + perf.trace.json");
-        eprintln!("{}", award_report.text());
-    }
-
-    println!("{{");
-    println!("  \"bench\": \"perf\",");
-    println!("  \"scale\": {},", args.scale);
-    println!("  \"seed\": {},", args.seed);
-    println!("  \"reps\": {reps},");
-    println!("  \"datasets\": [{}],", ds_json.join(", "));
-    println!("  \"mincut\": {mincut_json},");
-    println!("  \"store\": {store_json},");
-    println!(
-        "  \"select_decomposition\": {{\"dataset\": \"award\", \"query\": \"3J1S\", \
-         \"sub_phases\": {}, \"task_select_ms\": {:.3}, \"sub_self_ms\": {:.3}}}",
-        subs.len(),
-        ms(sel.total_ns),
-        ms(sub_self_ns)
-    );
-    println!("}}");
-}
-
-/// `figures shard`: the sharded-execution scaling sweep. Stdout is the
-/// `BENCH_shard.json` artifact; stderr narrates.
-///
-/// The workload is a fleet of four replicas of each of the five Table 4
-/// award queries (20 jobs; replicas run under distinct job ids, hence
-/// distinct seeded task streams), at two dataset sizes: the base
-/// cardinalities (`1/(scale*10)` of the paper's award tables) and 10x
-/// that base. At the small size a query's tuple graph splits into many
-/// components; at 10x similarity connectivity merges each graph into one
-/// giant component, so the shardable unit count comes from the fleet —
-/// exactly the regime `ShardExecutor` places across shards. Each size
-/// runs through the component-sharded executor at 1/2/4 shards
-/// (streaming component arenas) plus a single-shard non-streaming run —
-/// the monolithic baseline that materializes every component sub-graph
-/// up front, i.e. the memory behavior of the unsharded runtime.
-///
-/// Everything gated is deterministic: bindings must be byte-identical
-/// across all four configurations, per-shard task/money counters must sum
-/// to the merged totals, the 10x row must show >= 2x virtual-time speedup
-/// at 4 shards, and the 4-shard per-shard peak must stay below the
-/// monolithic baseline's. Virtual makespan (max over shards of the
-/// shard's summed per-unit virtual crowd latency) is the scaling metric —
-/// it is seed-deterministic, so `cdb-bench compare` holds it exactly;
-/// wall clocks are reported under `_ms` keys and compared as noisy
-/// timings only.
-fn shard(args: &Args) {
-    use cdb_runtime::{RetryPolicy, RuntimeConfig};
-    use cdb_shard::{MemoryConfig, ShardConfig, ShardExecutor};
-
-    let divisor = args.scale.saturating_mul(10).max(1);
-    let replicas = 4u64;
-    let base = DatasetScale::award_full().scaled(divisor);
-    eprintln!(
-        "# shard: award fleet (5 queries x {replicas} replicas), base cardinalities \
-         1/{divisor} of paper, multipliers [1, 10], shards [1, 2, 4], seed {}",
-        args.seed
-    );
-
-    let mut sweep_json = Vec::new();
-    let mut gate = None;
-    for &m in &[1usize, 10] {
-        let scale = base.times(m);
-        let ds = award_dataset(scale, args.seed);
-        let cfg = ExpConfig { worker_quality: 0.95, seed: args.seed, ..Default::default() };
-        let prepared: Vec<(cdb_core::QueryGraph, cdb_core::EdgeTruth)> =
-            queries_for("award").iter().map(|q| prepare(&ds, &q.cql, &cfg)).collect();
-        let mut jobs: Vec<cdb_runtime::QueryJob> = Vec::new();
-        for r in 0..replicas {
-            for (i, (g, t)) in prepared.iter().enumerate() {
-                jobs.push(cdb_runtime::QueryJob {
-                    id: r * prepared.len() as u64 + i as u64,
-                    graph: g.clone(),
-                    truth: t.clone(),
-                });
-            }
-        }
-        // threads=1 keeps per-shard peak bytes deterministic (with more
-        // worker threads the peak depends on interleaving and would be
-        // telemetry, not a comparable count). The retry budget is
-        // generous because the default 2-minute assignment deadline
-        // starves the long tail of a fleet this size even without faults.
-        let rcfg = RuntimeConfig {
-            threads: 1,
-            seed: args.seed,
-            worker_accuracies: vec![0.95; 25],
-            retry: RetryPolicy { deadline_ms: 300_000, max_retries: 8 },
-            ..RuntimeConfig::default()
-        };
-
-        // (shards, streaming): index 0 is the monolithic baseline.
-        let grid = [(1usize, false), (1, true), (2, true), (4, true)];
-        let mut rows = Vec::new();
-        let mut cfg_json = Vec::new();
-        for &(shards, streaming) in &grid {
-            let sc = ShardConfig {
-                shards,
-                runtime: rcfg.clone(),
-                memory: MemoryConfig { ceiling_bytes: None, streaming },
-            };
-            let start = Instant::now();
-            let report = ShardExecutor::new(sc).run(jobs.clone()).expect("no memory ceiling set");
-            let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-            let makespan = report.virtual_makespan();
-            let virtual_total: u64 = report.shards.iter().map(|s| s.virtual_ms).sum();
-            let peak = report.peak_bytes_max();
-            let stat_tasks: u64 = report.shards.iter().map(|s| s.metrics.tasks_dispatched).sum();
-            let stat_cents: u64 = report.shards.iter().map(|s| s.metrics.cost_cents).sum();
-            assert_eq!(stat_tasks, report.metrics.tasks_dispatched, "task conservation");
-            assert_eq!(stat_cents, report.metrics.cost_cents, "money conservation");
-            eprintln!(
-                "  x{m}: shards={shards} streaming={streaming}: {} units, {} ok, \
-                 makespan {makespan} vms, peak {peak} B/shard, {} tasks, {wall_ms:.0} ms",
-                report.units.len(),
-                report.ok_count(),
-                stat_tasks
-            );
-            if let Some((q, Err(e))) = report.results.iter().find(|(_, r)| r.is_err()) {
-                eprintln!("    first failure: q{q}: {e}");
-            }
-            cfg_json.push(format!(
-                "{{\"shards\": {shards}, \"streaming\": {streaming}, \"units\": {}, \
-                 \"ok\": {}, \"virtual_makespan\": {makespan}, \"virtual_total\": {virtual_total}, \
-                 \"peak_shard_bytes\": {peak}, \"tasks\": {stat_tasks}, \"cents\": {stat_cents}, \
-                 \"wall_ms\": {wall_ms:.3}}}",
-                report.units.len(),
-                report.ok_count()
-            ));
-            rows.push((shards, streaming, makespan, peak, report.bindings_text()));
-        }
-        for (shards, streaming, _, _, bindings) in &rows[1..] {
-            assert_eq!(
-                bindings, &rows[0].4,
-                "bindings must be byte-identical at shards={shards} streaming={streaming}"
-            );
-        }
-        if m == 10 {
-            let mono = &rows[0]; // (1, false)
-            let four = rows.iter().find(|r| r.0 == 4).expect("4-shard row");
-            gate = Some((mono.2, four.2, mono.3, four.3));
-        }
-        sweep_json.push(format!(
-            "{{\"scale_multiplier\": {m}, \"rows\": {}, \"queries\": {}, \"configs\": [{}]}}",
-            scale.rows(),
-            jobs.len(),
-            cfg_json.join(", ")
-        ));
-    }
-
-    let (mono_ms, four_ms, mono_peak, four_peak) = gate.expect("10x row ran");
-    let speedup = mono_ms as f64 / four_ms.max(1) as f64;
-    eprintln!(
-        "# shard: 10x gate: virtual speedup at 4 shards {speedup:.2}x \
-         (mono {mono_ms} vms vs {four_ms} vms), peak {four_peak} B/shard vs mono {mono_peak} B"
-    );
-    assert!(
-        speedup >= 2.0,
-        "4 shards must give >= 2x virtual speedup on the 10x award fleet (got {speedup:.2}x)"
-    );
-    assert!(
-        four_peak < mono_peak,
-        "per-shard peak ({four_peak} B) must stay below the monolithic baseline ({mono_peak} B)"
-    );
-
-    println!("{{");
-    println!("  \"bench\": \"shard\",");
-    println!("  \"scale\": {},", args.scale);
-    println!("  \"seed\": {},", args.seed);
-    println!("  \"sweep\": [{}],", sweep_json.join(", "));
-    println!(
-        "  \"gate\": {{\"scale_multiplier\": 10, \"shards\": 4, \
-         \"virtual_speedup\": {speedup:.3}, \"mono_virtual_makespan\": {mono_ms}, \
-         \"sharded_virtual_makespan\": {four_ms}, \"mono_peak_bytes\": {mono_peak}, \
-         \"sharded_peak_bytes\": {four_peak}}}"
-    );
-    println!("}}");
 }
 
 /// `figures sim`: soak the deterministic simulation harness over
@@ -1427,9 +774,8 @@ fn sim(args: &Args) {
 /// Tee this run's stdout/stderr into `target/figures/<target>.log` by
 /// re-executing the binary with both streams piped (the child is marked
 /// via `CDB_FIGURES_LOG` so it runs the target inline). Byte-exact: the
-/// parent pumps the child's stdout to its own stdout unmodified, so
-/// `figures store > BENCH_store.json`-style redirections still capture
-/// clean artifacts. Returns the child's exit code, or `None` when the
+/// parent pumps the child's stdout to its own stdout unmodified, so a
+/// redirected stdout holds exactly what the target printed. Returns the child's exit code, or `None` when the
 /// relaunch could not start (unwritable `target/`, no `current_exe`) —
 /// the caller then runs inline without a log.
 fn tee_to_log(target: &str) -> Option<i32> {

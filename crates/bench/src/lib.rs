@@ -3,9 +3,8 @@
 //! #rounds, quality = F-measure).
 //!
 //! Used by the `figures` binary, which regenerates every table and figure
-//! of the evaluation section.
-
-pub mod compare;
+//! of the evaluation section, and by `tests/pinned_counts.rs`, which pins
+//! the deterministic counts of the profiled, durable and sharded sweeps.
 
 use std::collections::BTreeSet;
 

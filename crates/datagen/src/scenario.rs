@@ -1,5 +1,5 @@
 //! The `paper` and `award` dataset generators (Tables 2 and 3), plus the
-//! extension `movie` dataset used by the perf sweep.
+//! extension `movie` dataset used by the profiled Table 5 sweep.
 
 use cdb_core::QueryTruth;
 use cdb_storage::{ColumnDef, ColumnType, Database, Schema, Table, TupleId, Value};
@@ -40,7 +40,7 @@ impl DatasetScale {
 
     /// The `movie` dataset sizes. Not from the paper — an extension
     /// workload with the same 4-table chain shape, sized between `paper`
-    /// and `award` so the perf sweep exercises a third matching structure.
+    /// and `award` so the profiled sweep exercises a third matching structure.
     pub fn movie_full() -> Self {
         DatasetScale { t1: 980, t2: 2150, t3: 640, t4: 310 }
     }

@@ -223,11 +223,11 @@ pub fn check_balanced(text: &str) -> Result<(), String> {
 
 /// A parsed JSON value.
 ///
-/// The workspace is std-only, so tools that *read*
-/// JSON artifacts back (the `cdb-bench compare` regression gate diffing
-/// two committed `BENCH_*.json` files) use this small recursive-descent
-/// parser instead. Object keys keep insertion order — the diff tool's
-/// structural comparison reports drift in a stable order.
+/// The workspace is std-only, so code that *reads* JSON back (the
+/// server's wire decoder, `cdb-cli`, `cdb-benchmark`'s spec and reports)
+/// uses this small recursive-descent parser instead. Object keys keep
+/// insertion order, so a document walks back in the order it was
+/// written.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`.
@@ -573,7 +573,7 @@ mod tests {
 
     #[test]
     fn parser_accepts_real_bench_artifacts() {
-        // The committed BENCH_store.json shape (trimmed).
+        // A nested report: an object holding an array of objects.
         let doc = r#"{"bench":"store","seed":42,"recovery":[{"queries":100,"ms":16.35}]}"#;
         let v = parse(doc).unwrap();
         assert_eq!(

@@ -33,8 +33,8 @@
 //!   above. [`Hist`] is a fixed-precision log-bucketed histogram whose
 //!   merge is bucket-wise addition (byte-identical at any thread count);
 //!   [`profile::Profiler`] turns RAII [`profile::phase`] guards placed in
-//!   hot functions into a per-phase self-time tree with folded-stacks
-//!   (flamegraph) and wall-clock Chrome-trace exports.
+//!   hot functions into a per-phase self-time tree with a text report
+//!   and a wall-clock Chrome-trace export.
 
 pub mod attr;
 pub mod collect;

@@ -7,9 +7,9 @@
 //! simulated ms) and must stay byte-identical across thread counts — so
 //! wall-clock timings can never ride those streams. The profiler is the
 //! other domain: real nanoseconds, collected entirely on the side, with
-//! its own exports (self-time report, folded stacks for
-//! inferno/flamegraph, Chrome trace with real timestamps): wall-clock
-//! facts are kept out of deterministic query streams.
+//! its own exports (self-time report, Chrome trace with real
+//! timestamps): wall-clock facts are kept out of deterministic query
+//! streams.
 //!
 //! # How instrumentation works
 //!
@@ -95,11 +95,6 @@ pub mod phases {
     pub const WAL_FSYNC: &str = "wal.fsync";
     /// Answer-log replay into the reuse cache on open (`cdb-store`).
     pub const REUSE_REPLAY: &str = "reuse.replay";
-}
-
-/// `CDB_PROFILE=1` opt-in check for binaries that can dump profiles.
-pub fn env_enabled() -> bool {
-    std::env::var("CDB_PROFILE").map(|v| !v.is_empty() && v != "0").unwrap_or(false)
 }
 
 const ROOT: u32 = 0;
@@ -352,50 +347,6 @@ impl ProfileReport {
         }
         s
     }
-
-    /// Folded-stacks export (one `path;leaf value` line per call path,
-    /// value = self time in nanoseconds) — pipe into
-    /// `inferno-flamegraph` / `flamegraph.pl` to render a flame graph.
-    pub fn folded(&self) -> String {
-        let mut s = String::new();
-        for e in &self.entries {
-            if e.count > 0 {
-                s.push_str(&format!("{} {}\n", e.path, e.self_ns));
-            }
-        }
-        s
-    }
-
-    /// JSON export of the phase tree: per-path counts, total/self ms, and
-    /// the duration histogram summarized in microseconds.
-    pub fn to_json(&self) -> String {
-        let mut arr = JsonArray::new();
-        for e in &self.entries {
-            let o = JsonObject::new()
-                .str("phase", &e.path)
-                .u64("depth", e.depth as u64)
-                .u64("count", e.count)
-                .f64("total_ms", e.total_ns as f64 / 1e6)
-                .f64("self_ms", e.self_ns as f64 / 1e6)
-                .raw("hist", &e.hist.to_json(1e-3));
-            arr = arr.raw(&o.finish());
-        }
-        JsonObject::new().raw("phases", &arr.finish()).finish()
-    }
-
-    /// Emit every phase's duration histogram through the Prometheus
-    /// writer (seconds, per convention), labeled by call path.
-    pub fn prom(&self, p: &mut crate::prom::PromText) {
-        for e in &self.entries {
-            let metric = format!(
-                "cdb_phase_{}_seconds",
-                e.path
-                    .replace([';', '.'], "_")
-                    .replace(|c: char| !c.is_ascii_alphanumeric() && c != '_', "_")
-            );
-            e.hist.prom(p, &metric, &format!("wall-clock duration of phase {}", e.path), 1e-9);
-        }
-    }
 }
 
 struct ThreadState {
@@ -594,20 +545,18 @@ mod tests {
     }
 
     #[test]
-    fn folded_and_json_exports_are_well_formed() {
+    fn text_report_indents_each_path_by_depth() {
         let prof = Arc::new(Profiler::new());
         {
             let _i = install(Arc::clone(&prof));
             let _o = phase(phases::TASK_SELECT);
             let _n = phase(phases::SELECT_MINCUT);
         }
-        let r = prof.report();
-        let folded = r.folded();
-        assert!(folded.contains("task.select;select.mincut "));
-        crate::json::check_balanced(&r.to_json()).unwrap();
-        let mut p = crate::prom::PromText::new();
-        r.prom(&mut p);
-        crate::prom::validate_exposition(&p.finish()).unwrap();
+        let text = prof.report().text();
+        let rows: Vec<&str> = text.lines().skip(1).collect();
+        assert_eq!(rows.len(), 2, "{text}");
+        assert!(rows[0].ends_with("  task.select"), "{text}");
+        assert!(rows[1].ends_with("    select.mincut"), "{text}");
     }
 
     #[test]

@@ -8,8 +8,12 @@
 //! `GROUP BY CROWD`, `BUDGET n`) and watch the optimizer spend simulated
 //! crowd tasks. Meta commands: `.tables`, `.schema <table>`, `.explain
 //! <select>`, `.queries`, `.help`, `.quit`.
+//!
+//! An unknown flag or dataset, a missing or unparseable value, or a zero
+//! `--scale` prints usage to stderr and exits 2.
 
 use std::io::{BufRead, Write};
+use std::num::NonZeroUsize;
 
 use cdb::core::{Cdb, CdbConfig};
 use cdb::crowd::{Market, SimulatedPlatform, WorkerPool};
@@ -23,20 +27,25 @@ struct Args {
     quality: f64,
 }
 
+fn usage() -> ! {
+    eprintln!("usage: cdb-repl [--dataset paper|award] [--scale N] [--quality Q]");
+    std::process::exit(2);
+}
+
+/// The parsed flags. A flag it does not know, a missing value or one that
+/// does not parse exits through [`usage`].
 fn parse_args() -> Args {
+    fn value<T: std::str::FromStr>(it: &mut impl Iterator<Item = String>) -> T {
+        it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
+    }
     let mut args = Args { dataset: "paper".into(), scale: 20, quality: 0.9 };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--dataset" => args.dataset = it.next().expect("--dataset paper|award"),
-            "--scale" => args.scale = it.next().and_then(|v| v.parse().ok()).expect("--scale N"),
-            "--quality" => {
-                args.quality = it.next().and_then(|v| v.parse().ok()).expect("--quality Q")
-            }
-            other => {
-                eprintln!("unknown argument `{other}`");
-                std::process::exit(2);
-            }
+            "--dataset" => args.dataset = value(&mut it),
+            "--scale" => args.scale = value::<NonZeroUsize>(&mut it).get(),
+            "--quality" => args.quality = value(&mut it),
+            _ => usage(),
         }
     }
     args
@@ -47,10 +56,7 @@ fn main() {
     let ds: Dataset = match args.dataset.as_str() {
         "paper" => paper_dataset(DatasetScale::paper_full().scaled(args.scale), 42),
         "award" => award_dataset(DatasetScale::award_full().scaled(args.scale), 42),
-        other => {
-            eprintln!("unknown dataset `{other}` (expected paper or award)");
-            std::process::exit(2);
-        }
+        _ => usage(),
     };
     let truth = ds.truth.clone();
     let dataset_name = ds.name;
