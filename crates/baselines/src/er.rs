@@ -18,7 +18,7 @@
 //! disjoint (answers within a round cannot infer each other), so ER takes
 //! several rounds per join — the ~5x latency the paper observes.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use cdb_core::executor::EdgeTruth;
 use cdb_core::model::{EdgeId, NodeId, PartId, QueryGraph};
@@ -305,7 +305,9 @@ fn resolve_predicate(
     // to the same value", i.e. they truly join the same partners.
     let mut intra: Vec<(NodeId, NodeId, f64, bool)> = Vec::new();
     {
-        let mut by_node: HashMap<NodeId, Vec<EdgeId>> = HashMap::new();
+        // Node order, not hash order: the first shared neighbour a pair is
+        // met through fixes its weight and truth.
+        let mut by_node: BTreeMap<NodeId, Vec<EdgeId>> = BTreeMap::new();
         for &e in edges {
             let (u, v) = g.edge_endpoints(e);
             by_node.entry(u).or_default().push(e);
@@ -602,6 +604,44 @@ mod tests {
         let mut p = platform(1.0, 12);
         let stats = run_er_constrained(&g, &truth, &mut p, 5, ErMethod::Trans, Some(1));
         assert_eq!(stats.answers.len(), 3, "flushing everything still resolves the query");
+    }
+
+    /// Two chained joins whose dedup pairs are reachable through several
+    /// shared neighbours, each with its own weight and truth. Which
+    /// neighbour a pair is first met through must not depend on hash
+    /// order, or repeated runs in one process disagree.
+    #[test]
+    fn repeated_runs_in_one_process_are_identical() {
+        let mut g = QueryGraph::new();
+        let parts: Vec<PartId> =
+            ["A", "B", "C"].map(|name| g.add_part(PartKind::Table { name: name.into() })).to_vec();
+        let nodes: Vec<Vec<NodeId>> = parts
+            .iter()
+            .zip([8, 8, 4])
+            .map(|(&p, n)| (0..n).map(|i| g.add_node(p, None, format!("{p:?}{i}"))).collect())
+            .collect();
+        let mut truth = EdgeTruth::new();
+        let mut lcg = 7u64;
+        for (l, r) in [(0, 1), (1, 2)] {
+            let p = g.add_predicate(parts[l], parts[r], true, "~");
+            for (i, &x) in nodes[l].iter().enumerate() {
+                for (j, &y) in nodes[r].iter().enumerate() {
+                    lcg = lcg.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                    let w = 0.3 + 0.7 * (lcg >> 11) as f64 / (1u64 << 53) as f64;
+                    truth.insert(g.add_edge(x, y, p, w), i % 3 == j % 3);
+                }
+            }
+        }
+        for method in [ErMethod::Trans, ErMethod::Acd] {
+            let run = || {
+                let stats = run_er(&g, &truth, &mut platform(0.8, 9), 5, method);
+                (stats.tasks_asked, stats.rounds, stats.answer_bindings())
+            };
+            let first = run();
+            for _ in 1..8 {
+                assert_eq!(run(), first, "{method:?}");
+            }
+        }
     }
 
     #[test]

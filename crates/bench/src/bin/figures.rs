@@ -34,10 +34,6 @@
 //! `cdb-benchmark`'s.
 //! ```
 //!
-//! Every run also tees its own stdout + stderr to
-//! `target/figures/<target>.log` (byte-exact on stdout, so redirecting
-//! a target's output still captures exactly what it printed).
-//!
 //! `--scale N` divides the paper's table cardinalities by `N` (default 10)
 //! so a full sweep finishes in minutes; `--reps R` averages `R` seeded
 //! repetitions (the paper uses 1000; default 3). Absolute numbers shift
@@ -63,7 +59,6 @@ struct Args {
     reps: usize,
     seed: u64,
     iters: usize,
-    target: String,
 }
 
 fn usage() -> ! {
@@ -77,7 +72,8 @@ fn parse_args() -> (Args, fn(&Args)) {
     fn value<T: std::str::FromStr>(it: &mut impl Iterator<Item = String>) -> T {
         it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
     }
-    let mut args = Args { scale: 10, reps: 3, seed: 42, iters: 100, target: String::new() };
+    let mut args = Args { scale: 10, reps: 3, seed: 42, iters: 100 };
+    let mut name = String::new();
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -85,11 +81,11 @@ fn parse_args() -> (Args, fn(&Args)) {
             "--reps" => args.reps = value::<NonZeroUsize>(&mut it).get(),
             "--seed" => args.seed = value(&mut it),
             "--iters" => args.iters = value(&mut it),
-            t if args.target.is_empty() && !t.starts_with('-') => args.target = t.to_string(),
+            t if name.is_empty() && !t.starts_with('-') => name = t.to_string(),
             _ => usage(),
         }
     }
-    let run = target(&args.target).unwrap_or_else(|| usage());
+    let run = target(&name).unwrap_or_else(|| usage());
     (args, run)
 }
 
@@ -771,69 +767,7 @@ fn sim(args: &Args) {
     }
 }
 
-/// Tee this run's stdout/stderr into `target/figures/<target>.log` by
-/// re-executing the binary with both streams piped (the child is marked
-/// via `CDB_FIGURES_LOG` so it runs the target inline). Byte-exact: the
-/// parent pumps the child's stdout to its own stdout unmodified, so a
-/// redirected stdout holds exactly what the target printed. Returns the child's exit code, or `None` when the
-/// relaunch could not start (unwritable `target/`, no `current_exe`) —
-/// the caller then runs inline without a log.
-fn tee_to_log(target: &str) -> Option<i32> {
-    use std::io::{Read, Write};
-    use std::process::{Command, Stdio};
-    use std::sync::{Arc, Mutex};
-
-    std::fs::create_dir_all("target/figures").ok()?;
-    let exe = std::env::current_exe().ok()?;
-    let log_path = format!("target/figures/{target}.log");
-    let log = Arc::new(Mutex::new(std::fs::File::create(&log_path).ok()?));
-    let mut child = Command::new(exe)
-        .args(std::env::args().skip(1))
-        .env("CDB_FIGURES_LOG", &log_path)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .ok()?;
-
-    fn pump<R: Read + Send + 'static>(
-        mut from: R,
-        to_stderr: bool,
-        log: Arc<Mutex<std::fs::File>>,
-    ) -> std::thread::JoinHandle<()> {
-        std::thread::spawn(move || {
-            let mut buf = [0u8; 8192];
-            loop {
-                match from.read(&mut buf) {
-                    Ok(0) | Err(_) => return,
-                    Ok(n) => {
-                        let _ = log.lock().unwrap().write_all(&buf[..n]);
-                        if to_stderr {
-                            let _ = std::io::stderr().write_all(&buf[..n]);
-                        } else {
-                            let mut out = std::io::stdout().lock();
-                            let _ = out.write_all(&buf[..n]);
-                            let _ = out.flush();
-                        }
-                    }
-                }
-            }
-        })
-    }
-    let t_out = pump(child.stdout.take()?, false, Arc::clone(&log));
-    let t_err = pump(child.stderr.take()?, true, Arc::clone(&log));
-    let status = child.wait().ok()?;
-    let _ = t_out.join();
-    let _ = t_err.join();
-    eprintln!("# run log: {log_path}");
-    Some(status.code().unwrap_or(1))
-}
-
 fn main() {
     let (args, run) = parse_args();
-    if std::env::var_os("CDB_FIGURES_LOG").is_none() {
-        if let Some(code) = tee_to_log(&args.target) {
-            std::process::exit(code);
-        }
-    }
     run(&args);
 }

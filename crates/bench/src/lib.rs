@@ -16,9 +16,7 @@ use cdb_core::executor::{
     true_answers, EdgeTruth, Executor, ExecutorConfig, QualityStrategy, SelectionStrategy,
 };
 use cdb_core::model::{NodeId, QueryGraph};
-use cdb_core::{
-    build_query_graph, metrics::precision_recall, metrics::PrMetrics, GraphBuildConfig,
-};
+use cdb_core::{metrics::precision_recall, metrics::PrMetrics, plan_select, GraphBuildConfig};
 use cdb_crowd::{Market, SimulatedPlatform, WorkerPool};
 use cdb_datagen::Dataset;
 use cdb_similarity::SimilarityFn;
@@ -131,12 +129,8 @@ impl Default for ExpConfig {
 
 /// Build the query graph + edge truth for one query over a dataset.
 pub fn prepare(ds: &Dataset, cql: &str, cfg: &ExpConfig) -> (QueryGraph, EdgeTruth) {
-    let cdb_cql::Statement::Select(q) = cdb_cql::parse(cql).expect("query parses") else {
-        panic!("benchmark queries are SELECTs");
-    };
-    let analyzed = cdb_cql::analyze_select(&q, &ds.db).expect("query analyzes");
     let build = GraphBuildConfig { similarity: cfg.similarity, epsilon: cfg.epsilon };
-    let g = build_query_graph(&analyzed, &ds.db, &build);
+    let (_, g) = plan_select(&ds.db, cql, &build).expect("benchmark query plans");
     let truth = ds.truth.edge_truth(&g);
     (g, truth)
 }

@@ -22,18 +22,14 @@ fn unknown_targets_flags_and_values_exit_2_with_empty_stdout() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         assert!(out.stdout.is_empty(), "{args:?}: {}", String::from_utf8_lossy(&out.stdout));
-        // Rejected before the tee re-exec: usage only, no run log.
-        assert!(stderr.starts_with("usage: figures") && !stderr.contains("run log"), "{stderr}");
+        assert!(stderr.starts_with("usage: figures"), "{stderr}");
     }
 }
 
 #[test]
 fn a_known_target_runs() {
-    // A set `CDB_FIGURES_LOG` runs the target inline, without the tee
-    // re-exec that would write `target/figures/table4.log`.
     let out = Command::new(env!("CARGO_BIN_EXE_figures"))
         .args(["--seed", "7", "table4"])
-        .env("CDB_FIGURES_LOG", "")
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(0));

@@ -2,7 +2,7 @@
 
 use std::collections::{BTreeSet, HashSet};
 
-use cdb_cql::{analyze_select, parse, CqlError, Statement};
+use cdb_cql::{analyze_select, parse, AnalyzedSelect, CqlError, Statement};
 use cdb_crowd::SimulatedPlatform;
 use cdb_storage::{ColumnDef, ColumnType, Database, Schema, Table, TupleId};
 
@@ -165,32 +165,10 @@ impl Cdb {
         }
     }
 
-    /// Build the query graph for a CQL SELECT without executing it.
+    /// Build the query graph for a CQL SELECT without executing it (see
+    /// [`plan_select`]).
     pub fn plan_select(&self, sql: &str, build: &GraphBuildConfig) -> Result<QueryGraph, CqlError> {
-        match parse(sql)? {
-            Statement::Select(q) => {
-                let analyzed = analyze_select(&q, &self.db)?;
-                Ok(build_query_graph(&analyzed, &self.db, build))
-            }
-            _ => Err(CqlError::Semantic("expected a SELECT statement".into())),
-        }
-    }
-
-    /// Cost envelope for a CQL SELECT without executing it: plan the query
-    /// graph and bound its tasks/rounds/cents (see [`cost::estimate`]).
-    /// This is what admission control (`cdb-sched`) holds against its
-    /// money envelope before letting the query near the crowd.
-    ///
-    /// [`cost::estimate`]: crate::cost::estimate
-    pub fn estimate_select(
-        &self,
-        sql: &str,
-        build: &GraphBuildConfig,
-        redundancy: usize,
-        task_price_cents: u64,
-    ) -> Result<crate::cost::estimate::CostEstimate, CqlError> {
-        let g = self.plan_select(sql, build)?;
-        Ok(crate::cost::estimate::estimate(&g, redundancy, task_price_cents))
+        plan_select(&self.db, sql, build).map(|(_, graph)| graph)
     }
 
     /// Execute a CQL `FILL` statement: every `CNULL` cell of the target
@@ -327,11 +305,7 @@ impl Cdb {
         platform: &mut SimulatedPlatform,
         cfg: &CdbConfig,
     ) -> Result<QueryOutcome, CqlError> {
-        let Statement::Select(q) = parse(sql)? else {
-            return Err(CqlError::Semantic("expected a SELECT statement".into()));
-        };
-        let analyzed = analyze_select(&q, &self.db)?;
-        let graph = build_query_graph(&analyzed, &self.db, &cfg.build);
+        let (analyzed, graph) = plan_select(&self.db, sql, &cfg.build)?;
         let edge_truth = truth.edge_truth(&graph);
 
         let mut exec_cfg = cfg.exec;
@@ -433,6 +407,23 @@ impl Cdb {
             post_tasks,
         })
     }
+}
+
+/// Plan a CQL SELECT against `db`: parse, refuse any other statement,
+/// analyze, and build the query graph. Every path that runs a SELECT —
+/// the façade, the server, the experiment harness and the simulator —
+/// plans it here.
+pub fn plan_select(
+    db: &Database,
+    sql: &str,
+    build: &GraphBuildConfig,
+) -> Result<(AnalyzedSelect, QueryGraph), CqlError> {
+    let Statement::Select(q) = parse(sql)? else {
+        return Err(CqlError::Semantic("expected a SELECT statement".into()));
+    };
+    let analyzed = analyze_select(&q, db)?;
+    let graph = build_query_graph(&analyzed, db, build);
+    Ok((analyzed, graph))
 }
 
 /// Convert a CQL literal into a storage value.

@@ -413,12 +413,6 @@ impl QueryGraph {
             .map(|(i, _)| i)
             .collect()
     }
-
-    /// A short human-readable edge description for logs and task UIs.
-    pub fn edge_description(&self, e: EdgeId) -> String {
-        let (u, v) = self.edge_endpoints(e);
-        format!("{} ~ {}", self.node_label(u), self.node_label(v))
-    }
 }
 
 impl Default for QueryGraph {

@@ -615,7 +615,7 @@ mod tests {
     fn rollup_json_is_well_formed() {
         let a = Attribution::from_events(&sample_stream());
         let json = a.to_json();
-        crate::json::check_balanced(&json).unwrap();
+        crate::json::parse(&json).unwrap();
         assert!(json.contains(r#""query":1"#));
         assert!(json.contains(r#""per_node""#));
     }

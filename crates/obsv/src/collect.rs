@@ -1,10 +1,10 @@
 //! Event collection: the [`Collector`] trait, the cheap [`Trace`] handle,
-//! context injection, fan-out, and the lock-free bounded [`Ring`].
+//! context injection, fan-out, and the bounded [`Ring`].
 //!
 //! Design constraints, in order:
-//! 1. **Never block the executor's worker threads.** The ring is a Vyukov-style
-//!    bounded MPMC queue: producers CAS a ticket and write their slot; a
-//!    full ring *drops* the event and bumps a counter instead of waiting.
+//! 1. **Never wait for space.** The ring is a capacity-bounded FIFO behind
+//!    one short lock; a full ring *drops* the event and bumps a counter
+//!    instead of waiting for a consumer.
 //! 2. **Zero cost when off.** `Trace::off()` holds `None` — the emit path
 //!    is one branch on an `Option`, no virtual call, no allocation.
 //! 3. **Determinism.** Collectors only ever see `&Event`; nothing here
@@ -12,27 +12,16 @@
 
 use crate::event::{Event, KvList};
 use crate::span::{Span, SpanId};
-use std::cell::UnsafeCell;
+use std::collections::VecDeque;
 use std::fmt;
-use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A sink for events. Implementations must be cheap and non-blocking —
 /// they run inline on the hot paths of the runtime.
 pub trait Collector: Send + Sync {
     /// Record one event. Must not block.
     fn record(&self, event: &Event);
-}
-
-/// A collector that ignores everything (useful as an explicit sink in
-/// tests; the usual "off" path is `Trace::off()`, which skips the call
-/// entirely).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct Noop;
-
-impl Collector for Noop {
-    fn record(&self, _event: &Event) {}
 }
 
 /// Duplicate events to several collectors (e.g. `RuntimeMetrics` + a
@@ -175,146 +164,57 @@ impl fmt::Debug for WithContext {
     }
 }
 
-const CACHE_LINE: usize = 64;
-
-#[repr(align(64))]
-struct Slot {
-    /// Vyukov sequence number: `seq == pos` ⇒ writable, `seq == pos + 1`
-    /// ⇒ readable, anything else ⇒ another producer/consumer owns it.
-    seq: AtomicUsize,
-    val: UnsafeCell<MaybeUninit<Event>>,
-}
-
-/// Lock-free bounded MPMC event buffer (Vyukov queue). `push` never
-/// blocks: when the ring is full the event is counted in
-/// [`Ring::dropped`] and discarded. Capacity is rounded up to a power of
-/// two.
+/// Bounded FIFO event buffer. `push` never waits for space: when the
+/// ring is full the event is counted in [`Ring::dropped`] and discarded.
+/// Capacity is rounded up to a power of two; the buffer grows only as
+/// events arrive.
 pub struct Ring {
-    slots: Box<[Slot]>,
-    mask: usize,
-    // Head/tail on their own cache lines to avoid producer/consumer
-    // false sharing.
-    enqueue_pos: CachePadded,
-    dequeue_pos: CachePadded,
+    buf: Mutex<VecDeque<Event>>,
+    capacity: usize,
     dropped: AtomicU64,
 }
-
-#[repr(align(64))]
-struct CachePadded {
-    pos: AtomicUsize,
-    _pad: [u8; CACHE_LINE - std::mem::size_of::<AtomicUsize>()],
-}
-
-impl CachePadded {
-    fn new() -> Self {
-        CachePadded {
-            pos: AtomicUsize::new(0),
-            _pad: [0; CACHE_LINE - std::mem::size_of::<AtomicUsize>()],
-        }
-    }
-}
-
-// SAFETY: slots are only accessed through the sequence-number protocol —
-// a thread touches `val` only while it exclusively owns the slot (its CAS
-// on enqueue_pos/dequeue_pos succeeded and `seq` granted access).
-unsafe impl Send for Ring {}
-unsafe impl Sync for Ring {}
 
 impl Ring {
     /// Create a ring holding at least `capacity` events (rounded up to a
     /// power of two, minimum 2).
     pub fn with_capacity(capacity: usize) -> Ring {
-        let cap = capacity.max(2).next_power_of_two();
-        let slots: Box<[Slot]> = (0..cap)
-            .map(|i| Slot { seq: AtomicUsize::new(i), val: UnsafeCell::new(MaybeUninit::uninit()) })
-            .collect();
         Ring {
-            slots,
-            mask: cap - 1,
-            enqueue_pos: CachePadded::new(),
-            dequeue_pos: CachePadded::new(),
+            buf: Mutex::new(VecDeque::new()),
+            capacity: capacity.max(2).next_power_of_two(),
             dropped: AtomicU64::new(0),
         }
     }
 
+    /// The buffer; a poisoned lock still guards whole events.
+    fn buf(&self) -> MutexGuard<'_, VecDeque<Event>> {
+        self.buf.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Capacity (power of two).
     pub fn capacity(&self) -> usize {
-        self.mask + 1
+        self.capacity
     }
 
     /// Try to append an event. Returns `false` (and counts the drop) if
-    /// the ring is full. Never blocks, never spins unboundedly.
+    /// the ring is full.
     pub fn push(&self, event: Event) -> bool {
-        let mut pos = self.enqueue_pos.pos.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[pos & self.mask];
-            let seq = slot.seq.load(Ordering::Acquire);
-            let diff = seq as isize - pos as isize;
-            if diff == 0 {
-                // Slot free: claim it.
-                match self.enqueue_pos.pos.compare_exchange_weak(
-                    pos,
-                    pos.wrapping_add(1),
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        // SAFETY: we own the slot until we publish seq.
-                        unsafe { (*slot.val.get()).write(event) };
-                        slot.seq.store(pos.wrapping_add(1), Ordering::Release);
-                        return true;
-                    }
-                    Err(actual) => pos = actual,
-                }
-            } else if diff < 0 {
-                // Full: drop rather than block.
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-                return false;
-            } else {
-                // Another producer raced past us; reload.
-                pos = self.enqueue_pos.pos.load(Ordering::Relaxed);
-            }
+        let mut buf = self.buf();
+        if buf.len() == self.capacity {
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+            return false;
         }
+        buf.push_back(event);
+        true
     }
 
     /// Pop the oldest event, if any.
     pub fn pop(&self) -> Option<Event> {
-        let mut pos = self.dequeue_pos.pos.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[pos & self.mask];
-            let seq = slot.seq.load(Ordering::Acquire);
-            let diff = seq as isize - (pos.wrapping_add(1)) as isize;
-            if diff == 0 {
-                match self.dequeue_pos.pos.compare_exchange_weak(
-                    pos,
-                    pos.wrapping_add(1),
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        // SAFETY: we own the slot; the producer's Release
-                        // store of seq made the write visible.
-                        let ev = unsafe { (*slot.val.get()).assume_init_read() };
-                        slot.seq.store(pos.wrapping_add(self.mask + 1), Ordering::Release);
-                        return Some(ev);
-                    }
-                    Err(actual) => pos = actual,
-                }
-            } else if diff < 0 {
-                return None;
-            } else {
-                pos = self.dequeue_pos.pos.load(Ordering::Relaxed);
-            }
-        }
+        self.buf().pop_front()
     }
 
     /// Drain every buffered event in FIFO order.
     pub fn drain(&self) -> Vec<Event> {
-        let mut out = Vec::new();
-        while let Some(ev) = self.pop() {
-            out.push(ev);
-        }
-        out
+        self.buf().drain(..).collect()
     }
 
     /// Number of events discarded because the ring was full.
@@ -322,14 +222,12 @@ impl Ring {
         self.dropped.load(Ordering::Relaxed)
     }
 
-    /// Approximate number of buffered events.
+    /// Number of buffered events.
     pub fn len(&self) -> usize {
-        let tail = self.dequeue_pos.pos.load(Ordering::Relaxed);
-        let head = self.enqueue_pos.pos.load(Ordering::Relaxed);
-        head.wrapping_sub(tail)
+        self.buf().len()
     }
 
-    /// Whether the ring is (approximately) empty.
+    /// Whether the ring is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -516,7 +414,8 @@ mod tests {
     fn fanout_duplicates_and_noop_ignores() {
         let a = Arc::new(Ring::with_capacity(8));
         let b = Arc::new(Ring::with_capacity(8));
-        let f = Fanout::new(vec![a.clone(), b.clone(), Arc::new(Noop)]);
+        // An empty fan-out is the no-op sink.
+        let f = Fanout::new(vec![a.clone(), b.clone(), Arc::new(Fanout::new(Vec::new()))]);
         f.record(&ev(3));
         assert_eq!(a.drain().len(), 1);
         assert_eq!(b.drain().len(), 1);

@@ -338,7 +338,7 @@ mod tests {
         let mut h = Hist::new();
         h.record_n(250, 10);
         let j = h.to_json(1e-3);
-        crate::json::check_balanced(&j).unwrap();
+        crate::json::parse(&j).unwrap();
         assert!(j.contains("\"count\":10"));
     }
 }

@@ -1,4 +1,4 @@
-//! A tiny hand-rolled JSON writer (and checker).
+//! A tiny hand-rolled JSON writer (and parser).
 //!
 //! The workspace is std-only — it links no serialization framework — so
 //! every crate that needed JSON grew its own `format!` string. This module
@@ -162,63 +162,6 @@ impl JsonArray {
         self.buf.push(']');
         self.buf
     }
-}
-
-/// Check that `text` is structurally valid JSON: balanced braces/brackets
-/// outside strings, proper string escapes, non-empty. Not a full parser —
-/// a cheap guard for tests and the CI smoke script against emitter bugs.
-pub fn check_balanced(text: &str) -> Result<(), String> {
-    let mut stack: Vec<char> = Vec::new();
-    let mut in_string = false;
-    let mut escaped = false;
-    let mut saw_value = false;
-    for (i, c) in text.char_indices() {
-        if in_string {
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                in_string = false;
-            }
-            continue;
-        }
-        match c {
-            '"' => {
-                in_string = true;
-                saw_value = true;
-            }
-            '{' | '[' => {
-                stack.push(c);
-                saw_value = true;
-            }
-            '}' => {
-                if stack.pop() != Some('{') {
-                    return Err(format!("unbalanced '}}' at byte {i}"));
-                }
-            }
-            ']' => {
-                if stack.pop() != Some('[') {
-                    return Err(format!("unbalanced ']' at byte {i}"));
-                }
-            }
-            _ => {
-                if !c.is_whitespace() {
-                    saw_value = true;
-                }
-            }
-        }
-    }
-    if in_string {
-        return Err("unterminated string".to_string());
-    }
-    if let Some(open) = stack.pop() {
-        return Err(format!("unclosed '{open}'"));
-    }
-    if !saw_value {
-        return Err("empty document".to_string());
-    }
-    Ok(())
 }
 
 /// A parsed JSON value.
@@ -474,7 +417,7 @@ mod tests {
             .bool("ok", true)
             .finish();
         assert_eq!(s, r#"{"tasks":12,"rate":0.5,"name":"fleet","ok":true}"#);
-        check_balanced(&s).unwrap();
+        parse(&s).unwrap();
     }
 
     #[test]
@@ -482,7 +425,7 @@ mod tests {
         let inner = JsonArray::new().u64(1).u64(2).u64(3).finish();
         let s = JsonObject::new().raw("hist", &inner).i64("delta", -4).finish();
         assert_eq!(s, r#"{"hist":[1,2,3],"delta":-4}"#);
-        check_balanced(&s).unwrap();
+        parse(&s).unwrap();
     }
 
     #[test]
@@ -490,7 +433,7 @@ mod tests {
         assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(escape("\u{1}"), "\\u0001");
         let s = JsonObject::new().str("k", "he said \"hi\"").finish();
-        check_balanced(&s).unwrap();
+        parse(&s).unwrap();
     }
 
     #[test]
@@ -504,18 +447,8 @@ mod tests {
     fn empty_containers() {
         assert_eq!(JsonObject::new().finish(), "{}");
         assert_eq!(JsonArray::new().finish(), "[]");
-        check_balanced("{}").unwrap();
-        check_balanced("[]").unwrap();
-    }
-
-    #[test]
-    fn checker_catches_breakage() {
-        assert!(check_balanced(r#"{"a":1"#).is_err());
-        assert!(check_balanced(r#"{"a":1]}"#).is_err());
-        assert!(check_balanced(r#""unterminated"#).is_err());
-        assert!(check_balanced("   ").is_err());
-        // Braces inside strings don't count.
-        check_balanced(r#"{"a":"}{"}"#).unwrap();
+        parse("{}").unwrap();
+        parse("[]").unwrap();
     }
 
     #[test]

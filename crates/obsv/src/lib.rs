@@ -17,9 +17,9 @@
 //! * **Collection** ([`collect`]): the [`Collector`] trait, the no-op
 //!   collector ([`Trace::off`] — tracing compiled in but zero work done),
 //!   a fan-out, a context wrapper that stamps every event with the query
-//!   it belongs to, and [`Ring`] — a lock-free bounded MPMC ring buffer
-//!   with drop-counting, so tracing can never block the executor's
-//!   worker threads.
+//!   it belongs to, and [`Ring`] — a bounded FIFO event buffer with
+//!   drop-counting, so tracing never makes the executor's worker threads
+//!   wait for space.
 //! * **Attribution** ([`attr`]): fold an event stream into per-query /
 //!   per-plan-node / per-round rollups of money (task price × dispatches),
 //!   virtual latency and quality (decision confidence, vote entropy), with
@@ -36,6 +36,8 @@
 //!   hot functions into a per-phase self-time tree with a text report
 //!   and a wall-clock Chrome-trace export.
 
+#![forbid(unsafe_code)]
+
 pub mod attr;
 pub mod collect;
 pub mod event;
@@ -47,7 +49,7 @@ pub mod span;
 pub mod trace_event;
 
 pub use attr::{Attribution, ConservationTotals, NodeAttribution, QueryAttribution};
-pub use collect::{Collector, Fanout, Noop, Ring, Trace, WithContext};
+pub use collect::{Collector, Fanout, Ring, Trace, WithContext};
 pub use event::{Event, EventKind, KvList, Value, MAX_KV};
 pub use hist::Hist;
 pub use profile::{PhaseGuard, ProfileReport, Profiler};

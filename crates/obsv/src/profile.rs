@@ -573,7 +573,7 @@ mod tests {
             }
         }
         let trace = prof.chrome_trace();
-        crate::json::check_balanced(&trace).unwrap();
+        crate::json::parse(&trace).unwrap();
         assert!(trace.contains("\"round\":3"));
         assert!(trace.contains("\"cut\":7"));
         // Parent is emitted before its contained child despite exiting

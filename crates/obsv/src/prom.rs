@@ -3,8 +3,9 @@
 //! Writes the [text-based exposition format]: `# HELP` / `# TYPE`
 //! comments, `name{label="value"} number` samples, histogram `_bucket` /
 //! `_sum` / `_count` triples with a trailing `+Inf` bucket. The validator
-//! re-checks the grammar line by line — it is what the CI smoke script
-//! calls, so a regression in the writer fails fast and close to the bug.
+//! re-checks the grammar and the histogram semantics line by line; every
+//! exposition the workspace writes is validated in-process, so a
+//! regression in the writer fails fast and close to the bug.
 //!
 //! [text-based exposition format]:
 //! https://prometheus.io/docs/instrumenting/exposition_formats/
@@ -109,8 +110,11 @@ impl PromText {
 
 /// Validate Prometheus text-format exposition line by line. Checks:
 /// comment grammar, metric-name and label syntax, parseable sample
-/// values, and that every sample's base name was declared by a preceding
-/// `# TYPE`. Returns the first offending line on error.
+/// values, that every sample's base name was declared by a preceding
+/// `# HELP` and `# TYPE`, and histogram semantics: each family's
+/// `_bucket` counts are monotone in document order, end in an
+/// `le="+Inf"` bucket, and that bucket equals the family's `_count`.
+/// Returns the first offending line on error.
 pub fn validate_exposition(text: &str) -> Result<(), String> {
     fn valid_name(s: &str) -> bool {
         !s.is_empty()
@@ -118,7 +122,17 @@ pub fn validate_exposition(text: &str) -> Result<(), String> {
             && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
     }
 
+    /// A histogram family's last bucket, `+Inf` bucket and `_count` so far.
+    #[derive(Default)]
+    struct Buckets {
+        last: Option<f64>,
+        inf: Option<f64>,
+        count: Option<f64>,
+    }
+
+    let mut helped: Vec<String> = Vec::new();
     let mut typed: Vec<String> = Vec::new();
+    let mut histograms: Vec<(String, Buckets)> = Vec::new();
     let mut samples = 0usize;
     for (ln, line) in text.lines().enumerate() {
         let ln = ln + 1;
@@ -127,26 +141,24 @@ pub fn validate_exposition(text: &str) -> Result<(), String> {
         }
         if let Some(rest) = line.strip_prefix("# ") {
             let mut parts = rest.splitn(3, ' ');
-            let keyword = parts.next().unwrap_or("");
-            match keyword {
-                "HELP" => {
-                    let name = parts.next().unwrap_or("");
-                    if !valid_name(name) {
-                        return Err(format!("line {ln}: bad HELP metric name '{name}'"));
-                    }
-                }
-                "TYPE" => {
-                    let name = parts.next().unwrap_or("");
-                    let kind = parts.next().unwrap_or("");
-                    if !valid_name(name) {
-                        return Err(format!("line {ln}: bad TYPE metric name '{name}'"));
-                    }
-                    if !matches!(kind, "counter" | "gauge" | "histogram" | "summary" | "untyped") {
-                        return Err(format!("line {ln}: unknown metric type '{kind}'"));
-                    }
-                    typed.push(name.to_string());
-                }
+            let (keyword, name) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
+            let declared = match keyword {
+                "HELP" => &mut helped,
+                "TYPE" => &mut typed,
                 _ => return Err(format!("line {ln}: unknown comment keyword '{keyword}'")),
+            };
+            if !valid_name(name) {
+                return Err(format!("line {ln}: bad {keyword} metric name '{name}'"));
+            }
+            declared.push(name.to_string());
+            if keyword == "TYPE" {
+                let kind = parts.next().unwrap_or("");
+                if !matches!(kind, "counter" | "gauge" | "histogram" | "summary" | "untyped") {
+                    return Err(format!("line {ln}: unknown metric type '{kind}'"));
+                }
+                if kind == "histogram" {
+                    histograms.push((name.to_string(), Buckets::default()));
+                }
             }
             continue;
         }
@@ -156,48 +168,36 @@ pub fn validate_exposition(text: &str) -> Result<(), String> {
             return Err(format!("line {ln}: comment must start with '# '"));
         }
         // Sample line: name[{labels}] value
-        let (name_part, value_part) = match line.rsplit_once(' ') {
-            Some(t) => t,
-            None => return Err(format!("line {ln}: sample has no value")),
-        };
+        let (name_part, value_part) =
+            line.rsplit_once(' ').ok_or_else(|| format!("line {ln}: sample has no value"))?;
+        let mut le = None;
         let name = match name_part.split_once('{') {
             Some((n, rest)) => {
-                if !rest.ends_with('}') {
-                    return Err(format!("line {ln}: unterminated label set"));
-                }
-                let labels = &rest[..rest.len() - 1];
+                let labels = rest
+                    .strip_suffix('}')
+                    .ok_or_else(|| format!("line {ln}: unterminated label set"))?;
                 // label="value",label="value"
                 let mut rem = labels;
                 while !rem.is_empty() {
-                    let eq = match rem.find("=\"") {
-                        Some(p) => p,
-                        None => return Err(format!("line {ln}: malformed label in '{labels}'")),
-                    };
-                    let lname = &rem[..eq];
+                    let (lname, value) = rem
+                        .split_once("=\"")
+                        .ok_or_else(|| format!("line {ln}: malformed label in '{labels}'"))?;
                     if !valid_name(lname) {
                         return Err(format!("line {ln}: bad label name '{lname}'"));
                     }
-                    // Find the closing unescaped quote.
-                    let mut close = None;
-                    let bytes = rem.as_bytes();
-                    let mut i = eq + 2;
+                    // The closing quote is the first one not escaped.
                     let mut esc = false;
-                    while i < bytes.len() {
-                        if esc {
-                            esc = false;
-                        } else if bytes[i] == b'\\' {
-                            esc = true;
-                        } else if bytes[i] == b'"' {
-                            close = Some(i);
-                            break;
-                        }
-                        i += 1;
+                    let close = value
+                        .find(|c| {
+                            let end = !esc && c == '"';
+                            esc = !esc && c == '\\';
+                            end
+                        })
+                        .ok_or_else(|| format!("line {ln}: unterminated label value"))?;
+                    if lname == "le" {
+                        le = Some(&value[..close]);
                     }
-                    let close = match close {
-                        Some(c) => c,
-                        None => return Err(format!("line {ln}: unterminated label value")),
-                    };
-                    rem = &rem[close + 1..];
+                    rem = &value[close + 1..];
                     rem = rem.strip_prefix(',').unwrap_or(rem);
                 }
                 n
@@ -208,10 +208,8 @@ pub fn validate_exposition(text: &str) -> Result<(), String> {
             return Err(format!("line {ln}: bad metric name '{name}'"));
         }
         let v = value_part.trim();
-        let numeric_ok = matches!(v, "+Inf" | "-Inf" | "NaN") || v.parse::<f64>().is_ok();
-        if !numeric_ok {
-            return Err(format!("line {ln}: unparseable value '{v}'"));
-        }
+        // `f64` parses `+Inf`, `-Inf` and `NaN` as written.
+        let value: f64 = v.parse().map_err(|_| format!("line {ln}: unparseable value '{v}'"))?;
         // A histogram sample's base name strips _bucket/_sum/_count.
         let base = name
             .strip_suffix("_bucket")
@@ -221,10 +219,37 @@ pub fn validate_exposition(text: &str) -> Result<(), String> {
         if !typed.iter().any(|t| t == name || t == base) {
             return Err(format!("line {ln}: sample '{name}' has no preceding # TYPE"));
         }
+        if !helped.iter().any(|t| t == name || t == base) {
+            return Err(format!("line {ln}: sample '{name}' has no preceding # HELP"));
+        }
+        if let Some((_, b)) = histograms.iter_mut().find(|(h, _)| h == base && h != name) {
+            if name.ends_with("_count") {
+                b.count = Some(value);
+            } else if name.ends_with("_bucket") {
+                let Some(le) = le else {
+                    return Err(format!("line {ln}: histogram bucket without an le label"));
+                };
+                if let Some(last) = b.last.filter(|&last| value < last) {
+                    return Err(format!("line {ln}: bucket {v} below the previous {last}"));
+                }
+                b.last = Some(value);
+                if le == "+Inf" {
+                    b.inf = Some(value);
+                }
+            }
+        }
         samples += 1;
     }
     if samples == 0 {
         return Err("no samples in exposition".to_string());
+    }
+    for (name, b) in histograms.iter().filter(|(_, b)| b.last.is_some()) {
+        let Some(inf) = b.inf else {
+            return Err(format!("histogram {name} has no le=\"+Inf\" bucket"));
+        };
+        if b.count != Some(inf) {
+            return Err(format!("histogram {name} le=\"+Inf\" bucket {inf} != {name}_count"));
+        }
     }
     Ok(())
 }
@@ -297,6 +322,41 @@ mod tests {
         // Unparseable value.
         let bad2 = "# HELP m h\n# TYPE m counter\nm forty-two\n";
         assert!(validate_exposition(bad2).is_err());
+    }
+
+    /// A one-family histogram exposition with the given sample lines.
+    fn histogram(samples: &str) -> String {
+        format!("# HELP m h\n# TYPE m histogram\n{samples}")
+    }
+
+    #[test]
+    fn validator_accepts_a_well_formed_histogram() {
+        let ok = histogram("m_bucket{le=\"1\"} 2\nm_bucket{le=\"+Inf\"} 3\nm_sum 4\nm_count 3\n");
+        validate_exposition(&ok).unwrap();
+    }
+
+    #[test]
+    fn validator_rejects_non_monotone_buckets() {
+        let bad = histogram("m_bucket{le=\"1\"} 3\nm_bucket{le=\"+Inf\"} 2\nm_sum 4\nm_count 2\n");
+        assert!(validate_exposition(&bad).unwrap_err().contains("below"));
+    }
+
+    #[test]
+    fn validator_rejects_a_histogram_without_an_inf_bucket() {
+        let bad = histogram("m_bucket{le=\"1\"} 3\nm_sum 4\nm_count 3\n");
+        assert!(validate_exposition(&bad).unwrap_err().contains("+Inf"));
+    }
+
+    #[test]
+    fn validator_rejects_an_inf_bucket_that_is_not_the_count() {
+        let bad = histogram("m_bucket{le=\"1\"} 3\nm_bucket{le=\"+Inf\"} 3\nm_sum 4\nm_count 5\n");
+        assert!(validate_exposition(&bad).unwrap_err().contains("_count"));
+    }
+
+    #[test]
+    fn validator_rejects_a_sample_before_its_help() {
+        let bad = "# TYPE m counter\nm 1\n";
+        assert!(validate_exposition(bad).unwrap_err().contains("# HELP"));
     }
 
     #[test]

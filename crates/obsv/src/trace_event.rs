@@ -113,7 +113,7 @@ pub fn chrome_trace(events: &[Event]) -> String {
 mod tests {
     use super::*;
     use crate::event::KvList;
-    use crate::json::check_balanced;
+    use crate::json::parse;
     use crate::kv;
     use crate::span::SpanId;
 
@@ -126,7 +126,7 @@ mod tests {
             Event { span, name: "round", kind: EventKind::Exit, at: 250, kv: kv![ms => 150u64] },
         ];
         let json = chrome_trace(&evs);
-        check_balanced(&json).unwrap();
+        parse(&json).unwrap();
         assert!(json.contains(r#""ph":"X""#));
         assert!(json.contains(r#""ts":100000"#));
         assert!(json.contains(r#""dur":150000"#));
@@ -146,14 +146,14 @@ mod tests {
         let evs =
             vec![Event { span, name: "round", kind: EventKind::Enter, at: 7, kv: KvList::new() }];
         let json = chrome_trace(&evs);
-        check_balanced(&json).unwrap();
+        parse(&json).unwrap();
         assert!(json.contains(r#""dur":0"#));
     }
 
     #[test]
     fn empty_stream_is_valid() {
         let json = chrome_trace(&[]);
-        check_balanced(&json).unwrap();
+        parse(&json).unwrap();
         assert!(json.contains("traceEvents"));
     }
 }

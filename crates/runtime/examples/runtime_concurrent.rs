@@ -6,14 +6,14 @@
 //! cargo run --release -p cdb-runtime --example runtime_concurrent
 //! ```
 //!
-//! With `CDB_TRACE=1` the run also attaches a ring-buffer collector and
-//! writes `target/obsv/metrics.prom` (Prometheus text exposition) and
+//! The run attaches a ring-buffer collector and writes
+//! `target/obsv/metrics.prom` (Prometheus text exposition, validated
+//! in-process by `cdb_obsv::validate_exposition` first) and
 //! `target/obsv/trace.json` (Chrome `trace_event`, loadable in
-//! [Perfetto](https://ui.perfetto.dev)) — the CI smoke job exercises this
-//! path and validates the exposition line format.
+//! [Perfetto](https://ui.perfetto.dev)).
 //!
-//! With `CDB_REUSE=1` the fleet runs twice against a shared cross-query
-//! answer cache: the second pass must resolve tasks by entailment
+//! It then runs the fleet twice against a shared cross-query answer
+//! cache: the second pass must resolve tasks by entailment
 //! (`tasks_saved > 0`) without changing a single binding.
 
 use std::collections::HashMap;
@@ -58,12 +58,9 @@ fn config(threads: usize) -> RuntimeConfig {
 fn main() {
     let jobs: Vec<QueryJob> = (0..100).map(|i| join_query(i, 4, 3)).collect();
 
-    let tracing = std::env::var("CDB_TRACE").is_ok_and(|v| v == "1");
     let ring = Arc::new(Ring::with_capacity(1 << 18));
     let mut cfg = config(4);
-    if tracing {
-        cfg.trace = Trace::collector(ring.clone());
-    }
+    cfg.trace = Trace::collector(ring.clone());
 
     let report = RuntimeExecutor::new(cfg).run(jobs.clone());
     println!(
@@ -85,7 +82,7 @@ fn main() {
     // Deterministic replay: the same (seed, fault plan) yields the same
     // byte-for-byte answers on one thread as on eight.
     let replay_1 = RuntimeExecutor::new(config(1)).run(jobs.clone()).answers();
-    let replay_8 = RuntimeExecutor::new(config(8)).run(jobs).answers();
+    let replay_8 = RuntimeExecutor::new(config(8)).run(jobs.clone()).answers();
     assert_eq!(replay_1, replay_8, "replay must not depend on thread count");
     println!("replay check: 1-thread and 8-thread answers are byte-identical");
 
@@ -95,38 +92,34 @@ fn main() {
     }
     println!("\nmetrics JSON:\n{}", m.to_json());
 
-    if std::env::var("CDB_REUSE").is_ok_and(|v| v == "1") {
-        let cache = Arc::new(cdb_core::ReuseCache::new());
-        let with_cache = || {
-            let mut cfg = config(4);
-            cfg.reuse = Some(Arc::clone(&cache));
-            RuntimeExecutor::new(cfg).run((0..100).map(|i| join_query(i, 4, 3)).collect())
-        };
-        let cold = with_cache();
-        let warm = with_cache();
-        assert!(warm.metrics.tasks_saved > 0, "warm pass must hit the answer cache");
-        assert_eq!(cold.bindings_text(), warm.bindings_text(), "reuse must not change any binding");
-        println!(
-            "\nreuse check: warm pass saved {} tasks / {}¢ (dispatch {} -> {}), identical bindings",
-            warm.metrics.tasks_saved,
-            warm.metrics.money_saved_cents,
-            cold.metrics.tasks_dispatched,
-            warm.metrics.tasks_dispatched,
-        );
-    }
+    let cache = Arc::new(cdb_core::ReuseCache::new());
+    let with_cache = || {
+        let mut cfg = config(4);
+        cfg.reuse = Some(Arc::clone(&cache));
+        RuntimeExecutor::new(cfg).run(jobs.clone())
+    };
+    let cold = with_cache();
+    let warm = with_cache();
+    assert!(warm.metrics.tasks_saved > 0, "warm pass must hit the answer cache");
+    assert_eq!(cold.bindings_text(), warm.bindings_text(), "reuse must not change any binding");
+    println!(
+        "\nreuse check: warm pass saved {} tasks / {}¢ (dispatch {} -> {}), identical bindings",
+        warm.metrics.tasks_saved,
+        warm.metrics.money_saved_cents,
+        cold.metrics.tasks_dispatched,
+        warm.metrics.tasks_dispatched,
+    );
 
-    if tracing {
-        let dir = std::path::Path::new("target/obsv");
-        std::fs::create_dir_all(dir).expect("create target/obsv");
-        let prom = m.to_prometheus();
-        cdb_obsv::validate_exposition(&prom).expect("prometheus exposition must validate");
-        std::fs::write(dir.join("metrics.prom"), &prom).expect("write metrics.prom");
-        let events = ring.drain();
-        std::fs::write(dir.join("trace.json"), chrome_trace(&events)).expect("write trace.json");
-        println!(
-            "\ntrace: {} events captured ({} dropped) -> target/obsv/{{metrics.prom,trace.json}}",
-            events.len(),
-            ring.dropped()
-        );
-    }
+    let dir = std::path::Path::new("target/obsv");
+    std::fs::create_dir_all(dir).expect("create target/obsv");
+    let prom = m.to_prometheus();
+    cdb_obsv::validate_exposition(&prom).expect("prometheus exposition must validate");
+    std::fs::write(dir.join("metrics.prom"), &prom).expect("write metrics.prom");
+    let events = ring.drain();
+    std::fs::write(dir.join("trace.json"), chrome_trace(&events)).expect("write trace.json");
+    println!(
+        "\ntrace: {} events captured ({} dropped) -> target/obsv/{{metrics.prom,trace.json}}",
+        events.len(),
+        ring.dropped()
+    );
 }

@@ -9,6 +9,7 @@ use std::net::{SocketAddr, TcpStream};
 
 use cdb_obsv::json::{parse, Json};
 
+use crate::http::{self, header, Headers};
 use crate::wire::{StreamEvent, Submit};
 
 /// One unary response: status code and body text.
@@ -230,34 +231,15 @@ fn invalid(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-fn header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
-    headers.iter().find(|(n, _)| n == name).map(|(_, v)| v.as_str())
-}
-
 /// Read a response's status line + headers.
-fn read_head(reader: &mut BufReader<TcpStream>) -> io::Result<(u16, Vec<(String, String)>)> {
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
-    let status = line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse::<u16>().ok())
-        .ok_or_else(|| invalid(format!("bad status line: {line:?}")))?;
-    let mut headers = Vec::new();
-    loop {
-        let mut h = String::new();
-        if reader.read_line(&mut h)? == 0 {
-            return Err(invalid("eof in headers".to_string()));
-        }
-        let h = h.trim_end();
-        if h.is_empty() {
-            break;
-        }
-        if let Some((n, v)) = h.split_once(':') {
-            headers.push((n.trim().to_ascii_lowercase(), v.trim().to_string()));
-        }
-    }
-    Ok((status, headers))
+fn read_head(reader: &mut BufReader<TcpStream>) -> io::Result<(u16, Headers)> {
+    let head = http::read_head(reader, |line| {
+        line.split_whitespace()
+            .nth(1)
+            .and_then(|s| s.parse::<u16>().ok())
+            .ok_or_else(|| invalid(format!("bad status line: {line:?}")))
+    })?;
+    head.ok_or_else(|| invalid("connection closed before the status line".to_string()))
 }
 
 /// Read a fixed-length (or empty) response body.

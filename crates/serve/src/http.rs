@@ -34,7 +34,7 @@ pub struct Request {
 impl Request {
     /// First value of a header, by lowercase name.
     pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers.iter().find(|(n, _)| n == name).map(|(_, v)| v.as_str())
+        header(&self.headers, name)
     }
 
     /// True when the client asked to keep the connection open (HTTP/1.1
@@ -53,23 +53,50 @@ impl Request {
 /// cleanly between requests (normal keep-alive shutdown); malformed
 /// framing is an `InvalidData` error the caller answers with a `400`.
 pub fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Request>> {
+    let head = read_head(reader, |line| {
+        let mut parts = line.splitn(3, ' ');
+        match (parts.next(), parts.next(), parts.next()) {
+            (Some(m), Some(t), Some(v)) if v.starts_with("HTTP/1.") => {
+                Ok((m.to_string(), t.to_string()))
+            }
+            _ => Err(bad(format!("malformed request line: {line:?}"))),
+        }
+    })?;
+    let Some(((method, target), headers)) = head else { return Ok(None) };
+    let (path, query) = match target.split_once('?') {
+        Some((p, q)) => (p.to_string(), Some(q.to_string())),
+        None => (target, None),
+    };
+    let content_length = match header(&headers, "content-length") {
+        Some(v) => v.parse::<usize>().map_err(|_| bad(format!("bad content-length: {v:?}")))?,
+        None => 0,
+    };
+    if content_length > MAX_BODY {
+        return Err(bad(format!("body too large: {content_length}")));
+    }
+    let mut body = vec![0u8; content_length];
+    reader.read_exact(&mut body)?;
+    Ok(Some(Request { method, path, query, headers, body }))
+}
+
+/// Header `(name, value)` pairs, names lowercased.
+pub(crate) type Headers = Vec<(String, String)>;
+
+/// Read a message head, request or response: the start line (handed to
+/// `start`, which may refuse it before any header is read), then
+/// `name: value` headers up to the blank line, names lowercased. `Ok(None)`
+/// when the peer closed before a start line; a header line without a `:`
+/// is an `InvalidData` error.
+pub(crate) fn read_head<T>(
+    reader: &mut impl BufRead,
+    start: impl FnOnce(&str) -> io::Result<T>,
+) -> io::Result<Option<(T, Headers)>> {
     let mut line = String::new();
     if reader.read_line(&mut line)? == 0 {
         return Ok(None);
     }
-    let line = line.trim_end();
-    let mut parts = line.splitn(3, ' ');
-    let (method, target, version) = match (parts.next(), parts.next(), parts.next()) {
-        (Some(m), Some(t), Some(v)) if v.starts_with("HTTP/1.") => (m, t, v),
-        _ => return Err(bad(format!("malformed request line: {line:?}"))),
-    };
-    let _ = version;
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p.to_string(), Some(q.to_string())),
-        None => (target.to_string(), None),
-    };
+    let start = start(line.trim_end())?;
     let mut headers = Vec::new();
-    let mut content_length = 0usize;
     loop {
         let mut h = String::new();
         if reader.read_line(&mut h)? == 0 {
@@ -77,26 +104,18 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Requ
         }
         let h = h.trim_end();
         if h.is_empty() {
-            break;
+            return Ok(Some((start, headers)));
         }
         let Some((name, value)) = h.split_once(':') else {
             return Err(bad(format!("malformed header: {h:?}")));
         };
-        let name = name.trim().to_ascii_lowercase();
-        let value = value.trim().to_string();
-        if name == "content-length" {
-            content_length = value
-                .parse::<usize>()
-                .map_err(|_| bad(format!("bad content-length: {value:?}")))?;
-            if content_length > MAX_BODY {
-                return Err(bad(format!("body too large: {content_length}")));
-            }
-        }
-        headers.push((name, value));
+        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
     }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
-    Ok(Some(Request { method: method.to_string(), path, query, headers, body }))
+}
+
+/// First value of a header, by lowercase name.
+pub(crate) fn header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
+    headers.iter().find(|(n, _)| n == name).map(|(_, v)| v.as_str())
 }
 
 fn bad(msg: String) -> io::Error {
@@ -221,6 +240,19 @@ mod tests {
         c.write_all(head.as_bytes()).unwrap();
         let mut r = BufReader::new(s);
         assert!(read_request(&mut r).is_err());
+    }
+
+    #[test]
+    fn rejects_a_bad_request_line_before_any_header_and_a_bad_header() {
+        // The client stays connected and sends no blank line: the request
+        // line alone must be refused, not wait for headers.
+        let (mut c, s) = pair();
+        c.write_all(b"GARBAGE\r\n").unwrap();
+        assert!(read_request(&mut BufReader::new(s)).is_err());
+        let (mut c2, s) = pair();
+        c2.write_all(b"GET / HTTP/1.1\r\nno colon\r\n\r\n").unwrap();
+        assert!(read_request(&mut BufReader::new(s)).is_err());
+        drop((c, c2));
     }
 
     #[test]

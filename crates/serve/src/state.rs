@@ -31,7 +31,7 @@ use std::time::Instant;
 
 use cdb_core::executor::EdgeTruth;
 use cdb_core::model::NodeId;
-use cdb_core::{build_query_graph, CostEstimate, GraphBuildConfig, QueryGraph, QueryTruth};
+use cdb_core::{plan_select, CostEstimate, GraphBuildConfig, QueryGraph, QueryTruth};
 use cdb_obsv::json::{JsonArray, JsonObject};
 use cdb_obsv::Hist;
 use cdb_runtime::{execute_query, QueryJob, RoundHook, RoundSink, RuntimeConfig, RuntimeMetrics};
@@ -94,26 +94,22 @@ pub(crate) struct Plan {
     pub(crate) runtime: RuntimeConfig,
 }
 
-/// Turn served CQL into the job it runs as: parse, analyze, refuse what
-/// the wire does not serve, build the query graph and its edge truth,
-/// and fold the statement's task cap into the runtime configuration.
-/// The server plans every submission here and the oracle re-plans here,
-/// so the two can never disagree on what a statement means.
+/// Turn served CQL into the job it runs as: plan the SELECT
+/// ([`cdb_core::plan_select`]), refuse the post-ops the wire does not
+/// serve, attach the graph's edge truth, and fold the statement's task
+/// cap into the runtime configuration. The server plans every submission
+/// here and the oracle re-plans here, so the two can never disagree on
+/// what a statement means.
 pub(crate) fn plan(
     db: &cdb_storage::Database,
     truth: &QueryTruth,
     cfg: &ServeConfig,
     sql: &str,
 ) -> Result<Plan, String> {
-    let stmt = cdb_cql::parse(sql).map_err(|e| e.to_string())?;
-    let cdb_cql::Statement::Select(q) = stmt else {
-        return Err("only SELECT statements are served; see docs/CQL.md".into());
-    };
-    let analyzed = cdb_cql::analyze_select(&q, db).map_err(|e| e.to_string())?;
+    let (analyzed, graph) = plan_select(db, sql, &cfg.build).map_err(|e| e.to_string())?;
     if analyzed.group_by.is_some() || analyzed.order_by.is_some() {
         return Err("GROUP BY/ORDER BY CROWD post-ops are not served over the wire".into());
     }
-    let graph = build_query_graph(&analyzed, db, &cfg.build);
     let truth = truth.edge_truth(&graph);
     let mut runtime = cfg.runtime.clone();
     runtime.exec.budget = analyzed.budget.or(runtime.exec.budget);
@@ -176,14 +172,20 @@ struct QueryEntry {
     plan: Option<Box<Plan>>,
     /// Retained NDJSON lines — the stream replay artifact.
     chunks: Vec<String>,
-    /// True once the terminal chunk is in `chunks`.
-    done: bool,
-    cancel: Arc<AtomicBool>,
+    /// Set by [`ServerState::cancel`]; the round hook then stops the query.
+    cancel: bool,
     /// Bindings already streamed (for retract computation and the
     /// no-duplicates guarantee).
     streamed: BTreeSet<Vec<u64>>,
     admitted_at: Option<Instant>,
     first_binding_ms: Option<f64>,
+}
+
+impl QueryEntry {
+    /// True once the terminal chunk is in `chunks`.
+    fn done(&self) -> bool {
+        matches!(self.state, QueryState::Done | QueryState::Failed | QueryState::Cancelled)
+    }
 }
 
 /// Registry + ledgers + run queue, under one lock.
@@ -339,8 +341,7 @@ impl ServerState {
                 estimate,
                 plan: Some(Box::new(plan)),
                 chunks: Vec::new(),
-                done: false,
-                cancel: Arc::new(AtomicBool::new(false)),
+                cancel: false,
                 streamed: BTreeSet::new(),
                 admitted_at: if state == QueryState::Admitted {
                     Some(Instant::now())
@@ -374,7 +375,7 @@ impl ServerState {
                     }
                     if let Some(id) = inner.run_queue.pop_front() {
                         let entry = inner.queries.get_mut(&id).expect("queued query exists");
-                        if entry.done {
+                        if entry.done() {
                             // Cancelled while waiting for a worker; the
                             // cancel path already settled the ledger.
                             continue;
@@ -407,7 +408,7 @@ impl ServerState {
         let mut inner = self.inner.lock().unwrap();
         let inner = &mut *inner;
         let Some(entry) = inner.queries.get_mut(&query) else { return false };
-        if entry.cancel.load(Ordering::SeqCst) {
+        if entry.cancel {
             return false;
         }
         if !new_bindings.is_empty() {
@@ -425,7 +426,7 @@ impl ServerState {
             entry.chunks.push(StreamEvent::Round { round, new }.encode());
             self.chunks.notify_all();
         }
-        !entry.cancel.load(Ordering::SeqCst)
+        true
     }
 
     /// Settle one finished query: retractions, terminal chunk, ledger.
@@ -452,7 +453,7 @@ impl ServerState {
                 let actual =
                     committed.min(qr.tasks_asked as u64 * redundancy * self.cfg.task_price_cents);
                 let refund = committed - actual;
-                let cancelled = qr.cancelled || entry.cancel.load(Ordering::SeqCst);
+                let cancelled = qr.cancelled || entry.cancel;
                 entry.chunks.push(
                     StreamEvent::Done {
                         rounds: qr.rounds as u64,
@@ -473,7 +474,6 @@ impl ServerState {
                 (Spend { actual: 0, refund: committed }, QueryState::Failed)
             }
         };
-        entry.done = true;
         inner.inflight -= 1;
         Self::settle_tenant(inner, &tenant_name, released, terminal);
         Self::promote(inner, &tenant_name, &self.wake);
@@ -511,7 +511,7 @@ impl ServerState {
             }
             for req in wave {
                 let entry = inner.queries.get_mut(&req.query).expect("queued query exists");
-                if entry.done {
+                if entry.done() {
                     // Cancelled while admission-queued: nothing to run.
                     let t = inner.tenants.get_mut(tenant).expect("tenant exists");
                     t.admission.complete(&req.estimate);
@@ -534,7 +534,7 @@ impl ServerState {
         let mut inner = self.inner.lock().unwrap();
         let inner = &mut *inner;
         let Some(entry) = inner.queries.get_mut(&id) else { return false };
-        entry.cancel.store(true, Ordering::SeqCst);
+        entry.cancel = true;
         match entry.state {
             QueryState::Running | QueryState::Done | QueryState::Failed | QueryState::Cancelled => {
             }
@@ -556,7 +556,6 @@ impl ServerState {
                     }
                     .encode(),
                 );
-                entry.done = true;
                 let tenant_name = entry.tenant.clone();
                 let estimate = entry.estimate;
                 inner.inflight -= 1;
@@ -580,7 +579,7 @@ impl ServerState {
     pub fn chunks_from(&self, id: u64, from: usize) -> Option<(Vec<String>, bool)> {
         let inner = self.inner.lock().unwrap();
         let entry = inner.queries.get(&id)?;
-        Some((entry.chunks[from.min(entry.chunks.len())..].to_vec(), entry.done))
+        Some((entry.chunks[from.min(entry.chunks.len())..].to_vec(), entry.done()))
     }
 
     /// Block until query `id` has more than `from` chunks, is done, or the
@@ -592,10 +591,10 @@ impl ServerState {
         loop {
             {
                 let entry = inner.queries.get(&id)?;
-                if entry.done || entry.chunks.len() > from {
+                if entry.done() || entry.chunks.len() > from {
                     return Some((
                         entry.chunks[from.min(entry.chunks.len())..].to_vec(),
-                        entry.done,
+                        entry.done(),
                     ));
                 }
             }
@@ -616,7 +615,7 @@ impl ServerState {
             .u64("query", id)
             .str("tenant", &entry.tenant)
             .str("state", entry.state.label())
-            .bool("done", entry.done)
+            .bool("done", entry.done())
             .u64("chunks", entry.chunks.len() as u64)
             .u64("bindings_streamed", entry.streamed.len() as u64)
             .raw(

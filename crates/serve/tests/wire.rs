@@ -166,6 +166,43 @@ fn golden_admission_responses() {
     server.shutdown();
 }
 
+/// What the wire does not serve is refused before admission: a 400 naming
+/// the reason, no query id, and no mark on any ledger.
+#[test]
+fn unserved_statements_are_refused_without_touching_a_ledger() {
+    let server = example_server(ServeConfig::default());
+    let mut client = Client::new(server.addr());
+    let SubmitOutcome::Admitted { query } = client.submit(&submit("acme", 10_000)).expect("submit")
+    else {
+        panic!("expected admission");
+    };
+    wait_done(&mut client, query);
+    let ledger = client.tenant_status("acme").expect("tenant").expect("known tenant");
+    let stats = client.stats().expect("stats");
+
+    let grouped = format!("{JOIN_SQL} GROUP BY CROWD University.name");
+    for (sql, named) in [
+        ("CREATE TABLE Extra (name varchar(64))", "SELECT"),
+        ("FILL Researcher.affiliation", "SELECT"),
+        (grouped.as_str(), "GROUP BY"),
+    ] {
+        for tenant in ["acme", "fresh"] {
+            let refused = Submit { sql: sql.into(), ..submit(tenant, 10_000) };
+            let resp =
+                client.request("POST", "/queries", Some(&refused.encode())).expect("request");
+            assert_eq!(resp.status, 400, "{sql}: {}", resp.body);
+            let body = resp.json().expect("JSON body");
+            assert_eq!(body.get("query"), None, "{sql}: {}", resp.body);
+            let error = body.get("error").and_then(Json::as_str).expect("error message");
+            assert!(error.contains(named), "{sql}: {error}");
+        }
+    }
+    assert_eq!(client.tenant_status("acme").expect("tenant"), Some(ledger));
+    assert_eq!(client.tenant_status("fresh").expect("tenant"), None, "no ledger opened");
+    assert_eq!(client.stats().expect("stats"), stats);
+    server.shutdown();
+}
+
 #[test]
 fn mid_stream_failure_refunds_the_whole_hold() {
     let mut cfg = ServeConfig::default();

@@ -22,6 +22,7 @@ use std::collections::HashMap;
 use cdb_core::executor::EdgeTruth;
 use cdb_core::model::{EdgeId, NodeId};
 use cdb_core::QueryGraph;
+use cdb_graph::UnionFind;
 use cdb_runtime::QueryJob;
 
 /// One connected component of a query graph: an independent work unit.
@@ -113,38 +114,6 @@ impl std::fmt::Display for PartitionViolation {
     }
 }
 
-/// Union-find with path halving and union by size.
-struct Dsu {
-    parent: Vec<usize>,
-    size: Vec<usize>,
-}
-
-impl Dsu {
-    fn new(n: usize) -> Self {
-        Dsu { parent: (0..n).collect(), size: vec![1; n] }
-    }
-
-    fn find(&mut self, mut x: usize) -> usize {
-        while self.parent[x] != x {
-            self.parent[x] = self.parent[self.parent[x]];
-            x = self.parent[x];
-        }
-        x
-    }
-
-    fn union(&mut self, a: usize, b: usize) {
-        let (mut ra, mut rb) = (self.find(a), self.find(b));
-        if ra == rb {
-            return;
-        }
-        if self.size[ra] < self.size[rb] {
-            std::mem::swap(&mut ra, &mut rb);
-        }
-        self.parent[rb] = ra;
-        self.size[ra] += self.size[rb];
-    }
-}
-
 /// Split `g` into connected components.
 ///
 /// Deterministic and insertion-order independent: the result depends only
@@ -160,7 +129,7 @@ pub fn partition(g: &QueryGraph) -> Partition {
             if n == 0 { Vec::new() } else { vec![Component { id: 0, nodes, edges: Vec::new() }] };
         return Partition { components, source_nodes: n, source_edges: m };
     }
-    let mut dsu = Dsu::new(n);
+    let mut dsu = UnionFind::new(n);
     for e in 0..m {
         let (u, v) = g.edge_endpoints(EdgeId(e));
         dsu.union(u.0, v.0);

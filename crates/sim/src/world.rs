@@ -5,7 +5,7 @@
 
 use cdb_core::executor::EdgeTruth;
 use cdb_core::model::{NodeId, PartKind};
-use cdb_core::{build_query_graph, GraphBuildConfig, QueryGraph};
+use cdb_core::{plan_select, GraphBuildConfig, QueryGraph};
 use cdb_crowd::stream_key;
 use cdb_datagen::{
     award_dataset, cluster_labels, paper_dataset, queries_for, DatasetScale, DirtConfig,
@@ -129,11 +129,8 @@ fn dataset_job(id: u64, spec: &ScenarioSpec, paper: bool, scale: usize, query: u
     };
     let specs = queries_for(name);
     let cql = &specs[query % specs.len()].cql;
-    let cdb_cql::Statement::Select(q) = cdb_cql::parse(cql).expect("table-4 query parses") else {
-        unreachable!("table-4 queries are SELECTs");
-    };
-    let analyzed = cdb_cql::analyze_select(&q, &ds.db).expect("table-4 query analyzes");
-    let g = build_query_graph(&analyzed, &ds.db, &GraphBuildConfig::default());
+    let (_, g) =
+        plan_select(&ds.db, cql, &GraphBuildConfig::default()).expect("table-4 query plans");
     let truth = ds.truth.edge_truth(&g);
     QueryJob { id, graph: g, truth }
 }

@@ -9,6 +9,7 @@
 use cdb::baselines::budget_baseline;
 use cdb::core::executor::{true_answers, Executor, ExecutorConfig};
 use cdb::core::metrics::precision_recall;
+use cdb::core::{plan_select, GraphBuildConfig};
 use cdb::crowd::{Market, SimulatedPlatform, WorkerPool};
 use cdb::datagen::{paper_dataset, queries_for, DatasetScale};
 use rand::rngs::StdRng;
@@ -21,12 +22,7 @@ fn main() {
     let query = &queries_for("paper")[0]; // 2J
     println!("CQL> {} BUDGET <b>\n", query.cql);
 
-    let cdb_cql::Statement::Select(q) = cdb_cql::parse(&query.cql).expect("parses") else {
-        unreachable!()
-    };
-    let analyzed = cdb_cql::analyze_select(&q, &ds.db).expect("analyzes");
-    let g =
-        cdb::core::build_query_graph(&analyzed, &ds.db, &cdb::core::GraphBuildConfig::default());
+    let (_, g) = plan_select(&ds.db, &query.cql, &GraphBuildConfig::default()).expect("plans");
     let truth = ds.truth.edge_truth(&g);
     let reference: BTreeSet<_> = true_answers(&g, &truth).into_iter().map(|c| c.binding).collect();
     println!("graph: {} edges; {} true answers reachable\n", g.edge_count(), reference.len());

@@ -9,7 +9,7 @@
 
 use cdb::baselines::{opt_tree_order, run_tree};
 use cdb::core::executor::{true_answers, Executor, ExecutorConfig};
-use cdb::core::{build_query_graph, GraphBuildConfig};
+use cdb::core::{plan_select, GraphBuildConfig};
 use cdb::crowd::{Market, SimulatedPlatform, WorkerPool};
 use cdb::datagen::paper_example_dataset;
 
@@ -22,11 +22,7 @@ fn main() {
     println!("CQL> {sql}\n");
 
     // Build the graph query model (Definition 1).
-    let cdb_cql::Statement::Select(q) = cdb_cql::parse(sql).expect("parses") else {
-        unreachable!()
-    };
-    let analyzed = cdb_cql::analyze_select(&q, &db).expect("analyzes");
-    let g = build_query_graph(&analyzed, &db, &GraphBuildConfig::default());
+    let (_, g) = plan_select(&db, sql, &GraphBuildConfig::default()).expect("plans");
     let edge_truth = truth.edge_truth(&g);
     println!(
         "graph model: {} tuple vertices, {} candidate edges across {} predicates",

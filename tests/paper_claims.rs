@@ -19,10 +19,7 @@ struct Fixture {
 fn fixture(query_idx: usize, seed: u64) -> Fixture {
     let ds = paper_dataset(DatasetScale::paper_full().scaled(30), seed);
     let q = &queries_for("paper")[query_idx];
-    let cdb_cql::Statement::Select(sel) = cdb_cql::parse(&q.cql).unwrap() else { panic!() };
-    let analyzed = cdb_cql::analyze_select(&sel, &ds.db).unwrap();
-    let g =
-        cdb::core::build_query_graph(&analyzed, &ds.db, &cdb::core::GraphBuildConfig::default());
+    let (_, g) = cdb::core::plan_select(&ds.db, &q.cql, &Default::default()).unwrap();
     let truth = ds.truth.edge_truth(&g);
     Fixture { g, truth }
 }
