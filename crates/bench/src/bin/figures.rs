@@ -6,19 +6,10 @@
 //!
 //! targets: fig8 fig9 fig10 fig11 fig14 fig15 fig16 fig17 fig18 fig19
 //!          fig20 fig21 fig22 fig23 fig24 table2 table3 table4 table5
-//!          example ablations reuse sched sim all
+//!          example ablations sim all
 //!
 //! An unknown target or flag, a value that does not parse, or a zero
 //! `--scale` or `--reps` prints this usage to stderr and exits 2.
-//!
-//! `reuse` sweeps the cross-query answer-reuse cache (on/off × fault
-//! rate) over the self-join fleet and checks the dispatched-task
-//! reduction and answer equality.
-//!
-//! `sched` sweeps 1/2/4/8 concurrent queries through the multi-query
-//! scheduler (`cdb-sched`) with shared-HIT batching on and off, and
-//! checks byte-identical bindings plus the ≥15% HIT reduction at 8
-//! concurrent queries.
 //!
 //! `sim` soaks the deterministic simulation harness (`cdb-sim`) over
 //! `--iters` consecutive seeds starting at `--seed`: each seed generates
@@ -27,8 +18,9 @@
 //! invariant. On failure the seed is printed, the scenario is shrunk,
 //! and the repro text is dumped; exit status is nonzero.
 //!
-//! Served load, the profiled Table 5 sweep, the durable store and the
-//! shard scaling sweep are not targets here: their deterministic counts
+//! Served load, the profiled Table 5 sweep, the durable store, the shard
+//! scaling sweep, answer reuse and multi-query scheduling are not targets
+//! here: their deterministic counts
 //! are pinned by tests (`crates/serve/tests/wire.rs`,
 //! `crates/bench/tests/pinned_counts.rs`) and their timings are
 //! `cdb-benchmark`'s.
@@ -62,7 +54,7 @@ struct Args {
 }
 
 fn usage() -> ! {
-    eprintln!("usage: figures [--scale N] [--reps R] [--seed S] [--iters N] <fig8..fig24|table2..table5|example|ablations|reuse|sched|sim|all>");
+    eprintln!("usage: figures [--scale N] [--reps R] [--seed S] [--iters N] <fig8..fig24|table2..table5|example|ablations|sim|all>");
     std::process::exit(2);
 }
 
@@ -118,8 +110,6 @@ fn target(t: &str) -> Option<fn(&Args)> {
         "table5" => table5,
         "example" => example,
         "ablations" => ablations,
-        "reuse" => reuse,
-        "sched" => sched,
         "all" => all,
         // Not part of `all`: a correctness soak, not a paper figure.
         "sim" => sim,
@@ -128,8 +118,7 @@ fn target(t: &str) -> Option<fn(&Args)> {
     Some(run)
 }
 
-/// `figures all`: every paper table and figure, the ablations and the
-/// reuse and scheduling sweeps.
+/// `figures all`: every paper table and figure and the ablations.
 fn all(args: &Args) {
     for t in [
         "fig8",
@@ -150,8 +139,6 @@ fn all(args: &Args) {
         "table5",
         "example",
         "ablations",
-        "reuse",
-        "sched",
     ] {
         target(t).expect("`all` names known targets")(args);
     }
@@ -391,7 +378,7 @@ fn fig22(args: &Args) {
         let (g, truth) = prepare(&ds, &q.cql, &cfg);
         print!("{:<8}", r);
         for m in Method::all() {
-            let res = cdb_bench::run_method_constrained(m, &g, &truth, &cfg, args.reps);
+            let res = run_method_avg(m, &g, &truth, &cfg, args.reps);
             print!("{:>9}", res.tasks);
         }
         println!();
@@ -587,132 +574,6 @@ fn ablations(args: &Args) {
         )
         .run();
         println!("{:<10}{:>8} tasks{:>8} rounds", name, stats.tasks_asked, stats.rounds);
-    }
-    println!();
-}
-
-/// `figures reuse`: the answer-reuse sweep — cache on/off × fault rate
-/// over the self-join fleet, two passes per cell (the second pass is where
-/// cross-query reuse pays: the cache absorbed pass one's answers).
-fn reuse(args: &Args) {
-    use cdb_bench::selfjoin_jobs;
-    use cdb_core::ReuseCache;
-    use cdb_runtime::{FaultPlan, RetryPolicy, RuntimeConfig, RuntimeExecutor};
-    use std::sync::Arc;
-
-    let queries = 6u64;
-    let items = (80 / args.scale).clamp(4, 24);
-    println!("# Answer reuse: {queries} self-join queries x 2 passes ({items} items, 3 clusters)");
-    println!(
-        "{:<8}{:<8}{:>12}{:>12}{:>9}{:>12}{:>11}{:>10}",
-        "cache", "faults", "dispatched", "saved", "red_%", "saved_\u{a2}", "depth_sum", "same_ans"
-    );
-    for &fault_rate in &[0.0f64, 0.1, 0.3] {
-        let run_passes = |cache: Option<Arc<ReuseCache>>| {
-            let rcfg = RuntimeConfig {
-                threads: 4,
-                seed: args.seed,
-                worker_accuracies: vec![1.0; 20],
-                fault_plan: FaultPlan::uniform(args.seed, fault_rate),
-                retry: RetryPolicy { deadline_ms: 300_000, max_retries: 8 },
-                reuse: cache,
-                ..RuntimeConfig::default()
-            };
-            let exec = RuntimeExecutor::new(rcfg);
-            let first = exec.run(selfjoin_jobs(queries, items, 3));
-            let second = exec.run(selfjoin_jobs(queries, items, 3));
-            let dispatched = first.metrics.tasks_dispatched + second.metrics.tasks_dispatched;
-            let saved = first.metrics.tasks_saved + second.metrics.tasks_saved;
-            let cents = first.metrics.money_saved_cents + second.metrics.money_saved_cents;
-            let depth = first.metrics.entailment_depth_sum + second.metrics.entailment_depth_sum;
-            let bindings = format!("{}{}", first.bindings_text(), second.bindings_text());
-            (dispatched, saved, cents, depth, bindings)
-        };
-        let off = run_passes(None);
-        let on = run_passes(Some(Arc::new(ReuseCache::new())));
-        let reduction = 100.0 * (off.0 as f64 - on.0 as f64) / off.0.max(1) as f64;
-        for (label, r) in [("off", &off), ("on", &on)] {
-            println!(
-                "{:<8}{:<8}{:>12}{:>12}{:>9.1}{:>12}{:>11}{:>10}",
-                label,
-                fault_rate,
-                r.0,
-                r.1,
-                if label == "on" { reduction } else { 0.0 },
-                r.2,
-                r.3,
-                if r.4 == off.4 { "yes" } else { "NO" },
-            );
-        }
-        assert!(
-            reduction >= 20.0,
-            "reuse must cut dispatched tasks by >= 20% (got {reduction:.1}%)"
-        );
-        assert_eq!(on.4, off.4, "reuse must not change query answers");
-    }
-    println!();
-}
-
-/// `figures sched`: the multi-query scheduling sweep — 1/2/4/8 concurrent
-/// self-join queries, shared-HIT batching on vs off. Checks the scheduler's
-/// two contracts: per-query bindings are byte-identical either way (and
-/// identical to a plain runtime run), and at 8 concurrent queries shared
-/// packing publishes ≥ 15% fewer HITs than per-query billing.
-fn sched(args: &Args) {
-    use cdb_bench::selfjoin_jobs;
-    use cdb_runtime::{RuntimeConfig, RuntimeExecutor};
-    use cdb_sched::{DrrConfig, SchedConfig, SchedJob, Scheduler};
-
-    let items = (80 / args.scale).clamp(4, 24);
-    // A quantum below `tasks_per_hit` maximizes the per-query partial-HIT
-    // waste that cross-query packing recovers.
-    let quantum = 5;
-    println!("# Multi-query scheduling: {items}-item self-joins, DRR quantum {quantum}, shared-HIT batching on/off");
-    println!(
-        "{:<9}{:>7}{:>11}{:>8}{:>12}{:>8}{:>10}",
-        "queries", "rounds", "solo_hits", "hits", "platform_\u{a2}", "red_%", "same_ans"
-    );
-    for &n in &[1u64, 2, 4, 8] {
-        let rcfg = || RuntimeConfig {
-            threads: 4,
-            seed: args.seed,
-            worker_accuracies: vec![1.0; 20],
-            ..RuntimeConfig::default()
-        };
-        let run = |batching: bool| {
-            let cfg = SchedConfig {
-                runtime: rcfg(),
-                drr: DrrConfig { quantum, capacity: None },
-                batching,
-                ..SchedConfig::default()
-            };
-            let subs = selfjoin_jobs(n, items, 3).into_iter().map(SchedJob::unconstrained);
-            Scheduler::new(cfg).run(subs.collect())
-        };
-        let on = run(true);
-        let off = run(false);
-        let plain = RuntimeExecutor::new(rcfg()).run(selfjoin_jobs(n, items, 3)).bindings_text();
-        let same = on.bindings_text() == off.bindings_text() && on.bindings_text() == plain;
-        let reduction = 100.0 * on.hit_reduction();
-        println!(
-            "{:<9}{:>7}{:>11}{:>8}{:>12}{:>8.1}{:>10}",
-            n,
-            on.rounds.len(),
-            on.solo_hits,
-            on.total_hits,
-            on.platform_cents,
-            reduction,
-            if same { "yes" } else { "NO" },
-        );
-        assert!(same, "batching and scheduling must never change query answers");
-        let sum: u64 = on.attributed_cents.values().sum();
-        assert_eq!(sum, on.platform_cents, "attributed cents must conserve platform spend");
-        if n == 8 {
-            assert!(
-                reduction >= 15.0,
-                "shared-HIT batching must cut HITs by >= 15% at 8 concurrent queries (got {reduction:.1}%)"
-            );
-        }
     }
     println!();
 }

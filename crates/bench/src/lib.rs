@@ -4,13 +4,15 @@
 //!
 //! Used by the `figures` binary, which regenerates every table and figure
 //! of the evaluation section, and by `tests/pinned_counts.rs`, which pins
-//! the deterministic counts of the profiled, durable and sharded sweeps.
+//! the deterministic counts of the profiled, durable, sharded, reuse and
+//! scheduling sweeps.
 
 use std::collections::BTreeSet;
 
+use cdb_baselines::er::run_er_constrained;
+use cdb_baselines::tree::run_tree_constrained;
 use cdb_baselines::{
-    budget_baseline, crowddb_order, deco_order, opt_tree_order, qurk_order, run_er, run_tree,
-    ErMethod,
+    budget_baseline, crowddb_order, deco_order, opt_tree_order, qurk_order, ErMethod,
 };
 use cdb_core::executor::{
     true_answers, EdgeTruth, Executor, ExecutorConfig, QualityStrategy, SelectionStrategy,
@@ -173,7 +175,9 @@ fn platform(cfg: &ExpConfig) -> SimulatedPlatform {
     SimulatedPlatform::new(Market::Amt, pool, cfg.seed)
 }
 
-/// Run one method on a prepared graph.
+/// Run one method on a prepared graph. `cfg.max_rounds` is the latency
+/// constraint (Figure 22): graph methods use the executor's native
+/// constraint, tree and ER methods their flush variants.
 pub fn run_method(method: Method, g: &QueryGraph, truth: &EdgeTruth, cfg: &ExpConfig) -> RunResult {
     let reference: BTreeSet<Vec<NodeId>> =
         true_answers(g, truth).into_iter().map(|c| c.binding).collect();
@@ -181,7 +185,7 @@ pub fn run_method(method: Method, g: &QueryGraph, truth: &EdgeTruth, cfg: &ExpCo
     match method {
         Method::Trans | Method::Acd => {
             let m = if method == Method::Trans { ErMethod::Trans } else { ErMethod::Acd };
-            let stats = run_er(g, truth, &mut p, cfg.redundancy, m);
+            let stats = run_er_constrained(g, truth, &mut p, cfg.redundancy, m, cfg.max_rounds);
             RunResult {
                 tasks: stats.tasks_asked,
                 rounds: stats.rounds,
@@ -196,7 +200,14 @@ pub fn run_method(method: Method, g: &QueryGraph, truth: &EdgeTruth, cfg: &ExpCo
                 Method::OptTree => opt_tree_order(g, truth),
                 _ => unreachable!(),
             };
-            let stats = run_tree(g, truth, Some(&mut p), cfg.redundancy, &order);
+            let stats = run_tree_constrained(
+                g,
+                truth,
+                Some(&mut p),
+                cfg.redundancy,
+                &order,
+                cfg.max_rounds,
+            );
             RunResult {
                 tasks: stats.tasks_asked,
                 rounds: stats.rounds,
@@ -230,77 +241,6 @@ pub fn run_method(method: Method, g: &QueryGraph, truth: &EdgeTruth, cfg: &ExpCo
                 metrics: precision_recall(&stats.answer_bindings(), &reference),
             }
         }
-    }
-}
-
-/// Figure 22: run a method under a latency constraint of
-/// `cfg.max_rounds` rounds, averaging `reps` seeds. Graph methods use the
-/// executor's native constraint; tree and ER methods use their flush
-/// variants.
-pub fn run_method_constrained(
-    method: Method,
-    g: &QueryGraph,
-    truth: &EdgeTruth,
-    cfg: &ExpConfig,
-    reps: usize,
-) -> RunResult {
-    assert!(reps > 0);
-    let reference: BTreeSet<Vec<NodeId>> =
-        true_answers(g, truth).into_iter().map(|c| c.binding).collect();
-    let mut tasks = 0usize;
-    let mut rounds = 0usize;
-    let mut f = 0.0;
-    for r in 0..reps {
-        let c = ExpConfig { seed: cfg.seed + r as u64, ..*cfg };
-        let mut p = platform(&c);
-        let (t, rd, bindings) = match method {
-            Method::Trans | Method::Acd => {
-                let m = if method == Method::Trans { ErMethod::Trans } else { ErMethod::Acd };
-                let stats = cdb_baselines::er::run_er_constrained(
-                    g,
-                    truth,
-                    &mut p,
-                    c.redundancy,
-                    m,
-                    c.max_rounds,
-                );
-                (stats.tasks_asked, stats.rounds, stats.answer_bindings())
-            }
-            Method::CrowdDb | Method::Qurk | Method::Deco | Method::OptTree => {
-                let order = match method {
-                    Method::CrowdDb => crowddb_order(g),
-                    Method::Qurk => qurk_order(g),
-                    Method::Deco => deco_order(g),
-                    Method::OptTree => opt_tree_order(g, truth),
-                    _ => unreachable!(),
-                };
-                let stats = cdb_baselines::tree::run_tree_constrained(
-                    g,
-                    truth,
-                    Some(&mut p),
-                    c.redundancy,
-                    &order,
-                    c.max_rounds,
-                );
-                (stats.tasks_asked, stats.rounds, stats.answer_bindings())
-            }
-            _ => {
-                let run = run_method(method, g, truth, &c);
-                tasks += run.tasks;
-                rounds += run.rounds;
-                f += run.metrics.f_measure;
-                continue;
-            }
-        };
-        tasks += t;
-        rounds += rd;
-        f += precision_recall(&bindings, &reference).f_measure;
-    }
-    let n = reps as f64;
-    RunResult {
-        tasks: tasks / reps,
-        rounds: rounds / reps,
-        metrics: PrMetrics { precision: f / n, recall: f / n, f_measure: f / n },
     }
 }
 

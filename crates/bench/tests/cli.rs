@@ -16,6 +16,8 @@ fn unknown_targets_flags_and_values_exit_2_with_empty_stdout() {
         &["perf"],
         &["store"],
         &["shard"],
+        &["reuse"],
+        &["--seed", "42", "sched"],
         &["--quick", "table4"],
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_figures")).args(args).output().unwrap();

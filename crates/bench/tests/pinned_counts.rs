@@ -1,5 +1,6 @@
 //! Every deterministic count of the profiled Table 5 sweep, the durable
-//! store and the shard scaling sweep, pinned at seed 42 and scale 10.
+//! store, the shard scaling sweep, the answer-reuse sweep and the
+//! multi-query scheduling sweep, pinned at seed 42 and scale 10.
 //!
 //! These workloads are seeded, so their counts are the same on every
 //! machine: a drift means the measured work changed, not the host. Only
@@ -21,7 +22,8 @@ use cdb_datagen::{
     award_dataset, movie_dataset, paper_dataset, queries_for, Dataset, DatasetScale,
 };
 use cdb_obsv::profile::{install, ProfileReport, Profiler};
-use cdb_runtime::{QueryJob, RetryPolicy, RuntimeConfig, RuntimeExecutor, SettleHook};
+use cdb_runtime::{FaultPlan, QueryJob, RetryPolicy, RuntimeConfig, RuntimeExecutor, SettleHook};
+use cdb_sched::{DrrConfig, SchedConfig, SchedJob, Scheduler};
 use cdb_shard::{MemoryConfig, ShardConfig, ShardExecutor};
 use cdb_storage::{ColumnDef, ColumnType, Schema, Table, Value};
 use cdb_store::{AnswerLog, DurableReuseCache, ScratchDir, TableFile, DEFAULT_SEGMENT_BYTES};
@@ -348,6 +350,93 @@ fn shard_sweep_counts_bindings_and_conservation_are_pinned() {
             let speedup = mono.4 as f64 / four.4 as f64;
             assert!(speedup >= 2.0, "4 shards give {speedup:.2}x virtual speedup");
             assert!(four.6 < mono.6, "4-shard peak {} >= monolithic {}", four.6, mono.6);
+        }
+    }
+}
+
+/// Per fault rate: `(fault rate, dispatched with the cache off, dispatched
+/// with it on, tasks saved, cents saved, entailment depth sum)`.
+#[rustfmt::skip]
+const REUSE_SWEEP: [(f64, u64, u64, u64, u64, u64); 3] = [
+    (0.0,  960, 360, 120, 3000, 144),
+    (0.1, 1032, 391, 120, 3000, 144),
+    (0.3, 1274, 468, 120, 3000, 144),
+];
+
+/// The answer-reuse sweep: six self-join queries (4 items, 3 clusters)
+/// run twice on one runtime, with the reuse cache off and on. The second
+/// pass is where reuse pays: the cache absorbed the first pass's answers.
+#[test]
+fn reuse_sweep_cuts_dispatch_by_a_fifth_with_identical_answers() {
+    for (fault_rate, off_dispatched, dispatched, saved, cents, depth) in REUSE_SWEEP {
+        let two_passes = |cache: Option<Arc<ReuseCache>>| {
+            let exec = RuntimeExecutor::new(RuntimeConfig {
+                threads: 4,
+                seed: SEED,
+                worker_accuracies: vec![1.0; 20],
+                fault_plan: FaultPlan::uniform(SEED, fault_rate),
+                retry: RetryPolicy { deadline_ms: 300_000, max_retries: 8 },
+                reuse: cache,
+                ..RuntimeConfig::default()
+            });
+            let (a, b) = (exec.run(selfjoin_jobs(6, 4, 3)), exec.run(selfjoin_jobs(6, 4, 3)));
+            let (a, b, text) = (&a.metrics, &b.metrics, a.bindings_text() + &b.bindings_text());
+            let counts = (
+                a.tasks_dispatched + b.tasks_dispatched,
+                a.tasks_saved + b.tasks_saved,
+                a.money_saved_cents + b.money_saved_cents,
+                a.entailment_depth_sum + b.entailment_depth_sum,
+            );
+            (counts, text)
+        };
+        let (off, off_text) = two_passes(None);
+        let (on, on_text) = two_passes(Some(Arc::new(ReuseCache::new())));
+        assert_eq!(off, (off_dispatched, 0, 0, 0), "faults {fault_rate}: cache off");
+        assert_eq!(on, (dispatched, saved, cents, depth), "faults {fault_rate}: cache on");
+        assert!(on.0 as f64 <= 0.8 * off.0 as f64, "faults {fault_rate}: {off:?} -> {on:?}");
+        assert_eq!(on_text, off_text, "faults {fault_rate}: reuse changed answers");
+    }
+}
+
+/// Per fleet size: `(queries, global rounds, solo_hits, hits, platform
+/// cents)`.
+#[rustfmt::skip]
+const SCHED_SWEEP: [(u64, usize, usize, usize, u64); 4] = [
+    (1, 13,  13, 13,  650),
+    (2, 13,  26, 13,  650),
+    (4, 13,  52, 26, 1300),
+    (8, 13, 104, 52, 2600),
+];
+
+/// The multi-query scheduling sweep: 1/2/4/8 concurrent 8-item self-joins
+/// through `cdb-sched`. A DRR quantum below `tasks_per_hit` maximises the
+/// per-query partial-HIT waste that shared packing recovers; `solo_hits`
+/// is what per-query billing would have published.
+#[test]
+fn sched_sweep_packs_shared_hits_without_changing_answers() {
+    for (n, rounds, solo_hits, hits, cents) in SCHED_SWEEP {
+        let runtime = RuntimeConfig {
+            threads: 4,
+            seed: SEED,
+            worker_accuracies: vec![1.0; 20],
+            ..RuntimeConfig::default()
+        };
+        let plain = RuntimeExecutor::new(runtime.clone()).run(selfjoin_jobs(n, 8, 3));
+        let cfg = SchedConfig {
+            runtime,
+            drr: DrrConfig { quantum: 5, capacity: None },
+            ..SchedConfig::default()
+        };
+        let subs = selfjoin_jobs(n, 8, 3).into_iter().map(SchedJob::unconstrained).collect();
+        let report = Scheduler::new(cfg).run(subs);
+        assert_eq!(report.bindings_text(), plain.bindings_text(), "{n} queries: answers changed");
+        let bill = &report.billing;
+        let got = (bill.rounds.len(), bill.solo_hits, bill.total_hits, bill.platform_cents);
+        assert_eq!(got, (rounds, solo_hits, hits, cents), "{n} queries");
+        let attributed: u64 = bill.attributed_cents.values().sum();
+        assert_eq!(attributed, bill.platform_cents, "{n} queries: cents not conserved");
+        if n == 8 {
+            assert!(bill.hit_reduction() >= 0.15, "{:.3} HIT reduction", bill.hit_reduction());
         }
     }
 }

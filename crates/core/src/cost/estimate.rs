@@ -24,13 +24,6 @@ pub struct CostEstimate {
     pub cost_cents_upper: u64,
 }
 
-impl CostEstimate {
-    /// True when the envelope fits within `budget_cents`.
-    pub fn fits_budget(&self, budget_cents: u64) -> bool {
-        self.cost_cents_upper <= budget_cents
-    }
-}
-
 /// Build the envelope for a query graph.
 ///
 /// `task_price_cents` is the market's per-assignment price (see
@@ -74,8 +67,6 @@ mod tests {
         assert_eq!(est.tasks_upper, 4);
         assert_eq!(est.rounds_upper, 4);
         assert_eq!(est.cost_cents_upper, 4 * 3 * 5);
-        assert!(est.fits_budget(60));
-        assert!(!est.fits_budget(59));
     }
 
     #[test]

@@ -30,11 +30,6 @@ impl AutocompleteStore {
         self.values.len()
     }
 
-    /// Total contributions (including duplicates).
-    pub fn contribution_count(&self) -> usize {
-        self.values.values().sum()
-    }
-
     /// Values starting with `prefix` (case-insensitive), in sorted order —
     /// what the UI shows as the worker types.
     pub fn suggest(&self, prefix: &str, limit: usize) -> Vec<&str> {
@@ -94,7 +89,6 @@ mod tests {
         assert!(s.contribute("MIT", f, 0.8));
         assert!(!s.contribute("MIT", f, 0.8));
         assert_eq!(s.distinct_count(), 1);
-        assert_eq!(s.contribution_count(), 2);
     }
 
     #[test]

@@ -35,11 +35,6 @@ impl WorkerHistory {
         WorkerHistory { records: HashMap::new(), default_quality: 0.7 }
     }
 
-    /// Empty history with a custom cold-start prior.
-    pub fn with_default_quality(default_quality: f64) -> Self {
-        WorkerHistory { records: HashMap::new(), default_quality: default_quality.clamp(0.0, 1.0) }
-    }
-
     /// Number of workers on record.
     pub fn len(&self) -> usize {
         self.records.len()
@@ -174,13 +169,13 @@ mod tests {
 
     #[test]
     fn priors_expose_all_records() {
-        let mut h = WorkerHistory::with_default_quality(0.5);
+        let mut h = WorkerHistory::new();
         let mut est = HashMap::new();
         est.insert(wid(3), 0.8);
         h.update(&est, &HashMap::new());
         let p = h.priors();
         assert_eq!(p.len(), 1);
         assert!((p[&wid(3)] - 0.8).abs() < 1e-12);
-        assert_eq!(h.quality(wid(9)), 0.5);
+        assert_eq!(h.quality(wid(9)), 0.7);
     }
 }

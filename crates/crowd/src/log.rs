@@ -59,20 +59,6 @@ impl AssignmentLog {
     pub fn iter(&self) -> impl Iterator<Item = (TaskId, &[Assignment])> {
         self.by_task.iter().map(|(t, v)| (*t, v.as_slice()))
     }
-
-    /// All `(task, worker, choice)` triples for single-choice tasks —
-    /// the input shape wanted by EM truth inference.
-    pub fn choice_triples(&self) -> Vec<(TaskId, WorkerId, usize)> {
-        let mut out = Vec::with_capacity(self.total);
-        for (t, answers) in self.iter() {
-            for a in answers {
-                if let Answer::Choice(c) = a.answer {
-                    out.push((t, a.worker, c));
-                }
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -98,20 +84,6 @@ mod tests {
         assert_eq!(log.answers(TaskId(3)).len(), 0);
         assert_eq!(log.task_count(), 2);
         assert_eq!(log.assignment_count(), 3);
-    }
-
-    #[test]
-    fn choice_triples_flatten_choice_answers_only() {
-        let mut log = AssignmentLog::new();
-        log.record(asg(1, 1, 0, 0));
-        log.record(Assignment {
-            task: TaskId(1),
-            worker: WorkerId(2),
-            answer: Answer::Text("free".into()),
-            round: 0,
-        });
-        let triples = log.choice_triples();
-        assert_eq!(triples, vec![(TaskId(1), WorkerId(1), 0)]);
     }
 
     #[test]

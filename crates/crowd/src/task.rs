@@ -39,18 +39,6 @@ pub enum TaskKind {
     },
 }
 
-impl TaskKind {
-    /// Number of choices for choice tasks, `None` for open tasks.
-    pub fn choice_count(&self) -> Option<usize> {
-        match self {
-            TaskKind::SingleChoice { choices, .. } | TaskKind::MultiChoice { choices, .. } => {
-                Some(choices.len())
-            }
-            TaskKind::FillInBlank { .. } | TaskKind::Collection { .. } => None,
-        }
-    }
-}
-
 /// A worker's answer to one task.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Answer {
@@ -126,14 +114,6 @@ impl Task {
         self.difficulty = difficulty.clamp(0.0, 1.0);
         self
     }
-
-    /// True ground-truth "yes" for a join-check task.
-    pub fn truth_is_yes(&self) -> Option<bool> {
-        match &self.truth {
-            Some(Answer::Choice(i)) => Some(*i == 0),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -144,18 +124,8 @@ mod tests {
     fn join_check_encodes_truth_in_choice_zero() {
         let t = Task::join_check(TaskId(1), "MIT", "M.I.T.", true);
         assert_eq!(t.truth, Some(Answer::Choice(0)));
-        assert_eq!(t.truth_is_yes(), Some(true));
         let f = Task::join_check(TaskId(2), "MIT", "Stanford", false);
         assert_eq!(f.truth, Some(Answer::Choice(1)));
-        assert_eq!(f.truth_is_yes(), Some(false));
-    }
-
-    #[test]
-    fn choice_count() {
-        let t = Task::join_check(TaskId(1), "a", "b", true);
-        assert_eq!(t.kind.choice_count(), Some(2));
-        let f = TaskKind::FillInBlank { question: "q".into() };
-        assert_eq!(f.choice_count(), None);
     }
 
     #[test]

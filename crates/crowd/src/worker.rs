@@ -93,14 +93,6 @@ impl WorkerPool {
         }
         idx[..k].iter().map(|&i| self.workers[i]).collect()
     }
-
-    /// Mean latent accuracy of the pool.
-    pub fn mean_accuracy(&self) -> f64 {
-        if self.workers.is_empty() {
-            return 0.0;
-        }
-        self.workers.iter().map(|w| w.accuracy).sum::<f64>() / self.workers.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -113,7 +105,7 @@ mod tests {
     fn gaussian_pool_concentrates_near_mean() {
         let mut rng = StdRng::seed_from_u64(7);
         let pool = WorkerPool::gaussian(2000, 0.8, 0.1, &mut rng);
-        let mean = pool.mean_accuracy();
+        let mean = pool.workers().iter().map(|w| w.accuracy).sum::<f64>() / pool.len() as f64;
         assert!((mean - 0.8).abs() < 0.02, "mean = {mean}");
         assert!(pool.workers().iter().all(|w| (0.05..=1.0).contains(&w.accuracy)));
     }
@@ -157,6 +149,5 @@ mod tests {
     fn empty_pool() {
         let pool = WorkerPool::with_accuracies(&[]);
         assert!(pool.is_empty());
-        assert_eq!(pool.mean_accuracy(), 0.0);
     }
 }

@@ -5,13 +5,12 @@
 pub struct UnionFind {
     parent: Vec<usize>,
     size: Vec<u32>,
-    components: usize,
 }
 
 impl UnionFind {
     /// A forest of `n` singleton sets.
     pub fn new(n: usize) -> Self {
-        UnionFind { parent: (0..n).collect(), size: vec![1; n], components: n }
+        UnionFind { parent: (0..n).collect(), size: vec![1; n] }
     }
 
     /// Number of elements.
@@ -22,11 +21,6 @@ impl UnionFind {
     /// True when the forest has no elements.
     pub fn is_empty(&self) -> bool {
         self.parent.is_empty()
-    }
-
-    /// Number of disjoint sets.
-    pub fn component_count(&self) -> usize {
-        self.components
     }
 
     /// Representative of the set containing `x` (path halving).
@@ -61,7 +55,6 @@ impl UnionFind {
         }
         self.parent[rb] = ra;
         self.size[ra] += self.size[rb];
-        self.components -= 1;
         true
     }
 
@@ -71,19 +64,12 @@ impl UnionFind {
         let id = self.parent.len();
         self.parent.push(id);
         self.size.push(1);
-        self.components += 1;
         id
     }
 
     /// True when `a` and `b` are in the same set.
     pub fn connected(&mut self, a: usize, b: usize) -> bool {
         self.find(a) == self.find(b)
-    }
-
-    /// Size of the set containing `x`.
-    pub fn set_size(&mut self, x: usize) -> usize {
-        let r = self.find(x);
-        self.size[r] as usize
     }
 }
 
@@ -96,8 +82,6 @@ mod tests {
     fn singletons_are_disconnected() {
         let mut d = UnionFind::new(3);
         assert!(!d.connected(0, 1));
-        assert_eq!(d.component_count(), 3);
-        assert_eq!(d.set_size(0), 1);
     }
 
     #[test]
@@ -108,10 +92,8 @@ mod tests {
         assert!(!d.union(1, 0)); // already merged
         assert!(d.connected(0, 1));
         assert!(!d.connected(0, 2));
-        assert_eq!(d.component_count(), 2);
         assert!(d.union(1, 2));
-        assert_eq!(d.component_count(), 1);
-        assert_eq!(d.set_size(3), 4);
+        assert!(d.connected(0, 3));
     }
 
     #[test]
@@ -121,17 +103,15 @@ mod tests {
         let v = d.push();
         assert_eq!(v, 2);
         assert_eq!(d.len(), 3);
-        assert_eq!(d.component_count(), 2);
         assert!(!d.connected(0, 2));
         d.union(1, 2);
-        assert_eq!(d.set_size(2), 3);
+        assert!(d.connected(0, 2));
     }
 
     #[test]
     fn empty_forest() {
         let d = UnionFind::new(0);
         assert!(d.is_empty());
-        assert_eq!(d.component_count(), 0);
     }
 
     proptest! {
@@ -151,16 +131,6 @@ mod tests {
                     }
                 }
             }
-        }
-
-        #[test]
-        fn component_count_matches_distinct_roots(ops in prop::collection::vec((0usize..15, 0usize..15), 0..40)) {
-            let mut d = UnionFind::new(15);
-            for (a, b) in ops {
-                d.union(a, b);
-            }
-            let roots: std::collections::BTreeSet<usize> = (0..15).map(|v| d.find(v)).collect();
-            prop_assert_eq!(roots.len(), d.component_count());
         }
     }
 }

@@ -113,12 +113,6 @@ pub mod names {
     /// folded into conservation totals: settlement mirrors spend already
     /// attributed by `crowd.dispatch`.
     pub const STORE_SETTLE: &str = "store.settle";
-    /// A table file committed a snapshot (kv `n` = bytes in the committed
-    /// file, `ms`).
-    pub const STORE_FLUSH: &str = "store.flush";
-    /// A store opened and replayed its log (kv `n` = records replayed,
-    /// `kind` = clean/torn, `ms`).
-    pub const STORE_RECOVER: &str = "store.recover";
 }
 
 /// Money/latency/count rollup for one plan node of one query.

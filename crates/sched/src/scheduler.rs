@@ -12,7 +12,7 @@
 //! # Determinism strategy
 //!
 //! Cross-query batching must not perturb query answers: the acceptance
-//! bar is byte-identical per-query bindings with batching on or off, at
+//! bar is per-query bindings byte-identical to a plain runtime run, at
 //! any thread count. The scheduler gets this by construction, in two
 //! phases:
 //!
@@ -23,16 +23,17 @@
 //!    *round trace* (tasks published per crowd round).
 //! 2. **Interleaving.** The deficit-round-robin scheduler ([`crate::drr`])
 //!    replays those traces into global crowd rounds, and the HIT packer
-//!    bills each global round — either per query (batching off) or as
-//!    shared HITs with largest-remainder cent attribution (batching on,
-//!    [`cdb_crowd::attribute_shared_cents`]).
+//!    bills each global round as shared HITs with largest-remainder cent
+//!    attribution ([`cdb_crowd::attribute_shared_cents`]).
 //!
 //! Batching therefore changes *how tasks are packed and billed*, never
 //! which tasks are asked or what the crowd answers. What it buys is the
 //! partial-HIT waste: per query, every round ends with up to
 //! `tasks_per_hit − 1` empty slots that are paid for anyway; packed
-//! across queries those slots are filled. The `figures sched` sweep
-//! quantifies the reduction (≥15% at 8 concurrent queries).
+//! across queries those slots are filled. Every round also counts the
+//! HITs per-query billing would have published
+//! ([`BillingReport::solo_hits`]); `crates/bench/tests/pinned_counts.rs`
+//! pins the reduction (≥15% at 8 concurrent queries).
 //!
 //! Queued queries admit in *waves*: when a wave of active queries
 //! completes, their committed budgets release and the controller promotes
@@ -56,7 +57,7 @@ use crate::drr::{schedule, DrrConfig, GlobalRound};
 use crate::metrics::{SchedMetrics, SchedSnapshot};
 
 /// Scheduler configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SchedConfig {
     /// The runtime the admitted waves execute on (threads, seed, faults,
     /// reuse — all of it applies unchanged).
@@ -67,25 +68,9 @@ pub struct SchedConfig {
     pub drr: DrrConfig,
     /// HIT packing ("pack 10 tasks in each HIT", §6.3).
     pub hit: HitConfig,
-    /// Pack tasks from different queries into shared HITs. Off bills each
-    /// query its own `ceil(tasks / tasks_per_hit)` HITs per round.
-    pub batching: bool,
     /// Observability sink for `sched.*` events (the scheduler's own
     /// [`SchedMetrics`] collector is always attached in addition).
     pub trace: Trace,
-}
-
-impl Default for SchedConfig {
-    fn default() -> Self {
-        SchedConfig {
-            runtime: RuntimeConfig::default(),
-            envelope: Envelope::default(),
-            drr: DrrConfig::default(),
-            hit: HitConfig::default(),
-            batching: true,
-            trace: Trace::off(),
-        }
-    }
 }
 
 /// One query submitted to the scheduler: the job plus its resources.
@@ -113,7 +98,7 @@ pub struct RoundRecord {
     pub index: usize,
     /// `(query id, tasks)` in query-id order.
     pub contributions: Vec<(u64, usize)>,
-    /// HITs published this round (under the configured batching mode).
+    /// Shared HITs published this round.
     pub hits: usize,
     /// Platform spend this round, in cents.
     pub cents: u64,
@@ -135,36 +120,9 @@ pub struct BillingReport {
     pub attributed_cents: BTreeMap<u64, u64>,
     /// Total platform spend on HITs, in cents.
     pub platform_cents: u64,
-    /// Total HITs under the configured batching mode.
+    /// Total shared HITs published.
     pub total_hits: usize,
-    /// Total HITs a per-flow (unbatched) billing would have published.
-    pub solo_hits: usize,
-    /// Execution waves (1 unless admission queued queries).
-    pub waves: usize,
-    /// Frozen scheduler counters.
-    pub metrics: SchedSnapshot,
-}
-
-/// Everything a scheduled run produced.
-#[derive(Debug)]
-pub struct SchedReport {
-    /// Admission verdict per submitted query, in submission order.
-    pub decisions: Vec<(u64, AdmissionDecision)>,
-    /// Per-query outcomes of every admitted query, sorted by query id.
-    pub results: Vec<(u64, Result<QueryResult, RuntimeError>)>,
-    /// The billed global rounds, in order.
-    pub rounds: Vec<RoundRecord>,
-    /// Global round (0-based) in which each query released its last task.
-    pub completion_round: BTreeMap<u64, usize>,
-    /// Shared-HIT cost attributed per query, in cents. Sums exactly to
-    /// [`platform_cents`](Self::platform_cents) — the conservation
-    /// invariant.
-    pub attributed_cents: BTreeMap<u64, u64>,
-    /// Total platform spend on HITs, in cents.
-    pub platform_cents: u64,
-    /// Total HITs under the configured batching mode.
-    pub total_hits: usize,
-    /// Total HITs a per-query (unbatched) billing would have published —
+    /// Total HITs a per-flow (unbatched) billing would have published —
     /// the baseline the HIT reduction is measured against.
     pub solo_hits: usize,
     /// Execution waves (1 unless admission queued queries).
@@ -173,26 +131,36 @@ pub struct SchedReport {
     pub metrics: SchedSnapshot,
 }
 
-impl SchedReport {
-    /// Bindings-only rendering, byte-compatible with
-    /// [`cdb_runtime::RuntimeReport::bindings_text`] — the artifact for
-    /// comparing a scheduled run against a plain runtime run, or batching
-    /// on against off.
-    pub fn bindings_text(&self) -> String {
-        self.results
-            .iter()
-            .map(|(id, r)| answer_line(*id, r.as_ref().map(|q| &q.bindings)))
-            .collect()
-    }
-
-    /// Fraction of HITs saved versus per-query billing (0 when batching
-    /// is off or nothing ran).
+impl BillingReport {
+    /// Fraction of HITs saved versus per-flow billing (0 when nothing
+    /// ran).
     pub fn hit_reduction(&self) -> f64 {
         if self.solo_hits == 0 {
             0.0
         } else {
             1.0 - self.total_hits as f64 / self.solo_hits as f64
         }
+    }
+}
+
+/// Everything a scheduled run produced.
+#[derive(Debug)]
+pub struct SchedReport {
+    /// Per-query outcomes of every admitted query, sorted by query id.
+    pub results: Vec<(u64, Result<QueryResult, RuntimeError>)>,
+    /// Admission verdicts, billed rounds, attribution and counters.
+    pub billing: BillingReport,
+}
+
+impl SchedReport {
+    /// Bindings-only rendering, byte-compatible with
+    /// [`cdb_runtime::RuntimeReport::bindings_text`] — the artifact for
+    /// comparing a scheduled run against a plain runtime run.
+    pub fn bindings_text(&self) -> String {
+        self.results
+            .iter()
+            .map(|(id, r)| answer_line(*id, r.as_ref().map(|q| &q.bindings)))
+            .collect()
     }
 }
 
@@ -232,18 +200,7 @@ impl Scheduler {
             })
             .unwrap_or_else(|never| match never {});
         results.sort_by_key(|&(id, _)| id);
-        SchedReport {
-            decisions: billing.decisions,
-            results,
-            rounds: billing.rounds,
-            completion_round: billing.completion_round,
-            attributed_cents: billing.attributed_cents,
-            platform_cents: billing.platform_cents,
-            total_hits: billing.total_hits,
-            solo_hits: billing.solo_hits,
-            waves: billing.waves,
-            metrics: billing.metrics,
-        }
+        SchedReport { results, billing }
     }
 
     /// The admit → wave → bill loop. Offers every submission to admission
@@ -384,9 +341,9 @@ impl Scheduler {
         Ok(report)
     }
 
-    /// Bill one global round: pack and attribute per flow under the
-    /// configured mode, fold tasks and cents back to the flows' queries,
-    /// and emit the `sched.cost` / `sched.round` events.
+    /// Bill one global round: pack and attribute shared HITs per flow,
+    /// fold tasks and cents back to the flows' queries, and emit the
+    /// `sched.cost` / `sched.round` events.
     fn bill_round(
         &self,
         trace: &Trace,
@@ -397,18 +354,9 @@ impl Scheduler {
     ) -> BilledRound {
         let tph = self.cfg.hit.tasks_per_hit;
         let solo_hits: usize = g.contributions.iter().map(|&(_, n)| n.div_ceil(tph)).sum();
-        let (hits, attributed) = if self.cfg.batching {
-            let shared = pack_shared(&g.contributions, self.cfg.hit);
-            (shared.len(), attribute_shared_cents(&shared, self.cfg.hit, redundancy))
-        } else {
-            (
-                solo_hits,
-                g.contributions
-                    .iter()
-                    .map(|&(f, n)| (f, self.cfg.hit.hits_cost_cents(n.div_ceil(tph), redundancy)))
-                    .collect(),
-            )
-        };
+        let shared = pack_shared(&g.contributions, self.cfg.hit);
+        let hits = shared.len();
+        let attributed = attribute_shared_cents(&shared, self.cfg.hit, redundancy);
         let cents = self.cfg.hit.hits_cost_cents(hits, redundancy);
         debug_assert_eq!(
             attributed.iter().map(|&(_, c)| c).sum::<u64>(),

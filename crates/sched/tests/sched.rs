@@ -1,5 +1,5 @@
-//! End-to-end scheduler tests: fairness, determinism, batching
-//! neutrality, backpressure and cents conservation.
+//! End-to-end scheduler tests: fairness, determinism, shared-HIT
+//! savings, backpressure and cents conservation.
 
 use std::sync::Arc;
 
@@ -64,10 +64,9 @@ fn submissions() -> Vec<SchedJob> {
     subs
 }
 
-fn sched_cfg(threads: usize, batching: bool) -> SchedConfig {
+fn sched_cfg(threads: usize) -> SchedConfig {
     SchedConfig {
         runtime: perfect_runtime(threads),
-        batching,
         drr: DrrConfig { quantum: 10, capacity: None },
         ..SchedConfig::default()
     }
@@ -79,7 +78,7 @@ fn solo_rounds(threads: usize) -> Vec<(u64, usize)> {
         .into_iter()
         .map(|sub| {
             let id = sub.job.id;
-            let report = Scheduler::new(sched_cfg(threads, false)).run(vec![sub]);
+            let report = Scheduler::new(sched_cfg(threads)).run(vec![sub]);
             let (_, r) = report.results.first().expect("one result");
             let rounds = r.as_ref().expect("solo run succeeds").round_tasks.len();
             (id, rounds)
@@ -93,12 +92,12 @@ fn fairness_small_queries_finish_within_k_times_solo() {
     // large join, each small selection must complete within k× its solo
     // round count. With quantum ≥ the selections' per-round tasks, k = 1.
     let solos = solo_rounds(4);
-    let report = Scheduler::new(sched_cfg(4, true)).run(submissions());
+    let report = Scheduler::new(sched_cfg(4)).run(submissions());
     assert_eq!(report.results.len(), 5);
     let k = 1;
     for q in 1..=4u64 {
         let solo = solos.iter().find(|&&(id, _)| id == q).unwrap().1;
-        let done = 1 + *report.completion_round.get(&q).expect("query completed");
+        let done = 1 + *report.billing.completion_round.get(&q).expect("query completed");
         assert!(
             done <= k * solo,
             "query {q} finished in {done} global rounds, solo {solo} (k = {k})"
@@ -107,15 +106,16 @@ fn fairness_small_queries_finish_within_k_times_solo() {
     // And the join was not starved either: it completed, spread over more
     // rounds than its solo count (that is the fair-share trade).
     let join_solo = solos.iter().find(|&&(id, _)| id == 0).unwrap().1;
-    let join_done = 1 + report.completion_round[&0];
+    let join_done = 1 + report.billing.completion_round[&0];
     assert!(join_done >= join_solo);
 }
 
 #[test]
 fn scheduled_runs_replay_byte_identically_across_thread_counts() {
     let run = |threads| {
-        let r = Scheduler::new(sched_cfg(threads, true)).run(submissions());
-        (r.bindings_text(), format!("{:?}", r.rounds), r.platform_cents, r.total_hits)
+        let r = Scheduler::new(sched_cfg(threads)).run(submissions());
+        let bill = &r.billing;
+        (r.bindings_text(), format!("{:?}", bill.rounds), bill.platform_cents, bill.total_hits)
     };
     let base = run(1);
     assert_eq!(base, run(4));
@@ -123,32 +123,27 @@ fn scheduled_runs_replay_byte_identically_across_thread_counts() {
 }
 
 #[test]
-fn batching_changes_billing_never_bindings() {
-    let on = Scheduler::new(sched_cfg(4, true)).run(submissions());
-    let off = Scheduler::new(sched_cfg(4, false)).run(submissions());
-    assert_eq!(on.bindings_text(), off.bindings_text(), "bindings must be byte-identical");
-    // Same tasks in the same global rounds either way…
-    let tasks = |r: &cdb_sched::SchedReport| {
-        r.rounds.iter().map(|x| x.contributions.clone()).collect::<Vec<_>>()
-    };
-    assert_eq!(tasks(&on), tasks(&off));
-    // …but shared packing publishes fewer HITs and spends less.
-    assert_eq!(off.total_hits, off.solo_hits);
+fn shared_packing_bills_fewer_hits_than_solo_and_keeps_bindings() {
+    let jobs: Vec<QueryJob> = submissions().into_iter().map(|s| s.job).collect();
+    let plain = cdb_runtime::RuntimeExecutor::new(perfect_runtime(4)).run(jobs).bindings_text();
+    let report = Scheduler::new(sched_cfg(4)).run(submissions());
+    assert_eq!(report.bindings_text(), plain, "bindings must be byte-identical");
+    let bill = &report.billing;
     assert!(
-        on.total_hits < off.total_hits,
-        "batching must cut HITs: {} vs {}",
-        on.total_hits,
-        off.total_hits
+        bill.total_hits < bill.solo_hits,
+        "shared packing must cut HITs: {} vs {} solo",
+        bill.total_hits,
+        bill.solo_hits
     );
-    assert!(on.platform_cents < off.platform_cents);
-    assert!(on.hit_reduction() > 0.0);
+    assert_eq!(bill.rounds.iter().map(|r| r.hits).sum::<usize>(), bill.total_hits);
+    assert!(bill.hit_reduction() > 0.0);
 }
 
 #[test]
 fn conservation_attributed_cents_equal_platform_cents() {
     let ring = Arc::new(Ring::with_capacity(1 << 16));
-    let cfg = SchedConfig { trace: Trace::collector(ring.clone()), ..sched_cfg(2, true) };
-    let report = Scheduler::new(cfg).run(submissions());
+    let cfg = SchedConfig { trace: Trace::collector(ring.clone()), ..sched_cfg(2) };
+    let report = Scheduler::new(cfg).run(submissions()).billing;
     // Report-level books.
     let attributed: u64 = report.attributed_cents.values().sum();
     assert_eq!(attributed, report.platform_cents);
@@ -171,27 +166,28 @@ fn conservation_attributed_cents_equal_platform_cents() {
 fn admission_backpressure_queues_in_waves_and_rejects_past_the_bound() {
     let cfg = SchedConfig {
         envelope: Envelope { budget_cents: u64::MAX, max_active: 2, queue_capacity: 2 },
-        ..sched_cfg(2, true)
+        ..sched_cfg(2)
     };
     let report = Scheduler::new(cfg).run(submissions());
+    let bill = &report.billing;
     // 2 admitted, 2 queued, 1 rejected by the bounded queue.
-    assert_eq!(report.decisions[0].1, AdmissionDecision::Admitted);
-    assert_eq!(report.decisions[1].1, AdmissionDecision::Admitted);
-    assert!(matches!(report.decisions[2].1, AdmissionDecision::Queued { position: 0 }));
-    assert!(matches!(report.decisions[3].1, AdmissionDecision::Queued { position: 1 }));
+    assert_eq!(bill.decisions[0].1, AdmissionDecision::Admitted);
+    assert_eq!(bill.decisions[1].1, AdmissionDecision::Admitted);
+    assert!(matches!(bill.decisions[2].1, AdmissionDecision::Queued { position: 0 }));
+    assert!(matches!(bill.decisions[3].1, AdmissionDecision::Queued { position: 1 }));
     assert_eq!(
-        report.decisions[4].1,
+        bill.decisions[4].1,
         AdmissionDecision::Rejected(RejectReason::QueueFull { capacity: 2 })
     );
     // The queued queries ran in a second wave; the rejected one never ran.
-    assert_eq!(report.waves, 2);
+    assert_eq!(bill.waves, 2);
     assert_eq!(report.results.len(), 4);
     assert!(report.results.iter().all(|&(id, _)| id != 4));
-    assert_eq!(report.metrics.admitted, 4, "wave promotion re-emits sched.admit");
-    assert_eq!(report.metrics.queued, 2);
-    assert_eq!(report.metrics.rejected, 1);
+    assert_eq!(bill.metrics.admitted, 4, "wave promotion re-emits sched.admit");
+    assert_eq!(bill.metrics.queued, 2);
+    assert_eq!(bill.metrics.rejected, 1);
     // Conservation holds across waves too.
-    assert!(report.metrics.conservation_mismatches().is_empty());
+    assert!(bill.metrics.conservation_mismatches().is_empty());
 }
 
 #[test]
@@ -202,15 +198,16 @@ fn infeasible_and_overbudget_queries_are_rejected_with_typed_reasons() {
         // Join envelope: 96 unknown edges × 5 workers × 5¢ = 2400¢; cap
         // the global budget below it.
         envelope: Envelope { budget_cents: 1_000, max_active: 8, queue_capacity: 8 },
-        ..sched_cfg(2, true)
+        ..sched_cfg(2)
     };
     let report = Scheduler::new(cfg).run(subs);
+    let decisions = &report.billing.decisions;
     assert!(matches!(
-        report.decisions[0].1,
+        decisions[0].1,
         AdmissionDecision::Rejected(RejectReason::BudgetExceeded { .. })
     ));
-    assert_eq!(report.decisions[1].1, AdmissionDecision::Rejected(RejectReason::Infeasible));
-    for d in &report.decisions[2..] {
+    assert_eq!(decisions[1].1, AdmissionDecision::Rejected(RejectReason::Infeasible));
+    for d in &decisions[2..] {
         assert_eq!(d.1, AdmissionDecision::Admitted);
     }
     assert_eq!(report.results.len(), 3);
@@ -223,6 +220,6 @@ fn scheduled_bindings_match_a_plain_runtime_run() {
     // for byte.
     let jobs: Vec<QueryJob> = submissions().into_iter().map(|s| s.job).collect();
     let plain = cdb_runtime::RuntimeExecutor::new(perfect_runtime(4)).run(jobs).bindings_text();
-    let sched = Scheduler::new(sched_cfg(4, true)).run(submissions()).bindings_text();
+    let sched = Scheduler::new(sched_cfg(4)).run(submissions()).bindings_text();
     assert_eq!(sched, plain);
 }

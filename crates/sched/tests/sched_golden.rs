@@ -2,7 +2,7 @@
 //! the `sched.*` event stream of one fixed fleet, pinned to constants.
 //!
 //! `sched.rs` compares the scheduler with *itself* (other thread counts,
-//! batching on against off), so a change to the admit → wave → bill loop
+//! a plain runtime run), so a change to the admit → wave → bill loop
 //! that shifts every run the same way passes it. This test compares with
 //! the past instead: eight queries (three joins, five selections) offered
 //! to an envelope of three active / three queued — two admission waves
@@ -74,7 +74,7 @@ fn fnv1a(hash: &mut u64, bytes: &[u8]) {
 }
 
 /// `(waves, event count, FNV-1a of the report fields + every event line)`.
-fn replay(batching: bool) -> (usize, usize, u64) {
+fn replay() -> (usize, usize, u64) {
     let ring = Arc::new(Ring::with_capacity(1 << 12));
     let cfg = SchedConfig {
         runtime: RuntimeConfig {
@@ -86,7 +86,6 @@ fn replay(batching: bool) -> (usize, usize, u64) {
         },
         envelope: Envelope { budget_cents: u64::MAX, max_active: 3, queue_capacity: 3 },
         drr: DrrConfig { quantum: 7, capacity: Some(24) },
-        batching,
         trace: Trace::collector(ring.clone()),
         ..SchedConfig::default()
     };
@@ -102,11 +101,9 @@ fn replay(batching: bool) -> (usize, usize, u64) {
         SchedJob::unconstrained(select_job(4, 5)),
     ];
     let report = Scheduler::new(cfg).run(subs);
-    let rejected = report
-        .decisions
-        .iter()
-        .filter(|(_, d)| matches!(d, AdmissionDecision::Rejected(_)))
-        .count();
+    let bill = &report.billing;
+    let rejected =
+        bill.decisions.iter().filter(|(_, d)| matches!(d, AdmissionDecision::Rejected(_))).count();
     assert_eq!(rejected, 2, "the golden envelope must reject");
     assert!(report.results.iter().all(|(_, r)| r.is_ok()), "a golden query must not fail");
     assert_eq!(ring.dropped(), 0, "ring too small for the golden fleet");
@@ -114,13 +111,13 @@ fn replay(batching: bool) -> (usize, usize, u64) {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     let fields = format!(
         "{:?}\n{:?}\n{:?}\n{:?}\n{} {} {}\n{}",
-        report.decisions,
-        report.rounds,
-        report.completion_round,
-        report.attributed_cents,
-        report.platform_cents,
-        report.total_hits,
-        report.solo_hits,
+        bill.decisions,
+        bill.rounds,
+        bill.completion_round,
+        bill.attributed_cents,
+        bill.platform_cents,
+        bill.total_hits,
+        bill.solo_hits,
         report.bindings_text()
     );
     fnv1a(&mut hash, fields.as_bytes());
@@ -129,15 +126,10 @@ fn replay(batching: bool) -> (usize, usize, u64) {
         fnv1a(&mut hash, ev.canonical_line().as_bytes());
         fnv1a(&mut hash, b"\n");
     }
-    (report.waves, events.len(), hash)
+    (bill.waves, events.len(), hash)
 }
 
 #[test]
 fn batching_on() {
-    assert_eq!(replay(true), (2, 44, 13_291_479_667_820_322_146));
-}
-
-#[test]
-fn batching_off() {
-    assert_eq!(replay(false), (2, 44, 6_873_054_362_573_341_958));
+    assert_eq!(replay(), (2, 44, 13_291_479_667_820_322_146));
 }

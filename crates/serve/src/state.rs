@@ -574,18 +574,9 @@ impl ServerState {
 
     // ---- reads ----------------------------------------------------------
 
-    /// Copy the retained stream chunks from `from` onward, plus whether
-    /// the stream is complete. `None` for unknown ids.
-    pub fn chunks_from(&self, id: u64, from: usize) -> Option<(Vec<String>, bool)> {
-        let inner = self.inner.lock().unwrap();
-        let entry = inner.queries.get(&id)?;
-        Some((entry.chunks[from.min(entry.chunks.len())..].to_vec(), entry.done()))
-    }
-
     /// Block until query `id` has more than `from` chunks, is done, or the
-    /// server stops. Returns the same shape as [`chunks_from`].
-    ///
-    /// [`chunks_from`]: Self::chunks_from
+    /// server stops. Returns the retained stream chunks from `from` onward
+    /// plus whether the stream is complete; `None` for unknown ids.
     pub fn wait_chunks(&self, id: u64, from: usize) -> Option<(Vec<String>, bool)> {
         let mut inner = self.inner.lock().unwrap();
         loop {

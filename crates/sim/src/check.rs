@@ -331,7 +331,7 @@ pub fn check(spec: &ScenarioSpec, sabotage: Sabotage) -> Vec<Violation> {
         }
     }
 
-    // --- Multi-query scheduling: batching must never change answers,
+    // --- Multi-query scheduling: scheduling must never change answers,
     // attributed cents must conserve platform cents, and every query must
     // finish within its DRR fairness bound.
     check_sched(spec, &jobs, &replay, sabotage, &mut v);
@@ -499,8 +499,8 @@ fn tear_log_tail(dir: &std::path::Path) -> Result<(), String> {
 
 /// Run the query mix through `cdb-sched` with a generous envelope (all
 /// queries admit into one wave) and check the scheduler's own contracts
-/// against the plain runtime run: identical bindings with batching on,
-/// off, or no scheduler at all; cents-exact cost attribution; and the
+/// against the plain runtime run: identical bindings with or without the
+/// scheduler; cents-exact cost attribution; and the
 /// per-query fairness bound `completion == Σ_r ceil(t_r / quantum)`
 /// derived independently from each query's recorded round trace.
 fn check_sched(
@@ -514,48 +514,39 @@ fn check_sched(
         return;
     }
     let quantum = spec.sched_quantum.max(1);
-    let run = |batching: bool| {
-        let cfg = SchedConfig {
-            runtime: runtime_config(
-                spec,
-                spec.reuse.then(|| Arc::new(ReuseCache::new())),
-                Trace::off(),
-            ),
-            drr: DrrConfig { quantum, capacity: None },
-            batching,
-            ..SchedConfig::default()
-        };
-        Scheduler::new(cfg).run(jobs.iter().map(|j| SchedJob::unconstrained(j.clone())).collect())
+    let cfg = SchedConfig {
+        runtime: runtime_config(
+            spec,
+            spec.reuse.then(|| Arc::new(ReuseCache::new())),
+            Trace::off(),
+        ),
+        drr: DrrConfig { quantum, capacity: None },
+        ..SchedConfig::default()
     };
-    let on = run(true);
-    let off = run(false);
-    if on.bindings_text() != off.bindings_text() {
-        v.push(Violation::new(
-            "sched-batching-divergence",
-            format!("batching on:\n{}\nbatching off:\n{}", on.bindings_text(), off.bindings_text()),
-        ));
-    }
-    if on.bindings_text() != plain.bindings_text() {
+    let report =
+        Scheduler::new(cfg).run(jobs.iter().map(|j| SchedJob::unconstrained(j.clone())).collect());
+    if report.bindings_text() != plain.bindings_text() {
         v.push(Violation::new(
             "sched-runtime-divergence",
             format!(
                 "scheduled:\n{}\nplain runtime:\n{}",
-                on.bindings_text(),
+                report.bindings_text(),
                 plain.bindings_text()
             ),
         ));
     }
-    let attributed: u64 = on.attributed_cents.values().sum();
-    if attributed != on.platform_cents {
+    let bill = &report.billing;
+    let attributed: u64 = bill.attributed_cents.values().sum();
+    if attributed != bill.platform_cents {
         v.push(Violation::new(
             "sched-conservation",
-            format!("attributed {} cents != platform {} cents", attributed, on.platform_cents),
+            format!("attributed {} cents != platform {} cents", attributed, bill.platform_cents),
         ));
     }
-    for m in on.metrics.conservation_mismatches() {
+    for m in bill.metrics.conservation_mismatches() {
         v.push(Violation::new("sched-conservation", m));
     }
-    let mut completion = on.completion_round.clone();
+    let mut completion = bill.completion_round.clone();
     if sabotage == Sabotage::StarveQuery {
         // Pretend the highest-id query was parked for 7 extra global
         // rounds — the fairness bound below must notice.
@@ -563,7 +554,7 @@ fn check_sched(
             *r += 7;
         }
     }
-    for (id, res) in &on.results {
+    for (id, res) in &report.results {
         let Ok(q) = res else { continue };
         let bound: usize = q.round_tasks.iter().map(|t| t.div_ceil(quantum)).sum();
         if bound == 0 {
