@@ -563,7 +563,7 @@ fn ablations(args: &Args) {
         println!("{:<14}{:>10}", name, tasks / args.reps);
     }
 
-    println!("\n# Ablation: latency policy (3J): greedy rounds vs literal prefix vs serial");
+    println!("\n# Ablation: latency policy (3J): greedy rounds vs serial");
     for (name, parallel) in [("greedy", true), ("serial", false)] {
         let mut p = fill_platform(args.seed);
         let stats = Executor::new(

@@ -435,36 +435,6 @@ fn literal_value(lit: &cdb_cql::Literal) -> cdb_storage::Value {
     }
 }
 
-/// Load a whole table from `(name, rows)` — small helper for examples and
-/// tests.
-pub fn load_table(
-    db: &mut Database,
-    name: &str,
-    columns: &[(&str, ColumnType)],
-    rows: &[Vec<cdb_storage::Value>],
-) -> Result<(), cdb_storage::StorageError> {
-    let schema = Schema::new(columns.iter().map(|(n, t)| ColumnDef::new(*n, *t)).collect());
-    let mut table = Table::new(name, schema);
-    for row in rows {
-        table.push(row.clone())?;
-    }
-    db.add_table(table)
-}
-
-/// Map of convenience: (table, row) of every vertex bound in the answers.
-pub fn answer_tuples(stats: &ExecutionStats, g: &QueryGraph) -> Vec<Vec<TupleId>> {
-    stats
-        .answers
-        .iter()
-        .map(|c| c.binding.iter().filter_map(|&n| g.node_tuple(n).cloned()).collect())
-        .collect()
-}
-
-/// Index answers by a stable key for reporting.
-pub fn binding_key(binding: &[crate::model::NodeId]) -> String {
-    binding.iter().map(|n| n.0.to_string()).collect::<Vec<_>>().join("-")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -6,9 +6,9 @@
 //! conflict; edges containing two different tuples of the same table never
 //! conflict; otherwise run the exact shared-candidate check. Per
 //! component, the round greedily collects a maximal set of pairwise
-//! non-conflicting edges in expectation order (the paper's literal
-//! longest-prefix rule is kept as an ablation); the union over components
-//! is asked in parallel.
+//! non-conflicting edges in expectation order (not the paper's literal
+//! longest-prefix rule; see DESIGN.md deviation 2); the union over
+//! components is asked in parallel.
 //!
 //! A round is one linear pass. On an acyclic predicate structure whose
 //! nodes are arc consistent (what `prune_invalid_edges` leaves behind),
@@ -59,25 +59,6 @@ fn live_components(g: &QueryGraph) -> Vec<usize> {
     connected_components(g.node_count(), &edges)
 }
 
-/// Given the expectation-ordered open edges, select the subset to ask in
-/// the next round: per live component, a maximal set of pairwise
-/// non-conflicting edges collected greedily in order (the §5.2 goal of
-/// "simultaneously ask the tasks that cannot be inferred by others in the
-/// same round"). See [`parallel_round_prefix`] for the paper's literal
-/// longest-prefix variant, kept as an ablation.
-pub fn parallel_round(g: &QueryGraph, ordered: &[EdgeId]) -> Vec<EdgeId> {
-    round_impl(g, ordered, false)
-}
-
-/// The literal longest-prefix rule of §5.2: per component, scanning stops
-/// at the first conflicting edge. Since no task of a round can prune
-/// another task of the same round anyway, the greedy variant is equally
-/// safe; the prefix rule just produces smaller rounds (and thus more of
-/// them) on dense components. Kept as the latency-policy ablation.
-pub fn parallel_round_prefix(g: &QueryGraph, ordered: &[EdgeId]) -> Vec<EdgeId> {
-    round_impl(g, ordered, true)
-}
-
 /// True when cone marking is exact for `g`; see the module docs.
 fn cone_exact(g: &QueryGraph) -> bool {
     !predicate_structure_cyclic(g) && arc_consistent(g)
@@ -101,7 +82,14 @@ fn mark_cone(g: &QueryGraph, n: NodeId, via: usize, blocked: &mut [bool], expand
     }
 }
 
-fn round_impl(g: &QueryGraph, ordered: &[EdgeId], stop_at_first_conflict: bool) -> Vec<EdgeId> {
+/// Given the expectation-ordered open edges, select the subset to ask in
+/// the next round: per live component, a maximal set of pairwise
+/// non-conflicting edges collected greedily in order (the §5.2 goal of
+/// "simultaneously ask the tasks that cannot be inferred by others in the
+/// same round"). Unlike the paper's literal longest-prefix rule, scanning
+/// does not stop at a component's first conflicting edge; no task of a
+/// round can prune another task of the same round either way.
+pub fn parallel_round(g: &QueryGraph, ordered: &[EdgeId]) -> Vec<EdgeId> {
     let mut ph = cdb_obsv::profile::phase(cdb_obsv::profile::phases::SELECT_CANDIDATES);
     ph.set(cdb_obsv::attr::keys::N, ordered.len() as u64);
     let comp = live_components(g);
@@ -116,25 +104,18 @@ fn round_impl(g: &QueryGraph, ordered: &[EdgeId], stop_at_first_conflict: bool) 
     let mut cone = cone_exact(g)
         .then(|| (vec![false; g.edge_count()], vec![false; g.node_count() * g.predicate_count()]));
     let mut round: Vec<EdgeId> = Vec::new();
-    // Where the current component's chosen edges start in `round`, and the
-    // component the prefix rule has closed, if any.
-    let (mut group, mut group_start, mut closed) = (usize::MAX, 0, usize::MAX);
+    // Where the current component's chosen edges start in `round`.
+    let (mut group, mut group_start) = (usize::MAX, 0);
     for e in edges {
         let c = comp_of(e);
         if c != group {
             (group, group_start) = (c, round.len());
-        }
-        if c == closed {
-            continue;
         }
         let conflict = match &cone {
             Some((blocked, _)) => blocked[e.0],
             None => round[group_start..].iter().any(|&e2| edges_conflict(g, e, e2)),
         };
         if conflict {
-            if stop_at_first_conflict {
-                closed = c;
-            }
             continue;
         }
         round.push(e);
@@ -247,19 +228,6 @@ mod tests {
     }
 
     #[test]
-    fn prefix_policy_is_a_prefix_of_greedy() {
-        let (g, _) = chain_2x3(0.5);
-        let order = expectation_order(&g);
-        let prefix = parallel_round_prefix(&g, &order);
-        let greedy = parallel_round(&g, &order);
-        assert!(prefix.len() <= greedy.len());
-        // Every prefix edge also appears in the greedy round.
-        for e in &prefix {
-            assert!(greedy.contains(e));
-        }
-    }
-
-    #[test]
     fn empty_order_gives_empty_round() {
         let (g, _) = chain_2x3(0.5);
         assert!(parallel_round(&g, &[]).is_empty());
@@ -340,7 +308,6 @@ mod tests {
         assert!(cone_exact(&g));
         let order = [e_b0a0, e_b0c0, e_b0a1];
         assert_round(&g, &order, &[e_b0a0, e_b0a1]);
-        assert_eq!(parallel_round_prefix(&g, &order), vec![e_b0a0]);
     }
 
     #[test]

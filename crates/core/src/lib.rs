@@ -40,9 +40,7 @@ mod cdb;
 
 pub use build::{build_query_graph, GraphBuildConfig};
 pub use candidate::{enumerate_candidates, Candidate, CandidateFilter};
-pub use cdb::{
-    answer_tuples, binding_key, load_table, plan_select, Cdb, CdbConfig, QueryOutcome, QueryTruth,
-};
+pub use cdb::{plan_select, Cdb, CdbConfig, QueryOutcome, QueryTruth};
 pub use cost::estimate::CostEstimate;
 pub use executor::{
     EdgeTruth, ExecutionStats, Executor, ExecutorConfig, QualityStrategy, SelectionStrategy,

@@ -7,7 +7,7 @@
 use std::collections::BTreeMap;
 
 use cdb_core::cost::expectation::{reference, SelectionState};
-use cdb_core::latency::{edges_conflict, parallel_round, parallel_round_prefix};
+use cdb_core::latency::{edges_conflict, parallel_round};
 use cdb_core::model::{Color, EdgeId, NodeId, PartKind};
 use cdb_core::prune::prune_invalid_edges;
 use cdb_core::QueryGraph;
@@ -131,11 +131,11 @@ proptest! {
 }
 
 /// The §5.2 round written the slow way, as the independent witness for
-/// `parallel_round*`: group `ordered` by live component (labelled by the
+/// `parallel_round`: group `ordered` by live component (labelled by the
 /// smallest node index, which orders components like first appearance
 /// does), then per group keep each edge that conflicts with nothing kept
-/// before it — or stop the group at the first conflict under `prefix`.
-fn naive_round(g: &QueryGraph, ordered: &[EdgeId], prefix: bool) -> Vec<EdgeId> {
+/// before it.
+fn naive_round(g: &QueryGraph, ordered: &[EdgeId]) -> Vec<EdgeId> {
     let mut label: Vec<usize> = (0..g.node_count()).collect();
     loop {
         let mut changed = false;
@@ -158,13 +158,9 @@ fn naive_round(g: &QueryGraph, ordered: &[EdgeId], prefix: bool) -> Vec<EdgeId> 
     for group in groups.into_values() {
         let mut chosen: Vec<EdgeId> = Vec::new();
         for e in group {
-            if chosen.iter().any(|&kept| edges_conflict(g, e, kept)) {
-                if prefix {
-                    break;
-                }
-                continue;
+            if !chosen.iter().any(|&kept| edges_conflict(g, e, kept)) {
+                chosen.push(e);
             }
-            chosen.push(e);
         }
         round.extend(chosen);
     }
@@ -199,8 +195,7 @@ proptest! {
             for i in (1..ordered.len()).rev() {
                 ordered.swap(i, rng.gen_range(0..=i));
             }
-            prop_assert_eq!(parallel_round(&g, &ordered), naive_round(&g, &ordered, false));
-            prop_assert_eq!(parallel_round_prefix(&g, &ordered), naive_round(&g, &ordered, true));
+            prop_assert_eq!(parallel_round(&g, &ordered), naive_round(&g, &ordered));
             if open.is_empty() {
                 break;
             }

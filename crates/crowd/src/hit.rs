@@ -1,9 +1,11 @@
 //! HIT packing: group tasks into human-intelligence tasks.
 //!
 //! The paper's real experiments "pack 10 tasks in each HIT with \$0.1 as its
-//! price" (§6.3). Monetary cost is `#HITs * price * redundancy`.
-
-use crate::TaskId;
+//! price" (§6.3). Monetary cost is `#HITs * price * redundancy`, priced one
+//! way, in integer cents: [`pack_shared`] packs a round's tasks (from one or
+//! several queries) into HITs, [`attribute_shared_cents`] splits their cost
+//! back to the queries, and [`HitConfig::hits_cost_cents`] is the platform
+//! spend the split sums to.
 
 /// HIT packing configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -20,34 +22,7 @@ impl Default for HitConfig {
     }
 }
 
-/// A published HIT: an ordered batch of task ids answered together.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Hit {
-    /// Position in the publish order.
-    pub index: usize,
-    /// Tasks inside this HIT.
-    pub tasks: Vec<TaskId>,
-}
-
-/// Pack tasks into HITs of `cfg.tasks_per_hit`, preserving order; the last
-/// HIT may be short.
-pub fn pack_hits(tasks: &[TaskId], cfg: HitConfig) -> Vec<Hit> {
-    assert!(cfg.tasks_per_hit > 0, "tasks_per_hit must be positive");
-    tasks
-        .chunks(cfg.tasks_per_hit)
-        .enumerate()
-        .map(|(index, chunk)| Hit { index, tasks: chunk.to_vec() })
-        .collect()
-}
-
 impl HitConfig {
-    /// Dollar cost of publishing `task_count` tasks with `redundancy`
-    /// assignments each.
-    pub fn cost(&self, task_count: usize, redundancy: usize) -> f64 {
-        let hits = task_count.div_ceil(self.tasks_per_hit);
-        hits as f64 * self.price_per_hit * redundancy as f64
-    }
-
     /// Price per HIT in integer cents.
     ///
     /// This is the single f64→cents boundary: `price_per_hit` is dollars
@@ -174,36 +149,10 @@ pub fn attribute_shared_cents(
 mod tests {
     use super::*;
 
-    fn ids(n: u64) -> Vec<TaskId> {
-        (0..n).map(TaskId).collect()
-    }
-
-    #[test]
-    fn packs_into_full_and_partial_hits() {
-        let hits = pack_hits(&ids(23), HitConfig::default());
-        assert_eq!(hits.len(), 3);
-        assert_eq!(hits[0].tasks.len(), 10);
-        assert_eq!(hits[2].tasks.len(), 3);
-        assert_eq!(hits[1].index, 1);
-    }
-
-    #[test]
-    fn empty_task_list_packs_to_no_hits() {
-        assert!(pack_hits(&[], HitConfig::default()).is_empty());
-    }
-
-    #[test]
-    fn cost_follows_paper_pricing() {
-        let cfg = HitConfig::default();
-        // 23 tasks -> 3 HITs -> $0.3 per assignment; 5 workers -> $1.5.
-        assert!((cfg.cost(23, 5) - 1.5).abs() < 1e-12);
-        assert_eq!(cfg.cost(0, 5), 0.0);
-    }
-
     #[test]
     #[should_panic(expected = "tasks_per_hit")]
     fn zero_sized_hits_rejected() {
-        pack_hits(&ids(3), HitConfig { tasks_per_hit: 0, price_per_hit: 0.1 });
+        pack_shared(&[(0, 3)], HitConfig { tasks_per_hit: 0, price_per_hit: 0.1 });
     }
 
     #[test]

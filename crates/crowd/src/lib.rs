@@ -30,7 +30,7 @@ mod worker;
 
 pub use autocomplete::AutocompleteStore;
 pub use history::{WorkerHistory, WorkerRecord};
-pub use hit::{attribute_shared_cents, pack_hits, pack_shared, Hit, HitConfig, SharedHit};
+pub use hit::{attribute_shared_cents, pack_shared, HitConfig, SharedHit};
 pub use latency::{LatencyModel, SimTime};
 pub use log::{Assignment, AssignmentLog};
 pub use market_deploy::{CrossMarketDeployer, MarketSlot};

@@ -46,15 +46,6 @@ impl CrossMarketDeployer {
         &self.slots[idx].platform
     }
 
-    /// Attach one trace to every market: each slice published then emits
-    /// its own `crowd.market` event, so the per-market split of a
-    /// cross-deployed batch is visible in the event stream.
-    pub fn set_trace(&mut self, trace: cdb_obsv::Trace) {
-        for slot in &mut self.slots {
-            slot.platform.set_trace(trace.clone());
-        }
-    }
-
     /// Split `tasks` across the markets proportionally to their shares
     /// (largest-remainder apportionment over contiguous chunks) and ask
     /// each slice as one round with `redundancy` answers per task.
@@ -175,28 +166,6 @@ mod tests {
     #[should_panic(expected = "positive share")]
     fn zero_shares_rejected() {
         CrossMarketDeployer::new(vec![slot(Market::Amt, 0.0, 1.0, 1)]);
-    }
-
-    #[test]
-    fn traced_deployment_reports_per_market_split() {
-        use cdb_obsv::{attr::names, Ring, Trace};
-        use std::sync::Arc;
-        let ring = Arc::new(Ring::with_capacity(16));
-        let mut d = CrossMarketDeployer::new(vec![
-            slot(Market::Amt, 3.0, 1.0, 1),
-            slot(Market::ChinaCrowd, 1.0, 1.0, 2),
-        ]);
-        d.set_trace(Trace::collector(ring.clone()));
-        d.ask_round(&tasks(8), 2);
-        let evs = ring.drain();
-        assert_eq!(evs.len(), 2);
-        assert!(evs.iter().all(|e| e.name == names::MARKET_ROUTE));
-        let amt = evs.iter().find(|e| e.get("market").unwrap().as_str() == Some("amt")).unwrap();
-        assert_eq!(amt.get_u64("n"), Some(6));
-        let cc =
-            evs.iter().find(|e| e.get("market").unwrap().as_str() == Some("chinacrowd")).unwrap();
-        assert_eq!(cc.get_u64("n"), Some(2));
-        assert_eq!(cc.get_u64("cents"), Some(3));
     }
 
     #[test]

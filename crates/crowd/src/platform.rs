@@ -65,7 +65,6 @@ pub struct SimulatedPlatform {
     rng: StdRng,
     log: AssignmentLog,
     round: usize,
-    trace: cdb_obsv::Trace,
 }
 
 impl SimulatedPlatform {
@@ -77,35 +76,7 @@ impl SimulatedPlatform {
             rng: StdRng::seed_from_u64(seed),
             log: AssignmentLog::new(),
             round: 0,
-            trace: cdb_obsv::Trace::off(),
         }
-    }
-
-    /// Attach a trace: each published batch emits a
-    /// [`cdb_obsv::attr::names::MARKET_ROUTE`] event tagging the market,
-    /// batch size and per-task price.
-    pub fn set_trace(&mut self, trace: cdb_obsv::Trace) {
-        self.trace = trace;
-    }
-
-    /// The attached trace (off by default).
-    pub fn trace(&self) -> &cdb_obsv::Trace {
-        &self.trace
-    }
-
-    fn trace_batch(&self, n: usize, redundancy: usize, at: u64) {
-        self.trace.emit(cdb_obsv::Event::instant(
-            cdb_obsv::SpanId::ROOT,
-            cdb_obsv::attr::names::MARKET_ROUTE,
-            at,
-            cdb_obsv::kv![
-                market => self.market.name(),
-                n => n,
-                redundancy => redundancy,
-                cents => self.market.task_price_cents(),
-                round => self.round,
-            ],
-        ));
     }
 
     /// Which market this simulates.
@@ -141,7 +112,6 @@ impl SimulatedPlatform {
         if tasks.is_empty() {
             return Vec::new();
         }
-        self.trace_batch(tasks.len(), redundancy, self.round as u64);
         let mut out = Vec::with_capacity(tasks.len() * redundancy);
         for task in tasks {
             let workers = self.pool.sample_distinct(redundancy.min(self.pool.len()), &mut self.rng);
@@ -179,7 +149,6 @@ impl SimulatedPlatform {
         if tasks.is_empty() {
             return Vec::new();
         }
-        self.trace_batch(tasks.len(), redundancy, self.round as u64);
         let mut need: std::collections::BTreeMap<TaskId, usize> =
             tasks.iter().map(|t| (t.id, redundancy)).collect();
         let by_id: std::collections::BTreeMap<TaskId, &Task> =
@@ -249,9 +218,6 @@ impl SimulatedPlatform {
         deadline_ms: SimTime,
         now: SimTime,
     ) -> Vec<PendingAssignment> {
-        if !tasks.is_empty() {
-            self.trace_batch(tasks.len(), redundancy, now);
-        }
         let mut batch = Vec::with_capacity(tasks.len() * redundancy);
         for task in tasks {
             let workers = self.pool.sample_distinct(redundancy.min(self.pool.len()), &mut self.rng);
@@ -510,24 +476,6 @@ mod tests {
         assert_eq!(Market::ChinaCrowd.task_price_cents(), 3);
         assert_eq!(Market::Amt.name(), "amt");
         assert_eq!(Market::ChinaCrowd.name(), "chinacrowd");
-    }
-
-    #[test]
-    fn traced_platform_emits_market_route_events() {
-        use cdb_obsv::{attr::names, Ring, Trace};
-        use std::sync::Arc;
-        let ring = Arc::new(Ring::with_capacity(16));
-        let mut p = platform(&[1.0; 5], 1);
-        p.set_trace(Trace::collector(ring.clone()));
-        assert!(p.trace().on());
-        p.ask_round(&[yes_task(1), yes_task(2)], 3);
-        p.ask_round(&[], 3); // empty batch: no event
-        let evs = ring.drain();
-        assert_eq!(evs.len(), 1);
-        assert_eq!(evs[0].name, names::MARKET_ROUTE);
-        assert_eq!(evs[0].get("market").unwrap().as_str(), Some("amt"));
-        assert_eq!(evs[0].get_u64("n"), Some(2));
-        assert_eq!(evs[0].get_u64("cents"), Some(5));
     }
 
     #[test]

@@ -45,8 +45,6 @@ pub mod keys {
     pub const ENTROPY: &str = "entropy";
     /// Decided choice index.
     pub const CHOICE: &str = "choice";
-    /// Market name.
-    pub const MARKET: &str = "market";
     /// Entailment depth of a reuse hit (answers chained through).
     pub const DEPTH: &str = "depth";
     /// HIT count (scheduler round accounting).
@@ -72,8 +70,6 @@ pub mod names {
     pub const CANCEL: &str = "crowd.cancel";
     /// A round span (Enter/Exit pair; Exit carries kv `ms`).
     pub const ROUND: &str = "crowd.round";
-    /// A batch published across markets (kv `market`, `n`).
-    pub const MARKET_ROUTE: &str = "crowd.market";
     /// One whole query (kv `ok`, `ms`).
     pub const QUERY: &str = "runtime.query";
     /// A plan edge (tuple pair) first asked (kv `task`, `node`): the

@@ -116,7 +116,11 @@ fn main() {
     cdb_obsv::validate_exposition(&prom).expect("prometheus exposition must validate");
     std::fs::write(dir.join("metrics.prom"), &prom).expect("write metrics.prom");
     let events = ring.drain();
-    std::fs::write(dir.join("trace.json"), chrome_trace(&events)).expect("write trace.json");
+    let trace = chrome_trace(&events);
+    let parsed = cdb_obsv::json::parse(&trace).expect("the Chrome trace must be valid JSON");
+    let traced = parsed.get("traceEvents").and_then(|t| t.as_arr()).expect("a traceEvents array");
+    assert!(!traced.is_empty(), "the Chrome trace must not be empty");
+    std::fs::write(dir.join("trace.json"), trace).expect("write trace.json");
     println!(
         "\ntrace: {} events captured ({} dropped) -> target/obsv/{{metrics.prom,trace.json}}",
         events.len(),

@@ -20,9 +20,9 @@
 //!   deterministic [`cdb_runtime::RuntimeExecutor`] for [`Scheduler::run`],
 //!   on `cdb-shard`'s executor for sharded fleets — interleave, and bill
 //!   global rounds as shared HITs ([`cdb_crowd::pack_shared`]) with
-//!   cents-exact per-query attribution.
-//! * [`metrics`] — `sched.*` counters as a [`cdb_obsv::Collector`], with
-//!   the conservation check (attributed cents == platform cents).
+//!   cents-exact per-query attribution. The run's bill is kept once, in
+//!   [`BillingReport`]; admission verdicts are also the `sched.admit` /
+//!   `sched.queue` / `sched.reject` events on [`SchedConfig::trace`].
 //!
 //! Batching never changes answers: execution is per-query deterministic
 //! and the scheduler only re-packs the billing — see the determinism notes
@@ -32,10 +32,8 @@
 
 pub mod admission;
 pub mod drr;
-pub mod metrics;
 pub mod scheduler;
 
 pub use admission::{AdmissionController, AdmissionDecision, Envelope, QueryRequest, RejectReason};
 pub use drr::{DrrConfig, GlobalRound};
-pub use metrics::{SchedMetrics, SchedSnapshot};
 pub use scheduler::{BillingReport, RoundRecord, SchedConfig, SchedJob, SchedReport, Scheduler};

@@ -42,7 +42,6 @@
 
 use std::collections::BTreeMap;
 use std::convert::Infallible;
-use std::sync::Arc;
 
 use cdb_core::cost::estimate::estimate;
 use cdb_crowd::{attribute_shared_cents, pack_shared, HitConfig};
@@ -54,7 +53,6 @@ use cdb_runtime::{
 
 use crate::admission::{AdmissionController, AdmissionDecision, Envelope, QueryRequest};
 use crate::drr::{schedule, DrrConfig, GlobalRound};
-use crate::metrics::{SchedMetrics, SchedSnapshot};
 
 /// Scheduler configuration.
 #[derive(Debug, Clone, Default)]
@@ -68,8 +66,7 @@ pub struct SchedConfig {
     pub drr: DrrConfig,
     /// HIT packing ("pack 10 tasks in each HIT", §6.3).
     pub hit: HitConfig,
-    /// Observability sink for `sched.*` events (the scheduler's own
-    /// [`SchedMetrics`] collector is always attached in addition).
+    /// Observability sink for `sched.*` events.
     pub trace: Trace,
 }
 
@@ -127,8 +124,6 @@ pub struct BillingReport {
     pub solo_hits: usize,
     /// Execution waves (1 unless admission queued queries).
     pub waves: usize,
-    /// Frozen scheduler counters.
-    pub metrics: SchedSnapshot,
 }
 
 impl BillingReport {
@@ -224,12 +219,7 @@ impl Scheduler {
         submissions: Vec<SchedJob>,
         mut run_wave: impl FnMut(Vec<QueryJob>) -> Result<Vec<(u64, u64, Vec<usize>)>, E>,
     ) -> Result<BillingReport, E> {
-        let metrics = Arc::new(SchedMetrics::new());
-        let trace = self
-            .cfg
-            .trace
-            .clone()
-            .and(&Trace::collector(Arc::clone(&metrics) as Arc<dyn cdb_obsv::Collector>));
+        let trace = &self.cfg.trace;
         let redundancy = self.cfg.runtime.exec.redundancy;
         let price_cents = self.cfg.runtime.market.task_price_cents();
 
@@ -288,7 +278,6 @@ impl Scheduler {
             total_hits: 0,
             solo_hits: 0,
             waves: 0,
-            metrics: SchedSnapshot::default(),
         };
         while !wave.is_empty() {
             report.waves += 1;
@@ -300,7 +289,7 @@ impl Scheduler {
             let (globals, finish) = schedule(&traces, self.cfg.drr);
             let base = report.rounds.len();
             for g in &globals {
-                let rec = self.bill_round(&trace, g, &query_of, base + g.index, redundancy);
+                let rec = self.bill_round(g, &query_of, base + g.index, redundancy);
                 for (&q, &(_, c)) in &rec.per_query {
                     *report.attributed_cents.entry(q).or_default() += c;
                 }
@@ -337,7 +326,6 @@ impl Scheduler {
                 })
                 .collect();
         }
-        report.metrics = metrics.snapshot();
         Ok(report)
     }
 
@@ -346,7 +334,6 @@ impl Scheduler {
     /// `sched.cost` / `sched.round` events.
     fn bill_round(
         &self,
-        trace: &Trace,
         g: &GlobalRound,
         query_of: &BTreeMap<u64, u64>,
         index: usize,
@@ -371,6 +358,7 @@ impl Scheduler {
             per_query.entry(query_of[&f]).or_default().1 += c;
         }
         let at = index as u64;
+        let trace = &self.cfg.trace;
         for (q, (task_n, c)) in &per_query {
             trace.emit(Event::instant(
                 SpanId::ROOT,

@@ -10,7 +10,6 @@
 //! it computes. Consequently an N-shard run is byte-identical to the
 //! 1-shard oracle: same bindings, same merged metrics JSON.
 
-use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
 use cdb_core::model::NodeId;
@@ -326,20 +325,6 @@ impl ShardExecutor {
         let metrics = sum_snapshots(shards.iter().map(|s| &s.metrics));
         Ok(ShardReport { results, units: outcomes, shards, metrics, wall: start.elapsed() })
     }
-}
-
-/// The union of every successful query's answer bindings — convenience
-/// for equality assertions in tests.
-pub fn all_bindings(report: &ShardReport) -> BTreeSet<(u64, Vec<NodeId>)> {
-    let mut out = BTreeSet::new();
-    for (id, r) in &report.results {
-        if let Ok(q) = r {
-            for b in &q.bindings {
-                out.insert((*id, b.clone()));
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -40,8 +40,7 @@ pub mod merge;
 pub mod partition;
 
 pub use executor::{
-    all_bindings, unit_seed, ShardConfig, ShardExecutor, ShardReport, ShardStats, UnitOutcome,
-    SHARD_STREAM,
+    unit_seed, ShardConfig, ShardExecutor, ShardReport, ShardStats, UnitOutcome, SHARD_STREAM,
 };
 pub use memory::{component_bytes, Arena, MemoryConfig, ShardError};
 pub use merge::{sum_snapshots, ShardQueryResult};
