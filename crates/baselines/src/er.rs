@@ -1,24 +1,24 @@
-//! Crowdsourced entity-resolution comparators: `Trans` and `ACD`.
+//! The crowdsourced entity-resolution comparator: `Trans` (Wang et al.
+//! \[57]).
 //!
-//! Both process one join predicate at a time (ordered cost-based by the
-//! number of non-pruned pairs, as in §6.1) and resolve the pairs of each
-//! predicate with an ER strategy over multiple rounds:
+//! It processes one join predicate at a time (ordered cost-based by the
+//! number of non-pruned pairs, as in §6.1) and resolves the pairs of each
+//! predicate over multiple rounds, in descending similarity order.
+//! Transitivity infers both positives (same cluster) and negatives
+//! (cluster pair already refuted), so it asks the fewest questions — but
+//! one wrong answer propagates to many pairs, which is exactly the quality
+//! loss the paper reports.
 //!
-//! * **Trans** (Wang et al. \[57]): pairs are processed in descending
-//!   similarity order; transitivity infers both positives (same cluster)
-//!   and negatives (cluster pair already refuted), so it asks the fewest
-//!   questions — but one wrong answer propagates to many pairs, which is
-//!   exactly the quality loss the paper reports.
-//! * **ACD** (Wang et al. \[58]): correlation-clustering-based; positives
-//!   merge clusters, but negatives are *not* propagated transitively —
-//!   each cluster pair is verified with its own question, costing more
-//!   but containing errors.
+//! The paper's second ER comparator, ACD (Wang et al. \[58]), verifies
+//! refuted cluster pairs at the cluster level. That verification is not
+//! modelled, so ACD would skip a refuted cluster pair exactly as Trans
+//! does; its column is folded into Trans (DESIGN.md, deviation 5).
 //!
 //! Latency: each round asks all pairs whose endpoint clusters are pairwise
 //! disjoint (answers within a round cannot infer each other), so ER takes
 //! several rounds per join — the ~5x latency the paper observes.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use cdb_core::executor::EdgeTruth;
 use cdb_core::model::{EdgeId, NodeId, PartId, QueryGraph};
@@ -27,42 +27,16 @@ use cdb_crowd::{SimulatedPlatform, Task, TaskId};
 use cdb_graph::UnionFind;
 use cdb_quality::majority_vote;
 
-/// Which ER strategy to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ErMethod {
-    /// Transitivity-based inference.
-    Trans,
-    /// Adaptive crowd dedup via correlation clustering.
-    Acd,
-}
+use crate::tree::TreeStats;
 
-/// ER execution result (same shape as the tree model's).
-#[derive(Debug, Clone)]
-pub struct ErStats {
-    /// Tasks asked.
-    pub tasks_asked: usize,
-    /// Crowd rounds.
-    pub rounds: usize,
-    /// Complete surviving bindings.
-    pub answers: Vec<Candidate>,
-}
-
-impl ErStats {
-    /// Answer bindings as a comparable set.
-    pub fn answer_bindings(&self) -> BTreeSet<Vec<NodeId>> {
-        self.answers.iter().map(|c| c.binding.clone()).collect()
-    }
-}
-
-/// Run Trans or ACD over a query graph.
+/// Run Trans over a query graph.
 pub fn run_er(
     g: &QueryGraph,
     truth: &EdgeTruth,
     platform: &mut SimulatedPlatform,
     redundancy: usize,
-    method: ErMethod,
-) -> ErStats {
-    run_er_constrained(g, truth, platform, redundancy, method, None)
+) -> TreeStats {
+    run_er_constrained(g, truth, platform, redundancy, None)
 }
 
 /// [`run_er`] with a latency constraint (Figure 22): ER rounds run
@@ -75,9 +49,8 @@ pub fn run_er_constrained(
     truth: &EdgeTruth,
     platform: &mut SimulatedPlatform,
     redundancy: usize,
-    method: ErMethod,
     max_rounds: Option<usize>,
-) -> ErStats {
+) -> TreeStats {
     // Cost-based predicate order: fewest live edges first.
     let mut per_pred: Vec<Vec<EdgeId>> = vec![Vec::new(); g.predicate_count()];
     for i in 0..g.edge_count() {
@@ -161,7 +134,6 @@ pub fn run_er_constrained(
                 platform,
                 redundancy,
                 &askable,
-                method,
                 rounds_left,
                 more_later,
             );
@@ -278,27 +250,25 @@ pub fn run_er_constrained(
             .collect(),
         None => Vec::new(),
     };
-    ErStats { tasks_asked, rounds, answers }
+    TreeStats { tasks_asked, rounds, answers }
 }
 
-/// Resolve one predicate's pairs with the chosen ER strategy. Returns
+/// Resolve one predicate's pairs with transitive inference. Returns
 /// `(tasks asked, rounds, blue edges, budget exhausted)`. `rounds_left`
 /// caps the rounds this call may use; on its last permitted round (or
 /// earlier, when `more_later` demands the final round be shared with later
 /// predicates) it asks all remaining pairs at once without inference.
-#[allow(clippy::too_many_arguments)]
 fn resolve_predicate(
     g: &QueryGraph,
     truth: &EdgeTruth,
     platform: &mut SimulatedPlatform,
     redundancy: usize,
     edges: &[EdgeId],
-    method: ErMethod,
     rounds_left: Option<usize>,
     more_later: bool,
 ) -> (usize, usize, Vec<EdgeId>, bool) {
     // Phase 1 — intra-column dedup (the "entity resolution" part of
-    // Trans/ACD): likely-duplicate same-part value pairs are crowdsourced
+    // Trans): likely-duplicate same-part value pairs are crowdsourced
     // so that transitivity can infer cross pairs. A pair (x, y) of one
     // part is a dedup candidate when x and y connect to a common tuple
     // with high weight on both edges; its ground truth is "x and y refer
@@ -339,7 +309,7 @@ fn resolve_predicate(
         intra.sort_by(|a, b| b.2.total_cmp(&a.2).then((a.0, a.1).cmp(&(b.0, b.1))));
     }
 
-    // Order cross pairs by similarity descending (both methods).
+    // Order cross pairs by similarity descending.
     let mut todo: Vec<EdgeId> =
         edges.iter().copied().filter(|&e| g.edge_color(e) == cdb_core::Color::Unknown).collect();
     let pre_blue: Vec<EdgeId> =
@@ -407,18 +377,12 @@ fn resolve_predicate(
             let (u, v) = g.edge_endpoints(e);
             let (cu, cv) = (dsu.find(u.0), dsu.find(v.0));
             if cu == cv {
-                // Same cluster: inferred positive (both methods).
+                // Same cluster: inferred positive.
                 blue.push(e);
                 continue;
             }
-            if method == ErMethod::Trans && negative.contains(&key(cu, cv)) {
-                // Inferred negative (Trans only).
-                continue;
-            }
-            if method == ErMethod::Acd && negative.contains(&key(cu, cv)) {
-                // ACD: each refuted cluster pair was asked once already;
-                // further pairs in the same cluster pair are also skipped
-                // (the cluster-level answer applies).
+            if negative.contains(&key(cu, cv)) {
+                // Refuted cluster pair: inferred negative.
                 continue;
             }
             // Can it join this round? A pair may share a round with others
@@ -531,7 +495,7 @@ mod tests {
     fn trans_finds_true_matches_with_perfect_workers() {
         let (g, truth) = fixture();
         let mut p = platform(1.0, 1);
-        let stats = run_er(&g, &truth, &mut p, 5, ErMethod::Trans);
+        let stats = run_er(&g, &truth, &mut p, 5);
         assert_eq!(stats.answers.len(), 3);
         // All true pairs found.
         let found = stats.answer_bindings();
@@ -539,18 +503,10 @@ mod tests {
     }
 
     #[test]
-    fn acd_finds_true_matches_with_perfect_workers() {
-        let (g, truth) = fixture();
-        let mut p = platform(1.0, 1);
-        let stats = run_er(&g, &truth, &mut p, 5, ErMethod::Acd);
-        assert_eq!(stats.answers.len(), 3);
-    }
-
-    #[test]
     fn trans_asks_fewer_than_all_pairs() {
         let (g, truth) = fixture();
         let mut p = platform(1.0, 2);
-        let stats = run_er(&g, &truth, &mut p, 5, ErMethod::Trans);
+        let stats = run_er(&g, &truth, &mut p, 5);
         assert!(stats.tasks_asked < g.edge_count(), "{}", stats.tasks_asked);
     }
 
@@ -558,23 +514,8 @@ mod tests {
     fn er_takes_multiple_rounds() {
         let (g, truth) = fixture();
         let mut p = platform(1.0, 3);
-        let stats = run_er(&g, &truth, &mut p, 5, ErMethod::Trans);
+        let stats = run_er(&g, &truth, &mut p, 5);
         assert!(stats.rounds >= 2, "{}", stats.rounds);
-    }
-
-    #[test]
-    fn trans_cheaper_or_equal_to_acd() {
-        let (g, truth) = fixture();
-        let mut p1 = platform(1.0, 4);
-        let trans = run_er(&g, &truth, &mut p1, 5, ErMethod::Trans);
-        let mut p2 = platform(1.0, 4);
-        let acd = run_er(&g, &truth, &mut p2, 5, ErMethod::Acd);
-        assert!(
-            trans.tasks_asked <= acd.tasks_asked,
-            "{} > {}",
-            trans.tasks_asked,
-            acd.tasks_asked
-        );
     }
 
     #[test]
@@ -582,7 +523,7 @@ mod tests {
         let (g, truth) = fixture();
         for r in 1..=3usize {
             let mut p = platform(1.0, 10 + r as u64);
-            let stats = run_er_constrained(&g, &truth, &mut p, 5, ErMethod::Trans, Some(r));
+            let stats = run_er_constrained(&g, &truth, &mut p, 5, Some(r));
             assert!(stats.rounds <= r + 1, "requested {r} rounds, used {}", stats.rounds);
         }
     }
@@ -591,9 +532,9 @@ mod tests {
     fn constrained_er_with_loose_budget_matches_free_run() {
         let (g, truth) = fixture();
         let mut p1 = platform(1.0, 11);
-        let free = run_er(&g, &truth, &mut p1, 5, ErMethod::Trans);
+        let free = run_er(&g, &truth, &mut p1, 5);
         let mut p2 = platform(1.0, 11);
-        let constrained = run_er_constrained(&g, &truth, &mut p2, 5, ErMethod::Trans, Some(100));
+        let constrained = run_er_constrained(&g, &truth, &mut p2, 5, Some(100));
         assert_eq!(free.tasks_asked, constrained.tasks_asked);
         assert_eq!(free.answers.len(), constrained.answers.len());
     }
@@ -602,7 +543,7 @@ mod tests {
     fn constrained_er_still_finds_answers_at_r1() {
         let (g, truth) = fixture();
         let mut p = platform(1.0, 12);
-        let stats = run_er_constrained(&g, &truth, &mut p, 5, ErMethod::Trans, Some(1));
+        let stats = run_er_constrained(&g, &truth, &mut p, 5, Some(1));
         assert_eq!(stats.answers.len(), 3, "flushing everything still resolves the query");
     }
 
@@ -632,15 +573,13 @@ mod tests {
                 }
             }
         }
-        for method in [ErMethod::Trans, ErMethod::Acd] {
-            let run = || {
-                let stats = run_er(&g, &truth, &mut platform(0.8, 9), 5, method);
-                (stats.tasks_asked, stats.rounds, stats.answer_bindings())
-            };
-            let first = run();
-            for _ in 1..8 {
-                assert_eq!(run(), first, "{method:?}");
-            }
+        let run = || {
+            let stats = run_er(&g, &truth, &mut platform(0.8, 9), 5);
+            (stats.tasks_asked, stats.rounds, stats.answer_bindings())
+        };
+        let first = run();
+        for _ in 1..8 {
+            assert_eq!(run(), first);
         }
     }
 
@@ -663,7 +602,7 @@ mod tests {
         truth.insert(g.add_edge(a1, b1, p_ab, 0.8), true);
         truth.insert(g.add_edge(b0, c0, p_bc, 0.8), true);
         let mut p = platform(1.0, 5);
-        let stats = run_er(&g, &truth, &mut p, 5, ErMethod::Trans);
+        let stats = run_er(&g, &truth, &mut p, 5);
         // B~C (1 edge) runs first by cost order; b1 never survives so only
         // (a0, b0) is asked on the A~B side.
         assert_eq!(stats.tasks_asked, 2);

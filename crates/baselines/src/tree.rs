@@ -15,17 +15,16 @@ use cdb_core::Candidate;
 use cdb_crowd::{SimulatedPlatform, Task, TaskId};
 use cdb_quality::majority_vote;
 
-/// Tree-model execution result.
+/// Execution result of a tree-model or ER run.
 #[derive(Debug, Clone)]
 pub struct TreeStats {
     /// Tasks asked (the cost metric).
     pub tasks_asked: usize,
-    /// Crowd rounds (= predicates executed, unless a prefix empties out).
+    /// Crowd rounds (tree model: predicates executed, unless a prefix
+    /// empties out).
     pub rounds: usize,
     /// Complete bindings that survived every predicate.
     pub answers: Vec<Candidate>,
-    /// The predicate order used.
-    pub order: Vec<usize>,
 }
 
 impl TreeStats {
@@ -234,7 +233,7 @@ pub fn run_tree_constrained(
         _ => Vec::new(),
     };
 
-    TreeStats { tasks_asked, rounds, answers, order: order.to_vec() }
+    TreeStats { tasks_asked, rounds, answers }
 }
 
 /// Edges of one predicate that are consistent with the current survivors.

@@ -152,7 +152,7 @@ fn dataset(name: &str, args: &Args) -> Dataset {
     }
 }
 
-/// Figures 8/9/10 and 14/15/16: the 9 methods × 5 queries grid. `metric`
+/// Figures 8/9/10 and 14/15/16: the 8 methods × 5 queries grid. `metric`
 /// selects the column family; `worker_quality` distinguishes the simulated
 /// (0.8) from the "real AMT" (0.95) experiments.
 fn grid(args: &Args, metric: &str, worker_quality: f64, header: &str) {
@@ -358,7 +358,7 @@ fn fig21(args: &Args) {
     println!();
 }
 
-/// Figure 22: cost vs latency constraint (rounds), all nine methods.
+/// Figure 22: cost vs latency constraint (rounds), all eight methods.
 fn fig22(args: &Args) {
     println!("# Figure 22: cost (#tasks) vs latency constraint r (paper dataset, 3J)");
     let ds = dataset("paper", args);

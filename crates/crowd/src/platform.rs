@@ -41,15 +41,6 @@ impl Market {
             Market::ChinaCrowd => 3,
         }
     }
-
-    /// Stable lowercase market name for metric labels and trace args.
-    pub fn name(self) -> &'static str {
-        match self {
-            Market::Amt => "amt",
-            Market::CrowdFlower => "crowdflower",
-            Market::ChinaCrowd => "chinacrowd",
-        }
-    }
 }
 
 /// A deterministic, seeded simulation of a crowdsourcing platform.
@@ -373,15 +364,18 @@ pub trait CrowdPlatform {
     fn ask_round(&mut self, tasks: &[Task], redundancy: usize) -> Vec<Assignment>;
 
     /// Publish a batch as one round under requester-side online task
-    /// assignment (AMT's developer model). Implementations must panic when
-    /// [`CrowdPlatform::market`] does not support it.
+    /// assignment (AMT's developer model). The default ignores the
+    /// assigner and publishes a plain [`CrowdPlatform::ask_round`], as a
+    /// platform without requester-side control does.
     fn ask_round_assigned(
         &mut self,
         tasks: &[Task],
         redundancy: usize,
-        batch_size: usize,
-        assigner: &mut TaskAssigner,
-    ) -> Vec<Assignment>;
+        _batch_size: usize,
+        _assigner: &mut TaskAssigner,
+    ) -> Vec<Assignment> {
+        self.ask_round(tasks, redundancy)
+    }
 }
 
 impl CrowdPlatform for SimulatedPlatform {
@@ -470,12 +464,10 @@ mod tests {
     }
 
     #[test]
-    fn market_prices_and_names_are_stable() {
+    fn market_prices_are_stable() {
         assert_eq!(Market::Amt.task_price_cents(), 5);
         assert_eq!(Market::CrowdFlower.task_price_cents(), 4);
         assert_eq!(Market::ChinaCrowd.task_price_cents(), 3);
-        assert_eq!(Market::Amt.name(), "amt");
-        assert_eq!(Market::ChinaCrowd.name(), "chinacrowd");
     }
 
     #[test]

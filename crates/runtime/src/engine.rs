@@ -18,6 +18,12 @@
 //! before selection, so a task that reaches `ask_round` is by
 //! construction one the crowd must answer.
 //!
+//! Nor is requester-side task assignment (CDB+): that is a
+//! [`SimulatedPlatform`] capability. The engine keeps
+//! [`CrowdPlatform::ask_round_assigned`]'s default, which publishes a
+//! plain [`CrowdPlatform::ask_round`]: it samples the workers itself and
+//! reassigns them on faults.
+//!
 //! Everything the engine does is a pure function of
 //! `(platform seed, fault plan, retry policy, query id)` — no wall-clock,
 //! no thread identity — which is what makes runs replayable and
@@ -35,7 +41,7 @@ use std::sync::Arc;
 
 use cdb_crowd::{
     Answer, Assignment, AssignmentLog, CrowdPlatform, LatencyModel, Market, OpenRound,
-    PendingAssignment, SimTime, SimulatedPlatform, Task, TaskAssigner, TaskId, TaskKind, WorkerId,
+    PendingAssignment, SimTime, SimulatedPlatform, Task, TaskId, TaskKind, WorkerId,
 };
 use cdb_obsv::attr::names;
 use cdb_obsv::{kv, Span, SpanId, Trace};
@@ -367,41 +373,6 @@ impl CrowdPlatform for RuntimeEngine {
         self.platform.finish_round(&collected);
         span.close(self.now, kv![ms => self.now - round_start, ok => true]);
         collected
-    }
-
-    fn ask_round_assigned(
-        &mut self,
-        tasks: &[Task],
-        redundancy: usize,
-        batch_size: usize,
-        assigner: &mut TaskAssigner,
-    ) -> Vec<Assignment> {
-        if tasks.is_empty() || self.error.is_some() {
-            return Vec::new();
-        }
-        // The online-assignment path keeps the synchronous arrival model
-        // (workers come one at a time by construction); the virtual clock
-        // still advances by one nominal wave of responses.
-        let round = self.platform.rounds() as u64;
-        self.round_tasks.push(tasks.len());
-        let span =
-            self.trace.span(SpanId::ROOT, names::ROUND, &[round], self.now, kv![round => round]);
-        let out = self.platform.ask_round_assigned(tasks, redundancy, batch_size, assigner);
-        let cents = self.platform.market().task_price_cents();
-        for a in &out {
-            span.event(
-                names::DISPATCH,
-                self.now,
-                kv![task => a.task.0, worker => a.worker.0, round => round, cents => cents],
-            );
-        }
-        let wave = self.latency.mean_ms.max(1.0) as SimTime;
-        self.now += wave;
-        for a in &out {
-            span.event(names::ARRIVAL, self.now, kv![task => a.task.0, worker => a.worker.0]);
-        }
-        span.close(self.now, kv![ms => wave, ok => true]);
-        out
     }
 }
 

@@ -230,14 +230,30 @@ fn join_bindings(bindings: &BTreeSet<Vec<NodeId>>) -> String {
 }
 
 /// One line of the bindings-only replay artifact: `q{id} answers=[a.b|c.d]`
-/// for an answer set, `q{id} error=…` for a failure. Every report's
-/// `bindings_text` (runtime, scheduled, sharded) is this line per query,
-/// which is what lets them be compared byte for byte.
-pub fn answer_line(id: u64, outcome: Result<&BTreeSet<Vec<NodeId>>, &RuntimeError>) -> String {
+/// for an answer set, `q{id} error=…` for a failure.
+fn answer_line(id: u64, outcome: Result<&BTreeSet<Vec<NodeId>>, &RuntimeError>) -> String {
     match outcome {
         Ok(bindings) => format!("q{id} answers=[{}]\n", join_bindings(bindings)),
         Err(e) => format!("q{id} error={e}\n"),
     }
+}
+
+/// Bindings-only rendering of per-query outcomes: one line per query with
+/// just its answer set. Every report (runtime, scheduled, sharded) renders
+/// its `bindings_text` here, which is what lets them be compared byte for
+/// byte.
+pub fn bindings_text(results: &[(u64, Result<QueryResult, RuntimeError>)]) -> String {
+    results.iter().map(|(id, r)| answer_line(*id, r.as_ref().map(|q| &q.bindings))).collect()
+}
+
+/// Queries that finished cleanly.
+pub fn ok_count(results: &[(u64, Result<QueryResult, RuntimeError>)]) -> usize {
+    results.iter().filter(|(_, r)| r.is_ok()).count()
+}
+
+/// Queries that failed with a typed error.
+pub fn failed_count(results: &[(u64, Result<QueryResult, RuntimeError>)]) -> usize {
+    results.len() - ok_count(results)
 }
 
 impl RuntimeReport {
@@ -268,20 +284,17 @@ impl RuntimeReport {
     /// is enabled — so it is the right artifact for comparing a
     /// cache-enabled run against a cache-disabled one.
     pub fn bindings_text(&self) -> String {
-        self.results
-            .iter()
-            .map(|(id, r)| answer_line(*id, r.as_ref().map(|q| &q.bindings)))
-            .collect()
+        bindings_text(&self.results)
     }
 
     /// Queries that finished cleanly.
     pub fn ok_count(&self) -> usize {
-        self.results.iter().filter(|(_, r)| r.is_ok()).count()
+        ok_count(&self.results)
     }
 
     /// Queries that failed with a typed error.
     pub fn failed_count(&self) -> usize {
-        self.results.len() - self.ok_count()
+        failed_count(&self.results)
     }
 
     /// Sum of per-query virtual makespans — what a *serial* schedule would
@@ -441,6 +454,7 @@ pub fn execute_query(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cdb_core::executor::QualityStrategy;
     use cdb_core::model::PartKind;
 
     /// A small single-join graph: `a_i` joins `b_j` iff `i % nb == j`.
@@ -734,5 +748,32 @@ mod tests {
         let m = &report.metrics;
         assert!(m.dropouts + m.abandons + m.slowdowns > 0, "faults were injected");
         assert!(m.reassignments > 0, "dropped work was reassigned");
+    }
+
+    #[test]
+    fn task_assignment_runs_the_engine_round_with_faults_and_the_same_answers() {
+        // CDB+ asks for requester-side assignment. The engine publishes
+        // that as its one round path, so the fault plan, deadlines and
+        // retries apply, and the fleet answers exactly as without it.
+        let run = |use_task_assignment| {
+            let cfg = RuntimeConfig {
+                threads: 4,
+                worker_accuracies: vec![0.95; 30],
+                fault_plan: FaultPlan::uniform(7, 0.2),
+                retry: RetryPolicy { deadline_ms: 300_000, max_retries: 8 },
+                exec: ExecutorConfig {
+                    quality: QualityStrategy::EmBayes,
+                    use_task_assignment,
+                    ..ExecutorConfig::default()
+                },
+                ..RuntimeConfig::default()
+            };
+            RuntimeExecutor::new(cfg).run(jobs(6))
+        };
+        let assigned = run(true);
+        assert_eq!(assigned.ok_count(), 6, "answers: {}", assigned.answers());
+        let m = &assigned.metrics;
+        assert!(m.dropouts + m.abandons + m.slowdowns > 0, "faults were injected");
+        assert_eq!(assigned.answers(), run(false).answers());
     }
 }

@@ -37,8 +37,8 @@ mod fleet;
 
 pub use engine::RuntimeEngine;
 pub use executor::{
-    answer_line, execute_query, settled_facts, QueryJob, QueryResult, RoundHook, RoundSink,
-    RuntimeConfig, RuntimeExecutor, RuntimeReport, SettleHook,
+    bindings_text, execute_query, failed_count, ok_count, settled_facts, QueryJob, QueryResult,
+    RoundHook, RoundSink, RuntimeConfig, RuntimeExecutor, RuntimeReport, SettleHook,
 };
 pub use fault::{Fault, FaultPlan, RetryPolicy, RuntimeError};
 pub use fleet::{run_units, UnitRun};

@@ -47,9 +47,7 @@ use cdb_core::cost::estimate::estimate;
 use cdb_crowd::{attribute_shared_cents, pack_shared, HitConfig};
 use cdb_obsv::attr::names;
 use cdb_obsv::{kv, Event, SpanId, Trace};
-use cdb_runtime::{
-    answer_line, QueryJob, QueryResult, RuntimeConfig, RuntimeError, RuntimeExecutor,
-};
+use cdb_runtime::{QueryJob, QueryResult, RuntimeConfig, RuntimeError, RuntimeExecutor};
 
 use crate::admission::{AdmissionController, AdmissionDecision, Envelope, QueryRequest};
 use crate::drr::{schedule, DrrConfig, GlobalRound};
@@ -152,10 +150,7 @@ impl SchedReport {
     /// [`cdb_runtime::RuntimeReport::bindings_text`] — the artifact for
     /// comparing a scheduled run against a plain runtime run.
     pub fn bindings_text(&self) -> String {
-        self.results
-            .iter()
-            .map(|(id, r)| answer_line(*id, r.as_ref().map(|q| &q.bindings)))
-            .collect()
+        cdb_runtime::bindings_text(&self.results)
     }
 }
 

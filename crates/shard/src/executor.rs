@@ -15,12 +15,11 @@ use std::time::{Duration, Instant};
 use cdb_core::model::NodeId;
 use cdb_crowd::{stream_key, SimTime};
 use cdb_runtime::{
-    answer_line, execute_query, run_units, MetricsSnapshot, QueryJob, QueryResult, RuntimeConfig,
-    RuntimeError,
+    execute_query, run_units, MetricsSnapshot, QueryJob, QueryResult, RuntimeConfig, RuntimeError,
 };
 
 use crate::memory::{component_bytes, Arena, MemoryConfig, ShardError};
-use crate::merge::{merge_query, remap_bindings, sum_snapshots, ShardQueryResult};
+use crate::merge::{merge_query, remap_bindings, sum_snapshots};
 use crate::partition::{component_job, partition, Partition};
 
 /// Stream-key salt for unit ids: `unit = stream_key(SHARD_STREAM,
@@ -99,8 +98,8 @@ pub struct ShardStats {
 /// The merged report of a sharded run.
 #[derive(Debug, Clone)]
 pub struct ShardReport {
-    /// Per-query merged results, in query-id order.
-    pub results: Vec<(u64, Result<ShardQueryResult, RuntimeError>)>,
+    /// Per-query merged results ([`merge_query`]), in query-id order.
+    pub results: Vec<(u64, Result<QueryResult, RuntimeError>)>,
     /// Every execution unit's outcome, in `(query, component)` order.
     pub units: Vec<UnitOutcome>,
     /// Per-shard statistics, indexed by shard.
@@ -115,22 +114,19 @@ pub struct ShardReport {
 impl ShardReport {
     /// Queries that completed.
     pub fn ok_count(&self) -> usize {
-        self.results.iter().filter(|(_, r)| r.is_ok()).count()
+        cdb_runtime::ok_count(&self.results)
     }
 
     /// Queries that failed.
     pub fn failed_count(&self) -> usize {
-        self.results.len() - self.ok_count()
+        cdb_runtime::failed_count(&self.results)
     }
 
-    /// Canonical text rendering of every query's answer set — the same
-    /// format as [`cdb_runtime::RuntimeReport::bindings_text`], so the
-    /// sharded path can be compared byte-for-byte against the oracle.
+    /// Canonical text rendering of every query's answer set
+    /// ([`cdb_runtime::bindings_text`]), so the sharded path can be
+    /// compared byte-for-byte against the oracle.
     pub fn bindings_text(&self) -> String {
-        self.results
-            .iter()
-            .map(|(id, r)| answer_line(*id, r.as_ref().map(|q| &q.bindings)))
-            .collect()
+        cdb_runtime::bindings_text(&self.results)
     }
 
     /// End-to-end virtual makespan: shards run concurrently, so the run
@@ -295,7 +291,7 @@ impl ShardExecutor {
         // Merge per query, in query-id order. A query whose graph
         // partitioned into zero components (no edges, no nodes that
         // could bind) merges to the empty answer set.
-        let mut results: Vec<(u64, Result<ShardQueryResult, RuntimeError>)> = Vec::new();
+        let mut results: Vec<(u64, Result<QueryResult, RuntimeError>)> = Vec::new();
         for job in &jobs {
             let per: Vec<(usize, &Result<QueryResult, RuntimeError>)> = outcomes
                 .iter()
@@ -354,6 +350,63 @@ mod tests {
             truth.insert(e, true);
         }
         QueryJob { id, graph: g, truth }
+    }
+
+    /// A two-join chain `A~B~C` whose graph splits into one component per
+    /// entry of `comps`: component `(n, matches)` joins its `n` nodes per
+    /// part completely, and `a_i ~ b_j ~ c_l` truly match iff `matches`
+    /// and `i == j == l`.
+    fn chain_components_job(id: u64, comps: &[(usize, bool)]) -> QueryJob {
+        let mut g = QueryGraph::new();
+        let parts = ["A", "B", "C"].map(|name| g.add_part(PartKind::Table { name: name.into() }));
+        let ab = g.add_predicate(parts[0], parts[1], true, "A~B");
+        let bc = g.add_predicate(parts[1], parts[2], true, "B~C");
+        let mut truth = EdgeTruth::new();
+        for (k, &(n, matches)) in comps.iter().enumerate() {
+            let nodes = parts.map(|p| {
+                (0..n).map(|i| g.add_node(p, None, format!("{p:?} {k}.{i}"))).collect::<Vec<_>>()
+            });
+            for (pred, l, r) in [(ab, 0, 1), (bc, 1, 2)] {
+                for (i, &x) in nodes[l].iter().enumerate() {
+                    for (j, &y) in nodes[r].iter().enumerate() {
+                        truth.insert(g.add_edge(x, y, pred, 0.5), matches && i == j);
+                    }
+                }
+            }
+        }
+        QueryJob { id, graph: g, truth }
+    }
+
+    #[test]
+    fn merged_result_takes_the_slowest_component_and_sums_the_rest() {
+        // Component 0 needs two rounds; component 1's only chain is refuted
+        // by its first answer, which prunes the other edge after one.
+        let runtime = RuntimeConfig {
+            threads: 1,
+            seed: 5,
+            worker_accuracies: vec![1.0; 20],
+            reuse: Some(Arc::new(ReuseCache::new())),
+            ..RuntimeConfig::default()
+        };
+        let exec = ShardExecutor::new(ShardConfig { shards: 2, runtime, ..Default::default() });
+        let job = chain_components_job(0, &[(3, true), (1, false)]);
+        let report = exec.run(vec![job.clone()]).expect("runs");
+        let warm = exec.run(vec![job]).expect("runs");
+        let units: Vec<&QueryResult> =
+            report.units.iter().map(|u| u.result.as_ref().expect("unit ok")).collect();
+        let rounds: Vec<usize> = units.iter().map(|u| u.rounds).collect();
+        assert_eq!(rounds, [2, 1], "the components take different round counts");
+        let q = report.results[0].1.as_ref().expect("query ok");
+        assert_eq!(q.rounds, 2, "rounds: the slowest component");
+        assert_eq!(q.round_tasks, [10, 9], "tasks per round: the element-wise sum");
+        assert_eq!((q.tasks_asked, q.assignments), (18 + 1, 90 + 5), "tasks: the sum");
+        assert_eq!(Some(q.virtual_ms), units.iter().map(|u| u.virtual_ms).max());
+        assert_eq!(q.bindings.len(), 3);
+        assert!(!q.cancelled);
+        // Warm, every component answers from the cache: saved tasks sum.
+        let q = warm.results[0].1.as_ref().expect("warm query ok");
+        assert_eq!((q.tasks_saved, q.tasks_asked, q.rounds), (18 + 1, 0, 0));
+        assert_eq!(q.bindings, report.results[0].1.as_ref().expect("query ok").bindings);
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub use executor::{
     unit_seed, ShardConfig, ShardExecutor, ShardReport, ShardStats, UnitOutcome, SHARD_STREAM,
 };
 pub use memory::{component_bytes, Arena, MemoryConfig, ShardError};
-pub use merge::{sum_snapshots, ShardQueryResult};
+pub use merge::sum_snapshots;
 pub use partition::{
     component_job, partition, verify_partition, Component, Partition, PartitionViolation,
 };

@@ -5,64 +5,48 @@
 use std::collections::BTreeSet;
 
 use cdb_core::model::NodeId;
-use cdb_crowd::SimTime;
 use cdb_runtime::{MetricsSnapshot, QueryResult, RuntimeError};
 
-/// One query's merged outcome across its components.
-#[derive(Debug, Clone)]
-pub struct ShardQueryResult {
-    /// The query id.
-    pub query: u64,
-    /// Answer bindings in *global* node ids — the disjoint union of the
-    /// per-component answer sets.
-    pub bindings: BTreeSet<Vec<NodeId>>,
-    /// Components the query was split into.
-    pub components: usize,
-    /// Distinct tasks asked, summed across components.
-    pub tasks_asked: usize,
-    /// Worker assignments collected, summed across components.
-    pub assignments: usize,
-    /// Tasks answered from the reuse cache, summed across components.
-    pub tasks_saved: usize,
-    /// Crowd rounds: the maximum over components — components run
-    /// concurrently, so the query's round depth is its slowest component.
-    pub rounds: usize,
-    /// Virtual makespan: the maximum over components, for the same reason.
-    pub virtual_ms: SimTime,
-}
-
 /// Merge one query's per-component results (already remapped to global
-/// node ids), presented in ascending component-id order. Any failed
-/// component fails the query with the lowest-component error — answers
-/// from the other components would be an incomplete (wrong) answer set.
+/// node ids), presented in ascending component-id order, into one
+/// [`QueryResult`]. Bindings are the disjoint union of the components'
+/// answer sets; tasks, assignments and saved tasks are summed. Components
+/// run concurrently, so `rounds` and `virtual_ms` are the maximum over
+/// components (the slowest one), `round_tasks` is the element-wise sum,
+/// and the query is cancelled if any component was. Any failed component
+/// fails the query with the lowest-component error — answers from the
+/// other components would be an incomplete (wrong) answer set.
 pub fn merge_query(
     query: u64,
     per_component: &[(usize, &Result<QueryResult, RuntimeError>)],
-) -> Result<ShardQueryResult, RuntimeError> {
+) -> Result<QueryResult, RuntimeError> {
     debug_assert!(per_component.windows(2).all(|w| w[0].0 < w[1].0), "component order");
-    for (_, r) in per_component {
-        if let Err(e) = r {
-            return Err(e.clone());
-        }
-    }
-    let mut merged = ShardQueryResult {
+    let mut merged = QueryResult {
         query,
         bindings: BTreeSet::new(),
-        components: per_component.len(),
         tasks_asked: 0,
+        rounds: 0,
         assignments: 0,
         tasks_saved: 0,
-        rounds: 0,
+        round_tasks: Vec::new(),
         virtual_ms: 0,
+        cancelled: false,
     };
     for (_, r) in per_component {
-        let q = r.as_ref().expect("errors returned above");
+        let q = r.as_ref().map_err(RuntimeError::clone)?;
         merged.bindings.extend(q.bindings.iter().cloned());
         merged.tasks_asked += q.tasks_asked;
         merged.assignments += q.assignments;
         merged.tasks_saved += q.tasks_saved;
         merged.rounds = merged.rounds.max(q.rounds);
         merged.virtual_ms = merged.virtual_ms.max(q.virtual_ms);
+        if merged.round_tasks.len() < q.round_tasks.len() {
+            merged.round_tasks.resize(q.round_tasks.len(), 0);
+        }
+        for (sum, n) in merged.round_tasks.iter_mut().zip(&q.round_tasks) {
+            *sum += n;
+        }
+        merged.cancelled |= q.cancelled;
     }
     Ok(merged)
 }

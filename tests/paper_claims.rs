@@ -2,7 +2,7 @@
 //! cost, latency and quality, and by roughly what kind of margin. These
 //! are the "shape" assertions behind EXPERIMENTS.md.
 
-use cdb::baselines::{crowddb_order, opt_tree_order, run_er, run_tree, ErMethod};
+use cdb::baselines::{crowddb_order, opt_tree_order, run_er, run_tree};
 use cdb::core::executor::{true_answers, Executor, ExecutorConfig, QualityStrategy};
 use cdb::core::metrics::precision_recall;
 use cdb::crowd::{Market, SimulatedPlatform, WorkerPool};
@@ -84,7 +84,7 @@ fn latency_shape_graph_close_to_tree_er_far() {
     let mut p = platform(0.95, 1);
     let tree = run_tree(&f.g, &f.truth, Some(&mut p), 5, &crowddb_order(&f.g));
     let mut p = platform(0.95, 1);
-    let er = run_er(&f.g, &f.truth, &mut p, 5, ErMethod::Trans);
+    let er = run_er(&f.g, &f.truth, &mut p, 5);
     assert!(
         cdb_stats.rounds <= tree.rounds + 3,
         "graph rounds {} vs tree rounds {}",
@@ -137,14 +137,14 @@ fn quality_control_beats_majority_voting_with_weak_workers() {
 }
 
 /// ER methods pay extra dedup tasks on selection-heavy queries (Figure 8:
-/// Trans/ACD above CDB).
+/// Trans above CDB).
 #[test]
 fn er_methods_cost_more_than_cdb_on_selective_queries() {
     let f = fixture(1, 47); // 2J1S
     let mut p = platform(0.95, 1);
     let cdb_stats = Executor::new(f.g.clone(), &f.truth, &mut p, ExecutorConfig::default()).run();
     let mut p = platform(0.95, 1);
-    let trans = run_er(&f.g, &f.truth, &mut p, 5, ErMethod::Trans);
+    let trans = run_er(&f.g, &f.truth, &mut p, 5);
     assert!(
         trans.tasks_asked as f64 >= 0.9 * cdb_stats.tasks_asked as f64,
         "Trans {} should not undercut CDB {} much",
