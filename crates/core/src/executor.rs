@@ -606,7 +606,7 @@ impl<'a, P: CrowdPlatform> Executor<'a, P> {
                 &tasks,
                 self.cfg.redundancy,
                 10,
-                &mut |worker, open_tasks, _log| {
+                &mut |worker, open_tasks| {
                     let posteriors: Vec<Vec<f64>> = open_tasks
                         .iter()
                         .map(|t| {
@@ -913,9 +913,9 @@ mod tests {
         assert!(second.tasks_saved > 0);
         assert_eq!(second.answer_bindings(), first.answer_bindings());
         // Hits are coloured before selection, so an all-hit run never
-        // reaches the platform: no round published, nothing logged.
+        // reaches the platform: no round published, nothing answered.
         assert_eq!(p2.rounds(), 0);
-        assert_eq!(p2.log().assignment_count(), 0);
+        assert_eq!(second.assignments, 0);
         // Without reuse the second run would have paid full price.
         let mut p3 = platform(1.0, 20, 99);
         let plain = Executor::new(g, &truth, &mut p3, ExecutorConfig::default()).run();

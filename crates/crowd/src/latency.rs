@@ -44,11 +44,12 @@ impl LatencyModel {
         (self.worker_sigma * std_normal(&mut rng)).exp()
     }
 
-    /// Sample one assignment's response latency, drawing the jitter from
-    /// `rng`. Always at least 1 virtual millisecond.
-    pub fn sample(&self, worker: WorkerId, rng: &mut impl Rng) -> SimTime {
+    /// Sample one assignment's response latency for a worker whose
+    /// [`worker_factor`](LatencyModel::worker_factor) is `factor`, drawing
+    /// the jitter from `rng`. Always at least 1 virtual millisecond.
+    pub fn sample(&self, factor: f64, rng: &mut impl Rng) -> SimTime {
         let jitter = (self.jitter_sigma * std_normal(rng)).exp();
-        let ms = self.mean_ms * self.worker_factor(worker) * jitter;
+        let ms = self.mean_ms * factor * jitter;
         ms.max(1.0) as SimTime
     }
 }
@@ -78,7 +79,8 @@ mod tests {
         let m = LatencyModel { seed: 9, mean_ms: 1000.0, worker_sigma: 0.0, jitter_sigma: 0.2 };
         let mut rng = StdRng::seed_from_u64(1);
         let n = 2000;
-        let total: u64 = (0..n).map(|_| m.sample(WorkerId(0), &mut rng)).sum();
+        let factor = m.worker_factor(WorkerId(0));
+        let total: u64 = (0..n).map(|_| m.sample(factor, &mut rng)).sum();
         let mean = total as f64 / n as f64;
         // exp(sigma^2/2) bias aside, the mean should land near 1000ms.
         assert!(mean > 800.0 && mean < 1300.0, "mean = {mean}");
@@ -87,15 +89,8 @@ mod tests {
     #[test]
     fn slow_workers_stay_slow() {
         let m = LatencyModel { seed: 4, mean_ms: 1000.0, worker_sigma: 1.0, jitter_sigma: 0.0 };
-        let (slow, fast) = {
-            let a = m.worker_factor(WorkerId(0));
-            let b = m.worker_factor(WorkerId(1));
-            if a > b {
-                (WorkerId(0), WorkerId(1))
-            } else {
-                (WorkerId(1), WorkerId(0))
-            }
-        };
+        let (a, b) = (m.worker_factor(WorkerId(0)), m.worker_factor(WorkerId(1)));
+        let (slow, fast) = (a.max(b), a.min(b));
         let mut rng = StdRng::seed_from_u64(2);
         for _ in 0..16 {
             assert!(m.sample(slow, &mut rng) > m.sample(fast, &mut rng));

@@ -32,7 +32,7 @@ pub use autocomplete::AutocompleteStore;
 pub use history::{WorkerHistory, WorkerRecord};
 pub use hit::{attribute_shared_cents, pack_shared, HitConfig, SharedHit};
 pub use latency::{LatencyModel, SimTime};
-pub use log::{Assignment, AssignmentLog};
+pub use log::Assignment;
 pub use market_deploy::{CrossMarketDeployer, MarketSlot};
 pub use pending::{OpenRound, PendingAssignment};
 pub use platform::{simulate_answer_with, CrowdPlatform, Market, SimulatedPlatform, TaskAssigner};

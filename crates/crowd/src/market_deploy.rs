@@ -41,7 +41,7 @@ impl CrossMarketDeployer {
         self.slots.len()
     }
 
-    /// Access a slot's platform (e.g. to read its log).
+    /// Access a slot's platform (e.g. to read its round count).
     pub fn platform(&self, idx: usize) -> &SimulatedPlatform {
         &self.slots[idx].platform
     }
@@ -97,7 +97,7 @@ impl CrossMarketDeployer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Market, TaskId, WorkerPool};
+    use crate::{Answer, Market, TaskId, WorkerPool};
 
     fn slot(market: Market, share: f64, acc: f64, seed: u64) -> MarketSlot {
         MarketSlot {
@@ -110,32 +110,42 @@ mod tests {
         (0..n).map(|i| Task::join_check(TaskId(i), "a", "b", true)).collect()
     }
 
+    /// Which tasks were answered "yes". Every task's truth is yes, so with
+    /// perfect workers on some markets and always-wrong ones on the others
+    /// the answers show which market took which task.
+    fn answered_yes(out: &[Assignment]) -> Vec<u64> {
+        let mut yes: Vec<u64> =
+            out.iter().filter(|a| a.answer == Answer::Choice(0)).map(|a| a.task.0).collect();
+        yes.dedup();
+        yes
+    }
+
     #[test]
     fn splits_tasks_proportionally() {
         let mut d = CrossMarketDeployer::new(vec![
             slot(Market::Amt, 2.0, 1.0, 1),
-            slot(Market::CrowdFlower, 1.0, 1.0, 2),
+            slot(Market::CrowdFlower, 1.0, 0.0, 2),
             slot(Market::ChinaCrowd, 1.0, 1.0, 3),
         ]);
         let out = d.ask_round(&tasks(20), 3);
         assert_eq!(out.len(), 60);
-        assert_eq!(d.platform(0).log().task_count(), 10);
-        assert_eq!(d.platform(1).log().task_count(), 5);
-        assert_eq!(d.platform(2).log().task_count(), 5);
+        // Contiguous slices of 10 / 5 / 5: tasks 10..15 went to CrowdFlower.
+        let want: Vec<u64> = (0..10).chain(15..20).collect();
+        assert_eq!(answered_yes(&out), want);
     }
 
     #[test]
     fn apportionment_covers_every_task() {
         let mut d = CrossMarketDeployer::new(vec![
             slot(Market::Amt, 1.0, 1.0, 1),
-            slot(Market::CrowdFlower, 1.0, 1.0, 2),
+            slot(Market::CrowdFlower, 1.0, 0.0, 2),
             slot(Market::ChinaCrowd, 1.0, 1.0, 3),
         ]);
         // 7 tasks across 3 equal shares: 3 + 2 + 2.
         let out = d.ask_round(&tasks(7), 1);
-        assert_eq!(out.len(), 7);
-        let covered: usize = (0..3).map(|i| d.platform(i).log().task_count()).sum();
-        assert_eq!(covered, 7);
+        let answered: Vec<u64> = out.iter().map(|a| a.task.0).collect();
+        assert_eq!(answered, (0..7).collect::<Vec<_>>());
+        assert_eq!(answered_yes(&out), [0, 1, 2, 5, 6]);
     }
 
     #[test]
@@ -174,8 +184,8 @@ mod tests {
             slot(Market::Amt, 1.0, 1.0, 1),
             slot(Market::CrowdFlower, 0.0, 1.0, 2),
         ]);
-        d.ask_round(&tasks(5), 1);
-        assert_eq!(d.platform(0).log().task_count(), 5);
-        assert_eq!(d.platform(1).log().task_count(), 0);
+        let out = d.ask_round(&tasks(5), 1);
+        assert_eq!(out.len(), 5);
+        assert_eq!((d.platform(0).rounds(), d.platform(1).rounds()), (1, 0));
     }
 }

@@ -8,8 +8,9 @@
 //! time-ordered event queue per round — they are the substrate `cdb-runtime`
 //! builds its event loop on.
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::latency::SimTime;
 use crate::{Answer, Assignment, TaskId, Worker, WorkerId};
@@ -53,51 +54,39 @@ impl PendingAssignment {
     }
 }
 
-/// A queued assignment under its sort key: the one instant it next matters
-/// — its arrival if that is in time, else its deadline — and which of the
-/// two that is. `epoch` is its task's cancel count when it was queued.
-#[derive(Debug)]
-struct Queued {
-    at: SimTime,
-    overdue: bool,
-    epoch: u32,
-    p: PendingAssignment,
-}
+/// Hashes a task id with one multiply (FxHash's step). Task ids are the
+/// program's own small integers, never outside input, and SipHash made a
+/// third of the queue's cost.
+#[derive(Default)]
+struct TaskHasher(u64);
 
-impl Queued {
-    fn key(&self) -> (SimTime, bool, TaskId, WorkerId, u32) {
-        (self.at, self.overdue, self.p.task, self.p.worker.id, self.p.attempt)
+impl Hasher for TaskHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95);
     }
 }
 
-impl PartialEq for Queued {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-
-impl Eq for Queued {}
-
-impl PartialOrd for Queued {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Queued {
-    /// Reversed, so that `BinaryHeap`'s maximum is the earliest event.
-    fn cmp(&self, other: &Self) -> Ordering {
-        other.key().cmp(&self.key())
-    }
-}
+/// The heap key of one queued assignment: the one instant it next matters
+/// — its arrival if that is in time, else its deadline — whether that is
+/// the deadline, then `(task, worker, attempt)` and its slab slot.
+type Key = (SimTime, bool, TaskId, WorkerId, u32, u32);
 
 /// A published batch whose answers are collected as virtual time advances —
 /// the non-blocking counterpart of a synchronous round.
 ///
-/// One min-heap of events keyed `(instant, arrival before overdue, task,
-/// worker, attempt)`. The caller visits instants in non-decreasing order,
-/// at each one calling [`collect_arrived`](OpenRound::collect_arrived) and
-/// then [`take_overdue`](OpenRound::take_overdue), may [`push`](OpenRound::push)
+/// One min-heap of small copyable keys over a slab of the queued assignments,
+/// ordered `(instant, arrival before overdue, task, worker, attempt)`. The
+/// caller visits instants in non-decreasing order, at each one calling
+/// [`collect_arrived`](OpenRound::collect_arrived) and then
+/// [`take_overdue`](OpenRound::take_overdue), may [`push`](OpenRound::push)
 /// replacements whose arrival and deadline lie after that instant, and moves
 /// to [`next_event_after`](OpenRound::next_event_after). Under that contract
 /// an answer that would land after its own deadline is never collected: the
@@ -105,11 +94,15 @@ impl Ord for Queued {
 #[derive(Debug, Default)]
 pub struct OpenRound {
     round: usize,
-    queue: BinaryHeap<Queued>,
+    queue: BinaryHeap<Reverse<Key>>,
+    /// Queued assignments by slot, each with its task's cancel count when
+    /// it was queued; `None` is a free slot, listed in `free`.
+    slab: Vec<Option<(u32, PendingAssignment)>>,
+    free: Vec<u32>,
     /// Per task: how often it was cancelled, and its assignments in flight.
     /// Entries queued under an older count stay in the heap, dead, until
     /// they surface; the head of the heap is always live.
-    tasks: HashMap<TaskId, (u32, usize)>,
+    tasks: HashMap<TaskId, (u32, usize), BuildHasherDefault<TaskHasher>>,
     in_flight: usize,
 }
 
@@ -127,33 +120,58 @@ impl OpenRound {
         *live += 1;
         self.in_flight += 1;
         let (at, overdue) = (arrival.unwrap_or(p.deadline), arrival.is_none());
-        self.queue.push(Queued { at, overdue, epoch: *epoch, p });
+        let (task, worker, attempt) = (p.task, p.worker.id, p.attempt);
+        let entry = Some((*epoch, p));
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = entry;
+                slot
+            }
+            None => {
+                self.slab.push(entry);
+                (self.slab.len() - 1) as u32
+            }
+        };
+        self.queue.push(Reverse((at, overdue, task, worker, attempt, slot)));
+    }
+
+    /// Empty `slot` and hand back its cancel count and assignment.
+    fn take(&mut self, slot: u32) -> (u32, PendingAssignment) {
+        self.free.push(slot);
+        self.slab[slot as usize].take().expect("a queued slot is full")
     }
 
     /// Pop the head if it is due by `now` and of the asked kind.
     fn pop_due(&mut self, now: SimTime, overdue: bool) -> Option<PendingAssignment> {
-        let head = self.queue.peek()?;
-        if head.at > now || head.overdue != overdue {
+        let &Reverse((at, kind, task, .., slot)) = self.queue.peek()?;
+        if at > now || kind != overdue {
             return None;
         }
-        let p = self.queue.pop()?.p;
-        self.tasks.get_mut(&p.task).expect("queued task is counted").1 -= 1;
+        self.queue.pop();
+        let (_, p) = self.take(slot);
+        self.tasks.get_mut(&task).expect("queued task is counted").1 -= 1;
         self.in_flight -= 1;
         self.drop_dead_heads();
         Some(p)
     }
 
     fn drop_dead_heads(&mut self) {
-        while self.queue.peek().is_some_and(|q| q.epoch != self.tasks[&q.p.task].0) {
+        while let Some(&Reverse((.., task, _, _, slot))) = self.queue.peek() {
+            let epoch = self.slab[slot as usize].as_ref().expect("a queued slot is full").0;
+            if epoch == self.tasks[&task].0 {
+                return;
+            }
             self.queue.pop();
+            self.take(slot);
         }
     }
 
-    /// Remove and return every assignment whose answer has arrived by
-    /// `now`, in deterministic (arrival, task, worker) order.
-    pub fn collect_arrived(&mut self, now: SimTime) -> Vec<Assignment> {
-        let round = self.round;
-        std::iter::from_fn(|| self.pop_due(now, false)).map(|p| p.into_assignment(round)).collect()
+    /// Move every assignment whose answer has arrived by `now` onto the end
+    /// of `out`, in deterministic (arrival, task, worker) order.
+    pub fn collect_arrived(&mut self, now: SimTime, out: &mut Vec<Assignment>) {
+        while let Some(p) = self.pop_due(now, false) {
+            out.push(p.into_assignment(self.round));
+        }
     }
 
     /// Remove and return every assignment past its deadline with no answer
@@ -181,7 +199,7 @@ impl OpenRound {
     /// the head is not after `now` — an assignment pushed with a deadline
     /// that had already passed — so that a caller's clock always moves.
     pub fn next_event_after(&self, now: SimTime) -> Option<SimTime> {
-        self.queue.peek().map(|q| q.at).filter(|&t| t > now)
+        self.queue.peek().map(|Reverse(key)| key.0).filter(|&t| t > now)
     }
 
     /// Number of assignments still in flight.
@@ -223,6 +241,12 @@ mod tests {
         open
     }
 
+    fn arrived(open: &mut OpenRound, now: SimTime) -> Vec<Assignment> {
+        let mut out = Vec::new();
+        open.collect_arrived(now, &mut out);
+        out
+    }
+
     fn tasks(ps: &[PendingAssignment]) -> Vec<TaskId> {
         ps.iter().map(|p| p.task).collect()
     }
@@ -237,12 +261,16 @@ mod tests {
                 pending(3, 2, Some(80), 100),
             ],
         );
-        assert_eq!(open.collect_arrived(10).len(), 0);
-        let got = open.collect_arrived(60);
+        let mut got = Vec::new();
+        open.collect_arrived(10, &mut got);
+        assert!(got.is_empty());
+        open.collect_arrived(60, &mut got);
         assert_eq!(got.iter().map(|a| a.task).collect::<Vec<_>>(), vec![TaskId(2), TaskId(1)]);
         assert!(got.iter().all(|a| a.round == 2));
         assert_eq!(open.in_flight(), 1);
-        open.collect_arrived(100);
+        // Later arrivals are appended behind the earlier ones.
+        open.collect_arrived(100, &mut got);
+        assert_eq!(got.iter().map(|a| a.task.0).collect::<Vec<_>>(), [2, 1, 3]);
         assert!(open.is_drained());
     }
 
@@ -256,33 +284,33 @@ mod tests {
                 pending(3, 2, Some(100), 100), // in time, exactly at the deadline
             ],
         );
-        assert!(open.collect_arrived(99).is_empty());
+        assert!(arrived(&mut open, 99).is_empty());
         assert!(open.take_overdue(99).is_empty());
         // At one instant the arrival comes before the deadline: the in-time
         // answer is collected, the other two are taken.
         assert_eq!(open.next_event_after(99), Some(100));
-        assert_eq!(open.collect_arrived(100).len(), 1);
+        assert_eq!(arrived(&mut open, 100).len(), 1);
         assert_eq!(tasks(&open.take_overdue(100)), vec![TaskId(1), TaskId(2)]);
         // The late answer is gone with its deadline: never collected.
         assert!(open.is_drained());
-        assert!(open.collect_arrived(150).is_empty());
+        assert!(arrived(&mut open, 150).is_empty());
     }
 
     #[test]
     fn next_event_walks_arrivals_then_deadlines() {
         let mut open = round(0, vec![pending(1, 0, Some(40), 100), pending(2, 1, None, 70)]);
         assert_eq!(open.next_event_after(0), Some(40));
-        assert_eq!(open.collect_arrived(40).len(), 1);
+        assert_eq!(arrived(&mut open, 40).len(), 1);
         assert!(open.take_overdue(40).is_empty());
         assert_eq!(open.next_event_after(40), Some(70));
-        assert!(open.collect_arrived(70).is_empty());
+        assert!(arrived(&mut open, 70).is_empty());
         assert_eq!(tasks(&open.take_overdue(70)), vec![TaskId(2)]);
         assert_eq!(open.next_event_after(70), None);
         // A late arrival (after its own deadline) is not an event; the
         // deadline is.
         let mut late = round(0, vec![pending(1, 0, Some(150), 100)]);
         assert_eq!(late.next_event_after(0), Some(100));
-        assert!(late.collect_arrived(100).is_empty());
+        assert!(arrived(&mut late, 100).is_empty());
         assert_eq!(late.take_overdue(100).len(), 1);
         assert_eq!(late.next_event_after(100), None);
     }
@@ -301,10 +329,10 @@ mod tests {
         assert_eq!(open.next_event_after(0), Some(60));
         // A later assignment of the same task is live; the dead ones stay dead.
         open.push(pending(1, 3, Some(80), 200));
-        assert!(open.collect_arrived(60).is_empty());
+        assert!(arrived(&mut open, 60).is_empty());
         assert_eq!(tasks(&open.take_overdue(60)), vec![TaskId(2)]);
         assert_eq!(open.next_event_after(60), Some(80));
-        let got = open.collect_arrived(80);
+        let got = arrived(&mut open, 80);
         assert_eq!(got.iter().map(|a| a.worker).collect::<Vec<_>>(), vec![WorkerId(3)]);
         assert!(open.is_drained());
         assert_eq!(open.next_event_after(80), None);

@@ -5,9 +5,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::latency::{LatencyModel, SimTime};
 use crate::pending::PendingAssignment;
-use crate::{
-    Answer, Assignment, AssignmentLog, Task, TaskId, TaskKind, Worker, WorkerId, WorkerPool,
-};
+use crate::{Answer, Assignment, Task, TaskId, TaskKind, Worker, WorkerId, WorkerPool};
 
 /// The crowdsourcing markets CDB deploys on (§2.1). The distinction that
 /// matters for optimization: AMT's developer model lets the requester's
@@ -54,8 +52,14 @@ pub struct SimulatedPlatform {
     market: Market,
     pool: WorkerPool,
     rng: StdRng,
-    log: AssignmentLog,
     round: usize,
+    /// Response-time model of the timed dispatches.
+    latency: LatencyModel,
+    /// Each worker's persistent speed factor under `latency`, indexed by
+    /// worker id: drawn on the first timed dispatch, then only read.
+    speed: Vec<f64>,
+    /// Reused worker-sampling buffer.
+    scratch: Vec<Worker>,
 }
 
 impl SimulatedPlatform {
@@ -65,9 +69,20 @@ impl SimulatedPlatform {
             market,
             pool,
             rng: StdRng::seed_from_u64(seed),
-            log: AssignmentLog::new(),
             round: 0,
+            latency: LatencyModel::default(),
+            speed: Vec::new(),
+            scratch: Vec::new(),
         }
+    }
+
+    /// Time the answers of [`SimulatedPlatform::publish_round`] and
+    /// [`SimulatedPlatform::dispatch_replacement`] with `latency` (the
+    /// default is [`LatencyModel::default`]).
+    pub fn with_latency(mut self, latency: LatencyModel) -> Self {
+        self.latency = latency;
+        self.speed.clear();
+        self
     }
 
     /// Which market this simulates.
@@ -75,44 +90,30 @@ impl SimulatedPlatform {
         self.market
     }
 
-    /// The worker pool.
-    pub fn pool(&self) -> &WorkerPool {
-        self.pool_ref()
-    }
-
-    fn pool_ref(&self) -> &WorkerPool {
-        &self.pool
-    }
-
     /// Number of completed rounds.
     pub fn rounds(&self) -> usize {
         self.round
     }
 
-    /// The assignment log (all answers collected so far).
-    pub fn log(&self) -> &AssignmentLog {
-        &self.log
-    }
-
     /// Publish a batch of tasks as one *round*: each task is answered by
     /// `redundancy` distinct randomly-drawn workers (the no-control market
-    /// model). Returns the new assignments, which are also recorded in the
-    /// log. A non-empty batch advances the round counter by one — the
-    /// paper's latency metric is exactly this number of rounds.
+    /// model). Returns the new assignments. A non-empty batch advances the
+    /// round counter by one — the paper's latency metric is exactly this
+    /// number of rounds.
     pub fn ask_round(&mut self, tasks: &[Task], redundancy: usize) -> Vec<Assignment> {
         if tasks.is_empty() {
             return Vec::new();
         }
         let mut out = Vec::with_capacity(tasks.len() * redundancy);
+        let k = redundancy.min(self.pool.len());
+        let mut scratch = std::mem::take(&mut self.scratch);
         for task in tasks {
-            let workers = self.pool.sample_distinct(redundancy.min(self.pool.len()), &mut self.rng);
-            for w in workers {
+            for &w in self.pool.sample_distinct(k, &mut self.rng, &mut scratch) {
                 let answer = self.simulate_answer(w, task);
-                let a = Assignment { task: task.id, worker: w.id, answer, round: self.round };
-                self.log.record(a.clone());
-                out.push(a);
+                out.push(Assignment { task: task.id, worker: w.id, answer, round: self.round });
             }
         }
+        self.scratch = scratch;
         self.round += 1;
         out
     }
@@ -168,16 +169,14 @@ impl SimulatedPlatform {
                 continue;
             }
             idle_arrivals = 0;
-            let chosen = assigner(&w, &open, &self.log);
+            let chosen = assigner(&w, &open);
             for tid in chosen.into_iter().take(batch_size) {
                 let Some(task) = by_id.get(&tid) else { continue };
                 if need[&tid] == 0 || answered.contains(&(w.id, tid)) {
                     continue;
                 }
                 let answer = self.simulate_answer(w, task);
-                let a = Assignment { task: tid, worker: w.id, answer, round: self.round };
-                self.log.record(a.clone());
-                out.push(a);
+                out.push(Assignment { task: tid, worker: w.id, answer, round: self.round });
                 answered.insert((w.id, tid));
                 *need.get_mut(&tid).expect("task known") -= 1;
             }
@@ -194,28 +193,30 @@ impl SimulatedPlatform {
 
     /// Publish a batch *without* blocking for answers: each task goes to
     /// `redundancy` distinct workers and every assignment gets a pre-drawn
-    /// answer plus a response-latency sample from `latency`. Nothing is
-    /// logged and the round counter does not move — the caller queues the
-    /// returned batch in an [`OpenRound`](crate::OpenRound) once each
-    /// `arrives_at` is final (after any fault injection), collects arrivals
-    /// as virtual time advances and calls
+    /// answer plus a response-latency sample from the platform's
+    /// [`LatencyModel`]. The round counter does not move — the caller
+    /// queues the returned batch in an [`OpenRound`](crate::OpenRound) once
+    /// each `arrives_at` is final (after any fault injection), collects
+    /// arrivals as virtual time advances and calls
     /// [`SimulatedPlatform::finish_round`] when done. This is the
     /// answers-as-they-arrive counterpart of [`SimulatedPlatform::ask_round`].
+    /// Assignments come task by task, in `tasks` order.
     pub fn publish_round(
         &mut self,
         tasks: &[Task],
         redundancy: usize,
-        latency: &LatencyModel,
         deadline_ms: SimTime,
         now: SimTime,
     ) -> Vec<PendingAssignment> {
         let mut batch = Vec::with_capacity(tasks.len() * redundancy);
+        let k = redundancy.min(self.pool.len());
+        let mut scratch = std::mem::take(&mut self.scratch);
         for task in tasks {
-            let workers = self.pool.sample_distinct(redundancy.min(self.pool.len()), &mut self.rng);
-            for w in workers {
-                batch.push(self.dispatch(w, task, latency, deadline_ms, now, 0));
+            for &w in self.pool.sample_distinct(k, &mut self.rng, &mut scratch) {
+                batch.push(self.dispatch(w, task, deadline_ms, now, 0));
             }
         }
+        self.scratch = scratch;
         batch
     }
 
@@ -229,7 +230,6 @@ impl SimulatedPlatform {
         &mut self,
         task: &Task,
         exclude: &[WorkerId],
-        latency: &LatencyModel,
         deadline_ms: SimTime,
         now: SimTime,
         attempt: u32,
@@ -244,22 +244,26 @@ impl SimulatedPlatform {
         } else {
             self.pool.workers()[self.rng.gen_range(0..self.pool.len())]
         };
-        Some(self.dispatch(w, task, latency, deadline_ms, now, attempt))
+        Some(self.dispatch(w, task, deadline_ms, now, attempt))
     }
 
     fn dispatch(
         &mut self,
         w: Worker,
         task: &Task,
-        latency: &LatencyModel,
         deadline_ms: SimTime,
         now: SimTime,
         attempt: u32,
     ) -> PendingAssignment {
+        if self.speed.is_empty() {
+            let latency = self.latency;
+            self.speed = self.pool.workers().iter().map(|w| latency.worker_factor(w.id)).collect();
+        }
         // The answer is pre-drawn at dispatch time so that arrival order
         // (and hence thread scheduling) can never change its value.
         let answer = self.simulate_answer(w, task);
-        let arrives_at = Some(now + latency.sample(w.id, &mut self.rng));
+        let factor = self.speed[w.id.0 as usize];
+        let arrives_at = Some(now + self.latency.sample(factor, &mut self.rng));
         PendingAssignment {
             task: task.id,
             worker: w,
@@ -271,15 +275,11 @@ impl SimulatedPlatform {
         }
     }
 
-    /// Record the answers collected from a published round and advance the
-    /// round counter — the bookkeeping [`SimulatedPlatform::ask_round`]
-    /// does synchronously. Advances the counter even when `assignments` is
-    /// empty: a published round that lost every answer to faults still
-    /// consumed a round of latency.
-    pub fn finish_round(&mut self, assignments: &[Assignment]) {
-        for a in assignments {
-            self.log.record(a.clone());
-        }
+    /// Close a published round: advance the round counter, as
+    /// [`SimulatedPlatform::ask_round`] does synchronously — also when the
+    /// round lost every answer to faults, since it still consumed a round
+    /// of latency.
+    pub fn finish_round(&mut self) {
         self.round += 1;
     }
 }
@@ -340,10 +340,9 @@ pub fn simulate_answer_with(worker: Worker, task: &Task, rng: &mut impl Rng) -> 
     }
 }
 
-/// Requester-side online assigner: given the arriving worker, the
-/// still-open tasks and the log so far, decide which tasks the worker
-/// receives this visit.
-pub type TaskAssigner<'a> = dyn FnMut(&Worker, &[&Task], &AssignmentLog) -> Vec<TaskId> + 'a;
+/// Requester-side online assigner: given the arriving worker and the
+/// still-open tasks, decide which tasks the worker receives this visit.
+pub type TaskAssigner<'a> = dyn FnMut(&Worker, &[&Task]) -> Vec<TaskId> + 'a;
 
 /// The platform interface the query executor runs against. Abstracting it
 /// lets `cdb-core`'s round loop drive either the sequential
@@ -355,9 +354,6 @@ pub trait CrowdPlatform {
 
     /// Number of completed rounds.
     fn rounds(&self) -> usize;
-
-    /// The assignment log (all answers collected so far).
-    fn log(&self) -> &AssignmentLog;
 
     /// Publish a batch of tasks as one round with `redundancy` answers per
     /// task, blocking until the round completes.
@@ -385,10 +381,6 @@ impl CrowdPlatform for SimulatedPlatform {
 
     fn rounds(&self) -> usize {
         SimulatedPlatform::rounds(self)
-    }
-
-    fn log(&self) -> &AssignmentLog {
-        SimulatedPlatform::log(self)
     }
 
     fn ask_round(&mut self, tasks: &[Task], redundancy: usize) -> Vec<Assignment> {
@@ -506,11 +498,12 @@ mod tests {
     }
 
     #[test]
-    fn log_accumulates_assignments() {
+    fn every_task_gets_redundancy_answers_in_task_order() {
         let mut p = platform(&[1.0; 5], 1);
-        p.ask_round(&[yes_task(1), yes_task(2)], 4);
-        assert_eq!(p.log().assignment_count(), 8);
-        assert_eq!(p.log().answers(TaskId(1)).len(), 4);
+        let asg = p.ask_round(&[yes_task(1), yes_task(2)], 4);
+        let tasks: Vec<u64> = asg.iter().map(|a| a.task.0).collect();
+        assert_eq!(tasks, [1, 1, 1, 1, 2, 2, 2, 2]);
+        assert!(asg.iter().all(|a| a.round == 0));
     }
 
     #[test]
@@ -528,15 +521,15 @@ mod tests {
         let mut p = platform(&[1.0; 10], 3);
         let tasks = vec![yes_task(1), yes_task(2)];
         // Assigner always gives the lowest-id open task.
-        let asg = p.ask_round_assigned(&tasks, 3, 1, &mut |_, open, _| {
+        let asg = p.ask_round_assigned(&tasks, 3, 1, &mut |_, open| {
             let mut ids: Vec<TaskId> = open.iter().map(|t| t.id).collect();
             ids.sort();
             ids.truncate(1);
             ids
         });
-        assert_eq!(asg.len(), 6);
-        assert_eq!(p.log().answers(TaskId(1)).len(), 3);
-        assert_eq!(p.log().answers(TaskId(2)).len(), 3);
+        // Lowest id first: task 1 fills up before task 2 is handed out.
+        let order: Vec<u64> = asg.iter().map(|a| a.task.0).collect();
+        assert_eq!(order, [1, 1, 1, 2, 2, 2]);
         assert_eq!(p.rounds(), 1);
     }
 
@@ -544,9 +537,8 @@ mod tests {
     fn assigned_round_never_gives_same_task_twice_to_one_worker() {
         let mut p = platform(&[1.0; 4], 3);
         let tasks = vec![yes_task(1)];
-        let asg = p.ask_round_assigned(&tasks, 4, 5, &mut |_, open, _| {
-            open.iter().map(|t| t.id).collect()
-        });
+        let asg =
+            p.ask_round_assigned(&tasks, 4, 5, &mut |_, open| open.iter().map(|t| t.id).collect());
         let mut workers: Vec<u32> = asg.iter().map(|a| a.worker.0).collect();
         workers.sort_unstable();
         workers.dedup();
@@ -558,7 +550,7 @@ mod tests {
     fn crowdflower_rejects_online_assignment() {
         let mut p =
             SimulatedPlatform::new(Market::CrowdFlower, WorkerPool::with_accuracies(&[1.0]), 0);
-        p.ask_round_assigned(&[yes_task(1)], 1, 1, &mut |_, open, _| {
+        p.ask_round_assigned(&[yes_task(1)], 1, 1, &mut |_, open| {
             open.iter().map(|t| t.id).collect()
         });
     }
@@ -602,49 +594,45 @@ mod tests {
     }
 
     #[test]
-    fn publish_round_is_nonblocking_and_finish_round_logs() {
+    fn publish_round_is_nonblocking_and_finish_round_counts_the_round() {
         let mut p = platform(&[1.0; 8], 11);
-        let latency = LatencyModel::default();
-        let batch = p.publish_round(&[yes_task(1), yes_task(2)], 3, &latency, 600_000, 0);
+        let batch = p.publish_round(&[yes_task(1), yes_task(2)], 3, 600_000, 0);
         assert_eq!(batch.len(), 6);
-        assert_eq!(p.log().assignment_count(), 0, "publish must not log");
         assert_eq!(p.rounds(), 0, "publish must not advance the round");
         // Drain at the deadline: every sampled latency of this seed is
         // inside the 10 minutes.
         let mut open = OpenRound::new(p.rounds());
         batch.into_iter().for_each(|a| open.push(a));
-        let collected = open.collect_arrived(600_000);
+        let mut collected = Vec::new();
+        open.collect_arrived(600_000, &mut collected);
         assert_eq!(collected.len(), 6);
         assert!(collected.iter().all(|a| a.answer == Answer::Choice(0)));
-        p.finish_round(&collected);
-        assert_eq!(p.log().assignment_count(), 6);
+        p.finish_round();
         assert_eq!(p.rounds(), 1);
     }
 
     #[test]
     fn replacement_respects_online_assignment_exclusions() {
         let mut p = platform(&[1.0; 3], 5);
-        let latency = LatencyModel::default();
         let exclude = [WorkerId(0), WorkerId(1)];
         for _ in 0..8 {
             let r = p
-                .dispatch_replacement(&yes_task(1), &exclude, &latency, 1000, 0, 1)
+                .dispatch_replacement(&yes_task(1), &exclude, 1000, 0, 1)
                 .expect("one eligible worker remains");
             assert_eq!(r.worker.id, WorkerId(2));
             assert_eq!(r.attempt, 1);
         }
         // All workers excluded: requester-side assignment has nobody left.
         let all = [WorkerId(0), WorkerId(1), WorkerId(2)];
-        assert!(p.dispatch_replacement(&yes_task(1), &all, &latency, 1000, 0, 1).is_none());
+        assert!(p.dispatch_replacement(&yes_task(1), &all, 1000, 0, 1).is_none());
     }
 
     #[test]
     fn replacement_without_assignment_control_ignores_exclusions() {
         let mut p =
             SimulatedPlatform::new(Market::CrowdFlower, WorkerPool::with_accuracies(&[1.0]), 0);
-        let latency = LatencyModel::default();
         let r = p
-            .dispatch_replacement(&yes_task(1), &[WorkerId(0)], &latency, 1000, 0, 2)
+            .dispatch_replacement(&yes_task(1), &[WorkerId(0)], 1000, 0, 2)
             .expect("random assignment always finds a worker");
         assert_eq!(r.worker.id, WorkerId(0), "no control: excluded worker may recur");
     }
@@ -657,6 +645,5 @@ mod tests {
         let asg = dynp.ask_round(&[yes_task(1)], 3);
         assert_eq!(asg.len(), 3);
         assert_eq!(dynp.rounds(), 1);
-        assert_eq!(dynp.log().assignment_count(), 3);
     }
 }

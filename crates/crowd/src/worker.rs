@@ -79,19 +79,27 @@ impl WorkerPool {
     }
 
     /// Sample `k` distinct workers uniformly (for redundancy-k assignment
-    /// without requester-side control, i.e. the CrowdFlower model).
+    /// without requester-side control, i.e. the CrowdFlower model). The
+    /// sample is the first `k` workers of `scratch`, which is overwritten:
+    /// a caller that keeps the buffer allocates nothing per sample.
     ///
     /// # Panics
     /// Panics if `k > len()`.
-    pub fn sample_distinct(&self, k: usize, rng: &mut impl Rng) -> Vec<Worker> {
+    pub fn sample_distinct<'s>(
+        &self,
+        k: usize,
+        rng: &mut impl Rng,
+        scratch: &'s mut Vec<Worker>,
+    ) -> &'s [Worker] {
         assert!(k <= self.workers.len(), "cannot sample {k} from {}", self.workers.len());
-        // Partial Fisher-Yates over indices.
-        let mut idx: Vec<usize> = (0..self.workers.len()).collect();
+        // Partial Fisher-Yates over a fresh copy of the pool.
+        scratch.clear();
+        scratch.extend_from_slice(&self.workers);
         for i in 0..k {
-            let j = rng.gen_range(i..idx.len());
-            idx.swap(i, j);
+            let j = rng.gen_range(i..scratch.len());
+            scratch.swap(i, j);
         }
-        idx[..k].iter().map(|&i| self.workers[i]).collect()
+        &scratch[..k]
     }
 }
 
@@ -130,7 +138,7 @@ mod tests {
     fn sample_distinct_yields_unique_workers() {
         let mut rng = StdRng::seed_from_u64(1);
         let pool = WorkerPool::gaussian(10, 0.8, 0.1, &mut rng);
-        let sample = pool.sample_distinct(5, &mut rng);
+        let sample = pool.sample_distinct(5, &mut rng, &mut Vec::new()).to_vec();
         let mut ids: Vec<u32> = sample.iter().map(|w| w.id.0).collect();
         ids.sort_unstable();
         ids.dedup();
@@ -142,7 +150,7 @@ mod tests {
     fn sample_more_than_pool_panics() {
         let pool = WorkerPool::with_accuracies(&[0.8]);
         let mut rng = StdRng::seed_from_u64(1);
-        pool.sample_distinct(2, &mut rng);
+        pool.sample_distinct(2, &mut rng, &mut Vec::new());
     }
 
     #[test]

@@ -157,7 +157,9 @@ proptest! {
         let mut now: SimTime = 0;
         let mut visited = 0usize;
         loop {
-            same!("arrivals", now, heap.collect_arrived(now), scan.collect_arrived(now));
+            let mut arrived = Vec::new();
+            heap.collect_arrived(now, &mut arrived);
+            same!("arrivals", now, arrived, scan.collect_arrived(now));
             let step = script.get(visited);
             if let Some(&(task, _)) = step {
                 same!("cancelled", now, heap.cancel(TaskId(task)), scan.cancel(TaskId(task)));

@@ -36,12 +36,12 @@
 //! aggregate counters and any richer sink (ring buffer, Chrome trace) can
 //! never disagree.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use cdb_crowd::{
-    Answer, Assignment, AssignmentLog, CrowdPlatform, LatencyModel, Market, OpenRound,
-    PendingAssignment, SimTime, SimulatedPlatform, Task, TaskId, TaskKind, WorkerId,
+    Answer, Assignment, CrowdPlatform, LatencyModel, Market, OpenRound, PendingAssignment, SimTime,
+    SimulatedPlatform, Task, TaskId, TaskKind, WorkerId,
 };
 use cdb_obsv::attr::names;
 use cdb_obsv::{kv, Span, SpanId, Trace};
@@ -53,7 +53,6 @@ use crate::metrics::RuntimeMetrics;
 /// A fault-injecting, virtual-time crowd platform for one query.
 pub struct RuntimeEngine {
     platform: SimulatedPlatform,
-    latency: LatencyModel,
     plan: FaultPlan,
     retry: RetryPolicy,
     query_id: u64,
@@ -79,8 +78,7 @@ impl RuntimeEngine {
         metrics: Arc<RuntimeMetrics>,
     ) -> Self {
         RuntimeEngine {
-            platform,
-            latency,
+            platform: platform.with_latency(latency),
             plan,
             retry,
             query_id,
@@ -226,7 +224,7 @@ impl RuntimeEngine {
         span: Span,
     ) -> Vec<Assignment> {
         self.error = Some(err);
-        self.platform.finish_round(&collected);
+        self.platform.finish_round();
         span.close(self.now, kv![ms => self.now - round_start, ok => false]);
         collected
     }
@@ -241,10 +239,6 @@ impl CrowdPlatform for RuntimeEngine {
         self.platform.rounds()
     }
 
-    fn log(&self) -> &AssignmentLog {
-        self.platform.log()
-    }
-
     fn ask_round(&mut self, tasks: &[Task], redundancy: usize) -> Vec<Assignment> {
         // A latched fatal error poisons the engine: no more dispatches, so
         // the executor's round loop runs out of answers and terminates
@@ -257,60 +251,56 @@ impl CrowdPlatform for RuntimeEngine {
         self.round_tasks.push(tasks.len());
         let span =
             self.trace.span(SpanId::ROOT, names::ROUND, &[round], round_start, kv![round => round]);
-        let by_id: BTreeMap<TaskId, &Task> = tasks.iter().map(|t| (t.id, t)).collect();
 
-        let batch = self.platform.publish_round(
-            tasks,
-            redundancy,
-            &self.latency,
-            self.retry.deadline_ms,
-            self.now,
-        );
-        // Workers already tried per task — reassignment must go elsewhere.
-        let mut tried: HashMap<TaskId, Vec<WorkerId>> = HashMap::new();
+        let batch =
+            self.platform.publish_round(tasks, redundancy, self.retry.deadline_ms, self.now);
+        // Workers already tried, for reassignment to go elsewhere: the
+        // batch holds each task's workers together, in `tasks` order, and
+        // replacements are appended as `(task, worker)`.
+        let per_task = batch.len() / tasks.len();
+        let tried: Vec<WorkerId> = batch.iter().map(|p| p.worker.id).collect();
+        let mut replaced: Vec<(TaskId, WorkerId)> = Vec::new();
         for p in &batch {
             self.emit_dispatch(&span, p, round);
-            tried.entry(p.task).or_default().push(p.worker.id);
         }
         // Queued only after the fault plan has had its say: an assignment's
         // place in the queue is its post-fault arrival.
         let mut open = OpenRound::new(round as usize);
+        let mut collected: Vec<Assignment> = Vec::with_capacity(batch.len());
         for mut p in batch {
             self.apply_faults(&span, &mut p, round);
             open.push(p);
         }
 
-        let mut collected: Vec<Assignment> = Vec::new();
         // Early termination's tally of collected choice votes per task.
-        let mut votes: HashMap<TaskId, Vec<usize>> = HashMap::new();
+        let mut votes: HashMap<TaskId, (&Task, Vec<usize>)> = if self.early_termination {
+            tasks.iter().map(|t| (t.id, (t, Vec::new()))).collect()
+        } else {
+            HashMap::new()
+        };
+        let mut voted = Vec::new();
         loop {
-            let arrived = open.collect_arrived(self.now);
-            for a in &arrived {
+            let first = collected.len();
+            open.collect_arrived(self.now, &mut collected);
+            for a in &collected[first..] {
                 span.event(names::ARRIVAL, self.now, kv![task => a.task.0, worker => a.worker.0]);
             }
             if self.early_termination {
                 // A task's verdict can change only when one of its votes
                 // lands, so only this instant's arrivals are re-tested.
-                let mut voted = Vec::new();
-                for a in &arrived {
+                for a in &collected[first..] {
                     if let Answer::Choice(c) = a.answer {
-                        votes.entry(a.task).or_default().push(c);
+                        votes.get_mut(&a.task).expect("a published task").1.push(c);
                         voted.push(a.task);
                     }
                 }
                 voted.sort_unstable();
                 voted.dedup();
-                for task in voted {
-                    self.close_if_decided(
-                        &span,
-                        &mut open,
-                        by_id[&task],
-                        &votes[&task],
-                        redundancy,
-                    );
+                for task in voted.drain(..) {
+                    let (task, task_votes) = &votes[&task];
+                    self.close_if_decided(&span, &mut open, task, task_votes, redundancy);
                 }
             }
-            collected.extend(arrived);
 
             for missed in open.take_overdue(self.now) {
                 span.event(
@@ -330,11 +320,12 @@ impl CrowdPlatform for RuntimeEngine {
                     self.now,
                     kv![task => missed.task.0, attempt => u64::from(missed.attempt + 1)],
                 );
-                let exclude = tried.get(&missed.task).map_or(&[][..], Vec::as_slice);
+                let i = tasks.iter().position(|t| t.id == missed.task).expect("a published task");
+                let mut exclude = tried[i * per_task..(i + 1) * per_task].to_vec();
+                exclude.extend(replaced.iter().filter(|r| r.0 == missed.task).map(|r| r.1));
                 let replacement = self.platform.dispatch_replacement(
-                    by_id[&missed.task],
-                    exclude,
-                    &self.latency,
+                    &tasks[i],
+                    &exclude,
                     self.retry.deadline_ms,
                     self.now,
                     missed.attempt + 1,
@@ -349,7 +340,7 @@ impl CrowdPlatform for RuntimeEngine {
                                 kv![task => p.task.0, worker => p.worker.id.0],
                             );
                         }
-                        tried.entry(p.task).or_default().push(p.worker.id);
+                        replaced.push((p.task, p.worker.id));
                         self.apply_faults(&span, &mut p, round);
                         open.push(p);
                     }
@@ -370,7 +361,7 @@ impl CrowdPlatform for RuntimeEngine {
                 None => break,
             }
         }
-        self.platform.finish_round(&collected);
+        self.platform.finish_round();
         span.close(self.now, kv![ms => self.now - round_start, ok => true]);
         collected
     }
@@ -379,6 +370,7 @@ impl CrowdPlatform for RuntimeEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MetricsSnapshot;
     use cdb_crowd::WorkerPool;
     use cdb_obsv::Ring;
 
@@ -419,9 +411,7 @@ mod tests {
         let asg = e.ask_round(&[yes_task(1)], 8);
         assert_eq!(asg.len(), 8);
         let makespan = e.now();
-        let fastest = e
-            .log()
-            .answers(TaskId(1))
+        let fastest = asg
             .iter()
             .map(|a| a.worker)
             .map(|w| LatencyModel::default().worker_factor(w))
@@ -617,5 +607,64 @@ mod tests {
         assert_eq!(decide.get_u64("choice"), Some(0));
         let cancel = evs.iter().find(|e| e.name == names::CANCEL).expect("a CANCEL event");
         assert_eq!(cancel.get_u64("n"), Some(2), "5 dispatched, 3 decide, 2 cancelled");
+    }
+
+    /// Per task, the workers of its DISPATCH events in emission order, after
+    /// one round of 20 tasks at redundancy 1 on a pool of 8 in which every
+    /// worker but `w7` has dropped out from the start: a task is re-posted
+    /// until it reaches `w7`. Also returns the metrics of the run.
+    fn dispatches_with_seven_dropouts(market: Market) -> (Vec<Vec<u64>>, MetricsSnapshot) {
+        let plan = (0..7).fold(FaultPlan::none(), |p, w| p.drop_worker(WorkerId(w), 0));
+        let retry = RetryPolicy { deadline_ms: 10_000_000, max_retries: 200 };
+        let ring = Arc::new(Ring::with_capacity(1 << 14));
+        let metrics = Arc::new(RuntimeMetrics::new());
+        let platform = SimulatedPlatform::new(market, WorkerPool::with_accuracies(&[1.0; 8]), 29);
+        let mut e = RuntimeEngine::new(
+            platform,
+            LatencyModel::default(),
+            plan,
+            retry,
+            0,
+            Arc::clone(&metrics),
+        )
+        .with_trace(Trace::collector(ring.clone()));
+        let tasks: Vec<Task> = (0..20).map(yes_task).collect();
+        assert_eq!(e.ask_round(&tasks, 1).len(), 20);
+        assert!(e.error().is_none());
+        let mut workers = vec![Vec::new(); 20];
+        for ev in ring.drain().iter().filter(|ev| ev.name == names::DISPATCH) {
+            let task = ev.get_u64("task").expect("task") as usize;
+            workers[task].push(ev.get_u64("worker").expect("worker"));
+        }
+        (workers, metrics.snapshot())
+    }
+
+    #[test]
+    fn online_reassignment_never_repeats_a_worker_across_retries() {
+        let (workers, s) = dispatches_with_seven_dropouts(Market::Amt);
+        // Some task missed at least three times, so its exclusion list had
+        // to carry every earlier replacement, not just the original.
+        assert!(workers.iter().any(|w| w.len() >= 4), "{workers:?}");
+        for w in &workers {
+            let mut distinct = w.clone();
+            distinct.sort_unstable();
+            distinct.dedup();
+            assert_eq!(distinct.len(), w.len(), "a worker was asked twice: {w:?}");
+            assert_eq!(w.last(), Some(&7));
+        }
+        let misses: usize = workers.iter().map(|w| w.len() - 1).sum();
+        assert_eq!(s.timeouts, misses as u64);
+        assert_eq!(s.reassignments, misses as u64);
+    }
+
+    #[test]
+    fn reassignment_without_control_may_repeat_a_worker() {
+        let (workers, s) = dispatches_with_seven_dropouts(Market::CrowdFlower);
+        let repeated = |w: &Vec<u64>| (1..w.len()).any(|i| w[..i].contains(&w[i]));
+        assert!(workers.iter().any(repeated), "{workers:?}");
+        let misses: usize = workers.iter().map(|w| w.len() - 1).sum();
+        assert_eq!(s.timeouts, misses as u64);
+        // A re-post to the worker that just missed is no reassignment.
+        assert!(s.reassignments < s.timeouts);
     }
 }

@@ -105,7 +105,8 @@ impl FaultPlan {
     }
 
     /// The fault hitting one `(query, round, task, worker, attempt)`
-    /// dispatch — a pure function of the plan and the key.
+    /// dispatch — a pure function of the plan and the key. A plan whose
+    /// rates are all zero (or below) draws nothing: no draw could fault.
     pub fn fault_for(
         &self,
         query: u64,
@@ -114,6 +115,9 @@ impl FaultPlan {
         worker: WorkerId,
         attempt: u32,
     ) -> Fault {
+        if [self.dropout_rate, self.abandon_rate, self.slow_rate].iter().all(|&r| r <= 0.0) {
+            return Fault::None;
+        }
         let mut rng = stream_rng(
             self.seed,
             &[0xFA_17, query, round, task.0, u64::from(worker.0), u64::from(attempt)],

@@ -1,0 +1,68 @@
+//! Allocation pin of one crowd round. This file holds exactly one test so
+//! the counting allocator below observes a single round with no concurrent
+//! test noise (integration-test files are separate binaries).
+//!
+//! A round of n assignments allocates a bounded number of buffers that
+//! grow by doubling, plus a little per retry; nothing per assignment and
+//! nothing per arrival instant.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
+use cdb_crowd::{CrowdPlatform, LatencyModel, Market, SimulatedPlatform, Task, TaskId, WorkerPool};
+use cdb_runtime::{FaultPlan, RetryPolicy, RuntimeEngine, RuntimeMetrics};
+
+/// System allocator that counts every allocation and reallocation.
+struct CountingAlloc;
+
+static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
+        System.dealloc(p, layout);
+    }
+
+    unsafe fn realloc(&self, p: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(p, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// No fault is injected, but slow workers miss deadlines, so the round
+/// also reassigns a few dozen times.
+#[test]
+fn a_round_of_ten_thousand_assignments_makes_under_two_thousand_allocations() {
+    let tasks: Vec<Task> = (0..2_000)
+        .map(|i| {
+            Task::join_check(TaskId(3 * i + 1), "Univ. of Wisconsin", "UW Madison", i % 4 == 0)
+        })
+        .collect();
+    let pool = WorkerPool::with_accuracies(&[0.9; 20]);
+    let metrics = Arc::new(RuntimeMetrics::new());
+    let mut engine = RuntimeEngine::new(
+        SimulatedPlatform::new(Market::Amt, pool, 11),
+        LatencyModel::default(),
+        FaultPlan::none(),
+        RetryPolicy { deadline_ms: 240_000, max_retries: 3 },
+        0,
+        Arc::clone(&metrics),
+    );
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let answers = engine.ask_round(&tasks, 5);
+    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    assert!(engine.error().is_none());
+    assert_eq!(answers.len(), 10_000);
+    // Some answers missed the four-minute deadline: the retry path is in
+    // the count too.
+    assert!(metrics.snapshot().retries > 0);
+    assert!(allocs < 2_000, "one round of 10,000 assignments made {allocs} allocations");
+}

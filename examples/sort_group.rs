@@ -120,12 +120,10 @@ fn main() {
     let assignments = deployer.ask_round(&tasks, 3);
     println!(
         "\ncross-market deployment: {} tasks -> {} assignments across {} markets \
-         ({} / {} / {} tasks per market)",
+         in {} logical round",
         tasks.len(),
         assignments.len(),
         deployer.market_count(),
-        deployer.platform(0).log().task_count(),
-        deployer.platform(1).log().task_count(),
-        deployer.platform(2).log().task_count(),
+        deployer.rounds(),
     );
 }
