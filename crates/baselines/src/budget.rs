@@ -99,14 +99,8 @@ impl State<'_> {
         if self.asked.len() >= self.budget {
             return false;
         }
-        let (u, v) = self.g.edge_endpoints(e);
-        let task = Task::join_check(
-            TaskId(e.0 as u64),
-            self.g.node_label(u),
-            self.g.node_label(v),
-            self.truth[&e],
-        )
-        .with_difficulty(cdb_crowd::join_difficulty(self.g.edge_weight(e)));
+        let task = Task::join_check(TaskId(e.0 as u64), self.truth[&e])
+            .with_difficulty(cdb_crowd::join_difficulty(self.g.edge_weight(e)));
         let votes: Vec<usize> = self
             .platform
             .ask_round(&[task], self.redundancy)

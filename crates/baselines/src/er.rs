@@ -160,14 +160,8 @@ pub fn run_er_constrained(
                     let tasks: Vec<Task> = union
                         .iter()
                         .map(|&e| {
-                            let (u, v) = g.edge_endpoints(e);
-                            Task::join_check(
-                                TaskId(e.0 as u64),
-                                g.node_label(u),
-                                g.node_label(v),
-                                truth[&e],
-                            )
-                            .with_difficulty(cdb_crowd::join_difficulty(g.edge_weight(e)))
+                            Task::join_check(TaskId(e.0 as u64), truth[&e])
+                                .with_difficulty(cdb_crowd::join_difficulty(g.edge_weight(e)))
                         })
                         .collect();
                     let mut votes: HashMap<EdgeId, Vec<usize>> = HashMap::new();
@@ -331,9 +325,9 @@ fn resolve_predicate(
         }
         let tasks: Vec<Task> = chunk
             .iter()
-            .map(|&(x, y, w, t)| {
+            .map(|&(_, _, w, t)| {
                 synthetic_id += 1;
-                Task::join_check(TaskId(synthetic_id), g.node_label(x), g.node_label(y), t)
+                Task::join_check(TaskId(synthetic_id), t)
                     .with_difficulty(cdb_crowd::join_difficulty(w))
             })
             .collect();
@@ -416,8 +410,7 @@ fn resolve_predicate(
         let tasks: Vec<Task> = batch
             .iter()
             .map(|&e| {
-                let (u, v) = g.edge_endpoints(e);
-                Task::join_check(TaskId(e.0 as u64), g.node_label(u), g.node_label(v), truth[&e])
+                Task::join_check(TaskId(e.0 as u64), truth[&e])
                     .with_difficulty(cdb_crowd::join_difficulty(g.edge_weight(e)))
             })
             .collect();

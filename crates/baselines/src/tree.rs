@@ -283,14 +283,8 @@ fn resolve_edges(
             let tasks: Vec<Task> = edges
                 .iter()
                 .map(|&e| {
-                    let (u, v) = g.edge_endpoints(e);
-                    Task::join_check(
-                        TaskId(e.0 as u64),
-                        g.node_label(u),
-                        g.node_label(v),
-                        truth[&e],
-                    )
-                    .with_difficulty(cdb_crowd::join_difficulty(g.edge_weight(e)))
+                    Task::join_check(TaskId(e.0 as u64), truth[&e])
+                        .with_difficulty(cdb_crowd::join_difficulty(g.edge_weight(e)))
                 })
                 .collect();
             let mut votes: HashMap<EdgeId, Vec<usize>> = HashMap::new();

@@ -575,14 +575,8 @@ impl<'a, P: CrowdPlatform> Executor<'a, P> {
     }
 
     fn make_task(&self, e: EdgeId) -> Task {
-        let (u, v) = self.graph.edge_endpoints(e);
-        Task::join_check(
-            TaskId(e.0 as u64),
-            self.graph.node_label(u),
-            self.graph.node_label(v),
-            self.truth[&e],
-        )
-        .with_difficulty(self.edge_difficulty(e))
+        Task::join_check(TaskId(e.0 as u64), self.truth[&e])
+            .with_difficulty(self.edge_difficulty(e))
     }
 
     /// Task difficulty for an edge under the configured error model.

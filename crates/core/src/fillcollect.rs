@@ -69,8 +69,7 @@ pub fn execute_fill(
     for (i, truth) in truths.iter().enumerate() {
         let task = Task {
             id: TaskId(i as u64),
-            kind: TaskKind::FillInBlank { question: format!("fill slot {i}") },
-            truth: Some(Answer::Text(truth.clone())),
+            kind: TaskKind::FillInBlank { truth: truth.clone() },
             difficulty: 1.0,
         };
         let first = if cfg.early_stop { cfg.first_phase } else { cfg.redundancy };

@@ -82,12 +82,11 @@ pub fn crowd_sort(
             .enumerate()
             .map(|(t, &(a, b))| Task {
                 id: TaskId(t as u64),
-                kind: TaskKind::SingleChoice {
-                    question: format!("Which is greater: \"{}\" or \"{}\"?", items[a], items[b]),
-                    choices: vec![items[a].clone(), items[b].clone()],
-                },
                 // Choice 0 = first item greater.
-                truth: Some(Answer::Choice(usize::from(truth_rank[a] > truth_rank[b]))),
+                kind: TaskKind::SingleChoice {
+                    choices: 2,
+                    truth: usize::from(truth_rank[a] > truth_rank[b]),
+                },
                 difficulty: 1.0,
             })
             .collect();
@@ -189,7 +188,7 @@ pub fn crowd_group(
             .iter()
             .enumerate()
             .map(|(t, &(i, j, s))| {
-                Task::join_check(TaskId(t as u64), &keys[i], &keys[j], truth(i, j))
+                Task::join_check(TaskId(t as u64), truth(i, j))
                     .with_difficulty(cdb_crowd::join_difficulty(s))
             })
             .collect();

@@ -3,14 +3,16 @@
 //! The paper deploys CDB on AMT, CrowdFlower and ChinaCrowd; this crate is
 //! the faithful simulation substitute (see DESIGN.md). It models:
 //!
-//! * the four task UIs of CDB's *Crowd UI Designer* — single-choice,
-//!   multiple-choice, fill-in-the-blank and collection tasks;
+//! * the task UIs CQL statements publish through CDB's *Crowd UI
+//!   Designer* — single-choice checks and fill-in-the-blank tasks, each
+//!   carrying its latent truth;
 //! * workers with latent accuracies drawn from a Gaussian `N(q, 0.01)`
 //!   (exactly the worker model of the paper's simulated experiments, §6.2);
 //! * HIT packing (the real experiments pack 10 tasks per \$0.1 HIT, §6.3);
 //! * cross-market deployment (AMT's developer model supports server-side
 //!   online task assignment; CrowdFlower does not — §2.1);
-//! * the metadata kept by CDB: tasks, workers, and per-assignment answers;
+//! * the metadata kept by CDB: tasks, workers, and per-assignment
+//!   `(task, worker, answer)` records;
 //! * the autocompletion store used by COLLECT to control duplicates.
 //!
 //! Determinism: every stochastic component takes a seeded RNG, so

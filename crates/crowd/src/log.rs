@@ -16,6 +16,4 @@ pub struct Assignment {
     pub worker: WorkerId,
     /// The answer given.
     pub answer: Answer,
-    /// Round in which the answer was collected (latency bookkeeping).
-    pub round: usize,
 }

@@ -107,7 +107,7 @@ mod tests {
     }
 
     fn tasks(n: u64) -> Vec<Task> {
-        (0..n).map(|i| Task::join_check(TaskId(i), "a", "b", true)).collect()
+        (0..n).map(|i| Task::join_check(TaskId(i), true)).collect()
     }
 
     /// Which tasks were answered "yes". Every task's truth is yes, so with

@@ -49,8 +49,8 @@ impl PendingAssignment {
     }
 
     /// Turn an arrived pending assignment into a log-ready [`Assignment`].
-    pub fn into_assignment(self, round: usize) -> Assignment {
-        Assignment { task: self.task, worker: self.worker.id, answer: self.answer, round }
+    pub fn into_assignment(self) -> Assignment {
+        Assignment { task: self.task, worker: self.worker.id, answer: self.answer }
     }
 }
 
@@ -93,7 +93,6 @@ type Key = (SimTime, bool, TaskId, WorkerId, u32, u32);
 /// deadline comes first and takes it.
 #[derive(Debug, Default)]
 pub struct OpenRound {
-    round: usize,
     queue: BinaryHeap<Reverse<Key>>,
     /// Queued assignments by slot, each with its task's cancel count when
     /// it was queued; `None` is a free slot, listed in `free`.
@@ -107,11 +106,6 @@ pub struct OpenRound {
 }
 
 impl OpenRound {
-    /// An empty round whose collected assignments are recorded under `round`.
-    pub fn new(round: usize) -> Self {
-        OpenRound { round, ..OpenRound::default() }
-    }
-
     /// Queue one in-flight assignment. Its `arrives_at` must be final: the
     /// key is computed here.
     pub fn push(&mut self, p: PendingAssignment) {
@@ -170,7 +164,7 @@ impl OpenRound {
     /// of `out`, in deterministic (arrival, task, worker) order.
     pub fn collect_arrived(&mut self, now: SimTime, out: &mut Vec<Assignment>) {
         while let Some(p) = self.pop_due(now, false) {
-            out.push(p.into_assignment(self.round));
+            out.push(p.into_assignment());
         }
     }
 
@@ -235,8 +229,8 @@ mod tests {
         }
     }
 
-    fn round(round: usize, batch: Vec<PendingAssignment>) -> OpenRound {
-        let mut open = OpenRound::new(round);
+    fn round(batch: Vec<PendingAssignment>) -> OpenRound {
+        let mut open = OpenRound::default();
         batch.into_iter().for_each(|p| open.push(p));
         open
     }
@@ -253,20 +247,16 @@ mod tests {
 
     #[test]
     fn arrivals_are_collected_in_time_order() {
-        let mut open = round(
-            2,
-            vec![
-                pending(1, 0, Some(50), 100),
-                pending(2, 1, Some(20), 100),
-                pending(3, 2, Some(80), 100),
-            ],
-        );
+        let mut open = round(vec![
+            pending(1, 0, Some(50), 100),
+            pending(2, 1, Some(20), 100),
+            pending(3, 2, Some(80), 100),
+        ]);
         let mut got = Vec::new();
         open.collect_arrived(10, &mut got);
         assert!(got.is_empty());
         open.collect_arrived(60, &mut got);
         assert_eq!(got.iter().map(|a| a.task).collect::<Vec<_>>(), vec![TaskId(2), TaskId(1)]);
-        assert!(got.iter().all(|a| a.round == 2));
         assert_eq!(open.in_flight(), 1);
         // Later arrivals are appended behind the earlier ones.
         open.collect_arrived(100, &mut got);
@@ -276,14 +266,11 @@ mod tests {
 
     #[test]
     fn overdue_covers_late_and_never_arriving_answers() {
-        let mut open = round(
-            0,
-            vec![
-                pending(1, 0, Some(150), 100), // late: would arrive after its deadline
-                pending(2, 1, None, 100),      // abandoned: never arrives
-                pending(3, 2, Some(100), 100), // in time, exactly at the deadline
-            ],
-        );
+        let mut open = round(vec![
+            pending(1, 0, Some(150), 100), // late: would arrive after its deadline
+            pending(2, 1, None, 100),      // abandoned: never arrives
+            pending(3, 2, Some(100), 100), // in time, exactly at the deadline
+        ]);
         assert!(arrived(&mut open, 99).is_empty());
         assert!(open.take_overdue(99).is_empty());
         // At one instant the arrival comes before the deadline: the in-time
@@ -298,7 +285,7 @@ mod tests {
 
     #[test]
     fn next_event_walks_arrivals_then_deadlines() {
-        let mut open = round(0, vec![pending(1, 0, Some(40), 100), pending(2, 1, None, 70)]);
+        let mut open = round(vec![pending(1, 0, Some(40), 100), pending(2, 1, None, 70)]);
         assert_eq!(open.next_event_after(0), Some(40));
         assert_eq!(arrived(&mut open, 40).len(), 1);
         assert!(open.take_overdue(40).is_empty());
@@ -308,7 +295,7 @@ mod tests {
         assert_eq!(open.next_event_after(70), None);
         // A late arrival (after its own deadline) is not an event; the
         // deadline is.
-        let mut late = round(0, vec![pending(1, 0, Some(150), 100)]);
+        let mut late = round(vec![pending(1, 0, Some(150), 100)]);
         assert_eq!(late.next_event_after(0), Some(100));
         assert!(arrived(&mut late, 100).is_empty());
         assert_eq!(late.take_overdue(100).len(), 1);
@@ -317,10 +304,11 @@ mod tests {
 
     #[test]
     fn a_cancelled_task_is_never_an_event_and_can_be_queued_again() {
-        let mut open = round(
-            0,
-            vec![pending(1, 0, Some(10), 100), pending(1, 1, None, 100), pending(2, 2, None, 60)],
-        );
+        let mut open = round(vec![
+            pending(1, 0, Some(10), 100),
+            pending(1, 1, None, 100),
+            pending(2, 2, None, 60),
+        ]);
         assert_eq!(open.cancel(TaskId(1)), 2);
         assert_eq!(open.cancel(TaskId(1)), 0);
         assert_eq!(open.cancel(TaskId(9)), 0);

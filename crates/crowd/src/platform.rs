@@ -110,7 +110,7 @@ impl SimulatedPlatform {
         for task in tasks {
             for &w in self.pool.sample_distinct(k, &mut self.rng, &mut scratch) {
                 let answer = self.simulate_answer(w, task);
-                out.push(Assignment { task: task.id, worker: w.id, answer, round: self.round });
+                out.push(Assignment { task: task.id, worker: w.id, answer });
             }
         }
         self.scratch = scratch;
@@ -176,7 +176,7 @@ impl SimulatedPlatform {
                     continue;
                 }
                 let answer = self.simulate_answer(w, task);
-                out.push(Assignment { task: tid, worker: w.id, answer, round: self.round });
+                out.push(Assignment { task: tid, worker: w.id, answer });
                 answered.insert((w.id, tid));
                 *need.get_mut(&tid).expect("task known") -= 1;
             }
@@ -197,9 +197,9 @@ impl SimulatedPlatform {
     /// [`LatencyModel`]. The round counter does not move — the caller
     /// queues the returned batch in an [`OpenRound`](crate::OpenRound) once
     /// each `arrives_at` is final (after any fault injection), collects
-    /// arrivals as virtual time advances and calls
-    /// [`SimulatedPlatform::finish_round`] when done. This is the
-    /// answers-as-they-arrive counterpart of [`SimulatedPlatform::ask_round`].
+    /// arrivals as virtual time advances and counts its own rounds. This is
+    /// the answers-as-they-arrive counterpart of
+    /// [`SimulatedPlatform::ask_round`].
     /// Assignments come task by task, in `tasks` order.
     pub fn publish_round(
         &mut self,
@@ -274,14 +274,6 @@ impl SimulatedPlatform {
             attempt,
         }
     }
-
-    /// Close a published round: advance the round counter, as
-    /// [`SimulatedPlatform::ask_round`] does synchronously — also when the
-    /// round lost every answer to faults, since it still consumed a round
-    /// of latency.
-    pub fn finish_round(&mut self) {
-        self.round += 1;
-    }
 }
 
 /// Generate one worker's answer to one task under the latent accuracy
@@ -294,48 +286,25 @@ pub fn simulate_answer_with(worker: Worker, task: &Task, rng: &mut impl Rng) -> 
     // answered correctly almost always, hard tasks at the worker's
     // latent accuracy (the flat model of the paper's simulation).
     let eff = worker.accuracy + (1.0 - worker.accuracy) * (1.0 - task.difficulty) * 0.9;
-    match (&task.kind, &task.truth) {
-        (TaskKind::SingleChoice { choices, .. }, Some(Answer::Choice(truth))) => {
-            if rng.gen::<f64>() < eff || choices.len() <= 1 {
-                Answer::Choice(*truth)
+    match task.kind {
+        TaskKind::SingleChoice { choices, truth } => {
+            if rng.gen::<f64>() < eff || choices <= 1 {
+                Answer::Choice(truth)
             } else {
                 // Uniform over the wrong choices.
-                let mut c = rng.gen_range(0..choices.len() - 1);
-                if c >= *truth {
+                let mut c = rng.gen_range(0..choices - 1);
+                if c >= truth {
                     c += 1;
                 }
                 Answer::Choice(c)
             }
         }
-        (TaskKind::MultiChoice { choices, .. }, Some(Answer::Choices(truth))) => {
-            // Membership of each choice is reported correctly with
-            // probability `accuracy`, independently (the paper
-            // decomposes a multi-choice task into ℓ single-choice
-            // membership tasks).
-            let mut picked = Vec::new();
-            for i in 0..choices.len() {
-                let in_truth = truth.binary_search(&i).is_ok();
-                let correct = rng.gen::<f64>() < eff;
-                if in_truth == correct {
-                    picked.push(i);
-                }
-            }
-            Answer::Choices(picked)
-        }
-        (TaskKind::FillInBlank { .. }, Some(Answer::Text(truth)))
-        | (TaskKind::Collection { .. }, Some(Answer::Text(truth))) => {
+        TaskKind::FillInBlank { ref truth } => {
             if rng.gen::<f64>() < eff {
                 Answer::Text(truth.clone())
             } else {
                 Answer::Text(corrupt(truth, rng))
             }
-        }
-        // No ground truth: return an arbitrary deterministic answer —
-        // the caller is exercising plumbing, not quality.
-        (TaskKind::SingleChoice { .. }, _) => Answer::Choice(0),
-        (TaskKind::MultiChoice { .. }, _) => Answer::Choices(vec![]),
-        (TaskKind::FillInBlank { .. } | TaskKind::Collection { .. }, _) => {
-            Answer::Text(String::new())
         }
     }
 }
@@ -445,7 +414,7 @@ mod tests {
     }
 
     fn yes_task(id: u64) -> Task {
-        Task::join_check(TaskId(id), "MIT", "M.I.T.", true)
+        Task::join_check(TaskId(id), true)
     }
 
     #[test]
@@ -503,7 +472,6 @@ mod tests {
         let asg = p.ask_round(&[yes_task(1), yes_task(2)], 4);
         let tasks: Vec<u64> = asg.iter().map(|a| a.task.0).collect();
         assert_eq!(tasks, [1, 1, 1, 1, 2, 2, 2, 2]);
-        assert!(asg.iter().all(|a| a.round == 0));
     }
 
     #[test]
@@ -569,8 +537,7 @@ mod tests {
         let mut p = platform(&[1.0], 1);
         let t = Task {
             id: TaskId(9),
-            kind: TaskKind::FillInBlank { question: "affiliation?".into() },
-            truth: Some(Answer::Text("MIT".into())),
+            kind: TaskKind::FillInBlank { truth: "MIT".into() },
             difficulty: 1.0,
         };
         let w = Worker { id: WorkerId(0), accuracy: 1.0 };
@@ -578,37 +545,19 @@ mod tests {
     }
 
     #[test]
-    fn multi_choice_perfect_worker_reproduces_truth() {
-        let mut p = platform(&[1.0], 1);
-        let t = Task {
-            id: TaskId(9),
-            kind: TaskKind::MultiChoice {
-                question: "topics?".into(),
-                choices: vec!["db".into(), "ml".into(), "hci".into()],
-            },
-            truth: Some(Answer::choices(vec![0, 2])),
-            difficulty: 1.0,
-        };
-        let w = Worker { id: WorkerId(0), accuracy: 1.0 };
-        assert_eq!(p.simulate_answer(w, &t), Answer::Choices(vec![0, 2]));
-    }
-
-    #[test]
-    fn publish_round_is_nonblocking_and_finish_round_counts_the_round() {
+    fn publish_round_is_nonblocking() {
         let mut p = platform(&[1.0; 8], 11);
         let batch = p.publish_round(&[yes_task(1), yes_task(2)], 3, 600_000, 0);
         assert_eq!(batch.len(), 6);
         assert_eq!(p.rounds(), 0, "publish must not advance the round");
         // Drain at the deadline: every sampled latency of this seed is
         // inside the 10 minutes.
-        let mut open = OpenRound::new(p.rounds());
+        let mut open = OpenRound::default();
         batch.into_iter().for_each(|a| open.push(a));
         let mut collected = Vec::new();
         open.collect_arrived(600_000, &mut collected);
         assert_eq!(collected.len(), 6);
         assert!(collected.iter().all(|a| a.answer == Answer::Choice(0)));
-        p.finish_round();
-        assert_eq!(p.rounds(), 1);
     }
 
     #[test]

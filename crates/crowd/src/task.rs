@@ -1,4 +1,4 @@
-//! Crowd task model: the four UI types of CDB.
+//! Crowd task model: the task UIs CDB publishes, with their latent truth.
 
 /// Opaque task identifier, unique within one experiment run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -10,61 +10,38 @@ impl std::fmt::Display for TaskId {
     }
 }
 
-/// The four task UIs supported by CDB's Crowd UI Designer (§2.1).
+/// The task UIs a CQL statement publishes (§2.1): a single-choice check
+/// (joins, selections, `ORDER BY CROWD` comparisons) and a fill-in-blank
+/// (`FILL`). Each kind carries the simulation-only latent ground truth the
+/// worker model answers from; real deployments would not know it. Keeping
+/// it on the task (rather than in a side table) mirrors how the benchmark
+/// driver scores F-measure.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TaskKind {
-    /// Select exactly one of `choices`.
+    /// Select exactly one of `choices` options; `truth` is the correct one.
     SingleChoice {
-        /// Question shown to the worker.
-        question: String,
-        /// The candidate answers.
-        choices: Vec<String>,
-    },
-    /// Select any subset of `choices`.
-    MultiChoice {
-        /// Question shown to the worker.
-        question: String,
-        /// The candidate answers.
-        choices: Vec<String>,
+        /// Number of options.
+        choices: usize,
+        /// Index of the correct option.
+        truth: usize,
     },
     /// Type a free-form value (e.g. the affiliation of a professor).
     FillInBlank {
-        /// Question shown to the worker.
-        question: String,
-    },
-    /// Contribute a new tuple (e.g. one of the top-100 universities).
-    Collection {
-        /// Prompt shown to the worker.
-        prompt: String,
+        /// The correct value.
+        truth: String,
     },
 }
 
 /// A worker's answer to one task.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Answer {
-    /// Index into the choices of a single-choice task.
+    /// Index into the options of a single-choice task.
     Choice(usize),
-    /// Indices into the choices of a multi-choice task (sorted, unique).
-    Choices(Vec<usize>),
-    /// Free text for fill-in-blank and collection tasks.
+    /// Free text for a fill-in-blank task.
     Text(String),
 }
 
-impl Answer {
-    /// Build a normalized multi-choice answer (sorted, deduplicated).
-    pub fn choices(mut idx: Vec<usize>) -> Self {
-        idx.sort_unstable();
-        idx.dedup();
-        Answer::Choices(idx)
-    }
-}
-
 /// A published crowd task.
-///
-/// `truth` is the simulation-only latent ground truth used to generate
-/// worker answers; real deployments would not know it. Keeping it on the
-/// task (rather than in a side table) mirrors how the benchmark driver
-/// scores F-measure.
 ///
 /// `difficulty ∈ [0, 1]` controls the simulated error model: at 1.0 a
 /// worker answers correctly with exactly their latent accuracy `q` (the
@@ -77,10 +54,8 @@ impl Answer {
 pub struct Task {
     /// Unique id.
     pub id: TaskId,
-    /// UI type and payload.
+    /// UI type and latent truth.
     pub kind: TaskKind,
-    /// Latent ground truth (simulation only).
-    pub truth: Option<Answer>,
     /// Simulated difficulty in `[0, 1]`; 1.0 = the flat error model.
     pub difficulty: f64,
 }
@@ -97,16 +72,9 @@ pub fn join_difficulty(w: f64) -> f64 {
 impl Task {
     /// A yes/no single-choice task — the edge-checking task of the graph
     /// model ("can these two values be joined?"). Choice 0 = yes, 1 = no.
-    pub fn join_check(id: TaskId, left: &str, right: &str, truth_yes: bool) -> Self {
-        Task {
-            id,
-            kind: TaskKind::SingleChoice {
-                question: format!("Do \"{left}\" and \"{right}\" refer to the same entity?"),
-                choices: vec!["yes".to_string(), "no".to_string()],
-            },
-            truth: Some(Answer::Choice(usize::from(!truth_yes))),
-            difficulty: 1.0,
-        }
+    pub fn join_check(id: TaskId, truth_yes: bool) -> Self {
+        let kind = TaskKind::SingleChoice { choices: 2, truth: usize::from(!truth_yes) };
+        Task { id, kind, difficulty: 1.0 }
     }
 
     /// Set the simulated difficulty (builder style).
@@ -122,15 +90,10 @@ mod tests {
 
     #[test]
     fn join_check_encodes_truth_in_choice_zero() {
-        let t = Task::join_check(TaskId(1), "MIT", "M.I.T.", true);
-        assert_eq!(t.truth, Some(Answer::Choice(0)));
-        let f = Task::join_check(TaskId(2), "MIT", "Stanford", false);
-        assert_eq!(f.truth, Some(Answer::Choice(1)));
-    }
-
-    #[test]
-    fn multi_choice_answers_normalize() {
-        assert_eq!(Answer::choices(vec![2, 0, 2, 1]), Answer::Choices(vec![0, 1, 2]));
+        let t = Task::join_check(TaskId(1), true);
+        assert_eq!(t.kind, TaskKind::SingleChoice { choices: 2, truth: 0 });
+        let f = Task::join_check(TaskId(2), false);
+        assert_eq!(f.kind, TaskKind::SingleChoice { choices: 2, truth: 1 });
     }
 
     #[test]

@@ -20,7 +20,6 @@ use proptest::prelude::*;
 
 /// The pre-queue `OpenRound`: every method a full scan of `pending`.
 struct Scan {
-    round: usize,
     pending: Vec<PendingAssignment>,
 }
 
@@ -36,8 +35,7 @@ impl Scan {
             }
         }
         arrived.sort_by_key(|p| (p.arrives_at, p.task, p.worker.id, p.attempt));
-        let round = self.round;
-        arrived.into_iter().map(|p| p.into_assignment(round)).collect()
+        arrived.into_iter().map(PendingAssignment::into_assignment).collect()
     }
 
     fn take_overdue(&mut self, now: SimTime) -> Vec<PendingAssignment> {
@@ -134,8 +132,8 @@ proptest! {
         script in prop::collection::vec((0u64..18, prop::collection::vec(spec(), 0..3)), 0..12),
     ) {
         let script: Vec<Step> = script;
-        let mut heap = OpenRound::new(3);
-        let mut scan = Scan { round: 3, pending: Vec::new() };
+        let mut heap = OpenRound::default();
+        let mut scan = Scan { pending: Vec::new() };
         // Two live assignments never share `(task, worker, attempt)`: one
         // attempt of one task goes to one worker.
         let mut used = BTreeSet::new();

@@ -56,7 +56,8 @@ pub fn select_top_k_tasks(posteriors: &[Vec<f64>], q_w: f64, k: usize) -> Vec<us
 /// Consistency `C(t)` of a fill-in-blank task (Eq. 4): the mean pairwise
 /// similarity of the answers collected so far. Tasks with *low* consistency
 /// should be assigned next. Returns 0 for fewer than two answers (fully
-/// unknown — most in need of answers).
+/// unknown — most in need of answers). No execution path calls it: FILL
+/// stops early on an agreeing group instead (DESIGN.md deviation 8).
 pub fn fill_consistency(answers: &[String], f: SimilarityFn) -> f64 {
     let n = answers.len();
     if n < 2 {
@@ -75,7 +76,8 @@ pub fn fill_consistency(answers: &[String], f: SimilarityFn) -> f64 {
 /// `M` is the number of distinct tuples collected and `N` a chao92 estimate
 /// of the total cardinality. Collection tasks with the *highest* score
 /// (farthest from complete) are assigned first. `counts[i]` is the number
-/// of contributions of distinct item `i`.
+/// of contributions of distinct item `i`. No execution path calls it:
+/// COLLECT draws from a value universe (DESIGN.md deviation 8).
 pub fn collect_completeness(counts: &[usize]) -> f64 {
     let m = counts.len() as f64;
     let n = chao92_estimate(counts);

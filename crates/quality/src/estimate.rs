@@ -4,7 +4,8 @@
 //! number of distinct answers `N` from the stream of contributions
 //! (following crowd enumeration queries, Trushkowsky et al. [53]). We use
 //! the chao92 species-richness estimator, the standard choice in that
-//! line of work.
+//! line of work. No execution path calls it: COLLECT draws from a value
+//! universe (DESIGN.md deviation 8).
 
 /// chao92 estimate of the total number of distinct items, from the
 /// multiset of observed contribution counts.

@@ -4,14 +4,17 @@
 //!
 //! 1. **Truth inference** — when workers answer, estimate each worker's
 //!    quality `q_w` with EM and aggregate answers by *Bayesian voting*
-//!    (Eq. 2), which is optimal given known worker qualities. Multi-choice
-//!    tasks decompose into ℓ binary membership tasks; fill-in-blank tasks
-//!    use the *pivot* answer (highest aggregated string similarity).
+//!    (Eq. 2), which is optimal given known worker qualities; fill-in-blank
+//!    tasks use the *pivot* answer (highest aggregated string similarity).
 //! 2. **Task assignment** — when a worker arrives, assign the k tasks whose
-//!    expected entropy reduction is largest (Eq. 3); fill tasks with the
-//!    least answer consistency (Eq. 4); collection tasks with the smallest
-//!    completeness score `(N - M) / N` where `N` is a species-richness
-//!    estimate of the answer cardinality.
+//!    expected entropy reduction is largest (Eq. 3). The paper also ranks
+//!    fill tasks by least answer consistency (Eq. 4, [`fill_consistency`])
+//!    and collection tasks by the smallest completeness score
+//!    `(N - M) / N`, where `N` is a species-richness estimate of the answer
+//!    cardinality ([`collect_completeness`], [`chao92_estimate`]). Those
+//!    are library functions that no execution path calls: FILL stops early
+//!    on an agreeing group of answers and COLLECT draws from a value
+//!    universe (DESIGN.md deviation 8).
 //!
 //! The plain majority-voting strategy used by CrowdDB/Qurk/Deco/CrowdOP is
 //! also provided as the comparison baseline.
@@ -19,7 +22,6 @@
 mod assign;
 mod estimate;
 mod fill;
-mod multi;
 mod partial;
 mod truth;
 
@@ -28,7 +30,6 @@ pub use assign::{
 };
 pub use estimate::chao92_estimate;
 pub use fill::{aggregated_similarity, pivot_answer};
-pub use multi::{decompose_multi_choice, infer_multi_choice};
 pub use partial::{decided_choice, early_decision, vote_entropy, PartialDecision};
 pub use truth::{
     bayesian_posterior, bayesian_posterior_difficulty, effective_accuracy, em_truth_inference,

@@ -60,9 +60,9 @@ pub struct RuntimeEngine {
     now: SimTime,
     early_termination: bool,
     error: Option<RuntimeError>,
-    /// Tasks published per crowd round, in round order. This is the
-    /// per-round footprint the multi-query scheduler replays when
-    /// interleaving queries into shared HITs.
+    /// Tasks published per crowd round, in round order; its length is the
+    /// round count. This is the per-round footprint the multi-query
+    /// scheduler replays when interleaving queries into shared HITs.
     round_tasks: Vec<usize>,
 }
 
@@ -195,8 +195,8 @@ impl RuntimeEngine {
         votes: &[usize],
         redundancy: usize,
     ) {
-        let TaskKind::SingleChoice { ref choices, .. } = task.kind else { return };
-        let Some(choice) = decided_choice(votes, choices.len(), redundancy) else { return };
+        let TaskKind::SingleChoice { choices, .. } = task.kind else { return };
+        let Some(choice) = decided_choice(votes, choices, redundancy) else { return };
         let cancelled = open.cancel(task.id);
         if cancelled == 0 {
             return;
@@ -209,7 +209,7 @@ impl RuntimeEngine {
                 task => task.id.0,
                 choice => choice as u64,
                 conf => share,
-                entropy => vote_entropy(votes, choices.len()),
+                entropy => vote_entropy(votes, choices),
             ],
         );
         span.event(names::CANCEL, self.now, kv![task => task.id.0, n => cancelled as u64]);
@@ -224,7 +224,6 @@ impl RuntimeEngine {
         span: Span,
     ) -> Vec<Assignment> {
         self.error = Some(err);
-        self.platform.finish_round();
         span.close(self.now, kv![ms => self.now - round_start, ok => false]);
         collected
     }
@@ -236,7 +235,7 @@ impl CrowdPlatform for RuntimeEngine {
     }
 
     fn rounds(&self) -> usize {
-        self.platform.rounds()
+        self.round_tasks.len()
     }
 
     fn ask_round(&mut self, tasks: &[Task], redundancy: usize) -> Vec<Assignment> {
@@ -246,7 +245,7 @@ impl CrowdPlatform for RuntimeEngine {
         if tasks.is_empty() || self.error.is_some() {
             return Vec::new();
         }
-        let round = self.platform.rounds() as u64;
+        let round = self.round_tasks.len() as u64;
         let round_start = self.now;
         self.round_tasks.push(tasks.len());
         let span =
@@ -265,7 +264,7 @@ impl CrowdPlatform for RuntimeEngine {
         }
         // Queued only after the fault plan has had its say: an assignment's
         // place in the queue is its post-fault arrival.
-        let mut open = OpenRound::new(round as usize);
+        let mut open = OpenRound::default();
         let mut collected: Vec<Assignment> = Vec::with_capacity(batch.len());
         for mut p in batch {
             self.apply_faults(&span, &mut p, round);
@@ -361,7 +360,6 @@ impl CrowdPlatform for RuntimeEngine {
                 None => break,
             }
         }
-        self.platform.finish_round();
         span.close(self.now, kv![ms => self.now - round_start, ok => true]);
         collected
     }
@@ -387,7 +385,7 @@ mod tests {
     }
 
     fn yes_task(id: u64) -> Task {
-        Task::join_check(TaskId(id), "MIT", "M.I.T.", true)
+        Task::join_check(TaskId(id), true)
     }
 
     #[test]

@@ -1,9 +1,11 @@
-//! Allocation pin of one crowd round. This file holds exactly one test so
-//! the counting allocator below observes a single round with no concurrent
-//! test noise (integration-test files are separate binaries).
+//! Allocation pin of building and running one crowd round. This file holds
+//! exactly one test so the counting allocator below observes a single round
+//! with no concurrent test noise (integration-test files are separate
+//! binaries).
 //!
-//! A round of n assignments allocates a bounded number of buffers that
-//! grow by doubling, plus a little per retry; nothing per assignment and
+//! Building n tasks allocates the one task buffer, and a round of their
+//! assignments allocates a bounded number of buffers that grow by doubling,
+//! plus a little per retry; nothing per task, nothing per assignment and
 //! nothing per arrival instant.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -37,15 +39,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// No fault is injected, but slow workers miss deadlines, so the round
-/// also reassigns a few dozen times.
+/// The 2,000 join tasks are built inside the counted window, as the
+/// executor builds them each round. No fault is injected, but slow workers
+/// miss deadlines, so the round also reassigns a few dozen times.
 #[test]
-fn a_round_of_ten_thousand_assignments_makes_under_two_thousand_allocations() {
-    let tasks: Vec<Task> = (0..2_000)
-        .map(|i| {
-            Task::join_check(TaskId(3 * i + 1), "Univ. of Wisconsin", "UW Madison", i % 4 == 0)
-        })
-        .collect();
+fn building_and_running_a_round_makes_under_two_thousand_allocations() {
     let pool = WorkerPool::with_accuracies(&[0.9; 20]);
     let metrics = Arc::new(RuntimeMetrics::new());
     let mut engine = RuntimeEngine::new(
@@ -57,6 +55,8 @@ fn a_round_of_ten_thousand_assignments_makes_under_two_thousand_allocations() {
         Arc::clone(&metrics),
     );
     let before = ALLOCS.load(Ordering::Relaxed);
+    let tasks: Vec<Task> =
+        (0..2_000).map(|i| Task::join_check(TaskId(3 * i + 1), i % 4 == 0)).collect();
     let answers = engine.ask_round(&tasks, 5);
     let allocs = ALLOCS.load(Ordering::Relaxed) - before;
     assert!(engine.error().is_none());
@@ -64,5 +64,8 @@ fn a_round_of_ten_thousand_assignments_makes_under_two_thousand_allocations() {
     // Some answers missed the four-minute deadline: the retry path is in
     // the count too.
     assert!(metrics.snapshot().retries > 0);
-    assert!(allocs < 2_000, "one round of 10,000 assignments made {allocs} allocations");
+    assert!(
+        allocs < 2_000,
+        "building and running one round of 10,000 assignments made {allocs} allocations"
+    );
 }

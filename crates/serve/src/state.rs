@@ -449,9 +449,7 @@ impl ServerState {
                 if !retracted.is_empty() {
                     entry.chunks.push(StreamEvent::Retract { bindings: retracted }.encode());
                 }
-                let redundancy = self.cfg.runtime.exec.redundancy as u64;
-                let actual =
-                    committed.min(qr.tasks_asked as u64 * redundancy * self.cfg.task_price_cents);
+                let actual = committed.min(qr.assignments as u64 * self.cfg.task_price_cents);
                 let refund = committed - actual;
                 let cancelled = qr.cancelled || entry.cancel;
                 entry.chunks.push(

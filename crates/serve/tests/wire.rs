@@ -231,6 +231,44 @@ fn mid_stream_failure_refunds_the_whole_hold() {
     server.shutdown();
 }
 
+/// A pool of 3 workers gives each task 3 answers, not the redundancy of 5:
+/// the ledger bills the answers collected, never the ones the redundancy
+/// asked for.
+#[test]
+fn a_pool_smaller_than_the_redundancy_bills_only_collected_answers() {
+    let mut cfg = ServeConfig::default();
+    cfg.runtime.worker_accuracies = vec![0.9; 3];
+    cfg.runtime.retry = RetryPolicy { deadline_ms: 3_600_000, max_retries: 8 };
+    let price = cfg.task_price_cents;
+    let server = example_server(cfg);
+    let mut client = Client::new(server.addr());
+    let (mut billed, mut held) = (0, 0);
+    for _ in 0..3 {
+        let SubmitOutcome::Admitted { query } =
+            client.submit(&submit("acme", 10_000)).expect("submit")
+        else {
+            panic!("expected admission");
+        };
+        let events = client.stream_events(query).expect("stream");
+        let Some(&StreamEvent::Done { tasks, assignments, cancelled: false, .. }) = events.last()
+        else {
+            panic!("stream must end in done: {events:?}");
+        };
+        assert_eq!(assignments, 3 * tasks, "each task is answered by the whole pool");
+        billed += assignments * price;
+        let status = wait_done(&mut client, query);
+        let estimate = status.get("estimate").and_then(|e| e.get("cost_cents_upper"));
+        held += estimate.and_then(Json::as_num).unwrap() as u64;
+    }
+    let tenant = client.tenant_status("acme").expect("tenant").expect("known");
+    let num = |key: &str| tenant.get(key).and_then(Json::as_num).unwrap() as u64;
+    assert_eq!(num("failed"), 0);
+    assert_eq!(num("completed"), 3);
+    assert_eq!(num("spent_cents"), billed);
+    assert_eq!(num("spent_cents") + num("refunded_cents"), held);
+    server.shutdown();
+}
+
 #[test]
 fn client_disconnect_mid_stream_cancels_and_refunds() {
     let mut cfg = ServeConfig::default();

@@ -114,9 +114,7 @@ fn main() {
             share: 1.0,
         },
     ]);
-    let tasks: Vec<Task> = (0..8)
-        .map(|i| Task::join_check(TaskId(i), "left value", "right value", i % 2 == 0))
-        .collect();
+    let tasks: Vec<Task> = (0..8).map(|i| Task::join_check(TaskId(i), i % 2 == 0)).collect();
     let assignments = deployer.ask_round(&tasks, 3);
     println!(
         "\ncross-market deployment: {} tasks -> {} assignments across {} markets \
