@@ -12,10 +12,10 @@ use std::collections::{BTreeSet, HashMap};
 
 use cdb_core::executor::EdgeTruth;
 use cdb_core::model::{EdgeId, NodeId, QueryGraph};
-use cdb_crowd::{SimulatedPlatform, Task, TaskId};
-use cdb_quality::majority_vote;
+use cdb_crowd::SimulatedPlatform;
 
 use crate::tree::deco_order;
+use crate::{ask_majority, edge_task};
 
 /// Budget baseline result.
 #[derive(Debug, Clone)]
@@ -99,18 +99,8 @@ impl State<'_> {
         if self.asked.len() >= self.budget {
             return false;
         }
-        let task = Task::join_check(TaskId(e.0 as u64), self.truth[&e])
-            .with_difficulty(cdb_crowd::join_difficulty(self.g.edge_weight(e)));
-        let votes: Vec<usize> = self
-            .platform
-            .ask_round(&[task], self.redundancy)
-            .into_iter()
-            .filter_map(|a| match a.answer {
-                cdb_crowd::Answer::Choice(c) => Some(c),
-                _ => None,
-            })
-            .collect();
-        let yes = majority_vote(&votes, 2) == 0;
+        let task = edge_task(self.g, self.truth, e);
+        let yes = ask_majority(self.platform, &[task], self.redundancy)[0];
         self.asked.insert(e, yes);
         yes
     }

@@ -25,9 +25,9 @@ use cdb_core::model::{EdgeId, NodeId, PartId, QueryGraph};
 use cdb_core::Candidate;
 use cdb_crowd::{SimulatedPlatform, Task, TaskId};
 use cdb_graph::UnionFind;
-use cdb_quality::majority_vote;
 
 use crate::tree::TreeStats;
+use crate::{ask_majority, edge_task};
 
 /// Run Trans over a query graph.
 pub fn run_er(
@@ -157,28 +157,13 @@ pub fn run_er_constrained(
                 union.sort_unstable();
                 union.dedup();
                 if !union.is_empty() {
-                    let tasks: Vec<Task> = union
-                        .iter()
-                        .map(|&e| {
-                            Task::join_check(TaskId(e.0 as u64), truth[&e])
-                                .with_difficulty(cdb_crowd::join_difficulty(g.edge_weight(e)))
-                        })
-                        .collect();
-                    let mut votes: HashMap<EdgeId, Vec<usize>> = HashMap::new();
+                    let tasks: Vec<Task> = union.iter().map(|&e| edge_task(g, truth, e)).collect();
                     // The flush shares the final round with resolve's last
                     // batch conceptually; we bill it as the same round and
                     // only count the extra tasks.
-                    for a in platform.ask_round(&tasks, redundancy) {
-                        if let cdb_crowd::Answer::Choice(c) = a.answer {
-                            votes.entry(EdgeId(a.task.0 as usize)).or_default().push(c);
-                        }
-                    }
+                    let verdicts = ask_majority(platform, &tasks, redundancy);
                     tasks_asked += union.len();
-                    for &e in &union {
-                        let yes =
-                            majority_vote(votes.get(&e).map_or(&[][..], Vec::as_slice), 2) == 0;
-                        flush_resolved.insert(e, yes);
-                    }
+                    flush_resolved.extend(union.iter().copied().zip(verdicts));
                 }
                 flushed = true;
             }
@@ -331,19 +316,10 @@ fn resolve_predicate(
                     .with_difficulty(cdb_crowd::join_difficulty(w))
             })
             .collect();
-        let answers = platform.ask_round(&tasks, redundancy);
+        let verdicts = ask_majority(platform, &tasks, redundancy);
         tasks_asked += chunk.len();
         rounds += 1;
-        let mut votes: HashMap<TaskId, Vec<usize>> = HashMap::new();
-        for a in answers {
-            if let cdb_crowd::Answer::Choice(c) = a.answer {
-                votes.entry(a.task).or_default().push(c);
-            }
-        }
-        let base = synthetic_id - chunk.len() as u64;
-        for (i, &(x, y, _, _)) in chunk.iter().enumerate() {
-            let tid = TaskId(base + i as u64 + 1);
-            let yes = majority_vote(votes.get(&tid).map_or(&[][..], Vec::as_slice), 2) == 0;
+        for (&(x, y, _, _), yes) in chunk.iter().zip(verdicts) {
             if yes {
                 dsu.union(x.0, y.0);
             }
@@ -407,23 +383,11 @@ fn resolve_predicate(
             break;
         }
         // Ask the batch.
-        let tasks: Vec<Task> = batch
-            .iter()
-            .map(|&e| {
-                Task::join_check(TaskId(e.0 as u64), truth[&e])
-                    .with_difficulty(cdb_crowd::join_difficulty(g.edge_weight(e)))
-            })
-            .collect();
-        let mut votes: HashMap<EdgeId, Vec<usize>> = HashMap::new();
-        for a in platform.ask_round(&tasks, redundancy) {
-            if let cdb_crowd::Answer::Choice(c) = a.answer {
-                votes.entry(EdgeId(a.task.0 as usize)).or_default().push(c);
-            }
-        }
+        let tasks: Vec<Task> = batch.iter().map(|&e| edge_task(g, truth, e)).collect();
+        let verdicts = ask_majority(platform, &tasks, redundancy);
         tasks_asked += batch.len();
         rounds += 1;
-        for &e in &batch {
-            let yes = majority_vote(votes.get(&e).map_or(&[][..], Vec::as_slice), 2) == 0;
+        for (&e, yes) in batch.iter().zip(verdicts) {
             let (u, v) = g.edge_endpoints(e);
             if yes {
                 blue.push(e);

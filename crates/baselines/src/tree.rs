@@ -12,8 +12,9 @@ use std::collections::{HashMap, HashSet};
 use cdb_core::executor::EdgeTruth;
 use cdb_core::model::{EdgeId, NodeId, PartId, QueryGraph};
 use cdb_core::Candidate;
-use cdb_crowd::{SimulatedPlatform, Task, TaskId};
-use cdb_quality::majority_vote;
+use cdb_crowd::{SimulatedPlatform, Task};
+
+use crate::{ask_majority, edge_task};
 
 /// Execution result of a tree-model or ER run.
 #[derive(Debug, Clone)]
@@ -280,23 +281,8 @@ fn resolve_edges(
 ) {
     match platform {
         Some(p) => {
-            let tasks: Vec<Task> = edges
-                .iter()
-                .map(|&e| {
-                    Task::join_check(TaskId(e.0 as u64), truth[&e])
-                        .with_difficulty(cdb_crowd::join_difficulty(g.edge_weight(e)))
-                })
-                .collect();
-            let mut votes: HashMap<EdgeId, Vec<usize>> = HashMap::new();
-            for a in p.ask_round(&tasks, redundancy) {
-                if let cdb_crowd::Answer::Choice(c) = a.answer {
-                    votes.entry(EdgeId(a.task.0 as usize)).or_default().push(c);
-                }
-            }
-            for &e in edges {
-                let yes = majority_vote(votes.get(&e).map_or(&[][..], Vec::as_slice), 2) == 0;
-                resolved.insert(e, yes);
-            }
+            let tasks: Vec<Task> = edges.iter().map(|&e| edge_task(g, truth, e)).collect();
+            resolved.extend(edges.iter().copied().zip(ask_majority(p, &tasks, redundancy)));
         }
         None => {
             for &e in edges {

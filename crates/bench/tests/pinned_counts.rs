@@ -239,7 +239,7 @@ fn store_restart_answers_the_same_fleet_without_dispatch() {
     let warm = run(&Arc::new(DurableReuseCache::open(dir.path()).expect("reopen")));
     let counts =
         |r: &cdb_runtime::RuntimeReport| (r.metrics.tasks_dispatched, r.metrics.tasks_saved);
-    assert_eq!(counts(&cold), (1866, 48), "cold (dispatched, saved)");
+    assert_eq!(counts(&cold), (1687, 48), "cold (dispatched, saved)");
     assert_eq!(counts(&warm), (0, 384), "warm (dispatched, saved)");
     assert_eq!(cold.bindings_text(), warm.bindings_text(), "a restart changed answers");
 }
@@ -275,16 +275,16 @@ type ShardRow = (usize, bool, usize, usize, u64, u64, u64, u64, u64);
 #[rustfmt::skip]
 const SHARD_SWEEP: [(usize, [ShardRow; 4]); 2] = [
     (1, [
-        (1, false, 64, 20, 19_598_432, 19_598_432, 396_876, 3065, 15_325),
-        (1, true,  64, 20, 19_598_432, 19_598_432,  24_844, 3065, 15_325),
-        (2, true,  64, 20, 13_003_959, 19_598_432,  24_844, 3065, 15_325),
-        (4, true,  64, 20,  6_863_115, 19_598_432,  24_844, 3065, 15_325),
+        (1, false, 64, 20, 7_707_300, 7_707_300, 396_876, 3040, 15_200),
+        (1, true,  64, 20, 7_707_300, 7_707_300,  24_844, 3040, 15_200),
+        (2, true,  64, 20, 5_246_369, 7_707_300,  24_844, 3040, 15_200),
+        (4, true,  64, 20, 2_729_809, 7_707_300,  24_844, 3040, 15_200),
     ]),
     (10, [
-        (1, false, 20, 20, 29_151_301, 29_151_301, 14_678_972, 169_145, 845_725),
-        (1, true,  20, 20, 29_151_301, 29_151_301,    964_067, 169_145, 845_725),
-        (2, true,  20, 20, 15_019_029, 29_151_301,    964_067, 169_145, 845_725),
-        (4, true,  20, 20,  8_012_868, 29_151_301,    964_067, 169_145, 845_725),
+        (1, false, 20, 20, 13_492_945, 13_492_945, 14_678_972, 168_033, 840_165),
+        (1, true,  20, 20, 13_492_945, 13_492_945,    964_067, 168_033, 840_165),
+        (2, true,  20, 20,  6_803_751, 13_492_945,    964_067, 168_033, 840_165),
+        (4, true,  20, 20,  3_653_930, 13_492_945,    964_067, 168_033, 840_165),
     ]),
 ];
 
@@ -359,8 +359,8 @@ fn shard_sweep_counts_bindings_and_conservation_are_pinned() {
 #[rustfmt::skip]
 const REUSE_SWEEP: [(f64, u64, u64, u64, u64, u64); 3] = [
     (0.0,  960, 360, 120, 3000, 144),
-    (0.1, 1032, 391, 120, 3000, 144),
-    (0.3, 1274, 468, 120, 3000, 144),
+    (0.1,  960, 360, 120, 3000, 144),
+    (0.3, 1044, 385, 120, 3000, 144),
 ];
 
 /// The answer-reuse sweep: six self-join queries (4 items, 3 clusters)

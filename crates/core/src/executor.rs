@@ -111,7 +111,8 @@ pub struct ExecutionStats {
     pub tasks_saved: usize,
     /// Rounds of crowd interaction — the paper's latency metric.
     pub rounds: usize,
-    /// Total worker assignments collected (`tasks × redundancy`).
+    /// Total worker assignments collected: `tasks × redundancy` on a
+    /// synchronous platform, only the deciding votes on the runtime engine.
     pub assignments: usize,
     /// The answers: all-BLUE candidates at termination.
     pub answers: Vec<Candidate>,
@@ -555,19 +556,24 @@ impl<'a, P: CrowdPlatform> Executor<'a, P> {
             return;
         }
         for &e in batch {
-            let votes: Vec<usize> =
-                self.votes.get(&e).map(|v| v.iter().map(|&(_, c)| c).collect()).unwrap_or_default();
-            let choice = if self.graph.edge_color(e) == Color::Blue { 0u64 } else { 1u64 };
-            let agree = votes.iter().filter(|&&c| c as u64 == choice).count();
-            let conf = if votes.is_empty() { 0.0 } else { agree as f64 / votes.len() as f64 };
+            let votes = self.votes.get(&e).map_or(&[][..], Vec::as_slice);
+            let mut counts = [0usize; 2];
+            for &(_, c) in votes {
+                if let Some(n) = counts.get_mut(c) {
+                    *n += 1;
+                }
+            }
+            let choice = usize::from(self.graph.edge_color(e) != Color::Blue);
+            let conf =
+                if votes.is_empty() { 0.0 } else { counts[choice] as f64 / votes.len() as f64 };
             span.event(
                 names::COLOR,
                 at,
                 kv![
                     task => e.0 as u64,
-                    choice => choice,
+                    choice => choice as u64,
                     conf => conf,
-                    entropy => vote_entropy(&votes, 2),
+                    entropy => vote_entropy(&counts),
                     n => votes.len() as u64
                 ],
             );

@@ -9,7 +9,7 @@
 //! both money (unneeded assignments can be cancelled) and latency (the
 //! task closes before slow workers respond).
 
-use crate::majority_vote;
+use crate::truth::plurality;
 
 /// What a partial vote set implies about a task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,29 +22,22 @@ pub enum PartialDecision {
     Exhausted(usize),
 }
 
-/// CDAS-style early termination: given the `votes` collected so far for a
-/// single-choice task with `num_choices` options and `redundancy` total
-/// planned assignments, decide as soon as the leader's margin exceeds the
-/// number of answers still outstanding.
+/// CDAS-style early termination over one single-choice task's tally:
+/// `counts[c]` votes for each choice `c`, `received` answers in hand and
+/// `redundancy` planned. Decide as soon as the leader's margin exceeds the
+/// number of answers still outstanding. A malformed (out-of-range) answer
+/// consumed its assignment but carries no signal: it counts toward
+/// `received`, never toward any choice.
 ///
-/// Ties and exhausted vote sets fall back to [`majority_vote`]'s
+/// Ties and exhausted tallies fall back to [`majority_vote`](crate::majority_vote)'s
 /// lowest-index tie-break, so a `Decided`/`Exhausted` verdict always
 /// matches what full-redundancy majority voting *could still* return.
-pub fn early_decision(votes: &[usize], num_choices: usize, redundancy: usize) -> PartialDecision {
-    debug_assert!(num_choices >= 1);
-    // An out-of-range vote (a malformed crowd answer) consumed its
-    // assignment but carries no signal: it counts toward the answers
-    // received, never toward any choice.
-    let valid: Vec<usize> = votes.iter().copied().filter(|&v| v < num_choices).collect();
-    let outstanding = redundancy.saturating_sub(votes.len());
+pub fn early_decision(counts: &[usize], received: usize, redundancy: usize) -> PartialDecision {
+    let leader = plurality(counts);
+    let outstanding = redundancy.saturating_sub(received);
     if outstanding == 0 {
-        return PartialDecision::Exhausted(majority_vote(&valid, num_choices));
+        return PartialDecision::Exhausted(leader);
     }
-    let mut counts = vec![0usize; num_choices];
-    for &v in &valid {
-        counts[v] += 1;
-    }
-    let leader = majority_vote(&valid, num_choices);
     let runner_up =
         counts.iter().enumerate().filter(|&(i, _)| i != leader).map(|(_, &c)| c).max().unwrap_or(0);
     // Even if every outstanding vote went to the strongest rival, could it
@@ -58,27 +51,18 @@ pub fn early_decision(votes: &[usize], num_choices: usize, redundancy: usize) ->
     }
 }
 
-/// Shannon entropy (in bits) of the empirical vote distribution over
-/// `num_choices` options. 0 for unanimous or empty vote sets, 1 bit for a
-/// perfectly split binary vote — the "how contested is this task" signal
-/// the observability layer attaches to every inference decision.
-pub fn vote_entropy(votes: &[usize], num_choices: usize) -> f64 {
-    if votes.is_empty() || num_choices < 2 {
-        return 0.0;
-    }
-    let mut counts = vec![0usize; num_choices];
-    let mut total = 0usize;
-    for &v in votes {
-        if v < num_choices {
-            counts[v] += 1;
-            total += 1;
-        }
-    }
-    if total == 0 {
+/// Shannon entropy (in bits) of the vote distribution `counts` (votes per
+/// choice). 0 for unanimous or empty tallies and single-choice tasks, 1
+/// bit for a perfectly split binary vote — the "how contested is this
+/// task" signal the observability layer attaches to every inference
+/// decision.
+pub fn vote_entropy(counts: &[usize]) -> f64 {
+    let total: usize = counts.iter().sum();
+    if counts.len() < 2 || total == 0 {
         return 0.0;
     }
     let mut h = 0.0;
-    for &c in &counts {
+    for &c in counts {
         if c > 0 {
             let p = c as f64 / total as f64;
             h -= p * p.log2();
@@ -88,8 +72,8 @@ pub fn vote_entropy(votes: &[usize], num_choices: usize) -> f64 {
 }
 
 /// Convenience: the decided choice, if any (early or exhausted).
-pub fn decided_choice(votes: &[usize], num_choices: usize, redundancy: usize) -> Option<usize> {
-    match early_decision(votes, num_choices, redundancy) {
+pub fn decided_choice(counts: &[usize], received: usize, redundancy: usize) -> Option<usize> {
+    match early_decision(counts, received, redundancy) {
         PartialDecision::Decided(c) | PartialDecision::Exhausted(c) => Some(c),
         PartialDecision::NeedMore => None,
     }
@@ -98,61 +82,62 @@ pub fn decided_choice(votes: &[usize], num_choices: usize, redundancy: usize) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::majority_vote;
 
     #[test]
     fn unanimous_majority_terminates_early() {
         // 3 yes votes, redundancy 5: the 2 outstanding votes cannot flip it.
-        assert_eq!(early_decision(&[0, 0, 0], 2, 5), PartialDecision::Decided(0));
-        assert_eq!(decided_choice(&[0, 0, 0], 2, 5), Some(0));
+        assert_eq!(early_decision(&[3, 0], 3, 5), PartialDecision::Decided(0));
+        assert_eq!(decided_choice(&[3, 0], 3, 5), Some(0));
     }
 
     #[test]
     fn contested_votes_need_more() {
         // 2-1 with 2 outstanding: the trailing choice can still win.
-        assert_eq!(early_decision(&[0, 1, 0], 2, 5), PartialDecision::NeedMore);
-        assert_eq!(decided_choice(&[0, 1, 0], 2, 5), None);
+        assert_eq!(early_decision(&[2, 1], 3, 5), PartialDecision::NeedMore);
+        assert_eq!(decided_choice(&[2, 1], 3, 5), None);
         // 3-1 with 1 outstanding: lead 2 > 1 outstanding, decided.
-        assert_eq!(early_decision(&[0, 1, 0, 0], 2, 5), PartialDecision::Decided(0));
+        assert_eq!(early_decision(&[3, 1], 4, 5), PartialDecision::Decided(0));
     }
 
     #[test]
     fn exact_margin_is_not_enough() {
         // Lead equals outstanding: a sweep by the rival forces a tie, and a
         // lower-index rival wins ties — so it is not decided yet.
-        assert_eq!(early_decision(&[1, 1], 2, 4), PartialDecision::NeedMore);
+        assert_eq!(early_decision(&[0, 2], 2, 4), PartialDecision::NeedMore);
         // Leader 0 with lead == outstanding: a tie breaks toward 0 anyway,
         // but the conservative rule still waits.
-        assert_eq!(early_decision(&[0, 0], 2, 4), PartialDecision::NeedMore);
+        assert_eq!(early_decision(&[2, 0], 2, 4), PartialDecision::NeedMore);
     }
 
     #[test]
     fn exhausted_set_decides_by_majority() {
-        assert_eq!(early_decision(&[0, 1, 1], 2, 3), PartialDecision::Exhausted(1));
+        assert_eq!(early_decision(&[1, 2], 3, 3), PartialDecision::Exhausted(1));
         // Short vote sets (lost answers) exhaust too.
-        assert_eq!(early_decision(&[1], 2, 1), PartialDecision::Exhausted(1));
+        assert_eq!(early_decision(&[0, 1], 1, 1), PartialDecision::Exhausted(1));
         // Empty + zero redundancy: majority's tie-break gives choice 0.
-        assert_eq!(early_decision(&[], 2, 0), PartialDecision::Exhausted(0));
+        assert_eq!(early_decision(&[0, 0], 0, 0), PartialDecision::Exhausted(0));
     }
 
     #[test]
     fn three_way_races_track_the_runner_up() {
         // Counts 3/2/0, redundancy 6 → one outstanding; lead 1 is not > 1.
-        assert_eq!(early_decision(&[0, 1, 0, 1, 0], 3, 6), PartialDecision::NeedMore);
+        assert_eq!(early_decision(&[3, 2, 0], 5, 6), PartialDecision::NeedMore);
         // Counts 4/1/0, redundancy 6 → one outstanding; lead 3 > 1.
-        assert_eq!(early_decision(&[0, 0, 1, 0, 0], 3, 6), PartialDecision::Decided(0));
+        assert_eq!(early_decision(&[4, 1, 0], 5, 6), PartialDecision::Decided(0));
     }
 
     #[test]
     fn vote_entropy_measures_contestedness() {
-        assert_eq!(vote_entropy(&[], 2), 0.0);
-        assert_eq!(vote_entropy(&[0, 0, 0], 2), 0.0);
-        assert!((vote_entropy(&[0, 1], 2) - 1.0).abs() < 1e-12);
-        assert!((vote_entropy(&[0, 1, 2, 3], 4) - 2.0).abs() < 1e-12);
-        // Out-of-range votes are ignored, degenerate choice sets are 0.
-        assert_eq!(vote_entropy(&[9, 9], 2), 0.0);
-        assert_eq!(vote_entropy(&[0, 0], 1), 0.0);
+        assert_eq!(vote_entropy(&[0, 0]), 0.0);
+        assert_eq!(vote_entropy(&[3, 0]), 0.0);
+        assert!((vote_entropy(&[1, 1]) - 1.0).abs() < 1e-12);
+        assert!((vote_entropy(&[1, 1, 1, 1]) - 2.0).abs() < 1e-12);
+        // Degenerate choice sets are 0.
+        assert_eq!(vote_entropy(&[2]), 0.0);
+        assert_eq!(vote_entropy(&[]), 0.0);
         // 3-1 split: between unanimous and even.
-        let h = vote_entropy(&[0, 0, 0, 1], 2);
+        let h = vote_entropy(&[3, 1]);
         assert!(h > 0.0 && h < 1.0);
     }
 
@@ -165,7 +150,11 @@ mod tests {
             for b in 0..3 {
                 for c in 0..3 {
                     let votes = [a.min(1), b.min(1), c.min(1)];
-                    if let PartialDecision::Decided(ch) = early_decision(&votes, 2, redundancy) {
+                    let mut counts = [0; 2];
+                    votes.iter().for_each(|&v| counts[v] += 1);
+                    if let PartialDecision::Decided(ch) =
+                        early_decision(&counts, votes.len(), redundancy)
+                    {
                         // Adversarial completion: all remaining to the rival.
                         let rival = 1 - ch;
                         let mut full = votes.to_vec();

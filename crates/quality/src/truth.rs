@@ -45,12 +45,18 @@ pub fn majority_vote(answers: &[usize], num_choices: usize) -> usize {
         assert!(a < num_choices, "answer {a} out of range 0..{num_choices}");
         counts[a] += 1;
     }
+    plurality(&counts)
+}
+
+/// The choice with the most votes in `counts` (votes per choice), ties
+/// broken toward the lower index.
+pub(crate) fn plurality(counts: &[usize]) -> usize {
     counts
         .iter()
         .enumerate()
         .max_by(|(ia, ca), (ib, cb)| ca.cmp(cb).then(ib.cmp(ia)))
         .map(|(i, _)| i)
-        .expect("num_choices > 0")
+        .expect("a task has at least one choice")
 }
 
 /// Bayesian voting posterior (Eq. 2): the probability of each choice being

@@ -17,23 +17,23 @@ use cdb_quality::{
 /// No votes yet, answers outstanding: inference must wait, not decide.
 #[test]
 fn empty_votes_with_outstanding_answers_need_more() {
-    assert_eq!(early_decision(&[], 2, 3), PartialDecision::NeedMore);
-    assert_eq!(decided_choice(&[], 2, 3), None);
+    assert_eq!(early_decision(&[0, 0], 0, 3), PartialDecision::NeedMore);
+    assert_eq!(decided_choice(&[0, 0], 0, 3), None);
 }
 
 /// No votes and none expected (redundancy 0, or every answer lost): the
 /// task exhausts to majority's deterministic tie-break, choice 0.
 #[test]
 fn empty_votes_with_zero_redundancy_exhaust_to_tiebreak() {
-    assert_eq!(early_decision(&[], 2, 0), PartialDecision::Exhausted(0));
-    assert_eq!(early_decision(&[], 5, 0), PartialDecision::Exhausted(0));
+    assert_eq!(early_decision(&[0, 0], 0, 0), PartialDecision::Exhausted(0));
+    assert_eq!(early_decision(&[0; 5], 0, 0), PartialDecision::Exhausted(0));
     assert_eq!(majority_vote(&[], 3), 0);
 }
 
 #[test]
 fn empty_votes_have_zero_entropy() {
-    assert_eq!(vote_entropy(&[], 2), 0.0);
-    assert_eq!(vote_entropy(&[], 1), 0.0);
+    assert_eq!(vote_entropy(&[0, 0]), 0.0);
+    assert_eq!(vote_entropy(&[0]), 0.0);
 }
 
 #[test]
@@ -53,23 +53,23 @@ fn empty_answers_give_uniform_posterior() {
 /// unanimously the decision — for either choice.
 #[test]
 fn single_worker_unanimity_decides_at_redundancy_one() {
-    assert_eq!(early_decision(&[0], 2, 1), PartialDecision::Exhausted(0));
-    assert_eq!(early_decision(&[1], 2, 1), PartialDecision::Exhausted(1));
-    assert_eq!(decided_choice(&[1], 2, 1), Some(1));
+    assert_eq!(early_decision(&[1, 0], 1, 1), PartialDecision::Exhausted(0));
+    assert_eq!(early_decision(&[0, 1], 1, 1), PartialDecision::Exhausted(1));
+    assert_eq!(decided_choice(&[0, 1], 1, 1), Some(1));
 }
 
 /// The same single vote with more redundancy planned is NOT enough: one
 /// outstanding answer can force a tie, which breaks toward the rival.
 #[test]
 fn single_vote_with_outstanding_answers_is_not_decided() {
-    assert_eq!(early_decision(&[1], 2, 2), PartialDecision::NeedMore);
+    assert_eq!(early_decision(&[0, 1], 1, 2), PartialDecision::NeedMore);
 }
 
 /// Unanimity is zero-entropy however many votes deep.
 #[test]
 fn unanimous_votes_have_zero_entropy() {
-    assert_eq!(vote_entropy(&[1], 2), 0.0);
-    assert_eq!(vote_entropy(&[1, 1, 1, 1], 2), 0.0);
+    assert_eq!(vote_entropy(&[0, 1]), 0.0);
+    assert_eq!(vote_entropy(&[0, 4]), 0.0);
 }
 
 /// EM on a single task answered by a single worker: the worker's answer
@@ -87,38 +87,31 @@ fn em_single_task_single_worker() {
 
 // --- out-of-range votes ----------------------------------------------------
 
-/// A malformed vote consumes its assignment but carries no signal; an
-/// all-out-of-range vote set exhausts to the deterministic tie-break
+/// A malformed vote consumes its assignment (it is `received`) but counts
+/// toward no choice; an all-out-of-range vote set exhausts to the deterministic tie-break
 /// instead of panicking.
 #[test]
 fn all_out_of_range_votes_exhaust_to_tiebreak() {
-    assert_eq!(early_decision(&[9, 9], 2, 2), PartialDecision::Exhausted(0));
-    assert_eq!(decided_choice(&[7, 8, 9], 2, 3), Some(0));
+    assert_eq!(early_decision(&[0, 0], 2, 2), PartialDecision::Exhausted(0));
+    assert_eq!(decided_choice(&[0, 0], 3, 3), Some(0));
 }
 
 /// Out-of-range votes never push a task over the early-decision line —
 /// with answers still outstanding they are dead weight, not a lead.
 #[test]
 fn out_of_range_votes_do_not_decide_early() {
-    assert_eq!(early_decision(&[9, 9], 2, 5), PartialDecision::NeedMore);
+    assert_eq!(early_decision(&[0, 0], 2, 5), PartialDecision::NeedMore);
     // One valid leading vote + garbage is still only a lead of 1 with 2
     // outstanding.
-    assert_eq!(early_decision(&[0, 9, 9], 2, 5), PartialDecision::NeedMore);
+    assert_eq!(early_decision(&[1, 0], 3, 5), PartialDecision::NeedMore);
     // But a valid unassailable lead decides even with garbage mixed in:
     // lead 3, outstanding 2.
-    assert_eq!(early_decision(&[0, 0, 0, 9], 2, 6), PartialDecision::Decided(0));
-}
-
-#[test]
-fn out_of_range_votes_carry_no_entropy() {
-    assert_eq!(vote_entropy(&[9, 9], 2), 0.0);
-    // Mixed: only the in-range votes shape the distribution.
-    assert_eq!(vote_entropy(&[0, 0, 9], 2), 0.0);
-    assert!((vote_entropy(&[0, 1, 9], 2) - 1.0).abs() < 1e-12);
+    assert_eq!(early_decision(&[3, 0], 4, 6), PartialDecision::Decided(0));
 }
 
 /// `majority_vote` itself keeps its strict contract: out-of-range input
-/// is a caller bug and panics. (`early_decision` filters before calling.)
+/// is a caller bug and panics. (`early_decision`'s tally counts only
+/// in-range votes.)
 #[test]
 #[should_panic(expected = "out of range")]
 fn majority_vote_still_rejects_out_of_range() {

@@ -8,9 +8,10 @@
 //! 1. publish the batch (answers and latencies pre-drawn at dispatch);
 //! 2. apply the fault plan to each dispatch (dropout / abandon / slow);
 //! 3. advance the virtual clock to the next arrival or deadline;
-//! 4. collect arrivals; reassign misses to a fresh worker within the
-//!    retry budget; optionally close tasks early once their collected
-//!    votes can no longer be overturned (CDAS-style, see `cdb-quality`);
+//! 4. collect arrivals; close a task as soon as its collected votes can
+//!    no longer be overturned, cancelling its unneeded assignments
+//!    (CDAS-style, see `cdb-quality`); reassign misses to a fresh worker
+//!    within the retry budget;
 //! 5. the round ends when nothing is in flight.
 //!
 //! The engine publishes exactly the batch it is handed. Answer reuse is
@@ -36,7 +37,6 @@
 //! aggregate counters and any richer sink (ring buffer, Chrome trace) can
 //! never disagree.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use cdb_crowd::{
@@ -58,7 +58,6 @@ pub struct RuntimeEngine {
     query_id: u64,
     trace: Trace,
     now: SimTime,
-    early_termination: bool,
     error: Option<RuntimeError>,
     /// Tasks published per crowd round, in round order; its length is the
     /// round count. This is the per-round footprint the multi-query
@@ -84,17 +83,9 @@ impl RuntimeEngine {
             query_id,
             trace: Trace::collector(metrics),
             now: 0,
-            early_termination: false,
             error: None,
             round_tasks: Vec::new(),
         }
-    }
-
-    /// Close tasks as soon as their collected votes cannot be overturned,
-    /// cancelling that task's still-pending assignments.
-    pub fn with_early_termination(mut self, on: bool) -> Self {
-        self.early_termination = on;
-        self
     }
 
     /// Tee the engine's event stream into `trace` as well (the metrics
@@ -183,33 +174,34 @@ impl RuntimeEngine {
         }
     }
 
-    /// CDAS-style early termination: if `votes` already decide `task` (the
-    /// outstanding votes cannot overturn it), cancel its in-flight
-    /// assignments and emit the decided choice with the vote statistics
-    /// quality attribution wants.
+    /// CDAS-style early termination: if the votes tallied for `tasks[i]`
+    /// already decide it (the outstanding votes cannot overturn it), cancel
+    /// its in-flight assignments and emit the decided choice with the vote
+    /// statistics quality attribution wants.
     fn close_if_decided(
         &self,
         span: &Span,
         open: &mut OpenRound,
         task: &Task,
-        votes: &[usize],
+        tally: &Tally,
+        i: usize,
         redundancy: usize,
     ) {
         let TaskKind::SingleChoice { choices, .. } = task.kind else { return };
-        let Some(choice) = decided_choice(votes, choices, redundancy) else { return };
+        let (counts, received) = (tally.counts(i, choices), tally.received[i]);
+        let Some(choice) = decided_choice(counts, received, redundancy) else { return };
         let cancelled = open.cancel(task.id);
         if cancelled == 0 {
             return;
         }
-        let share = votes.iter().filter(|&&c| c == choice).count() as f64 / votes.len() as f64;
         span.event(
             names::DECIDE,
             self.now,
             kv![
                 task => task.id.0,
                 choice => choice as u64,
-                conf => share,
-                entropy => vote_entropy(votes, choices),
+                conf => counts[choice] as f64 / received as f64,
+                entropy => vote_entropy(counts),
             ],
         );
         span.event(names::CANCEL, self.now, kv![task => task.id.0, n => cancelled as u64]);
@@ -226,6 +218,55 @@ impl RuntimeEngine {
         self.error = Some(err);
         span.close(self.now, kv![ms => self.now - round_start, ok => false]);
         collected
+    }
+}
+
+/// One round's vote tally in flat buffers: a `TaskId → position` index
+/// sorted by id, a fixed-width slot of per-choice counts per task, and the
+/// choice answers each task has received (malformed ones included).
+struct Tally {
+    index: Vec<(TaskId, usize)>,
+    width: usize,
+    counts: Vec<usize>,
+    received: Vec<usize>,
+}
+
+impl Tally {
+    fn new(tasks: &[Task]) -> Self {
+        let mut index: Vec<(TaskId, usize)> =
+            tasks.iter().enumerate().map(|(i, t)| (t.id, i)).collect();
+        index.sort_unstable();
+        let width = tasks.iter().map(choices).max().unwrap_or(0);
+        Tally { index, width, counts: vec![0; tasks.len() * width], received: vec![0; tasks.len()] }
+    }
+
+    /// Position of `task` in the round's batch.
+    fn position(&self, task: TaskId) -> usize {
+        let j = self.index.binary_search_by_key(&task, |&(id, _)| id).expect("a published task");
+        self.index[j].1
+    }
+
+    /// Count one choice answer for `task`, at position `i`; an out-of-range
+    /// choice is received but counts toward no choice.
+    fn record(&mut self, i: usize, task: &Task, choice: usize) {
+        self.received[i] += 1;
+        if choice < choices(task) {
+            self.counts[i * self.width + choice] += 1;
+        }
+    }
+
+    /// Votes per choice for the task at position `i`, which has `choices`
+    /// options.
+    fn counts(&self, i: usize, choices: usize) -> &[usize] {
+        &self.counts[i * self.width..][..choices]
+    }
+}
+
+/// Options of a single-choice task; none for a fill-in-blank one.
+fn choices(task: &Task) -> usize {
+    match task.kind {
+        TaskKind::SingleChoice { choices, .. } => choices,
+        TaskKind::FillInBlank { .. } => 0,
     }
 }
 
@@ -271,34 +312,26 @@ impl CrowdPlatform for RuntimeEngine {
             open.push(p);
         }
 
-        // Early termination's tally of collected choice votes per task.
-        let mut votes: HashMap<TaskId, (&Task, Vec<usize>)> = if self.early_termination {
-            tasks.iter().map(|t| (t.id, (t, Vec::new()))).collect()
-        } else {
-            HashMap::new()
-        };
-        let mut voted = Vec::new();
+        let mut tally = Tally::new(tasks);
+        // Positions of the tasks that received a vote at this instant.
+        let mut voted: Vec<usize> = Vec::new();
         loop {
             let first = collected.len();
             open.collect_arrived(self.now, &mut collected);
             for a in &collected[first..] {
                 span.event(names::ARRIVAL, self.now, kv![task => a.task.0, worker => a.worker.0]);
+                if let Answer::Choice(c) = a.answer {
+                    let i = tally.position(a.task);
+                    tally.record(i, &tasks[i], c);
+                    voted.push(i);
+                }
             }
-            if self.early_termination {
-                // A task's verdict can change only when one of its votes
-                // lands, so only this instant's arrivals are re-tested.
-                for a in &collected[first..] {
-                    if let Answer::Choice(c) = a.answer {
-                        votes.get_mut(&a.task).expect("a published task").1.push(c);
-                        voted.push(a.task);
-                    }
-                }
-                voted.sort_unstable();
-                voted.dedup();
-                for task in voted.drain(..) {
-                    let (task, task_votes) = &votes[&task];
-                    self.close_if_decided(&span, &mut open, task, task_votes, redundancy);
-                }
+            // A task's verdict can change only when one of its votes lands,
+            // so only this instant's voters are re-tested, in task id order.
+            voted.sort_unstable_by_key(|&i| tasks[i].id);
+            voted.dedup();
+            for i in voted.drain(..) {
+                self.close_if_decided(&span, &mut open, &tasks[i], &tally, i, redundancy);
             }
 
             for missed in open.take_overdue(self.now) {
@@ -319,7 +352,7 @@ impl CrowdPlatform for RuntimeEngine {
                     self.now,
                     kv![task => missed.task.0, attempt => u64::from(missed.attempt + 1)],
                 );
-                let i = tasks.iter().position(|t| t.id == missed.task).expect("a published task");
+                let i = tally.position(missed.task);
                 let mut exclude = tried[i * per_task..(i + 1) * per_task].to_vec();
                 exclude.extend(replaced.iter().filter(|r| r.0 == missed.task).map(|r| r.1));
                 let replacement = self.platform.dispatch_replacement(
@@ -389,10 +422,11 @@ mod tests {
     }
 
     #[test]
-    fn faultless_round_matches_redundancy_and_advances_the_clock() {
+    fn faultless_round_collects_deciding_votes_and_advances_the_clock() {
         let mut e = engine(&[1.0; 10], 3, FaultPlan::none(), RetryPolicy::default());
         let asg = e.ask_round(&[yes_task(1), yes_task(2)], 5);
-        assert_eq!(asg.len(), 10);
+        // Perfect workers: 3 unanimous votes of 5 decide each task.
+        assert_eq!(asg.len(), 6);
         assert!(asg.iter().all(|a| a.answer == Answer::Choice(0)));
         assert!(e.now() > 0, "virtual clock must advance");
         assert_eq!(e.rounds(), 1);
@@ -407,7 +441,8 @@ mod tests {
         // the fastest worker's response.
         let mut e = engine(&[1.0; 12], 7, FaultPlan::none(), RetryPolicy::default());
         let asg = e.ask_round(&[yes_task(1)], 8);
-        assert_eq!(asg.len(), 8);
+        // 5 unanimous votes of 8 decide the task.
+        assert_eq!(asg.len(), 5);
         let makespan = e.now();
         let fastest = asg
             .iter()
@@ -430,12 +465,14 @@ mod tests {
 
     #[test]
     fn dropped_workers_force_reassignment_within_deadline() {
-        // First, observe which workers answer task 1 in a faultless run.
+        // First, observe which two workers' votes decide task 1 in a
+        // faultless run.
         let mut probe = engine(&[1.0; 8], 21, FaultPlan::none(), RetryPolicy::default());
         let baseline = probe.ask_round(&[yes_task(1)], 3);
-        let victim = baseline[0].worker;
+        let victims = [baseline[0].worker, baseline[1].worker];
 
-        // Re-run the same seed with that worker force-dropped from t=0.
+        // Re-run the same seed with both force-dropped from t=0: the one
+        // vote left cannot decide, so the task waits for a replacement.
         let metrics = Arc::new(RuntimeMetrics::new());
         let platform =
             SimulatedPlatform::new(Market::Amt, WorkerPool::with_accuracies(&[1.0; 8]), 21);
@@ -443,19 +480,19 @@ mod tests {
         let mut e = RuntimeEngine::new(
             platform,
             LatencyModel::default(),
-            FaultPlan::none().drop_worker(victim, 0),
+            FaultPlan::none().drop_worker(victims[0], 0).drop_worker(victims[1], 0),
             retry,
             0,
             Arc::clone(&metrics),
         );
         let asg = e.ask_round(&[yes_task(1)], 3);
-        // Full redundancy is still reached, without the dropped worker.
-        assert_eq!(asg.len(), 3);
-        assert!(asg.iter().all(|a| a.worker != victim));
+        // Two votes decide it again, without the dropped workers.
+        assert_eq!(asg.len(), 2);
+        assert!(asg.iter().all(|a| !victims.contains(&a.worker)));
         let s = metrics.snapshot();
-        assert_eq!(s.timeouts, 1, "exactly one assignment missed its deadline");
-        assert_eq!(s.reassignments, 1, "the dropped worker's task moved exactly once");
-        assert_eq!(s.dropouts, 1);
+        assert_eq!(s.timeouts, 2, "both dropped assignments missed their deadline");
+        assert_eq!(s.reassignments, 2, "each dropped worker's assignment moved once");
+        assert_eq!(s.dropouts, 2);
         // The replacement was dispatched at the missed deadline, and its
         // own deadline bounds the round's makespan.
         assert!(e.now() <= 2 * retry.deadline_ms);
@@ -519,31 +556,6 @@ mod tests {
     }
 
     #[test]
-    fn early_termination_cancels_unneeded_assignments() {
-        let retry = RetryPolicy::default();
-        let full = {
-            let mut e = engine(&[1.0; 10], 17, FaultPlan::none(), retry);
-            e.ask_round(&[yes_task(1)], 5).len()
-        };
-        assert_eq!(full, 5);
-        let metrics = Arc::new(RuntimeMetrics::new());
-        let platform =
-            SimulatedPlatform::new(Market::Amt, WorkerPool::with_accuracies(&[1.0; 10]), 17);
-        let mut e = RuntimeEngine::new(
-            platform,
-            LatencyModel::default(),
-            FaultPlan::none(),
-            retry,
-            0,
-            metrics,
-        )
-        .with_early_termination(true);
-        let early = e.ask_round(&[yes_task(1)], 5).len();
-        // Perfect workers: 3 unanimous yes-votes decide; the rest cancel.
-        assert_eq!(early, 3);
-    }
-
-    #[test]
     fn traced_round_emits_one_event_per_fact() {
         let ring = Arc::new(Ring::with_capacity(1024));
         let metrics = Arc::new(RuntimeMetrics::new());
@@ -559,11 +571,13 @@ mod tests {
         )
         .with_trace(Trace::collector(ring.clone()));
         let asg = e.ask_round(&[yes_task(1), yes_task(2)], 5);
-        assert_eq!(asg.len(), 10);
+        assert_eq!(asg.len(), 6);
         let evs = ring.drain();
         let count = |n: &str| evs.iter().filter(|e| e.name == n).count();
         assert_eq!(count(names::DISPATCH), 10);
-        assert_eq!(count(names::ARRIVAL), 10);
+        assert_eq!(count(names::ARRIVAL), 6);
+        assert_eq!(count(names::DECIDE), 2);
+        assert_eq!(count(names::CANCEL), 2);
         // The round span opened and closed.
         let round_evs: Vec<_> = evs.iter().filter(|e| e.name == names::ROUND).collect();
         assert_eq!(round_evs.len(), 2);
@@ -594,7 +608,6 @@ mod tests {
             0,
             Arc::new(RuntimeMetrics::new()),
         )
-        .with_early_termination(true)
         .with_trace(Trace::collector(ring.clone()));
         e.ask_round(&[yes_task(1)], 5);
         let evs = ring.drain();

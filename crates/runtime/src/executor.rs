@@ -49,8 +49,6 @@ pub struct RuntimeConfig {
     pub retry: RetryPolicy,
     /// Core executor knobs (its `seed` is re-keyed per query).
     pub exec: ExecutorConfig,
-    /// Close tasks early once votes are beyond overturning (CDAS).
-    pub early_termination: bool,
     /// Observability sink. Off by default (zero cost); when attached,
     /// every query's events are tagged with its `q` id and its span ids
     /// are salted into a per-query namespace before reaching the sink.
@@ -163,7 +161,6 @@ impl Default for RuntimeConfig {
             fault_plan: FaultPlan::none(),
             retry: RetryPolicy::default(),
             exec: ExecutorConfig::default(),
-            early_termination: false,
             trace: Trace::off(),
             reuse: None,
             settle: None,
@@ -395,8 +392,7 @@ pub fn execute_query(
         job.id,
         Arc::clone(metrics),
     )
-    .with_trace(qtrace.clone())
-    .with_early_termination(cfg.early_termination);
+    .with_trace(qtrace.clone());
     let exec_cfg = ExecutorConfig { seed: stream_key(cfg.seed, &[0xE5EC, job.id]), ..cfg.exec };
     // The core loop gets the same per-query view, so its plan-level
     // events (`exec.edge` task→node bindings, `exec.color`) land in the
@@ -481,7 +477,14 @@ mod tests {
 
     #[test]
     fn a_fleet_completes_and_reports_in_id_order() {
-        let cfg = RuntimeConfig { threads: 4, ..RuntimeConfig::default() };
+        // The default 2-minute, 3-retry budget lets a few queries in a
+        // hundred exhaust their retries on slow workers; this fleet must
+        // complete, so it gets the budget the other fleet tests use.
+        let cfg = RuntimeConfig {
+            threads: 4,
+            retry: RetryPolicy { deadline_ms: 300_000, max_retries: 8 },
+            ..RuntimeConfig::default()
+        };
         let report = RuntimeExecutor::new(cfg).run(jobs(12));
         assert_eq!(report.results.len(), 12);
         assert_eq!(report.ok_count(), 12);

@@ -21,6 +21,11 @@
 //! different RNG draw order, a changed retry rule) should say so and
 //! replace the constants with the `left` values the failed assertions
 //! print; one that moves them by accident has changed what a replay means.
+//!
+//! The two early-termination configurations still hold their `c116ccd`
+//! constants. The no-fault and scripted-dropout ones were re-pinned when
+//! early termination became the engine's only round behaviour: they used
+//! to replay full-redundancy runs.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -57,7 +62,7 @@ fn fnv1a(hash: &mut u64, bytes: &[u8]) {
 }
 
 /// `(event count, FNV-1a of answers() + every event line)` for one run.
-fn replay(market: Market, plan: FaultPlan, early_termination: bool) -> (usize, u64) {
+fn replay(market: Market, plan: FaultPlan) -> (usize, u64) {
     let ring = Arc::new(Ring::with_capacity(1 << 17));
     let cfg = RuntimeConfig {
         threads: 1,
@@ -66,7 +71,6 @@ fn replay(market: Market, plan: FaultPlan, early_termination: bool) -> (usize, u
         worker_accuracies: vec![0.9; 25],
         fault_plan: plan,
         retry: RetryPolicy { deadline_ms: 200_000, max_retries: 8 },
-        early_termination,
         trace: Trace::collector(ring.clone()),
         ..RuntimeConfig::default()
     };
@@ -86,19 +90,19 @@ fn replay(market: Market, plan: FaultPlan, early_termination: bool) -> (usize, u
 
 #[test]
 fn no_faults() {
-    assert_eq!(replay(Market::Amt, FaultPlan::none(), false), (52_508, 15_638_732_173_087_548_289));
+    assert_eq!(replay(Market::Amt, FaultPlan::none()), (49_401, 9_682_055_302_733_991_194));
 }
 
 #[test]
 fn ten_percent_faults_and_a_scripted_dropout() {
     let plan = FaultPlan::uniform(42, 0.1).drop_worker(WorkerId(3), 120_000);
-    assert_eq!(replay(Market::Amt, plan, false), (64_734, 4_052_066_185_488_859_382));
+    assert_eq!(replay(Market::Amt, plan), (53_438, 7_547_331_263_512_651_283));
 }
 
 #[test]
 fn thirty_percent_faults_with_early_termination() {
     assert_eq!(
-        replay(Market::Amt, FaultPlan::uniform(42, 0.3), true),
+        replay(Market::Amt, FaultPlan::uniform(42, 0.3)),
         (66_576, 1_452_968_287_405_229_123)
     );
 }
@@ -108,7 +112,7 @@ fn crowdflower_ten_percent_faults_with_early_termination() {
     // No requester-side assignment: a replacement may land on a worker
     // already tried, so `(task, worker)` can tie across attempts.
     assert_eq!(
-        replay(Market::CrowdFlower, FaultPlan::uniform(42, 0.1), true),
+        replay(Market::CrowdFlower, FaultPlan::uniform(42, 0.1)),
         (52_701, 11_250_396_260_731_071_008)
     );
 }

@@ -60,7 +60,8 @@ fn building_and_running_a_round_makes_under_two_thousand_allocations() {
     let answers = engine.ask_round(&tasks, 5);
     let allocs = ALLOCS.load(Ordering::Relaxed) - before;
     assert!(engine.error().is_none());
-    assert_eq!(answers.len(), 10_000);
+    // Early termination collects only the votes that decide each task.
+    assert_eq!(answers.len(), 6_640);
     // Some answers missed the four-minute deadline: the retry path is in
     // the count too.
     assert!(metrics.snapshot().retries > 0);

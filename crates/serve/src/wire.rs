@@ -52,12 +52,27 @@ impl Submit {
         let budget_cents = j
             .get("budget_cents")
             .and_then(Json::as_num)
-            .ok_or("missing numeric field `budget_cents`")? as u64;
+            .ok_or("missing numeric field `budget_cents`")?;
+        let budget_cents = whole("budget_cents", budget_cents, u64::MAX as f64)?;
         let deadline_rounds = match j.get("deadline_rounds") {
             None | Some(Json::Null) => None,
-            Some(v) => Some(v.as_num().ok_or("`deadline_rounds` must be a number")? as usize),
+            Some(v) => {
+                let d = v.as_num().ok_or("`deadline_rounds` must be a number")?;
+                Some(whole("deadline_rounds", d, usize::MAX as f64)? as usize)
+            }
         };
         Ok(Submit { tenant, sql, budget_cents, deadline_rounds })
+    }
+}
+
+/// `x` as a whole number below `bound` (an integer type's `MAX as f64`,
+/// which rounds up to a power of two). Negative, fractional, non-finite and
+/// out-of-range values are rejected, never truncated or saturated.
+fn whole(field: &str, x: f64, bound: f64) -> Result<u64, String> {
+    if x >= 0.0 && x < bound && x.fract() == 0.0 {
+        Ok(x as u64)
+    } else {
+        Err(format!("`{field}` must be a whole number from 0 to {bound:e}, got {x}"))
     }
 }
 
@@ -266,6 +281,26 @@ mod tests {
         assert_eq!(Submit::decode(&s.encode()).unwrap(), s);
         let no_deadline = Submit { deadline_rounds: None, ..s };
         assert_eq!(Submit::decode(&no_deadline.encode()).unwrap(), no_deadline);
+    }
+
+    #[test]
+    fn submit_decode_rejects_numbers_it_would_truncate() {
+        let decode = |budget: &str, deadline: &str| {
+            Submit::decode(&format!(
+                "{{\"tenant\":\"t\",\"sql\":\"q\",\"budget_cents\":{budget},\"deadline_rounds\":{deadline}}}"
+            ))
+        };
+        for bad in ["-5", "12.7", "1e300", "1e999", "-1e999", "18446744073709551616"] {
+            let err = decode(bad, "null").unwrap_err();
+            assert!(err.starts_with("`budget_cents` must be a whole number"), "{bad}: {err}");
+        }
+        for bad in ["-3", "0.5", "1e300", "1e999"] {
+            let err = decode("5", bad).unwrap_err();
+            assert!(err.starts_with("`deadline_rounds` must be a whole number"), "{bad}: {err}");
+        }
+        let ok = decode("0", "4").unwrap();
+        assert_eq!((ok.budget_cents, ok.deadline_rounds), (0, Some(4)));
+        assert_eq!(decode("1e3", "null").unwrap().budget_cents, 1_000);
     }
 
     #[test]

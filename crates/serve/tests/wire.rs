@@ -269,6 +269,61 @@ fn a_pool_smaller_than_the_redundancy_bills_only_collected_answers() {
     server.shutdown();
 }
 
+/// Perfect workers agree, so three votes of the five the redundancy asks
+/// for decide every task and the other two are cancelled: a query
+/// collects, and is billed, exactly the deciding votes.
+#[test]
+fn a_served_query_is_billed_only_the_votes_that_decided_it() {
+    let mut cfg = ServeConfig::default();
+    cfg.runtime.worker_accuracies = vec![1.0; 10];
+    cfg.runtime.exec.redundancy = 5;
+    cfg.runtime.retry = RetryPolicy { deadline_ms: 3_600_000, max_retries: 8 };
+    let price = cfg.task_price_cents;
+    let server = example_server(cfg);
+    let mut client = Client::new(server.addr());
+    let mut billed = 0;
+    for _ in 0..3 {
+        let SubmitOutcome::Admitted { query } =
+            client.submit(&submit("acme", 10_000)).expect("submit")
+        else {
+            panic!("expected admission");
+        };
+        let events = client.stream_events(query).expect("stream");
+        let Some(&StreamEvent::Done { tasks, assignments, cancelled: false, .. }) = events.last()
+        else {
+            panic!("stream must end in done: {events:?}");
+        };
+        assert!(tasks > 0);
+        assert_eq!(assignments, 3 * tasks, "three unanimous votes of five decide a task");
+        billed += assignments * price;
+        wait_done(&mut client, query);
+    }
+    let tenant = client.tenant_status("acme").expect("tenant").expect("known");
+    let num = |key: &str| tenant.get(key).and_then(Json::as_num).unwrap() as u64;
+    assert_eq!(num("completed"), 3);
+    assert_eq!(num("spent_cents"), billed);
+    server.shutdown();
+}
+
+/// A number the decoder would have to truncate is a 400 before admission:
+/// no query id, no ledger opened, no query counted.
+#[test]
+fn a_negative_budget_is_a_400_and_creates_no_query() {
+    let server = example_server(ServeConfig::default());
+    let mut client = Client::new(server.addr());
+    let stats = client.stats().expect("stats");
+    let body = submit("fresh", 10_000).encode().replace("10000", "-5");
+    let resp = client.request("POST", "/queries", Some(&body)).expect("request");
+    assert_eq!(resp.status, 400, "{}", resp.body);
+    let body = resp.json().expect("JSON body");
+    assert_eq!(body.get("query"), None, "{body:?}");
+    let error = body.get("error").and_then(Json::as_str).expect("error message");
+    assert!(error.contains("budget_cents"), "{error}");
+    assert_eq!(client.tenant_status("fresh").expect("tenant"), None, "no ledger opened");
+    assert_eq!(client.stats().expect("stats"), stats);
+    server.shutdown();
+}
+
 #[test]
 fn client_disconnect_mid_stream_cancels_and_refunds() {
     let mut cfg = ServeConfig::default();
@@ -536,7 +591,7 @@ fn a_thousand_in_flight_queries_stream_exactly_the_oracle() {
         assert_eq!(num(&stats, key), 0, "{key}: {stats:?}");
     }
     assert!(check.clean(), "{check:?}");
-    assert_eq!((check.queries, check.bindings_total), (1_408, 5_951), "{check:?}");
+    assert_eq!((check.queries, check.bindings_total), (1_408, 5_950), "{check:?}");
 
     // Throughput: unthrottled.
     let (stats, check) = load_phase(&cfg, 8, 40);

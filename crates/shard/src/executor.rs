@@ -399,7 +399,7 @@ mod tests {
         let q = report.results[0].1.as_ref().expect("query ok");
         assert_eq!(q.rounds, 2, "rounds: the slowest component");
         assert_eq!(q.round_tasks, [10, 9], "tasks per round: the element-wise sum");
-        assert_eq!((q.tasks_asked, q.assignments), (18 + 1, 90 + 5), "tasks: the sum");
+        assert_eq!((q.tasks_asked, q.assignments), (18 + 1, 54 + 3), "tasks: the sum");
         assert_eq!(Some(q.virtual_ms), units.iter().map(|u| u.virtual_ms).max());
         assert_eq!(q.bindings.len(), 3);
         assert!(!q.cancelled);
@@ -567,11 +567,13 @@ mod tests {
     fn a_failed_component_neither_settles_nor_absorbs_but_its_sibling_does() {
         // A quarter of assignments drop out and one retry is allowed: with
         // these seeds component 0 exhausts its budget and component 1 does
-        // not. The query fails as a whole, yet the healthy unit's answers
-        // are real crowd evidence and still become durable and reusable.
+        // not (4 of the 1,600 runtime × fault-plan seed pairs in 0..40 do
+        // that, since a decided task stops waiting on dropped workers). The
+        // query fails as a whole, yet the healthy unit's answers are real
+        // crowd evidence and still become durable and reusable.
         let runtime = RuntimeConfig {
-            seed: 3,
-            fault_plan: FaultPlan::uniform(3, 0.0).with_dropout(0.25),
+            seed: 16,
+            fault_plan: FaultPlan::uniform(10, 0.0).with_dropout(0.25),
             retry: RetryPolicy { deadline_ms: 300_000, max_retries: 1 },
             ..RuntimeConfig::default()
         };

@@ -61,8 +61,6 @@ pub struct ScenarioSpec {
     pub deadline_ms: u64,
     /// Reassignments a task may consume before its query fails.
     pub max_retries: u32,
-    /// CDAS early termination on/off.
-    pub early_termination: bool,
     /// Task budget per query (`None` = unlimited).
     pub budget: Option<usize>,
     /// Workers per task.
@@ -115,7 +113,9 @@ impl ScenarioSpec {
         // occasionally tight so retry exhaustion is exercised too.
         let (deadline_ms, max_retries) =
             if r.gen::<f64>() < 0.2 { (60_000, 2) } else { (300_000, 8) };
-        let early_termination = r.gen::<f64>() < 0.5;
+        // Once the early-termination coin, now always on; still drawn so
+        // every later field keeps its value for every seed.
+        let _ = r.gen::<f64>();
         let budget = if r.gen::<f64>() < 0.15 { Some(r.gen_range(5..40)) } else { None };
         let redundancy = if r.gen::<f64>() < 0.5 { 3 } else { 5 };
         let n_queries = r.gen_range(1..=5);
@@ -156,7 +156,6 @@ impl ScenarioSpec {
             forced_drops,
             deadline_ms,
             max_retries,
-            early_termination,
             budget,
             redundancy,
             sched_quantum,
@@ -186,7 +185,6 @@ impl ScenarioSpec {
         }
         s.push_str(&format!("deadline_ms={}\n", self.deadline_ms));
         s.push_str(&format!("max_retries={}\n", self.max_retries));
-        s.push_str(&format!("early_termination={}\n", self.early_termination));
         match self.budget {
             Some(b) => s.push_str(&format!("budget={b}\n")),
             None => s.push_str("budget=none\n"),
@@ -230,7 +228,6 @@ impl ScenarioSpec {
             forced_drops: Vec::new(),
             deadline_ms: 300_000,
             max_retries: 8,
-            early_termination: false,
             budget: None,
             redundancy: 5,
             sched_quantum: 10,
@@ -267,9 +264,6 @@ impl ScenarioSpec {
                 }
                 "deadline_ms" => spec.deadline_ms = val.parse().map_err(|_| bad("u64"))?,
                 "max_retries" => spec.max_retries = val.parse().map_err(|_| bad("u32"))?,
-                "early_termination" => {
-                    spec.early_termination = val.parse().map_err(|_| bad("bool"))?;
-                }
                 "budget" => {
                     spec.budget = if val == "none" {
                         None

@@ -119,11 +119,6 @@ fn candidates(cur: &ScenarioSpec) -> Vec<ScenarioSpec> {
         s.budget = None;
         push(s);
     }
-    if cur.early_termination {
-        let mut s = cur.clone();
-        s.early_termination = false;
-        push(s);
-    }
     if cur.reuse {
         let mut s = cur.clone();
         s.reuse = false;

@@ -158,7 +158,6 @@ pub fn runtime_config(
             budget: spec.budget,
             ..Default::default()
         },
-        early_termination: spec.early_termination,
         trace,
         reuse,
         ..RuntimeConfig::default()
