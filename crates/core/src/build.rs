@@ -1,7 +1,11 @@
 //! Build the graph query model from an analyzed CQL query and a database.
 
-use cdb_cql::{AnalyzedPredicate, AnalyzedSelect, Literal};
-use cdb_similarity::{similarity_join, SimilarityFn};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
+
+use cdb_cql::{AnalyzedPredicate, AnalyzedSelect, BoundColumn, Literal};
+use cdb_similarity::{similarity_join, SimJoinPair, SimilarityFn};
 use cdb_storage::{Database, TupleId, Value};
 
 use crate::model::{NodeId, PartId, PartKind, QueryGraph};
@@ -23,6 +27,72 @@ impl Default for GraphBuildConfig {
     }
 }
 
+/// What a CROWDJOIN's verified pairs depend on: the left and right
+/// `(table, column)`, lower-cased as the catalog resolves them, the
+/// similarity function and the bits of ε.
+type JoinKey = ((String, String), (String, String), SimilarityFn, u64);
+
+/// One key's pair list, filled by the first build that needs it.
+type PairCell = Arc<OnceLock<Arc<[SimJoinPair]>>>;
+
+/// Every CROWDJOIN's verified pair list over one catalog, filled lazily.
+/// A join's candidate edges (§4.1) depend only on its two columns, the
+/// similarity function and ε, so each such key is joined once (concurrent
+/// builds of a cold key wait on one join) and later builds look it up.
+/// Nothing is evicted, as the catalog's column pairs bound the keys. The
+/// catalog must not change while an index serves it: the server's
+/// qualifies, the [`Cdb`](crate::Cdb) façade's (which `FILL` mutates) does
+/// not.
+#[derive(Debug, Default)]
+pub struct PredicateIndex {
+    joins: Mutex<HashMap<JoinKey, PairCell>>,
+    builds: AtomicU64,
+}
+
+impl PredicateIndex {
+    /// `(entries, pairs)`: the pair lists held and their total length.
+    pub fn size(&self) -> (usize, usize) {
+        let joins = self.joins.lock().expect("no thread panics holding the index lock");
+        joins.values().filter_map(|cell| cell.get()).fold((0, 0), |(n, p), v| (n + 1, p + v.len()))
+    }
+
+    /// Similarity joins run to fill the index: at most one per key.
+    pub fn builds(&self) -> u64 {
+        self.builds.load(Ordering::Relaxed)
+    }
+
+    /// The verified pairs of `left CROWDJOIN right` in `similarity_join`'s
+    /// output order, joining the two columns only on this key's first use.
+    fn crowd_join(
+        &self,
+        db: &Database,
+        left: &BoundColumn,
+        right: &BoundColumn,
+        cfg: &GraphBuildConfig,
+    ) -> Arc<[SimJoinPair]> {
+        let name = |c: &BoundColumn| (c.table.to_lowercase(), c.column.to_ascii_lowercase());
+        let key = (name(left), name(right), cfg.similarity, cfg.epsilon.to_bits());
+        // The map lock is held only to fetch the cell; the join runs outside it.
+        let mut joins = self.joins.lock().expect("no thread panics holding the index lock");
+        let cell = Arc::clone(joins.entry(key).or_default());
+        drop(joins);
+        let pairs = cell.get_or_init(|| {
+            self.builds.fetch_add(1, Ordering::Relaxed);
+            let column = |c: &BoundColumn| {
+                db.table(&c.table).expect("resolved").column_strings(&c.column).expect("resolved")
+            };
+            let (lvals, rvals) = (column(left), column(right));
+            let lrefs: Vec<&str> = lvals.iter().map(String::as_str).collect();
+            let rrefs: Vec<&str> = rvals.iter().map(String::as_str).collect();
+            let mut join_phase =
+                cdb_obsv::profile::phase(cdb_obsv::profile::phases::SIMILARITY_JOIN);
+            join_phase.set(cdb_obsv::attr::keys::N, (lrefs.len() * rrefs.len()) as u64);
+            similarity_join(&lrefs, &rrefs, cfg.similarity, cfg.epsilon).into()
+        });
+        Arc::clone(pairs)
+    }
+}
+
 /// Build the query graph (Definition 1):
 ///
 /// * one part per `FROM` table, one vertex per tuple;
@@ -37,6 +107,17 @@ pub fn build_query_graph(
     query: &AnalyzedSelect,
     db: &Database,
     cfg: &GraphBuildConfig,
+) -> QueryGraph {
+    build_query_graph_indexed(query, db, cfg, &PredicateIndex::default())
+}
+
+/// [`build_query_graph`], reading each CROWDJOIN's pairs through `index`,
+/// which must only ever see `db`. The graph is the same as without it.
+pub fn build_query_graph_indexed(
+    query: &AnalyzedSelect,
+    db: &Database,
+    cfg: &GraphBuildConfig,
+    index: &PredicateIndex,
 ) -> QueryGraph {
     let mut build_phase = cdb_obsv::profile::phase(cdb_obsv::profile::phases::GRAPH_BUILD);
     let mut g = QueryGraph::new();
@@ -68,22 +149,7 @@ pub fn build_query_graph(
                 let pa = part_of_table[&left.table];
                 let pb = part_of_table[&right.table];
                 let pid = g.add_predicate(pa, pb, true, format!("{left} CROWDJOIN {right}"));
-                let lvals = db
-                    .table(&left.table)
-                    .expect("resolved")
-                    .column_strings(&left.column)
-                    .expect("resolved");
-                let rvals = db
-                    .table(&right.table)
-                    .expect("resolved")
-                    .column_strings(&right.column)
-                    .expect("resolved");
-                let lrefs: Vec<&str> = lvals.iter().map(String::as_str).collect();
-                let rrefs: Vec<&str> = rvals.iter().map(String::as_str).collect();
-                let mut join_phase =
-                    cdb_obsv::profile::phase(cdb_obsv::profile::phases::SIMILARITY_JOIN);
-                join_phase.set(cdb_obsv::attr::keys::N, (lrefs.len() * rrefs.len()) as u64);
-                for pair in similarity_join(&lrefs, &rrefs, cfg.similarity, cfg.epsilon) {
+                for pair in index.crowd_join(db, left, right, cfg).iter() {
                     let u = nodes_of_table[&left.table][pair.left];
                     let v = nodes_of_table[&right.table][pair.right];
                     // Cap below 1.0: identical strings still need crowd

@@ -409,21 +409,27 @@ impl Cdb {
     }
 }
 
-/// Plan a CQL SELECT against `db`: parse, refuse any other statement,
-/// analyze, and build the query graph. Every path that runs a SELECT —
-/// the façade, the server, the experiment harness and the simulator —
-/// plans it here.
+/// Plan a CQL SELECT against `db`: [`analyze_sql`], then build the query
+/// graph. Every path that runs a SELECT — the façade, the experiment
+/// harness and the simulator — plans it here; the server analyzes first
+/// and builds through its [`PredicateIndex`](crate::PredicateIndex).
 pub fn plan_select(
     db: &Database,
     sql: &str,
     build: &GraphBuildConfig,
 ) -> Result<(AnalyzedSelect, QueryGraph), CqlError> {
+    let analyzed = analyze_sql(db, sql)?;
+    let graph = build_query_graph(&analyzed, db, build);
+    Ok((analyzed, graph))
+}
+
+/// Parse CQL, refuse any statement but a SELECT, and analyze it against
+/// `db`.
+pub fn analyze_sql(db: &Database, sql: &str) -> Result<AnalyzedSelect, CqlError> {
     let Statement::Select(q) = parse(sql)? else {
         return Err(CqlError::Semantic("expected a SELECT statement".into()));
     };
-    let analyzed = analyze_select(&q, db)?;
-    let graph = build_query_graph(&analyzed, db, build);
-    Ok((analyzed, graph))
+    analyze_select(&q, db)
 }
 
 /// Convert a CQL literal into a storage value.

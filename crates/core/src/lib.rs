@@ -38,9 +38,9 @@ pub mod reuse;
 
 mod cdb;
 
-pub use build::{build_query_graph, GraphBuildConfig};
+pub use build::{build_query_graph, build_query_graph_indexed, GraphBuildConfig, PredicateIndex};
 pub use candidate::{enumerate_candidates, Candidate, CandidateFilter};
-pub use cdb::{plan_select, Cdb, CdbConfig, QueryOutcome, QueryTruth};
+pub use cdb::{analyze_sql, plan_select, Cdb, CdbConfig, QueryOutcome, QueryTruth};
 pub use cost::estimate::CostEstimate;
 pub use executor::{
     EdgeTruth, ExecutionStats, Executor, ExecutorConfig, QualityStrategy, SelectionStrategy,

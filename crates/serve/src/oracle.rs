@@ -6,7 +6,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use cdb_core::QueryTruth;
+use cdb_core::{PredicateIndex, QueryTruth};
 use cdb_runtime::{execute_query, QueryJob, RuntimeMetrics};
 
 use crate::state::{plan, ServeConfig};
@@ -50,7 +50,9 @@ pub fn verify_streams(
     sql: &str,
     streams: &BTreeMap<u64, Vec<StreamEvent>>,
 ) -> OracleCheck {
-    let plan = plan(db, truth, cfg, sql).ok();
+    // A fresh index: every oracle diff also checks the server's indexed
+    // plans against unindexed ones.
+    let plan = plan(db, &PredicateIndex::default(), truth, cfg, sql).ok();
     let metrics = Arc::new(RuntimeMetrics::new());
     let mut check = OracleCheck::default();
     for (&id, events) in streams {

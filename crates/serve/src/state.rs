@@ -31,7 +31,10 @@ use std::time::Instant;
 
 use cdb_core::executor::EdgeTruth;
 use cdb_core::model::NodeId;
-use cdb_core::{plan_select, CostEstimate, GraphBuildConfig, QueryGraph, QueryTruth};
+use cdb_core::{
+    analyze_sql, build_query_graph_indexed, CostEstimate, GraphBuildConfig, PredicateIndex,
+    QueryGraph, QueryTruth,
+};
 use cdb_obsv::json::{JsonArray, JsonObject};
 use cdb_obsv::Hist;
 use cdb_runtime::{execute_query, QueryJob, RoundHook, RoundSink, RuntimeConfig, RuntimeMetrics};
@@ -94,22 +97,25 @@ pub(crate) struct Plan {
     pub(crate) runtime: RuntimeConfig,
 }
 
-/// Turn served CQL into the job it runs as: plan the SELECT
-/// ([`cdb_core::plan_select`]), refuse the post-ops the wire does not
-/// serve, attach the graph's edge truth, and fold the statement's task
-/// cap into the runtime configuration. The server plans every submission
-/// here and the oracle re-plans here, so the two can never disagree on
-/// what a statement means.
+/// Turn served CQL into the job it runs as: analyze the SELECT
+/// ([`cdb_core::analyze_sql`]), refuse the post-ops the wire does not
+/// serve before any join work, build the graph through `index`, attach
+/// its edge truth, and fold the statement's task cap into the runtime
+/// configuration. The server plans every submission here through its own
+/// index and the oracle re-plans here through a fresh one, so the two can
+/// never disagree on what a statement means.
 pub(crate) fn plan(
     db: &cdb_storage::Database,
+    index: &PredicateIndex,
     truth: &QueryTruth,
     cfg: &ServeConfig,
     sql: &str,
 ) -> Result<Plan, String> {
-    let (analyzed, graph) = plan_select(db, sql, &cfg.build).map_err(|e| e.to_string())?;
+    let analyzed = analyze_sql(db, sql).map_err(|e| e.to_string())?;
     if analyzed.group_by.is_some() || analyzed.order_by.is_some() {
         return Err("GROUP BY/ORDER BY CROWD post-ops are not served over the wire".into());
     }
+    let graph = build_query_graph_indexed(&analyzed, db, &cfg.build, index);
     let truth = truth.edge_truth(&graph);
     let mut runtime = cfg.runtime.clone();
     runtime.exec.budget = analyzed.budget.or(runtime.exec.budget);
@@ -215,6 +221,8 @@ impl Inner {
 /// execution workers share it behind an `Arc`.
 pub struct ServerState {
     db: cdb_storage::Database,
+    /// Every CROWDJOIN planned against `db` so far: a repeat is a lookup.
+    index: PredicateIndex,
     truth: QueryTruth,
     cfg: ServeConfig,
     metrics: Arc<RuntimeMetrics>,
@@ -243,6 +251,7 @@ impl ServerState {
     pub fn new(db: cdb_storage::Database, truth: QueryTruth, cfg: ServeConfig) -> Arc<ServerState> {
         let state = Arc::new(ServerState {
             db,
+            index: PredicateIndex::default(),
             truth,
             cfg,
             metrics: Arc::new(RuntimeMetrics::new()),
@@ -295,7 +304,7 @@ impl ServerState {
     /// the assigned query id (admitted/queued only), and the HTTP body.
     pub fn submit(&self, req: &Submit) -> Result<(AdmissionDecision, Option<u64>), String> {
         // Plan outside the lock — the catalog is immutable.
-        let mut plan = plan(&self.db, &self.truth, &self.cfg, &req.sql)?;
+        let mut plan = plan(&self.db, &self.index, &self.truth, &self.cfg, &req.sql)?;
         plan.runtime.exec.max_rounds = req.deadline_rounds.or(plan.runtime.exec.max_rounds);
         let estimate = cdb_core::cost::estimate::estimate(
             &plan.graph,
@@ -737,6 +746,22 @@ impl ServerState {
             1e-3,
         );
         drop(inner);
+        let (entries, pairs) = self.index.size();
+        p.gauge(
+            "cdb_serve_predicate_index_entries",
+            "CROWDJOIN pair lists the predicate index holds",
+            entries as f64,
+        );
+        p.gauge(
+            "cdb_serve_predicate_index_pairs",
+            "Verified similarity pairs the predicate index holds",
+            pairs as f64,
+        );
+        p.counter(
+            "cdb_serve_predicate_index_builds_total",
+            "Similarity joins run to fill the predicate index",
+            self.index.builds(),
+        );
         text.push_str(&p.finish());
         text
     }

@@ -32,6 +32,19 @@ fn submit(tenant: &str, budget: u64) -> Submit {
     }
 }
 
+/// The value of one unlabelled `/metrics` series.
+fn metric(client: &mut Client, name: &str) -> f64 {
+    let prom = client.metrics().expect("metrics");
+    cdb_obsv::validate_exposition(&prom).expect("exposition validates");
+    prom.lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+        .unwrap_or_else(|| panic!("no {name} sample in:\n{prom}"))
+        .parse()
+        .expect("numeric sample")
+}
+
+const BUILDS: &str = "cdb_serve_predicate_index_builds_total";
+
 /// Wait for a query to reach a terminal state (its stream being done).
 fn wait_done(client: &mut Client, query: u64) -> Json {
     let deadline = Instant::now() + Duration::from_secs(30);
@@ -167,7 +180,7 @@ fn golden_admission_responses() {
 }
 
 /// What the wire does not serve is refused before admission: a 400 naming
-/// the reason, no query id, and no mark on any ledger.
+/// the reason, no query id, no mark on any ledger, and no join work.
 #[test]
 fn unserved_statements_are_refused_without_touching_a_ledger() {
     let server = example_server(ServeConfig::default());
@@ -179,12 +192,23 @@ fn unserved_statements_are_refused_without_touching_a_ledger() {
     wait_done(&mut client, query);
     let ledger = client.tenant_status("acme").expect("tenant").expect("known tenant");
     let stats = client.stats().expect("stats");
+    assert_eq!(metric(&mut client, BUILDS), 1.0, "the admitted query's one join");
 
-    let grouped = format!("{JOIN_SQL} GROUP BY CROWD University.name");
+    // Both post-op statements join column pairs nothing has joined yet,
+    // so planning either before refusing it would show as a build.
     for (sql, named) in [
         ("CREATE TABLE Extra (name varchar(64))", "SELECT"),
         ("FILL Researcher.affiliation", "SELECT"),
-        (grouped.as_str(), "GROUP BY"),
+        (
+            "SELECT * FROM Researcher, University WHERE University.name CROWDJOIN \
+             Researcher.affiliation GROUP BY CROWD University.name",
+            "GROUP BY",
+        ),
+        (
+            "SELECT * FROM Paper, Citation WHERE Paper.title CROWDJOIN Citation.title \
+             ORDER BY CROWD Citation.number",
+            "ORDER BY",
+        ),
     ] {
         for tenant in ["acme", "fresh"] {
             let refused = Submit { sql: sql.into(), ..submit(tenant, 10_000) };
@@ -200,6 +224,46 @@ fn unserved_statements_are_refused_without_touching_a_ledger() {
     assert_eq!(client.tenant_status("acme").expect("tenant"), Some(ledger));
     assert_eq!(client.tenant_status("fresh").expect("tenant"), None, "no ledger opened");
     assert_eq!(client.stats().expect("stats"), stats);
+    assert_eq!(metric(&mut client, BUILDS), 1.0, "refused statements join nothing");
+    server.shutdown();
+}
+
+/// A server joins each CROWDJOIN key once: repeats of a statement, and
+/// other statements sharing its keys, plan from the predicate index and
+/// verify no pairs again — and still stream exactly the oracle's answers,
+/// which plans without an index.
+#[test]
+fn a_repeated_submission_verifies_no_pairs_again() {
+    const TWO_JOINS: &str = "SELECT * FROM Paper, Researcher, University \
+         WHERE Paper.author CROWDJOIN Researcher.name AND \
+         Researcher.affiliation CROWDJOIN University.name";
+    let cfg = ServeConfig::default();
+    let server = example_server(cfg.clone());
+    let mut client = Client::new(server.addr());
+    assert_eq!(metric(&mut client, BUILDS), 0.0, "the index fills lazily");
+
+    let mut streams = BTreeMap::new();
+    for _ in 0..4 {
+        let repeat = Submit { sql: TWO_JOINS.into(), ..submit("acme", 10_000) };
+        let SubmitOutcome::Admitted { query } = client.submit(&repeat).expect("submit") else {
+            panic!("expected admission");
+        };
+        streams.insert(query, client.stream_events(query).expect("stream"));
+        assert_eq!(metric(&mut client, BUILDS), 2.0, "one join per distinct key");
+    }
+    // JOIN_SQL's one key is TWO_JOINS' second.
+    let SubmitOutcome::Admitted { query } = client.submit(&submit("acme", 10_000)).expect("submit")
+    else {
+        panic!("expected admission");
+    };
+    wait_done(&mut client, query);
+    assert_eq!(metric(&mut client, BUILDS), 2.0, "a shared key is not joined again");
+    assert_eq!(metric(&mut client, "cdb_serve_predicate_index_entries"), 2.0);
+    assert!(metric(&mut client, "cdb_serve_predicate_index_pairs") > 0.0);
+
+    let (db, truth) = paper_example_dataset();
+    let check = verify_streams(&db, &truth, &cfg, TWO_JOINS, &streams);
+    assert!(check.clean() && check.queries == 4 && check.bindings_total > 0, "{check:?}");
     server.shutdown();
 }
 

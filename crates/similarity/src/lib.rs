@@ -43,7 +43,7 @@ pub trait SimilarityMeasure {
 
 /// The concrete similarity functions evaluated in the paper (Appendix D,
 /// Figures 23 and 24).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SimilarityFn {
     /// No similarity estimation: every candidate edge gets probability 0.5.
     NoSim,
