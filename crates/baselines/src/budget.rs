@@ -10,12 +10,11 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use cdb_core::executor::EdgeTruth;
 use cdb_core::model::{EdgeId, NodeId, QueryGraph};
-use cdb_crowd::SimulatedPlatform;
+use cdb_core::SimCrowd;
 
 use crate::tree::deco_order;
-use crate::{ask_majority, edge_task};
+use crate::{ask_majority, edge_question, live_edges_per_predicate};
 
 /// Budget baseline result.
 #[derive(Debug, Clone)]
@@ -29,32 +28,18 @@ pub struct BudgetStats {
 /// Run the baseline within `budget` tasks.
 pub fn budget_baseline(
     g: &QueryGraph,
-    truth: &EdgeTruth,
-    platform: &mut SimulatedPlatform,
+    crowd: &mut SimCrowd,
     redundancy: usize,
     budget: usize,
 ) -> BudgetStats {
     let order = deco_order(g);
-    let mut per_pred: Vec<Vec<EdgeId>> = vec![Vec::new(); g.predicate_count()];
-    for i in 0..g.edge_count() {
-        let e = EdgeId(i);
-        if g.edge_live(e) {
-            per_pred[g.edge_predicate(e)].push(e);
-        }
-    }
+    let per_pred = live_edges_per_predicate(g);
     // First-predicate edges by weight descending.
     let mut first_edges = per_pred[order[0]].clone();
     first_edges.sort_by(|&a, &b| g.edge_weight(b).total_cmp(&g.edge_weight(a)).then(a.cmp(&b)));
 
-    let mut state = State {
-        g,
-        truth,
-        platform,
-        redundancy,
-        budget,
-        asked: HashMap::new(),
-        answers: BTreeSet::new(),
-    };
+    let mut state =
+        State { g, crowd, redundancy, budget, asked: HashMap::new(), answers: BTreeSet::new() };
 
     for &e0 in &first_edges {
         if state.asked.len() >= state.budget {
@@ -74,10 +59,9 @@ pub fn budget_baseline(
     BudgetStats { tasks_asked: state.asked.len(), answers: state.answers }
 }
 
-struct State<'a> {
+struct State<'a, 'k> {
     g: &'a QueryGraph,
-    truth: &'a EdgeTruth,
-    platform: &'a mut SimulatedPlatform,
+    crowd: &'a mut SimCrowd<'k>,
     redundancy: usize,
     budget: usize,
     /// edge -> inferred blue?
@@ -85,7 +69,7 @@ struct State<'a> {
     answers: BTreeSet<Vec<NodeId>>,
 }
 
-impl State<'_> {
+impl State<'_, '_> {
     /// Ask (or recall) an edge; returns inferred blue. Free for edges Blue
     /// by construction. Returns false without asking when the budget is
     /// exhausted.
@@ -99,8 +83,7 @@ impl State<'_> {
         if self.asked.len() >= self.budget {
             return false;
         }
-        let task = edge_task(self.g, self.truth, e);
-        let yes = ask_majority(self.platform, &[task], self.redundancy)[0];
+        let yes = ask_majority(self.crowd, &[edge_question(self.g, e)], self.redundancy)[0];
         self.asked.insert(e, yes);
         yes
     }
@@ -164,7 +147,8 @@ impl State<'_> {
 mod tests {
     use super::*;
     use cdb_core::model::PartKind;
-    use cdb_crowd::{Market, WorkerPool};
+    use cdb_core::EdgeTruth;
+    use cdb_crowd::{Market, SimulatedPlatform, WorkerPool};
 
     fn fixture() -> (QueryGraph, EdgeTruth) {
         let mut g = QueryGraph::new();
@@ -200,7 +184,7 @@ mod tests {
     fn respects_budget() {
         let (g, truth) = fixture();
         let mut p = platform(1);
-        let stats = budget_baseline(&g, &truth, &mut p, 5, 4);
+        let stats = budget_baseline(&g, &mut SimCrowd::new(&mut p, &truth), 5, 4);
         assert!(stats.tasks_asked <= 4);
     }
 
@@ -208,7 +192,7 @@ mod tests {
     fn finds_answers_with_enough_budget() {
         let (g, truth) = fixture();
         let mut p = platform(2);
-        let stats = budget_baseline(&g, &truth, &mut p, 5, 100);
+        let stats = budget_baseline(&g, &mut SimCrowd::new(&mut p, &truth), 5, 100);
         assert_eq!(stats.answers.len(), 3);
     }
 
@@ -216,7 +200,7 @@ mod tests {
     fn zero_budget_asks_nothing() {
         let (g, truth) = fixture();
         let mut p = platform(3);
-        let stats = budget_baseline(&g, &truth, &mut p, 5, 0);
+        let stats = budget_baseline(&g, &mut SimCrowd::new(&mut p, &truth), 5, 0);
         assert_eq!(stats.tasks_asked, 0);
         assert!(stats.answers.is_empty());
     }
@@ -225,9 +209,9 @@ mod tests {
     fn small_budget_finds_fewer_answers_than_large() {
         let (g, truth) = fixture();
         let mut p1 = platform(4);
-        let small = budget_baseline(&g, &truth, &mut p1, 5, 3);
+        let small = budget_baseline(&g, &mut SimCrowd::new(&mut p1, &truth), 5, 3);
         let mut p2 = platform(4);
-        let large = budget_baseline(&g, &truth, &mut p2, 5, 50);
+        let large = budget_baseline(&g, &mut SimCrowd::new(&mut p2, &truth), 5, 50);
         assert!(small.answers.len() <= large.answers.len());
     }
 }

@@ -20,23 +20,19 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-use cdb_core::executor::EdgeTruth;
-use cdb_core::model::{EdgeId, NodeId, PartId, QueryGraph};
-use cdb_core::Candidate;
-use cdb_crowd::{SimulatedPlatform, Task, TaskId};
+use cdb_core::model::{EdgeId, NodeId, QueryGraph};
+use cdb_core::SimCrowd;
+use cdb_crowd::{Question, TaskId};
 use cdb_graph::UnionFind;
 
-use crate::tree::TreeStats;
-use crate::{ask_majority, edge_task};
+use crate::tree::{
+    consistent_edges, join_survivors, make_connected, survivor_answers, Partials, TreeStats,
+};
+use crate::{ask_majority, edge_question, live_edges_per_predicate, verdicts};
 
 /// Run Trans over a query graph.
-pub fn run_er(
-    g: &QueryGraph,
-    truth: &EdgeTruth,
-    platform: &mut SimulatedPlatform,
-    redundancy: usize,
-) -> TreeStats {
-    run_er_constrained(g, truth, platform, redundancy, None)
+pub fn run_er(g: &QueryGraph, crowd: &mut SimCrowd, redundancy: usize) -> TreeStats {
+    run_er_constrained(g, crowd, redundancy, None)
 }
 
 /// [`run_er`] with a latency constraint (Figure 22): ER rounds run
@@ -46,40 +42,16 @@ pub fn run_er(
 /// crowdsourced at once, with no further inference.
 pub fn run_er_constrained(
     g: &QueryGraph,
-    truth: &EdgeTruth,
-    platform: &mut SimulatedPlatform,
+    crowd: &mut SimCrowd,
     redundancy: usize,
     max_rounds: Option<usize>,
 ) -> TreeStats {
-    // Cost-based predicate order: fewest live edges first.
-    let mut per_pred: Vec<Vec<EdgeId>> = vec![Vec::new(); g.predicate_count()];
-    for i in 0..g.edge_count() {
-        let e = EdgeId(i);
-        if g.edge_live(e) {
-            per_pred[g.edge_predicate(e)].push(e);
-        }
-    }
-    let mut order: Vec<usize> = (0..g.predicate_count()).collect();
-    order.sort_by_key(|&i| per_pred[i].len());
-    // Repair into a connected expansion.
-    let preds = g.predicates();
-    let mut connected: Vec<usize> = Vec::new();
-    let mut bound: HashSet<PartId> = HashSet::new();
-    while connected.len() < order.len() {
-        let pos = order
-            .iter()
-            .position(|&i| {
-                !connected.contains(&i)
-                    && (connected.is_empty()
-                        || bound.contains(&preds[i].a)
-                        || bound.contains(&preds[i].b))
-            })
-            .expect("connected predicate structure");
-        let i = order[pos];
-        bound.insert(preds[i].a);
-        bound.insert(preds[i].b);
-        connected.push(i);
-    }
+    // Cost-based predicate order: fewest live edges first, repaired into
+    // a connected expansion.
+    let per_pred = live_edges_per_predicate(g);
+    let mut connected: Vec<usize> = (0..g.predicate_count()).collect();
+    connected.sort_by_key(|&i| per_pred[i].len());
+    make_connected(g, &mut connected);
 
     let mut tasks_asked = 0usize;
     let mut rounds = 0usize;
@@ -93,31 +65,11 @@ pub fn run_er_constrained(
             blue.insert(e);
         }
     }
-    let mut survivors: Option<(Vec<PartId>, Vec<Vec<NodeId>>)> = None;
+    let mut survivors: Option<Partials> = None;
 
     for &pi in &connected {
         // Edges of this predicate consistent with survivors.
-        let askable: Vec<EdgeId> = match &survivors {
-            None => per_pred[pi].clone(),
-            Some((bound_parts, rows)) => {
-                let mut present: HashMap<PartId, HashSet<NodeId>> = HashMap::new();
-                for (i, part) in bound_parts.iter().enumerate() {
-                    let set = present.entry(*part).or_default();
-                    for row in rows {
-                        set.insert(row[i]);
-                    }
-                }
-                per_pred[pi]
-                    .iter()
-                    .copied()
-                    .filter(|&e| {
-                        let (u, v) = g.edge_endpoints(e);
-                        present.get(&g.node_part(u)).is_none_or(|s| s.contains(&u))
-                            && present.get(&g.node_part(v)).is_none_or(|s| s.contains(&v))
-                    })
-                    .collect()
-            }
-        };
+        let askable = consistent_edges(g, &survivors, &per_pred[pi]);
 
         if flushed {
             // Everything was resolved in the flush round: read the results.
@@ -128,15 +80,8 @@ pub fn run_er_constrained(
         } else {
             let rounds_left = max_rounds.map(|r| r.saturating_sub(rounds));
             let more_later = pi != *connected.last().expect("non-empty");
-            let (asked, rs, blue_edges, exhausted) = resolve_predicate(
-                g,
-                truth,
-                platform,
-                redundancy,
-                &askable,
-                rounds_left,
-                more_later,
-            );
+            let (asked, rs, blue_edges, exhausted) =
+                resolve_predicate(g, crowd, redundancy, &askable, rounds_left, more_later);
             tasks_asked += asked;
             rounds += rs;
             blue.extend(blue_edges);
@@ -157,11 +102,12 @@ pub fn run_er_constrained(
                 union.sort_unstable();
                 union.dedup();
                 if !union.is_empty() {
-                    let tasks: Vec<Task> = union.iter().map(|&e| edge_task(g, truth, e)).collect();
+                    let questions: Vec<Question> =
+                        union.iter().map(|&e| edge_question(g, e)).collect();
                     // The flush shares the final round with resolve's last
                     // batch conceptually; we bill it as the same round and
                     // only count the extra tasks.
-                    let verdicts = ask_majority(platform, &tasks, redundancy);
+                    let verdicts = ask_majority(crowd, &questions, redundancy);
                     tasks_asked += union.len();
                     flush_resolved.extend(union.iter().copied().zip(verdicts));
                 }
@@ -169,67 +115,10 @@ pub fn run_er_constrained(
             }
         }
 
-        // Join survivors with the blue edges of this predicate.
-        let pred = &g.predicates()[pi];
-        let edge_pairs: Vec<(NodeId, NodeId)> = askable
-            .iter()
-            .copied()
-            .filter(|e| blue.contains(e))
-            .map(|e| {
-                let (mut u, mut v) = g.edge_endpoints(e);
-                if g.node_part(u) != pred.a {
-                    std::mem::swap(&mut u, &mut v);
-                }
-                (u, v)
-            })
-            .collect();
-        survivors = Some(match survivors.take() {
-            None => (vec![pred.a, pred.b], edge_pairs.iter().map(|&(u, v)| vec![u, v]).collect()),
-            Some((mut bound_parts, rows)) => {
-                let ia = bound_parts.iter().position(|&x| x == pred.a);
-                let ib = bound_parts.iter().position(|&x| x == pred.b);
-                let mut new_rows = Vec::new();
-                for row in &rows {
-                    for &(u, v) in &edge_pairs {
-                        let ok_a = ia.is_none_or(|i| row[i] == u);
-                        let ok_b = ib.is_none_or(|i| row[i] == v);
-                        if ok_a && ok_b {
-                            let mut nr = row.clone();
-                            if ia.is_none() {
-                                nr.push(u);
-                            }
-                            if ib.is_none() {
-                                nr.push(v);
-                            }
-                            new_rows.push(nr);
-                        }
-                    }
-                }
-                if ia.is_none() {
-                    bound_parts.push(pred.a);
-                }
-                if ib.is_none() {
-                    bound_parts.push(pred.b);
-                }
-                (bound_parts, new_rows)
-            }
-        });
+        let blue_edges: Vec<EdgeId> = askable.into_iter().filter(|e| blue.contains(e)).collect();
+        survivors = Some(join_survivors(g, survivors.take(), pi, &blue_edges));
     }
-
-    let answers = match &survivors {
-        Some((bound_parts, rows)) => rows
-            .iter()
-            .map(|row| {
-                let mut binding = vec![NodeId(usize::MAX); g.part_count()];
-                for (i, part) in bound_parts.iter().enumerate() {
-                    binding[part.0] = row[i];
-                }
-                Candidate { binding, edges: Vec::new() }
-            })
-            .collect(),
-        None => Vec::new(),
-    };
-    TreeStats { tasks_asked, rounds, answers }
+    TreeStats { tasks_asked, rounds, answers: survivor_answers(g, &survivors) }
 }
 
 /// Resolve one predicate's pairs with transitive inference. Returns
@@ -239,8 +128,7 @@ pub fn run_er_constrained(
 /// predicates) it asks all remaining pairs at once without inference.
 fn resolve_predicate(
     g: &QueryGraph,
-    truth: &EdgeTruth,
-    platform: &mut SimulatedPlatform,
+    crowd: &mut SimCrowd,
     redundancy: usize,
     edges: &[EdgeId],
     rounds_left: Option<usize>,
@@ -250,12 +138,12 @@ fn resolve_predicate(
     // Trans): likely-duplicate same-part value pairs are crowdsourced
     // so that transitivity can infer cross pairs. A pair (x, y) of one
     // part is a dedup candidate when x and y connect to a common tuple
-    // with high weight on both edges; its ground truth is "x and y refer
-    // to the same value", i.e. they truly join the same partners.
-    let mut intra: Vec<(NodeId, NodeId, f64, bool)> = Vec::new();
+    // with high weight on both edges; it asks "do x and y refer to the
+    // same value", which the crowd answers by those two edges.
+    let mut intra: Vec<(NodeId, NodeId, f64, EdgeId, EdgeId)> = Vec::new();
     {
         // Node order, not hash order: the first shared neighbour a pair is
-        // met through fixes its weight and truth.
+        // met through fixes its weight and its two edges.
         let mut by_node: BTreeMap<NodeId, Vec<EdgeId>> = BTreeMap::new();
         for &e in edges {
             let (u, v) = g.edge_endpoints(e);
@@ -280,8 +168,7 @@ fn resolve_predicate(
                     if w < 0.6 {
                         continue; // only likely duplicates are dedup-worthy
                     }
-                    let t = truth[&e1] && truth[&e2];
-                    intra.push((key.0, key.1, w, t));
+                    intra.push((key.0, key.1, w, e1, e2));
                 }
             }
         }
@@ -308,18 +195,22 @@ fn resolve_predicate(
         if rounds_left.is_some_and(|r| rounds + 1 >= r) {
             break; // save the remaining rounds for the join pairs
         }
-        let tasks: Vec<Task> = chunk
+        let pairs: Vec<(Question, EdgeId, EdgeId)> = chunk
             .iter()
-            .map(|&(_, _, w, t)| {
+            .map(|&(_, _, w, e1, e2)| {
                 synthetic_id += 1;
-                Task::join_check(TaskId(synthetic_id), t)
-                    .with_difficulty(cdb_crowd::join_difficulty(w))
+                let q = Question {
+                    id: TaskId(synthetic_id),
+                    difficulty: cdb_crowd::join_difficulty(w),
+                };
+                (q, e1, e2)
             })
             .collect();
-        let verdicts = ask_majority(platform, &tasks, redundancy);
+        let answers = crowd.ask_pairs(&pairs, redundancy);
+        let verdicts = verdicts(answers, pairs.iter().map(|p| p.0.id));
         tasks_asked += chunk.len();
         rounds += 1;
-        for (&(x, y, _, _), yes) in chunk.iter().zip(verdicts) {
+        for (&(x, y, ..), yes) in chunk.iter().zip(verdicts) {
             if yes {
                 dsu.union(x.0, y.0);
             }
@@ -383,8 +274,8 @@ fn resolve_predicate(
             break;
         }
         // Ask the batch.
-        let tasks: Vec<Task> = batch.iter().map(|&e| edge_task(g, truth, e)).collect();
-        let verdicts = ask_majority(platform, &tasks, redundancy);
+        let questions: Vec<Question> = batch.iter().map(|&e| edge_question(g, e)).collect();
+        let verdicts = ask_majority(crowd, &questions, redundancy);
         tasks_asked += batch.len();
         rounds += 1;
         for (&e, yes) in batch.iter().zip(verdicts) {
@@ -420,8 +311,9 @@ fn key(a: usize, b: usize) -> (usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cdb_core::model::PartKind;
-    use cdb_crowd::{Market, WorkerPool};
+    use cdb_core::model::{PartId, PartKind};
+    use cdb_core::EdgeTruth;
+    use cdb_crowd::{Market, SimulatedPlatform, WorkerPool};
 
     /// Bipartite join with transitive structure: a0 ~ b0 ~ a1 (a0, a1 both
     /// match b0) plus unrelated pairs.
@@ -452,7 +344,7 @@ mod tests {
     fn trans_finds_true_matches_with_perfect_workers() {
         let (g, truth) = fixture();
         let mut p = platform(1.0, 1);
-        let stats = run_er(&g, &truth, &mut p, 5);
+        let stats = run_er(&g, &mut SimCrowd::new(&mut p, &truth), 5);
         assert_eq!(stats.answers.len(), 3);
         // All true pairs found.
         let found = stats.answer_bindings();
@@ -463,7 +355,7 @@ mod tests {
     fn trans_asks_fewer_than_all_pairs() {
         let (g, truth) = fixture();
         let mut p = platform(1.0, 2);
-        let stats = run_er(&g, &truth, &mut p, 5);
+        let stats = run_er(&g, &mut SimCrowd::new(&mut p, &truth), 5);
         assert!(stats.tasks_asked < g.edge_count(), "{}", stats.tasks_asked);
     }
 
@@ -471,7 +363,7 @@ mod tests {
     fn er_takes_multiple_rounds() {
         let (g, truth) = fixture();
         let mut p = platform(1.0, 3);
-        let stats = run_er(&g, &truth, &mut p, 5);
+        let stats = run_er(&g, &mut SimCrowd::new(&mut p, &truth), 5);
         assert!(stats.rounds >= 2, "{}", stats.rounds);
     }
 
@@ -480,7 +372,7 @@ mod tests {
         let (g, truth) = fixture();
         for r in 1..=3usize {
             let mut p = platform(1.0, 10 + r as u64);
-            let stats = run_er_constrained(&g, &truth, &mut p, 5, Some(r));
+            let stats = run_er_constrained(&g, &mut SimCrowd::new(&mut p, &truth), 5, Some(r));
             assert!(stats.rounds <= r + 1, "requested {r} rounds, used {}", stats.rounds);
         }
     }
@@ -489,9 +381,9 @@ mod tests {
     fn constrained_er_with_loose_budget_matches_free_run() {
         let (g, truth) = fixture();
         let mut p1 = platform(1.0, 11);
-        let free = run_er(&g, &truth, &mut p1, 5);
+        let free = run_er(&g, &mut SimCrowd::new(&mut p1, &truth), 5);
         let mut p2 = platform(1.0, 11);
-        let constrained = run_er_constrained(&g, &truth, &mut p2, 5, Some(100));
+        let constrained = run_er_constrained(&g, &mut SimCrowd::new(&mut p2, &truth), 5, Some(100));
         assert_eq!(free.tasks_asked, constrained.tasks_asked);
         assert_eq!(free.answers.len(), constrained.answers.len());
     }
@@ -500,7 +392,7 @@ mod tests {
     fn constrained_er_still_finds_answers_at_r1() {
         let (g, truth) = fixture();
         let mut p = platform(1.0, 12);
-        let stats = run_er_constrained(&g, &truth, &mut p, 5, Some(1));
+        let stats = run_er_constrained(&g, &mut SimCrowd::new(&mut p, &truth), 5, Some(1));
         assert_eq!(stats.answers.len(), 3, "flushing everything still resolves the query");
     }
 
@@ -531,7 +423,7 @@ mod tests {
             }
         }
         let run = || {
-            let stats = run_er(&g, &truth, &mut platform(0.8, 9), 5);
+            let stats = run_er(&g, &mut SimCrowd::new(&mut platform(0.8, 9), &truth), 5);
             (stats.tasks_asked, stats.rounds, stats.answer_bindings())
         };
         let first = run();
@@ -559,7 +451,7 @@ mod tests {
         truth.insert(g.add_edge(a1, b1, p_ab, 0.8), true);
         truth.insert(g.add_edge(b0, c0, p_bc, 0.8), true);
         let mut p = platform(1.0, 5);
-        let stats = run_er(&g, &truth, &mut p, 5);
+        let stats = run_er(&g, &mut SimCrowd::new(&mut p, &truth), 5);
         // B~C (1 edge) runs first by cost order; b1 never survives so only
         // (a0, b0) is asked on the A~B side.
         assert_eq!(stats.tasks_asked, 2);

@@ -23,28 +23,39 @@ pub use tree::{crowddb_order, deco_order, opt_tree_order, qurk_order, run_tree, 
 
 use std::collections::HashMap;
 
-use cdb_core::executor::EdgeTruth;
 use cdb_core::model::{EdgeId, QueryGraph};
-use cdb_crowd::{Answer, SimulatedPlatform, Task, TaskId};
+use cdb_core::SimCrowd;
+use cdb_crowd::{Answer, Assignment, CrowdPlatform, Question, TaskId};
 use cdb_quality::majority_vote;
 
-/// The join-check task asking the crowd about edge `e`.
-fn edge_task(g: &QueryGraph, truth: &EdgeTruth, e: EdgeId) -> Task {
-    Task::join_check(TaskId(e.0 as u64), truth[&e])
-        .with_difficulty(cdb_crowd::join_difficulty(g.edge_weight(e)))
+/// Each predicate's live edges, indexed by predicate.
+fn live_edges_per_predicate(g: &QueryGraph) -> Vec<Vec<EdgeId>> {
+    let mut per_pred = vec![Vec::new(); g.predicate_count()];
+    for e in (0..g.edge_count()).map(EdgeId).filter(|&e| g.edge_live(e)) {
+        per_pred[g.edge_predicate(e)].push(e);
+    }
+    per_pred
 }
 
-/// Ask `tasks` as one crowd round of `redundancy` answers each and return
-/// each task's majority-vote verdict ("yes" is choice 0), in `tasks` order.
-fn ask_majority(platform: &mut SimulatedPlatform, tasks: &[Task], redundancy: usize) -> Vec<bool> {
+/// The join check asking the crowd about edge `e`.
+fn edge_question(g: &QueryGraph, e: EdgeId) -> Question {
+    Question { id: TaskId(e.0 as u64), difficulty: cdb_crowd::join_difficulty(g.edge_weight(e)) }
+}
+
+/// Ask `questions` as one crowd round of `redundancy` answers each and
+/// return each one's majority-vote verdict, in `questions` order.
+fn ask_majority(crowd: &mut SimCrowd, questions: &[Question], redundancy: usize) -> Vec<bool> {
+    verdicts(crowd.ask_round(questions, redundancy), questions.iter().map(|q| q.id))
+}
+
+/// The majority-vote verdict ("yes" is choice 0) of each task in `ids`
+/// over `assignments`, in `ids` order.
+fn verdicts(assignments: Vec<Assignment>, ids: impl Iterator<Item = TaskId>) -> Vec<bool> {
     let mut votes: HashMap<TaskId, Vec<usize>> = HashMap::new();
-    for a in platform.ask_round(tasks, redundancy) {
+    for a in assignments {
         if let Answer::Choice(c) = a.answer {
             votes.entry(a.task).or_default().push(c);
         }
     }
-    tasks
-        .iter()
-        .map(|t| majority_vote(votes.get(&t.id).map_or(&[][..], Vec::as_slice), 2) == 0)
-        .collect()
+    ids.map(|id| majority_vote(votes.get(&id).map_or(&[][..], Vec::as_slice), 2) == 0).collect()
 }

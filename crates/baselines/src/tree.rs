@@ -9,12 +9,11 @@
 
 use std::collections::{HashMap, HashSet};
 
-use cdb_core::executor::EdgeTruth;
 use cdb_core::model::{EdgeId, NodeId, PartId, QueryGraph};
-use cdb_core::Candidate;
-use cdb_crowd::{SimulatedPlatform, Task};
+use cdb_core::{Candidate, EdgeTruth, SimCrowd};
+use cdb_crowd::{Market, Question, SimulatedPlatform, WorkerPool};
 
-use crate::{ask_majority, edge_task};
+use crate::{ask_majority, edge_question, live_edges_per_predicate};
 
 /// Execution result of a tree-model or ER run.
 #[derive(Debug, Clone)]
@@ -56,26 +55,76 @@ fn order_is_connected(g: &QueryGraph, order: &[usize]) -> bool {
     true
 }
 
-/// Partial bindings after executing a prefix of predicates.
+/// Partial bindings after executing a prefix of predicates (the tree
+/// model's and ER's survivors).
 #[derive(Debug, Clone)]
-struct Partials {
+pub(crate) struct Partials {
     /// Which parts are bound so far.
     bound: Vec<PartId>,
     /// Each row binds `bound[i]` to `rows[r][i]`.
     rows: Vec<Vec<NodeId>>,
 }
 
+/// Join the survivors (`None` before the first predicate) with predicate
+/// `pi`'s blue edges: each row extends with every edge that agrees with it.
+pub(crate) fn join_survivors(
+    g: &QueryGraph,
+    partials: Option<Partials>,
+    pi: usize,
+    blue_edges: &[EdgeId],
+) -> Partials {
+    let pred = &g.predicates()[pi];
+    // No predicate yet: one empty row, which every edge extends.
+    let mut p = partials.unwrap_or(Partials { bound: Vec::new(), rows: vec![Vec::new()] });
+    let ia = p.bound.iter().position(|&x| x == pred.a);
+    let ib = p.bound.iter().position(|&x| x == pred.b);
+    let mut new_rows = Vec::new();
+    for row in &p.rows {
+        for &e in blue_edges {
+            let (mut u, mut v) = g.edge_endpoints(e);
+            if g.node_part(u) != pred.a {
+                std::mem::swap(&mut u, &mut v);
+            }
+            if ia.is_none_or(|i| row[i] == u) && ib.is_none_or(|i| row[i] == v) {
+                let mut nr = row.clone();
+                nr.extend(ia.is_none().then_some(u));
+                nr.extend(ib.is_none().then_some(v));
+                new_rows.push(nr);
+            }
+        }
+    }
+    p.bound.extend(ia.is_none().then_some(pred.a));
+    p.bound.extend(ib.is_none().then_some(pred.b));
+    Partials { bound: p.bound, rows: new_rows }
+}
+
+/// The surviving rows as candidates with part-indexed bindings, once every
+/// predicate's parts are bound.
+pub(crate) fn survivor_answers(g: &QueryGraph, partials: &Option<Partials>) -> Vec<Candidate> {
+    match partials {
+        Some(p) if p.bound.len() == bound_part_count(g) => p
+            .rows
+            .iter()
+            .map(|row| {
+                let mut binding = vec![NodeId(usize::MAX); g.part_count()];
+                for (i, part) in p.bound.iter().enumerate() {
+                    binding[part.0] = row[i];
+                }
+                Candidate { binding, edges: Vec::new() }
+            })
+            .collect(),
+        _ => Vec::new(),
+    }
+}
+
 /// Run the tree model with a given predicate order against the crowd.
-/// When `oracle` is set, no crowd is used: edges are resolved by the truth
-/// directly (used by `OptTree` to cost orders).
 pub fn run_tree(
     g: &QueryGraph,
-    truth: &EdgeTruth,
-    platform: Option<&mut SimulatedPlatform>,
+    crowd: &mut SimCrowd,
     redundancy: usize,
     order: &[usize],
 ) -> TreeStats {
-    run_tree_constrained(g, truth, platform, redundancy, order, None)
+    run_tree_constrained(g, crowd, redundancy, order, None)
 }
 
 /// [`run_tree`] with a latency constraint (Figure 22): the first
@@ -84,8 +133,7 @@ pub fn run_tree(
 /// predicate) is crowdsourced in one final round.
 pub fn run_tree_constrained(
     g: &QueryGraph,
-    truth: &EdgeTruth,
-    platform: Option<&mut SimulatedPlatform>,
+    crowd: &mut SimCrowd,
     redundancy: usize,
     order: &[usize],
     max_rounds: Option<usize>,
@@ -93,16 +141,7 @@ pub fn run_tree_constrained(
     assert!(order_is_connected(g, order), "order must be a connected expansion");
     assert_eq!(order.len(), g.predicate_count(), "order must cover all predicates");
 
-    // Pre-index live edges per predicate.
-    let mut per_pred: Vec<Vec<EdgeId>> = vec![Vec::new(); g.predicate_count()];
-    for i in 0..g.edge_count() {
-        let e = EdgeId(i);
-        if g.edge_live(e) {
-            per_pred[g.edge_predicate(e)].push(e);
-        }
-    }
-
-    let mut platform = platform;
+    let per_pred = live_edges_per_predicate(g);
     let mut tasks_asked = 0usize;
     let mut rounds = 0usize;
     let mut partials: Option<Partials> = None;
@@ -110,7 +149,6 @@ pub fn run_tree_constrained(
     let mut resolved: HashMap<EdgeId, bool> = HashMap::new();
 
     for (step, &pi) in order.iter().enumerate() {
-        let pred = &g.predicates()[pi];
         // Latency constraint: if this would be the last permitted round and
         // predicates remain after it, flush — resolve every edge of every
         // remaining predicate that is consistent with current survivors, in
@@ -132,14 +170,14 @@ pub fn run_tree_constrained(
             if !need.is_empty() {
                 tasks_asked += need.len();
                 rounds += 1;
-                resolve_edges(g, truth, platform.as_deref_mut(), redundancy, &need, &mut resolved);
+                resolve_edges(g, crowd, redundancy, &need, &mut resolved);
             }
         }
         // Which edges of this predicate are consistent with survivors?
         let askable: Vec<EdgeId> = consistent_edges(g, &partials, &per_pred[pi]);
 
-        // Ask the crowd (or the oracle) about each unresolved edge. Edges
-        // Blue by construction (traditional predicates) are free.
+        // Ask the crowd about each unresolved edge. Edges Blue by
+        // construction (traditional predicates) are free.
         let need_crowd: Vec<EdgeId> = askable
             .iter()
             .copied()
@@ -148,14 +186,7 @@ pub fn run_tree_constrained(
         if !need_crowd.is_empty() {
             tasks_asked += need_crowd.len();
             rounds += 1;
-            resolve_edges(
-                g,
-                truth,
-                platform.as_deref_mut(),
-                redundancy,
-                &need_crowd,
-                &mut resolved,
-            );
+            resolve_edges(g, crowd, redundancy, &need_crowd, &mut resolved);
         }
 
         let is_blue = |e: EdgeId| -> bool {
@@ -163,82 +194,18 @@ pub fn run_tree_constrained(
         };
         let blue_edges: Vec<EdgeId> = askable.into_iter().filter(|&e| is_blue(e)).collect();
 
-        // Join survivors with the blue edges.
-        partials = Some(match partials.take() {
-            None => {
-                let bound = vec![pred.a, pred.b];
-                let rows = blue_edges
-                    .iter()
-                    .map(|&e| {
-                        let (mut u, mut v) = g.edge_endpoints(e);
-                        if g.node_part(u) != pred.a {
-                            std::mem::swap(&mut u, &mut v);
-                        }
-                        vec![u, v]
-                    })
-                    .collect();
-                Partials { bound, rows }
-            }
-            Some(mut p) => {
-                let ia = p.bound.iter().position(|&x| x == pred.a);
-                let ib = p.bound.iter().position(|&x| x == pred.b);
-                let mut new_rows = Vec::new();
-                for row in &p.rows {
-                    for &e in &blue_edges {
-                        let (mut u, mut v) = g.edge_endpoints(e);
-                        if g.node_part(u) != pred.a {
-                            std::mem::swap(&mut u, &mut v);
-                        }
-                        let ok_a = ia.is_none_or(|i| row[i] == u);
-                        let ok_b = ib.is_none_or(|i| row[i] == v);
-                        if ok_a && ok_b {
-                            let mut nr = row.clone();
-                            if ia.is_none() {
-                                nr.push(u);
-                            }
-                            if ib.is_none() {
-                                nr.push(v);
-                            }
-                            new_rows.push(nr);
-                        }
-                    }
-                }
-                if ia.is_none() {
-                    p.bound.push(pred.a);
-                }
-                if ib.is_none() {
-                    p.bound.push(pred.b);
-                }
-                Partials { bound: p.bound, rows: new_rows }
-            }
-        });
+        partials = Some(join_survivors(g, partials.take(), pi, &blue_edges));
         if partials.as_ref().is_some_and(|p| p.rows.is_empty()) {
             // Everything pruned: remaining predicates ask nothing.
             break;
         }
     }
 
-    // Convert surviving rows into candidates with part-indexed bindings.
-    let answers = match &partials {
-        Some(p) if p.bound.len() == bound_part_count(g) => p
-            .rows
-            .iter()
-            .map(|row| {
-                let mut binding = vec![NodeId(usize::MAX); g.part_count()];
-                for (i, part) in p.bound.iter().enumerate() {
-                    binding[part.0] = row[i];
-                }
-                Candidate { binding, edges: Vec::new() }
-            })
-            .collect(),
-        _ => Vec::new(),
-    };
-
-    TreeStats { tasks_asked, rounds, answers }
+    TreeStats { tasks_asked, rounds, answers: survivor_answers(g, &partials) }
 }
 
 /// Edges of one predicate that are consistent with the current survivors.
-fn consistent_edges(
+pub(crate) fn consistent_edges(
     g: &QueryGraph,
     partials: &Option<Partials>,
     pred_edges: &[EdgeId],
@@ -269,27 +236,17 @@ fn consistent_edges(
     }
 }
 
-/// Resolve a batch of edges, via the crowd (majority voting over
-/// `redundancy` answers) or the oracle when no platform is given.
+/// Resolve a batch of edges by majority voting over `redundancy` crowd
+/// answers.
 fn resolve_edges(
     g: &QueryGraph,
-    truth: &EdgeTruth,
-    platform: Option<&mut SimulatedPlatform>,
+    crowd: &mut SimCrowd,
     redundancy: usize,
     edges: &[EdgeId],
     resolved: &mut HashMap<EdgeId, bool>,
 ) {
-    match platform {
-        Some(p) => {
-            let tasks: Vec<Task> = edges.iter().map(|&e| edge_task(g, truth, e)).collect();
-            resolved.extend(edges.iter().copied().zip(ask_majority(p, &tasks, redundancy)));
-        }
-        None => {
-            for &e in edges {
-                resolved.insert(e, truth[&e]);
-            }
-        }
-    }
+    let questions: Vec<Question> = edges.iter().map(|&e| edge_question(g, e)).collect();
+    resolved.extend(edges.iter().copied().zip(ask_majority(crowd, &questions, redundancy)));
 }
 
 /// Number of parts that participate in at least one predicate.
@@ -352,10 +309,14 @@ pub fn deco_order(g: &QueryGraph) -> Vec<usize> {
     order
 }
 
-/// OptTree: enumerate every connected predicate order, cost each with the
-/// oracle (no crowd), and return the cheapest — the lower bound of the
-/// tree model.
+/// OptTree: enumerate every connected predicate order, cost each against a
+/// crowd of one perfect worker answering from `truth`, and return the
+/// cheapest — the lower bound of the tree model. A declared oracle: a
+/// worker of accuracy 1.0 is always right, since its answer draw is in
+/// `[0, 1)`.
 pub fn opt_tree_order(g: &QueryGraph, truth: &EdgeTruth) -> Vec<usize> {
+    let mut perfect = SimulatedPlatform::new(Market::Amt, WorkerPool::with_accuracies(&[1.0]), 0);
+    let mut crowd = SimCrowd::new(&mut perfect, truth);
     let n = g.predicate_count();
     let mut best: Option<(usize, Vec<usize>)> = None;
     let mut perm: Vec<usize> = (0..n).collect();
@@ -363,7 +324,7 @@ pub fn opt_tree_order(g: &QueryGraph, truth: &EdgeTruth) -> Vec<usize> {
         if !order_is_connected(g, order) {
             return;
         }
-        let cost = run_tree(g, truth, None, 1, order).tasks_asked;
+        let cost = run_tree(g, &mut crowd, 1, order).tasks_asked;
         if best.as_ref().is_none_or(|(c, _)| cost < *c) {
             best = Some((cost, order.to_vec()));
         }
@@ -391,7 +352,7 @@ fn is_selection(g: &QueryGraph, pred: usize) -> bool {
 
 /// Stable-repair an order into a connected expansion, preserving relative
 /// positions where possible.
-fn make_connected(g: &QueryGraph, order: &mut Vec<usize>) {
+pub(crate) fn make_connected(g: &QueryGraph, order: &mut Vec<usize>) {
     let preds = g.predicates();
     let mut result: Vec<usize> = Vec::with_capacity(order.len());
     let mut remaining: Vec<usize> = order.clone();
@@ -415,7 +376,11 @@ fn make_connected(g: &QueryGraph, order: &mut Vec<usize>) {
 mod tests {
     use super::*;
     use cdb_core::model::PartKind;
-    use cdb_crowd::{Market, WorkerPool};
+
+    /// One worker who is always right: the oracle crowd tests cost orders with.
+    fn perfect() -> SimulatedPlatform {
+        SimulatedPlatform::new(Market::Amt, WorkerPool::with_accuracies(&[1.0]), 0)
+    }
 
     /// Figure-1-like graph: 3 parts, bipartite edges, one blue chain.
     fn fixture() -> (QueryGraph, EdgeTruth) {
@@ -449,7 +414,7 @@ mod tests {
         let (g, truth) = fixture();
         // Order [AB, BC]: ask 9 AB edges; survivors (a0,b0); then b0's 3
         // BC edges -> 12 tasks.
-        let stats = run_tree(&g, &truth, None, 1, &[0, 1]);
+        let stats = run_tree(&g, &mut SimCrowd::new(&mut perfect(), &truth), 1, &[0, 1]);
         assert_eq!(stats.tasks_asked, 12);
         assert_eq!(stats.rounds, 2);
         assert_eq!(stats.answers.len(), 1);
@@ -459,7 +424,7 @@ mod tests {
     fn opt_tree_picks_cheapest_order() {
         let (g, truth) = fixture();
         let order = opt_tree_order(&g, &truth);
-        let cost = run_tree(&g, &truth, None, 1, &order).tasks_asked;
+        let cost = run_tree(&g, &mut SimCrowd::new(&mut perfect(), &truth), 1, &order).tasks_asked;
         // Both orders cost 12 here by symmetry.
         assert_eq!(cost, 12);
     }
@@ -468,7 +433,7 @@ mod tests {
     fn crowd_execution_with_perfect_workers_matches_oracle() {
         let (g, truth) = fixture();
         let mut p = SimulatedPlatform::new(Market::Amt, WorkerPool::with_accuracies(&[1.0; 10]), 1);
-        let stats = run_tree(&g, &truth, Some(&mut p), 5, &[0, 1]);
+        let stats = run_tree(&g, &mut SimCrowd::new(&mut p, &truth), 5, &[0, 1]);
         assert_eq!(stats.tasks_asked, 12);
         assert_eq!(stats.answers.len(), 1);
     }
@@ -522,7 +487,7 @@ mod tests {
         // second predicate asks nothing.
         let (g, _) = fixture();
         let truth: EdgeTruth = (0..g.edge_count()).map(|i| (EdgeId(i), false)).collect();
-        let stats = run_tree(&g, &truth, None, 1, &[0, 1]);
+        let stats = run_tree(&g, &mut SimCrowd::new(&mut perfect(), &truth), 1, &[0, 1]);
         assert_eq!(stats.tasks_asked, 9);
         assert_eq!(stats.rounds, 1);
         assert!(stats.answers.is_empty());
@@ -532,7 +497,13 @@ mod tests {
     fn constrained_run_flushes_in_final_round() {
         let (g, truth) = fixture();
         // r = 1: everything must go in one round.
-        let stats = run_tree_constrained(&g, &truth, None, 1, &[0, 1], Some(1));
+        let stats = run_tree_constrained(
+            &g,
+            &mut SimCrowd::new(&mut perfect(), &truth),
+            1,
+            &[0, 1],
+            Some(1),
+        );
         assert_eq!(stats.rounds, 1);
         // The flush asks the union of everything consistent up front: all
         // 9 AB edges + all 9 BC edges.
@@ -543,8 +514,14 @@ mod tests {
     #[test]
     fn constrained_run_with_enough_rounds_matches_unconstrained() {
         let (g, truth) = fixture();
-        let free = run_tree(&g, &truth, None, 1, &[0, 1]);
-        let constrained = run_tree_constrained(&g, &truth, None, 1, &[0, 1], Some(10));
+        let free = run_tree(&g, &mut SimCrowd::new(&mut perfect(), &truth), 1, &[0, 1]);
+        let constrained = run_tree_constrained(
+            &g,
+            &mut SimCrowd::new(&mut perfect(), &truth),
+            1,
+            &[0, 1],
+            Some(10),
+        );
         assert_eq!(free.tasks_asked, constrained.tasks_asked);
         assert_eq!(free.rounds, constrained.rounds);
     }
@@ -552,8 +529,22 @@ mod tests {
     #[test]
     fn constrained_cost_decreases_with_rounds() {
         let (g, truth) = fixture();
-        let r1 = run_tree_constrained(&g, &truth, None, 1, &[0, 1], Some(1)).tasks_asked;
-        let r2 = run_tree_constrained(&g, &truth, None, 1, &[0, 1], Some(2)).tasks_asked;
+        let r1 = run_tree_constrained(
+            &g,
+            &mut SimCrowd::new(&mut perfect(), &truth),
+            1,
+            &[0, 1],
+            Some(1),
+        )
+        .tasks_asked;
+        let r2 = run_tree_constrained(
+            &g,
+            &mut SimCrowd::new(&mut perfect(), &truth),
+            1,
+            &[0, 1],
+            Some(2),
+        )
+        .tasks_asked;
         assert!(r2 <= r1, "more rounds should never cost more ({r2} > {r1})");
     }
 
@@ -576,6 +567,6 @@ mod tests {
         let mut truth = EdgeTruth::new();
         truth.insert(g.add_edge(a0, b0, p1, 0.5), true);
         truth.insert(g.add_edge(c0, d0, p2, 0.5), true);
-        run_tree(&g, &truth, None, 1, &[0, 1]);
+        run_tree(&g, &mut SimCrowd::new(&mut perfect(), &truth), 1, &[0, 1]);
     }
 }

@@ -40,6 +40,7 @@ use cdb_core::cost::expectation::expectation_order;
 use cdb_core::executor::{Executor, ExecutorConfig, QualityStrategy};
 use cdb_core::fillcollect::{execute_collect, execute_fill, CollectConfig, FillConfig};
 use cdb_core::latency::parallel_round;
+use cdb_core::SimCrowd;
 use cdb_crowd::{Market, SimulatedPlatform, WorkerPool};
 use cdb_datagen::{
     award_dataset, paper_dataset, paper_example_dataset, queries_for, Dataset, DatasetScale,
@@ -492,8 +493,7 @@ fn example(args: &Args) {
     let mut p = fill_platform(args.seed);
     let stats = Executor::new(
         g.clone(),
-        &et,
-        &mut p,
+        &mut SimCrowd::new(&mut p, &et),
         ExecutorConfig { quality: QualityStrategy::MajorityVote, ..Default::default() },
     )
     .run();
@@ -504,7 +504,8 @@ fn example(args: &Args) {
         stats.answers.len()
     );
     let order = cdb_baselines::opt_tree_order(&g, &et);
-    let tree = cdb_baselines::run_tree(&g, &et, None, 1, &order);
+    let mut perfect = SimulatedPlatform::new(Market::Amt, WorkerPool::with_accuracies(&[1.0]), 0);
+    let tree = cdb_baselines::run_tree(&g, &mut SimCrowd::new(&mut perfect, &et), 1, &order);
     println!("OptTree (tree model, oracle): {} tasks", tree.tasks_asked);
     println!();
 }
@@ -549,8 +550,7 @@ fn ablations(args: &Args) {
             let mut p = fill_platform(args.seed + rep as u64);
             let stats = Executor::new(
                 g.clone(),
-                &truth,
-                &mut p,
+                &mut SimCrowd::new(&mut p, &truth),
                 ExecutorConfig {
                     selection: sel,
                     seed: args.seed + rep as u64,
@@ -568,8 +568,7 @@ fn ablations(args: &Args) {
         let mut p = fill_platform(args.seed);
         let stats = Executor::new(
             g.clone(),
-            &truth,
-            &mut p,
+            &mut SimCrowd::new(&mut p, &truth),
             ExecutorConfig { parallel_rounds: parallel, seed: args.seed, ..Default::default() },
         )
         .run();

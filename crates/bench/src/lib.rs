@@ -16,6 +16,7 @@ use cdb_core::executor::{
     true_answers, EdgeTruth, Executor, ExecutorConfig, QualityStrategy, SelectionStrategy,
 };
 use cdb_core::model::{NodeId, QueryGraph};
+use cdb_core::SimCrowd;
 use cdb_core::{metrics::precision_recall, metrics::PrMetrics, plan_select, GraphBuildConfig};
 use cdb_crowd::{Market, SimulatedPlatform, WorkerPool};
 use cdb_datagen::Dataset;
@@ -177,9 +178,10 @@ pub fn run_method(method: Method, g: &QueryGraph, truth: &EdgeTruth, cfg: &ExpCo
     let reference: BTreeSet<Vec<NodeId>> =
         true_answers(g, truth).into_iter().map(|c| c.binding).collect();
     let mut p = platform(cfg);
+    let mut crowd = SimCrowd::new(&mut p, truth);
     match method {
         Method::Trans => {
-            let stats = run_er_constrained(g, truth, &mut p, cfg.redundancy, cfg.max_rounds);
+            let stats = run_er_constrained(g, &mut crowd, cfg.redundancy, cfg.max_rounds);
             RunResult {
                 tasks: stats.tasks_asked,
                 rounds: stats.rounds,
@@ -194,14 +196,7 @@ pub fn run_method(method: Method, g: &QueryGraph, truth: &EdgeTruth, cfg: &ExpCo
                 Method::OptTree => opt_tree_order(g, truth),
                 _ => unreachable!(),
             };
-            let stats = run_tree_constrained(
-                g,
-                truth,
-                Some(&mut p),
-                cfg.redundancy,
-                &order,
-                cfg.max_rounds,
-            );
+            let stats = run_tree_constrained(g, &mut crowd, cfg.redundancy, &order, cfg.max_rounds);
             RunResult {
                 tasks: stats.tasks_asked,
                 rounds: stats.rounds,
@@ -228,7 +223,7 @@ pub fn run_method(method: Method, g: &QueryGraph, truth: &EdgeTruth, cfg: &ExpCo
                 flat_difficulty: cfg.flat_errors,
                 seed: cfg.seed,
             };
-            let stats = Executor::new(g.clone(), truth, &mut p, exec_cfg).run();
+            let stats = Executor::new(g.clone(), &mut crowd, exec_cfg).run();
             RunResult {
                 tasks: stats.tasks_asked,
                 rounds: stats.rounds,
@@ -251,8 +246,9 @@ pub fn run_budget(
     let reference: BTreeSet<Vec<NodeId>> =
         true_answers(g, truth).into_iter().map(|c| c.binding).collect();
     let mut p = platform(cfg);
+    let mut crowd = SimCrowd::new(&mut p, truth);
     if method_is_baseline {
-        let stats = budget_baseline(g, truth, &mut p, cfg.redundancy, budget);
+        let stats = budget_baseline(g, &mut crowd, cfg.redundancy, budget);
         precision_recall(&stats.answers, &reference)
     } else {
         let exec_cfg = ExecutorConfig {
@@ -264,7 +260,7 @@ pub fn run_budget(
             seed: cfg.seed,
             ..ExecutorConfig::default()
         };
-        let stats = Executor::new(g.clone(), truth, &mut p, exec_cfg).run();
+        let stats = Executor::new(g.clone(), &mut crowd, exec_cfg).run();
         precision_recall(&stats.answer_bindings(), &reference)
     }
 }

@@ -16,7 +16,7 @@ use std::sync::{Arc, Mutex};
 
 use cdb_bench::{prepare, selfjoin_jobs, ExpConfig};
 use cdb_core::executor::{Executor, ExecutorConfig, QualityStrategy, SelectionStrategy};
-use cdb_core::{QueryGraph, ReuseCache, SettleSink, SettledFact};
+use cdb_core::{QueryGraph, ReuseCache, SettleSink, SettledFact, SimCrowd};
 use cdb_crowd::{Market, SimulatedPlatform, WorkerPool};
 use cdb_datagen::{
     award_dataset, movie_dataset, paper_dataset, queries_for, Dataset, DatasetScale,
@@ -71,7 +71,9 @@ fn profiled_run(
         seed: SEED,
     };
     let session = Arc::new(Mutex::new(ReuseCache::new().snapshot()));
-    let stats = Executor::new(g, &truth, &mut platform, exec_cfg).with_reuse(session).run();
+    let stats = Executor::new(g, &mut SimCrowd::new(&mut platform, &truth), exec_cfg)
+        .with_reuse(session)
+        .run();
     drop(guard);
     (profiler.report(), [edges, stats.tasks_asked, stats.rounds, stats.tasks_saved])
 }

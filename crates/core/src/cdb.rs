@@ -1,76 +1,16 @@
 //! The `Cdb` façade: parse CQL, build the graph, optimize and execute.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 
 use cdb_cql::{analyze_select, parse, AnalyzedSelect, CqlError, Statement};
 use cdb_crowd::SimulatedPlatform;
-use cdb_storage::{ColumnDef, ColumnType, Database, Schema, Table, TupleId};
+use cdb_storage::{ColumnDef, ColumnType, Database, Schema, Table};
 
 use crate::build::{build_query_graph, GraphBuildConfig};
-use crate::executor::{true_answers, EdgeTruth, ExecutionStats, Executor, ExecutorConfig};
+use crate::executor::{ExecutionStats, Executor, ExecutorConfig};
 use crate::metrics::{precision_recall, PrMetrics};
-use crate::model::{PartKind, QueryGraph};
-
-/// Ground truth at the data level, independent of any query: which tuple
-/// pairs truly join and which tuples truly satisfy which selection
-/// literals. Produced by the dataset generator; used to simulate worker
-/// answers and to score results.
-#[derive(Debug, Clone, Default)]
-pub struct QueryTruth {
-    /// Unordered truly-matching tuple pairs (stored with the
-    /// lexicographically smaller `TupleId` first).
-    pub joins: HashSet<(TupleId, TupleId)>,
-    /// `(tuple, literal)` pairs where the tuple truly satisfies
-    /// `CROWDEQUAL literal`.
-    pub selections: HashSet<(TupleId, String)>,
-}
-
-impl QueryTruth {
-    /// Record a truly-matching pair.
-    pub fn add_join(&mut self, a: TupleId, b: TupleId) {
-        let (x, y) = if a <= b { (a, b) } else { (b, a) };
-        self.joins.insert((x, y));
-    }
-
-    /// Record that a tuple satisfies a selection literal.
-    pub fn add_selection(&mut self, t: TupleId, literal: impl Into<String>) {
-        self.selections.insert((t, literal.into()));
-    }
-
-    /// True when the pair is a true match.
-    pub fn joins_match(&self, a: &TupleId, b: &TupleId) -> bool {
-        let (x, y) = if a <= b { (a, b) } else { (b, a) };
-        self.joins.contains(&(x.clone(), y.clone()))
-    }
-
-    /// Project the data-level truth onto a query graph's edges.
-    pub fn edge_truth(&self, g: &QueryGraph) -> EdgeTruth {
-        let mut out = EdgeTruth::with_capacity(g.edge_count());
-        for i in 0..g.edge_count() {
-            let e = crate::model::EdgeId(i);
-            let (u, v) = g.edge_endpoints(e);
-            let truth = match (g.node_tuple(u), g.node_tuple(v)) {
-                (Some(a), Some(b)) => self.joins_match(a, b),
-                (Some(t), None) | (None, Some(t)) => {
-                    let (cu, cv) = (g.node_part(u), g.node_part(v));
-                    let lit = match (g.part_kind(cu), g.part_kind(cv)) {
-                        (PartKind::Constant { value }, _) | (_, PartKind::Constant { value }) => {
-                            value.clone()
-                        }
-                        _ => unreachable!("constant-part edge has a constant endpoint"),
-                    };
-                    self.selections.contains(&(t.clone(), lit))
-                }
-                (None, None) => false,
-            };
-            // Traditional predicates are Blue by construction; keep them
-            // consistent regardless of the crowd truth tables.
-            let truth = truth || g.edge_color(e) == crate::model::Color::Blue;
-            out.insert(e, truth);
-        }
-        out
-    }
-}
+use crate::model::QueryGraph;
+use crate::truth::{true_answers, QueryTruth, SimCrowd};
 
 /// End-to-end configuration for [`Cdb::run_select`].
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -325,9 +265,10 @@ impl Cdb {
                 n => reference.len() as u64
             ],
         ));
-        let stats = Executor::new(graph.clone(), &edge_truth, platform, exec_cfg)
-            .with_trace(self.trace.clone())
-            .run();
+        let stats =
+            Executor::new(graph.clone(), &mut SimCrowd::new(platform, &edge_truth), exec_cfg)
+                .with_trace(self.trace.clone())
+                .run();
         let metrics = precision_recall(&stats.answer_bindings(), &reference);
 
         // Crowd post-ops (the §4.2 Remark): group/sort the answers by a
@@ -445,7 +386,7 @@ fn literal_value(lit: &cdb_cql::Literal) -> cdb_storage::Value {
 mod tests {
     use super::*;
     use cdb_crowd::{Market, WorkerPool};
-    use cdb_storage::Value;
+    use cdb_storage::{TupleId, Value};
 
     /// Two-table micro dataset with known matches.
     fn setup() -> (Cdb, QueryTruth) {

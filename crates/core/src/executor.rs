@@ -10,7 +10,7 @@
 use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, Mutex};
 
-use cdb_crowd::{CrowdPlatform, SimulatedPlatform, Task, TaskId, WorkerId};
+use cdb_crowd::{CrowdPlatform, Question, TaskId, WorkerId};
 use cdb_obsv::attr::names;
 use cdb_obsv::{kv, Event, Span, SpanId, Trace};
 use cdb_quality::{
@@ -29,9 +29,7 @@ use crate::model::{Color, EdgeId, NodeId, QueryGraph};
 use crate::prune::prune_invalid_edges;
 use crate::reuse::{ReuseOutcome, ReuseSession};
 
-/// Ground-truth edge colors: `truth[e] == true` means the edge is truly
-/// BLUE. Every edge of the graph must be present.
-pub type EdgeTruth = HashMap<EdgeId, bool>;
+pub use crate::truth::{true_answers, EdgeTruth};
 
 /// How the next tasks are chosen (§5.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,23 +132,14 @@ impl ExecutionStats {
     }
 }
 
-/// The candidates that are answers under the ground truth — the reference
-/// set for recall/precision.
-pub fn true_answers(g: &QueryGraph, truth: &EdgeTruth) -> Vec<Candidate> {
-    crate::candidate::enumerate_candidates(g, crate::candidate::CandidateFilter::Live)
-        .into_iter()
-        .filter(|c| c.edges.iter().all(|e| truth[e]))
-        .collect()
-}
-
 /// Executes one query graph against a crowd platform.
 ///
 /// Generic over [`CrowdPlatform`] so the same round loop drives both the
-/// sequential [`SimulatedPlatform`] (the default) and `cdb-runtime`'s
-/// concurrent, fault-injecting engine.
-pub struct Executor<'a, P: CrowdPlatform = SimulatedPlatform> {
+/// sequential [`SimCrowd`](crate::SimCrowd) and `cdb-runtime`'s
+/// concurrent, fault-injecting engine. It asks edge questions and never
+/// holds their answers.
+pub struct Executor<'a, P: CrowdPlatform> {
     graph: QueryGraph,
-    truth: &'a EdgeTruth,
     platform: &'a mut P,
     cfg: ExecutorConfig,
     /// All single-choice answers so far: task -> (worker, 0=yes/1=no).
@@ -191,16 +180,10 @@ pub type RoundObserver<'a> = Box<dyn FnMut(u64, &[Vec<NodeId>]) -> bool + Send +
 
 impl<'a, P: CrowdPlatform> Executor<'a, P> {
     /// Create an executor over a snapshot of the graph.
-    pub fn new(
-        graph: QueryGraph,
-        truth: &'a EdgeTruth,
-        platform: &'a mut P,
-        cfg: ExecutorConfig,
-    ) -> Self {
+    pub fn new(graph: QueryGraph, platform: &'a mut P, cfg: ExecutorConfig) -> Self {
         let rng = StdRng::seed_from_u64(cfg.seed);
         Executor {
             graph,
-            truth,
             platform,
             cfg,
             votes: HashMap::new(),
@@ -580,9 +563,8 @@ impl<'a, P: CrowdPlatform> Executor<'a, P> {
         }
     }
 
-    fn make_task(&self, e: EdgeId) -> Task {
-        Task::join_check(TaskId(e.0 as u64), self.truth[&e])
-            .with_difficulty(self.edge_difficulty(e))
+    fn question(&self, e: EdgeId) -> Question {
+        Question { id: TaskId(e.0 as u64), difficulty: self.edge_difficulty(e) }
     }
 
     /// Task difficulty for an edge under the configured error model.
@@ -595,7 +577,7 @@ impl<'a, P: CrowdPlatform> Executor<'a, P> {
     }
 
     fn ask_batch(&mut self, batch: &[EdgeId]) {
-        let tasks: Vec<Task> = batch.iter().map(|&e| self.make_task(e)).collect();
+        let questions: Vec<Question> = batch.iter().map(|&e| self.question(e)).collect();
         let assignments = if self.cfg.use_task_assignment
             && self.platform.market().supports_online_assignment()
         {
@@ -603,7 +585,7 @@ impl<'a, P: CrowdPlatform> Executor<'a, P> {
             let votes = &self.votes;
             let qualities = &self.qualities;
             self.platform.ask_round_assigned(
-                &tasks,
+                &questions,
                 self.cfg.redundancy,
                 10,
                 &mut |worker, open_tasks| {
@@ -623,7 +605,7 @@ impl<'a, P: CrowdPlatform> Executor<'a, P> {
                 },
             )
         } else {
-            self.platform.ask_round(&tasks, self.cfg.redundancy)
+            self.platform.ask_round(&questions, self.cfg.redundancy)
         };
         for a in assignments {
             let e = EdgeId(a.task.0 as usize);
@@ -657,11 +639,7 @@ impl<'a, P: CrowdPlatform> Executor<'a, P> {
                         task: TaskId(e.0 as u64),
                         num_choices: 2,
                         answers: answers.clone(),
-                        difficulty: if self.cfg.flat_difficulty {
-                            1.0
-                        } else {
-                            cdb_crowd::join_difficulty(self.graph.edge_weight(e))
-                        },
+                        difficulty: self.edge_difficulty(e),
                     })
                     .collect();
                 let result = em_truth_inference(&tasks, EmConfig::default());
@@ -687,7 +665,8 @@ impl<'a, P: CrowdPlatform> Executor<'a, P> {
 mod tests {
     use super::*;
     use crate::model::testgraph::chain_2x3;
-    use cdb_crowd::{Market, WorkerPool};
+    use crate::SimCrowd;
+    use cdb_crowd::{Market, SimulatedPlatform, WorkerPool};
 
     /// Ground truth: one blue chain A0-B0-C0 in the 2x3 chain fixture.
     fn fixture() -> (QueryGraph, EdgeTruth) {
@@ -711,7 +690,9 @@ mod tests {
     fn perfect_workers_find_exactly_the_true_answers() {
         let (g, truth) = fixture();
         let mut p = platform(1.0, 20, 1);
-        let stats = Executor::new(g.clone(), &truth, &mut p, ExecutorConfig::default()).run();
+        let stats =
+            Executor::new(g.clone(), &mut SimCrowd::new(&mut p, &truth), ExecutorConfig::default())
+                .run();
         assert_eq!(stats.answers.len(), 1);
         let expected: BTreeSet<Vec<NodeId>> =
             true_answers(&g, &truth).into_iter().map(|c| c.binding).collect();
@@ -723,7 +704,8 @@ mod tests {
         let (g, truth) = fixture();
         let total = g.edge_count();
         let mut p = platform(1.0, 20, 1);
-        let stats = Executor::new(g, &truth, &mut p, ExecutorConfig::default()).run();
+        let stats =
+            Executor::new(g, &mut SimCrowd::new(&mut p, &truth), ExecutorConfig::default()).run();
         assert!(stats.tasks_asked < total, "{} !< {total}", stats.tasks_asked);
     }
 
@@ -731,12 +713,16 @@ mod tests {
     fn serial_mode_has_more_rounds_than_parallel() {
         let (g, truth) = fixture();
         let mut p1 = platform(1.0, 20, 1);
-        let par = Executor::new(g.clone(), &truth, &mut p1, ExecutorConfig::default()).run();
+        let par = Executor::new(
+            g.clone(),
+            &mut SimCrowd::new(&mut p1, &truth),
+            ExecutorConfig::default(),
+        )
+        .run();
         let mut p2 = platform(1.0, 20, 1);
         let ser = Executor::new(
             g,
-            &truth,
-            &mut p2,
+            &mut SimCrowd::new(&mut p2, &truth),
             ExecutorConfig { parallel_rounds: false, ..ExecutorConfig::default() },
         )
         .run();
@@ -750,8 +736,7 @@ mod tests {
         let mut p = platform(1.0, 20, 1);
         let stats = Executor::new(
             g,
-            &truth,
-            &mut p,
+            &mut SimCrowd::new(&mut p, &truth),
             ExecutorConfig { budget: Some(3), ..ExecutorConfig::default() },
         )
         .run();
@@ -764,8 +749,7 @@ mod tests {
         let mut p = platform(1.0, 20, 1);
         let stats = Executor::new(
             g,
-            &truth,
-            &mut p,
+            &mut SimCrowd::new(&mut p, &truth),
             ExecutorConfig { max_rounds: Some(1), ..ExecutorConfig::default() },
         )
         .run();
@@ -780,8 +764,7 @@ mod tests {
         let mut p = platform(1.0, 20, 1);
         let stats = Executor::new(
             g,
-            &truth,
-            &mut p,
+            &mut SimCrowd::new(&mut p, &truth),
             ExecutorConfig {
                 selection: SelectionStrategy::MinCutSampling { samples: 10 },
                 ..ExecutorConfig::default()
@@ -822,8 +805,7 @@ mod tests {
             let mut p = SimulatedPlatform::new(Market::Amt, pool.clone(), seed);
             let mv = Executor::new(
                 g.clone(),
-                &truth,
-                &mut p,
+                &mut SimCrowd::new(&mut p, &truth),
                 ExecutorConfig { quality: QualityStrategy::MajorityVote, ..Default::default() },
             )
             .run();
@@ -831,8 +813,7 @@ mod tests {
             let mut p = SimulatedPlatform::new(Market::Amt, pool, seed);
             let em = Executor::new(
                 g.clone(),
-                &truth,
-                &mut p,
+                &mut SimCrowd::new(&mut p, &truth),
                 ExecutorConfig { quality: QualityStrategy::EmBayes, ..Default::default() },
             )
             .run();
@@ -848,7 +829,7 @@ mod tests {
         let (g, truth) = fixture();
         let mut p = platform(1.0, 20, 1);
         let ring = Arc::new(Ring::with_capacity(1024));
-        let stats = Executor::new(g, &truth, &mut p, ExecutorConfig::default())
+        let stats = Executor::new(g, &mut SimCrowd::new(&mut p, &truth), ExecutorConfig::default())
             .with_trace(Trace::collector(ring.clone()))
             .run();
         let evs = ring.drain();
@@ -880,8 +861,7 @@ mod tests {
         let mut p = platform(0.9, 20, 1);
         let stats = Executor::new(
             g,
-            &truth,
-            &mut p,
+            &mut SimCrowd::new(&mut p, &truth),
             ExecutorConfig {
                 quality: QualityStrategy::EmBayes,
                 use_task_assignment: true,
@@ -898,17 +878,25 @@ mod tests {
         let (g, truth) = fixture();
         let session = Arc::new(Mutex::new(ReuseSession::default()));
         let mut p1 = platform(1.0, 20, 1);
-        let first = Executor::new(g.clone(), &truth, &mut p1, ExecutorConfig::default())
-            .with_reuse(session.clone())
-            .run();
+        let first = Executor::new(
+            g.clone(),
+            &mut SimCrowd::new(&mut p1, &truth),
+            ExecutorConfig::default(),
+        )
+        .with_reuse(session.clone())
+        .run();
         assert_eq!(first.tasks_saved, 0);
         assert!(first.tasks_asked > 0);
         // Same graph again: every edge's value pair is now recorded (or
         // entailed), so the repeat run never dispatches a single task.
         let mut p2 = platform(1.0, 20, 99);
-        let second = Executor::new(g.clone(), &truth, &mut p2, ExecutorConfig::default())
-            .with_reuse(session)
-            .run();
+        let second = Executor::new(
+            g.clone(),
+            &mut SimCrowd::new(&mut p2, &truth),
+            ExecutorConfig::default(),
+        )
+        .with_reuse(session)
+        .run();
         assert_eq!(second.tasks_asked, 0);
         assert!(second.tasks_saved > 0);
         assert_eq!(second.answer_bindings(), first.answer_bindings());
@@ -918,7 +906,8 @@ mod tests {
         assert_eq!(second.assignments, 0);
         // Without reuse the second run would have paid full price.
         let mut p3 = platform(1.0, 20, 99);
-        let plain = Executor::new(g, &truth, &mut p3, ExecutorConfig::default()).run();
+        let plain =
+            Executor::new(g, &mut SimCrowd::new(&mut p3, &truth), ExecutorConfig::default()).run();
         assert_eq!(plain.tasks_asked, first.tasks_asked);
         assert_eq!(plain.tasks_saved, 0);
     }
@@ -930,15 +919,16 @@ mod tests {
         let (g, truth) = fixture();
         let session = Arc::new(Mutex::new(ReuseSession::default()));
         let mut p1 = platform(1.0, 20, 1);
-        Executor::new(g.clone(), &truth, &mut p1, ExecutorConfig::default())
+        Executor::new(g.clone(), &mut SimCrowd::new(&mut p1, &truth), ExecutorConfig::default())
             .with_reuse(session.clone())
             .run();
         let ring = ObsArc::new(Ring::with_capacity(1024));
         let mut p2 = platform(1.0, 20, 1);
-        let stats = Executor::new(g, &truth, &mut p2, ExecutorConfig::default())
-            .with_reuse(session)
-            .with_trace(Trace::collector(ring.clone()))
-            .run();
+        let stats =
+            Executor::new(g, &mut SimCrowd::new(&mut p2, &truth), ExecutorConfig::default())
+                .with_reuse(session)
+                .with_trace(Trace::collector(ring.clone()))
+                .run();
         let evs = ring.drain();
         let hits: Vec<_> = evs.iter().filter(|e| e.name == names::REUSE_HIT).collect();
         assert_eq!(hits.len(), stats.tasks_saved);
@@ -954,7 +944,8 @@ mod tests {
     fn stats_assignments_match_redundancy() {
         let (g, truth) = fixture();
         let mut p = platform(1.0, 20, 1);
-        let stats = Executor::new(g, &truth, &mut p, ExecutorConfig::default()).run();
+        let stats =
+            Executor::new(g, &mut SimCrowd::new(&mut p, &truth), ExecutorConfig::default()).run();
         assert_eq!(stats.assignments, stats.tasks_asked * 5);
     }
 }

@@ -35,19 +35,19 @@ pub mod model;
 pub mod ops;
 pub mod prune;
 pub mod reuse;
+pub mod truth;
 
 mod cdb;
 
 pub use build::{build_query_graph, build_query_graph_indexed, GraphBuildConfig, PredicateIndex};
 pub use candidate::{enumerate_candidates, Candidate, CandidateFilter};
-pub use cdb::{analyze_sql, plan_select, Cdb, CdbConfig, QueryOutcome, QueryTruth};
+pub use cdb::{analyze_sql, plan_select, Cdb, CdbConfig, QueryOutcome};
 pub use cost::estimate::CostEstimate;
-pub use executor::{
-    EdgeTruth, ExecutionStats, Executor, ExecutorConfig, QualityStrategy, SelectionStrategy,
-};
+pub use executor::{ExecutionStats, Executor, ExecutorConfig, QualityStrategy, SelectionStrategy};
 pub use metrics::{f_measure, precision_recall, PrMetrics};
 pub use model::{Color, EdgeId, NodeId, PartId, PartKind, QueryGraph};
 pub use reuse::{
     normalize, Provenance, Recorded, ReuseCache, ReuseOutcome, ReuseSession, SettleSink,
     SettledFact,
 };
+pub use truth::{EdgeTruth, QueryTruth, SimCrowd};

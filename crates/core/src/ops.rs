@@ -14,7 +14,7 @@
 //! * [`crowd_group`] — similarity-pruned pair verification with
 //!   transitive closure, i.e. crowdsourced ER over the group keys.
 
-use cdb_crowd::{Answer, SimulatedPlatform, Task, TaskId, TaskKind};
+use cdb_crowd::{Answer, Question, SimulatedPlatform, Task, TaskId, TaskKind};
 use cdb_graph::{Entailment, EntailmentGraph};
 use cdb_quality::majority_vote;
 use cdb_similarity::{similarity_join_self, SimilarityFn};
@@ -188,8 +188,9 @@ pub fn crowd_group(
             .iter()
             .enumerate()
             .map(|(t, &(i, j, s))| {
-                Task::join_check(TaskId(t as u64), truth(i, j))
-                    .with_difficulty(cdb_crowd::join_difficulty(s))
+                let q =
+                    Question { id: TaskId(t as u64), difficulty: cdb_crowd::join_difficulty(s) };
+                Task::join_check(q, truth(i, j))
             })
             .collect();
         let answers = platform.ask_round(&tasks, redundancy);

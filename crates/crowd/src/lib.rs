@@ -39,5 +39,5 @@ pub use market_deploy::{CrossMarketDeployer, MarketSlot};
 pub use pending::{OpenRound, PendingAssignment};
 pub use platform::{simulate_answer_with, CrowdPlatform, Market, SimulatedPlatform, TaskAssigner};
 pub use stream::{stream_key, stream_rng};
-pub use task::{join_difficulty, Answer, Task, TaskId, TaskKind};
+pub use task::{join_difficulty, Answer, Question, Task, TaskId, TaskKind};
 pub use worker::{Worker, WorkerId, WorkerPool};

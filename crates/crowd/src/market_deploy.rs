@@ -97,7 +97,7 @@ impl CrossMarketDeployer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Answer, Market, TaskId, WorkerPool};
+    use crate::{Answer, Market, Question, TaskId, WorkerPool};
 
     fn slot(market: Market, share: f64, acc: f64, seed: u64) -> MarketSlot {
         MarketSlot {
@@ -107,7 +107,9 @@ mod tests {
     }
 
     fn tasks(n: u64) -> Vec<Task> {
-        (0..n).map(|i| Task::join_check(TaskId(i), true)).collect()
+        (0..n)
+            .map(|i| Task::join_check(Question { id: TaskId(i), difficulty: 1.0 }, true))
+            .collect()
     }
 
     /// Which tasks were answered "yes". Every task's truth is yes, so with

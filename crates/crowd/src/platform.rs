@@ -5,7 +5,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::latency::{LatencyModel, SimTime};
 use crate::pending::PendingAssignment;
-use crate::{Answer, Assignment, Task, TaskId, TaskKind, Worker, WorkerId, WorkerPool};
+use crate::{Answer, Assignment, Question, Task, TaskId, TaskKind, Worker, WorkerId, WorkerPool};
 
 /// The crowdsourcing markets CDB deploys on (§2.1). The distinction that
 /// matters for optimization: AMT's developer model lets the requester's
@@ -155,10 +155,10 @@ impl SimulatedPlatform {
         let mut idle_arrivals = 0usize;
         while need.values().any(|&n| n > 0) {
             let w = self.pool.workers()[self.rng.gen_range(0..self.pool.len())];
-            let open: Vec<&Task> = need
+            let open: Vec<Question> = need
                 .iter()
                 .filter(|(id, &n)| n > 0 && !answered.contains(&(w.id, **id)))
-                .map(|(id, _)| by_id[id])
+                .map(|(&id, _)| Question { id, difficulty: by_id[&id].difficulty })
                 .collect();
             if open.is_empty() {
                 idle_arrivals += 1;
@@ -310,13 +310,16 @@ pub fn simulate_answer_with(worker: Worker, task: &Task, rng: &mut impl Rng) -> 
 }
 
 /// Requester-side online assigner: given the arriving worker and the
-/// still-open tasks, decide which tasks the worker receives this visit.
-pub type TaskAssigner<'a> = dyn FnMut(&Worker, &[&Task]) -> Vec<TaskId> + 'a;
+/// still-open questions, decide which tasks the worker receives this visit.
+/// It sees ids and difficulties, never a task's answer.
+pub type TaskAssigner<'a> = dyn FnMut(&Worker, &[Question]) -> Vec<TaskId> + 'a;
 
-/// The platform interface the query executor runs against. Abstracting it
+/// The crowd the query executor asks its join checks of. Abstracting it
 /// lets `cdb-core`'s round loop drive either the sequential
-/// [`SimulatedPlatform`] or `cdb-runtime`'s concurrent, fault-injecting
-/// engine without a dependency cycle between those crates.
+/// [`SimulatedPlatform`] (through `cdb_core::SimCrowd`, which pairs it
+/// with the query's answer key) or `cdb-runtime`'s concurrent,
+/// fault-injecting engine without a dependency cycle between those crates.
+/// The executor publishes [`Question`]s; only the crowd knows the answers.
 pub trait CrowdPlatform {
     /// Which market this platform deploys on.
     fn market(&self) -> Market;
@@ -324,9 +327,9 @@ pub trait CrowdPlatform {
     /// Number of completed rounds.
     fn rounds(&self) -> usize;
 
-    /// Publish a batch of tasks as one round with `redundancy` answers per
-    /// task, blocking until the round completes.
-    fn ask_round(&mut self, tasks: &[Task], redundancy: usize) -> Vec<Assignment>;
+    /// Publish a batch of join checks as one round with `redundancy`
+    /// answers per question, blocking until the round completes.
+    fn ask_round(&mut self, questions: &[Question], redundancy: usize) -> Vec<Assignment>;
 
     /// Publish a batch as one round under requester-side online task
     /// assignment (AMT's developer model). The default ignores the
@@ -334,36 +337,12 @@ pub trait CrowdPlatform {
     /// platform without requester-side control does.
     fn ask_round_assigned(
         &mut self,
-        tasks: &[Task],
+        questions: &[Question],
         redundancy: usize,
         _batch_size: usize,
         _assigner: &mut TaskAssigner,
     ) -> Vec<Assignment> {
-        self.ask_round(tasks, redundancy)
-    }
-}
-
-impl CrowdPlatform for SimulatedPlatform {
-    fn market(&self) -> Market {
-        SimulatedPlatform::market(self)
-    }
-
-    fn rounds(&self) -> usize {
-        SimulatedPlatform::rounds(self)
-    }
-
-    fn ask_round(&mut self, tasks: &[Task], redundancy: usize) -> Vec<Assignment> {
-        SimulatedPlatform::ask_round(self, tasks, redundancy)
-    }
-
-    fn ask_round_assigned(
-        &mut self,
-        tasks: &[Task],
-        redundancy: usize,
-        batch_size: usize,
-        assigner: &mut TaskAssigner,
-    ) -> Vec<Assignment> {
-        SimulatedPlatform::ask_round_assigned(self, tasks, redundancy, batch_size, assigner)
+        self.ask_round(questions, redundancy)
     }
 }
 
@@ -414,7 +393,7 @@ mod tests {
     }
 
     fn yes_task(id: u64) -> Task {
-        Task::join_check(TaskId(id), true)
+        Task::join_check(Question { id: TaskId(id), difficulty: 1.0 }, true)
     }
 
     #[test]
@@ -490,7 +469,7 @@ mod tests {
         let tasks = vec![yes_task(1), yes_task(2)];
         // Assigner always gives the lowest-id open task.
         let asg = p.ask_round_assigned(&tasks, 3, 1, &mut |_, open| {
-            let mut ids: Vec<TaskId> = open.iter().map(|t| t.id).collect();
+            let mut ids: Vec<TaskId> = open.iter().map(|q| q.id).collect();
             ids.sort();
             ids.truncate(1);
             ids
@@ -506,7 +485,7 @@ mod tests {
         let mut p = platform(&[1.0; 4], 3);
         let tasks = vec![yes_task(1)];
         let asg =
-            p.ask_round_assigned(&tasks, 4, 5, &mut |_, open| open.iter().map(|t| t.id).collect());
+            p.ask_round_assigned(&tasks, 4, 5, &mut |_, open| open.iter().map(|q| q.id).collect());
         let mut workers: Vec<u32> = asg.iter().map(|a| a.worker.0).collect();
         workers.sort_unstable();
         workers.dedup();
@@ -519,7 +498,7 @@ mod tests {
         let mut p =
             SimulatedPlatform::new(Market::CrowdFlower, WorkerPool::with_accuracies(&[1.0]), 0);
         p.ask_round_assigned(&[yes_task(1)], 1, 1, &mut |_, open| {
-            open.iter().map(|t| t.id).collect()
+            open.iter().map(|q| q.id).collect()
         });
     }
 
@@ -584,15 +563,5 @@ mod tests {
             .dispatch_replacement(&yes_task(1), &[WorkerId(0)], 1000, 0, 2)
             .expect("random assignment always finds a worker");
         assert_eq!(r.worker.id, WorkerId(0), "no control: excluded worker may recur");
-    }
-
-    #[test]
-    fn trait_object_drives_the_platform() {
-        let mut p = platform(&[1.0; 5], 1);
-        let dynp: &mut dyn CrowdPlatform = &mut p;
-        assert_eq!(dynp.market(), Market::Amt);
-        let asg = dynp.ask_round(&[yes_task(1)], 3);
-        assert_eq!(asg.len(), 3);
-        assert_eq!(dynp.rounds(), 1);
     }
 }

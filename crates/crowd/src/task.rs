@@ -60,6 +60,16 @@ pub struct Task {
     pub difficulty: f64,
 }
 
+/// A join check as the requester publishes it. It carries no answer: only
+/// the crowd that answers it knows that.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Question {
+    /// The task the answers will name.
+    pub id: TaskId,
+    /// Simulated difficulty in `[0, 1]` (see [`Task::difficulty`]).
+    pub difficulty: f64,
+}
+
 /// Difficulty of a join check on a value pair with similarity `w`:
 /// maximal (1.0) for genuinely confusable pairs around `w ≈ 0.65`,
 /// decaying linearly to 0 for obvious non-matches (`w ≤ 0.35`) and obvious
@@ -70,17 +80,12 @@ pub fn join_difficulty(w: f64) -> f64 {
 }
 
 impl Task {
-    /// A yes/no single-choice task — the edge-checking task of the graph
-    /// model ("can these two values be joined?"). Choice 0 = yes, 1 = no.
-    pub fn join_check(id: TaskId, truth_yes: bool) -> Self {
+    /// The yes/no single-choice task that answers `q` — the edge-checking
+    /// task of the graph model ("can these two values be joined?"). Choice
+    /// 0 = yes, 1 = no.
+    pub fn join_check(q: Question, truth_yes: bool) -> Self {
         let kind = TaskKind::SingleChoice { choices: 2, truth: usize::from(!truth_yes) };
-        Task { id, kind, difficulty: 1.0 }
-    }
-
-    /// Set the simulated difficulty (builder style).
-    pub fn with_difficulty(mut self, difficulty: f64) -> Self {
-        self.difficulty = difficulty.clamp(0.0, 1.0);
-        self
+        Task { id: q.id, kind, difficulty: q.difficulty }
     }
 }
 
@@ -90,9 +95,9 @@ mod tests {
 
     #[test]
     fn join_check_encodes_truth_in_choice_zero() {
-        let t = Task::join_check(TaskId(1), true);
+        let t = Task::join_check(Question { id: TaskId(1), difficulty: 1.0 }, true);
         assert_eq!(t.kind, TaskKind::SingleChoice { choices: 2, truth: 0 });
-        let f = Task::join_check(TaskId(2), false);
+        let f = Task::join_check(Question { id: TaskId(2), difficulty: 1.0 }, false);
         assert_eq!(f.kind, TaskKind::SingleChoice { choices: 2, truth: 1 });
     }
 

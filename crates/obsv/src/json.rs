@@ -221,10 +221,17 @@ impl Json {
     }
 }
 
-/// Parse a JSON document. Errors carry a byte offset and a short reason.
+/// Deepest nesting of arrays and objects [`parse`] accepts. Far above any
+/// document this workspace writes, and shallow enough that the recursive
+/// descent fits a small thread stack: the server decodes hostile request
+/// bodies on 256 KiB connection threads.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parse a JSON document. Errors carry a byte offset and a short reason;
+/// nesting deeper than [`MAX_DEPTH`] is an error too.
 pub fn parse(text: &str) -> Result<Json, String> {
     let b = text.as_bytes();
-    let mut p = Parser { b, i: 0 };
+    let mut p = Parser { b, i: 0, depth: 0 };
     p.ws();
     let v = p.value()?;
     p.ws();
@@ -237,6 +244,8 @@ pub fn parse(text: &str) -> Result<Json, String> {
 struct Parser<'a> {
     b: &'a [u8],
     i: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -261,8 +270,15 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(c @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.i));
+                }
+                self.depth += 1;
+                let v = if c == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -502,6 +518,28 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn hostile_nesting_is_an_error_not_a_stack_overflow() {
+        // On a thread with the server's 256 KiB connection stack: the
+        // deepest allowed document parses, and anything deeper — up to a
+        // hostile megabyte of brackets — is refused without overflowing.
+        std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(|| {
+                let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+                assert!(parse(&nested(MAX_DEPTH)).is_ok());
+                let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+                assert!(err.contains("nesting deeper than 128"), "{err}");
+                for n in [10_000, 1_000_000] {
+                    assert!(parse(&"[".repeat(n)).is_err());
+                    assert!(parse(&"{\"k\":".repeat(n)).is_err());
+                }
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 
     #[test]

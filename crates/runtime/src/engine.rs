@@ -3,9 +3,11 @@
 //! deadline-driven reassignment.
 //!
 //! One engine serves one query. It wraps a per-query [`SimulatedPlatform`]
-//! and replaces the synchronous `ask_round` with an event loop:
+//! and the query's answer key, and replaces the synchronous `ask_round`
+//! with an event loop:
 //!
-//! 1. publish the batch (answers and latencies pre-drawn at dispatch);
+//! 1. answer each question from the key and publish the batch (answers
+//!    and latencies pre-drawn at dispatch);
 //! 2. apply the fault plan to each dispatch (dropout / abandon / slow);
 //! 3. advance the virtual clock to the next arrival or deadline;
 //! 4. collect arrivals; close a task as soon as its collected votes can
@@ -39,9 +41,10 @@
 
 use std::sync::Arc;
 
+use cdb_core::truth::{join_task, EdgeTruth};
 use cdb_crowd::{
-    Answer, Assignment, CrowdPlatform, LatencyModel, Market, OpenRound, PendingAssignment, SimTime,
-    SimulatedPlatform, Task, TaskId, TaskKind, WorkerId,
+    Answer, Assignment, CrowdPlatform, LatencyModel, Market, OpenRound, PendingAssignment,
+    Question, SimTime, SimulatedPlatform, Task, TaskId, TaskKind, WorkerId,
 };
 use cdb_obsv::attr::names;
 use cdb_obsv::{kv, Span, SpanId, Trace};
@@ -53,6 +56,8 @@ use crate::metrics::RuntimeMetrics;
 /// A fault-injecting, virtual-time crowd platform for one query.
 pub struct RuntimeEngine {
     platform: SimulatedPlatform,
+    /// The query's answer key.
+    truth: EdgeTruth,
     plan: FaultPlan,
     retry: RetryPolicy,
     query_id: u64,
@@ -66,10 +71,12 @@ pub struct RuntimeEngine {
 }
 
 impl RuntimeEngine {
-    /// Wrap a per-query platform. `metrics` may be shared across queries;
-    /// it is attached as the first collector on the engine's event stream.
+    /// Wrap a per-query platform answering from `truth`. `metrics` may be
+    /// shared across queries; it is attached as the first collector on the
+    /// engine's event stream.
     pub fn new(
         platform: SimulatedPlatform,
+        truth: EdgeTruth,
         latency: LatencyModel,
         plan: FaultPlan,
         retry: RetryPolicy,
@@ -78,6 +85,7 @@ impl RuntimeEngine {
     ) -> Self {
         RuntimeEngine {
             platform: platform.with_latency(latency),
+            truth,
             plan,
             retry,
             query_id,
@@ -279,13 +287,14 @@ impl CrowdPlatform for RuntimeEngine {
         self.round_tasks.len()
     }
 
-    fn ask_round(&mut self, tasks: &[Task], redundancy: usize) -> Vec<Assignment> {
+    fn ask_round(&mut self, questions: &[Question], redundancy: usize) -> Vec<Assignment> {
         // A latched fatal error poisons the engine: no more dispatches, so
         // the executor's round loop runs out of answers and terminates
         // instead of hanging.
-        if tasks.is_empty() || self.error.is_some() {
+        if questions.is_empty() || self.error.is_some() {
             return Vec::new();
         }
+        let tasks: Vec<Task> = questions.iter().map(|q| join_task(&self.truth, q)).collect();
         let round = self.round_tasks.len() as u64;
         let round_start = self.now;
         self.round_tasks.push(tasks.len());
@@ -293,7 +302,7 @@ impl CrowdPlatform for RuntimeEngine {
             self.trace.span(SpanId::ROOT, names::ROUND, &[round], round_start, kv![round => round]);
 
         let batch =
-            self.platform.publish_round(tasks, redundancy, self.retry.deadline_ms, self.now);
+            self.platform.publish_round(&tasks, redundancy, self.retry.deadline_ms, self.now);
         // Workers already tried, for reassignment to go elsewhere: the
         // batch holds each task's workers together, in `tasks` order, and
         // replacements are appended as `(task, worker)`.
@@ -312,7 +321,7 @@ impl CrowdPlatform for RuntimeEngine {
             open.push(p);
         }
 
-        let mut tally = Tally::new(tasks);
+        let mut tally = Tally::new(&tasks);
         // Positions of the tasks that received a vote at this instant.
         let mut voted: Vec<usize> = Vec::new();
         loop {
@@ -409,6 +418,7 @@ mod tests {
         let platform = SimulatedPlatform::new(Market::Amt, WorkerPool::with_accuracies(accs), seed);
         RuntimeEngine::new(
             platform,
+            yes_key(),
             LatencyModel::default(),
             plan,
             retry,
@@ -417,8 +427,13 @@ mod tests {
         )
     }
 
-    fn yes_task(id: u64) -> Task {
-        Task::join_check(TaskId(id), true)
+    /// An answer key under which every task the tests publish is a match.
+    fn yes_key() -> EdgeTruth {
+        (0..64).map(|i| (cdb_core::EdgeId(i), true)).collect()
+    }
+
+    fn yes_task(id: u64) -> Question {
+        Question { id: TaskId(id), difficulty: 1.0 }
     }
 
     #[test]
@@ -479,6 +494,7 @@ mod tests {
         let retry = RetryPolicy::default();
         let mut e = RuntimeEngine::new(
             platform,
+            yes_key(),
             LatencyModel::default(),
             FaultPlan::none().drop_worker(victims[0], 0).drop_worker(victims[1], 0),
             retry,
@@ -563,6 +579,7 @@ mod tests {
             SimulatedPlatform::new(Market::Amt, WorkerPool::with_accuracies(&[1.0; 10]), 3);
         let mut e = RuntimeEngine::new(
             platform,
+            yes_key(),
             LatencyModel::default(),
             FaultPlan::none(),
             RetryPolicy::default(),
@@ -602,6 +619,7 @@ mod tests {
             SimulatedPlatform::new(Market::Amt, WorkerPool::with_accuracies(&[1.0; 10]), 17);
         let mut e = RuntimeEngine::new(
             platform,
+            yes_key(),
             LatencyModel::default(),
             FaultPlan::none(),
             RetryPolicy::default(),
@@ -632,6 +650,7 @@ mod tests {
         let platform = SimulatedPlatform::new(market, WorkerPool::with_accuracies(&[1.0; 8]), 29);
         let mut e = RuntimeEngine::new(
             platform,
+            yes_key(),
             LatencyModel::default(),
             plan,
             retry,
@@ -639,7 +658,7 @@ mod tests {
             Arc::clone(&metrics),
         )
         .with_trace(Trace::collector(ring.clone()));
-        let tasks: Vec<Task> = (0..20).map(yes_task).collect();
+        let tasks: Vec<Question> = (0..20).map(yes_task).collect();
         assert_eq!(e.ask_round(&tasks, 1).len(), 20);
         assert!(e.error().is_none());
         let mut workers = vec![Vec::new(); 20];

@@ -18,7 +18,7 @@ use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use cdb_core::executor::{EdgeTruth, Executor, ExecutorConfig};
+use cdb_core::executor::{Executor, ExecutorConfig};
 use cdb_core::model::NodeId;
 use cdb_core::{QueryGraph, ReuseCache, ReuseSession, SettleSink, SettledFact};
 use cdb_crowd::{stream_key, LatencyModel, Market, SimTime, SimulatedPlatform, WorkerPool};
@@ -169,15 +169,17 @@ impl Default for RuntimeConfig {
     }
 }
 
-/// One query to run: a prepared graph plus its edge truth.
+/// One query to run: a prepared graph plus the crowd's answer key.
 #[derive(Debug, Clone)]
 pub struct QueryJob {
     /// Stable id; results are reported in id order.
     pub id: u64,
     /// The query graph.
     pub graph: QueryGraph,
-    /// Ground-truth edge colors.
-    pub truth: EdgeTruth,
+    /// The crowd's answer key: ground-truth edge colors. Only the
+    /// query's [`RuntimeEngine`] reads it, to answer the questions the
+    /// core round loop publishes; the optimizer never sees it.
+    pub truth: cdb_core::EdgeTruth,
 }
 
 /// A completed query's outcome.
@@ -386,6 +388,7 @@ pub fn execute_query(
     let qtrace = cfg.trace.with_context(kv![q => job.id], qspan.raw());
     let mut engine = RuntimeEngine::new(
         platform,
+        job.truth,
         cfg.latency,
         cfg.fault_plan.clone(),
         cfg.retry,
@@ -401,8 +404,7 @@ pub fn execute_query(
     // a task is answered from the cache) count in the snapshot.
     let exec_trace =
         Trace::collector(Arc::clone(metrics) as Arc<dyn cdb_obsv::Collector>).and(&qtrace);
-    let mut executor =
-        Executor::new(job.graph, &job.truth, &mut engine, exec_cfg).with_trace(exec_trace);
+    let mut executor = Executor::new(job.graph, &mut engine, exec_cfg).with_trace(exec_trace);
     if let Some(session) = reuse {
         // The core loop is the session's only reader and writer: it
         // colours entailed edges before selection and records each
@@ -450,7 +452,7 @@ pub fn execute_query(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cdb_core::executor::QualityStrategy;
+    use cdb_core::executor::{EdgeTruth, QualityStrategy};
     use cdb_core::model::PartKind;
 
     /// A small single-join graph: `a_i` joins `b_j` iff `i % nb == j`.

@@ -5,8 +5,8 @@
 //!
 //! This is deliberately not a general web server. It parses exactly what
 //! [`crate::client`] and `cdb-cli` emit, rejects everything else with a
-//! `400`, and never buffers an unbounded body (requests are capped at
-//! [`MAX_BODY`]).
+//! `400`, and never buffers an unbounded message: heads are capped at
+//! [`MAX_HEAD`] and bodies at [`MAX_BODY`].
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -14,6 +14,10 @@ use std::net::TcpStream;
 /// Largest request body the server will buffer (1 MiB — CQL text and
 /// small JSON envelopes only).
 pub const MAX_BODY: usize = 1 << 20;
+
+/// Largest message head — start line plus headers — the server or client
+/// will buffer (64 KiB).
+pub const MAX_HEAD: u64 = 64 << 10;
 
 /// One parsed HTTP request.
 #[derive(Debug)]
@@ -86,20 +90,21 @@ pub(crate) type Headers = Vec<(String, String)>;
 /// `start`, which may refuse it before any header is read), then
 /// `name: value` headers up to the blank line, names lowercased. `Ok(None)`
 /// when the peer closed before a start line; a header line without a `:`
-/// is an `InvalidData` error.
+/// or a head longer than [`MAX_HEAD`] is an `InvalidData` error.
 pub(crate) fn read_head<T>(
     reader: &mut impl BufRead,
     start: impl FnOnce(&str) -> io::Result<T>,
 ) -> io::Result<Option<(T, Headers)>> {
+    let mut reader = reader.take(MAX_HEAD);
     let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
+    if read_head_line(&mut reader, &mut line)? == 0 {
         return Ok(None);
     }
     let start = start(line.trim_end())?;
     let mut headers = Vec::new();
     loop {
         let mut h = String::new();
-        if reader.read_line(&mut h)? == 0 {
+        if read_head_line(&mut reader, &mut h)? == 0 {
             return Err(bad("connection closed mid-headers".to_string()));
         }
         let h = h.trim_end();
@@ -111,6 +116,15 @@ pub(crate) fn read_head<T>(
         };
         headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
     }
+}
+
+/// One line of a head, refused when it runs into the [`MAX_HEAD`] cap.
+fn read_head_line(reader: &mut io::Take<impl BufRead>, line: &mut String) -> io::Result<usize> {
+    let n = reader.read_line(line)?;
+    if reader.limit() == 0 && !line.ends_with('\n') {
+        return Err(bad(format!("message head longer than {MAX_HEAD} bytes")));
+    }
+    Ok(n)
 }
 
 /// First value of a header, by lowercase name.
@@ -253,6 +267,23 @@ mod tests {
         c2.write_all(b"GET / HTTP/1.1\r\nno colon\r\n\r\n").unwrap();
         assert!(read_request(&mut BufReader::new(s)).is_err());
         drop((c, c2));
+    }
+
+    #[test]
+    fn a_head_past_the_cap_is_refused_without_buffering_the_rest() {
+        // A 100 KiB request line, well formed apart from its length.
+        let (mut c, s) = pair();
+        let line = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(100 << 10));
+        c.write_all(line.as_bytes()).unwrap();
+        drop(c);
+        let mut r = BufReader::new(s);
+        let err = read_request(&mut r).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("longer than 65536"), "{err}");
+        // Reading stopped at the cap: the rest of the line is still unread.
+        let mut rest = Vec::new();
+        r.read_to_end(&mut rest).unwrap();
+        assert_eq!(rest.len() as u64, line.len() as u64 - MAX_HEAD);
     }
 
     #[test]

@@ -52,13 +52,16 @@ pub fn verify_streams(
 ) -> OracleCheck {
     // A fresh index: every oracle diff also checks the server's indexed
     // plans against unindexed ones.
-    let plan = plan(db, &PredicateIndex::default(), truth, cfg, sql).ok();
+    let plan = plan(db, &PredicateIndex::default(), cfg, sql).ok().map(|p| {
+        let key = truth.edge_truth(&p.graph);
+        (p, key)
+    });
     let metrics = Arc::new(RuntimeMetrics::new());
     let mut check = OracleCheck::default();
     for (&id, events) in streams {
         let oracle: BTreeSet<Vec<u64>> = match &plan {
-            Some(p) => {
-                let job = QueryJob { id, graph: p.graph.clone(), truth: p.truth.clone() };
+            Some((p, key)) => {
+                let job = QueryJob { id, graph: p.graph.clone(), truth: key.clone() };
                 let (_, result) = execute_query(&p.runtime, &metrics, job, None);
                 result
                     .expect("oracle run succeeds")

@@ -29,7 +29,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, Weak};
 use std::time::Instant;
 
-use cdb_core::executor::EdgeTruth;
 use cdb_core::model::NodeId;
 use cdb_core::{
     analyze_sql, build_query_graph_indexed, CostEstimate, GraphBuildConfig, PredicateIndex,
@@ -88,10 +87,10 @@ impl Default for ServeConfig {
     }
 }
 
-/// One served statement as the engine runs it.
+/// One served statement as the engine runs it. It carries no truth: the
+/// worker projects the crowd's answer key onto the graph at dispatch.
 pub(crate) struct Plan {
     pub(crate) graph: QueryGraph,
-    pub(crate) truth: EdgeTruth,
     /// The server's runtime configuration with the statement's `BUDGET n`
     /// task cap folded in and no round sink attached.
     pub(crate) runtime: RuntimeConfig,
@@ -99,15 +98,14 @@ pub(crate) struct Plan {
 
 /// Turn served CQL into the job it runs as: analyze the SELECT
 /// ([`cdb_core::analyze_sql`]), refuse the post-ops the wire does not
-/// serve before any join work, build the graph through `index`, attach
-/// its edge truth, and fold the statement's task cap into the runtime
+/// serve before any join work, build the graph through `index`, and fold
+/// the statement's task cap into the runtime
 /// configuration. The server plans every submission here through its own
 /// index and the oracle re-plans here through a fresh one, so the two can
 /// never disagree on what a statement means.
 pub(crate) fn plan(
     db: &cdb_storage::Database,
     index: &PredicateIndex,
-    truth: &QueryTruth,
     cfg: &ServeConfig,
     sql: &str,
 ) -> Result<Plan, String> {
@@ -116,11 +114,10 @@ pub(crate) fn plan(
         return Err("GROUP BY/ORDER BY CROWD post-ops are not served over the wire".into());
     }
     let graph = build_query_graph_indexed(&analyzed, db, &cfg.build, index);
-    let truth = truth.edge_truth(&graph);
     let mut runtime = cfg.runtime.clone();
     runtime.exec.budget = analyzed.budget.or(runtime.exec.budget);
     runtime.round_sink = None;
-    Ok(Plan { graph, truth, runtime })
+    Ok(Plan { graph, runtime })
 }
 
 /// Lifecycle of one submitted query.
@@ -223,6 +220,7 @@ pub struct ServerState {
     db: cdb_storage::Database,
     /// Every CROWDJOIN planned against `db` so far: a repeat is a lookup.
     index: PredicateIndex,
+    /// The simulated crowd's answer key; workers project it per job.
     truth: QueryTruth,
     cfg: ServeConfig,
     metrics: Arc<RuntimeMetrics>,
@@ -304,7 +302,7 @@ impl ServerState {
     /// the assigned query id (admitted/queued only), and the HTTP body.
     pub fn submit(&self, req: &Submit) -> Result<(AdmissionDecision, Option<u64>), String> {
         // Plan outside the lock — the catalog is immutable.
-        let mut plan = plan(&self.db, &self.index, &self.truth, &self.cfg, &req.sql)?;
+        let mut plan = plan(&self.db, &self.index, &self.cfg, &req.sql)?;
         plan.runtime.exec.max_rounds = req.deadline_rounds.or(plan.runtime.exec.max_rounds);
         let estimate = cdb_core::cost::estimate::estimate(
             &plan.graph,
@@ -376,7 +374,7 @@ impl ServerState {
     /// until [`stop`](Self::stop).
     pub fn worker_loop(self: &Arc<Self>) {
         loop {
-            let job = {
+            let next = {
                 let mut inner = self.inner.lock().unwrap();
                 loop {
                     if self.stopping() {
@@ -390,16 +388,17 @@ impl ServerState {
                             continue;
                         }
                         entry.state = QueryState::Running;
-                        let Plan { graph, truth, mut runtime } =
+                        let Plan { graph, mut runtime } =
                             *entry.plan.take().expect("plan not yet taken");
                         runtime.round_sink = Some(self.hook.get().expect("hook installed").clone());
-                        break Some((QueryJob { id, graph, truth }, runtime));
+                        break Some((id, graph, runtime));
                     }
                     inner = self.wake.wait(inner).unwrap();
                 }
             };
-            let Some((job, runtime)) = job else { return };
-            let id = job.id;
+            let Some((id, graph, runtime)) = next else { return };
+            // Outside the lock: the crowd's answer key for this graph.
+            let job = QueryJob { id, truth: self.truth.edge_truth(&graph), graph };
             let (_, result) = execute_query(&runtime, &self.metrics, job, None);
             self.finalize(id, result);
         }

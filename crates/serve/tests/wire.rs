@@ -388,6 +388,55 @@ fn a_negative_budget_is_a_400_and_creates_no_query() {
     server.shutdown();
 }
 
+/// A normal submission still streams to `done`.
+fn still_serves(client: &mut Client) {
+    let SubmitOutcome::Admitted { query } =
+        client.submit(&submit("after", 10_000)).expect("submit")
+    else {
+        panic!("expected admission");
+    };
+    let events = client.stream_events(query).expect("stream");
+    assert!(
+        matches!(events.last(), Some(StreamEvent::Done { cancelled: false, .. })),
+        "{events:?}"
+    );
+}
+
+/// Ten thousand nested brackets are a 400 from the JSON decoder, not a
+/// stack overflow on the connection thread that takes the server down.
+#[test]
+fn a_deeply_nested_body_is_a_400_and_the_server_keeps_serving() {
+    let server = example_server(ServeConfig::default());
+    let mut client = Client::new(server.addr());
+    let resp = client.request("POST", "/queries", Some(&"[".repeat(10_000))).expect("request");
+    assert_eq!(resp.status, 400, "{}", resp.body);
+    let error = resp.json().expect("JSON body");
+    let error = error.get("error").and_then(Json::as_str).expect("error message");
+    assert!(error.contains("nesting"), "{error}");
+    still_serves(&mut client);
+    server.shutdown();
+}
+
+/// A request head past the cap is refused and the connection closed
+/// before the server buffers the rest of it.
+#[test]
+fn an_oversized_request_head_is_refused_and_the_server_keeps_serving() {
+    use std::io::{Read, Write};
+    let server = example_server(ServeConfig::default());
+    let mut conn = std::net::TcpStream::connect(server.addr()).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+    let head = format!("GET /{} HTTP/1.1\r\nConnection: close\r\n\r\n", "a".repeat(100 << 10));
+    // The server may close (and reset) before taking every byte, so
+    // neither the write nor the read is required to succeed in full.
+    let _ = conn.write_all(head.as_bytes());
+    let mut resp = Vec::new();
+    let _ = conn.read_to_end(&mut resp);
+    let resp = String::from_utf8_lossy(&resp);
+    assert!(resp.is_empty() || resp.starts_with("HTTP/1.1 400 "), "{resp}");
+    still_serves(&mut Client::new(server.addr()));
+    server.shutdown();
+}
+
 #[test]
 fn client_disconnect_mid_stream_cancels_and_refunds() {
     let mut cfg = ServeConfig::default();

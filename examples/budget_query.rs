@@ -9,7 +9,7 @@
 use cdb::baselines::budget_baseline;
 use cdb::core::executor::{true_answers, Executor, ExecutorConfig};
 use cdb::core::metrics::precision_recall;
-use cdb::core::{plan_select, GraphBuildConfig};
+use cdb::core::{plan_select, GraphBuildConfig, SimCrowd};
 use cdb::crowd::{Market, SimulatedPlatform, WorkerPool};
 use cdb::datagen::{paper_dataset, queries_for, DatasetScale};
 use rand::rngs::StdRng;
@@ -40,8 +40,7 @@ fn main() {
         let mut p1 = SimulatedPlatform::new(Market::Amt, pool.clone(), 5);
         let stats = Executor::new(
             g.clone(),
-            &truth,
-            &mut p1,
+            &mut SimCrowd::new(&mut p1, &truth),
             ExecutorConfig { budget: Some(budget), ..ExecutorConfig::default() },
         )
         .run();
@@ -49,7 +48,7 @@ fn main() {
 
         // Baseline: best-table-order DFS (§6.3.3).
         let mut p2 = SimulatedPlatform::new(Market::Amt, pool, 5);
-        let base = budget_baseline(&g, &truth, &mut p2, 5, budget);
+        let base = budget_baseline(&g, &mut SimCrowd::new(&mut p2, &truth), 5, budget);
         let base_m = precision_recall(&base.answers, &reference);
 
         println!(

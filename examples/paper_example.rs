@@ -9,7 +9,7 @@
 
 use cdb::baselines::{opt_tree_order, run_tree};
 use cdb::core::executor::{true_answers, Executor, ExecutorConfig};
-use cdb::core::{plan_select, GraphBuildConfig};
+use cdb::core::{plan_select, GraphBuildConfig, SimCrowd};
 use cdb::crowd::{Market, SimulatedPlatform, WorkerPool};
 use cdb::datagen::paper_example_dataset;
 
@@ -36,8 +36,12 @@ fn main() {
     // CDB: expectation-based tuple-level selection.
     let pool = WorkerPool::with_accuracies(&[1.0; 10]); // error-free crowd isolates cost
     let mut platform = SimulatedPlatform::new(Market::Amt, pool.clone(), 1);
-    let stats =
-        Executor::new(g.clone(), &edge_truth, &mut platform, ExecutorConfig::default()).run();
+    let stats = Executor::new(
+        g.clone(),
+        &mut SimCrowd::new(&mut platform, &edge_truth),
+        ExecutorConfig::default(),
+    )
+    .run();
     println!(
         "CDB   (graph model):       {:>3} tasks, {} rounds, {} answers",
         stats.tasks_asked,
@@ -46,9 +50,10 @@ fn main() {
     );
 
     // The best possible tree model: enumerate all join orders with oracle
-    // colors and take the cheapest.
+    // colors, take the cheapest and run it on the same error-free crowd.
     let order = opt_tree_order(&g, &edge_truth);
-    let tree = run_tree(&g, &edge_truth, None, 1, &order);
+    let mut platform = SimulatedPlatform::new(Market::Amt, pool, 1);
+    let tree = run_tree(&g, &mut SimCrowd::new(&mut platform, &edge_truth), 1, &order);
     println!(
         "OptTree (best tree order): {:>3} tasks, {} rounds, {} answers",
         tree.tasks_asked,

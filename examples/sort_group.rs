@@ -9,7 +9,7 @@
 
 use cdb::core::{Cdb, CdbConfig, QueryTruth};
 use cdb::crowd::{
-    CrossMarketDeployer, Market, MarketSlot, SimulatedPlatform, Task, TaskId, WorkerPool,
+    CrossMarketDeployer, Market, MarketSlot, Question, SimulatedPlatform, Task, TaskId, WorkerPool,
 };
 use cdb::storage::{TupleId, Value};
 
@@ -114,7 +114,9 @@ fn main() {
             share: 1.0,
         },
     ]);
-    let tasks: Vec<Task> = (0..8).map(|i| Task::join_check(TaskId(i), i % 2 == 0)).collect();
+    let tasks: Vec<Task> = (0..8)
+        .map(|i| Task::join_check(Question { id: TaskId(i), difficulty: 1.0 }, i % 2 == 0))
+        .collect();
     let assignments = deployer.ask_round(&tasks, 3);
     println!(
         "\ncross-market deployment: {} tasks -> {} assignments across {} markets \

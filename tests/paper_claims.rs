@@ -5,6 +5,7 @@
 use cdb::baselines::{crowddb_order, opt_tree_order, run_er, run_tree};
 use cdb::core::executor::{true_answers, Executor, ExecutorConfig, QualityStrategy};
 use cdb::core::metrics::precision_recall;
+use cdb::core::SimCrowd;
 use cdb::crowd::{Market, SimulatedPlatform, WorkerPool};
 use cdb::datagen::{paper_dataset, queries_for, DatasetScale};
 use rand::rngs::StdRng;
@@ -39,10 +40,15 @@ fn graph_model_beats_rule_based_tree_on_cost() {
     for seed in 0..3u64 {
         let f = fixture(0, 17 + seed);
         let mut p = platform(0.95, seed);
-        let stats = Executor::new(f.g.clone(), &f.truth, &mut p, ExecutorConfig::default()).run();
+        let stats = Executor::new(
+            f.g.clone(),
+            &mut SimCrowd::new(&mut p, &f.truth),
+            ExecutorConfig::default(),
+        )
+        .run();
         cdb_total += stats.tasks_asked;
         let mut p = platform(0.95, seed);
-        let tree = run_tree(&f.g, &f.truth, Some(&mut p), 5, &crowddb_order(&f.g));
+        let tree = run_tree(&f.g, &mut SimCrowd::new(&mut p, &f.truth), 5, &crowddb_order(&f.g));
         crowddb_total += tree.tasks_asked;
     }
     assert!(
@@ -62,11 +68,16 @@ fn graph_model_at_most_optimal_tree_cost() {
     for seed in 0..3u64 {
         let f = fixture(4, 23 + seed); // 3J2S: most predicates
         let mut p = platform(0.95, seed);
-        let stats = Executor::new(f.g.clone(), &f.truth, &mut p, ExecutorConfig::default()).run();
+        let stats = Executor::new(
+            f.g.clone(),
+            &mut SimCrowd::new(&mut p, &f.truth),
+            ExecutorConfig::default(),
+        )
+        .run();
         cdb_total += stats.tasks_asked;
         let order = opt_tree_order(&f.g, &f.truth);
         let mut p = platform(0.95, seed);
-        opt_total += run_tree(&f.g, &f.truth, Some(&mut p), 5, &order).tasks_asked;
+        opt_total += run_tree(&f.g, &mut SimCrowd::new(&mut p, &f.truth), 5, &order).tasks_asked;
     }
     assert!(
         cdb_total as f64 <= 1.45 * opt_total as f64,
@@ -80,11 +91,13 @@ fn graph_model_at_most_optimal_tree_cost() {
 fn latency_shape_graph_close_to_tree_er_far() {
     let f = fixture(2, 31); // 3J
     let mut p = platform(0.95, 1);
-    let cdb_stats = Executor::new(f.g.clone(), &f.truth, &mut p, ExecutorConfig::default()).run();
+    let cdb_stats =
+        Executor::new(f.g.clone(), &mut SimCrowd::new(&mut p, &f.truth), ExecutorConfig::default())
+            .run();
     let mut p = platform(0.95, 1);
-    let tree = run_tree(&f.g, &f.truth, Some(&mut p), 5, &crowddb_order(&f.g));
+    let tree = run_tree(&f.g, &mut SimCrowd::new(&mut p, &f.truth), 5, &crowddb_order(&f.g));
     let mut p = platform(0.95, 1);
-    let er = run_er(&f.g, &f.truth, &mut p, 5);
+    let er = run_er(&f.g, &mut SimCrowd::new(&mut p, &f.truth), 5);
     assert!(
         cdb_stats.rounds <= tree.rounds + 3,
         "graph rounds {} vs tree rounds {}",
@@ -113,8 +126,7 @@ fn quality_control_beats_majority_voting_with_weak_workers() {
         let mut p = platform(0.7, seed);
         let s = Executor::new(
             f.g.clone(),
-            &f.truth,
-            &mut p,
+            &mut SimCrowd::new(&mut p, &f.truth),
             ExecutorConfig { quality: QualityStrategy::MajorityVote, ..Default::default() },
         )
         .run();
@@ -122,8 +134,7 @@ fn quality_control_beats_majority_voting_with_weak_workers() {
         let mut p = platform(0.7, seed);
         let s = Executor::new(
             f.g.clone(),
-            &f.truth,
-            &mut p,
+            &mut SimCrowd::new(&mut p, &f.truth),
             ExecutorConfig {
                 quality: QualityStrategy::EmBayes,
                 use_task_assignment: true,
@@ -142,9 +153,11 @@ fn quality_control_beats_majority_voting_with_weak_workers() {
 fn er_methods_cost_more_than_cdb_on_selective_queries() {
     let f = fixture(1, 47); // 2J1S
     let mut p = platform(0.95, 1);
-    let cdb_stats = Executor::new(f.g.clone(), &f.truth, &mut p, ExecutorConfig::default()).run();
+    let cdb_stats =
+        Executor::new(f.g.clone(), &mut SimCrowd::new(&mut p, &f.truth), ExecutorConfig::default())
+            .run();
     let mut p = platform(0.95, 1);
-    let trans = run_er(&f.g, &f.truth, &mut p, 5);
+    let trans = run_er(&f.g, &mut SimCrowd::new(&mut p, &f.truth), 5);
     assert!(
         trans.tasks_asked as f64 >= 0.9 * cdb_stats.tasks_asked as f64,
         "Trans {} should not undercut CDB {} much",

@@ -8,6 +8,7 @@ use cdb::core::cost::known::select_known_colors;
 use cdb::core::executor::{true_answers, EdgeTruth, Executor, ExecutorConfig};
 use cdb::core::latency::{edges_conflict, parallel_round};
 use cdb::core::model::{EdgeId, PartKind, QueryGraph};
+use cdb::core::SimCrowd;
 use cdb::crowd::{Market, SimulatedPlatform, WorkerPool};
 use proptest::prelude::*;
 
@@ -86,7 +87,7 @@ proptest! {
             WorkerPool::with_accuracies(&[1.0; 12]),
             0,
         );
-        let stats = Executor::new(g.clone(), &truth, &mut p, ExecutorConfig::default()).run();
+        let stats = Executor::new(g.clone(), &mut SimCrowd::new(&mut p, &truth), ExecutorConfig::default()).run();
         let expected: std::collections::BTreeSet<_> =
             true_answers(&g, &truth).into_iter().map(|c| c.binding).collect();
         prop_assert_eq!(stats.answer_bindings(), expected);
@@ -102,7 +103,7 @@ proptest! {
             WorkerPool::with_accuracies(&[1.0; 12]),
             1,
         );
-        let stats = Executor::new(g, &truth, &mut p, ExecutorConfig::default()).run();
+        let stats = Executor::new(g, &mut SimCrowd::new(&mut p, &truth), ExecutorConfig::default()).run();
         prop_assert!(stats.tasks_asked <= open_before);
     }
 
@@ -136,12 +137,7 @@ proptest! {
             WorkerPool::with_accuracies(&[1.0; 12]),
             2,
         );
-        let stats = Executor::new(
-            g.clone(),
-            &truth,
-            &mut p,
-            ExecutorConfig { budget: Some(budget), ..ExecutorConfig::default() },
-        )
+        let stats = Executor::new(g.clone(), &mut SimCrowd::new(&mut p, &truth), ExecutorConfig { budget: Some(budget), ..ExecutorConfig::default() })
         .run();
         prop_assert!(stats.tasks_asked <= budget);
         // All reported answers are genuine (perfect workers, so any

@@ -4,6 +4,7 @@
 
 use cdb::core::executor::{EdgeTruth, Executor, ExecutorConfig, QualityStrategy};
 use cdb::core::model::{PartKind, QueryGraph};
+use cdb::core::SimCrowd;
 use cdb::crowd::{Market, SimulatedPlatform, WorkerHistory, WorkerId, WorkerPool};
 
 /// Single-join bipartite fixture with a truth per edge.
@@ -41,8 +42,7 @@ fn qualities_flow_into_history_and_back() {
     let mut p = SimulatedPlatform::new(Market::Amt, pool(), 1);
     let stats = Executor::new(
         g.clone(),
-        &truth,
-        &mut p,
+        &mut SimCrowd::new(&mut p, &truth),
         ExecutorConfig { quality: QualityStrategy::EmBayes, ..Default::default() },
     )
     .run();
@@ -62,8 +62,7 @@ fn qualities_flow_into_history_and_back() {
     let mut p = SimulatedPlatform::new(Market::Amt, pool(), 2);
     let stats2 = Executor::new(
         g.clone(),
-        &truth,
-        &mut p,
+        &mut SimCrowd::new(&mut p, &truth),
         ExecutorConfig { quality: QualityStrategy::EmBayes, ..Default::default() },
     )
     .with_worker_priors(history.priors())
@@ -75,7 +74,8 @@ fn qualities_flow_into_history_and_back() {
 fn majority_voting_reports_no_qualities() {
     let (g, truth) = fixture(6);
     let mut p = SimulatedPlatform::new(Market::Amt, pool(), 3);
-    let stats = Executor::new(g, &truth, &mut p, ExecutorConfig::default()).run();
+    let stats =
+        Executor::new(g, &mut SimCrowd::new(&mut p, &truth), ExecutorConfig::default()).run();
     assert!(stats.worker_qualities.is_empty());
     assert!(!stats.worker_answer_counts.is_empty());
 }
@@ -88,8 +88,7 @@ fn history_blocklist_accumulates_over_queries() {
         let mut p = SimulatedPlatform::new(Market::Amt, pool(), seed);
         let stats = Executor::new(
             g.clone(),
-            &truth,
-            &mut p,
+            &mut SimCrowd::new(&mut p, &truth),
             ExecutorConfig { quality: QualityStrategy::EmBayes, ..Default::default() },
         )
         .with_worker_priors(history.priors())
