@@ -14,8 +14,8 @@ use cdb_crowd::{CrowdPlatform, Question, TaskId, WorkerId};
 use cdb_obsv::attr::names;
 use cdb_obsv::{kv, Event, Span, SpanId, Trace};
 use cdb_quality::{
-    bayesian_posterior_difficulty, em_truth_inference, majority_vote, select_top_k_tasks,
-    vote_entropy, EmConfig, TaskAnswers,
+    bayesian_posterior_difficulty, em_truth_inference, select_top_k_tasks, vote_entropy, EmConfig,
+    TaskAnswers,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -116,7 +116,9 @@ pub struct ExecutionStats {
     pub answers: Vec<Candidate>,
     /// Final worker-quality estimates (EmBayes only; empty under majority
     /// voting). Fold these into a [`cdb_crowd::WorkerHistory`] to warm-start
-    /// the next query's inference — the paper's worker-metadata loop.
+    /// the next query's inference — the paper's worker-metadata loop. EM
+    /// sums each worker's evidence in edge-id order, so one run's estimates
+    /// are bit-for-bit those of any rerun, in this process or another.
     pub worker_qualities: HashMap<WorkerId, f64>,
     /// Answers contributed per worker (for history weighting).
     pub worker_answer_counts: HashMap<WorkerId, usize>,
@@ -142,8 +144,9 @@ pub struct Executor<'a, P: CrowdPlatform> {
     graph: QueryGraph,
     platform: &'a mut P,
     cfg: ExecutorConfig,
-    /// All single-choice answers so far: task -> (worker, 0=yes/1=no).
-    votes: HashMap<EdgeId, Vec<(WorkerId, usize)>>,
+    /// All single-choice answers so far, indexed by edge id:
+    /// (worker, 0=yes/1=no).
+    votes: Vec<Vec<(WorkerId, usize)>>,
     /// Latest worker-quality estimates (EmBayes only).
     qualities: HashMap<WorkerId, f64>,
     asked: BTreeSet<EdgeId>,
@@ -183,10 +186,10 @@ impl<'a, P: CrowdPlatform> Executor<'a, P> {
     pub fn new(graph: QueryGraph, platform: &'a mut P, cfg: ExecutorConfig) -> Self {
         let rng = StdRng::seed_from_u64(cfg.seed);
         Executor {
+            votes: vec![Vec::new(); graph.edge_count()],
             graph,
             platform,
             cfg,
-            votes: HashMap::new(),
             qualities: HashMap::new(),
             asked: BTreeSet::new(),
             rng,
@@ -380,7 +383,8 @@ impl<'a, P: CrowdPlatform> Executor<'a, P> {
         // quality estimates; once all answers are in, re-infer every asked
         // edge with the final qualities. (Edges pruned as invalid were
         // never asked and keep their state.)
-        if self.cfg.quality == QualityStrategy::EmBayes && !self.votes.is_empty() {
+        let assignments: usize = self.votes.iter().map(Vec::len).sum();
+        if self.cfg.quality == QualityStrategy::EmBayes && assignments > 0 {
             let asked: Vec<EdgeId> = self.asked.iter().copied().collect();
             self.infer_and_color(&asked);
         }
@@ -394,7 +398,7 @@ impl<'a, P: CrowdPlatform> Executor<'a, P> {
         }
 
         let mut worker_answer_counts: HashMap<WorkerId, usize> = HashMap::new();
-        for answers in self.votes.values() {
+        for answers in &self.votes {
             for &(w, _) in answers {
                 *worker_answer_counts.entry(w).or_insert(0) += 1;
             }
@@ -403,7 +407,7 @@ impl<'a, P: CrowdPlatform> Executor<'a, P> {
             tasks_asked: self.asked.len(),
             tasks_saved: self.tasks_saved,
             rounds: self.platform.rounds() - start_rounds,
-            assignments: self.votes.values().map(Vec::len).sum(),
+            assignments,
             answers: answers(&self.graph),
             worker_qualities: self.qualities,
             worker_answer_counts,
@@ -476,7 +480,7 @@ impl<'a, P: CrowdPlatform> Executor<'a, P> {
         let Some(session) = self.reuse.clone() else { return };
         let mut session = session.lock().expect("reuse session poisoned");
         for &e in batch {
-            if self.votes.get(&e).is_none_or(Vec::is_empty) {
+            if self.votes[e.0].is_empty() {
                 continue;
             }
             let (u, v) = self.graph.edge_endpoints(e);
@@ -539,13 +543,7 @@ impl<'a, P: CrowdPlatform> Executor<'a, P> {
             return;
         }
         for &e in batch {
-            let votes = self.votes.get(&e).map_or(&[][..], Vec::as_slice);
-            let mut counts = [0usize; 2];
-            for &(_, c) in votes {
-                if let Some(n) = counts.get_mut(c) {
-                    *n += 1;
-                }
-            }
+            let (votes, counts) = (&self.votes[e.0], self.vote_counts(e));
             let choice = usize::from(self.graph.edge_color(e) != Color::Blue);
             let conf =
                 if votes.is_empty() { 0.0 } else { counts[choice] as f64 / votes.len() as f64 };
@@ -592,9 +590,8 @@ impl<'a, P: CrowdPlatform> Executor<'a, P> {
                     let posteriors: Vec<Vec<f64>> = open_tasks
                         .iter()
                         .map(|t| {
-                            let e = EdgeId(t.id.0 as usize);
-                            let answers = votes.get(&e).cloned().unwrap_or_default();
-                            bayesian_posterior_difficulty(&answers, qualities, 2, t.difficulty)
+                            let answers = &votes[t.id.0 as usize];
+                            bayesian_posterior_difficulty(answers, qualities, 2, t.difficulty)
                         })
                         .collect();
                     let q_w = qualities.get(&worker.id).copied().unwrap_or(0.7);
@@ -608,38 +605,46 @@ impl<'a, P: CrowdPlatform> Executor<'a, P> {
             self.platform.ask_round(&questions, self.cfg.redundancy)
         };
         for a in assignments {
-            let e = EdgeId(a.task.0 as usize);
             if let cdb_crowd::Answer::Choice(c) = a.answer {
-                self.votes.entry(e).or_default().push((a.worker, c));
+                self.votes[a.task.0 as usize].push((a.worker, c));
             }
         }
         self.asked.extend(batch.iter().copied());
+    }
+
+    /// Votes per choice (yes, no) collected for `e`.
+    fn vote_counts(&self, e: EdgeId) -> [usize; 2] {
+        let mut counts = [0usize; 2];
+        for &(_, c) in &self.votes[e.0] {
+            if let Some(n) = counts.get_mut(c) {
+                *n += 1;
+            }
+        }
+        counts
     }
 
     fn infer_and_color(&mut self, batch: &[EdgeId]) {
         match self.cfg.quality {
             QualityStrategy::MajorityVote => {
                 for &e in batch {
-                    let votes: Vec<usize> = self
-                        .votes
-                        .get(&e)
-                        .map(|v| v.iter().map(|&(_, c)| c).collect())
-                        .unwrap_or_default();
-                    let yes = majority_vote(&votes, 2) == 0;
-                    self.graph.set_color(e, if yes { Color::Blue } else { Color::Red });
+                    // Plurality with ties toward yes: no votes at all is Blue.
+                    let [yes, no] = self.vote_counts(e);
+                    self.graph.set_color(e, if yes >= no { Color::Blue } else { Color::Red });
                 }
             }
             QualityStrategy::EmBayes => {
-                // Re-run EM over the whole history: quality estimates sharpen
-                // as more answers accumulate.
+                // Re-run EM over the whole history, in edge order: quality
+                // estimates sharpen as more answers accumulate.
                 let tasks: Vec<TaskAnswers> = self
                     .votes
                     .iter()
-                    .map(|(&e, answers)| TaskAnswers {
-                        task: TaskId(e.0 as u64),
+                    .enumerate()
+                    .filter(|(_, answers)| !answers.is_empty())
+                    .map(|(e, answers)| TaskAnswers {
+                        task: TaskId(e as u64),
                         num_choices: 2,
                         answers: answers.clone(),
-                        difficulty: self.edge_difficulty(e),
+                        difficulty: self.edge_difficulty(EdgeId(e)),
                     })
                     .collect();
                 let result = em_truth_inference(&tasks, EmConfig::default());
@@ -647,13 +652,13 @@ impl<'a, P: CrowdPlatform> Executor<'a, P> {
                 let mut merged = std::mem::take(&mut self.qualities);
                 merged.extend(result.qualities);
                 self.qualities = merged;
-                let truth_by_task: HashMap<EdgeId, usize> = tasks
-                    .iter()
-                    .zip(&result.truths)
-                    .map(|(t, &truth)| (EdgeId(t.task.0 as usize), truth))
-                    .collect();
+                // Edges without a vote stay "no".
+                let mut truth_by_edge = vec![1; self.votes.len()];
+                for (t, &truth) in tasks.iter().zip(&result.truths) {
+                    truth_by_edge[t.task.0 as usize] = truth;
+                }
                 for &e in batch {
-                    let yes = truth_by_task.get(&e).copied().unwrap_or(1) == 0;
+                    let yes = truth_by_edge[e.0] == 0;
                     self.graph.set_color(e, if yes { Color::Blue } else { Color::Red });
                 }
             }

@@ -53,20 +53,31 @@ impl QueryTruth {
     /// Project the data-level truth onto a query graph's edges.
     pub fn edge_truth(&self, g: &QueryGraph) -> EdgeTruth {
         let mut out = EdgeTruth::with_capacity(g.edge_count());
+        // One probe key per set, refilled in place: a lookup allocates only
+        // while a probe string grows.
+        let blank = || TupleId::new(String::new(), 0);
+        let (mut join, mut selection) = ((blank(), blank()), (blank(), String::new()));
         for i in 0..g.edge_count() {
             let e = EdgeId(i);
             let (u, v) = g.edge_endpoints(e);
             let truth = match (g.node_tuple(u), g.node_tuple(v)) {
-                (Some(a), Some(b)) => self.joins_match(a, b),
+                (Some(a), Some(b)) => {
+                    let (x, y) = if a <= b { (a, b) } else { (b, a) };
+                    refill(&mut join.0, x);
+                    refill(&mut join.1, y);
+                    self.joins.contains(&join)
+                }
                 (Some(t), None) | (None, Some(t)) => {
                     let (cu, cv) = (g.node_part(u), g.node_part(v));
                     let lit = match (g.part_kind(cu), g.part_kind(cv)) {
                         (PartKind::Constant { value }, _) | (_, PartKind::Constant { value }) => {
-                            value.clone()
+                            value
                         }
                         _ => unreachable!("constant-part edge has a constant endpoint"),
                     };
-                    self.selections.contains(&(t.clone(), lit))
+                    refill(&mut selection.0, t);
+                    selection.1.clone_from(lit);
+                    self.selections.contains(&selection)
                 }
                 (None, None) => false,
             };
@@ -77,6 +88,12 @@ impl QueryTruth {
         }
         out
     }
+}
+
+/// Overwrite `probe` with `from`, reusing its string's buffer.
+fn refill(probe: &mut TupleId, from: &TupleId) {
+    probe.table.clone_from(&from.table);
+    probe.row = from.row;
 }
 
 /// The candidates that are answers under the ground truth — the reference

@@ -4,13 +4,12 @@
 //! hands back a batch of [`PendingAssignment`]s instead of blocking: answers
 //! are *pending* until the virtual clock reaches their arrival instant, and
 //! each assignment carries a deadline after which the requester may reassign
-//! the task to a different worker. Queued in an [`OpenRound`] — one
-//! time-ordered event queue per round — they are the substrate `cdb-runtime`
-//! builds its event loop on.
+//! the task to a different worker. An [`OpenRound`] owns the batch and hands
+//! its answers to `cdb-runtime`'s event loop in time order: every key is
+//! known at publish, so it is one sorted walk plus a heap of replacements.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::BinaryHeap;
 
 use crate::latency::SimTime;
 use crate::{Answer, Assignment, TaskId, Worker, WorkerId};
@@ -54,132 +53,127 @@ impl PendingAssignment {
     }
 }
 
-/// Hashes a task id with one multiply (FxHash's step). Task ids are the
-/// program's own small integers, never outside input, and SipHash made a
-/// third of the queue's cost.
-#[derive(Default)]
-struct TaskHasher(u64);
-
-impl Hasher for TaskHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
-    }
-
-    fn write_u64(&mut self, x: u64) {
-        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
-
-/// The heap key of one queued assignment: the one instant it next matters
+/// The order key of one queued assignment: the one instant it next matters
 /// — its arrival if that is in time, else its deadline — whether that is
-/// the deadline, then `(task, worker, attempt)` and its slab slot.
-type Key = (SimTime, bool, TaskId, WorkerId, u32, u32);
+/// the deadline, then `(task, worker, attempt)`. Its task position, its slot
+/// and its position's cancel count when it was queued ride along.
+type Key = (SimTime, bool, TaskId, WorkerId, u32, u32, u32, u32);
+
+fn key(p: &PendingAssignment, pos: usize, slot: usize, epoch: u32) -> Key {
+    let arrival = p.arrives_at.filter(|&t| t <= p.deadline);
+    let at = arrival.unwrap_or(p.deadline);
+    (at, arrival.is_none(), p.task, p.worker.id, p.attempt, pos as u32, slot as u32, epoch)
+}
 
 /// A published batch whose answers are collected as virtual time advances —
 /// the non-blocking counterpart of a synchronous round.
 ///
-/// One min-heap of small copyable keys over a slab of the queued assignments,
-/// ordered `(instant, arrival before overdue, task, worker, attempt)`. The
-/// caller visits instants in non-decreasing order, at each one calling
-/// [`collect_arrived`](OpenRound::collect_arrived) and then
-/// [`take_overdue`](OpenRound::take_overdue), may [`push`](OpenRound::push)
-/// replacements whose arrival and deadline lie after that instant, and moves
-/// to [`next_event_after`](OpenRound::next_event_after). Under that contract
-/// an answer that would land after its own deadline is never collected: the
-/// deadline comes first and takes it.
+/// Assignments belong to task *positions*: [`new`](OpenRound::new) takes a
+/// task-major batch and [`push`](OpenRound::push) names a replacement's.
+/// The batch's keys are sorted once and walked with a cursor, replacements
+/// go into a side heap, and the head is the smaller of the two. The caller
+/// visits instants in non-decreasing order, at each one collecting arrivals,
+/// then taking the overdue, maybe pushing replacements due after it, and
+/// moves to [`next_event_after`](OpenRound::next_event_after). Under that
+/// contract an answer that would land after its own deadline is never
+/// collected: the deadline comes first and takes it.
 #[derive(Debug, Default)]
 pub struct OpenRound {
-    queue: BinaryHeap<Reverse<Key>>,
-    /// Queued assignments by slot, each with its task's cancel count when
-    /// it was queued; `None` is a free slot, listed in `free`.
-    slab: Vec<Option<(u32, PendingAssignment)>>,
-    free: Vec<u32>,
-    /// Per task: how often it was cancelled, and its assignments in flight.
-    /// Entries queued under an older count stay in the heap, dead, until
-    /// they surface; the head of the heap is always live.
-    tasks: HashMap<TaskId, (u32, usize), BuildHasherDefault<TaskHasher>>,
+    /// The opening batch, then each replacement; never emptied.
+    slots: Vec<PendingAssignment>,
+    /// The batch's keys in order, and the cursor walking them.
+    sorted: Vec<Key>,
+    next: usize,
+    replacements: BinaryHeap<Reverse<Key>>,
+    /// Per position: its cancel count and assignments in flight. Keys queued
+    /// under an older count are dead; both heads are always live.
+    tasks: Vec<(u32, usize)>,
     in_flight: usize,
 }
 
 impl OpenRound {
-    /// Queue one in-flight assignment. Its `arrives_at` must be final: the
-    /// key is computed here.
-    pub fn push(&mut self, p: PendingAssignment) {
-        let arrival = p.arrives_at.filter(|&t| t <= p.deadline);
-        let (epoch, live) = self.tasks.entry(p.task).or_default();
-        *live += 1;
-        self.in_flight += 1;
-        let (at, overdue) = (arrival.unwrap_or(p.deadline), arrival.is_none());
-        let (task, worker, attempt) = (p.task, p.worker.id, p.attempt);
-        let entry = Some((*epoch, p));
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slab[slot as usize] = entry;
-                slot
-            }
-            None => {
-                self.slab.push(entry);
-                (self.slab.len() - 1) as u32
-            }
-        };
-        self.queue.push(Reverse((at, overdue, task, worker, attempt, slot)));
+    /// Open a round on a batch whose `arrives_at` are final: `batch[i]`
+    /// answers position `i / per_task` (non-zero unless `batch` is empty).
+    pub fn new(batch: Vec<PendingAssignment>, per_task: usize) -> Self {
+        let mut sorted: Vec<Key> =
+            batch.iter().enumerate().map(|(s, p)| key(p, s / per_task, s, 0)).collect();
+        sorted.sort_unstable();
+        OpenRound {
+            tasks: vec![(0, per_task); batch.len().checked_div(per_task).unwrap_or(0)],
+            in_flight: batch.len(),
+            slots: batch,
+            sorted,
+            ..OpenRound::default()
+        }
     }
 
-    /// Empty `slot` and hand back its cancel count and assignment.
-    fn take(&mut self, slot: u32) -> (u32, PendingAssignment) {
-        self.free.push(slot);
-        self.slab[slot as usize].take().expect("a queued slot is full")
+    /// Queue one more in-flight assignment of the task at `pos`. Its
+    /// `arrives_at` must be final: the key is computed here.
+    pub fn push(&mut self, pos: usize, p: PendingAssignment) {
+        if pos >= self.tasks.len() {
+            self.tasks.resize(pos + 1, (0, 0));
+        }
+        let (epoch, live) = &mut self.tasks[pos];
+        *live += 1;
+        self.in_flight += 1;
+        self.replacements.push(Reverse(key(&p, pos, self.slots.len(), *epoch)));
+        self.slots.push(p);
+    }
+
+    /// The smaller of the cursor's key and the heap's top.
+    fn head(&self) -> Option<Key> {
+        let top = self.replacements.peek().map(|r| r.0);
+        self.sorted.get(self.next).copied().into_iter().chain(top).min()
     }
 
     /// Pop the head if it is due by `now` and of the asked kind.
-    fn pop_due(&mut self, now: SimTime, overdue: bool) -> Option<PendingAssignment> {
-        let &Reverse((at, kind, task, .., slot)) = self.queue.peek()?;
+    fn pop_due(&mut self, now: SimTime, overdue: bool) -> Option<(usize, &PendingAssignment)> {
+        let head = self.head()?;
+        let (at, kind, .., pos, slot, _) = head;
         if at > now || kind != overdue {
             return None;
         }
-        self.queue.pop();
-        let (_, p) = self.take(slot);
-        self.tasks.get_mut(&task).expect("queued task is counted").1 -= 1;
+        if self.sorted.get(self.next) == Some(&head) {
+            self.next += 1;
+        } else {
+            self.replacements.pop();
+        }
+        self.tasks[pos as usize].1 -= 1;
         self.in_flight -= 1;
         self.drop_dead_heads();
-        Some(p)
+        Some((pos as usize, &self.slots[slot as usize]))
     }
 
     fn drop_dead_heads(&mut self) {
-        while let Some(&Reverse((.., task, _, _, slot))) = self.queue.peek() {
-            let epoch = self.slab[slot as usize].as_ref().expect("a queued slot is full").0;
-            if epoch == self.tasks[&task].0 {
-                return;
-            }
-            self.queue.pop();
-            self.take(slot);
+        let dead = |tasks: &[(u32, usize)], k: &Key| k.7 != tasks[k.5 as usize].0;
+        while self.sorted.get(self.next).is_some_and(|k| dead(&self.tasks, k)) {
+            self.next += 1;
+        }
+        while self.replacements.peek().is_some_and(|Reverse(k)| dead(&self.tasks, k)) {
+            self.replacements.pop();
         }
     }
 
     /// Move every assignment whose answer has arrived by `now` onto the end
-    /// of `out`, in deterministic (arrival, task, worker) order.
-    pub fn collect_arrived(&mut self, now: SimTime, out: &mut Vec<Assignment>) {
-        while let Some(p) = self.pop_due(now, false) {
-            out.push(p.into_assignment());
+    /// of `out` with its position, in (arrival, task, worker) order.
+    pub fn collect_arrived(&mut self, now: SimTime, out: &mut Vec<(usize, Assignment)>) {
+        while let Some((pos, p)) = self.pop_due(now, false) {
+            out.push((pos, p.clone().into_assignment()));
         }
     }
 
     /// Remove and return every assignment past its deadline with no answer
-    /// in time, in deterministic (deadline, task, worker) order — the
-    /// caller decides whether to reassign each one.
-    pub fn take_overdue(&mut self, now: SimTime) -> Vec<PendingAssignment> {
-        std::iter::from_fn(|| self.pop_due(now, true)).collect()
+    /// in time, with its position, in deterministic (deadline, task, worker)
+    /// order — the caller decides whether to reassign each one.
+    pub fn take_overdue(&mut self, now: SimTime) -> Vec<(usize, PendingAssignment)> {
+        std::iter::from_fn(|| self.pop_due(now, true).map(|(pos, p)| (pos, p.clone()))).collect()
     }
 
-    /// Drop every in-flight assignment of `task` (its outcome is decided)
-    /// and return how many there were. A cancelled assignment never arrives,
-    /// never goes overdue and never is the next event.
-    pub fn cancel(&mut self, task: TaskId) -> usize {
-        let Some((epoch, live)) = self.tasks.get_mut(&task) else { return 0 };
+    /// Drop every in-flight assignment of the task at `pos` (its outcome is
+    /// decided) and return how many there were. A cancelled assignment
+    /// never arrives, never goes overdue and never is the next event.
+    pub fn cancel(&mut self, pos: usize) -> usize {
+        let Some((epoch, live)) = self.tasks.get_mut(pos) else { return 0 };
         *epoch += 1;
         let n = std::mem::take(live);
         self.in_flight -= n;
@@ -193,7 +187,13 @@ impl OpenRound {
     /// the head is not after `now` — an assignment pushed with a deadline
     /// that had already passed — so that a caller's clock always moves.
     pub fn next_event_after(&self, now: SimTime) -> Option<SimTime> {
-        self.queue.peek().map(|Reverse(key)| key.0).filter(|&t| t > now)
+        self.head().map(|key| key.0).filter(|&t| t > now)
+    }
+
+    /// Every assignment queued so far: the opening batch, then each pushed
+    /// replacement, collected, taken and cancelled ones included.
+    pub fn slots(&self) -> &[PendingAssignment] {
+        &self.slots
     }
 
     /// Number of assignments still in flight.
@@ -229,20 +229,21 @@ mod tests {
         }
     }
 
+    /// A round whose positions are the task ids.
     fn round(batch: Vec<PendingAssignment>) -> OpenRound {
         let mut open = OpenRound::default();
-        batch.into_iter().for_each(|p| open.push(p));
+        batch.into_iter().for_each(|p| open.push(p.task.0 as usize, p));
         open
     }
 
     fn arrived(open: &mut OpenRound, now: SimTime) -> Vec<Assignment> {
         let mut out = Vec::new();
         open.collect_arrived(now, &mut out);
-        out
+        out.into_iter().map(|(_, a)| a).collect()
     }
 
-    fn tasks(ps: &[PendingAssignment]) -> Vec<TaskId> {
-        ps.iter().map(|p| p.task).collect()
+    fn tasks(ps: &[(usize, PendingAssignment)]) -> Vec<TaskId> {
+        ps.iter().map(|(_, p)| p.task).collect()
     }
 
     #[test]
@@ -256,11 +257,11 @@ mod tests {
         open.collect_arrived(10, &mut got);
         assert!(got.is_empty());
         open.collect_arrived(60, &mut got);
-        assert_eq!(got.iter().map(|a| a.task).collect::<Vec<_>>(), vec![TaskId(2), TaskId(1)]);
+        assert_eq!(got.iter().map(|a| a.1.task).collect::<Vec<_>>(), vec![TaskId(2), TaskId(1)]);
         assert_eq!(open.in_flight(), 1);
         // Later arrivals are appended behind the earlier ones.
         open.collect_arrived(100, &mut got);
-        assert_eq!(got.iter().map(|a| a.task.0).collect::<Vec<_>>(), [2, 1, 3]);
+        assert_eq!(got.iter().map(|a| a.1.task.0).collect::<Vec<_>>(), [2, 1, 3]);
         assert!(open.is_drained());
     }
 
@@ -309,14 +310,14 @@ mod tests {
             pending(1, 1, None, 100),
             pending(2, 2, None, 60),
         ]);
-        assert_eq!(open.cancel(TaskId(1)), 2);
-        assert_eq!(open.cancel(TaskId(1)), 0);
-        assert_eq!(open.cancel(TaskId(9)), 0);
+        assert_eq!(open.cancel(1), 2);
+        assert_eq!(open.cancel(1), 0);
+        assert_eq!(open.cancel(9), 0);
         assert_eq!(open.in_flight(), 1);
         // Task 1's arrival at 10 no longer advances the clock.
         assert_eq!(open.next_event_after(0), Some(60));
         // A later assignment of the same task is live; the dead ones stay dead.
-        open.push(pending(1, 3, Some(80), 200));
+        open.push(1, pending(1, 3, Some(80), 200));
         assert!(arrived(&mut open, 60).is_empty());
         assert_eq!(tasks(&open.take_overdue(60)), vec![TaskId(2)]);
         assert_eq!(open.next_event_after(60), Some(80));

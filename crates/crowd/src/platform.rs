@@ -195,7 +195,7 @@ impl SimulatedPlatform {
     /// `redundancy` distinct workers and every assignment gets a pre-drawn
     /// answer plus a response-latency sample from the platform's
     /// [`LatencyModel`]. The round counter does not move — the caller
-    /// queues the returned batch in an [`OpenRound`](crate::OpenRound) once
+    /// opens an [`OpenRound`](crate::OpenRound) on the returned batch once
     /// each `arrives_at` is final (after any fault injection), collects
     /// arrivals as virtual time advances and counts its own rounds. This is
     /// the answers-as-they-arrive counterpart of
@@ -531,12 +531,11 @@ mod tests {
         assert_eq!(p.rounds(), 0, "publish must not advance the round");
         // Drain at the deadline: every sampled latency of this seed is
         // inside the 10 minutes.
-        let mut open = OpenRound::default();
-        batch.into_iter().for_each(|a| open.push(a));
+        let mut open = OpenRound::new(batch, 3);
         let mut collected = Vec::new();
         open.collect_arrived(600_000, &mut collected);
         assert_eq!(collected.len(), 6);
-        assert!(collected.iter().all(|a| a.answer == Answer::Choice(0)));
+        assert!(collected.iter().all(|a| a.1.answer == Answer::Choice(0)));
     }
 
     #[test]

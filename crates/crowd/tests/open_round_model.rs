@@ -1,15 +1,16 @@
 //! The event queue against the scans it replaced.
 //!
-//! [`OpenRound`] is one binary heap; until PR 15 it was a `Vec` that three
-//! methods each scanned in full. The sim's sequential oracle cannot witness
-//! the swap (it calls the same engine), so this file keeps the scans —
-//! `Scan` below is those three methods verbatim, plus the `retain` early
-//! termination did on the `Vec` — and drives both through the engine's
-//! access pattern on random batches: visit instants in the order
-//! `next_event_after` yields them; at each one collect, maybe cancel a
-//! task, take the overdue, maybe push replacements stamped `now`. What is
-//! collected, what is taken, the instants visited and the point the round
-//! drains must be equal element for element.
+//! [`OpenRound`] is a batch sorted once plus a heap of replacements; it
+//! was once a `Vec` that three methods each scanned in full. The sim's
+//! sequential oracle cannot witness the swap (it calls the same engine), so
+//! this file keeps the scans — `Scan` below is those three methods
+//! verbatim, plus the `retain` early termination did on the `Vec` — and
+//! drives both through the engine's access pattern on random batches: visit
+//! instants in the order `next_event_after` yields them; at each one
+//! collect, maybe cancel a task, take the overdue, maybe push replacements
+//! stamped `now`. What is collected, what is taken, the instants visited
+//! and the point the round drains must be equal element for element. The
+//! queue addresses tasks by position; here a task's position is its id.
 
 use std::collections::BTreeSet;
 
@@ -109,6 +110,18 @@ fn lines(ps: Vec<PendingAssignment>) -> Vec<String> {
     ps.iter().map(|p| format!("{p:?}")).collect()
 }
 
+/// Drop the positions the queue tags its output with, checking that each is
+/// the task's id.
+fn untag<T>(tagged: Vec<(usize, T)>, task: impl Fn(&T) -> TaskId) -> Vec<T> {
+    tagged
+        .into_iter()
+        .map(|(pos, x)| {
+            assert_eq!(TaskId(pos as u64), task(&x), "an output tagged with another position");
+            x
+        })
+        .collect()
+}
+
 /// `prop_assert_eq!` that says where the two sides parted.
 macro_rules! same {
     ($what:expr, $now:expr, $queue:expr, $scans:expr) => {{
@@ -124,6 +137,57 @@ macro_rules! same {
     }};
 }
 
+/// Run `queue` and `scan`, both holding the same opening batch, through the
+/// engine's access pattern under `script`. `used` holds the
+/// `(task, worker, attempt)` triples already queued: two live assignments
+/// never share one, as one attempt of one task goes to one worker. When
+/// `revive` is set, every replacement goes to the task the step cancelled.
+fn drive(
+    mut queue: OpenRound,
+    mut scan: Scan,
+    script: &[Step],
+    mut used: BTreeSet<(u64, u32, u32)>,
+    revive: bool,
+) -> Result<(), TestCaseError> {
+    let mut serial = scan.pending.len();
+    let mut now: SimTime = 0;
+    let mut visited = 0usize;
+    loop {
+        let mut arrived = Vec::new();
+        queue.collect_arrived(now, &mut arrived);
+        same!("arrivals", now, untag(arrived, |a| a.task), scan.collect_arrived(now));
+        let step = script.get(visited);
+        if let Some(&(task, _)) = step {
+            same!("cancelled", now, queue.cancel(task as usize), scan.cancel(TaskId(task)));
+        }
+        let overdue = untag(queue.take_overdue(now), |p| p.task);
+        same!("overdue", now, lines(overdue), lines(scan.take_overdue(now)));
+        // Replacements lie strictly after the instant they are pushed at.
+        if let Some((cancelled, specs)) = step {
+            for &s in specs {
+                let s = if revive { (*cancelled, s.1, s.2, s.3, s.4, s.5) } else { s };
+                if used.insert((s.0, s.1, s.2)) {
+                    let p = assignment(s, now, 1, serial);
+                    serial += 1;
+                    scan.pending.push(p.clone());
+                    queue.push(s.0 as usize, p);
+                }
+            }
+        }
+        visited += 1;
+        same!("in flight", now, queue.in_flight(), scan.pending.len());
+        same!("drain point", now, queue.is_drained(), scan.pending.is_empty());
+        let next = queue.next_event_after(now);
+        same!("next instant", now, next, scan.next_event_after(now));
+        match next {
+            Some(t) => now = t,
+            None => break,
+        }
+    }
+    prop_assert!(queue.is_drained(), "every assignment is collected, taken or cancelled");
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
     #[test]
@@ -131,52 +195,43 @@ proptest! {
         batch in prop::collection::vec(spec(), 0..40),
         script in prop::collection::vec((0u64..18, prop::collection::vec(spec(), 0..3)), 0..12),
     ) {
-        let script: Vec<Step> = script;
-        let mut heap = OpenRound::default();
+        // The first batch is pushed one by one, so it may name any task in
+        // any order and hold deadlines and arrivals at the very instant it
+        // is published: that instant is visited first.
+        let mut queue = OpenRound::default();
         let mut scan = Scan { pending: Vec::new() };
-        // Two live assignments never share `(task, worker, attempt)`: one
-        // attempt of one task goes to one worker.
         let mut used = BTreeSet::new();
-        let mut serial = 0usize;
-        let mut push = |heap: &mut OpenRound, scan: &mut Scan, s: Spec, now, lead| {
-            if used.insert((s.0, s.1, s.2)) {
-                let p = assignment(s, now, lead, serial);
-                serial += 1;
-                scan.pending.push(p.clone());
-                heap.push(p);
-            }
-        };
-        // The first batch may hold deadlines and arrivals at the very
-        // instant it is published: that instant is visited first.
         for s in batch {
-            push(&mut heap, &mut scan, s, 0, 0);
+            if used.insert((s.0, s.1, s.2)) {
+                let p = assignment(s, 0, 0, scan.pending.len());
+                scan.pending.push(p.clone());
+                queue.push(s.0 as usize, p);
+            }
         }
+        drive(queue, scan, &script, used, false)?;
+    }
 
-        let mut now: SimTime = 0;
-        let mut visited = 0usize;
-        loop {
-            let mut arrived = Vec::new();
-            heap.collect_arrived(now, &mut arrived);
-            same!("arrivals", now, arrived, scan.collect_arrived(now));
-            let step = script.get(visited);
-            if let Some(&(task, _)) = step {
-                same!("cancelled", now, heap.cancel(TaskId(task)), scan.cancel(TaskId(task)));
-            }
-            same!("overdue", now, lines(heap.take_overdue(now)), lines(scan.take_overdue(now)));
-            // Replacements lie strictly after the instant they are pushed at.
-            for &s in step.map_or(&[][..], |(_, specs)| specs) {
-                push(&mut heap, &mut scan, s, now, 1);
-            }
-            visited += 1;
-            same!("in flight", now, heap.in_flight(), scan.pending.len());
-            same!("drain point", now, heap.is_drained(), scan.pending.is_empty());
-            let next = heap.next_event_after(now);
-            same!("next instant", now, next, scan.next_event_after(now));
-            match next {
-                Some(t) => now = t,
-                None => break,
+    /// A round opened on a published, task-major batch: `tasks` tasks with
+    /// `per_task` workers each, sorted once by `OpenRound::new`. Half the
+    /// cases push every replacement to the task just cancelled, so a
+    /// position's dead keys and its live replacements are queued together.
+    #[test]
+    fn a_published_batch_drains_exactly_as_the_scans_did(
+        tasks in 0u64..7,
+        per_task in 1u32..6,
+        timing in prop::collection::vec((0u8..5, 0u64..24, 0u64..24), 30),
+        script in prop::collection::vec((0u64..18, prop::collection::vec(spec(), 0..3)), 0..12),
+        revive in any::<bool>(),
+    ) {
+        let mut batch = Vec::new();
+        for task in 0..tasks {
+            for worker in 0..per_task {
+                let (kind, a, d) = timing[batch.len()];
+                batch.push(assignment((task, worker, 0, kind, a, d), 0, 0, batch.len()));
             }
         }
-        prop_assert!(heap.is_drained(), "every assignment is collected, taken or cancelled");
+        let used = batch.iter().map(|p| (p.task.0, p.worker.id.0, 0)).collect();
+        let scan = Scan { pending: batch.clone() };
+        drive(OpenRound::new(batch, per_task as usize), scan, &script, used, revive)?;
     }
 }

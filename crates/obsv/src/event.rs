@@ -72,42 +72,49 @@ impl Value {
 }
 
 impl From<u64> for Value {
+    #[inline]
     fn from(v: u64) -> Self {
         Value::U64(v)
     }
 }
 
 impl From<usize> for Value {
+    #[inline]
     fn from(v: usize) -> Self {
         Value::U64(v as u64)
     }
 }
 
 impl From<u32> for Value {
+    #[inline]
     fn from(v: u32) -> Self {
         Value::U64(v as u64)
     }
 }
 
 impl From<i64> for Value {
+    #[inline]
     fn from(v: i64) -> Self {
         Value::I64(v)
     }
 }
 
 impl From<f64> for Value {
+    #[inline]
     fn from(v: f64) -> Self {
         Value::F64(v)
     }
 }
 
 impl From<&'static str> for Value {
+    #[inline]
     fn from(v: &'static str) -> Self {
         Value::Str(v)
     }
 }
 
 impl From<bool> for Value {
+    #[inline]
     fn from(v: bool) -> Self {
         Value::Bool(v)
     }
@@ -122,6 +129,7 @@ pub struct KvList {
 
 impl KvList {
     /// An empty list.
+    #[inline]
     pub const fn new() -> Self {
         KvList { pairs: [("", Value::U64(0)); MAX_KV], len: 0 }
     }
@@ -129,6 +137,7 @@ impl KvList {
     /// Append a pair. Silently drops past [`MAX_KV`] — hot paths must
     /// never panic because of telemetry; overflow is caught by the
     /// `debug_assert!` in tests.
+    #[inline]
     pub fn push(&mut self, key: &'static str, value: Value) {
         debug_assert!((self.len as usize) < MAX_KV, "kv list overflow: dropping {key}");
         if (self.len as usize) < MAX_KV {
@@ -162,6 +171,7 @@ impl KvList {
     /// "caller kvs shadow injected context" rule).
     ///
     /// [`WithContext`]: crate::collect::WithContext
+    #[inline]
     pub fn get(&self, key: &str) -> Option<Value> {
         self.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
     }
@@ -256,16 +266,19 @@ pub struct Event {
 
 impl Event {
     /// A point event.
+    #[inline]
     pub fn instant(span: SpanId, name: &'static str, at: u64, kv: KvList) -> Self {
         Event { span, name, kind: EventKind::Instant, at, kv }
     }
 
     /// Shorthand for `self.kv.get(key)`.
+    #[inline]
     pub fn get(&self, key: &str) -> Option<Value> {
         self.kv.get(key)
     }
 
     /// Shorthand for a `u64`-typed kv.
+    #[inline]
     pub fn get_u64(&self, key: &str) -> Option<u64> {
         self.kv.get(key).and_then(|v| v.as_u64())
     }

@@ -98,6 +98,7 @@ impl Span {
     }
 
     /// Emit an instant event inside this span.
+    #[inline]
     pub fn event(&self, name: &'static str, at: u64, kv: KvList) {
         self.trace.emit(Event::instant(self.id, name, at, kv));
     }

@@ -8,7 +8,10 @@
 //!
 //! 1. answer each question from the key and publish the batch (answers
 //!    and latencies pre-drawn at dispatch);
-//! 2. apply the fault plan to each dispatch (dropout / abandon / slow);
+//! 2. apply the fault plan to each dispatch (dropout / abandon / slow) and
+//!    open an [`OpenRound`] on the batch, which sorts its keys once; from
+//!    then on a task is its position in the batch, for the vote tally,
+//!    cancellation and the workers a reassignment must avoid;
 //! 3. advance the virtual clock to the next arrival or deadline;
 //! 4. collect arrivals; close a task as soon as its collected votes can
 //!    no longer be overturned, cancelling its unneeded assignments
@@ -44,7 +47,7 @@ use std::sync::Arc;
 use cdb_core::truth::{join_task, EdgeTruth};
 use cdb_crowd::{
     Answer, Assignment, CrowdPlatform, LatencyModel, Market, OpenRound, PendingAssignment,
-    Question, SimTime, SimulatedPlatform, Task, TaskId, TaskKind, WorkerId,
+    Question, SimTime, SimulatedPlatform, Task, TaskKind, WorkerId,
 };
 use cdb_obsv::attr::names;
 use cdb_obsv::{kv, Span, SpanId, Trace};
@@ -198,7 +201,7 @@ impl RuntimeEngine {
         let TaskKind::SingleChoice { choices, .. } = task.kind else { return };
         let (counts, received) = (tally.counts(i, choices), tally.received[i]);
         let Some(choice) = decided_choice(counts, received, redundancy) else { return };
-        let cancelled = open.cancel(task.id);
+        let cancelled = open.cancel(i);
         if cancelled == 0 {
             return;
         }
@@ -229,11 +232,10 @@ impl RuntimeEngine {
     }
 }
 
-/// One round's vote tally in flat buffers: a `TaskId → position` index
-/// sorted by id, a fixed-width slot of per-choice counts per task, and the
+/// One round's vote tally in flat buffers indexed by the task's position
+/// in the batch: a fixed-width slot of per-choice counts per task, and the
 /// choice answers each task has received (malformed ones included).
 struct Tally {
-    index: Vec<(TaskId, usize)>,
     width: usize,
     counts: Vec<usize>,
     received: Vec<usize>,
@@ -241,17 +243,8 @@ struct Tally {
 
 impl Tally {
     fn new(tasks: &[Task]) -> Self {
-        let mut index: Vec<(TaskId, usize)> =
-            tasks.iter().enumerate().map(|(i, t)| (t.id, i)).collect();
-        index.sort_unstable();
         let width = tasks.iter().map(choices).max().unwrap_or(0);
-        Tally { index, width, counts: vec![0; tasks.len() * width], received: vec![0; tasks.len()] }
-    }
-
-    /// Position of `task` in the round's batch.
-    fn position(&self, task: TaskId) -> usize {
-        let j = self.index.binary_search_by_key(&task, |&(id, _)| id).expect("a published task");
-        self.index[j].1
+        Tally { width, counts: vec![0; tasks.len() * width], received: vec![0; tasks.len()] }
     }
 
     /// Count one choice answer for `task`, at position `i`; an out-of-range
@@ -301,39 +294,35 @@ impl CrowdPlatform for RuntimeEngine {
         let span =
             self.trace.span(SpanId::ROOT, names::ROUND, &[round], round_start, kv![round => round]);
 
-        let batch =
+        // The batch holds each task's workers together, in `tasks` order:
+        // the task at position `i` owns `batch[i * per_task..][..per_task]`.
+        let mut batch =
             self.platform.publish_round(&tasks, redundancy, self.retry.deadline_ms, self.now);
-        // Workers already tried, for reassignment to go elsewhere: the
-        // batch holds each task's workers together, in `tasks` order, and
-        // replacements are appended as `(task, worker)`.
         let per_task = batch.len() / tasks.len();
-        let tried: Vec<WorkerId> = batch.iter().map(|p| p.worker.id).collect();
-        let mut replaced: Vec<(TaskId, WorkerId)> = Vec::new();
         for p in &batch {
             self.emit_dispatch(&span, p, round);
         }
         // Queued only after the fault plan has had its say: an assignment's
         // place in the queue is its post-fault arrival.
-        let mut open = OpenRound::default();
-        let mut collected: Vec<Assignment> = Vec::with_capacity(batch.len());
-        for mut p in batch {
-            self.apply_faults(&span, &mut p, round);
-            open.push(p);
+        for p in &mut batch {
+            self.apply_faults(&span, p, round);
         }
+        let mut open = OpenRound::new(batch, per_task);
+        let mut collected: Vec<Assignment> = Vec::with_capacity(open.in_flight());
+        let mut arrived: Vec<(usize, Assignment)> = Vec::new();
 
         let mut tally = Tally::new(&tasks);
         // Positions of the tasks that received a vote at this instant.
         let mut voted: Vec<usize> = Vec::new();
         loop {
-            let first = collected.len();
-            open.collect_arrived(self.now, &mut collected);
-            for a in &collected[first..] {
+            open.collect_arrived(self.now, &mut arrived);
+            for (i, a) in arrived.drain(..) {
                 span.event(names::ARRIVAL, self.now, kv![task => a.task.0, worker => a.worker.0]);
                 if let Answer::Choice(c) = a.answer {
-                    let i = tally.position(a.task);
                     tally.record(i, &tasks[i], c);
                     voted.push(i);
                 }
+                collected.push(a);
             }
             // A task's verdict can change only when one of its votes lands,
             // so only this instant's voters are re-tested, in task id order.
@@ -343,7 +332,7 @@ impl CrowdPlatform for RuntimeEngine {
                 self.close_if_decided(&span, &mut open, &tasks[i], &tally, i, redundancy);
             }
 
-            for missed in open.take_overdue(self.now) {
+            for (i, missed) in open.take_overdue(self.now) {
                 span.event(
                     names::TIMEOUT,
                     self.now,
@@ -361,9 +350,14 @@ impl CrowdPlatform for RuntimeEngine {
                     self.now,
                     kv![task => missed.task.0, attempt => u64::from(missed.attempt + 1)],
                 );
-                let i = tally.position(missed.task);
-                let mut exclude = tried[i * per_task..(i + 1) * per_task].to_vec();
-                exclude.extend(replaced.iter().filter(|r| r.0 == missed.task).map(|r| r.1));
+                // Workers already tried, for reassignment to go elsewhere:
+                // the task's part of the batch, then its replacements.
+                let (published, replaced) = open.slots().split_at(tasks.len() * per_task);
+                let exclude: Vec<WorkerId> = published[i * per_task..][..per_task]
+                    .iter()
+                    .chain(replaced.iter().filter(|p| p.task == missed.task))
+                    .map(|p| p.worker.id)
+                    .collect();
                 let replacement = self.platform.dispatch_replacement(
                     &tasks[i],
                     &exclude,
@@ -381,9 +375,8 @@ impl CrowdPlatform for RuntimeEngine {
                                 kv![task => p.task.0, worker => p.worker.id.0],
                             );
                         }
-                        replaced.push((p.task, p.worker.id));
                         self.apply_faults(&span, &mut p, round);
-                        open.push(p);
+                        open.push(i, p);
                     }
                     None => {
                         let err = RuntimeError::NoEligibleWorker { task: missed.task };
@@ -411,7 +404,7 @@ impl CrowdPlatform for RuntimeEngine {
 mod tests {
     use super::*;
     use crate::MetricsSnapshot;
-    use cdb_crowd::WorkerPool;
+    use cdb_crowd::{TaskId, WorkerPool};
     use cdb_obsv::Ring;
 
     fn engine(accs: &[f64], seed: u64, plan: FaultPlan, retry: RetryPolicy) -> RuntimeEngine {
