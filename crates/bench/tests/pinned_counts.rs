@@ -181,7 +181,8 @@ fn mincut_selection_runs_the_max_flow_kernel_once_per_sample() {
 
 /// Settle `queries` queries of four facts each into a fresh answer log.
 fn write_log(dir: &ScratchDir, queries: usize) {
-    let (mut log, _) = AnswerLog::open(dir.path(), DEFAULT_SEGMENT_BYTES).expect("open log");
+    let (mut log, _) =
+        AnswerLog::open(dir.path(), DEFAULT_SEGMENT_BYTES, |_, _| {}).expect("open log");
     for q in 0..queries {
         let facts: Vec<SettledFact> = (0..4)
             .map(|i| SettledFact {

@@ -42,13 +42,50 @@
 //! sessions and `absorb` deep-cloned the whole store instead, the median
 //! cold `fleet_durable` pass (2-core container, ≈ 92,000 facts) took
 //! 57.7 ms, against 9.3 ms now.
+//!
+//! A distinct value is allocated once, as the `Arc<str>` that is both its
+//! interner key and its name, and the cache's transcript holds interned
+//! ids. [`normalize`] borrows input already in normal form, so replaying
+//! settled facts allocates only for values and measures not seen before.
 
-use cdb_graph::{Assertion, Entailment, EntailmentGraph, LayeredMap};
-use std::sync::Mutex;
+use cdb_graph::{Assertion, Entailment, EntailmentGraph, LayeredMap, LayeredVec};
+use std::borrow::Cow;
+use std::sync::{Arc, Mutex};
 
 /// Normalize a value for cache keying: trim, lowercase, collapse runs of
 /// whitespace. Two spellings that normalize equal share one interned id.
-pub fn normalize(s: &str) -> String {
+/// Input already in normal form is borrowed, not copied.
+pub fn normalize(s: &str) -> Cow<'_, str> {
+    if is_normal(s) {
+        Cow::Borrowed(s)
+    } else {
+        Cow::Owned(normalize_chars(s))
+    }
+}
+
+/// True when [`normalize_chars`] would return `s` unchanged: no leading,
+/// trailing, doubled or non-space whitespace, and every char is its own
+/// lowercase.
+fn is_normal(s: &str) -> bool {
+    let mut prev = ' '; // a leading space is trimmed
+    let inner = s.chars().all(|ch| {
+        let keeps = match ch {
+            ' ' => prev != ' ',
+            _ if ch.is_whitespace() => false,
+            _ if ch.is_ascii() => !ch.is_ascii_uppercase(),
+            _ => {
+                let mut lower = ch.to_lowercase();
+                lower.next() == Some(ch) && lower.next().is_none()
+            }
+        };
+        prev = ch;
+        keeps
+    });
+    inner && (s.is_empty() || prev != ' ')
+}
+
+/// The char loop behind [`normalize`].
+fn normalize_chars(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     let mut pending_space = false;
     for ch in s.trim().chars() {
@@ -134,28 +171,86 @@ pub enum Recorded {
 /// normalized.
 type AnswerRec = (String, String, String, bool);
 
+/// One answer in the cache's transcript: the measure, the two values'
+/// interned ids and the decided label.
+type Answer = (Arc<str>, usize, usize, bool);
+
+/// One measure's value interner.
+#[derive(Debug, Clone, Default)]
+struct Interner {
+    /// The measure's name, shared by every transcript entry under it.
+    measure: Arc<str>,
+    /// Normalized value -> interned id.
+    ids: LayeredMap<Arc<str>, usize>,
+}
+
+/// The interned values of every measure and the entailment over them.
+#[derive(Debug, Clone, Default)]
+struct Nodes {
+    /// Interned id -> normalized value (the same allocation as its key).
+    values: LayeredVec<Arc<str>>,
+    graph: EntailmentGraph,
+}
+
 /// Interned entailment store: per-measure value interners over one shared
 /// entailment graph. Each measure's values occupy disjoint ids, so one
 /// graph holds many independent equivalence relations. A clone shares
 /// storage with the original and copies only what it writes.
 #[derive(Debug, Clone, Default)]
 struct Store {
-    /// `measure -> normalized value -> interned id`.
-    ids: LayeredMap<String, LayeredMap<String, usize>>,
-    graph: EntailmentGraph,
+    measures: LayeredMap<Arc<str>, Interner>,
+    nodes: Nodes,
 }
 
-impl Store {
-    fn intern(&mut self, measure: &str, value: &str) -> usize {
+/// The interner of `measure` for writing, made on first use: only a new
+/// measure allocates its name.
+fn interner<'s>(
+    measures: &'s mut LayeredMap<Arc<str>, Interner>,
+    measure: &str,
+) -> &'s mut Interner {
+    let name =
+        measures.get(measure).map_or_else(|| Arc::from(measure), |per| Arc::clone(&per.measure));
+    let per = measures.get_mut_or_default(Arc::clone(&name));
+    per.measure = name;
+    per
+}
+
+impl Nodes {
+    /// The id of `value` under `per`'s measure, interned if new.
+    fn intern(&mut self, per: &mut Interner, value: &str) -> usize {
         let norm = normalize(value);
-        if let Some(&id) = self.ids.get(measure).and_then(|per| per.get(&norm)) {
+        if let Some(&id) = per.ids.get(&*norm) {
             return id;
         }
         let id = self.graph.push();
-        *self.ids.get_mut_or_default(measure.to_string()).get_mut_or_default(norm) = id;
+        let name = Arc::<str>::from(norm);
+        self.values.push(Arc::clone(&name));
+        *per.ids.get_mut_or_default(name) = id;
         id
     }
 
+    /// Record one answer under `per`'s measure; returns the outcome and
+    /// the two values' ids.
+    fn record(
+        &mut self,
+        per: &mut Interner,
+        left: &str,
+        right: &str,
+        same: bool,
+    ) -> (Recorded, usize, usize) {
+        let (a, b) = (self.intern(per, left), self.intern(per, right));
+        let assertion =
+            if same { self.graph.assert_same(a, b) } else { self.graph.assert_different(a, b) };
+        let recorded = match assertion {
+            Assertion::Inserted => Recorded::Inserted,
+            Assertion::Redundant => Recorded::Duplicate,
+            Assertion::Contradiction => Recorded::Conflict,
+        };
+        (recorded, a, b)
+    }
+}
+
+impl Store {
     /// Pure lookup: never interns, never mutates — safe on the frozen
     /// snapshot shared across sessions.
     fn resolve(&self, measure: &str, left: &str, right: &str) -> ReuseOutcome {
@@ -165,11 +260,11 @@ impl Store {
             // free even on a cold cache.
             return ReuseOutcome::Hit { same: true, provenance: Provenance::Cached };
         }
-        let Some(per) = self.ids.get(measure) else { return ReuseOutcome::Miss };
-        let (Some(&a), Some(&b)) = (per.get(&ln), per.get(&rn)) else {
+        let Some(per) = self.measures.get(measure) else { return ReuseOutcome::Miss };
+        let (Some(&a), Some(&b)) = (per.ids.get(&*ln), per.ids.get(&*rn)) else {
             return ReuseOutcome::Miss;
         };
-        match self.graph.entails(a, b) {
+        match self.nodes.graph.entails(a, b) {
             Entailment::Same { depth } => {
                 let provenance =
                     if depth <= 1 { Provenance::Cached } else { Provenance::Transitive { depth } };
@@ -181,17 +276,6 @@ impl Store {
                 ReuseOutcome::Hit { same: false, provenance }
             }
             Entailment::Unknown => ReuseOutcome::Miss,
-        }
-    }
-
-    fn record(&mut self, measure: &str, left: &str, right: &str, same: bool) -> Recorded {
-        let (a, b) = (self.intern(measure, left), self.intern(measure, right));
-        let assertion =
-            if same { self.graph.assert_same(a, b) } else { self.graph.assert_different(a, b) };
-        match assertion {
-            Assertion::Inserted => Recorded::Inserted,
-            Assertion::Redundant => Recorded::Duplicate,
-            Assertion::Contradiction => Recorded::Conflict,
         }
     }
 }
@@ -227,10 +311,12 @@ impl ReuseSession {
 
     /// Record a crowd answer observed by this query.
     pub fn record(&mut self, measure: &str, left: &str, right: &str, same: bool) -> Recorded {
-        let recorded = self.store.record(measure, left, right, same);
+        let Store { measures, nodes } = &mut self.store;
+        let (recorded, a, b) = nodes.record(interner(measures, measure), left, right, same);
         match recorded {
             Recorded::Inserted => {
-                self.fresh.push((measure.to_string(), normalize(left), normalize(right), same));
+                let (l, r) = (nodes.values[a].to_string(), nodes.values[b].to_string());
+                self.fresh.push((measure.to_string(), l, r, same));
             }
             Recorded::Conflict => self.conflicts += 1,
             Recorded::Duplicate => {}
@@ -279,10 +365,43 @@ impl ReuseSession {
 /// a [`Recorded::Conflict`].
 #[derive(Debug, Default)]
 pub struct ReuseCache {
-    store: Mutex<Store>,
+    inner: Mutex<Inner>,
+}
+
+#[derive(Debug, Default)]
+struct Inner {
+    store: Store,
     /// Recorded answers in insertion order. Only *new* facts are appended.
-    answers: Mutex<Vec<AnswerRec>>,
-    conflicts: Mutex<usize>,
+    answers: Vec<Answer>,
+    conflicts: usize,
+}
+
+impl Inner {
+    /// Record `facts` in order; returns how many conflicted. A run of facts
+    /// under one measure looks its interner up once.
+    fn record_all<'a>(
+        &mut self,
+        facts: impl Iterator<Item = (&'a str, &'a str, &'a str, bool)>,
+    ) -> usize {
+        let Store { measures, nodes } = &mut self.store;
+        let mut run: Option<&mut Interner> = None;
+        let mut dropped = 0;
+        for (measure, left, right, same) in facts {
+            let per = match run.take() {
+                Some(per) if *per.measure == *measure => per,
+                _ => interner(measures, measure),
+            };
+            match nodes.record(per, left, right, same) {
+                (Recorded::Inserted, a, b) => {
+                    self.answers.push((Arc::clone(&per.measure), a, b, same))
+                }
+                (Recorded::Conflict, ..) => dropped += 1,
+                (Recorded::Duplicate, ..) => {}
+            }
+            run = Some(per);
+        }
+        dropped
+    }
 }
 
 impl ReuseCache {
@@ -291,12 +410,15 @@ impl ReuseCache {
         ReuseCache::default()
     }
 
+    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
+        self.inner.lock().expect("reuse cache poisoned")
+    }
+
     /// A per-query session seeded with the cache's current contents.
     /// O(1): the session shares the cache's storage and copies only the
     /// entries it writes.
     pub fn snapshot(&self) -> ReuseSession {
-        let store = self.store.lock().expect("reuse cache poisoned").clone();
-        ReuseSession { store, ..ReuseSession::default() }
+        ReuseSession { store: self.lock().store.clone(), ..ReuseSession::default() }
     }
 
     /// Merge a finished session's fresh answers into the cache. Callers
@@ -306,41 +428,21 @@ impl ReuseCache {
     /// failed query's post-error colors carry no crowd evidence.
     pub fn absorb(&self, session: &ReuseSession) {
         let facts = session.fresh.iter().map(|(m, l, r, same)| (&m[..], &l[..], &r[..], *same));
-        let dropped = self.record_all(facts);
-        *self.conflicts.lock().expect("reuse cache poisoned") += dropped;
+        let mut inner = self.lock();
+        inner.conflicts += inner.record_all(facts);
     }
 
-    /// Record settled facts straight into the cache in order: recovery's
-    /// one pass. First writer wins as in [`absorb`](Self::absorb), but the
-    /// dropped facts are not counted (that counter is absorb telemetry).
-    pub fn replay<'a>(&self, facts: impl IntoIterator<Item = &'a SettledFact>) {
-        let facts = facts.into_iter().map(|f| (&f.measure[..], &f.left[..], &f.right[..], f.same));
-        self.record_all(facts);
-    }
-
-    /// Record `facts` in order; returns how many conflicted.
-    fn record_all<'a>(
-        &self,
-        facts: impl Iterator<Item = (&'a str, &'a str, &'a str, bool)>,
-    ) -> usize {
-        let mut store = self.store.lock().expect("reuse cache poisoned");
-        let mut answers = self.answers.lock().expect("reuse cache poisoned");
-        let mut dropped = 0;
-        for (measure, left, right, same) in facts {
-            match store.record(measure, left, right, same) {
-                Recorded::Inserted => {
-                    answers.push((measure.to_string(), normalize(left), normalize(right), same))
-                }
-                Recorded::Conflict => dropped += 1,
-                Recorded::Duplicate => {}
-            }
-        }
-        dropped
+    /// Record settled `(measure, left, right, same)` facts straight into
+    /// the cache in order: recovery's one pass. First writer wins as in
+    /// [`absorb`](Self::absorb), but the dropped facts are not counted
+    /// (that counter is absorb telemetry).
+    pub fn replay<'a>(&self, facts: impl IntoIterator<Item = (&'a str, &'a str, &'a str, bool)>) {
+        self.lock().record_all(facts.into_iter());
     }
 
     /// Distinct answers currently recorded.
     pub fn len(&self) -> usize {
-        self.answers.lock().expect("reuse cache poisoned").len()
+        self.lock().answers.len()
     }
 
     /// True when no answers are recorded.
@@ -351,7 +453,7 @@ impl ReuseCache {
     /// Answers dropped at absorb time because an earlier query's answer
     /// contradicted them.
     pub fn conflicts(&self) -> usize {
-        *self.conflicts.lock().expect("reuse cache poisoned")
+        self.lock().conflicts
     }
 
     /// Invariant accessor: every crowd-recorded answer in insertion order,
@@ -360,14 +462,19 @@ impl ReuseCache {
     /// harness) verifies that no entailment-derived color contradicts
     /// them and, under perfect workers, that each matches ground truth.
     pub fn recorded(&self) -> Vec<(String, String, String, bool)> {
-        self.answers.lock().expect("reuse cache poisoned").clone()
+        let inner = self.lock();
+        let values = &inner.store.nodes.values;
+        let answer = |(m, a, b, same): &Answer| {
+            (m.to_string(), values[*a].to_string(), values[*b].to_string(), *same)
+        };
+        inner.answers.iter().map(answer).collect()
     }
 
     /// Invariant accessor: re-resolve a pair against the current contents
     /// without mutating anything — the checker's view of what any future
     /// session would be entailed to answer.
     pub fn resolve(&self, measure: &str, left: &str, right: &str) -> ReuseOutcome {
-        self.store.lock().expect("reuse cache poisoned").resolve(measure, left, right)
+        self.lock().store.resolve(measure, left, right)
     }
 }
 
@@ -421,6 +528,30 @@ mod tests {
         assert_eq!(normalize("  IBM   Corp \t"), "ibm corp");
         assert_eq!(normalize("ibm corp"), "ibm corp");
         assert_eq!(normalize(""), "");
+        assert!(matches!(normalize("ibm corp"), Cow::Borrowed(_)));
+    }
+
+    /// Chars that trip a byte-level whitespace or case test: `'\u{b}'` is
+    /// `char::is_whitespace` but not `u8::is_ascii_whitespace`; `'\u{85}'`
+    /// and `'\u{a0}'` are non-ASCII whitespace; `'İ'` lowercases to two
+    /// chars; `'ß'` is its own lowercase; `'Σ'` is not.
+    const ALPHABET: [char; 15] =
+        ['a', 'Z', '#', '7', ' ', ' ', '\t', '\r', '\u{b}', '\u{85}', '\u{a0}', 'İ', 'ß', 'Σ', 'é'];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2_000))]
+        #[test]
+        fn normalize_fast_path_equals_the_char_loop(
+            picks in proptest::prelude::prop::collection::vec(0usize..ALPHABET.len(), 0..12),
+        ) {
+            let s: String = picks.iter().map(|&i| ALPHABET[i]).collect();
+            let (norm, reference) = (normalize(&s), normalize_chars(&s));
+            proptest::prop_assert_eq!(&*norm, &*reference, "input {:?}", s);
+            // Normal form is a fixed point, and the fast path recognises it.
+            let again = normalize(&norm);
+            proptest::prop_assert!(matches!(again, Cow::Borrowed(_)), "{:?} copied", norm);
+            proptest::prop_assert_eq!(&*again, &*norm);
+        }
     }
 
     #[test]
@@ -544,8 +675,12 @@ mod tests {
 
     /// Addresses of the bases a store shares with its clones.
     fn base_addrs(store: &Store) -> Vec<usize> {
-        let ids = [store.ids.base_addr(), store.ids.get(M).expect("interned").base_addr()];
-        store.graph.base_addrs().into_iter().chain(ids).collect()
+        let ids = [
+            store.measures.base_addr(),
+            store.measures.get(M).expect("interned").ids.base_addr(),
+            store.nodes.values.base_addr(),
+        ];
+        store.nodes.graph.base_addrs().into_iter().chain(ids).collect()
     }
 
     #[test]
@@ -559,7 +694,7 @@ mod tests {
         warm.release();
         cache.absorb(&warm);
         assert_eq!(cache.len(), 10_000);
-        let before = base_addrs(&cache.store.lock().unwrap());
+        let before = base_addrs(&cache.lock().store);
 
         let mut s = cache.snapshot();
         for (l, r, same) in [("x", "y", true), ("v10", "x", true), ("v20", "z", false)] {
@@ -572,6 +707,6 @@ mod tests {
         cache.absorb(&s);
         assert_eq!(cache.len(), 10_003);
         assert!(matches!(cache.resolve(M, "v12", "y"), ReuseOutcome::Hit { same: true, .. }));
-        assert_eq!(base_addrs(&cache.store.lock().unwrap()), before, "absorb copied a base");
+        assert_eq!(base_addrs(&cache.lock().store), before, "absorb copied a base");
     }
 }

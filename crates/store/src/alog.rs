@@ -8,12 +8,19 @@
 //!   `(query, measure, left, right, same, votes, cents)`.
 //! * **Settle** (tag 2): a commit marker — `(query, fact count)`.
 //!
-//! [`AnswerLog::append_settled`] writes a query's facts, fsyncs, then
-//! writes the marker and fsyncs again. The marker hitting disk is the
-//! *settle point*: recovery keeps only marker-covered facts, so a crash
-//! between the two fsyncs (facts on disk, no marker) discards them, and
-//! a failed or aborted query — which is never settled at all — can never
-//! be resurrected by replay.
+//! [`AnswerLog::append_settled`] writes a query's facts in one batch,
+//! fsyncs, then writes the marker and fsyncs again. The marker hitting
+//! disk is the *settle point*: recovery keeps only marker-covered facts,
+//! so a crash between the two fsyncs (facts on disk, no marker) discards
+//! them, and a failed or aborted query — which is never settled at all —
+//! can never be resurrected by replay.
+//!
+//! Recovery ([`AnswerLog::open`]) is one pass over the WAL's borrowed
+//! frames: a fact decodes to a [`FactRef`] whose strings point into the
+//! log bytes, and each settle marker hands its query's facts, in log
+//! order, straight to the caller. Nothing settled is materialized; the
+//! [`AnswerRecovery`] keeps counts. A record with bytes left over after
+//! its last field is a decode error, as is any other malformed record.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -22,16 +29,35 @@ use cdb_core::SettledFact;
 
 use crate::codec::{put_bool, put_str, put_u32, put_u64, put_u8_tag, Cursor};
 use crate::error::{Result, StoreError};
-use crate::wal::{RecoveryReport, Wal};
+use crate::wal::{Batch, RecoveryReport, Wal};
 
 const TAG_FACT: u8 = 1;
 const TAG_SETTLE: u8 = 2;
 
-/// What replaying an answer log produced.
-#[derive(Debug, Clone, PartialEq)]
+/// One settled fact as recovery decodes it: a [`SettledFact`] whose
+/// strings are borrowed from the log bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FactRef<'a> {
+    /// Measure namespace the fact belongs to.
+    pub measure: &'a str,
+    /// Normalized left value.
+    pub left: &'a str,
+    /// Normalized right value.
+    pub right: &'a str,
+    /// The crowd's decision: do the values match?
+    pub same: bool,
+    /// Worker votes bought for this fact.
+    pub votes: u32,
+    /// Cents paid for those votes.
+    pub cents: u64,
+}
+
+/// What replaying an answer log found.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AnswerRecovery {
-    /// Marker-committed facts, grouped per settled query, in log order.
-    pub settled: Vec<(u64, Vec<SettledFact>)>,
+    batches: u64,
+    facts: u64,
+    cents: u64,
     /// Facts found on disk without a covering settle marker — written by
     /// a query that crashed or aborted before its settle point. Recovery
     /// drops them; they are reported so tests can assert the drop.
@@ -41,15 +67,35 @@ pub struct AnswerRecovery {
 }
 
 impl AnswerRecovery {
-    /// Total cents across all settled facts.
-    pub fn settled_cents(&self) -> u64 {
-        self.settled.iter().flat_map(|(_, fs)| fs).map(|f| f.cents).sum()
+    /// Settle markers replayed: one per settled query batch.
+    pub fn settled_batches(&self) -> u64 {
+        self.batches
     }
 
     /// Total settled facts.
     pub fn settled_facts(&self) -> u64 {
-        self.settled.iter().map(|(_, fs)| fs.len() as u64).sum()
+        self.facts
     }
+
+    /// Total cents across all settled facts.
+    pub fn settled_cents(&self) -> u64 {
+        self.cents
+    }
+}
+
+fn put_fact(buf: &mut Vec<u8>, query: u64, f: &SettledFact) {
+    put_u8_tag(buf, TAG_FACT);
+    put_u64(buf, query);
+    put_str(buf, &f.measure);
+    put_str(buf, &f.left);
+    put_str(buf, &f.right);
+    put_bool(buf, f.same);
+    put_u32(buf, f.votes);
+    put_u64(buf, f.cents);
+}
+
+fn decode_error(detail: String) -> StoreError {
+    StoreError::Decode { detail }
 }
 
 /// Append-only, fsync-disciplined log of settled crowd answers.
@@ -61,73 +107,78 @@ pub struct AnswerLog {
 }
 
 impl AnswerLog {
-    /// Open (or create) the log under `dir`, replaying committed history.
-    pub fn open(dir: &Path, segment_bytes: u64) -> Result<(AnswerLog, AnswerRecovery)> {
-        let mut frames: Vec<Vec<u8>> = Vec::new();
-        let (wal, report) = Wal::open(dir, segment_bytes, |p| frames.push(p))?;
-
-        let mut settled: Vec<(u64, Vec<SettledFact>)> = Vec::new();
-        // Facts not yet covered by a settle marker, per query in log order.
-        let mut pending: HashMap<u64, Vec<SettledFact>> = HashMap::new();
-        for frame in &frames {
-            let mut c = Cursor::new(frame);
-            match c.u8()? {
-                TAG_FACT => {
-                    let query = c.u64()?;
-                    let fact = SettledFact {
-                        measure: c.str()?,
-                        left: c.str()?,
-                        right: c.str()?,
-                        same: c.bool()?,
-                        votes: c.u32()?,
-                        cents: c.u64()?,
-                    };
-                    pending.entry(query).or_default().push(fact);
-                }
-                TAG_SETTLE => {
-                    let query = c.u64()?;
-                    let count = c.u64()?;
-                    let facts = pending.remove(&query).unwrap_or_default();
-                    if facts.len() as u64 != count {
-                        return Err(StoreError::Decode {
-                            detail: format!(
+    /// Open (or create) the log under `dir`, replaying committed history:
+    /// each settle marker, in log order, calls `settled` with its query id
+    /// and the facts it covers, in the order they were written.
+    pub fn open(
+        dir: &Path,
+        segment_bytes: u64,
+        mut settled: impl FnMut(u64, &[FactRef<'_>]),
+    ) -> Result<(AnswerLog, AnswerRecovery)> {
+        let mut recovery = AnswerRecovery::default();
+        let (wal, report) = Wal::open(dir, segment_bytes, |frames| {
+            // Facts not yet covered by a settle marker, per query in log order.
+            let mut pending: HashMap<u64, Vec<FactRef<'_>>> = HashMap::new();
+            for frame in frames {
+                let mut c = Cursor::new(frame);
+                match c.u8()? {
+                    TAG_FACT => {
+                        let query = c.u64()?;
+                        let fact = FactRef {
+                            measure: c.str()?,
+                            left: c.str()?,
+                            right: c.str()?,
+                            same: c.bool()?,
+                            votes: c.u32()?,
+                            cents: c.u64()?,
+                        };
+                        c.finish("fact record")?;
+                        pending.entry(query).or_default().push(fact);
+                    }
+                    TAG_SETTLE => {
+                        let query = c.u64()?;
+                        let count = c.u64()?;
+                        c.finish("settle record")?;
+                        let facts = pending.remove(&query).unwrap_or_default();
+                        if facts.len() as u64 != count {
+                            return Err(decode_error(format!(
                                 "settle marker for query {query} covers {count} facts but {} were pending",
                                 facts.len()
-                            ),
-                        });
+                            )));
+                        }
+                        let cents = facts
+                            .iter()
+                            .try_fold(recovery.cents, |sum, f| sum.checked_add(f.cents))
+                            .ok_or_else(|| {
+                                decode_error(format!("settled cents overflow at query {query}"))
+                            })?;
+                        recovery.batches += 1;
+                        recovery.facts += count;
+                        recovery.cents = cents;
+                        settled(query, &facts);
                     }
-                    settled.push((query, facts));
-                }
-                tag => {
-                    return Err(StoreError::Decode {
-                        detail: format!("unknown answer-log record tag {tag}"),
-                    })
+                    tag => {
+                        return Err(decode_error(format!("unknown answer-log record tag {tag}")))
+                    }
                 }
             }
-        }
-
-        let dropped_facts = pending.values().map(|facts| facts.len() as u64).sum();
-        let recovery = AnswerRecovery { dropped_facts, settled, wal: report };
-        let (logged_cents, logged_facts) = (recovery.settled_cents(), recovery.settled_facts());
-        Ok((AnswerLog { wal, logged_cents, logged_facts }, recovery))
+            recovery.dropped_facts = pending.values().map(|facts| facts.len() as u64).sum();
+            Ok(())
+        })?;
+        recovery.wal = report;
+        let log = AnswerLog { wal, logged_cents: recovery.cents, logged_facts: recovery.facts };
+        Ok((log, recovery))
     }
 
-    /// Durably settle `facts` for `query`: append every fact frame, fsync,
-    /// append the settle marker, fsync again. Returns only once the
-    /// marker — the commit point — is on stable storage.
+    /// Durably settle `facts` for `query`: append every fact frame in one
+    /// batch, fsync, append the settle marker, fsync again. Returns only
+    /// once the marker — the commit point — is on stable storage.
     pub fn append_settled(&mut self, query: u64, facts: &[SettledFact]) -> Result<()> {
+        let mut batch = Batch::default();
         for f in facts {
-            let mut buf = Vec::with_capacity(64);
-            put_u8_tag(&mut buf, TAG_FACT);
-            put_u64(&mut buf, query);
-            put_str(&mut buf, &f.measure);
-            put_str(&mut buf, &f.left);
-            put_str(&mut buf, &f.right);
-            put_bool(&mut buf, f.same);
-            put_u32(&mut buf, f.votes);
-            put_u64(&mut buf, f.cents);
-            self.wal.append(&buf)?;
+            batch.push(|buf| put_fact(buf, query, f))?;
         }
+        self.wal.append_batch(&batch)?;
         self.wal.sync()?;
         let mut marker = Vec::with_capacity(17);
         put_u8_tag(&mut marker, TAG_SETTLE);
@@ -175,24 +226,44 @@ mod tests {
         }
     }
 
+    /// Settled batches as owned facts, per query in marker order.
+    type Settled = Vec<(u64, Vec<SettledFact>)>;
+
+    /// Open the log, collecting every settled batch as owned facts.
+    fn open(dir: &Path, segment_bytes: u64) -> Result<(AnswerLog, Settled, AnswerRecovery)> {
+        let mut settled = Vec::new();
+        let (log, rec) = AnswerLog::open(dir, segment_bytes, |query, facts| {
+            let owned = facts.iter().map(|f| SettledFact {
+                measure: f.measure.into(),
+                left: f.left.into(),
+                right: f.right.into(),
+                same: f.same,
+                votes: f.votes,
+                cents: f.cents,
+            });
+            settled.push((query, owned.collect()));
+        })?;
+        Ok((log, settled, rec))
+    }
+
     #[test]
     fn settled_facts_survive_reopen_in_order() {
         let dir = ScratchDir::new("alog-roundtrip");
         {
-            let (mut log, rec) = AnswerLog::open(dir.path(), DEFAULT_SEGMENT_BYTES).unwrap();
-            assert!(rec.settled.is_empty());
+            let (mut log, settled, _) = open(dir.path(), DEFAULT_SEGMENT_BYTES).unwrap();
+            assert!(settled.is_empty());
             log.append_settled(7, &[fact("m", "a", "b", true), fact("m", "a", "c", false)])
                 .unwrap();
             log.append_settled(9, &[fact("m", "b", "c", false)]).unwrap();
             assert_eq!(log.logged_cents(), 45);
         }
-        let (log, rec) = AnswerLog::open(dir.path(), DEFAULT_SEGMENT_BYTES).unwrap();
-        assert_eq!(rec.settled.len(), 2);
-        assert_eq!(rec.settled[0].0, 7);
-        assert_eq!(rec.settled[0].1, vec![fact("m", "a", "b", true), fact("m", "a", "c", false)]);
-        assert_eq!(rec.settled[1], (9, vec![fact("m", "b", "c", false)]));
+        let (log, settled, rec) = open(dir.path(), DEFAULT_SEGMENT_BYTES).unwrap();
+        assert_eq!(settled.len(), 2);
+        assert_eq!(settled[0].0, 7);
+        assert_eq!(settled[0].1, vec![fact("m", "a", "b", true), fact("m", "a", "c", false)]);
+        assert_eq!(settled[1], (9, vec![fact("m", "b", "c", false)]));
         assert_eq!(rec.dropped_facts, 0);
-        assert_eq!(rec.settled_cents(), 45);
+        assert_eq!((rec.settled_batches(), rec.settled_facts(), rec.settled_cents()), (2, 3, 45));
         assert_eq!(log.logged_cents(), 45);
     }
 
@@ -200,29 +271,22 @@ mod tests {
     fn unmarked_facts_are_dropped_on_recovery() {
         let dir = ScratchDir::new("alog-unsettled");
         {
-            let (mut log, _) = AnswerLog::open(dir.path(), DEFAULT_SEGMENT_BYTES).unwrap();
+            let (mut log, _, _) = open(dir.path(), DEFAULT_SEGMENT_BYTES).unwrap();
             log.append_settled(1, &[fact("m", "a", "b", true)]).unwrap();
         }
         // Append two fact frames with no settle marker — the on-disk
         // shape of a query that died before its settle point.
         {
-            let (mut wal, _) = Wal::open(dir.path(), DEFAULT_SEGMENT_BYTES, |_| {}).unwrap();
+            let (mut wal, _) = Wal::open(dir.path(), DEFAULT_SEGMENT_BYTES, |_| Ok(())).unwrap();
             for f in [fact("m", "x", "y", true), fact("m", "x", "z", false)] {
                 let mut buf = Vec::new();
-                put_u8_tag(&mut buf, TAG_FACT);
-                put_u64(&mut buf, 2);
-                put_str(&mut buf, &f.measure);
-                put_str(&mut buf, &f.left);
-                put_str(&mut buf, &f.right);
-                put_bool(&mut buf, f.same);
-                put_u32(&mut buf, f.votes);
-                put_u64(&mut buf, f.cents);
+                put_fact(&mut buf, 2, &f);
                 wal.append(&buf).unwrap();
             }
             wal.sync().unwrap();
         }
-        let (log, rec) = AnswerLog::open(dir.path(), DEFAULT_SEGMENT_BYTES).unwrap();
-        assert_eq!(rec.settled.len(), 1);
+        let (log, settled, rec) = open(dir.path(), DEFAULT_SEGMENT_BYTES).unwrap();
+        assert_eq!(settled.len(), 1);
         assert_eq!(rec.dropped_facts, 2);
         assert_eq!(log.logged_cents(), 15); // dropped facts cost nothing durable
     }
@@ -231,11 +295,11 @@ mod tests {
     fn empty_settle_is_legal_and_cheap() {
         let dir = ScratchDir::new("alog-emptysettle");
         {
-            let (mut log, _) = AnswerLog::open(dir.path(), DEFAULT_SEGMENT_BYTES).unwrap();
+            let (mut log, _, _) = open(dir.path(), DEFAULT_SEGMENT_BYTES).unwrap();
             log.append_settled(3, &[]).unwrap();
         }
-        let (_, rec) = AnswerLog::open(dir.path(), DEFAULT_SEGMENT_BYTES).unwrap();
-        assert_eq!(rec.settled, vec![(3, vec![])]);
+        let (_, settled, rec) = open(dir.path(), DEFAULT_SEGMENT_BYTES).unwrap();
+        assert_eq!(settled, vec![(3, vec![])]);
         assert_eq!(rec.settled_cents(), 0);
     }
 
@@ -245,15 +309,77 @@ mod tests {
         let n = 40u64;
         {
             // Tiny segments force rotation inside a settle batch.
-            let (mut log, _) = AnswerLog::open(dir.path(), 256).unwrap();
+            let (mut log, _, _) = open(dir.path(), 256).unwrap();
             for q in 0..n {
                 log.append_settled(q, &[fact("m", &format!("v{q}"), "w", q % 2 == 0)]).unwrap();
             }
             assert!(log.segments() > 1);
         }
-        let (_, rec) = AnswerLog::open(dir.path(), 256).unwrap();
-        assert_eq!(rec.settled.len(), n as usize);
+        let (_, settled, rec) = open(dir.path(), 256).unwrap();
+        assert_eq!(settled.len(), n as usize);
         assert_eq!(rec.settled_facts(), n);
         assert!(rec.wal.torn.is_none());
+    }
+
+    #[test]
+    fn a_batch_writes_the_same_segments_as_frame_by_frame_appends() {
+        let facts: Vec<SettledFact> =
+            (0..9).map(|i| fact("m", &format!("left value {i}"), "w", i % 3 == 0)).collect();
+        let (batched, framed) = (ScratchDir::new("alog-batched"), ScratchDir::new("alog-framed"));
+        {
+            let (mut log, _, _) = open(batched.path(), 256).unwrap();
+            log.append_settled(4, &facts[..2]).unwrap();
+            log.append_settled(5, &facts[2..]).unwrap(); // rotates mid-batch
+            assert!(log.segments() > 2);
+        }
+        {
+            let (mut wal, _) = Wal::open(framed.path(), 256, |_| Ok(())).unwrap();
+            for (query, batch) in [(4u64, &facts[..2]), (5, &facts[2..])] {
+                for f in batch {
+                    let mut buf = Vec::new();
+                    put_fact(&mut buf, query, f);
+                    wal.append(&buf).unwrap();
+                }
+                wal.sync().unwrap();
+                let mut marker = Vec::new();
+                put_u8_tag(&mut marker, TAG_SETTLE);
+                put_u64(&mut marker, query);
+                put_u64(&mut marker, batch.len() as u64);
+                wal.append(&marker).unwrap();
+                wal.sync().unwrap();
+            }
+        }
+        let read = |dir: &ScratchDir| -> Vec<Vec<u8>> {
+            let paths = crate::wal::segment_paths(dir.path()).unwrap();
+            paths.iter().map(|p| std::fs::read(p).unwrap()).collect()
+        };
+        assert_eq!(read(&batched), read(&framed));
+    }
+
+    #[test]
+    fn a_record_with_trailing_bytes_is_a_decode_error() {
+        for tag in [TAG_FACT, TAG_SETTLE] {
+            let dir = ScratchDir::new("alog-trailing");
+            {
+                let (mut wal, _) =
+                    Wal::open(dir.path(), DEFAULT_SEGMENT_BYTES, |_| Ok(())).unwrap();
+                let mut buf = Vec::new();
+                if tag == TAG_FACT {
+                    put_fact(&mut buf, 1, &fact("m", "a", "b", true));
+                } else {
+                    put_u8_tag(&mut buf, TAG_SETTLE);
+                    put_u64(&mut buf, 1);
+                    put_u64(&mut buf, 0);
+                }
+                buf.push(0); // one byte past the last field, under a valid CRC
+                wal.append(&buf).unwrap();
+                wal.sync().unwrap();
+            }
+            let err = open(dir.path(), DEFAULT_SEGMENT_BYTES).map(|_| ()).unwrap_err();
+            assert!(
+                matches!(&err, StoreError::Decode { detail } if detail.contains("trailing")),
+                "tag {tag}: {err:?}"
+            );
+        }
     }
 }

@@ -1,6 +1,7 @@
 //! Hand-rolled little-endian binary codec. The workspace is std-only,
 //! so everything the store writes to disk is encoded explicitly here: fixed-width integers plus length-prefixed
-//! UTF-8 strings, with a bounds-checked cursor for decoding.
+//! UTF-8 strings, with a bounds-checked cursor for decoding that borrows
+//! strings from the input instead of copying them.
 
 use crate::error::{Result, StoreError};
 
@@ -59,9 +60,13 @@ impl<'a> Cursor<'a> {
         self.buf.len() - self.pos
     }
 
-    /// True when every byte has been consumed.
-    pub fn is_empty(&self) -> bool {
-        self.remaining() == 0
+    /// Fail unless every byte of `what` has been consumed: a record that
+    /// decodes with bytes to spare is not one this codec wrote.
+    pub fn finish(&self, what: &str) -> Result<()> {
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(StoreError::Decode { detail: format!("{n} trailing bytes after {what}") }),
+        }
     }
 
     fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8]> {
@@ -103,11 +108,11 @@ impl<'a> Cursor<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
-    /// Read a `u32`-length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> Result<String> {
+    /// Read a `u32`-length-prefixed UTF-8 string, borrowed from the input.
+    pub fn str(&mut self) -> Result<&'a str> {
         let len = self.u32()? as usize;
         let b = self.take(len, "str body")?;
-        String::from_utf8(b.to_vec())
+        std::str::from_utf8(b)
             .map_err(|e| StoreError::Decode { detail: format!("str not utf-8: {e}") })
     }
 
@@ -142,13 +147,28 @@ mod tests {
         assert_eq!(c.f64().unwrap(), 2.5);
         assert_eq!(c.str().unwrap(), "entailment");
         assert!(c.bool().unwrap());
-        assert!(c.is_empty());
+        c.finish("record").unwrap();
     }
 
     #[test]
     fn short_input_is_a_decode_error_not_a_panic() {
         let mut c = Cursor::new(&[1, 2]);
         assert!(matches!(c.u32(), Err(StoreError::Decode { .. })));
+    }
+
+    #[test]
+    fn invalid_utf8_and_trailing_bytes_are_decode_errors() {
+        let mut buf = Vec::new();
+        put_u32(&mut buf, 2);
+        buf.extend_from_slice(&[0xC3, 0x28]); // a lead byte without its continuation
+        let mut c = Cursor::new(&buf);
+        assert!(matches!(c.str(), Err(StoreError::Decode { .. })));
+
+        let mut c = Cursor::new(&[1, 0, 0, 0, 9]);
+        assert_eq!(c.u32().unwrap(), 1);
+        assert!(matches!(c.finish("record"), Err(StoreError::Decode { .. })));
+        c.u8().unwrap();
+        assert!(c.finish("record").is_ok());
     }
 
     #[test]

@@ -206,14 +206,14 @@ fn decode_snapshot(blob: &[u8]) -> Result<Database> {
         let arity = defs.len();
         let schema = Schema::new(defs);
         let mut table =
-            if crowd { Table::new_crowd(&name, schema) } else { Table::new(&name, schema) };
+            if crowd { Table::new_crowd(name, schema) } else { Table::new(name, schema) };
         let rows = c.u64()?;
         for _ in 0..rows {
             let mut row = Vec::with_capacity(arity);
             for _ in 0..arity {
                 row.push(match c.u8()? {
                     VAL_CNULL => Value::CNull,
-                    VAL_TEXT => Value::Text(c.str()?),
+                    VAL_TEXT => Value::Text(c.str()?.to_owned()),
                     VAL_INT => Value::Int(c.i64()?),
                     VAL_FLOAT => Value::Float(c.f64()?),
                     t => return Err(StoreError::Decode { detail: format!("bad value tag {t}") }),
@@ -223,11 +223,7 @@ fn decode_snapshot(blob: &[u8]) -> Result<Database> {
         }
         db.add_table(table)?;
     }
-    if !c.is_empty() {
-        return Err(StoreError::Decode {
-            detail: format!("{} trailing bytes after snapshot", c.remaining()),
-        });
-    }
+    c.finish("snapshot")?;
     Ok(db)
 }
 

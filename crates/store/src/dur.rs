@@ -16,6 +16,14 @@
 //! in one pass ([`ReuseCache::replay`]) reproduces the identical store:
 //! same winners, same `resolve` results. The lifecycle proptest in
 //! `tests/lifecycle.rs` pins this equivalence.
+//!
+//! # One borrowed pass
+//!
+//! Opening reads every segment once, checks each frame's CRC once, and
+//! decodes facts whose strings borrow the log bytes. Each settle marker
+//! streams its batch straight into the cache, so the settled history is
+//! never materialized. Replayed values are already normalized, so
+//! interning borrows them and allocates once per distinct value.
 
 use std::path::Path;
 use std::sync::{Arc, Mutex};
@@ -42,11 +50,12 @@ impl DurableReuseCache {
     /// process built them (see the module docs — the store is a fold over
     /// the fact sequence).
     pub fn open(dir: &Path) -> Result<DurableReuseCache> {
-        let (log, recovery) = AnswerLog::open(dir, DEFAULT_SEGMENT_BYTES)?;
         let cache = Arc::new(ReuseCache::new());
         let mut ph = cdb_obsv::profile::phase(cdb_obsv::profile::phases::REUSE_REPLAY);
-        cache.replay(recovery.settled.iter().flat_map(|(_query, facts)| facts));
-        ph.set(cdb_obsv::attr::keys::N, recovery.settled.len() as u64);
+        let (log, recovery) = AnswerLog::open(dir, DEFAULT_SEGMENT_BYTES, |_query, facts| {
+            cache.replay(facts.iter().map(|f| (f.measure, f.left, f.right, f.same)));
+        })?;
+        ph.set(cdb_obsv::attr::keys::N, recovery.settled_batches());
         drop(ph);
         Ok(DurableReuseCache { cache, log: Mutex::new(log), recovery })
     }
@@ -68,7 +77,7 @@ impl DurableReuseCache {
     /// still reports batches for existing recovery assertions). Zero on a
     /// cold (empty) open.
     pub fn replay_snapshots(&self) -> u64 {
-        self.recovery.settled.len() as u64
+        self.recovery.settled_batches()
     }
 
     /// Cents durably settled across the log's whole history.

@@ -13,15 +13,20 @@
 //! files `wal-NNNNNNNN.log`; when the active segment would exceed the
 //! configured size, the log syncs it and rotates to the next index.
 //!
-//! Recovery ([`Wal::open`]) replays every frame of every segment in
-//! order. A bad frame at the tail of the *last* segment is the expected
-//! signature of a crash mid-append: the tail is truncated at the last
-//! valid frame and reported in the [`RecoveryReport`]. A bad frame
-//! anywhere else means the settled prefix was damaged and surfaces as
-//! [`StoreError::WalCorrupt`] — recovery refuses to guess.
+//! Recovery ([`Wal::open`]) reads every segment, checks every frame, and
+//! only then replays the valid frames in order, each payload borrowed from
+//! the bytes it read ([`Frames`]): nothing is copied per frame. A bad
+//! frame at the tail of the *last* segment is the expected signature of a
+//! crash mid-append: the tail is truncated at the last valid frame and
+//! reported in the [`RecoveryReport`]. A bad frame anywhere else means the
+//! settled prefix was damaged and surfaces as [`StoreError::WalCorrupt`]
+//! before anything is replayed — recovery refuses to guess.
+//!
+//! Appends go through a [`Batch`] of frames encoded back to back, written
+//! with one `write_all` per segment the batch touches.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use crate::crc::crc32;
@@ -100,66 +105,110 @@ fn open_segment(path: &Path) -> Result<File> {
         .map_err(|e| StoreError::io(&format!("open wal segment {}", path.display()), e))
 }
 
-/// Scan one segment's frames. Returns the offset where valid data ends
-/// and, if the segment ends in garbage, the reason. `sink` receives each
-/// valid payload.
-fn scan_segment(
-    index: u64,
-    path: &Path,
-    sink: &mut impl FnMut(Vec<u8>),
-) -> Result<(u64, Option<(u64, String)>)> {
-    let mut raw = Vec::new();
-    File::open(path)
-        .and_then(|mut f| f.read_to_end(&mut raw))
-        .map_err(|e| StoreError::io(&format!("read wal segment {index}"), e))?;
+/// Check one segment's frames, counting the valid ones into `report`.
+/// Returns the offset where valid data ends and, if the segment ends in
+/// garbage, the reason.
+fn scan_segment(raw: &[u8], report: &mut RecoveryReport) -> (usize, Option<String>) {
     let mut off = 0usize;
     loop {
-        if off == raw.len() {
-            return Ok((off as u64, None));
+        let rest = &raw[off..];
+        if rest.is_empty() {
+            return (off, None);
         }
-        if raw.len() - off < 8 {
-            return Ok((off as u64, Some((off as u64, "truncated frame header".into()))));
-        }
-        let len = u32::from_le_bytes([raw[off], raw[off + 1], raw[off + 2], raw[off + 3]]);
-        let crc = u32::from_le_bytes([raw[off + 4], raw[off + 5], raw[off + 6], raw[off + 7]]);
+        let Some((header, body)) = rest.split_first_chunk::<8>() else {
+            return (off, Some("truncated frame header".into()));
+        };
+        let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
+        let crc = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
         if len == 0 || len > MAX_FRAME_PAYLOAD {
-            return Ok((off as u64, Some((off as u64, format!("implausible frame length {len}")))));
+            return (off, Some(format!("implausible frame length {len}")));
         }
-        let body = off + 8;
-        if raw.len() - body < len as usize {
-            return Ok((off as u64, Some((off as u64, "truncated frame body".into()))));
-        }
-        let payload = &raw[body..body + len as usize];
+        let Some(payload) = body.get(..len as usize) else {
+            return (off, Some("truncated frame body".into()));
+        };
         if crc32(payload) != crc {
-            return Ok((off as u64, Some((off as u64, "frame checksum mismatch".into()))));
+            return (off, Some("frame checksum mismatch".into()));
         }
-        sink(payload.to_vec());
-        off = body + len as usize;
+        report.records += 1;
+        report.bytes += len as u64;
+        off += 8 + len as usize;
+    }
+}
+
+/// The valid frames of every segment in log order, each payload borrowed
+/// from the segment bytes [`Wal::open`] read and checked.
+#[derive(Debug)]
+pub struct Frames<'a> {
+    segments: std::slice::Iter<'a, Vec<u8>>,
+    rest: &'a [u8],
+}
+
+impl<'a> Iterator for Frames<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        while self.rest.is_empty() {
+            self.rest = self.segments.next()?;
+        }
+        // Each segment was cut to the frames `scan_segment` accepted, so
+        // every header and body below is in bounds.
+        let len = u32::from_le_bytes([self.rest[0], self.rest[1], self.rest[2], self.rest[3]]);
+        let (payload, rest) = self.rest[8..].split_at(len as usize);
+        self.rest = rest;
+        Some(payload)
+    }
+}
+
+/// Frames encoded back to back, ready for [`Wal::append_batch`]. Only
+/// [`Batch::push`] writes it, so every frame in it is well formed.
+#[derive(Debug, Default)]
+pub struct Batch {
+    buf: Vec<u8>,
+}
+
+impl Batch {
+    /// Append one frame whose payload `encode` writes.
+    pub fn push(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> Result<()> {
+        let start = self.buf.len();
+        self.buf.extend_from_slice(&[0; 8]);
+        encode(&mut self.buf);
+        let len = self.buf.len() - start - 8;
+        if len == 0 || len > MAX_FRAME_PAYLOAD as usize {
+            self.buf.truncate(start);
+            return Err(StoreError::RecordTooLarge { len });
+        }
+        let crc = crc32(&self.buf[start + 8..]);
+        self.buf[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+        self.buf[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
+        Ok(())
     }
 }
 
 impl Wal {
-    /// Open (creating if needed) the log under `dir`, replaying every
-    /// settled frame through `sink` and repairing a torn tail. Returns
+    /// Open (creating if needed) the log under `dir`: check every segment,
+    /// repair a torn tail, then hand the valid frames to `replay`. Returns
     /// the writable log positioned after the last valid frame.
+    ///
+    /// Every segment is read before `replay` runs, so replay can hold
+    /// frames from any segment until it is done; an error from `replay`
+    /// is returned as is.
     pub fn open(
         dir: &Path,
         segment_bytes: u64,
-        mut sink: impl FnMut(Vec<u8>),
+        replay: impl FnOnce(Frames<'_>) -> Result<()>,
     ) -> Result<(Wal, RecoveryReport)> {
         std::fs::create_dir_all(dir).map_err(|e| StoreError::io("create wal dir", e))?;
         let paths = segment_paths(dir)?;
         let mut report = RecoveryReport { segments: paths.len() as u64, ..Default::default() };
-        let mut counted = |payload: Vec<u8>| {
-            report.records += 1;
-            report.bytes += payload.len() as u64;
-            sink(payload);
-        };
+        let mut segments = Vec::with_capacity(paths.len());
         let mut last: Option<(u64, u64)> = None; // (index, valid length)
         for (i, path) in paths.iter().enumerate() {
             let index = segment_index(path);
-            let (valid_end, bad) = scan_segment(index, path, &mut counted)?;
-            if let Some((offset, reason)) = bad {
+            let mut raw = std::fs::read(path)
+                .map_err(|e| StoreError::io(&format!("read wal segment {index}"), e))?;
+            let (valid_end, bad) = scan_segment(&raw, &mut report);
+            if let Some(reason) = bad {
+                let offset = valid_end as u64;
                 if i + 1 != paths.len() {
                     // Damage before the final segment is not a crash tail.
                     return Err(StoreError::WalCorrupt { segment: index, offset, reason });
@@ -168,12 +217,15 @@ impl Wal {
                     .write(true)
                     .open(path)
                     .map_err(|e| StoreError::io("open wal segment for repair", e))?;
-                f.set_len(valid_end).map_err(|e| StoreError::io("truncate torn wal tail", e))?;
+                f.set_len(offset).map_err(|e| StoreError::io("truncate torn wal tail", e))?;
                 f.sync_all().map_err(|e| StoreError::io("sync repaired wal segment", e))?;
                 report.torn = Some((index, offset, reason));
+                raw.truncate(valid_end);
             }
-            last = Some((index, valid_end));
+            last = Some((index, valid_end as u64));
+            segments.push(raw);
         }
+        replay(Frames { segments: segments.iter(), rest: &[] })?;
         let (cur_index, cur_size) = last.unwrap_or((0, 0));
         let cur_file = open_segment(&segment_path(dir, cur_index))?;
         if report.segments == 0 {
@@ -187,22 +239,40 @@ impl Wal {
     /// active one is full (the old segment is synced before rotation so
     /// rotation never un-settles data).
     pub fn append(&mut self, payload: &[u8]) -> Result<()> {
-        if payload.is_empty() || payload.len() as u64 > MAX_FRAME_PAYLOAD as u64 {
-            return Err(StoreError::RecordTooLarge { len: payload.len() });
+        let mut batch = Batch::default();
+        batch.push(|buf| buf.extend_from_slice(payload))?;
+        self.append_batch(&batch)
+    }
+
+    /// Append every frame of `batch` in order, rotating exactly where
+    /// frame-by-frame [`append`](Self::append) would, with one
+    /// `write_all` per segment the batch touches.
+    pub fn append_batch(&mut self, batch: &Batch) -> Result<()> {
+        let buf = &batch.buf[..];
+        // Frames `start..off` go to the active segment.
+        let (mut start, mut off) = (0usize, 0usize);
+        while off < buf.len() {
+            let len = u32::from_le_bytes([buf[off], buf[off + 1], buf[off + 2], buf[off + 3]]);
+            let frame_len = 8 + len as u64;
+            let size = self.cur_size + (off - start) as u64;
+            if size > 0 && size + frame_len > self.segment_bytes {
+                self.write(&buf[start..off])?;
+                self.sync()?;
+                self.cur_index += 1;
+                self.cur_file = open_segment(&segment_path(&self.dir, self.cur_index))?;
+                self.cur_size = 0;
+                start = off;
+            }
+            off += frame_len as usize;
         }
-        let frame_len = 8 + payload.len() as u64;
-        if self.cur_size > 0 && self.cur_size + frame_len > self.segment_bytes {
-            self.sync()?;
-            self.cur_index += 1;
-            self.cur_file = open_segment(&segment_path(&self.dir, self.cur_index))?;
-            self.cur_size = 0;
+        self.write(&buf[start..])
+    }
+
+    fn write(&mut self, frames: &[u8]) -> Result<()> {
+        if !frames.is_empty() {
+            self.cur_file.write_all(frames).map_err(|e| StoreError::io("append wal frame", e))?;
+            self.cur_size += frames.len() as u64;
         }
-        let mut frame = Vec::with_capacity(frame_len as usize);
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
-        self.cur_file.write_all(&frame).map_err(|e| StoreError::io("append wal frame", e))?;
-        self.cur_size += frame_len;
         Ok(())
     }
 
@@ -226,7 +296,11 @@ mod tests {
 
     fn collect(dir: &Path, segment_bytes: u64) -> (Wal, Vec<Vec<u8>>, RecoveryReport) {
         let mut got = Vec::new();
-        let (wal, report) = Wal::open(dir, segment_bytes, |p| got.push(p)).unwrap();
+        let (wal, report) = Wal::open(dir, segment_bytes, |frames| {
+            got.extend(frames.map(<[u8]>::to_vec));
+            Ok(())
+        })
+        .unwrap();
         (wal, got, report)
     }
 
@@ -342,7 +416,7 @@ mod tests {
         let mut raw = std::fs::read(&first).unwrap();
         raw[10] ^= 0xFF;
         std::fs::write(&first, &raw).unwrap();
-        let err = Wal::open(dir.path(), 40, |_| {}).unwrap_err();
+        let err = Wal::open(dir.path(), 40, |_| Ok(())).unwrap_err();
         assert!(matches!(err, StoreError::WalCorrupt { segment: 0, .. }), "got {err:?}");
     }
 }
