@@ -7,7 +7,10 @@
 //! Transitivity infers both positives (same cluster) and negatives
 //! (cluster pair already refuted), so it asks the fewest questions — but
 //! one wrong answer propagates to many pairs, which is exactly the quality
-//! loss the paper reports.
+//! loss the paper reports. The clusters are a [`cdb_graph::EntailmentGraph`],
+//! the closure reuse and `GROUP BY CROWD` run on: a refutation follows its
+//! clusters through later merges, and an answer that contradicts the
+//! closure is rejected rather than merged.
 //!
 //! The paper's second ER comparator, ACD (Wang et al. \[58]), verifies
 //! refuted cluster pairs at the cluster level. That verification is not
@@ -23,7 +26,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use cdb_core::model::{EdgeId, NodeId, QueryGraph};
 use cdb_core::SimCrowd;
 use cdb_crowd::{Question, TaskId};
-use cdb_graph::UnionFind;
+use cdb_graph::{Entailment, EntailmentGraph};
 
 use crate::tree::{
     consistent_edges, join_survivors, make_connected, survivor_answers, Partials, TreeStats,
@@ -183,8 +186,7 @@ fn resolve_predicate(
     todo.sort_by(|&a, &b| g.edge_weight(b).total_cmp(&g.edge_weight(a)).then(a.cmp(&b)));
 
     // Clusters over all nodes touched by this predicate.
-    let mut dsu = UnionFind::new(g.node_count());
-    let mut negative: HashSet<(usize, usize)> = HashSet::new();
+    let mut clusters = EntailmentGraph::new(g.node_count());
     let mut blue: Vec<EdgeId> = pre_blue;
     let mut tasks_asked = 0usize;
     let mut rounds = 0usize;
@@ -212,7 +214,7 @@ fn resolve_predicate(
         rounds += 1;
         for (&(x, y, ..), yes) in chunk.iter().zip(verdicts) {
             if yes {
-                dsu.union(x.0, y.0);
+                clusters.assert_same(x.0, y.0);
             }
         }
     }
@@ -236,16 +238,17 @@ fn resolve_predicate(
         let mut batch_load: HashMap<usize, usize> = HashMap::new();
         for &e in &remaining {
             let (u, v) = g.edge_endpoints(e);
-            let (cu, cv) = (dsu.find(u.0), dsu.find(v.0));
-            if cu == cv {
+            match clusters.entails(u.0, v.0) {
                 // Same cluster: inferred positive.
-                blue.push(e);
-                continue;
-            }
-            if negative.contains(&key(cu, cv)) {
+                Entailment::Same { .. } => {
+                    blue.push(e);
+                    continue;
+                }
                 // Refuted cluster pair: inferred negative.
-                continue;
+                Entailment::Different { .. } => continue,
+                Entailment::Unknown => {}
             }
+            let (cu, cv) = (clusters.root(u.0), clusters.root(v.0));
             // Can it join this round? A pair may share a round with others
             // as long as no cluster is touched twice (a merge in this round
             // could otherwise make another pair of this round inferable) —
@@ -282,10 +285,9 @@ fn resolve_predicate(
             let (u, v) = g.edge_endpoints(e);
             if yes {
                 blue.push(e);
-                dsu.union(u.0, v.0);
+                clusters.assert_same(u.0, v.0);
             } else {
-                let (cu, cv) = (dsu.find(u.0), dsu.find(v.0));
-                negative.insert(key(cu, cv));
+                clusters.assert_different(u.0, v.0);
             }
         }
         remaining = next_remaining;
@@ -430,6 +432,37 @@ mod tests {
         for _ in 1..8 {
             assert_eq!(run(), first);
         }
+    }
+
+    /// `a0 ≠ b0` is answered, then `a1 = b0` and `a1 = b1` move `b0`'s
+    /// cluster under a new root. The refutation must follow the cluster, so
+    /// `(a0, b1)` is inferred, not asked: four tasks in one round. A
+    /// refutation keyed by the roots it was answered under goes stale here
+    /// and asks a fifth task in a second round.
+    #[test]
+    fn a_refutation_survives_a_merge_that_re_roots_its_cluster() {
+        let mut g = QueryGraph::new();
+        let a = g.add_part(PartKind::Table { name: "A".into() });
+        let b = g.add_part(PartKind::Table { name: "B".into() });
+        let an: Vec<_> = (0..2).map(|i| g.add_node(a, None, format!("a{i}"))).collect();
+        let bn: Vec<_> = (0..3).map(|i| g.add_node(b, None, format!("b{i}"))).collect();
+        let p = g.add_predicate(a, b, true, "A~B");
+        let mut truth = EdgeTruth::new();
+        // Weights stay under the dedup threshold, and (a0, b2) fills a0's
+        // share of the first round so (a0, b1) waits for the second.
+        for (x, y, w, same) in [
+            (0, 0, 0.55, false),
+            (1, 0, 0.5, true),
+            (1, 1, 0.45, true),
+            (0, 2, 0.4, false),
+            (0, 1, 0.35, false),
+        ] {
+            truth.insert(g.add_edge(an[x], bn[y], p, w), same);
+        }
+        let mut p = platform(1.0, 4);
+        let stats = run_er(&g, &mut SimCrowd::new(&mut p, &truth), 5);
+        assert_eq!((stats.tasks_asked, stats.rounds), (4, 1));
+        assert_eq!(stats.answers.len(), 2);
     }
 
     #[test]

@@ -34,22 +34,25 @@
 //!
 //! # Cost
 //!
-//! Copy-on-write is per element ([`cdb_graph::LayeredVec`] and
-//! [`cdb_graph::LayeredMap`]), so `snapshot()` is O(1) whatever the cache
-//! holds and a session copies only the entries its new facts write (plus
-//! the 12 B-per-value union-find on its first). The runtime releases every
-//! session before absorbing, so `absorb` writes the cache in place. When
-//! sessions and `absorb` deep-cloned the whole store instead, the median
-//! cold `fleet_durable` pass (2-core container, ≈ 92,000 facts) took
-//! 57.7 ms, against 9.3 ms now.
+//! A session shares the cache's value ids (one `Arc` map, measure →
+//! normalized value → id) and its [`EntailmentGraph`], whose clones copy
+//! a node on their first write to it. A session adds its new values to a
+//! private map of the same shape — values are only ever added, so nothing
+//! shared is copied — and `snapshot()` is O(1) whatever the cache holds.
+//! The runtime releases every session before absorbing, so `absorb` writes
+//! the shared map and graph in place. When sessions and `absorb`
+//! deep-cloned the whole store instead, the median cold `fleet_durable`
+//! pass (2-core container, ≈ 92,000 facts) took 57.7 ms, against 9.3 ms
+//! with per-element copy-on-write.
 //!
 //! A distinct value is allocated once, as the `Arc<str>` that is both its
-//! interner key and its name, and the cache's transcript holds interned
-//! ids. [`normalize`] borrows input already in normal form, so replaying
-//! settled facts allocates only for values and measures not seen before.
+//! interner key and its name in the cache's transcript. [`normalize`]
+//! borrows input already in normal form, so replaying settled facts
+//! allocates only for values and measures not seen before.
 
-use cdb_graph::{Assertion, Entailment, EntailmentGraph, LayeredMap, LayeredVec};
+use cdb_graph::{Assertion, Entailment, EntailmentGraph};
 use std::borrow::Cow;
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 /// Normalize a value for cache keying: trim, lowercase, collapse runs of
@@ -171,86 +174,76 @@ pub enum Recorded {
 /// normalized.
 type AnswerRec = (String, String, String, bool);
 
-/// One answer in the cache's transcript: the measure, the two values'
-/// interned ids and the decided label.
-type Answer = (Arc<str>, usize, usize, bool);
+/// One answer in the cache's transcript: the measure, the two normalized
+/// values and the decided label.
+type Answer = (Arc<str>, Arc<str>, Arc<str>, bool);
 
-/// One measure's value interner.
-#[derive(Debug, Clone, Default)]
-struct Interner {
-    /// The measure's name, shared by every transcript entry under it.
-    measure: Arc<str>,
-    /// Normalized value -> interned id.
-    ids: LayeredMap<Arc<str>, usize>,
-}
+/// One measure's interned values: normalized value -> id.
+type Values = HashMap<Arc<str>, usize>;
 
-/// The interned values of every measure and the entailment over them.
+/// Every measure's interned values.
+type Ids = HashMap<Arc<str>, Values>;
+
+/// Interned entailment store: per-measure value ids over one shared
+/// entailment graph. Each measure's values occupy disjoint ids, so one
+/// graph holds many independent equivalence relations. A clone shares
+/// the ids and the graph with the original and copies only what it writes.
 #[derive(Debug, Clone, Default)]
-struct Nodes {
-    /// Interned id -> normalized value (the same allocation as its key).
-    values: LayeredVec<Arc<str>>,
+struct Store {
+    /// Value ids shared with every session.
+    ids: Arc<Ids>,
+    /// A session's new values, which the shared map does not hold.
+    own: Ids,
     graph: EntailmentGraph,
 }
 
-/// Interned entailment store: per-measure value interners over one shared
-/// entailment graph. Each measure's values occupy disjoint ids, so one
-/// graph holds many independent equivalence relations. A clone shares
-/// storage with the original and copies only what it writes.
-#[derive(Debug, Clone, Default)]
-struct Store {
-    measures: LayeredMap<Arc<str>, Interner>,
-    nodes: Nodes,
-}
-
-/// The interner of `measure` for writing, made on first use: only a new
-/// measure allocates its name.
-fn interner<'s>(
-    measures: &'s mut LayeredMap<Arc<str>, Interner>,
-    measure: &str,
-) -> &'s mut Interner {
-    let name =
-        measures.get(measure).map_or_else(|| Arc::from(measure), |per| Arc::clone(&per.measure));
-    let per = measures.get_mut_or_default(Arc::clone(&name));
-    per.measure = name;
-    per
-}
-
-impl Nodes {
-    /// The id of `value` under `per`'s measure, interned if new.
-    fn intern(&mut self, per: &mut Interner, value: &str) -> usize {
-        let norm = normalize(value);
-        if let Some(&id) = per.ids.get(&*norm) {
-            return id;
+/// The values of `measure` in `ids`, made on first use, with the measure's
+/// name: only a new measure allocates it.
+fn values_of<'i>(ids: &'i mut Ids, measure: &str) -> (Arc<str>, &'i mut Values) {
+    let name = match ids.get_key_value(measure) {
+        Some((name, _)) => Arc::clone(name),
+        None => {
+            let name = Arc::<str>::from(measure);
+            ids.insert(Arc::clone(&name), Values::new());
+            name
         }
-        let id = self.graph.push();
-        let name = Arc::<str>::from(norm);
-        self.values.push(Arc::clone(&name));
-        *per.ids.get_mut_or_default(name) = id;
-        id
-    }
+    };
+    (name, ids.get_mut(measure).expect("made above"))
+}
 
-    /// Record one answer under `per`'s measure; returns the outcome and
-    /// the two values' ids.
-    fn record(
-        &mut self,
-        per: &mut Interner,
-        left: &str,
-        right: &str,
-        same: bool,
-    ) -> (Recorded, usize, usize) {
-        let (a, b) = (self.intern(per, left), self.intern(per, right));
-        let assertion =
-            if same { self.graph.assert_same(a, b) } else { self.graph.assert_different(a, b) };
-        let recorded = match assertion {
-            Assertion::Inserted => Recorded::Inserted,
-            Assertion::Redundant => Recorded::Duplicate,
-            Assertion::Contradiction => Recorded::Conflict,
-        };
-        (recorded, a, b)
+/// The id and name of normalized `norm` in `values`, interned into
+/// `graph` if new.
+fn intern(values: &mut Values, graph: &mut EntailmentGraph, norm: &str) -> (usize, Arc<str>) {
+    if let Some((name, &id)) = values.get_key_value(norm) {
+        return (id, Arc::clone(name));
+    }
+    let (id, name) = (graph.push(), Arc::<str>::from(norm));
+    values.insert(Arc::clone(&name), id);
+    (id, name)
+}
+
+/// Record one answer between interned ids.
+fn assert(graph: &mut EntailmentGraph, a: usize, b: usize, same: bool) -> Recorded {
+    let assertion = if same { graph.assert_same(a, b) } else { graph.assert_different(a, b) };
+    match assertion {
+        Assertion::Inserted => Recorded::Inserted,
+        Assertion::Redundant => Recorded::Duplicate,
+        Assertion::Contradiction => Recorded::Conflict,
     }
 }
 
 impl Store {
+    /// The id and name of `value` under `measure`; a value the shared map
+    /// lacks is interned into this store's own map.
+    fn intern_own(&mut self, measure: &str, value: &str) -> (usize, Arc<str>) {
+        let norm = normalize(value);
+        let shared = self.ids.get(measure).and_then(|values| values.get_key_value(&*norm));
+        if let Some((name, &id)) = shared {
+            return (id, Arc::clone(name));
+        }
+        intern(values_of(&mut self.own, measure).1, &mut self.graph, &norm)
+    }
+
     /// Pure lookup: never interns, never mutates — safe on the frozen
     /// snapshot shared across sessions.
     fn resolve(&self, measure: &str, left: &str, right: &str) -> ReuseOutcome {
@@ -260,11 +253,12 @@ impl Store {
             // free even on a cold cache.
             return ReuseOutcome::Hit { same: true, provenance: Provenance::Cached };
         }
-        let Some(per) = self.measures.get(measure) else { return ReuseOutcome::Miss };
-        let (Some(&a), Some(&b)) = (per.ids.get(&*ln), per.ids.get(&*rn)) else {
+        let (shared, own) = (self.ids.get(measure), self.own.get(measure));
+        let id = |value: &str| shared.and_then(|v| v.get(value)).or_else(|| own?.get(value));
+        let (Some(&a), Some(&b)) = (id(&ln), id(&rn)) else {
             return ReuseOutcome::Miss;
         };
-        match self.nodes.graph.entails(a, b) {
+        match self.graph.entails(a, b) {
             Entailment::Same { depth } => {
                 let provenance =
                     if depth <= 1 { Provenance::Cached } else { Provenance::Transitive { depth } };
@@ -311,12 +305,12 @@ impl ReuseSession {
 
     /// Record a crowd answer observed by this query.
     pub fn record(&mut self, measure: &str, left: &str, right: &str, same: bool) -> Recorded {
-        let Store { measures, nodes } = &mut self.store;
-        let (recorded, a, b) = nodes.record(interner(measures, measure), left, right, same);
+        let (a, l) = self.store.intern_own(measure, left);
+        let (b, r) = self.store.intern_own(measure, right);
+        let recorded = assert(&mut self.store.graph, a, b, same);
         match recorded {
             Recorded::Inserted => {
-                let (l, r) = (nodes.values[a].to_string(), nodes.values[b].to_string());
-                self.fresh.push((measure.to_string(), l, r, same));
+                self.fresh.push((measure.to_string(), l.to_string(), r.to_string(), same));
             }
             Recorded::Conflict => self.conflicts += 1,
             Recorded::Duplicate => {}
@@ -383,22 +377,22 @@ impl Inner {
         &mut self,
         facts: impl Iterator<Item = (&'a str, &'a str, &'a str, bool)>,
     ) -> usize {
-        let Store { measures, nodes } = &mut self.store;
-        let mut run: Option<&mut Interner> = None;
+        let Store { ids, graph, .. } = &mut self.store;
+        let mut run: Option<(Arc<str>, &mut Values)> = None;
         let mut dropped = 0;
         for (measure, left, right, same) in facts {
-            let per = match run.take() {
-                Some(per) if *per.measure == *measure => per,
-                _ => interner(measures, measure),
+            let (name, values) = match run.take() {
+                Some((name, values)) if *name == *measure => (name, values),
+                _ => values_of(Arc::make_mut(ids), measure),
             };
-            match nodes.record(per, left, right, same) {
-                (Recorded::Inserted, a, b) => {
-                    self.answers.push((Arc::clone(&per.measure), a, b, same))
-                }
-                (Recorded::Conflict, ..) => dropped += 1,
-                (Recorded::Duplicate, ..) => {}
+            let (a, l) = intern(values, graph, &normalize(left));
+            let (b, r) = intern(values, graph, &normalize(right));
+            match assert(graph, a, b, same) {
+                Recorded::Inserted => self.answers.push((Arc::clone(&name), l, r, same)),
+                Recorded::Conflict => dropped += 1,
+                Recorded::Duplicate => {}
             }
-            run = Some(per);
+            run = Some((name, values));
         }
         dropped
     }
@@ -462,12 +456,9 @@ impl ReuseCache {
     /// harness) verifies that no entailment-derived color contradicts
     /// them and, under perfect workers, that each matches ground truth.
     pub fn recorded(&self) -> Vec<(String, String, String, bool)> {
-        let inner = self.lock();
-        let values = &inner.store.nodes.values;
-        let answer = |(m, a, b, same): &Answer| {
-            (m.to_string(), values[*a].to_string(), values[*b].to_string(), *same)
-        };
-        inner.answers.iter().map(answer).collect()
+        let answer =
+            |(m, l, r, same): &Answer| (m.to_string(), l.to_string(), r.to_string(), *same);
+        self.lock().answers.iter().map(answer).collect()
     }
 
     /// Invariant accessor: re-resolve a pair against the current contents
@@ -673,14 +664,10 @@ mod tests {
         assert_eq!(cache.len(), 1);
     }
 
-    /// Addresses of the bases a store shares with its clones.
-    fn base_addrs(store: &Store) -> Vec<usize> {
-        let ids = [
-            store.measures.base_addr(),
-            store.measures.get(M).expect("interned").ids.base_addr(),
-            store.nodes.values.base_addr(),
-        ];
-        store.nodes.graph.base_addrs().into_iter().chain(ids).collect()
+    /// Addresses of the storage a store shares with its clones: the value
+    /// ids and the entailment graph's nodes.
+    fn base_addrs(store: &Store) -> [usize; 2] {
+        [Arc::as_ptr(&store.ids) as *const u8 as usize, store.graph.base_addr()]
     }
 
     #[test]

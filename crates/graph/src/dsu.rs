@@ -13,31 +13,10 @@ impl UnionFind {
         UnionFind { parent: (0..n).collect(), size: vec![1; n] }
     }
 
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.parent.len()
-    }
-
-    /// True when the forest has no elements.
-    pub fn is_empty(&self) -> bool {
-        self.parent.is_empty()
-    }
-
     /// Representative of the set containing `x` (path halving).
     pub fn find(&mut self, mut x: usize) -> usize {
         while self.parent[x] != x {
             self.parent[x] = self.parent[self.parent[x]];
-            x = self.parent[x];
-        }
-        x
-    }
-
-    /// Representative of the set containing `x` without path compression —
-    /// for read-only callers (frozen snapshots shared behind an `Arc`).
-    /// Union-by-size keeps tree depth `O(log n)`, so skipping compression
-    /// stays cheap.
-    pub fn find_ro(&self, mut x: usize) -> usize {
-        while self.parent[x] != x {
             x = self.parent[x];
         }
         x
@@ -56,15 +35,6 @@ impl UnionFind {
         self.parent[rb] = ra;
         self.size[ra] += self.size[rb];
         true
-    }
-
-    /// Append a fresh singleton element and return its index. Lets callers
-    /// intern values lazily instead of sizing the forest up front.
-    pub fn push(&mut self) -> usize {
-        let id = self.parent.len();
-        self.parent.push(id);
-        self.size.push(1);
-        id
     }
 
     /// True when `a` and `b` are in the same set.
@@ -94,24 +64,6 @@ mod tests {
         assert!(!d.connected(0, 2));
         assert!(d.union(1, 2));
         assert!(d.connected(0, 3));
-    }
-
-    #[test]
-    fn push_grows_the_forest_with_singletons() {
-        let mut d = UnionFind::new(2);
-        d.union(0, 1);
-        let v = d.push();
-        assert_eq!(v, 2);
-        assert_eq!(d.len(), 3);
-        assert!(!d.connected(0, 2));
-        d.union(1, 2);
-        assert!(d.connected(0, 2));
-    }
-
-    #[test]
-    fn empty_forest() {
-        let d = UnionFind::new(0);
-        assert!(d.is_empty());
     }
 
     proptest! {

@@ -6,16 +6,16 @@
 //! RED edges crossing the minimum cut are exactly the tasks that must be
 //! asked. This crate provides the max-flow/min-cut machinery (Dinic's
 //! algorithm), union-find connected components for the latency controller,
-//! and the copy-on-write entailment graph behind cross-query answer reuse.
+//! and the one entailment closure over crowd equality answers: the Trans
+//! baseline, `GROUP BY CROWD` and cross-query answer reuse all run on
+//! [`EntailmentGraph`], whose clones share its elements copy-on-write.
 
 mod dsu;
 mod entail;
-mod layered;
 mod maxflow;
 
 pub use dsu::UnionFind;
 pub use entail::{Assertion, Entailment, EntailmentGraph};
-pub use layered::{LayeredMap, LayeredVec};
 pub use maxflow::{Dinic, INF_CAPACITY};
 
 /// Connected components of an undirected graph given as an edge list over

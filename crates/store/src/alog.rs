@@ -21,8 +21,13 @@
 //! order, straight to the caller. Nothing settled is materialized; the
 //! [`AnswerRecovery`] keeps counts. A record with bytes left over after
 //! its last field is a decode error, as is any other malformed record.
+//!
+//! A marker covers the `count` facts written immediately before it: one
+//! writer appends a whole batch under the cache's log mutex, so a batch
+//! is contiguous in the log. Facts before those, back to the previous
+//! marker, belong to an attempt that crashed before its settle point and
+//! are dropped — even when the crashed query's id settles again later.
 
-use std::collections::HashMap;
 use std::path::Path;
 
 use cdb_core::SettledFact;
@@ -117,8 +122,10 @@ impl AnswerLog {
     ) -> Result<(AnswerLog, AnswerRecovery)> {
         let mut recovery = AnswerRecovery::default();
         let (wal, report) = Wal::open(dir, segment_bytes, |frames| {
-            // Facts not yet covered by a settle marker, per query in log order.
-            let mut pending: HashMap<u64, Vec<FactRef<'_>>> = HashMap::new();
+            // Facts since the last settle marker, and how many of the last
+            // ones carry `tail_query`.
+            let mut run: Vec<FactRef<'_>> = Vec::new();
+            let (mut tail_query, mut tail) = (0u64, 0usize);
             for frame in frames {
                 let mut c = Cursor::new(frame);
                 match c.u8()? {
@@ -133,19 +140,23 @@ impl AnswerLog {
                             cents: c.u64()?,
                         };
                         c.finish("fact record")?;
-                        pending.entry(query).or_default().push(fact);
+                        if query != tail_query {
+                            (tail_query, tail) = (query, 0);
+                        }
+                        tail += 1;
+                        run.push(fact);
                     }
                     TAG_SETTLE => {
                         let query = c.u64()?;
                         let count = c.u64()?;
                         c.finish("settle record")?;
-                        let facts = pending.remove(&query).unwrap_or_default();
-                        if facts.len() as u64 != count {
+                        let covered = if query == tail_query { tail } else { 0 };
+                        if count > covered as u64 {
                             return Err(decode_error(format!(
-                                "settle marker for query {query} covers {count} facts but {} were pending",
-                                facts.len()
+                                "settle marker for query {query} covers {count} facts but only {covered} precede it"
                             )));
                         }
+                        let facts = &run[run.len() - count as usize..];
                         let cents = facts
                             .iter()
                             .try_fold(recovery.cents, |sum, f| sum.checked_add(f.cents))
@@ -155,14 +166,17 @@ impl AnswerLog {
                         recovery.batches += 1;
                         recovery.facts += count;
                         recovery.cents = cents;
-                        settled(query, &facts);
+                        settled(query, facts);
+                        recovery.dropped_facts += (run.len() - facts.len()) as u64;
+                        run.clear();
+                        tail = 0;
                     }
                     tag => {
                         return Err(decode_error(format!("unknown answer-log record tag {tag}")))
                     }
                 }
             }
-            recovery.dropped_facts = pending.values().map(|facts| facts.len() as u64).sum();
+            recovery.dropped_facts += run.len() as u64;
             Ok(())
         })?;
         recovery.wal = report;
@@ -289,6 +303,35 @@ mod tests {
         assert_eq!(settled.len(), 1);
         assert_eq!(rec.dropped_facts, 2);
         assert_eq!(log.logged_cents(), 15); // dropped facts cost nothing durable
+    }
+
+    #[test]
+    fn a_marker_covers_only_the_facts_of_its_query_just_before_it() {
+        for (marker_query, count) in [(2u64, 1u64), (1, 2)] {
+            let dir = ScratchDir::new("alog-overcount");
+            {
+                let (mut wal, _) =
+                    Wal::open(dir.path(), DEFAULT_SEGMENT_BYTES, |_| Ok(())).unwrap();
+                for (query, f) in
+                    [(2u64, fact("m", "a", "b", true)), (1, fact("m", "a", "c", true))]
+                {
+                    let mut buf = Vec::new();
+                    put_fact(&mut buf, query, &f);
+                    wal.append(&buf).unwrap();
+                }
+                let mut marker = Vec::new();
+                put_u8_tag(&mut marker, TAG_SETTLE);
+                put_u64(&mut marker, marker_query);
+                put_u64(&mut marker, count);
+                wal.append(&marker).unwrap();
+                wal.sync().unwrap();
+            }
+            let err = open(dir.path(), DEFAULT_SEGMENT_BYTES).map(|_| ()).unwrap_err();
+            assert!(
+                matches!(&err, StoreError::Decode { detail } if detail.contains("only")),
+                "marker ({marker_query}, {count}): {err:?}"
+            );
+        }
     }
 
     #[test]
