@@ -215,6 +215,8 @@ fn resolve_predicate(
         for (&(x, y, ..), yes) in chunk.iter().zip(verdicts) {
             if yes {
                 clusters.assert_same(x.0, y.0);
+            } else {
+                clusters.assert_different(x.0, y.0);
             }
         }
     }

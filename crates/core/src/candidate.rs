@@ -2,12 +2,41 @@
 //!
 //! A *candidate* is a connected substructure with exactly one edge per
 //! query predicate; a candidate whose edges are all BLUE is an *answer*.
-//! Enumeration is a backtracking search over predicates in a connected
-//! expansion order, binding one vertex per part. The same search core
-//! answers the membership questions the optimizer needs: "is this edge in
-//! any candidate?" (invalid-edge detection, Definition 3) and "are these
-//! two edges in a common candidate?" (the conflict test of the latency
-//! controller, §5.2).
+//!
+//! One anchored depth-first search finds them. It takes the predicates in
+//! a connected expansion order, binding one vertex per part, and draws
+//! each predicate's edges from the narrowest source:
+//!
+//! - a pinned predicate tries only its pinned edge;
+//! - the first predicate, when nothing is pinned, scans the edge ids in
+//!   order;
+//! - every later predicate shares a part that is already bound, and an
+//!   edge consistent with the binding must touch that bound vertex (the
+//!   *anchor*), so it walks the anchor's adjacency list, not every edge
+//!   of the predicate.
+//!
+//! Which edges may take part is an edge predicate: a [`CandidateFilter`]
+//! for the public calls, and "live and truly Blue" for the F1 reference
+//! `truth::true_answers`, which so enumerates only the true answers
+//! instead of filtering every live candidate.
+//!
+//! **Order.** `QueryGraph::add_edge` is the only writer of adjacency
+//! lists and appends each new edge id to both endpoints' lists, so every
+//! list is in ascending id order. The anchor's list therefore yields a
+//! predicate's consistent edges in the same ascending order as a scan of
+//! all that predicate's edges, and candidates come out in lexicographic
+//! order of their edge ids taken in expansion order. A stricter filter
+//! only prunes subtrees, so its enumeration is the looser one's
+//! subsequence: `true_answers` lists exactly the live candidates whose
+//! edges are all true, in the same order. The oracle proptest in this
+//! module pins both against a per-predicate scan.
+//!
+//! The same search answers the membership questions the optimizer needs,
+//! with a visitor that stops at the first leaf: "is this edge in any
+//! candidate?" (invalid-edge detection, Definition 3) and "are these two
+//! edges in a common candidate?" (the conflict test of the latency
+//! controller, §5.2). A pinned search starts at a pinned predicate, so it
+//! never scans the whole edge list.
 
 use crate::model::{Color, EdgeId, NodeId, PartId, QueryGraph};
 
@@ -55,256 +84,149 @@ impl Candidate {
     }
 }
 
-/// A connected expansion order of the predicates: each predicate after the
-/// first shares a part with an earlier one. Panics if the predicate graph
-/// is disconnected (CQL queries must be connected joins).
-fn expansion_order(g: &QueryGraph) -> Vec<usize> {
-    let n = g.predicate_count();
-    if n == 0 {
-        return Vec::new();
-    }
+/// The search's expansion order: the first pinned predicate (else
+/// predicate 0), then repeatedly the lowest-index unused predicate that
+/// shares a bound part, pinned ones first. With nothing pinned that is
+/// plain lowest-index-connected order. Panics if the predicate graph is
+/// disconnected (CQL queries must be connected joins).
+fn expansion_order(g: &QueryGraph, fixed: &[Option<EdgeId>]) -> Vec<usize> {
     let preds = g.predicates();
-    let mut order = vec![0usize];
-    let mut used = vec![false; n];
-    used[0] = true;
-    let mut bound_parts: Vec<PartId> = vec![preds[0].a, preds[0].b];
+    let n = preds.len();
+    let mut order = Vec::with_capacity(n);
+    order.push(fixed.iter().position(Option::is_some).unwrap_or(0));
+    let bound =
+        |order: &[usize], p: PartId| order.iter().any(|&j| preds[j].a == p || preds[j].b == p);
     while order.len() < n {
-        let next = (0..n).find(|&i| {
-            !used[i] && (bound_parts.contains(&preds[i].a) || bound_parts.contains(&preds[i].b))
-        });
-        let i = next.expect("query predicates must form a connected structure");
-        used[i] = true;
-        order.push(i);
-        if !bound_parts.contains(&preds[i].a) {
-            bound_parts.push(preds[i].a);
-        }
-        if !bound_parts.contains(&preds[i].b) {
-            bound_parts.push(preds[i].b);
-        }
+        let next = (0..n)
+            .filter(|&i| {
+                !order.contains(&i) && (bound(&order, preds[i].a) || bound(&order, preds[i].b))
+            })
+            .min_by_key(|&i| (fixed[i].is_none(), i))
+            .expect("query predicates must form a connected structure");
+        order.push(next);
     }
     order
 }
 
-/// Backtracking search over candidates. `fixed[i]` optionally pins the
-/// edge used for predicate `i`. The visitor returns `true` to continue,
-/// `false` to stop the search.
+/// A leaf visitor: the binding (every part bound) and the edge chosen for
+/// each predicate, both borrowed. Returns `true` to continue, `false` to
+/// stop the search.
+type Visit<'v> = dyn FnMut(&[Option<NodeId>], &[EdgeId]) -> bool + 'v;
+
+/// Depth-first search over the candidates whose edges all pass `admits`.
+/// `fixed[i]` optionally pins the edge used for predicate `i`.
 fn search(
     g: &QueryGraph,
-    filter: CandidateFilter,
+    admits: &dyn Fn(EdgeId) -> bool,
     fixed: &[Option<EdgeId>],
-    visit: &mut dyn FnMut(&Candidate) -> bool,
+    visit: &mut Visit<'_>,
 ) {
     let n = g.predicate_count();
     if n == 0 {
         return;
     }
-    // Pre-index edges per predicate.
-    let mut per_pred: Vec<Vec<EdgeId>> = vec![Vec::new(); n];
-    for i in 0..g.edge_count() {
-        let e = EdgeId(i);
-        if filter.admits(g, e) {
-            per_pred[g.edge_predicate(e)].push(e);
-        }
+    // Pinned edges must pass the filter and belong to their predicate.
+    let misfit = |(i, f): (usize, &Option<EdgeId>)| {
+        f.is_some_and(|e| g.edge_predicate(e) != i || !admits(e))
+    };
+    if fixed.iter().enumerate().any(misfit) {
+        return;
     }
-    // Pinned edges must pass the filter too.
-    for (i, f) in fixed.iter().enumerate() {
-        if let Some(e) = f {
-            if !filter.admits(g, *e) || g.edge_predicate(*e) != i {
-                return;
-            }
-        }
-    }
-    let order = expansion_order(g);
-    let mut binding: Vec<Option<NodeId>> = vec![None; g.part_count()];
-    let mut chosen: Vec<EdgeId> = Vec::with_capacity(n);
-    rec(g, filter, fixed, &order, 0, &per_pred, &mut binding, &mut chosen, visit);
+    let mut search = Search {
+        g,
+        admits,
+        fixed,
+        order: expansion_order(g, fixed),
+        binding: vec![None; g.part_count()],
+        chosen: vec![EdgeId(usize::MAX); n],
+        visit,
+    };
+    search.descend(0);
 }
 
-#[allow(clippy::too_many_arguments)]
-fn rec(
-    g: &QueryGraph,
-    filter: CandidateFilter,
-    fixed: &[Option<EdgeId>],
-    order: &[usize],
-    depth: usize,
-    per_pred: &[Vec<EdgeId>],
-    binding: &mut Vec<Option<NodeId>>,
-    chosen: &mut Vec<EdgeId>,
-    visit: &mut dyn FnMut(&Candidate) -> bool,
-) -> bool {
-    if depth == order.len() {
-        let cand = Candidate {
-            binding: binding.iter().map(|b| b.expect("all parts bound")).collect(),
-            edges: {
-                // chosen is in expansion order; restore predicate order.
-                let mut edges = vec![EdgeId(usize::MAX); order.len()];
-                for (d, &p) in order.iter().enumerate() {
-                    edges[p] = chosen[d];
-                }
-                edges
-            },
-        };
-        return visit(&cand);
-    }
-    let pred = order[depth];
-    let info = &g.predicates()[pred];
-    let candidates: &[EdgeId] = match &fixed[pred] {
-        Some(e) => std::slice::from_ref(e),
-        None => &per_pred[pred],
-    };
-    for &e in candidates {
-        if !filter.admits(g, e) {
-            continue;
+struct Search<'a, 'v> {
+    g: &'a QueryGraph,
+    admits: &'a dyn Fn(EdgeId) -> bool,
+    fixed: &'a [Option<EdgeId>],
+    order: Vec<usize>,
+    binding: Vec<Option<NodeId>>,
+    /// `chosen[i]` is the edge bound for predicate `i`.
+    chosen: Vec<EdgeId>,
+    visit: &'v mut Visit<'v>,
+}
+
+impl Search<'_, '_> {
+    /// Bind the predicates from `depth` on; `false` once the visitor stops.
+    fn descend(&mut self, depth: usize) -> bool {
+        if depth == self.order.len() {
+            return (self.visit)(&self.binding, &self.chosen);
         }
+        let g = self.g;
+        let pred = self.order[depth];
+        if let Some(e) = self.fixed[pred] {
+            return self.bind(depth, pred, e);
+        }
+        let info = &g.predicates()[pred];
+        match self.binding[info.a.0].or(self.binding[info.b.0]) {
+            // A consistent edge touches the bound endpoint; its list is in
+            // ascending id order (see the module docs).
+            Some(anchor) => g.incident_edges(anchor).iter().all(|&e| self.bind(depth, pred, e)),
+            // Only the first predicate of an unpinned search.
+            None => (0..g.edge_count()).all(|i| self.bind(depth, pred, EdgeId(i))),
+        }
+    }
+
+    /// Use `e` for `pred` if it is admitted and fits the binding, and
+    /// descend; `false` once the visitor stops.
+    fn bind(&mut self, depth: usize, pred: usize, e: EdgeId) -> bool {
+        let g = self.g;
+        if g.edge_predicate(e) != pred || !(self.admits)(e) {
+            return true;
+        }
+        let info = &g.predicates()[pred];
         let (mut u, mut v) = g.edge_endpoints(e);
         // Normalize: u belongs to info.a, v to info.b.
         if g.node_part(u) != info.a {
             std::mem::swap(&mut u, &mut v);
         }
-        debug_assert_eq!(g.node_part(u), info.a);
-        debug_assert_eq!(g.node_part(v), info.b);
-        // Consistency with current binding.
-        let (ba, bb) = (binding[info.a.0], binding[info.b.0]);
+        let (ba, bb) = (self.binding[info.a.0], self.binding[info.b.0]);
         if ba.is_some_and(|x| x != u) || bb.is_some_and(|x| x != v) {
-            continue;
+            return true;
         }
-        let (seta, setb) = (ba.is_none(), bb.is_none());
-        binding[info.a.0] = Some(u);
-        binding[info.b.0] = Some(v);
-        chosen.push(e);
-        let cont = rec(g, filter, fixed, order, depth + 1, per_pred, binding, chosen, visit);
-        chosen.pop();
-        if seta {
-            binding[info.a.0] = None;
-        }
-        if setb {
-            binding[info.b.0] = None;
-        }
-        if !cont {
-            return false;
-        }
+        self.binding[info.a.0] = Some(u);
+        self.binding[info.b.0] = Some(v);
+        self.chosen[pred] = e;
+        let cont = self.descend(depth + 1);
+        self.binding[info.a.0] = ba;
+        self.binding[info.b.0] = bb;
+        cont
     }
-    true
 }
 
-/// Existence-only search: is there any candidate honouring the pins?
-///
-/// Unlike [`search`] this never builds the per-predicate edge index (an
-/// O(edges) scan per call — ruinous inside the latency controller's
-/// pairwise conflict test). The expansion order starts at the first
-/// pinned predicate, preferring pinned predicates while growing, so every
-/// unpinned predicate is entered with at least one part already bound and
-/// its edges stream straight from the bound node's adjacency list.
-/// Existence is independent of enumeration order, so the answer matches
-/// `search`-and-stop exactly.
-fn exists(g: &QueryGraph, filter: CandidateFilter, fixed: &[Option<EdgeId>]) -> bool {
-    let n = g.predicate_count();
-    if n == 0 {
-        return false;
-    }
-    // Pinned edges must pass the filter too.
-    for (i, f) in fixed.iter().enumerate() {
-        if let Some(e) = f {
-            if !filter.admits(g, *e) || g.edge_predicate(*e) != i {
-                return false;
-            }
-        }
-    }
-    let preds = g.predicates();
-    let first = fixed.iter().position(|f| f.is_some()).unwrap_or(0);
-    let mut order = vec![first];
-    let mut used = vec![false; n];
-    used[first] = true;
-    let mut bound = vec![false; g.part_count()];
-    bound[preds[first].a.0] = true;
-    bound[preds[first].b.0] = true;
-    while order.len() < n {
-        let next = (0..n)
-            .filter(|&i| !used[i] && (bound[preds[i].a.0] || bound[preds[i].b.0]))
-            .min_by_key(|&i| (fixed[i].is_none(), i));
-        let i = next.expect("query predicates must form a connected structure");
-        used[i] = true;
-        order.push(i);
-        bound[preds[i].a.0] = true;
-        bound[preds[i].b.0] = true;
-    }
-    let mut binding: Vec<Option<NodeId>> = vec![None; g.part_count()];
-    exists_rec(g, filter, fixed, &order, 0, &mut binding)
+/// Is there a candidate under the filter that honours the pins?
+fn any_candidate(g: &QueryGraph, filter: CandidateFilter, fixed: &[Option<EdgeId>]) -> bool {
+    let mut found = false;
+    search(g, &|e| filter.admits(g, e), fixed, &mut |_, _| {
+        found = true;
+        false
+    });
+    found
 }
 
-fn exists_rec(
-    g: &QueryGraph,
-    filter: CandidateFilter,
-    fixed: &[Option<EdgeId>],
-    order: &[usize],
-    depth: usize,
-    binding: &mut Vec<Option<NodeId>>,
-) -> bool {
-    if depth == order.len() {
-        return true;
-    }
-    let pred = order[depth];
-    let info = &g.predicates()[pred];
-    let step = |binding: &mut Vec<Option<NodeId>>, e: EdgeId| -> bool {
-        if g.edge_predicate(e) != pred || !filter.admits(g, e) {
-            return false;
-        }
-        let (mut u, mut v) = g.edge_endpoints(e);
-        // Normalize: u belongs to info.a, v to info.b.
-        if g.node_part(u) != info.a {
-            std::mem::swap(&mut u, &mut v);
-        }
-        // Consistency with current binding.
-        let (ba, bb) = (binding[info.a.0], binding[info.b.0]);
-        if ba.is_some_and(|x| x != u) || bb.is_some_and(|x| x != v) {
-            return false;
-        }
-        let (seta, setb) = (ba.is_none(), bb.is_none());
-        binding[info.a.0] = Some(u);
-        binding[info.b.0] = Some(v);
-        let found = exists_rec(g, filter, fixed, order, depth + 1, binding);
-        if seta {
-            binding[info.a.0] = None;
-        }
-        if setb {
-            binding[info.b.0] = None;
-        }
-        found
-    };
-    if let Some(e) = fixed[pred] {
-        return step(binding, e);
-    }
-    match binding[info.a.0].or(binding[info.b.0]) {
-        Some(anchor) => {
-            // A consistent edge must touch the bound endpoint: walk its
-            // adjacency list instead of every edge of the predicate.
-            for &e in g.incident_edges(anchor) {
-                if step(binding, e) {
-                    return true;
-                }
-            }
-        }
-        None => {
-            // Only reachable when nothing is pinned at all.
-            for i in 0..g.edge_count() {
-                if step(binding, EdgeId(i)) {
-                    return true;
-                }
-            }
-        }
-    }
-    false
+/// Every candidate whose edges all pass `admits`, in enumeration order.
+pub(crate) fn candidates_where(g: &QueryGraph, admits: &dyn Fn(EdgeId) -> bool) -> Vec<Candidate> {
+    let mut out = Vec::new();
+    search(g, admits, &vec![None; g.predicate_count()], &mut |binding, edges| {
+        let binding = binding.iter().map(|b| b.expect("all parts bound")).collect();
+        out.push(Candidate { binding, edges: edges.to_vec() });
+        true
+    });
+    out
 }
 
 /// Enumerate every candidate under the filter.
 pub fn enumerate_candidates(g: &QueryGraph, filter: CandidateFilter) -> Vec<Candidate> {
-    let mut out = Vec::new();
-    let fixed = vec![None; g.predicate_count()];
-    search(g, filter, &fixed, &mut |c| {
-        out.push(c.clone());
-        true
-    });
-    out
+    candidates_where(g, &|e| filter.admits(g, e))
 }
 
 /// Answers: candidates whose edges are all Blue (Definition 4).
@@ -317,7 +239,7 @@ pub fn answers(g: &QueryGraph) -> Vec<Candidate> {
 pub fn edge_in_some_candidate(g: &QueryGraph, e: EdgeId, filter: CandidateFilter) -> bool {
     let mut fixed = vec![None; g.predicate_count()];
     fixed[g.edge_predicate(e)] = Some(e);
-    exists(g, filter, &fixed)
+    any_candidate(g, filter, &fixed)
 }
 
 /// Do two edges appear together in some candidate? (The *conflict* test of
@@ -337,7 +259,7 @@ pub fn edges_in_same_candidate(
     let mut fixed = vec![None; g.predicate_count()];
     fixed[p1] = Some(e1);
     fixed[p2] = Some(e2);
-    exists(g, filter, &fixed)
+    any_candidate(g, filter, &fixed)
 }
 
 #[cfg(test)]
@@ -345,6 +267,7 @@ mod tests {
     use super::*;
     use crate::model::testgraph::chain_2x3;
     use crate::model::{PartKind, QueryGraph};
+    use crate::truth::{true_answers, EdgeTruth};
     use cdb_storage::TupleId;
 
     #[test]
@@ -462,47 +385,191 @@ mod tests {
         assert!(!edges_in_same_candidate(&g, e_ab, e_b1c, CandidateFilter::Live));
     }
 
-    /// Existence via the full enumerating search — oracle for `exists`.
-    fn exists_oracle(g: &QueryGraph, filter: CandidateFilter, fixed: &[Option<EdgeId>]) -> bool {
-        let mut found = false;
-        search(g, filter, fixed, &mut |_| {
-            found = true;
-            false
-        });
-        found
+    /// The per-predicate-scan enumerator the anchored search replaced,
+    /// kept as its oracle: index every admitted edge by predicate, expand
+    /// in lowest-index-connected order, and at every depth try each
+    /// indexed edge of the predicate (or its pin) against the binding.
+    fn reference(
+        g: &QueryGraph,
+        admits: &dyn Fn(EdgeId) -> bool,
+        fixed: &[Option<EdgeId>],
+    ) -> Vec<Candidate> {
+        let n = g.predicate_count();
+        let mut out = Vec::new();
+        if n == 0
+            || fixed
+                .iter()
+                .enumerate()
+                .any(|(i, f)| f.is_some_and(|e| !admits(e) || g.edge_predicate(e) != i))
+        {
+            return out;
+        }
+        let mut per_pred: Vec<Vec<EdgeId>> = vec![Vec::new(); n];
+        for e in (0..g.edge_count()).map(EdgeId).filter(|&e| admits(e)) {
+            per_pred[g.edge_predicate(e)].push(e);
+        }
+        let preds = g.predicates();
+        let mut order = vec![0usize];
+        let mut bound = vec![preds[0].a, preds[0].b];
+        while order.len() < n {
+            let i = (0..n)
+                .find(|&i| {
+                    !order.contains(&i)
+                        && (bound.contains(&preds[i].a) || bound.contains(&preds[i].b))
+                })
+                .unwrap();
+            order.push(i);
+            bound.extend([preds[i].a, preds[i].b]);
+        }
+        #[allow(clippy::too_many_arguments)]
+        fn rec(
+            g: &QueryGraph,
+            fixed: &[Option<EdgeId>],
+            order: &[usize],
+            depth: usize,
+            per_pred: &[Vec<EdgeId>],
+            binding: &mut Vec<Option<NodeId>>,
+            chosen: &mut Vec<EdgeId>,
+            out: &mut Vec<Candidate>,
+        ) {
+            if depth == order.len() {
+                let binding = binding.iter().map(|b| b.unwrap()).collect();
+                out.push(Candidate { binding, edges: chosen.clone() });
+                return;
+            }
+            let pred = order[depth];
+            let info = &g.predicates()[pred];
+            let edges = match &fixed[pred] {
+                Some(e) => std::slice::from_ref(e),
+                None => &per_pred[pred][..],
+            };
+            for &e in edges {
+                let (mut u, mut v) = g.edge_endpoints(e);
+                if g.node_part(u) != info.a {
+                    std::mem::swap(&mut u, &mut v);
+                }
+                let (ba, bb) = (binding[info.a.0], binding[info.b.0]);
+                if ba.is_some_and(|x| x != u) || bb.is_some_and(|x| x != v) {
+                    continue;
+                }
+                binding[info.a.0] = Some(u);
+                binding[info.b.0] = Some(v);
+                chosen[pred] = e;
+                rec(g, fixed, order, depth + 1, per_pred, binding, chosen, out);
+                binding[info.a.0] = ba;
+                binding[info.b.0] = bb;
+            }
+        }
+        let mut binding = vec![None; g.part_count()];
+        let mut chosen = vec![EdgeId(usize::MAX); n];
+        rec(g, fixed, &order, 0, &per_pred, &mut binding, &mut chosen, &mut out);
+        out
     }
 
-    #[test]
-    fn existence_search_matches_enumeration_oracle() {
-        let (mut g, _) = chain_2x3(0.5);
-        // Exercise live, colored and pruned edges across the checks.
-        g.set_color(EdgeId(0), Color::Red);
-        g.set_color(EdgeId(3), Color::Blue);
-        g.set_invalid(EdgeId(5));
-        for filter in [CandidateFilter::Live, CandidateFilter::BlueOnly] {
-            for i in 0..g.edge_count() {
-                let e1 = EdgeId(i);
-                let mut fixed = vec![None; g.predicate_count()];
-                fixed[g.edge_predicate(e1)] = Some(e1);
-                assert_eq!(
-                    exists(&g, filter, &fixed),
-                    exists_oracle(&g, filter, &fixed),
-                    "single pin {e1:?} {filter:?}"
-                );
-                for j in 0..g.edge_count() {
-                    let e2 = EdgeId(j);
-                    if g.edge_predicate(e2) == g.edge_predicate(e1) {
-                        continue;
+    /// A random graph over a connected predicate structure — `shape` 0 a
+    /// chain, 1 a star, 2 a cycle, 3 a chain with a parallel predicate
+    /// between one part pair — over `parts` parts of 1–3 vertices. The
+    /// predicates are registered in a random order with random
+    /// orientation, edges join random vertex pairs in a random id order,
+    /// and each edge is randomly colored, maybe invalid, and given a
+    /// random truth.
+    fn random_graph(shape: usize, parts: usize, seed: u64) -> (QueryGraph, EdgeTruth) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        fn shuffle<T>(rng: &mut StdRng, xs: &mut [T]) {
+            for i in (1..xs.len()).rev() {
+                xs.swap(i, rng.gen_range(0..=i));
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut pairs: Vec<(usize, usize)> = match shape {
+            0 => (1..parts).map(|i| (i - 1, i)).collect(),
+            1 => (1..parts).map(|i| (0, i)).collect(),
+            2 => (0..parts).map(|i| (i, (i + 1) % parts)).collect(),
+            _ => {
+                let mut chain: Vec<_> = (1..parts).map(|i| (i - 1, i)).collect();
+                chain.push(chain[rng.gen_range(0..chain.len())]);
+                chain
+            }
+        };
+        shuffle(&mut rng, &mut pairs);
+        let mut g = QueryGraph::new();
+        let ids: Vec<PartId> =
+            (0..parts).map(|p| g.add_part(PartKind::Table { name: format!("P{p}") })).collect();
+        let nodes: Vec<Vec<NodeId>> = ids
+            .iter()
+            .map(|&p| {
+                (0..rng.gen_range(1..=3)).map(|i| g.add_node(p, None, format!("{i}"))).collect()
+            })
+            .collect();
+        let mut edges = Vec::new();
+        for &(a, b) in &pairs {
+            let (a, b) = if rng.gen_bool(0.5) { (a, b) } else { (b, a) };
+            let pred = g.add_predicate(ids[a], ids[b], true, "p");
+            for &u in &nodes[a] {
+                for &v in &nodes[b] {
+                    if rng.gen_bool(0.7) {
+                        edges.push(if rng.gen_bool(0.5) { (u, v, pred) } else { (v, u, pred) });
                     }
-                    let mut fixed = fixed.clone();
-                    fixed[g.edge_predicate(e2)] = Some(e2);
-                    assert_eq!(
-                        exists(&g, filter, &fixed),
-                        exists_oracle(&g, filter, &fixed),
-                        "pair {e1:?},{e2:?} {filter:?}"
-                    );
                 }
             }
+        }
+        shuffle(&mut rng, &mut edges);
+        let mut truth = EdgeTruth::new();
+        for (u, v, pred) in edges {
+            let e = g.add_edge(u, v, pred, 0.5);
+            match rng.gen_range(0..4) {
+                0 => g.set_color(e, Color::Blue),
+                1 => g.set_color(e, Color::Red),
+                _ => {}
+            }
+            if rng.gen_bool(0.1) {
+                g.set_invalid(e);
+            }
+            truth.insert(e, rng.gen_bool(0.7));
+        }
+        (g, truth)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(300))]
+        #[test]
+        fn anchored_search_matches_the_per_predicate_scan(
+            shape in 0usize..4,
+            parts in 2usize..5,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let (g, truth) = random_graph(shape, parts, seed);
+            let unpinned = vec![None; g.predicate_count()];
+            for filter in [CandidateFilter::Live, CandidateFilter::BlueOnly] {
+                let admits = |e| filter.admits(&g, e);
+                // (a) Same candidates, in the same order.
+                let found = enumerate_candidates(&g, filter);
+                proptest::prop_assert_eq!(&found, &reference(&g, &admits, &unpinned), "{:?}", filter);
+                // (c) Existence under one pin and under two.
+                for e1 in (0..g.edge_count()).map(EdgeId) {
+                    let mut fixed = unpinned.clone();
+                    fixed[g.edge_predicate(e1)] = Some(e1);
+                    let expect = !reference(&g, &admits, &fixed).is_empty();
+                    proptest::prop_assert_eq!(edge_in_some_candidate(&g, e1, filter), expect);
+                    for e2 in (0..g.edge_count()).map(EdgeId) {
+                        let expect = if g.edge_predicate(e2) == g.edge_predicate(e1) {
+                            e1 == e2
+                        } else {
+                            let mut fixed = fixed.clone();
+                            fixed[g.edge_predicate(e2)] = Some(e2);
+                            !reference(&g, &admits, &fixed).is_empty()
+                        };
+                        proptest::prop_assert_eq!(edges_in_same_candidate(&g, e1, e2, filter), expect);
+                    }
+                }
+            }
+            // (b) The truth pushed into the search equals enumerate-then-filter.
+            let filtered: Vec<Candidate> = enumerate_candidates(&g, CandidateFilter::Live)
+                .into_iter()
+                .filter(|c| c.edges.iter().all(|e| truth[e]))
+                .collect();
+            proptest::prop_assert_eq!(true_answers(&g, &truth), filtered);
         }
     }
 

@@ -34,6 +34,7 @@
 //! correctness oracle: proptests pin the incremental ordering byte-for-
 //! byte against it.
 
+use std::cmp::Reverse;
 use std::collections::HashMap;
 
 use crate::model::{Color, EdgeId, NodeId, QueryGraph};
@@ -52,12 +53,18 @@ pub fn expectation_order(g: &QueryGraph) -> Vec<EdgeId> {
 
 /// Sort scored open edges into ask order. Shared by the incremental and
 /// reference paths so the tie-breaking is identical by construction.
+/// Edge ids are unique, so the key is a total order and an unstable sort
+/// is deterministic.
 fn sort_scored(g: &QueryGraph, scored: &mut [(EdgeId, f64)]) {
-    scored.sort_by(|a, b| {
-        b.1.total_cmp(&a.1)
-            .then_with(|| g.edge_weight(a.0).total_cmp(&g.edge_weight(b.0)))
-            .then(a.0.cmp(&b.0))
+    scored.sort_unstable_by_key(|&(e, score)| {
+        (Reverse(total_order_bits(score)), total_order_bits(g.edge_weight(e)), e)
     });
+}
+
+/// `x` as an integer whose order is [`f64::total_cmp`]'s.
+fn total_order_bits(x: f64) -> i64 {
+    let bits = x.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
 /// Incrementally maintained expectation scores, carried across rounds.
@@ -74,8 +81,10 @@ pub struct SelectionState {
     initialized: bool,
     /// Score per edge id; only open edges' entries are meaningful.
     scores: Vec<f64>,
-    /// Cached bundle effects: (bundle size, ∏(1 − ω), cascade count).
-    bundles: HashMap<(NodeId, usize), (usize, f64, usize)>,
+    /// Cached bundle effect per `node * predicate_count + predicate`:
+    /// (bundle size, ∏(1 − ω), cascade count).
+    bundles: Vec<Option<(usize, f64, usize)>>,
+    predicate_count: usize,
     scratch: CascadeScratch,
 }
 
@@ -101,7 +110,10 @@ impl SelectionState {
     }
 
     fn refresh(&mut self, g: &QueryGraph) {
-        if !self.initialized || self.scores.len() != g.edge_count() {
+        if !self.initialized
+            || self.scores.len() != g.edge_count()
+            || self.bundles.len() != g.node_count() * g.predicate_count()
+        {
             self.rebuild(g);
             return;
         }
@@ -148,10 +160,9 @@ impl SelectionState {
                 }
             }
         }
+        let pc = self.predicate_count;
         for &n in &dirty_nodes {
-            for p in g.part_predicates(g.node_part(n)) {
-                self.bundles.remove(&(n, p));
-            }
+            self.bundles[n.0 * pc..(n.0 + 1) * pc].fill(None);
         }
         for e in g.open_edges() {
             let (u, v) = g.edge_endpoints(e);
@@ -164,7 +175,9 @@ impl SelectionState {
     fn rebuild(&mut self, g: &QueryGraph) {
         self.scores.clear();
         self.scores.resize(g.edge_count(), 0.0);
+        self.predicate_count = g.predicate_count();
         self.bundles.clear();
+        self.bundles.resize(g.node_count() * self.predicate_count, None);
         for e in g.open_edges() {
             self.scores[e.0] = self.score(g, e);
         }
@@ -190,11 +203,12 @@ impl SelectionState {
     }
 
     fn bundle(&mut self, g: &QueryGraph, n: NodeId, p: usize) -> (usize, f64, usize) {
-        if let Some(&cached) = self.bundles.get(&(n, p)) {
+        let slot = n.0 * self.predicate_count + p;
+        if let Some(cached) = self.bundles[slot] {
             return cached;
         }
         let effect = bundle_effect(g, n, p, &mut self.scratch);
-        self.bundles.insert((n, p), effect);
+        self.bundles[slot] = Some(effect);
         effect
     }
 }

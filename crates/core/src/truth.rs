@@ -11,7 +11,7 @@ use cdb_crowd::{
 };
 use cdb_storage::TupleId;
 
-use crate::candidate::{enumerate_candidates, Candidate, CandidateFilter};
+use crate::candidate::{candidates_where, Candidate};
 use crate::model::{Color, EdgeId, PartKind, QueryGraph};
 
 /// Ground-truth edge colors: `truth[e] == true` means the edge is truly
@@ -97,12 +97,11 @@ fn refill(probe: &mut TupleId, from: &TupleId) {
 }
 
 /// The candidates that are answers under the ground truth — the reference
-/// set for recall/precision.
+/// set for recall/precision: the live candidates whose edges are all true,
+/// in enumeration order. The search admits only live, true edges, so it
+/// never lists a candidate it would drop.
 pub fn true_answers(g: &QueryGraph, truth: &EdgeTruth) -> Vec<Candidate> {
-    enumerate_candidates(g, CandidateFilter::Live)
-        .into_iter()
-        .filter(|c| c.edges.iter().all(|e| truth[e]))
-        .collect()
+    candidates_where(g, &|e| g.edge_live(e) && truth[&e])
 }
 
 /// The join check `q` asks about edge `q.id`, answered from `truth`: the
