@@ -19,9 +19,8 @@
 //! and the repro text is dumped; exit status is nonzero.
 //!
 //! Served load, the profiled Table 5 sweep, the durable store, the shard
-//! scaling sweep, answer reuse and multi-query scheduling are not targets
-//! here: their deterministic counts
-//! are pinned by tests (`crates/serve/tests/wire.rs`,
+//! scaling sweep and answer reuse are not targets here: their
+//! deterministic counts are pinned by tests (`crates/serve/tests/wire.rs`,
 //! `crates/bench/tests/pinned_counts.rs`) and their timings are
 //! `cdb-benchmark`'s.
 //! ```

@@ -4,8 +4,8 @@
 //!
 //! Used by the `figures` binary, which regenerates every table and figure
 //! of the evaluation section, and by `tests/pinned_counts.rs`, which pins
-//! the deterministic counts of the profiled, durable, sharded, reuse and
-//! scheduling sweeps.
+//! the deterministic counts of the profiled, durable, sharded and reuse
+//! sweeps.
 
 use std::collections::BTreeSet;
 

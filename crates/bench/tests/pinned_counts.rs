@@ -1,6 +1,6 @@
 //! Every deterministic count of the profiled Table 5 sweep, the durable
-//! store, the shard scaling sweep, the answer-reuse sweep and the
-//! multi-query scheduling sweep, pinned at seed 42 and scale 10.
+//! store, the shard scaling sweep and the answer-reuse sweep, pinned at
+//! seed 42 and scale 10.
 //!
 //! These workloads are seeded, so their counts are the same on every
 //! machine: a drift means the measured work changed, not the host. Only
@@ -23,7 +23,6 @@ use cdb_datagen::{
 };
 use cdb_obsv::profile::{install, ProfileReport, Profiler};
 use cdb_runtime::{FaultPlan, QueryJob, RetryPolicy, RuntimeConfig, RuntimeExecutor, SettleHook};
-use cdb_sched::{DrrConfig, SchedConfig, SchedJob, Scheduler};
 use cdb_shard::{MemoryConfig, ShardConfig, ShardExecutor};
 use cdb_storage::{ColumnDef, ColumnType, Schema, Table, Value};
 use cdb_store::{AnswerLog, DurableReuseCache, ScratchDir, TableFile, DEFAULT_SEGMENT_BYTES};
@@ -398,48 +397,5 @@ fn reuse_sweep_cuts_dispatch_by_a_fifth_with_identical_answers() {
         assert_eq!(on, (dispatched, saved, cents, depth), "faults {fault_rate}: cache on");
         assert!(on.0 as f64 <= 0.8 * off.0 as f64, "faults {fault_rate}: {off:?} -> {on:?}");
         assert_eq!(on_text, off_text, "faults {fault_rate}: reuse changed answers");
-    }
-}
-
-/// Per fleet size: `(queries, global rounds, solo_hits, hits, platform
-/// cents)`.
-#[rustfmt::skip]
-const SCHED_SWEEP: [(u64, usize, usize, usize, u64); 4] = [
-    (1, 13,  13, 13,  650),
-    (2, 13,  26, 13,  650),
-    (4, 13,  52, 26, 1300),
-    (8, 13, 104, 52, 2600),
-];
-
-/// The multi-query scheduling sweep: 1/2/4/8 concurrent 8-item self-joins
-/// through `cdb-sched`. A DRR quantum below `tasks_per_hit` maximises the
-/// per-query partial-HIT waste that shared packing recovers; `solo_hits`
-/// is what per-query billing would have published.
-#[test]
-fn sched_sweep_packs_shared_hits_without_changing_answers() {
-    for (n, rounds, solo_hits, hits, cents) in SCHED_SWEEP {
-        let runtime = RuntimeConfig {
-            threads: 4,
-            seed: SEED,
-            worker_accuracies: vec![1.0; 20],
-            ..RuntimeConfig::default()
-        };
-        let plain = RuntimeExecutor::new(runtime.clone()).run(selfjoin_jobs(n, 8, 3));
-        let cfg = SchedConfig {
-            runtime,
-            drr: DrrConfig { quantum: 5, capacity: None },
-            ..SchedConfig::default()
-        };
-        let subs = selfjoin_jobs(n, 8, 3).into_iter().map(SchedJob::unconstrained).collect();
-        let report = Scheduler::new(cfg).run(subs);
-        assert_eq!(report.bindings_text(), plain.bindings_text(), "{n} queries: answers changed");
-        let bill = &report.billing;
-        let got = (bill.rounds.len(), bill.solo_hits, bill.total_hits, bill.platform_cents);
-        assert_eq!(got, (rounds, solo_hits, hits, cents), "{n} queries");
-        let attributed: u64 = bill.attributed_cents.values().sum();
-        assert_eq!(attributed, bill.platform_cents, "{n} queries: cents not conserved");
-        if n == 8 {
-            assert!(bill.hit_reduction() >= 0.15, "{:.3} HIT reduction", bill.hit_reduction());
-        }
     }
 }

@@ -8,7 +8,8 @@
 //!   carrying its latent truth;
 //! * workers with latent accuracies drawn from a Gaussian `N(q, 0.01)`
 //!   (exactly the worker model of the paper's simulated experiments, §6.2);
-//! * HIT packing (the real experiments pack 10 tasks per \$0.1 HIT, §6.3);
+//! * a per-assignment price on each market (the paper's experiments pay
+//!   \$0.05 per AMT task, §6.1);
 //! * cross-market deployment (AMT's developer model supports server-side
 //!   online task assignment; CrowdFlower does not — §2.1);
 //! * the metadata kept by CDB: tasks, workers, and per-assignment
@@ -20,7 +21,6 @@
 
 mod autocomplete;
 mod history;
-mod hit;
 mod latency;
 mod log;
 mod market_deploy;
@@ -32,7 +32,6 @@ mod worker;
 
 pub use autocomplete::AutocompleteStore;
 pub use history::{WorkerHistory, WorkerRecord};
-pub use hit::{attribute_shared_cents, pack_shared, HitConfig, SharedHit};
 pub use latency::{LatencyModel, SimTime};
 pub use log::Assignment;
 pub use market_deploy::{CrossMarketDeployer, MarketSlot};

@@ -47,8 +47,6 @@ pub mod keys {
     pub const CHOICE: &str = "choice";
     /// Entailment depth of a reuse hit (answers chained through).
     pub const DEPTH: &str = "depth";
-    /// HIT count (scheduler round accounting).
-    pub const HITS: &str = "hits";
 }
 
 /// Canonical event names. The `crowd.*` / `exec.*` / `runtime.*` families
@@ -89,20 +87,6 @@ pub mod names {
     /// (kv `task`, `node`, `kind` = cached/transitive/negative, `depth`,
     /// `cents` = money saved).
     pub const REUSE_HIT: &str = "reuse.hit";
-    /// Scheduler admitted a query (kv `q`, `cents` = budget).
-    pub const SCHED_ADMIT: &str = "sched.admit";
-    /// Scheduler queued a query for a later wave (kv `q`, `n` = position).
-    pub const SCHED_QUEUE: &str = "sched.queue";
-    /// Scheduler rejected a query (kv `q`, `kind` = reason).
-    pub const SCHED_REJECT: &str = "sched.reject";
-    /// One global scheduler round closed (no `q` — platform-side totals:
-    /// kv `round`, `n` = tasks, `hits`, `cents` = platform spend).
-    pub const SCHED_ROUND: &str = "sched.round";
-    /// Shared-HIT cost attributed back to one query for one global round
-    /// (kv `q`, `round`, `n` = tasks, `cents`). Summing these per query
-    /// must reproduce the platform spend of the `sched.round` events
-    /// exactly — see [`Attribution::sched_mismatches`](super::Attribution::sched_mismatches).
-    pub const SCHED_COST: &str = "sched.cost";
     /// A query's fresh crowd answers were durably settled (fsync'd) by
     /// the storage layer before entering the shared reuse cache (kv `q`,
     /// `ok`, `n` = facts, `cents` = money now on stable storage). Not
@@ -171,10 +155,6 @@ pub struct QueryAttribution {
     pub money_saved_cents: u64,
     /// Sum of entailment depths over reuse hits.
     pub entailment_depth_sum: u64,
-    /// Shared-HIT cost attributed to this query by the scheduler, in cents.
-    pub sched_cost_cents: u64,
-    /// Tasks this query contributed to shared scheduler rounds.
-    pub sched_tasks: u64,
     /// Per-plan-node breakdown (key: predicate index; `u64::MAX` holds
     /// charges for tasks with no known plan edge).
     pub per_node: BTreeMap<u64, NodeAttribution>,
@@ -259,13 +239,6 @@ impl ConservationTotals {
 pub struct Attribution {
     /// Rollup per query id.
     pub queries: BTreeMap<u64, QueryAttribution>,
-    /// Platform-side spend of the scheduler's shared rounds, in cents
-    /// (summed from query-less [`names::SCHED_ROUND`] events).
-    pub sched_platform_cents: u64,
-    /// Total HITs published by the scheduler's shared rounds.
-    pub sched_hits: u64,
-    /// Global scheduler rounds observed.
-    pub sched_rounds: u64,
 }
 
 impl Attribution {
@@ -285,13 +258,6 @@ impl Attribution {
 
         let mut out = Attribution::default();
         for ev in events {
-            if ev.name == names::SCHED_ROUND {
-                // Platform-side totals: deliberately carry no query id.
-                out.sched_rounds += 1;
-                out.sched_hits += ev.get_u64(keys::HITS).unwrap_or(0);
-                out.sched_platform_cents += ev.get_u64(keys::CENTS).unwrap_or(0);
-                continue;
-            }
             let q = match ev.get_u64(keys::QUERY) {
                 Some(q) => q,
                 None => continue, // unattributed events
@@ -343,10 +309,6 @@ impl Attribution {
                         .map(|v| v == crate::event::Value::Bool(true) || v.as_u64() == Some(1))
                         .unwrap_or(false);
                 }
-                names::SCHED_COST => {
-                    qa.sched_cost_cents += ev.get_u64(keys::CENTS).unwrap_or(0);
-                    qa.sched_tasks += ev.get_u64(keys::N).unwrap_or(0);
-                }
                 names::DECIDE | names::COLOR => {
                     qa.decisions += 1;
                     let conf = ev.get(keys::CONF).and_then(|v| v.as_f64()).unwrap_or(0.0);
@@ -384,22 +346,6 @@ impl Attribution {
             t.money_saved_cents += qa.money_saved_cents;
         }
         t
-    }
-
-    /// Scheduler conservation check: the sum of per-query attributed
-    /// shared-HIT cost must equal the platform spend of the scheduler's
-    /// rounds, to the cent. Returns one line per disagreement (empty =
-    /// invariant holds), mirroring [`ConservationTotals::mismatches`].
-    pub fn sched_mismatches(&self) -> Vec<String> {
-        let attributed: u64 = self.queries.values().map(|qa| qa.sched_cost_cents).sum();
-        if attributed == self.sched_platform_cents {
-            Vec::new()
-        } else {
-            vec![format!(
-                "sched_cost_cents: attributed={attributed} platform={}",
-                self.sched_platform_cents
-            )]
-        }
     }
 
     /// Render the rollups as a JSON document (shares the
@@ -442,18 +388,11 @@ impl Attribution {
                 .u64("tasks_saved", qa.tasks_saved)
                 .u64("money_saved_cents", qa.money_saved_cents)
                 .u64("entailment_depth_sum", qa.entailment_depth_sum)
-                .u64("sched_cost_cents", qa.sched_cost_cents)
-                .u64("sched_tasks", qa.sched_tasks)
                 .raw("per_node", &nodes.finish())
                 .finish();
             arr = arr.raw(&o);
         }
-        crate::json::JsonObject::new()
-            .raw("queries", &arr.finish())
-            .u64("sched_platform_cents", self.sched_platform_cents)
-            .u64("sched_hits", self.sched_hits)
-            .u64("sched_rounds", self.sched_rounds)
-            .finish()
+        crate::json::JsonObject::new().raw("queries", &arr.finish()).finish()
     }
 }
 
@@ -615,56 +554,5 @@ mod tests {
         let evs = vec![instant(names::COST_ESTIMATE, 0, kv![n => 1u64])];
         let a = Attribution::from_events(&evs);
         assert!(a.queries.is_empty());
-    }
-
-    #[test]
-    fn sched_rounds_roll_up_and_conserve_cents() {
-        let evs = vec![
-            // Global round 0: 13 tasks from q1+q2 share 2 HITs, 20¢ spend
-            // split 14/6 by the scheduler's largest-remainder attribution.
-            instant(names::SCHED_COST, 0, kv![q => 1u64, round => 0u64, n => 9u64, cents => 14u64]),
-            instant(names::SCHED_COST, 0, kv![q => 2u64, round => 0u64, n => 4u64, cents => 6u64]),
-            instant(
-                names::SCHED_ROUND,
-                0,
-                kv![round => 0u64, n => 13u64, hits => 2u64, cents => 20u64],
-            ),
-            // Global round 1: q2 alone.
-            instant(names::SCHED_COST, 1, kv![q => 2u64, round => 1u64, n => 3u64, cents => 10u64]),
-            instant(
-                names::SCHED_ROUND,
-                1,
-                kv![round => 1u64, n => 3u64, hits => 1u64, cents => 10u64],
-            ),
-        ];
-        let a = Attribution::from_events(&evs);
-        assert_eq!(a.sched_rounds, 2);
-        assert_eq!(a.sched_hits, 3);
-        assert_eq!(a.sched_platform_cents, 30);
-        assert_eq!(a.queries[&1].sched_cost_cents, 14);
-        assert_eq!(a.queries[&1].sched_tasks, 9);
-        assert_eq!(a.queries[&2].sched_cost_cents, 16);
-        assert_eq!(a.queries[&2].sched_tasks, 7);
-        assert!(a.sched_mismatches().is_empty());
-        let json = a.to_json();
-        assert!(json.contains(r#""sched_platform_cents":30"#));
-        assert!(json.contains(r#""sched_cost_cents":14"#));
-    }
-
-    #[test]
-    fn sched_mismatch_names_the_leak() {
-        let evs = vec![
-            instant(names::SCHED_COST, 0, kv![q => 1u64, round => 0u64, n => 5u64, cents => 9u64]),
-            instant(
-                names::SCHED_ROUND,
-                0,
-                kv![round => 0u64, n => 5u64, hits => 1u64, cents => 10u64],
-            ),
-        ];
-        let a = Attribution::from_events(&evs);
-        let m = a.sched_mismatches();
-        assert_eq!(m.len(), 1);
-        assert!(m[0].contains("attributed=9"));
-        assert!(m[0].contains("platform=10"));
     }
 }

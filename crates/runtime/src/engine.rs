@@ -67,10 +67,8 @@ pub struct RuntimeEngine {
     trace: Trace,
     now: SimTime,
     error: Option<RuntimeError>,
-    /// Tasks published per crowd round, in round order; its length is the
-    /// round count. This is the per-round footprint the multi-query
-    /// scheduler replays when interleaving queries into shared HITs.
-    round_tasks: Vec<usize>,
+    /// Crowd rounds published so far.
+    rounds: usize,
 }
 
 impl RuntimeEngine {
@@ -95,7 +93,7 @@ impl RuntimeEngine {
             trace: Trace::collector(metrics),
             now: 0,
             error: None,
-            round_tasks: Vec::new(),
+            rounds: 0,
         }
     }
 
@@ -124,11 +122,6 @@ impl RuntimeEngine {
     /// Take the fatal error, leaving the engine errored-but-queryable.
     pub fn take_error(&mut self) -> Option<RuntimeError> {
         self.error.clone()
-    }
-
-    /// Tasks published to the crowd per round, in round order.
-    pub fn round_tasks(&self) -> &[usize] {
-        &self.round_tasks
     }
 
     fn emit_dispatch(&self, span: &Span, p: &PendingAssignment, round: u64) {
@@ -277,7 +270,7 @@ impl CrowdPlatform for RuntimeEngine {
     }
 
     fn rounds(&self) -> usize {
-        self.round_tasks.len()
+        self.rounds
     }
 
     fn ask_round(&mut self, questions: &[Question], redundancy: usize) -> Vec<Assignment> {
@@ -288,9 +281,9 @@ impl CrowdPlatform for RuntimeEngine {
             return Vec::new();
         }
         let tasks: Vec<Task> = questions.iter().map(|q| join_task(&self.truth, q)).collect();
-        let round = self.round_tasks.len() as u64;
+        let round = self.rounds as u64;
         let round_start = self.now;
-        self.round_tasks.push(tasks.len());
+        self.rounds += 1;
         let span =
             self.trace.span(SpanId::ROOT, names::ROUND, &[round], round_start, kv![round => round]);
 

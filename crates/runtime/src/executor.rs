@@ -1,4 +1,4 @@
-//! The concurrent query scheduler.
+//! The concurrent query executor.
 //!
 //! [`RuntimeExecutor`] runs many crowd queries at once: a fleet's jobs are
 //! sorted by query id and handed to the shared unit runner
@@ -30,7 +30,8 @@ use crate::fault::{FaultPlan, RetryPolicy, RuntimeError};
 use crate::fleet::run_units;
 use crate::metrics::{MetricsSnapshot, RuntimeMetrics};
 
-/// Scheduler configuration.
+/// Runtime configuration: the thread count, seeds, simulated crowd and
+/// fault plan every query of a fleet runs under.
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
     /// Worker threads per lane of the unit runner (`0` runs as `1`).
@@ -197,10 +198,6 @@ pub struct QueryResult {
     pub assignments: usize,
     /// Tasks answered from the reuse cache instead of the crowd.
     pub tasks_saved: usize,
-    /// Tasks published to the crowd per round, in round order — the
-    /// per-round footprint `cdb-sched` interleaves into shared HITs
-    /// (all-cache rounds publish nothing and are not recorded).
-    pub round_tasks: Vec<usize>,
     /// Virtual makespan of the query, in simulated ms.
     pub virtual_ms: SimTime,
     /// True when a [`RoundSink`] stopped the query early (client cancel
@@ -419,7 +416,6 @@ pub fn execute_query(
     }
     let stats = executor.run();
     let virtual_ms = engine.now();
-    let round_tasks = engine.round_tasks().to_vec();
     let id = job.id;
     let err = engine.take_error();
     // One `runtime.query` fact per query: metrics folds it into the
@@ -441,7 +437,6 @@ pub fn execute_query(
                 rounds: stats.rounds,
                 assignments: stats.assignments,
                 tasks_saved: stats.tasks_saved,
-                round_tasks,
                 virtual_ms,
                 cancelled: stats.cancelled,
             }),

@@ -2,16 +2,16 @@
 //! global money/worker-capacity envelope before it gets near the crowd.
 //!
 //! Queries arrive with their own budget (and optionally a round deadline);
-//! the controller admits them into the active set, queues them for a later
-//! wave, or rejects them with a typed reason. The queue is *bounded* —
-//! when it fills, further arrivals are rejected immediately (backpressure)
-//! instead of accumulating unboundedly.
+//! the controller admits them into the active set, queues them until
+//! capacity frees, or rejects them with a typed reason. The queue is
+//! *bounded* — when it fills, further arrivals are rejected immediately
+//! (backpressure) instead of accumulating unboundedly.
 //!
 //! Money accounting is pessimistic: an *admitted* query commits its full
 //! pre-execution envelope ([`cdb_core::CostEstimate`], a sound upper
 //! bound) against the global budget, and releases it when it finishes.
 //! Queued queries commit nothing until promoted, and promotion re-checks
-//! the money — the scheduler never oversubscribes the envelope even if
+//! the money — the controller never oversubscribes the envelope even if
 //! every admitted query hits its worst case.
 
 use std::collections::VecDeque;
@@ -50,7 +50,7 @@ pub struct QueryRequest {
     pub estimate: CostEstimate,
     /// The money this query is willing to spend, in cents.
     pub budget_cents: u64,
-    /// Optional deadline, in global scheduler rounds.
+    /// Optional deadline, in the query's own crowd rounds.
     pub deadline_rounds: Option<usize>,
 }
 
@@ -70,9 +70,9 @@ pub enum RejectReason {
         /// The queue bound that was hit.
         capacity: usize,
     },
-    /// The query can never meet its own constraints: its envelope exceeds
-    /// its own budget, or its deadline allows fewer rounds than any run
-    /// that asks a task needs.
+    /// The query could never run: its envelope exceeds its own budget, its
+    /// deadline allows fewer rounds than any run that asks a task needs,
+    /// or the envelope admits no query at all (`max_active == 0`).
     Infeasible,
 }
 
@@ -151,6 +151,11 @@ impl AdmissionController {
             if d < rounds_lower {
                 return AdmissionDecision::Rejected(RejectReason::Infeasible);
             }
+        }
+        // An envelope with no active slot would park the query forever: no
+        // completion can ever free one.
+        if self.envelope.max_active == 0 {
+            return AdmissionDecision::Rejected(RejectReason::Infeasible);
         }
         if need > self.envelope.budget_cents {
             return AdmissionDecision::Rejected(RejectReason::BudgetExceeded {
@@ -250,6 +255,22 @@ mod tests {
         assert_eq!(wave.len(), 1);
         assert_eq!(wave[0].query, 2);
         assert_eq!(c.committed_cents(), 100);
+
+        // Head of line: promotion stops at the first queued query the free
+        // money cannot cover, so a cheaper one behind it waits too.
+        let mut c = AdmissionController::new(Envelope {
+            budget_cents: 150,
+            max_active: 8,
+            queue_capacity: 8,
+        });
+        assert_eq!(c.offer(req(1, 100)), AdmissionDecision::Admitted);
+        assert_eq!(c.offer(req(2, 120)), AdmissionDecision::Queued { position: 0 });
+        assert_eq!(c.offer(req(3, 10)), AdmissionDecision::Queued { position: 1 });
+        assert!(c.admit_wave().is_empty(), "q3 fits the free 50¢ but must not overtake q2");
+        c.complete(&est(4, 100));
+        let wave = c.admit_wave();
+        assert_eq!(wave.iter().map(|r| r.query).collect::<Vec<_>>(), vec![2, 3]);
+        assert_eq!(c.committed_cents(), 130);
     }
 
     #[test]
@@ -288,6 +309,11 @@ mod tests {
             deadline_rounds: Some(0),
         };
         assert_eq!(c.offer(rushed), AdmissionDecision::Rejected(RejectReason::Infeasible));
+        // An envelope with no active slot: queueing would park it forever.
+        let mut none = AdmissionController::new(Envelope { max_active: 0, ..Envelope::default() });
+        assert_eq!(none.offer(req(3, 10)), AdmissionDecision::Rejected(RejectReason::Infeasible));
+        assert_eq!((none.queued(), none.active(), none.committed_cents()), (0, 0, 0));
+        assert!(none.admit_wave().is_empty());
     }
 
     #[test]

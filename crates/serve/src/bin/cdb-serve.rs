@@ -46,8 +46,9 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// The parsed flags. A flag it does not know, a missing value or one that
-/// does not parse exits through [`usage`].
+/// The parsed flags. A flag it does not know, a missing value, one that
+/// does not parse or `--max-active 0` (an envelope that could admit no
+/// query) exits through [`usage`].
 fn parse_args() -> Args {
     fn value<T: std::str::FromStr>(it: &mut impl Iterator<Item = String>) -> T {
         it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
@@ -79,6 +80,9 @@ fn parse_args() -> Args {
             "--queue-capacity" => args.queue_capacity = value(&mut it),
             _ => usage(),
         }
+    }
+    if args.max_active == 0 {
+        usage();
     }
     args
 }

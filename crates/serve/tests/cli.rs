@@ -6,7 +6,13 @@ use std::process::Command;
 
 #[test]
 fn malformed_flags_exit_2_with_usage() {
-    for args in [&["--scale", "x"][..], &["--seed"], &["--nope"], &["--dataset", "nope"]] {
+    for args in [
+        &["--scale", "x"][..],
+        &["--seed"],
+        &["--nope"],
+        &["--dataset", "nope"],
+        &["--max-active", "0"],
+    ] {
         let out = Command::new(env!("CARGO_BIN_EXE_cdb-serve")).args(args).output().unwrap();
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");

@@ -398,7 +398,6 @@ mod tests {
         assert_eq!(rounds, [2, 1], "the components take different round counts");
         let q = report.results[0].1.as_ref().expect("query ok");
         assert_eq!(q.rounds, 2, "rounds: the slowest component");
-        assert_eq!(q.round_tasks, [10, 9], "tasks per round: the element-wise sum");
         assert_eq!((q.tasks_asked, q.assignments), (18 + 1, 54 + 3), "tasks: the sum");
         assert_eq!(Some(q.virtual_ms), units.iter().map(|u| u.virtual_ms).max());
         assert_eq!(q.bindings.len(), 3);

@@ -24,12 +24,6 @@
 //! - The [`merge`] layer reassembles per-component bindings in
 //!   deterministic component-id order and folds shard-local metrics
 //!   collectors into one fleet-wide snapshot by field-wise sum.
-//!
-//! Sharded fleets are scheduled by `cdb-sched` itself
-//! (`Scheduler::run_waves` with a wave closure around
-//! [`ShardExecutor::run`]): a DRR flow is then one execution unit, so
-//! shared HITs pack tasks from units on different shards with the same
-//! cents-exact attribution (`tests/sched_waves.rs`).
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

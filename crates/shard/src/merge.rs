@@ -12,8 +12,8 @@ use cdb_runtime::{MetricsSnapshot, QueryResult, RuntimeError};
 /// [`QueryResult`]. Bindings are the disjoint union of the components'
 /// answer sets; tasks, assignments and saved tasks are summed. Components
 /// run concurrently, so `rounds` and `virtual_ms` are the maximum over
-/// components (the slowest one), `round_tasks` is the element-wise sum,
-/// and the query is cancelled if any component was. Any failed component
+/// components (the slowest one), and the query is cancelled if any
+/// component was. Any failed component
 /// fails the query with the lowest-component error — answers from the
 /// other components would be an incomplete (wrong) answer set.
 pub fn merge_query(
@@ -28,7 +28,6 @@ pub fn merge_query(
         rounds: 0,
         assignments: 0,
         tasks_saved: 0,
-        round_tasks: Vec::new(),
         virtual_ms: 0,
         cancelled: false,
     };
@@ -40,12 +39,6 @@ pub fn merge_query(
         merged.tasks_saved += q.tasks_saved;
         merged.rounds = merged.rounds.max(q.rounds);
         merged.virtual_ms = merged.virtual_ms.max(q.virtual_ms);
-        if merged.round_tasks.len() < q.round_tasks.len() {
-            merged.round_tasks.resize(q.round_tasks.len(), 0);
-        }
-        for (sum, n) in merged.round_tasks.iter_mut().zip(&q.round_tasks) {
-            *sum += n;
-        }
         merged.cancelled |= q.cancelled;
     }
     Ok(merged)

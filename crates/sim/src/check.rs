@@ -12,7 +12,6 @@ use cdb_core::{ReuseCache, ReuseOutcome};
 use cdb_crowd::{stream_key, stream_rng, Market, SimulatedPlatform, WorkerPool};
 use cdb_obsv::{Attribution, ConservationTotals, Ring, Trace};
 use cdb_runtime::{RuntimeExecutor, RuntimeReport, SettleHook};
-use cdb_sched::{DrrConfig, SchedConfig, SchedJob, Scheduler};
 use cdb_shard::{
     partition as shard_partition, sum_snapshots, verify_partition, Component, MemoryConfig,
     ShardConfig, ShardExecutor,
@@ -68,10 +67,6 @@ pub enum Sabotage {
     /// Count one extra dispatched task in the aggregate counters — a
     /// money/task accounting leak.
     LeakTask,
-    /// Report one query's scheduled completion several global rounds past
-    /// its DRR fairness bound — a starved query the fair-share invariant
-    /// must flag.
-    StarveQuery,
     /// Corrupt the tail of the durable answer log between the simulated
     /// crash and recovery — a torn write the kill-and-recover check must
     /// surface as lost settled answers.
@@ -90,7 +85,6 @@ impl Sabotage {
             Sabotage::FlipBinding => "flip-binding",
             Sabotage::FlipEntailment => "flip-entailment",
             Sabotage::LeakTask => "leak-task",
-            Sabotage::StarveQuery => "starve-query",
             Sabotage::TornTail => "torn-tail",
             Sabotage::LeakCrossShard => "leak-cross-shard",
         }
@@ -103,7 +97,6 @@ impl Sabotage {
             "flip-binding" => Some(Sabotage::FlipBinding),
             "flip-entailment" => Some(Sabotage::FlipEntailment),
             "leak-task" => Some(Sabotage::LeakTask),
-            "starve-query" => Some(Sabotage::StarveQuery),
             "torn-tail" => Some(Sabotage::TornTail),
             "leak-cross-shard" => Some(Sabotage::LeakCrossShard),
             _ => None,
@@ -331,11 +324,6 @@ pub fn check(spec: &ScenarioSpec, sabotage: Sabotage) -> Vec<Violation> {
         }
     }
 
-    // --- Multi-query scheduling: scheduling must never change answers,
-    // attributed cents must conserve platform cents, and every query must
-    // finish within its DRR fairness bound.
-    check_sched(spec, &jobs, &replay, sabotage, &mut v);
-
     // --- Sharded execution: partition integrity for every query's tuple
     // graph, sharded-vs-oracle byte-equality, and cross-shard task/money
     // conservation.
@@ -497,80 +485,6 @@ fn tear_log_tail(dir: &std::path::Path) -> Result<(), String> {
     std::fs::write(last, &bytes).map_err(|e| e.to_string())
 }
 
-/// Run the query mix through `cdb-sched` with a generous envelope (all
-/// queries admit into one wave) and check the scheduler's own contracts
-/// against the plain runtime run: identical bindings with or without the
-/// scheduler; cents-exact cost attribution; and the
-/// per-query fairness bound `completion == Σ_r ceil(t_r / quantum)`
-/// derived independently from each query's recorded round trace.
-fn check_sched(
-    spec: &ScenarioSpec,
-    jobs: &[cdb_runtime::QueryJob],
-    plain: &RuntimeReport,
-    sabotage: Sabotage,
-    v: &mut Vec<Violation>,
-) {
-    if spec.queries.is_empty() {
-        return;
-    }
-    let quantum = spec.sched_quantum.max(1);
-    let cfg = SchedConfig {
-        runtime: runtime_config(
-            spec,
-            spec.reuse.then(|| Arc::new(ReuseCache::new())),
-            Trace::off(),
-        ),
-        drr: DrrConfig { quantum, capacity: None },
-        ..SchedConfig::default()
-    };
-    let report =
-        Scheduler::new(cfg).run(jobs.iter().map(|j| SchedJob::unconstrained(j.clone())).collect());
-    if report.bindings_text() != plain.bindings_text() {
-        v.push(Violation::new(
-            "sched-runtime-divergence",
-            format!(
-                "scheduled:\n{}\nplain runtime:\n{}",
-                report.bindings_text(),
-                plain.bindings_text()
-            ),
-        ));
-    }
-    let bill = &report.billing;
-    let attributed: u64 = bill.attributed_cents.values().sum();
-    if attributed != bill.platform_cents {
-        v.push(Violation::new(
-            "sched-conservation",
-            format!("attributed {} cents != platform {} cents", attributed, bill.platform_cents),
-        ));
-    }
-    let mut completion = bill.completion_round.clone();
-    if sabotage == Sabotage::StarveQuery {
-        // Pretend the highest-id query was parked for 7 extra global
-        // rounds — the fairness bound below must notice.
-        if let Some(r) = completion.values_mut().next_back() {
-            *r += 7;
-        }
-    }
-    for (id, res) in &report.results {
-        let Ok(q) = res else { continue };
-        let bound: usize = q.round_tasks.iter().map(|t| t.div_ceil(quantum)).sum();
-        if bound == 0 {
-            continue;
-        }
-        let got = completion.get(id).map(|&r| r + 1);
-        if got != Some(bound) {
-            v.push(Violation::new(
-                "sched-fairness",
-                format!(
-                    "q{id}: completed in {got:?} global rounds, fairness bound is {bound} \
-                     (quantum {quantum}, trace {:?})",
-                    q.round_tasks
-                ),
-            ));
-        }
-    }
-}
-
 /// Sharded-execution invariants.
 ///
 /// 1. **Partition integrity**: every query's component partition must
@@ -583,10 +497,7 @@ fn check_sched(
 ///    one shard): byte-identical bindings and byte-identical merged
 ///    metrics JSON — placement adds concurrency, never behavior.
 /// 3. **Cross-shard conservation**: the merged snapshot equals the
-///    field-wise sum of the shard-local collectors, and the scheduler's
-///    per-query cost attribution over unit flows sums exactly to platform
-///    spend even when shared HITs pack tasks from units on different
-///    shards.
+///    field-wise sum of the shard-local collectors.
 /// 4. **Perfect-workers bridge**: with perfect workers and no
 ///    faults/budget, the sharded path recovers the same ground-truth
 ///    bindings as the monolithic runtime.
@@ -672,40 +583,6 @@ fn check_shard(
                 sharded.metrics.to_json()
             ),
         ));
-    }
-    // The scheduler's loop with a sharded wave: one DRR flow per unit,
-    // numbered in (query, component) order.
-    let cfg = shard_cfg(spec.shard_count);
-    let sched = Scheduler::new(SchedConfig {
-        runtime: cfg.runtime.clone(),
-        drr: DrrConfig { quantum: spec.sched_quantum.max(1), capacity: None },
-        ..SchedConfig::default()
-    });
-    let exec = ShardExecutor::new(cfg);
-    let subs = jobs.iter().map(|j| SchedJob::unconstrained(j.clone())).collect();
-    let billed = sched.run_waves(subs, |wave| {
-        let report = exec.run(wave)?;
-        let flows = report.units.iter().enumerate().filter_map(|(flow, u)| {
-            Some((flow as u64, u.query, u.result.as_ref().ok()?.round_tasks.clone()))
-        });
-        Ok::<_, cdb_shard::ShardError>(flows.collect())
-    });
-    match billed {
-        Ok(bill) => {
-            let attributed: u64 = bill.attributed_cents.values().sum();
-            if attributed != bill.platform_cents {
-                v.push(Violation::new(
-                    "shard-conservation",
-                    format!(
-                        "sharded schedule attributed {} cents != platform {} cents",
-                        attributed, bill.platform_cents
-                    ),
-                ));
-            }
-        }
-        Err(e) => {
-            v.push(Violation::new("shard-conservation", format!("sharded plan failed: {e}")));
-        }
     }
     // Per query that completed in *both* engines: a timing-tail retry
     // exhaustion (scenario deadlines can be tight) may fail a query in

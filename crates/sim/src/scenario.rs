@@ -65,9 +65,6 @@ pub struct ScenarioSpec {
     pub budget: Option<usize>,
     /// Workers per task.
     pub redundancy: usize,
-    /// DRR quantum for the multi-query scheduling checks (tasks of
-    /// deficit per query per global round).
-    pub sched_quantum: usize,
     /// Kill-and-recover point: run the first `kill_after` queries, drop
     /// all process state (as a crash would), reopen the durable store
     /// and run the rest. `0` disables the crash (the recovery check is
@@ -140,7 +137,9 @@ impl ScenarioSpec {
         };
         // Drawn last so older seeds keep generating byte-identical specs
         // for every field above (`shard_count` newest, after `kill_after`).
-        let sched_quantum = r.gen_range(2..=16);
+        // Once the multi-query scheduler's quantum; still drawn so every
+        // later field keeps its value for every seed.
+        let _ = r.gen_range(2..=16);
         let kill_after =
             if n_queries >= 2 && r.gen::<f64>() < 0.35 { r.gen_range(1..n_queries) } else { 0 };
         let shard_count = SHARD_CHOICES[r.gen_range(0..SHARD_CHOICES.len())];
@@ -158,7 +157,6 @@ impl ScenarioSpec {
             max_retries,
             budget,
             redundancy,
-            sched_quantum,
             kill_after,
             shard_count,
             queries,
@@ -190,7 +188,6 @@ impl ScenarioSpec {
             None => s.push_str("budget=none\n"),
         }
         s.push_str(&format!("redundancy={}\n", self.redundancy));
-        s.push_str(&format!("sched_quantum={}\n", self.sched_quantum));
         s.push_str(&format!("kill_after={}\n", self.kill_after));
         s.push_str(&format!("shard_count={}\n", self.shard_count));
         for q in &self.queries {
@@ -230,7 +227,6 @@ impl ScenarioSpec {
             max_retries: 8,
             budget: None,
             redundancy: 5,
-            sched_quantum: 10,
             kill_after: 0,
             shard_count: 1,
             queries: Vec::new(),
@@ -272,9 +268,6 @@ impl ScenarioSpec {
                     };
                 }
                 "redundancy" => spec.redundancy = val.parse().map_err(|_| bad("usize"))?,
-                "sched_quantum" => {
-                    spec.sched_quantum = val.parse().map_err(|_| bad("usize"))?;
-                }
                 "kill_after" => spec.kill_after = val.parse().map_err(|_| bad("usize"))?,
                 "shard_count" => spec.shard_count = val.parse().map_err(|_| bad("usize"))?,
                 "query" => {

@@ -109,17 +109,3 @@ fn leak_cross_shard_is_caught_and_shrunk() {
         |s| matches!(s.queries.first(), Some(cdb_sim::QueryShape::Cluster { left, right }) if left * right >= 2),
     );
 }
-
-/// A query reported finishing past its DRR bound breaks the fairness
-/// invariant.
-#[test]
-fn starved_query_is_caught_and_shrunk() {
-    // Needs a query that completes and publishes tasks: no budget cap,
-    // no faults or scripted drops.
-    sabotage_is_caught(Sabotage::StarveQuery, |s| {
-        !s.queries.is_empty()
-            && s.budget.is_none()
-            && s.fault_rate == 0.0
-            && s.forced_drops.is_empty()
-    });
-}

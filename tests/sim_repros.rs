@@ -47,11 +47,6 @@ fn leak_cross_shard_repro_replays() {
     replay_file("leak-cross-shard.repro");
 }
 
-#[test]
-fn starve_query_repro_replays() {
-    replay_file("starve-query.repro");
-}
-
 /// Every committed repro file is covered by a named test above — a new
 /// `.repro` without a matching test is an error, not silence.
 #[test]
@@ -71,7 +66,6 @@ fn all_committed_repros_are_replayed() {
             "flip-entailment.repro",
             "leak-cross-shard.repro",
             "leak-task.repro",
-            "starve-query.repro",
         ],
         "update tests/sim_repros.rs when adding or removing repro files"
     );
